@@ -113,6 +113,8 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE serfi_campaign_checkpoint_resident_bytes gauge",
 		"# TYPE serfi_fi_injections_total counter",
 		"# TYPE serfi_fi_restore_seconds histogram",
+		"# TYPE serfi_fi_converge_compare_seconds histogram",
+		"# TYPE serfi_fi_classify_seconds histogram",
 		"# TYPE serfi_fi_instructions_per_injection histogram",
 		"# TYPE serfi_mach_retired_instructions_total counter",
 		"# TYPE serfi_mach_runs_total counter",

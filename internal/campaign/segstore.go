@@ -181,7 +181,7 @@ func OpenSegmentedStore(dir string, opts ...SegStoreOption) (*SegmentedStore, er
 	if s.compact > 0 {
 		s.compactQ = make(chan string, 64)
 		s.wg.Add(1)
-		go s.compactLoop()
+		go s.compactLoop(s.compactQ)
 	}
 	return s, nil
 }
@@ -885,10 +885,13 @@ func (s *SegmentedStore) maybeCompactLocked(t *tenantSegs) {
 	}
 }
 
-// compactLoop is the background compaction worker.
-func (s *SegmentedStore) compactLoop() {
+// compactLoop is the background compaction worker. It owns its end of the
+// queue as an argument: Close nils the s.compactQ field under s.mu, and a
+// goroutine first scheduled after that would range over a nil channel
+// forever while Close waits on s.wg.
+func (s *SegmentedStore) compactLoop(q <-chan string) {
 	defer s.wg.Done()
-	for ns := range s.compactQ {
+	for ns := range q {
 		s.mu.Lock()
 		if !s.closed {
 			s.compactLocked(ns)

@@ -415,6 +415,29 @@ func TestSegmentedStoreBackgroundCompaction(t *testing.T) {
 	}
 }
 
+// TestSegmentedStoreCloseRightAfterOpen: Close must return even when it wins
+// the race against the compaction goroutine's first look at its queue (the
+// goroutine used to read the field Close had just nilled and block forever).
+func TestSegmentedStoreCloseRightAfterOpen(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 200; i++ {
+		st, err := campaign.OpenSegmentedStore(filepath.Join(dir, "segs"), campaign.CompactAfter(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- st.Close() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("Close hung on open→close round %d", i)
+		}
+	}
+}
+
 // TestValidTenant pins the namespace charset: path-safe tokens only.
 func TestValidTenant(t *testing.T) {
 	for _, ok := range []string{"", "alice", "team-7", "a.b_c", "X9"} {

@@ -3,8 +3,9 @@ package dist
 // BenchmarkDistLoopback vs BenchmarkEngineMatrix: the same campaign matrix
 // through the distributed fabric (coordinator + loopback workers, full wire
 // marshal path) and through the local engine. The difference in ns/inject
-// is the wire protocol's per-injection overhead; BENCH_dist.json records a
-// measured pair. Scale faults with SERFI_FAULTS like the root benchmarks.
+// is the wire protocol's per-injection overhead; the benchmark harness
+// measures the same pair as work_per_s on inject_deep vs inject_queue
+// (bench/README.md). Scale faults with SERFI_FAULTS like the root benchmarks.
 
 import (
 	"context"

@@ -446,7 +446,7 @@ func TestApplyMarksPagesDirty(t *testing.T) {
 	memd.Apply(m, fault.Point{Domain: fault.Mem, Addr: addr, Bit: 21})
 
 	delta := m.DeltaSnapshot()
-	if delta.Depth() == 0 {
+	if delta.Mem().Depth() == 0 {
 		t.Fatal("delta did not chain to the pre-fault snapshot")
 	}
 	if delta.MemBytes() == 0 {

@@ -38,6 +38,12 @@ type CheckpointSet struct {
 	cfg   mach.Config
 	snaps []*mach.Snapshot // ascending by Retired(); a delta chain unless FullCopy
 
+	// final is the golden terminal RAM image chained after the last
+	// checkpoint of a delta chain (nil otherwise: runs classify against
+	// g.Final with a full compare). Sharing the chain is what lets classify
+	// compare a pooled machine over its dirty pages plus chain paths only.
+	final *mem.Snapshot
+
 	// pool recycles injection machines across InjectPoint calls (delta path
 	// only). A pooled machine's memory keeps its tracking base, so restoring
 	// the next fault's checkpoint rewrites just the pages that differ along
@@ -132,13 +138,18 @@ func BuildCheckpointsOpt(ctx context.Context, img *cc.Image, cfg mach.Config, g 
 		}
 		last = target
 	}
+	if !opt.FullCopy {
+		// The terminal image joins the chain by page compare against the
+		// retained golden machine's RAM, not by simulating to the end again.
+		cs.final = cs.snaps[len(cs.snaps)-1].Mem().DeltaOf(g.Machine.Mem)
+	}
 	if opt.SpillDir != "" {
 		sp, err := mem.NewSpill(opt.SpillDir)
 		if err != nil {
 			return nil, err
 		}
-		for _, s := range cs.snaps {
-			if err := s.SpillTo(sp); err != nil {
+		for _, im := range cs.images() {
+			if err := im.SpillTo(sp); err != nil {
 				sp.Close()
 				return nil, err
 			}
@@ -159,7 +170,7 @@ func BuildCheckpointsOpt(ctx context.Context, img *cc.Image, cfg mach.Config, g 
 // pool is shared too (all clones restore from the same chain); spill-file
 // ownership is not — Close on a clone is a no-op.
 func (cs *CheckpointSet) Clone() *CheckpointSet {
-	return &CheckpointSet{img: cs.img, cfg: cs.cfg, snaps: cs.snaps, pool: cs.pool}
+	return &CheckpointSet{img: cs.img, cfg: cs.cfg, snaps: cs.snaps, final: cs.final, pool: cs.pool}
 }
 
 // Close releases the spill file backing this set's checkpoints, if any.
@@ -178,14 +189,27 @@ func (cs *CheckpointSet) Close() error {
 // Len returns the number of captured snapshots.
 func (cs *CheckpointSet) Len() int { return len(cs.snaps) }
 
+// images returns every RAM image the set owns: each checkpoint's and, on a
+// delta chain, the terminal image.
+func (cs *CheckpointSet) images() []*mem.Snapshot {
+	out := make([]*mem.Snapshot, 0, len(cs.snaps)+1)
+	for _, s := range cs.snaps {
+		out = append(out, s.Mem())
+	}
+	if cs.final != nil {
+		out = append(out, cs.final)
+	}
+	return out
+}
+
 // MemBytes returns the total in-memory payload of all retained RAM pages
-// (telemetry). On the delta path this sums each checkpoint's own pages —
-// equal to the last checkpoint's ChainBytes for a linear chain — and is a
-// small fraction of the full-copy cost; after a spill it approaches zero.
+// (telemetry). On the delta path this sums each image's own pages — equal to
+// the terminal image's ChainBytes for a linear chain — and is a small
+// fraction of the full-copy cost; after a spill it approaches zero.
 func (cs *CheckpointSet) MemBytes() int {
 	n := 0
-	for _, s := range cs.snaps {
-		n += s.MemBytes()
+	for _, im := range cs.images() {
+		n += im.Bytes()
 	}
 	return n
 }
@@ -194,8 +218,8 @@ func (cs *CheckpointSet) MemBytes() int {
 // (telemetry; zero unless built with a SpillDir).
 func (cs *CheckpointSet) SpilledBytes() int {
 	n := 0
-	for _, s := range cs.snaps {
-		n += s.SpilledBytes()
+	for _, im := range cs.images() {
+		n += im.SpilledBytes()
 	}
 	return n
 }
@@ -286,6 +310,7 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 
 	res, pruned := Result{}, false
 	stop := mach.StopInstrBudget
+	var compare time.Duration // convergence compares of this run, summed
 	// Run in stages, pausing at each checkpoint boundary past the fault.
 	next := sort.Search(len(cs.snaps), func(i int) bool {
 		return cs.snaps[i].Retired() > injectAt
@@ -298,7 +323,10 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 		if stop != mach.StopInstrBudget {
 			break // halted, hung or deadlocked before the boundary
 		}
-		if cs.snaps[next].StateEquals(m) {
+		t0 := time.Now()
+		converged := cs.snaps[next].StateEquals(m)
+		compare += time.Since(t0)
+		if converged {
 			// Converged: the rest of the run is the golden run.
 			res = Result{
 				Fault:    p,
@@ -319,7 +347,11 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 				return Result{}, err
 			}
 		}
-		res = finishFault(m, g, p, stop)
+		final := cs.final
+		if final == nil {
+			final = g.Final // no chain to share: every page is compared
+		}
+		res = finishFault(m, g, final, p, stop)
 	}
 	cs.simulated.Add(m.TotalRetired - start)
 	cs.fromReset.Add(res.Retired)
@@ -327,6 +359,9 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 	if pruned {
 		cs.pruned.Add(1)
 		obsPruned.Inc()
+	}
+	if compare > 0 {
+		obsConvergeSeconds.Observe(compare.Seconds())
 	}
 	obsInstrsPerInject.Observe(float64(m.TotalRetired - start))
 	obsInjections.Inc()

@@ -1,24 +1,28 @@
 // Package fi implements the paper's fault-injection methodology (§3.2):
 // the four-phase workflow (golden execution, fault-list generation,
 // injection runs, report assembly) and the Cho et al. outcome
-// classification (Vanished / ONA / OMM / UT / Hang). The fault model
-// itself is pluggable: every phase is generic over a fault.Domain — the
-// register single-bit-upset space of the paper, data words in guest RAM,
-// instruction words, or register bit bursts (internal/fault). The legacy
-// register-only entry points (RandomFault, FaultList, Inject) are thin
-// wrappers over the fault.Reg domain and remain bit-identical to the
-// pre-domain injector at the same seed.
+// classification (Vanished / ONA / OMM / UT / Hang), whose final-state half
+// is exact: a run's RAM is compared byte for byte with the golden run's
+// terminal image (Golden.Final; see classify), never with a digest. The
+// fault model itself is pluggable: every phase is generic over a
+// fault.Domain — the register single-bit-upset space of the paper, data
+// words in guest RAM, instruction words, or register bit bursts
+// (internal/fault). The legacy register-only entry points (RandomFault,
+// FaultList, Inject) are thin wrappers over the fault.Reg domain and remain
+// bit-identical to the pre-domain injector at the same seed.
 package fi
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
+	"time"
 
 	"serfi/internal/cc"
 	"serfi/internal/fault"
 	"serfi/internal/isa"
 	"serfi/internal/mach"
+	"serfi/internal/mem"
 )
 
 // HangFactor multiplies the golden cycle count to obtain the fault-run
@@ -35,7 +39,6 @@ type Golden struct {
 	Retired  uint64 // total retired instructions at halt
 	Cycles   uint64 // machine time (max per-core cycles)
 	Console  string
-	MemHash  uint64
 	RegHash  uint64
 	ExitCode int
 	Signal   int
@@ -44,7 +47,11 @@ type Golden struct {
 	PerCore []mach.CoreStats // per-core counters
 	L2Miss  float64
 	L1DMiss float64
-	Machine *mach.Machine // retained for profiling inspection
+	Machine *mach.Machine // retained for profiling inspection; never run again
+	// Final is the terminal RAM image, a full capture (Machine.Mem tracks
+	// it). Runs that end with the golden console are scored Vanished or ONA
+	// by exact byte equality against it, never by a digest.
+	Final *mem.Snapshot
 }
 
 // ctxCheckInterval is how many committed instructions a context-aware run
@@ -113,12 +120,12 @@ func RunGoldenContext(ctx context.Context, img *cc.Image, cfg mach.Config, budge
 		Retired:  m.TotalRetired,
 		Cycles:   m.MaxCycles(),
 		Console:  m.ConsoleString(),
-		MemHash:  m.Mem.Hash(),
 		RegHash:  m.RegFileHash(),
 		ExitCode: m.AppExitCode,
 		Signal:   m.AppSignal,
 		Stats:    m.TotalStats(),
 		Machine:  m,
+		Final:    m.Mem.Snapshot(),
 	}
 	for i := range m.Cores {
 		g.PerCore = append(g.PerCore, m.Cores[i].Stats)
@@ -252,7 +259,7 @@ func InjectDomain(img *cc.Image, cfg mach.Config, g *Golden, d fault.Domain, p F
 	img.InstallTo(m)
 	armFault(m, d, g, p)
 	stop := m.Run(hangBudget(g))
-	return finishFault(m, g, p, stop)
+	return finishFault(m, g, g.Final, p, stop)
 }
 
 // Inject runs phase 3 for one register fault from machine reset (legacy
@@ -271,30 +278,38 @@ func armFault(m *mach.Machine, d fault.Domain, g *Golden, p Fault) {
 	m.Inject = func(mm *mach.Machine) { d.Apply(mm, p) }
 }
 
-// finishFault classifies a completed injection run.
-func finishFault(m *mach.Machine, g *Golden, f Fault, stop mach.StopReason) Result {
+// finishFault classifies a completed injection run against the terminal
+// image final (g.Final, or a CheckpointSet's chained copy of it).
+func finishFault(m *mach.Machine, g *Golden, final *mem.Snapshot, f Fault, stop mach.StopReason) Result {
+	t0 := time.Now()
 	res := Result{
 		Fault:    f,
+		Outcome:  classify(m, g, final, stop),
 		Retired:  m.TotalRetired,
 		Cycles:   m.MaxCycles(),
 		ExitCode: m.AppExitCode,
 		Signal:   m.AppSignal,
 	}
-	res.Outcome = classify(m, g, stop)
+	obsClassifySeconds.Observe(time.Since(t0).Seconds())
 	return res
 }
 
 // Classify maps a finished run against the golden reference using the
-// paper's observables only (termination state, console output, memory and
-// register-file hashes). Exported for the propagation tracer, which re-runs
-// an injection outside the campaign loop and must reach the identical
-// verdict; campaign code uses the private classify via finishFault.
+// paper's observables only (termination state, console output, final memory
+// and register file). Exported for the propagation tracer, which re-runs an
+// injection outside the campaign loop and must reach the identical verdict;
+// its twins have no tracking base (mem.Memory.TakeDirtyPages drops it), so
+// this compares every page of RAM against g.Final.
 func Classify(m *mach.Machine, g *Golden, stop mach.StopReason) Outcome {
-	return classify(m, g, stop)
+	return classify(m, g, g.Final, stop)
 }
 
-// classify maps a finished run against the golden reference.
-func classify(m *mach.Machine, g *Golden, stop mach.StopReason) Outcome {
+// classify is the one scoring rule every injection path ends in. Vanished
+// versus ONA is exact byte equality of RAM with the golden terminal image:
+// EqualsMemory compares only dirty pages plus chain paths when m's memory
+// tracks a snapshot on final's chain (pooled machines of a delta-chain
+// CheckpointSet), and every page otherwise (from reset, FullCopy, twins).
+func classify(m *mach.Machine, g *Golden, final *mem.Snapshot, stop mach.StopReason) Outcome {
 	if stop != mach.StopHalted {
 		return Hang // cycle budget exhausted or full-machine deadlock
 	}
@@ -304,7 +319,7 @@ func classify(m *mach.Machine, g *Golden, stop mach.StopReason) Outcome {
 	if m.ConsoleString() != g.Console {
 		return OMM
 	}
-	if m.Mem.Hash() == g.MemHash && m.RegFileHash() == g.RegHash {
+	if m.RegFileHash() == g.RegHash && final.EqualsMemory(m.Mem) {
 		return Vanished
 	}
 	return ONA

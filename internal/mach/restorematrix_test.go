@@ -59,14 +59,14 @@ func TestRestoreMatrix(t *testing.T) {
 					}
 					defer sp.Close()
 					for i, s := range snaps {
-						if err := s.SpillTo(sp); err != nil {
+						if err := s.mem.SpillTo(sp); err != nil {
 							t.Fatalf("snapshot %d: SpillTo: %v", i, err)
 						}
 						if s.MemBytes() != 0 {
 							t.Fatalf("snapshot %d holds %d bytes in RAM after spill", i, s.MemBytes())
 						}
 					}
-					if snaps[0].SpilledBytes() == 0 {
+					if snaps[0].mem.SpilledBytes() == 0 {
 						t.Fatal("root snapshot spilled nothing")
 					}
 				}

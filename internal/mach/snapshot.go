@@ -46,25 +46,15 @@ type Snapshot struct {
 // time; checkpoint schedulers use it to pick the nearest pre-fault snapshot.
 func (s *Snapshot) Retired() uint64 { return s.totalRetired }
 
+// Mem returns the snapshot's RAM image: the handle for chaining
+// further deltas onto it (mem.Snapshot.DeltaOf), spilling its payload
+// (SpillTo mutates it and must run before the snapshot is shared across
+// goroutines) and chain telemetry (Depth, ChainBytes, SpilledBytes).
+func (s *Snapshot) Mem() *mem.Snapshot { return s.mem }
+
 // MemBytes returns the in-memory payload of this snapshot's own RAM pages
 // (telemetry; for a delta that is just the pages it adds to the chain).
 func (s *Snapshot) MemBytes() int { return s.mem.Bytes() }
-
-// ChainBytes returns the in-memory RAM payload of the whole delta chain
-// this snapshot restores through (its own pages plus every ancestor's).
-func (s *Snapshot) ChainBytes() int { return s.mem.ChainBytes() }
-
-// SpilledBytes returns the RAM payload this snapshot keeps on disk.
-func (s *Snapshot) SpilledBytes() int { return s.mem.SpilledBytes() }
-
-// Depth returns the RAM delta-chain length above the root full capture
-// (0 for a full-copy snapshot).
-func (s *Snapshot) Depth() int { return s.mem.Depth() }
-
-// SpillTo moves the snapshot's RAM payload to the spill file, leaving lazy
-// on-disk references. It mutates the snapshot and must run before the
-// snapshot is shared across goroutines.
-func (s *Snapshot) SpillTo(sp *mem.Spill) error { return s.mem.SpillTo(sp) }
 
 func copyCounts(m map[uint32]uint64) map[uint32]uint64 {
 	if m == nil {

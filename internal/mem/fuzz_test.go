@@ -9,9 +9,11 @@ import (
 
 // The fuzz harness drives a Memory and a naive full-copy oracle (a flat
 // byte slice mutated in lockstep) through random write/snapshot/restore/
-// compare sequences. Any divergence between the sparse delta-chain
-// machinery and the oracle — including after spilling every snapshot to
-// disk — is a bug in the copy-on-write engine.
+// compare sequences, including deltas chained from a foreign memory
+// (DeltaOf) and write-log use of the dirty bitmap (TakeDirtyPages). Any
+// divergence between the sparse delta-chain machinery and the oracle —
+// including after spilling every snapshot to disk — is a bug in the
+// copy-on-write engine.
 
 // oracleSnap pairs a real snapshot with the oracle's full RAM copy taken
 // at the same instant.
@@ -55,7 +57,7 @@ func runSnapshotScript(t *testing.T, size uint32, script []byte) (*Memory, []ora
 	}
 
 	for op := 0; rd.Len() > 0 && op < maxScriptOps; op++ {
-		switch u8() % 9 {
+		switch u8() % 11 {
 		case 0: // bulk write, possibly straddling pages or clamped at the end
 			addr := u32() % size
 			n := u32()%(3*PageBytes) + 1
@@ -133,9 +135,50 @@ func runSnapshotScript(t *testing.T, size uint32, script []byte) (*Memory, []ora
 			if got := pick.snap.EqualsMemory(m); got != want {
 				t.Fatalf("op %d: EqualsMemory = %v, oracle says %v", op, got, want)
 			}
+			// The same bytes in a memory with no tracking base force the
+			// compare-every-page path; it must agree with the selective one.
+			if got := pick.snap.EqualsMemory(untracked(oracle)); got != want {
+				t.Fatalf("op %d: full-path EqualsMemory = %v, oracle says %v", op, got, want)
+			}
+		case 9: // chain ANOTHER memory's contents onto an earlier snapshot
+			// (how the golden terminal image joins a checkpoint chain): the
+			// source is the live image plus a pattern write and a zeroed
+			// range, held in a memory that shares no tracking with the chain.
+			if len(snaps) == 0 || len(snaps) >= maxScriptSnap {
+				continue
+			}
+			pick := snaps[u32()%uint32(len(snaps))]
+			src := untracked(oracle)
+			src.WriteBytes(u32()%size, bytes.Repeat([]byte{u8() | 1}, int(u32()%PageBytes)+1))
+			src.WriteBytes(u32()%size, make([]byte, u32()%(2*PageBytes)+1))
+			d := pick.snap.DeltaOf(src)
+			if d.Parent() != pick.snap || d.Depth() != pick.snap.Depth()+1 {
+				t.Fatalf("op %d: DeltaOf not chained onto its receiver", op)
+			}
+			if !d.EqualsMemory(src) {
+				t.Fatalf("op %d: DeltaOf does not equal its source", op)
+			}
+			// Selective compare of the live memory against the new tip.
+			if got, want := d.EqualsMemory(m), bytes.Equal(oracle, src.ram); got != want {
+				t.Fatalf("op %d: EqualsMemory(chained delta) = %v, oracle says %v", op, got, want)
+			}
+			snaps = append(snaps, oracleSnap{d, append([]byte(nil), src.ram...)})
+		case 10: // use the bitmap as a write log: tracking must switch off
+			m.TakeDirtyPages()
+			if m.Base() != nil {
+				t.Fatalf("op %d: TakeDirtyPages left a tracking base behind", op)
+			}
 		}
 	}
 	return m, snaps
+}
+
+// untracked returns a memory holding a copy of ram with no tracking base, so
+// every compare against it and restore into it takes the full path.
+func untracked(ram []byte) *Memory {
+	m := New(uint32(len(ram)))
+	copy(m.ram, ram)
+	return m
 }
 
 // verifySnapshots restores every captured snapshot into both a fresh

@@ -94,7 +94,8 @@ type Memory struct {
 	// every write accessor below. base is the snapshot this memory diverged
 	// from: the invariant, kept continuously, is that ram matches base's
 	// materialized contents at every page whose dirty bit is clear.
-	// Snapshot, DeltaSnapshot and Restore re-anchor the pair.
+	// Snapshot, DeltaSnapshot and Restore re-anchor the pair; TakeDirtyPages
+	// drops the base (nil base = no invariant, every compare/restore is full).
 	dirty []uint64
 	base  *Snapshot
 }
@@ -269,19 +270,16 @@ func (m *Memory) eachDirtyPage(fn func(off uint32)) {
 }
 
 // TakeDirtyPages returns the start offsets of every dirty page in ascending
-// order and clears the bitmap. Clearing the bits WITHOUT re-anchoring base
-// breaks the "ram matches base at clear-dirty pages" invariant, so this must
-// never be called on a memory that will later be snapshotted or restored
-// through its base chain. It exists for the propagation tracer's twin
-// machines, which use the bitmap purely as a write log between lockstep
-// boundaries and are discarded (or fully Restored, which re-anchors) after
-// the walk.
+// order and clears the bitmap. Clearing the bits breaks the "ram matches base
+// at clear-dirty pages" invariant, so the tracking base is dropped with them:
+// every later EqualsMemory or Restore on this memory takes the full path
+// (Restore re-anchors) and DeltaSnapshot falls back to a full capture. It
+// exists for the propagation tracer's twin machines, which use the bitmap
+// purely as a write log between lockstep boundaries.
 func (m *Memory) TakeDirtyPages() []uint32 {
 	var out []uint32
 	m.eachDirtyPage(func(off uint32) { out = append(out, off) })
-	for i := range m.dirty {
-		m.dirty[i] = 0
-	}
+	m.rebase(nil)
 	return out
 }
 
@@ -463,31 +461,55 @@ func (m *Memory) DeltaSnapshot() *Snapshot {
 		depth:   m.base.depth + 1,
 	}
 	buf := m.base.scratch()
-	m.eachDirtyPage(func(off uint32) {
-		chunk := m.ram[off:pageEnd(off, s.size)]
-		was := m.base.pageData(off, buf)
-		switch {
-		case was == nil && isZero(chunk):
-			// Dirtied but back to zero over a zero base page: no change.
-		case was != nil && bytes.Equal(chunk, was):
-			// Dirtied but rewritten to the base contents: no change.
-		case isZero(chunk):
-			s.pages = append(s.pages, snapPage{off: off, zero: true})
-		default:
-			s.pages = append(s.pages, snapPage{off: off, data: append([]byte(nil), chunk...)})
-		}
-	})
+	m.eachDirtyPage(func(off uint32) { s.patch(off, m.ram[off:pageEnd(off, s.size)], buf) })
 	m.rebase(s)
 	obsSnapshotDelta.Inc()
 	obsSnapshotPagesDelta.Add(float64(len(s.pages)))
 	return s
 }
 
-// rebase re-anchors dirty tracking: ram now matches s everywhere.
+// patch records the page at off in delta s if chunk differs from the
+// parent's materialization: nothing when equal, an explicit zero marker when
+// the page became all-zero, a private copy otherwise.
+func (s *Snapshot) patch(off uint32, chunk, buf []byte) {
+	was := s.parent.pageData(off, buf)
+	switch {
+	case was == nil && isZero(chunk), was != nil && bytes.Equal(chunk, was):
+		// Still zero over a zero parent page, or the parent's contents again.
+	case isZero(chunk):
+		s.pages = append(s.pages, snapPage{off: off, zero: true})
+	default:
+		s.pages = append(s.pages, snapPage{off: off, data: append([]byte(nil), chunk...)})
+	}
+}
+
+// DeltaOf captures the current contents of another memory of the same size
+// as a delta chained onto s, by comparing every page: src's tracking state is
+// neither trusted nor touched. This is how an image that was not produced by
+// running forward from s (the golden run's terminal RAM) joins s's chain, so
+// that memories tracking any snapshot of the chain compare against it
+// selectively.
+func (s *Snapshot) DeltaOf(src *Memory) *Snapshot {
+	d := &Snapshot{size: s.size, regions: s.regions, parent: s, depth: s.depth + 1}
+	buf := s.scratch()
+	for off := uint32(0); off < s.size; off = pageEnd(off, s.size) {
+		d.patch(off, src.ram[off:pageEnd(off, s.size)], buf)
+	}
+	obsSnapshotDelta.Inc()
+	obsSnapshotPagesDelta.Add(float64(len(d.pages)))
+	return d
+}
+
+// rebase re-anchors dirty tracking: ram now matches s everywhere (nil: off).
 func (m *Memory) rebase(s *Snapshot) {
 	m.base = s
 	clear(m.dirty)
 }
+
+// Base returns the tracking base, nil when there is none. Restore and
+// EqualsMemory are selective exactly when it shares a chain with their
+// argument.
+func (m *Memory) Base() *Snapshot { return m.base }
 
 // commonAncestor returns the deepest snapshot present on both chains, or
 // nil when the chains share no root (snapshots of unrelated memories).
@@ -631,8 +653,10 @@ func (s *Snapshot) materializeInto(ram []byte) {
 	}
 }
 
-// Hash returns a 64-bit FNV-1a digest of all of RAM. The fault classifier
-// compares full-memory digests between golden and faulty runs.
+// Hash returns a 64-bit FNV-1a digest of all of RAM (byte-serial, ~1 ms per
+// MiB). Nothing on the injection path calls it — runs are classified by exact
+// page compare against the golden terminal image (Snapshot.EqualsMemory) —
+// it is the independent reference tests and the benchmark compare against.
 func (m *Memory) Hash() uint64 {
 	h := fnv.New64a()
 	h.Write(m.ram)
