@@ -408,13 +408,14 @@ func BenchmarkExecHot(b *testing.B) {
 func BenchmarkCampaignThroughput(b *testing.B) {
 	sc := npb.Scenario{App: "IS", Mode: npb.OMP, ISA: "armv8", Cores: 2}
 	n := benchFaults()
+	eng := campaign.New(campaign.Faults(n))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := campaign.Run(campaign.Spec{Scenario: sc, Faults: n, Seed: int64(i)})
+		rs, err := eng.RunMatrix(context.Background(), []campaign.ScenarioJob{{Scenario: sc, Seed: int64(i)}})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if r.Counts.Total() != n {
+		if rs[0].Counts.Total() != n {
 			b.Fatal("missing classifications")
 		}
 	}

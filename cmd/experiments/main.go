@@ -124,23 +124,15 @@ func main() {
 	// -db then means "also save the fetched database here", handled after
 	// the submission completes.
 	if *db != "" && *join == "" {
-		if !*resume {
-			if err := os.Remove(*db); err != nil && !os.IsNotExist(err) {
-				fatal(err)
-			}
-		}
-		st, err := campaign.OpenFileStore(*db)
-		if err != nil {
-			fatal(err)
-		}
-		defer st.Close()
 		// Any recorded campaign this run could touch must match its fault
 		// count and seed (campaign.ValidateResume's mixing guard; the
 		// engine re-checks at skip time as the backstop).
 		jobs := campaign.New(campaign.Models(runDomains...)).JobsFor(npb.Scenarios(), *seed)
-		if err := campaign.ValidateResume(st, jobs, *n); err != nil {
-			fatal(fmt.Errorf("resume %s: %w", *db, err))
+		st, err := campaign.OpenMatrixStore(*db, *resume, jobs, *n)
+		if err != nil {
+			fatal(err)
 		}
+		defer st.Close()
 		cfg.Store = st
 	}
 

@@ -132,6 +132,10 @@ func slowPathFlag(fs *flag.FlagSet) *bool {
 	return fs.Bool("slowpath", false, "use the reference interpreter instead of the block-cached fast path (bit-identical, slower)")
 }
 
+// faultModelHelp is the -faultmodel usage string every campaign-shaped
+// subcommand shares (fault.ParseModels is the parser behind all of them).
+const faultModelHelp = "fault domain: reg|mem|imem|burst|cachetag|cachedirty|cacherepl, uncore (the cache trio), or all"
+
 // snapshotCount maps the CLI convention (0 disables) onto the campaign
 // convention (0 = default, negative disables).
 func snapshotCount(flagVal int) int {
@@ -221,12 +225,32 @@ func cmdGolden(args []string) error {
 	return nil
 }
 
+// scenarioJobs expands one scenario under the -faultmodel domains (`serfi
+// inject` and `trace`). The jobs share scenario and seed, so they form one
+// engine group: the golden run and checkpoints are built once even with
+// -faultmodel all.
+func scenarioJobs(scid, model string, seed int64) ([]campaign.ScenarioJob, error) {
+	sc, err := parseScenario(scid)
+	if err != nil {
+		return nil, err
+	}
+	domains, err := fault.ParseModels(model)
+	if err != nil {
+		return nil, err
+	}
+	jobs := make([]campaign.ScenarioJob, len(domains))
+	for i, d := range domains {
+		jobs[i] = campaign.ScenarioJob{Scenario: sc, Domain: d, Seed: seed}
+	}
+	return jobs, nil
+}
+
 func cmdInject(args []string) error {
 	fs := flag.NewFlagSet("inject", flag.ExitOnError)
 	scid := fs.String("s", "armv8/IS/SER-1", "scenario id")
 	n := fs.Int("n", 50, "faults")
 	seed := fs.Int64("seed", 1, "fault-list seed")
-	model := fs.String("faultmodel", "reg", "fault domain: reg|mem|imem|burst|cachetag|cachedirty|cacherepl, uncore, or all")
+	model := fs.String("faultmodel", "reg", faultModelHelp)
 	verbose := fs.Bool("v", false, "print each run")
 	workers := fs.Int("workers", 0, "host worker pool size (0 = all cores)")
 	jobSize := fs.Int("jobsize", 0, "faults per injection job (0 = default)")
@@ -238,23 +262,12 @@ func cmdInject(args []string) error {
 	fs.Parse(args)
 	mach.ForceSlowPath = *slow
 	defer prof.start()()
-	sc, err := parseScenario(*scid)
-	if err != nil {
-		return err
-	}
-	domains, err := fault.ParseModels(*model)
+	jobs, err := scenarioJobs(*scid, *model, *seed)
 	if err != nil {
 		return err
 	}
 	ctx, stop := interruptContext()
 	defer stop()
-	// One engine run: jobs sharing the scenario+seed form one scheduler
-	// group, so the golden run and checkpoints are built once even with
-	// -faultmodel all.
-	jobs := make([]campaign.ScenarioJob, len(domains))
-	for i, d := range domains {
-		jobs[i] = campaign.ScenarioJob{Scenario: sc, Domain: d, Seed: *seed}
-	}
 	// The event stream carries the per-scenario checkpoint telemetry
 	// (count, delta-chain bytes, spill bytes) that has no column in the
 	// campaign record; fold it into one line per golden phase.
@@ -301,7 +314,7 @@ func cmdInject(args []string) error {
 	// if the rebuild fails (the campaign itself already ran).
 	var env fault.Env
 	if *verbose {
-		if img, cfg, err := npb.BuildScenario(sc); err == nil {
+		if img, cfg, err := npb.BuildScenario(jobs[0].Scenario); err == nil {
 			env = fault.Env{Feat: cfg.ISA.Feat(), Regions: img.Regions}
 		}
 	}
@@ -330,7 +343,7 @@ func cmdCampaign(args []string) error {
 	seed := fs.Int64("seed", 2018, "base seed")
 	db := fs.String("db", "results.jsonl", "output database path")
 	only := fs.String("only", "", "substring filter on scenario ids")
-	model := fs.String("faultmodel", "reg", "fault domain: reg|mem|imem|burst|cachetag|cachedirty|cacherepl, uncore, or all")
+	model := fs.String("faultmodel", "reg", faultModelHelp)
 	workers := fs.Int("workers", 0, "host worker pool size (0 = all cores)")
 	jobSize := fs.Int("jobsize", 0, "faults per injection job (0 = default)")
 	snapshots := fs.Int("snapshots", fi.DefaultCheckpoints, "pre-fault checkpoints per scenario (0 = run every fault from reset)")
@@ -342,7 +355,7 @@ func cmdCampaign(args []string) error {
 	fs.Parse(args)
 	mach.ForceSlowPath = *slow
 	defer prof.start()()
-	domains, err := fault.ParseModels(*model)
+	jobs, err := matrixJobs(*only, *model, *seed)
 	if err != nil {
 		return err
 	}
@@ -352,14 +365,9 @@ func cmdCampaign(args []string) error {
 	// The results database is a campaign.Store: a fresh run starts from an
 	// empty file, a -resume run loads the recorded campaigns and the
 	// engine skips them.
-	if !*resume {
-		if err := os.Remove(*db); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	st, err := campaign.OpenFileStore(*db)
+	st, err := campaign.OpenMatrixStore(*db, *resume, jobs, *n)
 	if err != nil {
-		return fmt.Errorf("resume: %w", err)
+		return err
 	}
 	defer st.Close()
 
@@ -369,7 +377,6 @@ func cmdCampaign(args []string) error {
 		campaign.Workers(*workers),
 		campaign.JobSize(*jobSize),
 		campaign.Snapshots(snapshotCount(*snapshots)),
-		campaign.Models(domains...),
 		campaign.WithStore(st),
 		campaign.WithEvents(events),
 		campaign.WithMetrics(obs.Default),
@@ -381,21 +388,6 @@ func cmdCampaign(args []string) error {
 		opts = append(opts, campaign.RecordRuns())
 	}
 	eng := campaign.New(opts...)
-
-	// The full scenario list fixes per-scenario seeds (seed + index,
-	// shared across domains; Engine.JobsFor), so a filtered or resumed
-	// campaign reproduces the full matrix's results.
-	var scs []npb.Scenario
-	for _, sc := range npb.Scenarios() {
-		if *only == "" || strings.Contains(sc.ID(), *only) {
-			scs = append(scs, sc)
-		}
-	}
-	jobs := eng.JobsFor(scs, *seed)
-
-	if err := campaign.ValidateResume(st, jobs, *n); err != nil {
-		return fmt.Errorf("resume %s: %w", *db, err)
-	}
 
 	col := campaign.NewCollector(os.Stdout, len(jobs))
 	consumed := make(chan struct{})
@@ -465,7 +457,7 @@ func cmdServe(args []string) error {
 	db := fs.String("db", "results.jsonl", "output database path (one-shot mode)")
 	data := fs.String("data", "", "queue mode: serve a persistent multi-tenant campaign queue from this directory")
 	only := fs.String("only", "", "substring filter on scenario ids")
-	model := fs.String("faultmodel", "reg", "fault domain: reg|mem|imem|burst|cachetag|cachedirty|cacherepl, uncore, or all")
+	model := fs.String("faultmodel", "reg", faultModelHelp)
 	shardSize := fs.Int("shardsize", dist.DefaultShardSize, "faults per lease shard")
 	leaseTTL := fs.Duration("lease", dist.DefaultLeaseTTL, "lease TTL before a shard is re-issued")
 	compact := fs.Int("compact", 8, "queue mode: background-compact a tenant at this many store segments")
@@ -475,27 +467,18 @@ func cmdServe(args []string) error {
 	if *data != "" {
 		return serveQueue(*addr, *data, *shardSize, *leaseTTL, *compact)
 	}
-	jobs, err := submitJobs(*only, *model, *seed)
+	jobs, err := matrixJobs(*only, *model, *seed)
 	if err != nil {
 		return err
 	}
 	ctx, stop := interruptContext()
 	defer stop()
 
-	if !*resume {
-		if err := os.Remove(*db); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	st, err := campaign.OpenFileStore(*db, campaign.Fsync())
+	st, err := campaign.OpenMatrixStore(*db, *resume, jobs, *n, campaign.Fsync())
 	if err != nil {
-		return fmt.Errorf("resume: %w", err)
+		return err
 	}
 	defer st.Close()
-
-	if err := campaign.ValidateResume(st, jobs, *n); err != nil {
-		return fmt.Errorf("resume %s: %w", *db, err)
-	}
 
 	events := make(chan campaign.Event, 64)
 	coordOpts := []dist.CoordOption{
@@ -625,10 +608,11 @@ func serveQueue(addr, dataDir string, shardSize int, leaseTTL time.Duration, com
 	return nil
 }
 
-// submitJobs builds the scenario matrix shared by `serfi submit` and the
-// one-shot serve path: the full scenario list fixes per-scenario seeds, so
-// a filtered submission reproduces the full matrix's rows.
-func submitJobs(only, model string, seed int64) ([]campaign.ScenarioJob, error) {
+// matrixJobs builds the scenario matrix `serfi campaign`, `serve` and
+// `submit` share: the full scenario list fixes per-scenario seeds (seed +
+// index, shared across domains; Engine.JobsFor), so a filtered, resumed or
+// submitted matrix reproduces the full matrix's rows.
+func matrixJobs(only, model string, seed int64) ([]campaign.ScenarioJob, error) {
 	domains, err := fault.ParseModels(model)
 	if err != nil {
 		return nil, err
@@ -652,7 +636,7 @@ func cmdSubmit(args []string) error {
 	n := fs.Int("n", 50, "faults per scenario")
 	seed := fs.Int64("seed", 2018, "base seed")
 	only := fs.String("only", "", "substring filter on scenario ids")
-	model := fs.String("faultmodel", "reg", "fault domain: reg|mem|imem|burst|cachetag|cachedirty|cacherepl, uncore, or all")
+	model := fs.String("faultmodel", "reg", faultModelHelp)
 	traceProp := fs.Bool("trace-prop", false, "propagation-trace every unmasked injection")
 	recordRuns := fs.Bool("record-runs", false, "persist per-fault rows (v4 records)")
 	watch := fs.Bool("watch", false, "poll the queue until this submission is terminal")
@@ -660,7 +644,7 @@ func cmdSubmit(args []string) error {
 	if *join == "" {
 		return fmt.Errorf("submit: -join <host:port> is required")
 	}
-	jobs, err := submitJobs(*only, *model, *seed)
+	jobs, err := matrixJobs(*only, *model, *seed)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,6 @@ import (
 	"runtime/pprof"
 
 	"serfi/internal/campaign"
-	"serfi/internal/fault"
 	"serfi/internal/fi"
 	"serfi/internal/mach"
 	"serfi/internal/obs"
@@ -77,7 +76,7 @@ func cmdTrace(args []string) error {
 	scid := fs.String("s", "armv8/IS/SER-1", "scenario id")
 	n := fs.Int("n", 50, "faults")
 	seed := fs.Int64("seed", 1, "fault-list seed")
-	model := fs.String("faultmodel", "reg", "fault domain: reg|mem|imem|burst, or all")
+	model := fs.String("faultmodel", "reg", faultModelHelp)
 	workers := fs.Int("workers", 0, "host worker pool size (0 = all cores)")
 	jobSize := fs.Int("jobsize", 0, "faults per injection job (0 = default)")
 	snapshots := fs.Int("snapshots", fi.DefaultCheckpoints, "pre-fault checkpoints (0 = run every fault from reset)")
@@ -88,11 +87,7 @@ func cmdTrace(args []string) error {
 	fs.Parse(args)
 	mach.ForceSlowPath = *slow
 	defer prof.start()()
-	sc, err := parseScenario(*scid)
-	if err != nil {
-		return err
-	}
-	domains, err := fault.ParseModels(*model)
+	jobs, err := scenarioJobs(*scid, *model, *seed)
 	if err != nil {
 		return err
 	}
@@ -100,10 +95,6 @@ func cmdTrace(args []string) error {
 	defer stop()
 
 	tr := obs.NewTracer()
-	jobs := make([]campaign.ScenarioJob, len(domains))
-	for i, d := range domains {
-		jobs[i] = campaign.ScenarioJob{Scenario: sc, Domain: d, Seed: *seed}
-	}
 	eng := campaign.New(
 		campaign.Faults(*n),
 		campaign.Workers(*workers),

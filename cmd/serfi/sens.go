@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"serfi/internal/campaign"
+	"serfi/internal/fault"
 	"serfi/internal/npb"
 	"serfi/internal/obs"
 	"serfi/internal/sens"
@@ -32,19 +33,22 @@ func cmdSens(args []string) error {
 	metricsOut := fs.String("metrics", "", "also dump the Prometheus exposition here")
 	fs.Parse(args)
 
-	loaded, err := campaign.LoadDB(*db)
+	// A report reads; it must not leave an empty database behind a typo.
+	if _, err := os.Stat(*db); err != nil {
+		return err
+	}
+	st, err := campaign.OpenFileStore(*db)
 	if err != nil {
 		return err
 	}
-	q := campaign.Query{HasRuns: true}
+	defer st.Close()
+	// Query answers in key order, which sorts the domain axis within each
+	// scenario: deterministic input order for the analysis.
 	byScenario := make(map[npb.Scenario][]*campaign.Result)
-	for _, r := range loaded {
-		if !q.MatchesResult(r) {
-			continue
-		}
-		if *only != "" && !strings.Contains(r.Scenario.ID(), *only) {
-			continue
-		}
+	for _, r := range st.Query(campaign.Query{
+		HasRuns: true,
+		Match:   func(sc npb.Scenario, _ fault.Model) bool { return strings.Contains(sc.ID(), *only) },
+	}) {
 		byScenario[r.Scenario] = append(byScenario[r.Scenario], r)
 	}
 	if len(byScenario) == 0 {
@@ -61,8 +65,6 @@ func cmdSens(args []string) error {
 	var reports []*sens.Report
 	for i, sc := range scs {
 		group := byScenario[sc]
-		// Deterministic input order: campaign keys sort the domain axis.
-		sort.Slice(group, func(a, b int) bool { return group[a].Key() < group[b].Key() })
 		t0 := time.Now()
 		ctx, err := sens.NewContext(sc, group[0].Golden, *windows)
 		if err != nil {

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -17,16 +18,14 @@ import (
 
 func main() {
 	const faults = 40
-	run := func(mode npb.Mode) *campaign.Result {
-		sc := npb.Scenario{App: "CG", Mode: mode, ISA: "armv8", Cores: 4}
-		res, err := campaign.Run(campaign.Spec{Scenario: sc, Faults: faults, Seed: 23})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return res
+	results, err := campaign.New(campaign.Faults(faults)).RunMatrix(context.Background(), []campaign.ScenarioJob{
+		{Scenario: npb.Scenario{App: "CG", Mode: npb.OMP, ISA: "armv8", Cores: 4}, Seed: 23},
+		{Scenario: npb.Scenario{App: "CG", Mode: npb.MPI, ISA: "armv8", Cores: 4}, Seed: 23},
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	omp := run(npb.OMP)
-	mpi := run(npb.MPI)
+	omp, mpi := results[0], results[1]
 
 	fmt.Println("CG on cortex-a72 x4, 40 faults per variant")
 	fmt.Printf("%-6s %s\n", "OMP", omp.Counts)

@@ -12,9 +12,10 @@
 // Progress is a typed event stream (events.go) consumed live by CLIs or
 // folded into summaries by a Collector. Completed campaigns land in a
 // Store (store.go) — a queryable results database whose pre-loaded keys
-// double as the resume set; the JSONL file is the first backend. The flat
-// entry points (Run, RunAll, RunMatrix(MatrixSpec), ReadDB/LoadDB/SaveDB)
-// predate the Engine and remain as thin shims over it.
+// double as the resume set; the JSONL file is the first backend. Under all
+// three sits group.go: the scenario Group, its shard executor and the Fold
+// that turns shards into a Result — shared verbatim with the distributed
+// fabric (internal/dist).
 package campaign
 
 import (
@@ -22,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strings"
 
@@ -32,27 +32,6 @@ import (
 	"serfi/internal/profile"
 	"serfi/internal/prop"
 )
-
-// Spec describes one scenario campaign.
-type Spec struct {
-	Scenario npb.Scenario
-	// Domain selects the fault model (zero value: the paper's register
-	// single-bit-upset domain).
-	Domain fault.Model
-	Faults int
-	Seed   int64
-	// JobSize groups faults into jobs (the paper batches simulations per
-	// HPC job to amortize scheduling); 0 picks a sensible default.
-	JobSize int
-	// Workers bounds parallel jobs; 0 = GOMAXPROCS.
-	Workers int
-	// Snapshots is the checkpoint count for snapshot-accelerated injection:
-	// 0 picks fi.DefaultCheckpoints, negative runs every fault from reset.
-	// Outcome counts are bit-identical in both modes.
-	Snapshots int
-	// SamplePeriod for the golden profiling run.
-	SamplePeriod uint64
-}
 
 // Result is the scenario-level record: outcome distribution + golden
 // profile features, i.e. one row of the paper's cross-layer database.
@@ -167,7 +146,7 @@ func (r *Result) ExclusiveCompute() float64 {
 }
 
 // SortJobSpans orders spans by fault-index range — the Result.JobSpans
-// contract, shared by the engine and the distributed coordinator.
+// contract, applied once by Fold.Result for every execution path.
 func SortJobSpans(spans []JobSpan) {
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].Lo != spans[j].Lo {
@@ -254,35 +233,6 @@ type GoldenSummary struct {
 	AppEnd   uint64
 	Retired  uint64
 	Cycles   uint64
-}
-
-// Run executes all four workflow phases for one scenario on the shared
-// matrix scheduler.
-func Run(spec Spec) (*Result, error) {
-	results, err := RunMatrix(MatrixSpec{
-		Jobs:         []ScenarioJob{{Scenario: spec.Scenario, Domain: spec.Domain, Seed: spec.Seed}},
-		Faults:       spec.Faults,
-		Workers:      spec.Workers,
-		JobSize:      spec.JobSize,
-		Snapshots:    spec.Snapshots,
-		SamplePeriod: spec.SamplePeriod,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results[0], nil
-}
-
-// RunAll executes campaigns for several scenarios on the shared scheduler,
-// interleaving golden runs and injection jobs across scenarios. Scenario i
-// draws its fault list from seed+i, matching the historical sequential
-// behavior; results come back in input order.
-func RunAll(scs []npb.Scenario, faults int, seed int64, progress func(*Result)) ([]*Result, error) {
-	jobs := make([]ScenarioJob, len(scs))
-	for i, sc := range scs {
-		jobs[i] = ScenarioJob{Scenario: sc, Seed: seed + int64(i)}
-	}
-	return RunMatrix(MatrixSpec{Jobs: jobs, Faults: faults, Progress: progress})
 }
 
 // recordVersion is the current database row format. Rows written before
@@ -439,16 +389,6 @@ func WriteDB(w io.Writer, results []*Result) error {
 	return nil
 }
 
-// SaveDB writes the database to a file path.
-func SaveDB(path string, results []*Result) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return WriteDB(f, results)
-}
-
 // ReadDB parses a JSONL database back into per-campaign results, keyed by
 // Key (scenario ID, domain-qualified for non-register domains). Legacy rows
 // without a version field are accepted as register-domain campaigns;
@@ -535,18 +475,4 @@ func decodeRecordLine(b []byte) (*Result, error) {
 	res.Counts[fi.UT] = rec.Counts["ut"]
 	res.Counts[fi.Hang] = rec.Counts["hang"]
 	return res, nil
-}
-
-// LoadDB reads a database file for -resume; a missing file is not an error
-// and yields an empty map.
-func LoadDB(path string) (map[string]*Result, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return map[string]*Result{}, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadDB(f)
 }

@@ -124,10 +124,9 @@ func storeImpls(t *testing.T) map[string]campaign.Store {
 	}
 	t.Cleanup(func() { ss.Close() })
 	return map[string]campaign.Store{
-		"mem":    campaign.NewMemStore(),
-		"file":   fs,
-		"stream": campaign.StreamStore(&bytes.Buffer{}, nil),
-		"seg":    ss,
+		"mem":  campaign.NewMemStore(),
+		"file": fs,
+		"seg":  ss,
 	}
 }
 

@@ -1,18 +1,18 @@
 // The campaign Engine: a constructed, reusable orchestrator around the
-// shared-worker-pool matrix scheduler. One Engine carries the tuning that
-// used to travel in MatrixSpec (workers, job size, snapshots, fault
-// models) as functional options; RunMatrix(ctx, jobs) threads the context
-// through every phase — golden runs, checkpoint fast-forwards and
-// injection job loops — so a campaign cancels promptly at job granularity
-// and returns partial results plus ctx.Err(). Progress is published as a
-// typed event stream (events.go) and completed campaigns land in a Store
-// (store.go), whose pre-loaded keys double as the resume set.
+// shared-worker-pool matrix scheduler. One Engine carries its tuning
+// (workers, job size, snapshots, fault models) as functional options;
+// RunMatrix(ctx, jobs) threads the context through every phase — golden
+// runs, checkpoint fast-forwards and injection job loops — so a campaign
+// cancels promptly at job granularity and returns partial results plus
+// ctx.Err(). Progress is published as a typed event stream (events.go) and
+// completed campaigns land in a Store (store.go), whose pre-loaded keys
+// double as the resume set.
 //
-// Scheduling is unchanged from the pre-Engine matrix scheduler: one worker
-// pool executes golden runs, checkpoint fast-forwards and batched
-// injection jobs as interleavable tasks; jobs for the same scenario under
-// several fault domains form one group whose fault-free work runs once,
-// each domain injecting through a counter-carrying CheckpointSet clone.
+// The engine only schedules: one worker pool executes group builds and
+// batched injection jobs as interleavable tasks; jobs for the same scenario
+// under several fault domains share one Group (group.go) whose fault-free
+// work runs once, every injection job is one Group.Inject shard, and each
+// campaign's shards meet in its Fold.
 package campaign
 
 import (
@@ -21,14 +21,12 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"serfi/internal/fault"
-	"serfi/internal/fi"
 	"serfi/internal/npb"
 	"serfi/internal/obs"
-	"serfi/internal/profile"
-	"serfi/internal/prop"
 )
 
 // Engine is the reusable campaign orchestrator. Construct one with New,
@@ -38,21 +36,20 @@ import (
 // one WithEvents channel need one consumer per run (see WithEvents), so
 // concurrent runs should use separate engines with separate channels.
 type Engine struct {
-	workers      int
-	jobSize      int
-	snapshots    int // campaign convention: 0 = default, negative = off
-	maxOpen      int
-	faults       int
-	samplePeriod uint64
-	models       []fault.Model
-	store        Store
-	events       chan<- Event
-	ckptSpill    string
-	fullCopy     bool
-	traceProp    bool
-	recordRuns   bool
-	metrics      *obs.Registry
-	tracer       *obs.Tracer
+	workers    int
+	jobSize    int
+	snapshots  int // campaign convention: 0 = default, negative = off
+	maxOpen    int
+	faults     int
+	models     []fault.Model
+	store      Store
+	events     chan<- Event
+	ckptSpill  string
+	fullCopy   bool // test-only: the full-copy checkpoint reference engine
+	traceProp  bool
+	recordRuns bool
+	metrics    *obs.Registry
+	tracer     *obs.Tracer
 }
 
 // Option configures an Engine.
@@ -78,16 +75,6 @@ func MaxOpen(n int) Option { return func(e *Engine) { e.maxOpen = n } }
 // Faults sets the per-campaign fault count.
 func Faults(n int) Option { return func(e *Engine) { e.faults = n } }
 
-// DefaultSamplePeriod is the golden profiling sample period campaigns use
-// when the caller does not choose one. The distributed fabric's workers
-// share it, so a remote golden run profiles — and therefore records
-// Features — exactly like a local Engine run.
-const DefaultSamplePeriod = 97
-
-// SamplePeriod sets the golden profiling sample period; 0 picks
-// DefaultSamplePeriod.
-func SamplePeriod(p uint64) Option { return func(e *Engine) { e.samplePeriod = p } }
-
 // Models sets the fault domains JobsFor expands each scenario into; empty
 // (the default) means the paper's register domain only.
 func Models(ms ...fault.Model) Option {
@@ -101,13 +88,6 @@ func Models(ms ...fault.Model) Option {
 // "" (the default) keeps checkpoints in RAM. Results are bit-identical
 // either way.
 func CheckpointSpill(dir string) Option { return func(e *Engine) { e.ckptSpill = dir } }
-
-// FullCopySnapshots selects the pre-delta checkpoint engine: every
-// checkpoint is a complete sparse RAM copy and every injection runs on a
-// fresh machine. Retained as a differential-testing reference (the
-// COW-vs-full-copy analogue of the fast-path/slow-path interpreter split);
-// campaigns are bit-identical either way.
-func FullCopySnapshots() Option { return func(e *Engine) { e.fullCopy = true } }
 
 // TraceProp turns on fault-propagation tracing: every injection whose
 // outcome is not masked (Vanished/ONA) is re-run against a golden twin
@@ -196,6 +176,38 @@ func cancelledBy(ctx context.Context, err error) bool {
 	return ctx.Err() != nil && errors.Is(err, ctx.Err())
 }
 
+// domainState tracks one (scenario, domain) campaign within its group: the
+// campaign's fold plus the scheduler's countdown.
+type domainState struct {
+	idx int // index into the jobs / results slices
+
+	// mu guards the fold and err: injection jobs complete concurrently.
+	mu sync.Mutex
+	Fold
+	err error // first non-cancellation job failure, fatal for the campaign
+
+	remaining atomic.Int64 // injection jobs left
+	cancelled atomic.Bool  // some injection job was abandoned by ctx
+}
+
+// scenarioState tracks one open scenario group — every domain campaign of
+// one (scenario, seed) pair — across its scheduler tasks.
+type scenarioState struct {
+	job     ScenarioJob // scenario+seed of the group
+	domains []*domainState
+	group   *Group // nil until built, and again once the group closes
+
+	openDomains atomic.Int64 // domain campaigns still running
+	t0          time.Time
+
+	// Observability bookkeeping: the group's trace track, and the checkpoint
+	// byte counts added to the resident/spilled gauges at GoldenDone (to be
+	// subtracted again when the group closes).
+	tid         int
+	obsResident int
+	obsSpilled  int
+}
+
 // RunMatrix executes every scenario job through the shared scheduler and
 // returns results in job order. Jobs whose key the engine's store already
 // holds are skipped and answered from the store. The context cancels the
@@ -203,10 +215,17 @@ func cancelledBy(ctx context.Context, err error) bool {
 // slices, no further work starts, completed campaigns are already durable
 // in the store, and RunMatrix returns the partial results plus ctx.Err().
 // On a non-cancellation failure the first error (in job order) is
-// reported; unaffected scenarios still complete and are returned.
+// reported; unaffected scenarios still complete and are returned. A matrix
+// naming one campaign key twice is refused before anything runs.
 func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, error) {
 	t0 := time.Now()
 	em := newEngineMetrics(e.metrics)
+	n := len(jobs)
+	results := make([]*Result, n)
+	if err := ValidateJobs(jobs); err != nil {
+		e.emit(MatrixDone{Failed: n, Err: err})
+		return results, err
+	}
 	workers := e.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -215,13 +234,6 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 	if jobSize <= 0 {
 		jobSize = DefaultJobSize
 	}
-	snapshots := e.snapshots
-	if snapshots == 0 {
-		snapshots = fi.DefaultCheckpoints
-	}
-	if snapshots < 0 {
-		snapshots = 0
-	}
 	maxOpen := e.maxOpen
 	if maxOpen <= 0 {
 		maxOpen = workers
@@ -229,24 +241,15 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 			maxOpen = 8
 		}
 	}
-	samplePeriod := e.samplePeriod
-	if samplePeriod == 0 {
-		samplePeriod = DefaultSamplePeriod
-	}
 	faults := e.faults
 
-	n := len(jobs)
-	results := make([]*Result, n)
 	errs := make([]error, n)
 	skipped := 0
 
-	injJobs := (faults + jobSize - 1) / jobSize
-	if injJobs < 1 {
-		injJobs = 1
-	}
+	ranges := ShardRanges(faults, jobSize) // every campaign's injection jobs
 	// The task queue is sized for every task the matrix can ever enqueue,
 	// so no producer — worker or feeder — ever blocks on it.
-	tasks := make(chan func(), n*(injJobs+1))
+	tasks := make(chan func(), n*(len(ranges)+1))
 	sem := make(chan struct{}, maxOpen) // open-scenario slots
 	var open sync.WaitGroup             // fresh scenarios still in flight
 	var dbMu sync.Mutex                 // serializes store appends + ScenarioDone events
@@ -266,11 +269,11 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 	// campaign was merely abandoned by cancellation, which MatrixDone
 	// tallies instead.
 	fail := func(ds *domainState, err error) {
-		wrapped := fmt.Errorf("%s: %w", ds.job.Key(), err)
+		wrapped := fmt.Errorf("%s: %w", ds.Job.Key(), err)
 		errs[ds.idx] = wrapped
 		em.campaigns.With("failed").Inc()
 		if !cancelledBy(ctx, err) {
-			e.emit(ScenarioDone{Key: ds.job.Key(), Err: wrapped})
+			e.emit(ScenarioDone{Key: ds.Job.Key(), Err: wrapped})
 		}
 	}
 
@@ -284,18 +287,14 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 				}
 			}
 		}
-		if st.cs != nil {
-			st.cs.Close() // release the spill file, if any
+		if st.group != nil {
+			st.group.Close() // release the spill file, if any
 		}
 		if st.obsResident != 0 || st.obsSpilled != 0 {
 			em.ckptResident.Add(-float64(st.obsResident))
 			em.ckptSpilled.Add(-float64(st.obsSpilled))
 		}
-		st.cs = nil // drop checkpoint RAM before releasing the slot
-		st.tracer = nil
-		for _, ds := range st.domains {
-			ds.cs = nil
-		}
+		st.group = nil // drop checkpoint RAM before releasing the slot
 		<-sem
 		open.Done()
 	}
@@ -312,79 +311,97 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 		}
 	}
 
+	// assemble turns a fully folded campaign into its Result, stores it and
+	// announces it. Every job of the campaign has returned, so the fold is
+	// no longer shared.
 	assemble := func(st *scenarioState, ds *domainState) {
-		simulated, fromReset := ds.cs.SimulatedInstructions()
-		pruned, _ := ds.cs.PruneStats()
-		res := &Result{
-			Scenario:        ds.job.Scenario,
-			Domain:          ds.job.Domain,
-			Faults:          faults,
-			Seed:            ds.job.Seed,
-			GoldenWallSec:   st.goldenWall,
-			CampaignWallSec: time.Since(st.t0).Seconds(),
-			JobWallSec:      time.Duration(ds.jobNanos.Load()).Seconds(),
-			JobSpans:        ds.takeSpans(),
-			Golden: GoldenSummary{
-				AppStart: st.g.AppStart,
-				AppEnd:   st.g.AppEnd,
-				Retired:  st.g.Retired,
-				Cycles:   st.g.Cycles,
-			},
-			Features:   st.features,
-			APICalls:   st.apiCalls,
-			Runs:       ds.runs,
-			Traces:     ds.traces,
-			Prop:       prop.Summarize(ds.traces),
-			RecordRuns: e.recordRuns,
-		}
-		if ds.cs.Len() > 0 {
-			// Meaningful only under snapshot acceleration; from-reset runs
-			// leave the observability fields zero.
-			res.SimulatedInstr = simulated
-			res.FromResetInstr = fromReset
-			res.PrunedRuns = int(pruned)
-		}
-		for _, r := range ds.runs {
-			res.Counts.Add(r.Outcome)
-		}
+		g := st.group
+		res := ds.Result(g.Summary(), g.Features, g.APICalls)
+		res.GoldenWallSec = g.GoldenWallSec
+		res.CampaignWallSec = time.Since(st.t0).Seconds()
+		res.RecordRuns = e.recordRuns
 		results[ds.idx] = res
 		em.campaigns.With("completed").Inc()
-		em.prunedRuns.Add(float64(pruned))
-		if e.store != nil || e.events != nil {
-			// One mutex serializes the store stream and the event order
-			// across completing workers, and guarantees the record is
-			// durable before its ScenarioDone is observable.
-			dbMu.Lock()
-			var err error
-			if e.store != nil {
-				err = e.store.Put(res)
-			}
-			if err == nil {
-				e.emit(ScenarioDone{Key: res.Key(), Result: res})
-			}
-			dbMu.Unlock()
-			if err != nil {
-				domainDone(st, ds, fmt.Errorf("stream record: %w", err))
-				return
+		em.prunedRuns.Add(float64(res.PrunedRuns))
+		// One mutex serializes the store stream and the event order across
+		// completing workers, and guarantees the record is durable before
+		// its ScenarioDone is observable.
+		dbMu.Lock()
+		var err error
+		if e.store != nil {
+			if err = e.store.Put(res); err != nil {
+				err = fmt.Errorf("stream record: %w", err)
 			}
 		}
-		domainDone(st, ds, nil)
+		if err == nil {
+			e.emit(ScenarioDone{Key: res.Key(), Result: res})
+		}
+		dbMu.Unlock()
+		domainDone(st, ds, err)
 	}
 
 	// finishDomain retires a domain whose last injection job just returned:
 	// a campaign with any job abandoned by cancellation has no result, and
-	// a tracer failure (a should-never-happen twin mispositioning) fails
-	// the domain rather than silently dropping traces.
+	// a failed job (a should-never-happen tracer twin mispositioning) fails
+	// the domain rather than silently dropping runs.
 	finishDomain := func(st *scenarioState, ds *domainState) {
-		if ds.cancelled.Load() {
+		switch {
+		case ds.cancelled.Load():
 			domainDone(st, ds, context.Cause(ctx))
+		case ds.err != nil:
+			domainDone(st, ds, ds.err)
+		default:
+			assemble(st, ds)
+		}
+	}
+
+	// inject runs one injection job — one shard of the campaign — and folds
+	// it. Aborted jobs fold nothing: the campaign carries no result, and a
+	// resumed matrix re-executes (and re-counts) the whole range.
+	inject := func(st *scenarioState, ds *domainState, lo, hi int) {
+		em.jobsRunning.Add(1)
+		endSpan := e.tracer.Start(fmt.Sprintf("inject [%d,%d)", lo, hi), "inject", st.tid,
+			map[string]string{"campaign": ds.Job.Key()})
+		jt0 := time.Now()
+		sh, err := st.group.Inject(ctx, ds.Job.Domain, faults, lo, hi, e.traceProp)
+		span := time.Since(jt0).Seconds()
+		endSpan()
+		em.jobsRunning.Add(-1)
+		if cancelledBy(ctx, err) {
+			ds.cancelled.Store(true)
 			return
 		}
-		if err := ds.takeTraceErr(); err != nil {
-			domainDone(st, ds, err)
+		ds.mu.Lock()
+		if err == nil {
+			err = ds.Add(lo, hi, sh, span)
+		}
+		if err != nil && ds.err == nil {
+			ds.err = err
+		}
+		folded := ds.Folded
+		ds.mu.Unlock()
+		if err != nil {
 			return
 		}
-		assemble(st, ds)
+		em.jobsDone.Inc()
+		// Outcome counters update in one batch per job, tallied locally
+		// first.
+		tally := map[string]int{}
+		for _, r := range sh.Runs {
+			tally[r.Outcome.String()]++
+		}
+		for o, n := range tally {
+			em.injections.With(o).Add(float64(n))
+		}
+		e.emit(JobDone{
+			Scenario: ds.Job.Scenario,
+			Domain:   ds.Job.Domain,
+			Lo:       lo,
+			Hi:       hi,
+			WallSec:  span,
+			Done:     folded,
+			Total:    faults,
+		})
 	}
 
 	golden := func(st *scenarioState) {
@@ -393,155 +410,48 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 			return
 		}
 		st.t0 = time.Now()
-		st.tid = e.tracer.TID(fmt.Sprintf("%s/%d", st.job.Scenario.ID(), st.job.Seed))
+		st.tid = e.tracer.TID(GroupKey(st.job.Scenario.ID(), st.job.Seed))
 		doms := make([]fault.Model, len(st.domains))
 		for i, ds := range st.domains {
-			doms[i] = ds.job.Domain
+			doms[i] = ds.Job.Domain
 		}
 		em.scenariosStarted.Inc()
 		e.emit(ScenarioStarted{Scenario: st.job.Scenario, Seed: st.job.Seed, Domains: doms})
-		endSpan := e.tracer.Start("build", "build", st.tid, nil)
-		img, cfg, err := npb.BuildScenario(st.job.Scenario)
-		endSpan()
+		g, err := buildGroup(ctx, st.job.Scenario, st.job.Seed, e.snapshots, e.ckptSpill, e.tracer, e.fullCopy)
 		if err != nil {
 			closeGroup(st, err)
 			return
 		}
-		gcfg := cfg
-		gcfg.Profile = true
-		gcfg.SamplePeriod = samplePeriod
-		endSpan = e.tracer.Start("golden", "golden", st.tid, nil)
-		st.g, err = fi.RunGoldenContext(ctx, img, gcfg, 0)
-		endSpan()
-		if err != nil {
-			closeGroup(st, err)
-			return
-		}
-		st.goldenWall = time.Since(st.t0).Seconds()
-		endSpan = e.tracer.Start("profile", "profile", st.tid, nil)
-		st.features = profile.Extract(img, st.g.Machine)
-		st.apiCalls = profile.Build(img, st.g.Machine).CallsTo(profile.RuntimePrefixes...)
-		endSpan()
-
-		endSpan = e.tracer.Start("checkpoint", "checkpoint", st.tid, nil)
-		st.cs, err = fi.BuildCheckpointsOpt(ctx, img, cfg, st.g, fi.CheckpointOptions{
-			N:        snapshots,
-			SpillDir: e.ckptSpill,
-			FullCopy: e.fullCopy,
-		})
-		endSpan()
-		if err != nil {
-			closeGroup(st, err)
-			return
-		}
-		if e.traceProp {
-			st.tracer = prop.NewTracer(img, cfg, st.g, st.cs)
-		}
-		st.obsResident = st.cs.MemBytes()
-		st.obsSpilled = st.cs.SpilledBytes()
+		st.group = g
+		ckpts, resident, spilled := g.Checkpoints()
+		st.obsResident, st.obsSpilled = resident, spilled
 		em.goldensDone.Inc()
-		em.ckptResident.Add(float64(st.obsResident))
-		em.ckptSpilled.Add(float64(st.obsSpilled))
+		em.ckptResident.Add(float64(resident))
+		em.ckptSpilled.Add(float64(spilled))
 		e.emit(GoldenDone{
-			Scenario: st.job.Scenario,
-			Seed:     st.job.Seed,
-			Golden: GoldenSummary{
-				AppStart: st.g.AppStart,
-				AppEnd:   st.g.AppEnd,
-				Retired:  st.g.Retired,
-				Cycles:   st.g.Cycles,
-			},
-			WallSec:                st.goldenWall,
-			Checkpoints:            st.cs.Len(),
-			CheckpointBytes:        st.cs.MemBytes(),
-			CheckpointSpilledBytes: st.cs.SpilledBytes(),
+			Scenario:               st.job.Scenario,
+			Seed:                   st.job.Seed,
+			Golden:                 g.Summary(),
+			WallSec:                g.GoldenWallSec,
+			Checkpoints:            ckpts,
+			CheckpointBytes:        resident,
+			CheckpointSpilledBytes: spilled,
 		})
 		// Arm every domain campaign of the group before any finishes: all
-		// share the golden reference and the captured snapshots, each
-		// injects through its own counter-carrying clone.
+		// share the group, each folds its own shards.
 		st.openDomains.Store(int64(len(st.domains)))
 		for _, ds := range st.domains {
-			ds.dom, err = fi.NewDomain(ds.job.Domain, img, cfg, st.g)
-			if err != nil {
-				domainDone(st, ds, err)
-				continue
-			}
-			ds.faults = fi.List(ds.job.Seed, faults, ds.dom)
-			ds.cs = st.cs.Clone()
-			ds.runs = make([]fi.Result, len(ds.faults))
-			if e.traceProp {
-				ds.traces = make([]*prop.Trace, len(ds.faults))
-			}
-			if len(ds.faults) == 0 {
-				assemble(st, ds)
-				continue
-			}
-			ds.remaining.Store(int64(len(ds.faults)))
-			for lo := 0; lo < len(ds.faults); lo += jobSize {
-				hi := lo + jobSize
-				if hi > len(ds.faults) {
-					hi = len(ds.faults)
-				}
-				ds, lo, hi := ds, lo, hi
+			ds.remaining.Store(int64(len(ranges)))
+			for _, r := range ranges {
+				ds, lo, hi := ds, r[0], r[1]
 				em.jobsQueued.Inc()
 				tasks <- func() {
 					if ctx.Err() != nil {
 						ds.cancelled.Store(true)
 					} else {
-						em.jobsRunning.Add(1)
-						endSpan := e.tracer.Start(fmt.Sprintf("inject [%d,%d)", lo, hi), "inject", st.tid,
-							map[string]string{"campaign": ds.job.Key()})
-						jt0 := time.Now()
-						aborted := false
-						for i := lo; i < hi; i++ {
-							r, err := ds.cs.InjectPointContext(ctx, ds.dom, st.g, ds.faults[i])
-							if err != nil {
-								ds.cancelled.Store(true)
-								aborted = true
-								break
-							}
-							ds.runs[i] = r
-							if ds.traces != nil && r.Outcome != fi.Vanished && r.Outcome != fi.ONA {
-								tr, _, terr := st.tracer.Trace(ds.dom, ds.faults[i])
-								if terr != nil {
-									ds.noteTraceErr(terr)
-									aborted = true
-									break
-								}
-								ds.traces[i] = &tr
-							}
-						}
-						span := time.Since(jt0)
-						endSpan()
-						em.jobsRunning.Add(-1)
-						if !aborted {
-							em.jobsDone.Inc()
-							// Outcome counters update in one batch per job,
-							// tallied locally first.
-							tally := map[string]int{}
-							for i := lo; i < hi; i++ {
-								tally[ds.runs[i].Outcome.String()]++
-							}
-							for o, n := range tally {
-								em.injections.With(o).Add(float64(n))
-							}
-							// Aborted jobs record no span: the campaign
-							// carries no result, and a resumed matrix
-							// re-executes (and re-counts) the whole range.
-							ds.jobNanos.Add(span.Nanoseconds())
-							ds.addSpan(lo, hi, span.Seconds())
-							e.emit(JobDone{
-								Scenario: ds.job.Scenario,
-								Domain:   ds.job.Domain,
-								Lo:       lo,
-								Hi:       hi,
-								WallSec:  span.Seconds(),
-								Done:     int(ds.done.Add(int64(hi - lo))),
-								Total:    len(ds.faults),
-							})
-						}
+						inject(st, ds, lo, hi)
 					}
-					if ds.remaining.Add(int64(lo-hi)) == 0 {
+					if ds.remaining.Add(-1) == 0 {
 						finishDomain(st, ds)
 					}
 				}
@@ -557,34 +467,26 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 	groups := make(map[string]*scenarioState, n)
 	var order []*scenarioState
 	for i, job := range jobs {
-		if e.store != nil {
-			if r, ok := e.store.Get(job.Key()); ok {
-				// A stored campaign only answers a job drawn identically:
-				// silently reusing a different fault count or seed would
-				// mix sample sizes or fault lists in one matrix
-				// (ValidateResume gives callers the friendly up-front
-				// version of this check).
-				if r.Faults != faults || r.Seed != job.Seed {
-					wrapped := fmt.Errorf("%s: recorded campaign (faults=%d seed=%d) does not match this run (faults=%d seed=%d)",
-						job.Key(), r.Faults, r.Seed, faults, job.Seed)
-					errs[i] = wrapped
-					e.emit(ScenarioDone{Key: job.Key(), Err: wrapped})
-					continue
-				}
-				results[i] = r
-				skipped++
-				em.campaigns.With("skipped").Inc()
-				continue
-			}
+		r, err := Recorded(e.store, job, faults)
+		if err != nil {
+			errs[i] = err
+			e.emit(ScenarioDone{Key: job.Key(), Err: err})
+			continue
 		}
-		gkey := fmt.Sprintf("%s/%d", job.Scenario.ID(), job.Seed)
+		if r != nil {
+			results[i] = r
+			skipped++
+			em.campaigns.With("skipped").Inc()
+			continue
+		}
+		gkey := GroupKey(job.Scenario.ID(), job.Seed)
 		st := groups[gkey]
 		if st == nil {
 			st = &scenarioState{job: job}
 			groups[gkey] = st
 			order = append(order, st)
 		}
-		st.domains = append(st.domains, &domainState{idx: i, job: job})
+		st.domains = append(st.domains, &domainState{idx: i, Fold: NewFold(job, faults, e.traceProp)})
 	}
 feed:
 	for _, st := range order {
@@ -601,33 +503,7 @@ feed:
 	close(tasks)
 	workerWG.Wait()
 
-	var first error
-	if err := ctx.Err(); err != nil {
-		first = err
-	} else {
-		for _, err := range errs {
-			if err != nil {
-				first = err
-				break
-			}
-		}
-	}
-	have := 0
-	for i := range jobs {
-		if results[i] != nil {
-			have++
-		}
-	}
-	completed := have - skipped
-	// Everything without a result failed — including campaigns the feeder
-	// never scheduled under cancellation, which carry no recorded error.
-	failed := n - have
-	e.emit(MatrixDone{
-		Completed: completed,
-		Skipped:   skipped,
-		Failed:    failed,
-		WallSec:   time.Since(t0).Seconds(),
-		Err:       first,
-	})
-	return results, first
+	md := NewMatrixDone(results, errs, skipped, ctx.Err(), time.Since(t0).Seconds())
+	e.emit(md)
+	return results, md.Err
 }

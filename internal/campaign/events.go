@@ -109,6 +109,28 @@ type MatrixDone struct {
 	Err       error
 }
 
+// NewMatrixDone tallies a finished matrix into its terminal event — shared
+// by Engine.RunMatrix and the distributed coordinator's Wait. results and
+// errs are in job order; cause is the context error when the run was
+// cancelled. Everything without a result counts as failed, including
+// campaigns never scheduled under cancellation, which carry no error.
+func NewMatrixDone(results []*Result, errs []error, skipped int, cause error, wallSec float64) MatrixDone {
+	have := 0
+	for _, r := range results {
+		if r != nil {
+			have++
+		}
+	}
+	md := MatrixDone{Completed: have - skipped, Skipped: skipped, Failed: len(results) - have, WallSec: wallSec, Err: cause}
+	for _, err := range errs {
+		if md.Err != nil {
+			break
+		}
+		md.Err = err
+	}
+	return md
+}
+
 func (ScenarioStarted) event() {}
 func (GoldenDone) event()      {}
 func (JobDone) event()         {}

@@ -1,0 +1,327 @@
+// Group · shard · fold: what every execution path of a campaign does,
+// written once. A Group is the fault-free half of one (scenario, seed)
+// pair; Group.Inject, the shard executor, runs one fault-index range of one
+// domain through it; a Fold turns a campaign's Shards into its Result. The
+// local Engine and the distributed fabric (internal/dist) consume exactly
+// these and differ only in who schedules the shards and how a Shard
+// travels to its Fold.
+package campaign
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"time"
+
+	"serfi/internal/cc"
+	"serfi/internal/fault"
+	"serfi/internal/fi"
+	"serfi/internal/mach"
+	"serfi/internal/npb"
+	"serfi/internal/obs"
+	"serfi/internal/profile"
+	"serfi/internal/prop"
+)
+
+// DefaultSamplePeriod is the golden profiling sample period of every
+// Group. Not a knob: Features land in the database, so a worker profiling
+// at another period would break the byte-identity of distributed rows.
+const DefaultSamplePeriod = 97
+
+// GroupKey names the Group that campaigns of one (scenario ID, seed) share.
+func GroupKey(scenarioID string, seed int64) string {
+	return fmt.Sprintf("%s/%d", scenarioID, seed)
+}
+
+// Group holds the fault-free phases of one (scenario, seed) pair — image,
+// profiled golden run, features, checkpoint set, propagation tracer and
+// each domain's frozen fault list — run once by BuildGroup and shared by
+// every domain campaign and every shard. It is safe for concurrent use.
+type Group struct {
+	Features      profile.Features
+	APICalls      uint64  // calls into the parallelization runtime
+	GoldenWallSec float64 // host wall clock of image build + profiled golden run
+
+	seed   int64 // fault-list seed every domain of the group draws from
+	img    *cc.Image
+	cfg    mach.Config
+	g      *fi.Golden
+	cs     *fi.CheckpointSet // base set; every Inject runs through a clone
+	tracer *prop.Tracer
+
+	mu    sync.Mutex
+	lists map[listKey]faultList
+}
+
+// listKey identifies one cached fault list (campaigns of different sizes
+// over one group draw different lists).
+type listKey struct {
+	model fault.Model
+	n     int
+}
+
+type faultList struct {
+	dom    fault.Domain
+	faults []fi.Fault
+}
+
+// BuildGroup runs the fault-free phases: image build, profiled golden run,
+// feature and API-call extraction, and the checkpoint fast-forward from
+// the unprofiled configuration. snapshots follows the campaign convention
+// (0 picks fi.DefaultCheckpoints, negative disables acceleration);
+// spillDir, when non-empty, moves the checkpoint RAM payload to an
+// unlinked temp file there. A non-nil tracer receives one span per phase
+// (build, golden, profile, checkpoint) on the group's track. Close the
+// group when its last shard has run.
+func BuildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int, spillDir string, tracer *obs.Tracer) (*Group, error) {
+	return buildGroup(ctx, sc, seed, snapshots, spillDir, tracer, false)
+}
+
+// buildGroup adds the full-copy checkpoint engine switch, reachable only
+// from tests (TestCOWCheckpointsGoldenCompat's differential reference).
+func buildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int, spillDir string, tracer *obs.Tracer, fullCopy bool) (*Group, error) {
+	t0 := time.Now()
+	tid := tracer.TID(GroupKey(sc.ID(), seed))
+	endSpan := tracer.Start("build", "build", tid, nil)
+	img, cfg, err := npb.BuildScenario(sc)
+	endSpan()
+	if err != nil {
+		return nil, err
+	}
+	gcfg := cfg
+	gcfg.Profile = true
+	gcfg.SamplePeriod = DefaultSamplePeriod
+	endSpan = tracer.Start("golden", "golden", tid, nil)
+	g, err := fi.RunGoldenContext(ctx, img, gcfg, 0)
+	endSpan()
+	if err != nil {
+		return nil, err
+	}
+	grp := &Group{
+		seed:          seed,
+		GoldenWallSec: time.Since(t0).Seconds(),
+		img:           img,
+		cfg:           cfg,
+		g:             g,
+		lists:         make(map[listKey]faultList),
+	}
+	endSpan = tracer.Start("profile", "profile", tid, nil)
+	grp.Features = profile.Extract(img, g.Machine)
+	grp.APICalls = profile.Build(img, g.Machine).CallsTo(profile.RuntimePrefixes...)
+	endSpan()
+
+	if snapshots == 0 {
+		snapshots = fi.DefaultCheckpoints
+	}
+	if snapshots < 0 {
+		snapshots = 0
+	}
+	endSpan = tracer.Start("checkpoint", "checkpoint", tid, nil)
+	grp.cs, err = fi.BuildCheckpointsOpt(ctx, img, cfg, g, fi.CheckpointOptions{
+		N:        snapshots,
+		SpillDir: spillDir,
+		FullCopy: fullCopy,
+	})
+	endSpan()
+	if err != nil {
+		return nil, err
+	}
+	grp.tracer = prop.NewTracer(img, cfg, g, grp.cs)
+	return grp, nil
+}
+
+// Summary returns the golden run's headline numbers.
+func (g *Group) Summary() GoldenSummary {
+	return GoldenSummary{
+		AppStart: g.g.AppStart,
+		AppEnd:   g.g.AppEnd,
+		Retired:  g.g.Retired,
+		Cycles:   g.g.Cycles,
+	}
+}
+
+// Checkpoints returns the snapshot count, the delta chain's in-RAM payload
+// and the payload moved to the spill file.
+func (g *Group) Checkpoints() (n, residentBytes, spilledBytes int) {
+	return g.cs.Len(), g.cs.MemBytes(), g.cs.SpilledBytes()
+}
+
+// Close releases the spill file, if any. No Inject may be in flight.
+func (g *Group) Close() error { return g.cs.Close() }
+
+// list returns model's domain and the campaign's complete n-fault list,
+// drawn from the group seed on first use (concurrent needers wait).
+func (g *Group) list(model fault.Model, n int) (fault.Domain, []fi.Fault, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	key := listKey{model, n}
+	if l, ok := g.lists[key]; ok {
+		return l.dom, l.faults, nil
+	}
+	dom, err := fi.NewDomain(model, g.img, g.cfg, g.g)
+	if err != nil {
+		return nil, nil, err
+	}
+	l := faultList{dom: dom, faults: fi.List(g.seed, n, dom)}
+	g.lists[key] = l
+	return l.dom, l.faults, nil
+}
+
+// Shard is one executed fault-index range: per-fault results in index
+// order, their propagation traces when asked for (parallel to Runs, nil
+// for masked runs), and the snapshot engine's counters for these runs.
+type Shard struct {
+	Runs   []fi.Result
+	Traces []*prop.Trace
+	// Instructions simulated versus their from-reset cost, and runs scored
+	// by convergence pruning. All zero when the group has no checkpoints:
+	// Result.SnapshotSavings reads the zeros as "not accelerated".
+	SimulatedInstr uint64
+	FromResetInstr uint64
+	PrunedRuns     int
+}
+
+// ShardRanges partitions an n-fault campaign into [lo, hi) ranges of at most
+// size (> 0) faults, in index order — the one partition rule behind engine
+// jobs, coordinator leases and a worker's progress batches. A zero-fault
+// campaign is one empty range: some executor must still visit it, so that
+// a domain the scenario cannot host fails the campaign and, on a cluster,
+// the group metadata reaches the fold.
+func ShardRanges(n, size int) [][2]int {
+	var out [][2]int
+	for lo := 0; lo < n || lo == 0; lo += size {
+		out = append(out, [2]int{lo, min(lo+size, n)})
+	}
+	return out
+}
+
+// Inject executes faults [lo, hi) of model's n-fault list: an engine
+// injection job or a leased shard. Runs are independent, so shards over
+// any partition of [0, n) concatenate to one shard over the whole range.
+// With traceProp every unmasked run is re-run against a golden twin. Only
+// cancellation returns ctx's error; any other error (a domain the scenario
+// cannot host, a tracer failure) is fatal for the campaign.
+func (g *Group) Inject(ctx context.Context, model fault.Model, n, lo, hi int, traceProp bool) (Shard, error) {
+	dom, faults, err := g.list(model, n)
+	if err != nil {
+		return Shard{}, err
+	}
+	// A clone shares the immutable snapshots but counts only this shard.
+	cs := g.cs.Clone()
+	runs, err := cs.InjectRangeContext(ctx, dom, g.g, faults, lo, hi)
+	if err != nil {
+		return Shard{}, err
+	}
+	sh := Shard{Runs: runs}
+	if traceProp {
+		sh.Traces = make([]*prop.Trace, len(runs))
+		for i, r := range runs {
+			if !fi.IsUnmasked(r.Outcome) {
+				continue
+			}
+			tr, _, err := g.tracer.Trace(dom, faults[lo+i])
+			if err != nil {
+				return Shard{}, fmt.Errorf("propagation trace %v: %w", faults[lo+i], err)
+			}
+			sh.Traces[i] = &tr
+		}
+	}
+	if cs.Len() > 0 {
+		sh.SimulatedInstr, sh.FromResetInstr = cs.SimulatedInstructions()
+		pruned, _ := cs.PruneStats()
+		sh.PrunedRuns = int(pruned)
+	}
+	return sh, nil
+}
+
+// Fold accumulates the shards of one (scenario, domain) campaign by
+// fault-index range and yields its Result. Not self-locking: the engine
+// guards it with the campaign's mutex, the coordinator with its own.
+type Fold struct {
+	Job       ScenarioJob
+	Faults    int
+	TraceProp bool
+	// Live progress for status surfaces: runs folded so far, and those
+	// among them with an unmasked outcome (unfolded run slots are zero
+	// values that would pass for Vanished — never count those).
+	Folded   int
+	Unmasked int
+
+	runs      []fi.Result
+	traces    []*prop.Trace
+	spans     []JobSpan
+	jobWall   float64
+	simulated uint64
+	fromReset uint64
+	pruned    int
+}
+
+// NewFold returns the empty fold of one campaign.
+func NewFold(job ScenarioJob, faults int, traceProp bool) Fold {
+	f := Fold{Job: job, Faults: faults, TraceProp: traceProp, runs: make([]fi.Result, faults)}
+	if traceProp {
+		f.traces = make([]*prop.Trace, faults)
+	}
+	return f
+}
+
+// Add folds the shard executed over [lo, hi) in wallSec host seconds; one
+// whose shape does not match its range is rejected untouched. Each range
+// is added once (the engine's job list and the lease table guarantee it).
+func (f *Fold) Add(lo, hi int, sh Shard, wallSec float64) error {
+	if len(sh.Runs) != hi-lo {
+		return fmt.Errorf("shard [%d,%d) returned %d runs", lo, hi, len(sh.Runs))
+	}
+	if f.TraceProp {
+		if len(sh.Traces) != len(sh.Runs) {
+			return fmt.Errorf("shard [%d,%d) returned %d traces for %d runs (tracing requested)",
+				lo, hi, len(sh.Traces), len(sh.Runs))
+		}
+		copy(f.traces[lo:hi], sh.Traces)
+	}
+	copy(f.runs[lo:hi], sh.Runs)
+	f.Folded += len(sh.Runs)
+	for _, r := range sh.Runs {
+		if fi.IsUnmasked(r.Outcome) {
+			f.Unmasked++
+		}
+	}
+	f.simulated += sh.SimulatedInstr
+	f.fromReset += sh.FromResetInstr
+	f.pruned += sh.PrunedRuns
+	f.jobWall += wallSec
+	if hi > lo {
+		// A zero-fault campaign's empty shard records no span: its wall
+		// clock flows through JobWallSec, ExclusiveCompute's fallback.
+		f.spans = append(f.spans, JobSpan{Lo: lo, Hi: hi, WallSec: wallSec})
+	}
+	return nil
+}
+
+// Result assembles the campaign's record from the folded shards plus the
+// group metadata all of them share. The caller stamps what only it knows:
+// GoldenWallSec, CampaignWallSec and RecordRuns.
+func (f *Fold) Result(golden GoldenSummary, features profile.Features, apiCalls uint64) *Result {
+	SortJobSpans(f.spans)
+	res := &Result{
+		Scenario:       f.Job.Scenario,
+		Domain:         f.Job.Domain,
+		Faults:         f.Faults,
+		Seed:           f.Job.Seed,
+		Golden:         golden,
+		Features:       features,
+		APICalls:       apiCalls,
+		Runs:           f.runs,
+		Traces:         f.traces,
+		Prop:           prop.Summarize(f.traces),
+		JobWallSec:     f.jobWall,
+		JobSpans:       f.spans,
+		SimulatedInstr: f.simulated,
+		FromResetInstr: f.fromReset,
+		PrunedRuns:     f.pruned,
+	}
+	for _, r := range f.runs {
+		res.Counts.Add(r.Outcome)
+	}
+	return res
+}

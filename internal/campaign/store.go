@@ -3,13 +3,12 @@
 // analysis read from — the phase-4 cross-layer database of the paper as an
 // interface instead of a raw map[string]*Result. The JSONL file that
 // campaigns have always streamed to is the first backend (FileStore);
-// MemStore serves tests and in-process pipelines, and StreamStore adapts
-// the legacy MatrixSpec.DB/Skip pair.
+// MemStore serves tests and in-process pipelines.
 package campaign
 
 import (
+	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 	"sync"
@@ -137,25 +136,38 @@ func contains[T comparable](xs []T, x T) bool {
 	return false
 }
 
-// ValidateResume checks that every job already recorded in st was drawn
-// with the same fault count and fault-list seed the current run would
-// use. Resuming across a changed fault count would silently mix sample
-// sizes in one database (rate comparisons over unequal n), and a changed
-// base seed would make the matrix irreproducible from any single seed —
-// both are refused up front instead.
+// Recorded returns the campaign st already holds under job's key, or nil
+// when it holds none (or st is nil). A stored campaign only answers a job
+// drawn identically: resuming across a changed fault count would silently
+// mix sample sizes in one database (rate comparisons over unequal n), and
+// a changed base seed would make the matrix irreproducible from any single
+// seed — both are errors. The engine and the distributed coordinator both
+// resume through this one rule.
+func Recorded(st Store, job ScenarioJob, faults int) (*Result, error) {
+	if st == nil {
+		return nil, nil
+	}
+	r, ok := st.Get(job.Key())
+	if !ok {
+		return nil, nil
+	}
+	if r.Faults != faults {
+		return nil, fmt.Errorf("%s has %d faults recorded, current run uses %d (match the fault count or start a fresh database)",
+			job.Key(), r.Faults, faults)
+	}
+	if r.Seed != job.Seed {
+		return nil, fmt.Errorf("%s was drawn with seed %d, current run uses seed %d (match the base seed or start a fresh database)",
+			job.Key(), r.Seed, job.Seed)
+	}
+	return r, nil
+}
+
+// ValidateResume applies the Recorded rule to a whole matrix up front, so
+// a CLI can refuse a mismatched -resume before anything runs.
 func ValidateResume(st Store, jobs []ScenarioJob, faults int) error {
 	for _, job := range jobs {
-		r, ok := st.Get(job.Key())
-		if !ok {
-			continue
-		}
-		if r.Faults != faults {
-			return fmt.Errorf("%s has %d faults recorded, current run uses %d (match the fault count or start a fresh database)",
-				job.Key(), r.Faults, faults)
-		}
-		if r.Seed != job.Seed {
-			return fmt.Errorf("%s was drawn with seed %d, current run uses seed %d (match the base seed or start a fresh database)",
-				job.Key(), r.Seed, job.Seed)
+		if _, err := Recorded(st, job, faults); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -274,10 +286,17 @@ func Fsync() FileStoreOption { return func(s *FileStore) { s.fsync = true } }
 
 // OpenFileStore opens (or creates) the JSONL database at path. Existing
 // rows are loaded and served by Get/Keys/Query; subsequent Puts append.
-// A missing file is an empty store, matching LoadDB's resume convention.
+// A missing file is an empty store — the resume convention: -resume over
+// a database that was never written resumes from nothing.
 func OpenFileStore(path string, opts ...FileStoreOption) (*FileStore, error) {
-	loaded, err := LoadDB(path)
-	if err != nil {
+	var loaded map[string]*Result
+	if rf, err := os.Open(path); err == nil {
+		loaded, err = ReadDB(rf)
+		rf.Close()
+		if err != nil {
+			return nil, err
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -289,6 +308,26 @@ func OpenFileStore(path string, opts ...FileStoreOption) (*FileStore, error) {
 		opt(s)
 	}
 	return s, nil
+}
+
+// OpenMatrixStore opens the JSONL database one matrix run streams to: a
+// fresh run (resume false) starts from an empty file, a resumed one loads
+// the recorded campaigns, which must match the run's jobs (ValidateResume).
+func OpenMatrixStore(path string, resume bool, jobs []ScenarioJob, faults int, opts ...FileStoreOption) (*FileStore, error) {
+	if !resume {
+		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, err
+		}
+	}
+	st, err := OpenFileStore(path, opts...)
+	if err != nil {
+		return nil, fmt.Errorf("resume: %w", err)
+	}
+	if err := ValidateResume(st, jobs, faults); err != nil {
+		st.Close()
+		return nil, fmt.Errorf("resume %s: %w", path, err)
+	}
+	return st, nil
 }
 
 // Path returns the database file path.
@@ -328,46 +367,3 @@ func (s *FileStore) Sync() error {
 // Close flushes and closes the backing file. The in-memory index stays
 // readable; further Puts fail.
 func (s *FileStore) Close() error { return s.f.Close() }
-
-// streamStore adapts the legacy MatrixSpec trio — a raw JSONL writer, a
-// pre-loaded skip map and a serialized progress callback — to the Store
-// interface, so the deprecated entry points run on the Engine unchanged.
-type streamStore struct {
-	memIndex
-	w        io.Writer
-	skip     map[string]*Result
-	progress func(*Result)
-}
-
-// StreamStore wraps a raw JSONL stream plus an optional pre-loaded skip
-// set as a Store. Put appends to w (when non-nil); Get consults skip
-// first, then fresh Puts. Callers that own their database file should use
-// OpenFileStore instead.
-func StreamStore(w io.Writer, skip map[string]*Result) Store {
-	return &streamStore{w: w, skip: skip}
-}
-
-func (s *streamStore) Put(r *Result) error {
-	if err := s.put(r); err != nil {
-		return err
-	}
-	if s.w != nil {
-		if err := writeRecord(s.w, r); err != nil {
-			s.mu.Lock()
-			delete(s.m, r.Key())
-			s.mu.Unlock()
-			return err
-		}
-	}
-	if s.progress != nil {
-		s.progress(r)
-	}
-	return nil
-}
-
-func (s *streamStore) Get(key string) (*Result, bool) {
-	if r, ok := s.skip[key]; ok {
-		return r, true
-	}
-	return s.memIndex.Get(key)
-}

@@ -28,10 +28,8 @@ import (
 	"time"
 
 	"serfi/internal/campaign"
-	"serfi/internal/fi"
 	"serfi/internal/obs"
 	"serfi/internal/profile"
-	"serfi/internal/prop"
 	"serfi/internal/sens"
 )
 
@@ -92,36 +90,28 @@ func (s *submission) state() string {
 	}
 }
 
-// campState is one (scenario, domain) campaign's folding state on the
-// coordinator: the identity it was sharded from, the per-fault results
-// collected so far, the scenario-level metadata reported by the first
-// completed shard, and the aggregated telemetry.
+// campState is one (scenario, domain) campaign's state on the coordinator:
+// the fold its accepted shards accumulate in (campaign.Fold — the identity
+// it was sharded from, Job and Faults, included), the scenario-level
+// metadata reported by the first completed shard, and the lease
+// bookkeeping.
 type campState struct {
-	sub    *submission // owning submission (nil only in table-level tests)
-	idx    int         // position in the submission's jobs / results slices
-	job    campaign.ScenarioJob
-	key    string
-	faults int
+	sub *submission // owning submission (nil only in table-level tests)
+	idx int         // position in the submission's jobs / results slices
+	key string
+	campaign.Fold
 
 	shardsLeft int  // shards not yet folded
 	skipped    bool // answered from the store at startup (no shards)
 	started    bool
 	t0         time.Time // first lease grant (campaign wall span opens)
 
-	runs     []fi.Result
-	traces   []*prop.Trace // per-fault propagation traces (tracing runs only)
 	haveMeta bool
 	golden   campaign.GoldenSummary
 	features map[string]float64
 	apiCalls uint64
 
-	simulated, fromReset uint64
-	pruned               int
-	jobWall              float64
-	spans                []campaign.JobSpan // accepted shard spans (fault-index tagged)
-	runsDone             int                // injection results folded (each fault once)
-	unmasked             int                // folded results with an unmasked outcome
-	beats                int                // injection runs reported via progress events
+	beats int // injection runs reported via progress events
 
 	done bool
 	err  error
@@ -316,13 +306,11 @@ func (c *Coordinator) enqueue(spec SubmitSpec) (*submission, error) {
 		return nil, fmt.Errorf("dist: submission %s already exists", sub.id)
 	}
 	tn := tenantLabel(sub.tenant)
-	seen := make(map[string]bool, len(spec.Jobs))
+	if err := campaign.ValidateJobs(spec.Jobs); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
+	}
 	for i, job := range spec.Jobs {
 		key := job.Key()
-		if seen[key] {
-			return nil, fmt.Errorf("dist: duplicate campaign %s in matrix", key)
-		}
-		seen[key] = true
 		// A campaign still running under another live submission of the
 		// same tenant would race it on the store; refuse up front.
 		for _, other := range c.subs {
@@ -335,21 +323,16 @@ func (c *Coordinator) enqueue(spec SubmitSpec) (*submission, error) {
 				}
 			}
 		}
-		st := &campState{sub: sub, idx: i, job: job, key: key, faults: spec.Faults, runs: make([]fi.Result, spec.Faults)}
-		if spec.TraceProp {
-			st.traces = make([]*prop.Trace, spec.Faults)
+		st := &campState{sub: sub, idx: i, key: key, Fold: campaign.NewFold(job, spec.Faults, spec.TraceProp)}
+		r, err := campaign.Recorded(view, job, spec.Faults)
+		if err != nil {
+			return nil, fmt.Errorf("dist: %w", err)
 		}
-		if view != nil {
-			if r, ok := view.Get(key); ok {
-				if r.Faults != spec.Faults || r.Seed != job.Seed {
-					return nil, fmt.Errorf("dist: %s recorded with (faults=%d seed=%d), this matrix uses (faults=%d seed=%d)",
-						key, r.Faults, r.Seed, spec.Faults, job.Seed)
-				}
-				sub.results[i] = r
-				st.done = true
-				st.skipped = true
-				sub.skipped++
-			}
+		if r != nil {
+			sub.results[i] = r
+			st.done = true
+			st.skipped = true
+			sub.skipped++
 		}
 		sub.camps = append(sub.camps, st)
 		if !st.done {
@@ -416,35 +399,10 @@ func (c *Coordinator) Wait(ctx context.Context) ([]*campaign.Result, error) {
 	c.mu.Lock()
 	sub := c.oneShot
 	results := append([]*campaign.Result(nil), sub.results...)
-	var first error
-	if cause != nil {
-		first = cause
-	} else {
-		for _, err := range sub.errs {
-			if err != nil {
-				first = err
-				break
-			}
-		}
-	}
-	completed := 0
-	for _, r := range results {
-		if r != nil {
-			completed++
-		}
-	}
-	completed -= sub.skipped
-	skipped, failed := sub.skipped, len(results)-completed-sub.skipped
-	wall := c.now().Sub(c.t0).Seconds()
+	md := campaign.NewMatrixDone(results, sub.errs, sub.skipped, cause, c.now().Sub(c.t0).Seconds())
 	c.mu.Unlock()
-	c.finish(campaign.MatrixDone{
-		Completed: completed,
-		Skipped:   skipped,
-		Failed:    failed,
-		WallSec:   wall,
-		Err:       first,
-	})
-	return results, first
+	c.finish(md)
+	return results, md.Err
 }
 
 // doneLinger is how long Serve keeps answering the protocol after the
@@ -579,18 +537,17 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		camp.started = true
 		camp.t0 = c.now()
 	}
-	traceProp := camp.traces != nil
 	writeJSON(w, http.StatusOK, LeaseReply{Proto: ProtoVersion, Lease: &Lease{
 		ID:        sh.leaseID,
 		Key:       camp.key,
-		Scenario:  camp.job.Scenario.ID(),
-		Domain:    camp.job.Domain.String(),
-		Seed:      camp.job.Seed,
-		Faults:    camp.faults,
+		Scenario:  camp.Job.Scenario.ID(),
+		Domain:    camp.Job.Domain.String(),
+		Seed:      camp.Job.Seed,
+		Faults:    camp.Faults,
 		Lo:        sh.lo,
 		Hi:        sh.hi,
 		TTLMs:     int(c.ttl / time.Millisecond),
-		TraceProp: traceProp,
+		TraceProp: camp.TraceProp,
 	}})
 }
 
@@ -614,54 +571,36 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	camp := sh.camp
 	tn := tenantLabel(camp.tenant())
+	// A shard the worker could not execute, or whose shape does not match
+	// its lease (the fold rejects it untouched), fails the campaign.
+	var err error
 	if req.Err != "" {
+		err = errors.New(req.Err)
+	} else {
+		err = camp.Add(sh.lo, sh.hi, campaign.Shard{
+			Runs:           req.Runs,
+			Traces:         req.Traces,
+			SimulatedInstr: req.SimulatedInstr,
+			FromResetInstr: req.FromResetInstr,
+			PrunedRuns:     req.PrunedRuns,
+		}, req.WallSec)
+	}
+	if err != nil {
 		c.cm.shards.With("failed", tn).Inc()
-		c.failCampaign(camp, errors.New(req.Err))
+		c.failCampaign(camp, err)
 		writeJSON(w, http.StatusOK, CompleteReply{Proto: ProtoVersion, Accepted: true, Done: c.matrixDoneLocked()})
 		return
 	}
-	if len(req.Runs) != sh.hi-sh.lo {
-		c.cm.shards.With("failed", tn).Inc()
-		c.failCampaign(camp, fmt.Errorf("shard [%d,%d) returned %d runs", sh.lo, sh.hi, len(req.Runs)))
-		writeJSON(w, http.StatusOK, CompleteReply{Proto: ProtoVersion, Accepted: true, Done: c.matrixDoneLocked()})
-		return
-	}
-	if camp.traces != nil {
-		if len(req.Traces) != len(req.Runs) {
-			c.cm.shards.With("failed", tn).Inc()
-			c.failCampaign(camp, fmt.Errorf("shard [%d,%d) returned %d traces for %d runs (tracing requested)",
-				sh.lo, sh.hi, len(req.Traces), len(req.Runs)))
-			writeJSON(w, http.StatusOK, CompleteReply{Proto: ProtoVersion, Accepted: true, Done: c.matrixDoneLocked()})
-			return
-		}
-		copy(camp.traces[sh.lo:sh.hi], req.Traces)
-	}
-	copy(camp.runs[sh.lo:sh.hi], req.Runs)
 	if !camp.haveMeta {
 		camp.haveMeta = true
 		camp.golden = req.Golden
 		camp.features = req.Features
 		camp.apiCalls = req.APICalls
 	}
-	camp.simulated += req.SimulatedInstr
-	camp.fromReset += req.FromResetInstr
-	camp.pruned += req.PrunedRuns
-	camp.jobWall += req.WallSec
-	if sh.hi > sh.lo {
-		// The zero-fault campaign's one empty shard records no span: its
-		// wall clock (the worker's golden/scenario build) flows through
-		// JobWallSec, which ExclusiveCompute falls back to when a result
-		// carries no spans.
-		camp.spans = append(camp.spans, campaign.JobSpan{Lo: sh.lo, Hi: sh.hi, WallSec: req.WallSec})
-	}
-	camp.runsDone += len(req.Runs)
 	for i := range req.Runs {
 		o := req.Runs[i].Outcome.String()
 		c.outcomes[o]++
 		c.cm.injections.With(o).Inc()
-		if fi.IsUnmasked(req.Runs[i].Outcome) {
-			camp.unmasked++
-		}
 	}
 	c.cm.shards.With("accepted", tn).Inc()
 	c.cm.shardSeconds.Observe(req.WallSec)
@@ -704,48 +643,29 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 		Lo:      req.Lo,
 		Hi:      req.Hi,
 		Done:    camp.beats,
-		Total:   camp.faults,
+		Total:   camp.Faults,
 		WallSec: req.WallSec,
 	})
 	c.emit(campaign.JobDone{
-		Scenario: camp.job.Scenario,
-		Domain:   camp.job.Domain,
+		Scenario: camp.Job.Scenario,
+		Domain:   camp.Job.Domain,
 		Lo:       req.Lo,
 		Hi:       req.Hi,
 		WallSec:  req.WallSec,
 		Done:     camp.beats,
-		Total:    camp.faults,
+		Total:    camp.Faults,
 	})
 	writeJSON(w, http.StatusOK, EventReply{Proto: ProtoVersion})
 }
 
-// assemble folds one fully sharded campaign into its canonical Result, puts
-// it in the store and announces it — the distributed analogue of the
-// Engine's assemble step. Caller holds c.mu.
+// assemble turns one fully folded campaign into its canonical Result, puts
+// it in the store and announces it — the distributed twin of the Engine's
+// assemble step, over the same fold. Caller holds c.mu.
 func (c *Coordinator) assemble(camp *campState) {
 	sub := camp.sub
-	res := &campaign.Result{
-		Scenario:        camp.job.Scenario,
-		Domain:          camp.job.Domain,
-		Faults:          camp.faults,
-		Seed:            camp.job.Seed,
-		Golden:          camp.golden,
-		Features:        profile.FeaturesFromMap(camp.features),
-		APICalls:        camp.apiCalls,
-		Runs:            camp.runs,
-		Traces:          camp.traces,
-		Prop:            prop.Summarize(camp.traces),
-		CampaignWallSec: c.now().Sub(camp.t0).Seconds(),
-		JobWallSec:      camp.jobWall,
-		JobSpans:        camp.spans,
-		SimulatedInstr:  camp.simulated,
-		FromResetInstr:  camp.fromReset,
-		PrunedRuns:      camp.pruned,
-		RecordRuns:      sub.recordRuns,
-	}
-	for _, r := range camp.runs {
-		res.Counts.Add(r.Outcome)
-	}
+	res := camp.Result(camp.golden, profile.FeaturesFromMap(camp.features), camp.apiCalls)
+	res.CampaignWallSec = c.now().Sub(camp.t0).Seconds()
+	res.RecordRuns = sub.recordRuns
 	if sub.store != nil {
 		if err := sub.store.Put(res); err != nil {
 			c.failCampaign(camp, fmt.Errorf("stream record: %w", err))
@@ -755,7 +675,7 @@ func (c *Coordinator) assemble(camp *campState) {
 	sub.results[camp.idx] = res
 	camp.done = true
 	c.cm.campaigns.With("completed", tenantLabel(sub.tenant)).Inc()
-	c.sse.publish(dashEvent{Type: "scenario", Key: camp.key, Done: camp.runsDone, Total: camp.faults})
+	c.sse.publish(dashEvent{Type: "scenario", Key: camp.key, Done: camp.Folded, Total: camp.Faults})
 	c.emit(campaign.ScenarioDone{Key: camp.key, Result: res})
 	c.campDone(sub)
 }
@@ -820,8 +740,8 @@ func (c *Coordinator) matrixStatusLocked(sub *submission) MatrixStatus {
 		if camp.skipped {
 			continue
 		}
-		ms.Injections += camp.faults
-		ms.Injected += camp.runsDone
+		ms.Injections += camp.Faults
+		ms.Injected += camp.Folded
 	}
 	return ms
 }
@@ -859,24 +779,23 @@ func (c *Coordinator) Status() StatusReply {
 				Key:     camp.key,
 				Tenant:  sub.tenant,
 				Matrix:  sub.id,
-				Faults:  camp.faults,
+				Faults:  camp.Faults,
 				Done:    camp.done,
 				Skipped: camp.skipped,
 				Failed:  camp.err != nil,
 			}
 			if !camp.skipped {
-				// Live progress: beats lead runsDone while a shard is in
-				// flight, runsDone wins once folding catches up.
-				row.Injected = camp.runsDone
+				// Live progress: beats lead the fold while a shard is in
+				// flight, the fold wins once it catches up.
+				row.Injected = camp.Folded
 				if camp.beats > row.Injected {
 					row.Injected = camp.beats
 				}
 			}
 			// Vulnerability: unmasked rate over folded results, with its 95%
 			// Wilson interval. Store-answered campaigns read the stored
-			// counts; live ones the fold counter (never camp.runs — its
-			// unfolded slots are zero values that would read as Vanished).
-			unmasked, n := camp.unmasked, camp.runsDone
+			// counts; live ones the fold's counters.
+			unmasked, n := camp.Unmasked, camp.Folded
 			if camp.skipped {
 				if r := sub.results[camp.idx]; r != nil {
 					unmasked, n = r.Counts.Unmasked(), r.Counts.Total()
@@ -891,8 +810,8 @@ func (c *Coordinator) Status() StatusReply {
 			if camp.skipped {
 				continue // answered from the store: counted in Skipped, not here
 			}
-			st.Injections += camp.faults
-			st.Injected += camp.runsDone
+			st.Injections += camp.Faults
+			st.Injected += camp.Folded
 		}
 	}
 	st.Done = live == 0

@@ -15,6 +15,8 @@ package dist
 import (
 	"sort"
 	"time"
+
+	"serfi/internal/campaign"
 )
 
 // shardState is the lifecycle of one shard: pending (no live lease),
@@ -79,22 +81,10 @@ func (t *leaseTable) add(camps []*campState, shardSize int) {
 		if c.done {
 			continue
 		}
-		for lo := 0; lo < c.faults; lo += shardSize {
-			hi := lo + shardSize
-			if hi > c.faults {
-				hi = c.faults
-			}
-			s := &shard{camp: c, lo: lo, hi: hi}
-			t.shards = append(t.shards, s)
-			c.shardsLeft++
-			t.total++
-			t.pending++
-		}
-		// A zero-fault campaign still needs one (empty) shard so that some
-		// worker reports its golden metadata and the campaign can assemble.
-		if c.faults == 0 {
-			s := &shard{camp: c}
-			t.shards = append(t.shards, s)
+		// A zero-fault campaign still gets its one (empty) shard, so that
+		// some worker reports its golden metadata and it can assemble.
+		for _, r := range campaign.ShardRanges(c.Faults, shardSize) {
+			t.shards = append(t.shards, &shard{camp: c, lo: r[0], hi: r[1]})
 			c.shardsLeft++
 			t.total++
 			t.pending++

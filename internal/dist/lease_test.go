@@ -240,7 +240,7 @@ func TestShardErrorFailsCampaign(t *testing.T) {
 // zero-fault edge (one empty shard so metadata still flows).
 func TestLeaseTableShardMath(t *testing.T) {
 	mk := func(faults, shardSize int) *leaseTable {
-		c := &campState{faults: faults}
+		c := &campState{Fold: campaign.Fold{Faults: faults}}
 		return newLeaseTable([]*campState{c}, shardSize, time.Minute, time.Now)
 	}
 	for _, tc := range []struct {

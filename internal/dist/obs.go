@@ -116,7 +116,7 @@ func (c *Coordinator) syncGaugesLocked() {
 				done++
 			}
 			if !camp.skipped {
-				injected += camp.runsDone
+				injected += camp.Folded
 			}
 		}
 	}

@@ -246,10 +246,7 @@ func (c *Coordinator) shardsOfLocked(sub *submission) int {
 		if camp.skipped {
 			continue
 		}
-		n += (camp.faults + c.shardSize - 1) / c.shardSize
-		if camp.faults == 0 {
-			n++
-		}
+		n += len(campaign.ShardRanges(camp.Faults, c.shardSize))
 	}
 	return n
 }

@@ -315,8 +315,8 @@ func TestQueueFairShareBoundedGap(t *testing.T) {
 	big := &submission{tenant: "alice"}
 	small := &submission{tenant: "bob"}
 	camps := []*campState{
-		{sub: big, faults: 80},
-		{sub: small, faults: 8},
+		{sub: big, Fold: campaign.Fold{Faults: 80}},
+		{sub: small, Fold: campaign.Fold{Faults: 8}},
 	}
 	tab := newLeaseTable(camps, 4, time.Minute, time.Now)
 	var order []string

@@ -1,10 +1,11 @@
-// The worker half of the fabric: pull leases, rebuild the leased scenario
-// locally (image, golden reference, checkpoints, fault list — every one a
-// deterministic function of the scenario and seed), inject exactly the
-// leased fault index range through the checkpointed fi path, and post the
-// results back. A worker is the local campaign engine's injection pipeline
-// with the scheduling inverted: instead of feeding a worker pool from an
-// in-process matrix, each pool slot feeds itself from the coordinator.
+// The worker half of the fabric: pull leases, build the leased scenario's
+// campaign.Group locally (image, golden reference, checkpoints, fault list
+// — every one a deterministic function of the scenario and seed), run
+// exactly the leased fault index range through Group.Inject, and post the
+// shard back. A worker is the local campaign engine with the scheduling
+// inverted: the executor is the same code, but instead of feeding a worker
+// pool from an in-process matrix, each pool slot feeds itself from the
+// coordinator, and an LRU of groups stands in for the engine's open slots.
 package dist
 
 import (
@@ -17,11 +18,8 @@ import (
 
 	"serfi/internal/campaign"
 	"serfi/internal/fault"
-	"serfi/internal/fi"
 	"serfi/internal/npb"
 	"serfi/internal/obs"
-	"serfi/internal/profile"
-	"serfi/internal/prop"
 )
 
 // Worker pulls shards from one coordinator and executes them. Construct
@@ -29,19 +27,17 @@ import (
 // the context cancels, or the coordinator stays unreachable past the retry
 // budget.
 type Worker struct {
-	cl           *Client
-	name         string
-	parallel     int
-	snapshots    int // campaign convention: 0 = default, negative = off
-	batch        int // faults per injection batch (progress-beat granularity)
-	maxOpen      int
-	samplePeriod uint64
-	spillDir     string
+	cl        *Client
+	name      string
+	parallel  int
+	snapshots int // campaign convention: 0 = default, negative = off
+	batch     int // faults per injection batch (progress-beat granularity)
+	spillDir  string
 
 	draining atomic.Bool
 
 	gmu    sync.Mutex
-	groups map[string]*group
+	groups map[string]*cacheEntry
 	seq    int64
 }
 
@@ -73,13 +69,9 @@ func CheckpointSpill(dir string) WorkerOption { return func(w *Worker) { w.spill
 // shard; 0 picks campaign.DefaultJobSize.
 func BatchSize(n int) WorkerOption { return func(w *Worker) { w.batch = n } }
 
-// MaxOpen bounds how many scenario groups (golden state + checkpoints) the
-// worker caches at once; 0 picks a default of 2.
-func MaxOpen(n int) WorkerOption { return func(w *Worker) { w.maxOpen = n } }
-
-// SamplePeriod sets the golden profiling sample period; 0 picks the engine
-// default.
-func SamplePeriod(p uint64) WorkerOption { return func(w *Worker) { w.samplePeriod = p } }
+// maxOpenGroups bounds how many scenario groups (golden state +
+// checkpoints) a worker caches at once.
+const maxOpenGroups = 2
 
 // NewWorker returns a worker bound to one coordinator client.
 func NewWorker(cl *Client, opts ...WorkerOption) *Worker {
@@ -90,7 +82,7 @@ func NewWorker(cl *Client, opts ...WorkerOption) *Worker {
 	w := &Worker{
 		cl:     cl,
 		name:   fmt.Sprintf("%s-%d", host, os.Getpid()),
-		groups: make(map[string]*group),
+		groups: make(map[string]*cacheEntry),
 	}
 	for _, opt := range opts {
 		opt(w)
@@ -100,13 +92,6 @@ func NewWorker(cl *Client, opts ...WorkerOption) *Worker {
 	}
 	if w.batch <= 0 {
 		w.batch = campaign.DefaultJobSize
-	}
-	if w.maxOpen <= 0 {
-		w.maxOpen = 2
-	}
-	if w.samplePeriod == 0 {
-		// The engine's default, shared so remote Features match local ones.
-		w.samplePeriod = campaign.DefaultSamplePeriod
 	}
 	return w
 }
@@ -228,86 +213,63 @@ func (w *Worker) complete(ctx context.Context, req CompleteRequest) (bool, error
 }
 
 // exec runs one leased shard. Scenario-level failures (bad scenario ID,
-// image build or golden-run errors) are reported to the coordinator in
-// CompleteRequest.Err, failing the campaign there exactly like a local
-// engine run; only context cancellation returns a non-nil error.
+// image build or golden-run errors, an unknown domain, a tracer failure)
+// are reported to the coordinator in CompleteRequest.Err, failing the
+// campaign there exactly like a local engine run; only context cancellation
+// returns a non-nil error.
 func (w *Worker) exec(ctx context.Context, l *Lease) (CompleteRequest, error) {
 	req := CompleteRequest{Worker: w.name, LeaseID: l.ID, Key: l.Key, Lo: l.Lo, Hi: l.Hi}
-	g, err := w.acquire(ctx, l)
-	if err != nil {
+	fail := func(err error) (CompleteRequest, error) {
 		if ctx.Err() != nil {
-			return req, ctx.Err()
+			return req, ctx.Err() // lease expires, shard re-issued
 		}
 		req.Err = err.Error()
 		return req, nil
 	}
-	defer w.release(g)
-	de, err := g.domain(l)
+	ce, err := w.acquire(ctx, l)
 	if err != nil {
-		req.Err = err.Error()
-		return req, nil
+		return fail(err)
+	}
+	defer w.release(ce)
+	g := ce.group
+	model, err := fault.ParseModel(l.Domain)
+	if err != nil {
+		return fail(err)
 	}
 
-	// A fresh clone shares the group's immutable snapshots but carries this
-	// shard's own telemetry counters.
-	cs := g.cs.Clone()
+	// The shard runs as batches of Group.Inject so progress beats flow
+	// while it executes.
 	t0 := time.Now()
-	runs := make([]fi.Result, 0, l.Hi-l.Lo)
-	for lo := l.Lo; lo < l.Hi; lo += w.batch {
-		hi := lo + w.batch
-		if hi > l.Hi {
-			hi = l.Hi
-		}
+	for _, r := range campaign.ShardRanges(l.Hi-l.Lo, w.batch) {
+		lo, hi := l.Lo+r[0], l.Lo+r[1]
 		bt0 := time.Now()
-		batch, err := cs.InjectRangeContext(ctx, de.dom, g.g, de.faults, lo, hi)
+		sh, err := g.Inject(ctx, model, l.Faults, lo, hi, l.TraceProp)
 		if err != nil {
-			return req, err // cancellation mid-shard: lease expires, shard re-issued
+			return fail(err)
 		}
-		runs = append(runs, batch...)
-		// Progress beat, best-effort: a lost beat only costs display
-		// granularity on the coordinator.
-		_ = w.cl.Event(ctx, EventRequest{
-			Worker:   w.name,
-			LeaseID:  l.ID,
-			Key:      l.Key,
-			Lo:       lo,
-			Hi:       hi,
-			WallSec:  time.Since(bt0).Seconds(),
-			Scenario: l.Scenario,
-			Domain:   l.Domain,
-		})
-	}
-	req.Runs = runs
-	if l.TraceProp {
-		// Trace unmasked runs after the shard's injections: the tracer
-		// shares the group's immutable snapshots, so interleaving would be
-		// sound too, but batching keeps the beat cadence of the injection
-		// loop untouched.
-		traces := make([]*prop.Trace, len(runs))
-		for i, r := range runs {
-			if r.Outcome == fi.Vanished || r.Outcome == fi.ONA {
-				continue
-			}
-			tr, _, err := g.tracer.Trace(de.dom, de.faults[l.Lo+i])
-			if err != nil {
-				req.Err = fmt.Sprintf("propagation trace %v: %v", de.faults[l.Lo+i], err)
-				return req, nil
-			}
-			traces[i] = &tr
+		req.Runs = append(req.Runs, sh.Runs...)
+		req.Traces = append(req.Traces, sh.Traces...)
+		req.SimulatedInstr += sh.SimulatedInstr
+		req.FromResetInstr += sh.FromResetInstr
+		req.PrunedRuns += sh.PrunedRuns
+		if hi > lo {
+			// Progress beat, best-effort: a lost beat only costs display
+			// granularity on the coordinator.
+			_ = w.cl.Event(ctx, EventRequest{
+				Worker:   w.name,
+				LeaseID:  l.ID,
+				Key:      l.Key,
+				Lo:       lo,
+				Hi:       hi,
+				WallSec:  time.Since(bt0).Seconds(),
+				Scenario: l.Scenario,
+				Domain:   l.Domain,
+			})
 		}
-		req.Traces = traces
 	}
-	req.Golden = campaign.GoldenSummary{
-		AppStart: g.g.AppStart,
-		AppEnd:   g.g.AppEnd,
-		Retired:  g.g.Retired,
-		Cycles:   g.g.Cycles,
-	}
-	req.Features = g.features.Map()
-	req.APICalls = g.apiCalls
-	req.SimulatedInstr, req.FromResetInstr = cs.SimulatedInstructions()
-	pruned, _ := cs.PruneStats()
-	req.PrunedRuns = int(pruned)
+	req.Golden = g.Summary()
+	req.Features = g.Features.Map()
+	req.APICalls = g.APICalls
 	req.WallSec = time.Since(t0).Seconds()
 	// Piggyback this process's cumulative metric snapshot (fi, mach, mem,
 	// wire families) so the coordinator can serve cluster-wide /metrics.
@@ -315,179 +277,92 @@ func (w *Worker) exec(ctx context.Context, l *Lease) (CompleteRequest, error) {
 	return req, nil
 }
 
-// group is one cached scenario build: image, golden reference, checkpoint
-// set and profile metadata, shared by every shard of that (scenario, seed)
-// pair — the distributed analogue of the engine's scenario group, whose
-// fault-free phases run once. Domain entries (fault domain + full fault
-// list) hang off the group.
-type group struct {
+// cacheEntry is one slot of the worker's group LRU: a campaign.Group being
+// built or built, shared by every shard of that (scenario, seed) pair.
+type cacheEntry struct {
 	key   string
 	refs  int
 	stamp int64 // LRU clock; updated on release
 
 	ready chan struct{} // closed once built
 	err   error
-
-	g           *fi.Golden
-	cs          *fi.CheckpointSet
-	tracer      *prop.Tracer // built with the group; costs nothing until used
-	features    profile.Features
-	apiCalls    uint64
-	buildDomain func(fault.Model) (fault.Domain, error)
-
-	dmu  sync.Mutex
-	doms map[string]*domEntry
+	group *campaign.Group
 }
 
-// domEntry is one fault domain over one group: the domain instance and the
-// campaign's complete fault list (sharding happens by index into it).
-type domEntry struct {
-	ready  chan struct{}
-	err    error
-	dom    fault.Domain
-	faults []fi.Fault
-}
-
-// acquire returns the built scenario group for a lease, building it on
-// first use and evicting the least-recently-used idle group beyond the
-// cache bound. The first acquirer builds; concurrent acquirers wait.
-func (w *Worker) acquire(ctx context.Context, l *Lease) (*group, error) {
-	gkey := fmt.Sprintf("%s/%d", l.Scenario, l.Seed)
+// acquire returns the cache entry holding a lease's built scenario group,
+// building it on first use and evicting the least-recently-used idle group
+// beyond the cache bound. The first acquirer builds; concurrent acquirers
+// wait.
+func (w *Worker) acquire(ctx context.Context, l *Lease) (*cacheEntry, error) {
+	gkey := campaign.GroupKey(l.Scenario, l.Seed)
 	w.gmu.Lock()
-	g := w.groups[gkey]
+	ce := w.groups[gkey]
 	build := false
-	if g == nil {
+	if ce == nil {
 		w.evictLocked()
-		g = &group{key: gkey, ready: make(chan struct{}), doms: make(map[string]*domEntry)}
-		w.groups[gkey] = g
+		ce = &cacheEntry{key: gkey, ready: make(chan struct{})}
+		w.groups[gkey] = ce
 		build = true
 	}
-	g.refs++
+	ce.refs++
 	w.gmu.Unlock()
 
 	if build {
-		g.err = w.build(ctx, g, l)
-		close(g.ready)
+		var sc npb.Scenario
+		if sc, ce.err = npb.ParseID(l.Scenario); ce.err == nil {
+			ce.group, ce.err = campaign.BuildGroup(ctx, sc, l.Seed, w.snapshots, w.spillDir, nil)
+		}
+		close(ce.ready)
 	}
 	select {
-	case <-g.ready:
+	case <-ce.ready:
 	case <-ctx.Done():
-		w.release(g)
+		w.release(ce)
 		return nil, ctx.Err()
 	}
-	if g.err != nil {
-		w.release(g)
-		return nil, g.err
+	if ce.err != nil {
+		w.release(ce)
+		return nil, ce.err
 	}
-	return g, nil
+	return ce, nil
 }
 
-// release drops one reference and stamps the group for LRU eviction.
-func (w *Worker) release(g *group) {
+// release drops one reference and stamps the entry for LRU eviction.
+func (w *Worker) release(ce *cacheEntry) {
 	w.gmu.Lock()
-	g.refs--
+	ce.refs--
 	w.seq++
-	g.stamp = w.seq
+	ce.stamp = w.seq
 	w.gmu.Unlock()
 }
 
-// evictLocked drops idle groups until the cache fits maxOpen-1 entries
-// (room for the incoming one). Groups still referenced stay — correctness
-// over the bound. Caller holds w.gmu.
+// evictLocked drops idle groups until the cache fits maxOpenGroups-1
+// entries (room for the incoming one). Groups still referenced stay —
+// correctness over the bound. Caller holds w.gmu.
 func (w *Worker) evictLocked() {
-	for len(w.groups) >= w.maxOpen {
-		var victim *group
-		for _, g := range w.groups {
-			if g.refs > 0 {
+	for len(w.groups) >= maxOpenGroups {
+		var victim *cacheEntry
+		for _, ce := range w.groups {
+			if ce.refs > 0 {
 				continue
 			}
 			select {
-			case <-g.ready:
+			case <-ce.ready:
 			default:
 				continue // still building
 			}
-			if victim == nil || g.stamp < victim.stamp {
-				victim = g
+			if victim == nil || ce.stamp < victim.stamp {
+				victim = ce
 			}
 		}
 		if victim == nil {
 			return
 		}
-		if victim.cs != nil {
-			victim.cs.Close() // release the spill file, if any
+		if victim.group != nil {
+			victim.group.Close() // release the spill file, if any
 		}
 		delete(w.groups, victim.key)
 	}
-}
-
-// build runs the fault-free phases for one scenario group, mirroring the
-// engine's golden step: profiled golden run, feature extraction, checkpoint
-// fast-forward from the unprofiled config.
-func (w *Worker) build(ctx context.Context, g *group, l *Lease) error {
-	sc, err := npb.ParseID(l.Scenario)
-	if err != nil {
-		return err
-	}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		return err
-	}
-	gcfg := cfg
-	gcfg.Profile = true
-	gcfg.SamplePeriod = w.samplePeriod
-	golden, err := fi.RunGoldenContext(ctx, img, gcfg, 0)
-	if err != nil {
-		return err
-	}
-	g.g = golden
-	g.features = profile.Extract(img, golden.Machine)
-	g.apiCalls = profile.Build(img, golden.Machine).CallsTo(profile.RuntimePrefixes...)
-
-	snapshots := w.snapshots
-	if snapshots == 0 {
-		snapshots = fi.DefaultCheckpoints
-	}
-	if snapshots < 0 {
-		snapshots = 0
-	}
-	g.cs, err = fi.BuildCheckpointsOpt(ctx, img, cfg, golden, fi.CheckpointOptions{N: snapshots, SpillDir: w.spillDir})
-	if err != nil {
-		return err
-	}
-	g.tracer = prop.NewTracer(img, cfg, golden, g.cs)
-	g.buildDomain = func(model fault.Model) (fault.Domain, error) {
-		return fi.NewDomain(model, img, cfg, golden)
-	}
-	return nil
-}
-
-// domain returns the group's entry for a lease's fault domain, drawing the
-// campaign's complete fault list on first use (first needer builds,
-// concurrent needers wait).
-func (g *group) domain(l *Lease) (*domEntry, error) {
-	dkey := fmt.Sprintf("%s/%d", l.Domain, l.Faults)
-	g.dmu.Lock()
-	de := g.doms[dkey]
-	build := false
-	if de == nil {
-		de = &domEntry{ready: make(chan struct{})}
-		g.doms[dkey] = de
-		build = true
-	}
-	g.dmu.Unlock()
-	if build {
-		model, err := fault.ParseModel(l.Domain)
-		if err == nil {
-			de.dom, err = g.buildDomain(model)
-		}
-		if err == nil {
-			de.faults = fi.List(l.Seed, l.Faults, de.dom)
-		}
-		de.err = err
-		close(de.ready)
-	}
-	<-de.ready
-	return de, de.err
 }
 
 // sleep waits for d or until ctx cancels.
