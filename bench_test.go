@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"serfi/internal/campaign"
+	"serfi/internal/cc"
 	"serfi/internal/exp"
 	"serfi/internal/fault"
 	"serfi/internal/fi"
@@ -56,7 +57,7 @@ func runArtefact(b *testing.B, fn func() (string, error)) {
 // small campaigns over all 130 scenarios).
 func BenchmarkTable1(b *testing.B) {
 	runArtefact(b, func() (string, error) {
-		m, err := exp.RunMatrix(benchConfig())
+		m, err := exp.RunMatrixContext(context.Background(), benchConfig())
 		if err != nil {
 			return "", err
 		}
@@ -67,7 +68,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates the IS Hang-vs-F*B-index table.
 func BenchmarkTable2(b *testing.B) {
 	runArtefact(b, func() (string, error) {
-		m, err := exp.RunSubset(benchConfig(), func(sc npb.Scenario) bool {
+		m, err := exp.RunSubsetContext(context.Background(), benchConfig(), func(sc npb.Scenario) bool {
 			return sc.App == "IS" && sc.Mode != npb.Serial
 		})
 		if err != nil {
@@ -80,7 +81,7 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkTable3 regenerates the ARMv7 memory-transaction table.
 func BenchmarkTable3(b *testing.B) {
 	runArtefact(b, func() (string, error) {
-		m, err := exp.RunSubset(benchConfig(), func(sc npb.Scenario) bool {
+		m, err := exp.RunSubsetContext(context.Background(), benchConfig(), func(sc npb.Scenario) bool {
 			return sc.ISA == "armv7" && sc.Mode == npb.MPI && (sc.App == "MG" || sc.App == "IS")
 		})
 		if err != nil {
@@ -93,7 +94,7 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable4 regenerates the ARMv8 memory-transaction table.
 func BenchmarkTable4(b *testing.B) {
 	runArtefact(b, func() (string, error) {
-		m, err := exp.RunSubset(benchConfig(), func(sc npb.Scenario) bool {
+		m, err := exp.RunSubsetContext(context.Background(), benchConfig(), func(sc npb.Scenario) bool {
 			return sc.ISA == "armv8" && ((sc.Mode == npb.OMP && (sc.App == "LU" || sc.App == "SP")) ||
 				(sc.Mode == npb.MPI && sc.App == "FT"))
 		})
@@ -113,7 +114,7 @@ func BenchmarkFigure1(b *testing.B) {
 // the MPI-vs-OMP mismatch panel (all 65 ARMv7 scenarios).
 func BenchmarkFigure2(b *testing.B) {
 	runArtefact(b, func() (string, error) {
-		m, err := exp.RunSubset(benchConfig(), func(sc npb.Scenario) bool {
+		m, err := exp.RunSubsetContext(context.Background(), benchConfig(), func(sc npb.Scenario) bool {
 			return sc.ISA == "armv7"
 		})
 		if err != nil {
@@ -126,7 +127,7 @@ func BenchmarkFigure2(b *testing.B) {
 // BenchmarkFigure3 regenerates the ARMv8 panels (all 65 ARMv8 scenarios).
 func BenchmarkFigure3(b *testing.B) {
 	runArtefact(b, func() (string, error) {
-		m, err := exp.RunSubset(benchConfig(), func(sc npb.Scenario) bool {
+		m, err := exp.RunSubsetContext(context.Background(), benchConfig(), func(sc npb.Scenario) bool {
 			return sc.ISA == "armv8"
 		})
 		if err != nil {
@@ -158,6 +159,17 @@ func BenchmarkSimulatorMIPS(b *testing.B) {
 	}
 }
 
+// regFaults draws the 64-fault register-domain list the injection benchmarks
+// share (seed 3).
+func regFaults(b *testing.B, img *cc.Image, cfg mach.Config, g *fi.Golden) (fault.Domain, []fi.Fault) {
+	b.Helper()
+	d, err := fi.NewDomain(fault.Reg, img, cfg, g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d, fi.List(3, 64, d)
+}
+
 // BenchmarkInjection measures the cost of one full injection run (build
 // machine, run to completion under the Hang budget, classify).
 func BenchmarkInjection(b *testing.B) {
@@ -170,7 +182,7 @@ func BenchmarkInjection(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	faults := fi.FaultList(3, 64, g, cfg.ISA.Feat(), cfg.Cores)
+	_, faults := regFaults(b, img, cfg, g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = fi.Inject(img, cfg, g, faults[i%len(faults)])
@@ -190,13 +202,13 @@ func benchInjectionSetup(b *testing.B) (*fi.Golden, []fi.Fault, func(fi.Fault) f
 	if err != nil {
 		b.Fatal(err)
 	}
-	faults := fi.FaultList(3, 64, g, cfg.ISA.Feat(), cfg.Cores)
-	cs, err := fi.BuildCheckpoints(img, cfg, g, fi.DefaultCheckpoints)
+	d, faults := regFaults(b, img, cfg, g)
+	cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, fi.CheckpointOptions{N: fi.DefaultCheckpoints})
 	if err != nil {
 		b.Fatal(err)
 	}
 	reset := func(f fi.Fault) fi.Result { return fi.Inject(img, cfg, g, f) }
-	snap := func(f fi.Fault) fi.Result { return cs.Inject(g, f) }
+	snap := func(f fi.Fault) fi.Result { return cs.InjectPoint(d, g, f) }
 	return g, faults, reset, snap, cs
 }
 
@@ -248,7 +260,7 @@ func BenchmarkInjectSnapshotFullCopy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	faults := fi.FaultList(3, 64, g, cfg.ISA.Feat(), cfg.Cores)
+	d, faults := regFaults(b, img, cfg, g)
 	cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g,
 		fi.CheckpointOptions{N: fi.DefaultCheckpoints, FullCopy: true})
 	if err != nil {
@@ -256,7 +268,7 @@ func BenchmarkInjectSnapshotFullCopy(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cs.Inject(g, faults[i%len(faults)])
+		_ = cs.InjectPoint(d, g, faults[i%len(faults)])
 	}
 	b.StopTimer()
 	executed, _ := cs.SimulatedInstructions()
@@ -451,7 +463,7 @@ func BenchmarkPropTrace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cs, err := fi.BuildCheckpoints(img, cfg, g, fi.DefaultCheckpoints)
+	cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, fi.CheckpointOptions{N: fi.DefaultCheckpoints})
 	if err != nil {
 		b.Fatal(err)
 	}

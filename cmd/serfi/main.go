@@ -255,7 +255,6 @@ func cmdInject(args []string) error {
 	workers := fs.Int("workers", 0, "host worker pool size (0 = all cores)")
 	jobSize := fs.Int("jobsize", 0, "faults per injection job (0 = default)")
 	snapshots := fs.Int("snapshots", fi.DefaultCheckpoints, "pre-fault checkpoints (0 = run every fault from reset)")
-	ckptspill := fs.Bool("ckptspill", false, "spill checkpoint RAM to an unlinked temp file, reloading pages lazily")
 	traceProp := fs.Bool("trace-prop", false, "propagation-trace every unmasked run against a golden twin")
 	slow := slowPathFlag(fs)
 	prof := addProfFlags(fs)
@@ -269,7 +268,7 @@ func cmdInject(args []string) error {
 	ctx, stop := interruptContext()
 	defer stop()
 	// The event stream carries the per-scenario checkpoint telemetry
-	// (count, delta-chain bytes, spill bytes) that has no column in the
+	// (count, delta-chain bytes) that has no column in the
 	// campaign record; fold it into one line per golden phase.
 	events := make(chan campaign.Event, 64)
 	var ckptLines []string
@@ -292,9 +291,6 @@ func cmdInject(args []string) error {
 		campaign.Snapshots(snapshotCount(*snapshots)),
 		campaign.WithEvents(events),
 		campaign.WithMetrics(obs.Default),
-	}
-	if *ckptspill {
-		opts = append(opts, campaign.CheckpointSpill(os.TempDir()))
 	}
 	if *traceProp {
 		opts = append(opts, campaign.TraceProp())
@@ -347,7 +343,6 @@ func cmdCampaign(args []string) error {
 	workers := fs.Int("workers", 0, "host worker pool size (0 = all cores)")
 	jobSize := fs.Int("jobsize", 0, "faults per injection job (0 = default)")
 	snapshots := fs.Int("snapshots", fi.DefaultCheckpoints, "pre-fault checkpoints per scenario (0 = run every fault from reset)")
-	ckptspill := fs.Bool("ckptspill", false, "spill checkpoint RAM to an unlinked temp file, reloading pages lazily")
 	recordRuns := fs.Bool("record-runs", false, "persist per-fault rows (v4 records) for `serfi sens` attribution")
 	resume := fs.Bool("resume", false, "skip campaigns already recorded in -db and append the rest")
 	slow := slowPathFlag(fs)
@@ -380,9 +375,6 @@ func cmdCampaign(args []string) error {
 		campaign.WithStore(st),
 		campaign.WithEvents(events),
 		campaign.WithMetrics(obs.Default),
-	}
-	if *ckptspill {
-		opts = append(opts, campaign.CheckpointSpill(os.TempDir()))
 	}
 	if *recordRuns {
 		opts = append(opts, campaign.RecordRuns())
@@ -460,12 +452,11 @@ func cmdServe(args []string) error {
 	model := fs.String("faultmodel", "reg", faultModelHelp)
 	shardSize := fs.Int("shardsize", dist.DefaultShardSize, "faults per lease shard")
 	leaseTTL := fs.Duration("lease", dist.DefaultLeaseTTL, "lease TTL before a shard is re-issued")
-	compact := fs.Int("compact", 8, "queue mode: background-compact a tenant at this many store segments")
 	recordRuns := fs.Bool("record-runs", false, "persist per-fault rows (v4 records) for `serfi sens` attribution")
 	resume := fs.Bool("resume", false, "skip campaigns already recorded in -db and serve the rest")
 	fs.Parse(args)
 	if *data != "" {
-		return serveQueue(*addr, *data, *shardSize, *leaseTTL, *compact)
+		return serveQueue(*addr, *data, *shardSize, *leaseTTL)
 	}
 	jobs, err := matrixJobs(*only, *model, *seed)
 	if err != nil {
@@ -545,12 +536,11 @@ func portSuffix(addr string) string {
 // DIR/store, the submission queue in DIR/queue.jsonl; both survive a
 // restart, so the daemon resumes exactly where it stopped (completed
 // campaigns answered from the store, unfinished submissions re-sharded).
-func serveQueue(addr, dataDir string, shardSize int, leaseTTL time.Duration, compact int) error {
+func serveQueue(addr, dataDir string, shardSize int, leaseTTL time.Duration) error {
 	if err := os.MkdirAll(dataDir, 0o755); err != nil {
 		return err
 	}
-	st, err := campaign.OpenSegmentedStore(filepath.Join(dataDir, "store"),
-		campaign.SegmentSync(), campaign.CompactAfter(compact))
+	st, err := campaign.OpenSegmentedStore(filepath.Join(dataDir, "store"), campaign.SegmentSync())
 	if err != nil {
 		return err
 	}
@@ -770,7 +760,6 @@ func cmdWorker(args []string) error {
 	join := fs.String("join", "", "coordinator address (host:port), required")
 	workers := fs.Int("workers", 0, "concurrent shard executions (0 = all cores)")
 	snapshots := fs.Int("snapshots", fi.DefaultCheckpoints, "pre-fault checkpoints per scenario (0 = run every fault from reset)")
-	ckptspill := fs.Bool("ckptspill", false, "spill checkpoint RAM to an unlinked temp file, reloading pages lazily")
 	name := fs.String("name", "", "worker name on the coordinator status page (default host-pid)")
 	slow := slowPathFlag(fs)
 	prof := addProfFlags(fs)
@@ -789,9 +778,6 @@ func cmdWorker(args []string) error {
 	opts := []dist.WorkerOption{
 		dist.Parallel(parallel),
 		dist.Snapshots(snapshotCount(*snapshots)),
-	}
-	if *ckptspill {
-		opts = append(opts, dist.CheckpointSpill(os.TempDir()))
 	}
 	if *name != "" {
 		opts = append(opts, dist.Name(*name))

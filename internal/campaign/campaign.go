@@ -20,6 +20,7 @@ package campaign
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -402,28 +403,29 @@ func WriteDB(w io.Writer, results []*Result) error {
 // byte for byte.
 func ReadDB(r io.Reader) (map[string]*Result, error) {
 	out := make(map[string]*Result)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		if len(sc.Bytes()) == 0 {
-			continue
+	// No line cap: a v4 row grows with its campaign's fault count (tens of
+	// bytes per run), and whatever WriteDB wrote must read back.
+	rd := bufio.NewReaderSize(r, 64<<10)
+	for line := 1; ; line++ {
+		b, rerr := rd.ReadBytes('\n')
+		if rerr != nil && rerr != io.EOF {
+			return nil, rerr
 		}
-		res, err := decodeRecordLine(sc.Bytes())
-		if err != nil {
-			return nil, fmt.Errorf("campaign db line %d: %w", line, err)
+		if b = bytes.TrimRight(b, "\r\n"); len(b) > 0 {
+			res, err := decodeRecordLine(b)
+			if err != nil {
+				return nil, fmt.Errorf("campaign db line %d: %w", line, err)
+			}
+			key := res.Key()
+			if _, dup := out[key]; dup {
+				return nil, fmt.Errorf("campaign db line %d: duplicate record for %q", line, key)
+			}
+			out[key] = res
 		}
-		key := res.Key()
-		if _, dup := out[key]; dup {
-			return nil, fmt.Errorf("campaign db line %d: duplicate record for %q", line, key)
+		if rerr == io.EOF {
+			return out, nil
 		}
-		out[key] = res
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // decodeRecordLine parses one JSONL database row into a Result — the

@@ -355,6 +355,64 @@ func recordedResult(app string, d fault.Model) *campaign.Result {
 	return r
 }
 
+// TestReadDBLargeRunsRow: a -record-runs row has no size bound — 40 000
+// mem-domain runs make a ~2 MiB line, past the 1 MiB scanner cap ReadDB used
+// to carry — so whatever WriteDB wrote must read back, rewrite byte for byte
+// and reopen as a FileStore (the -resume, `serfi sens` and `experiments
+// -from` path).
+func TestReadDBLargeRunsRow(t *testing.T) {
+	const n = 40000
+	big := &campaign.Result{
+		Scenario:   npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1},
+		Domain:     fault.Mem,
+		Faults:     n,
+		Seed:       9,
+		RecordRuns: true,
+		Runs:       make([]fi.Result, n),
+	}
+	for i := range big.Runs {
+		big.Runs[i] = fi.Result{
+			Fault:   fault.Point{Domain: fault.Mem, Index: uint64(1000000 + 7*i), Addr: uint32(0x100000 + 4*i), Bit: i % 32},
+			Outcome: fi.Outcome(i % int(fi.NumOutcomes)),
+		}
+		big.Counts.Add(big.Runs[i].Outcome)
+	}
+	var buf bytes.Buffer
+	if err := campaign.WriteDB(&buf, []*campaign.Result{big, storeResult("EP", fault.Reg, 2)}); err != nil {
+		t.Fatal(err)
+	}
+	if first := bytes.IndexByte(buf.Bytes(), '\n'); first <= 1<<20 {
+		t.Fatalf("row is %d bytes; the test needs one past 1 MiB", first)
+	}
+	got, err := campaign.ReadDB(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("ReadDB of what WriteDB wrote: %v", err)
+	}
+	re := got[big.Key()]
+	if re == nil || len(re.Runs) != n || re.Runs[n-1].Fault != big.Runs[n-1].Fault {
+		t.Fatalf("large row did not reload its %d runs", n)
+	}
+	var again bytes.Buffer
+	if err := campaign.WriteDB(&again, []*campaign.Result{re, got["armv8/EP/SER-1"]}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Error("write-read-rewrite is not byte-stable for a large v4 row")
+	}
+	path := t.TempDir() + "/big.jsonl"
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := campaign.OpenFileStore(path)
+	if err != nil {
+		t.Fatalf("OpenFileStore: %v", err)
+	}
+	defer st.Close()
+	if r, ok := st.Get(big.Key()); !ok || len(r.Runs) != n {
+		t.Errorf("reopened store lost the large row (found %v)", ok)
+	}
+}
+
 // TestStoreQueryContentPredicates: MinVersion, HasProp and HasRuns select
 // on row content (not identity) and behave identically on every backend.
 func TestStoreQueryContentPredicates(t *testing.T) {

@@ -39,12 +39,10 @@ type Engine struct {
 	workers    int
 	jobSize    int
 	snapshots  int // campaign convention: 0 = default, negative = off
-	maxOpen    int
 	faults     int
 	models     []fault.Model
 	store      Store
 	events     chan<- Event
-	ckptSpill  string
 	fullCopy   bool // test-only: the full-copy checkpoint reference engine
 	traceProp  bool
 	recordRuns bool
@@ -68,10 +66,6 @@ func JobSize(n int) Option { return func(e *Engine) { e.jobSize = n } }
 // either way.
 func Snapshots(n int) Option { return func(e *Engine) { e.snapshots = n } }
 
-// MaxOpen bounds how many scenario groups may hold golden state and
-// checkpoints at once (memory backpressure); 0 picks a default.
-func MaxOpen(n int) Option { return func(e *Engine) { e.maxOpen = n } }
-
 // Faults sets the per-campaign fault count.
 func Faults(n int) Option { return func(e *Engine) { e.faults = n } }
 
@@ -80,14 +74,6 @@ func Faults(n int) Option { return func(e *Engine) { e.faults = n } }
 func Models(ms ...fault.Model) Option {
 	return func(e *Engine) { e.models = append([]fault.Model(nil), ms...) }
 }
-
-// CheckpointSpill moves every scenario's checkpoint RAM payload into an
-// unlinked temp file under dir right after the checkpoint fast-forward;
-// injection restores reload pages lazily. This trades restore latency for
-// resident memory, which is what makes large checkpoint counts viable.
-// "" (the default) keeps checkpoints in RAM. Results are bit-identical
-// either way.
-func CheckpointSpill(dir string) Option { return func(e *Engine) { e.ckptSpill = dir } }
 
 // TraceProp turns on fault-propagation tracing: every injection whose
 // outcome is not masked (Vanished/ONA) is re-run against a golden twin
@@ -199,13 +185,7 @@ type scenarioState struct {
 
 	openDomains atomic.Int64 // domain campaigns still running
 	t0          time.Time
-
-	// Observability bookkeeping: the group's trace track, and the checkpoint
-	// byte counts added to the resident/spilled gauges at GoldenDone (to be
-	// subtracted again when the group closes).
-	tid         int
-	obsResident int
-	obsSpilled  int
+	tid         int // the group's trace track
 }
 
 // RunMatrix executes every scenario job through the shared scheduler and
@@ -234,13 +214,9 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 	if jobSize <= 0 {
 		jobSize = DefaultJobSize
 	}
-	maxOpen := e.maxOpen
-	if maxOpen <= 0 {
-		maxOpen = workers
-		if maxOpen > 8 {
-			maxOpen = 8
-		}
-	}
+	// Open scenario groups hold golden state and checkpoints: bound them
+	// (memory backpressure) by the pool, at most 8.
+	maxOpen := min(workers, 8)
 	faults := e.faults
 
 	errs := make([]error, n)
@@ -288,13 +264,10 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 			}
 		}
 		if st.group != nil {
-			st.group.Close() // release the spill file, if any
+			_, resident := st.group.Checkpoints()
+			em.ckptResident.Add(-float64(resident))
+			st.group = nil // drop checkpoint RAM before releasing the slot
 		}
-		if st.obsResident != 0 || st.obsSpilled != 0 {
-			em.ckptResident.Add(-float64(st.obsResident))
-			em.ckptSpilled.Add(-float64(st.obsSpilled))
-		}
-		st.group = nil // drop checkpoint RAM before releasing the slot
 		<-sem
 		open.Done()
 	}
@@ -417,25 +390,22 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 		}
 		em.scenariosStarted.Inc()
 		e.emit(ScenarioStarted{Scenario: st.job.Scenario, Seed: st.job.Seed, Domains: doms})
-		g, err := buildGroup(ctx, st.job.Scenario, st.job.Seed, e.snapshots, e.ckptSpill, e.tracer, e.fullCopy)
+		g, err := buildGroup(ctx, st.job.Scenario, st.job.Seed, e.snapshots, e.tracer, e.fullCopy)
 		if err != nil {
 			closeGroup(st, err)
 			return
 		}
 		st.group = g
-		ckpts, resident, spilled := g.Checkpoints()
-		st.obsResident, st.obsSpilled = resident, spilled
+		ckpts, resident := g.Checkpoints()
 		em.goldensDone.Inc()
 		em.ckptResident.Add(float64(resident))
-		em.ckptSpilled.Add(float64(spilled))
 		e.emit(GoldenDone{
-			Scenario:               st.job.Scenario,
-			Seed:                   st.job.Seed,
-			Golden:                 g.Summary(),
-			WallSec:                g.GoldenWallSec,
-			Checkpoints:            ckpts,
-			CheckpointBytes:        resident,
-			CheckpointSpilledBytes: spilled,
+			Scenario:        st.job.Scenario,
+			Seed:            st.job.Seed,
+			Golden:          g.Summary(),
+			WallSec:         g.GoldenWallSec,
+			Checkpoints:     ckpts,
+			CheckpointBytes: resident,
 		})
 		// Arm every domain campaign of the group before any finishes: all
 		// share the group, each folds its own shards.

@@ -45,8 +45,8 @@ func TestEngineEventTaxonomy(t *testing.T) {
 			if ev.Golden.Retired == 0 || ev.Checkpoints == 0 || ev.WallSec <= 0 {
 				t.Errorf("GoldenDone = %+v", ev)
 			}
-			if ev.CheckpointBytes == 0 || ev.CheckpointSpilledBytes != 0 {
-				t.Errorf("GoldenDone checkpoint telemetry = %+v (unspilled run)", ev)
+			if ev.CheckpointBytes == 0 {
+				t.Errorf("GoldenDone checkpoint telemetry = %+v", ev)
 			}
 		case campaign.JobDone:
 			jobs++
@@ -108,11 +108,10 @@ func TestEngineCancelThenResumeBitIdentical(t *testing.T) {
 		return append([]campaign.Option{
 			campaign.Faults(8),
 			campaign.JobSize(2),
-			// One worker and one open-scenario slot make the cancellation
-			// point deterministic: the first campaign completes, the
-			// feeder is still blocked on the slot for the second.
+			// One worker means one open-scenario slot, which makes the
+			// cancellation point deterministic: the first campaign completes,
+			// the feeder is still blocked on the slot for the second.
 			campaign.Workers(1),
-			campaign.MaxOpen(1),
 		}, extra...)
 	}
 
@@ -339,7 +338,6 @@ func TestResumeComputeNotDoubleCounted(t *testing.T) {
 			campaign.Faults(faults),
 			campaign.JobSize(2),
 			campaign.Workers(1),
-			campaign.MaxOpen(1),
 		}, extra...)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -399,16 +397,15 @@ func TestResumeComputeNotDoubleCounted(t *testing.T) {
 }
 
 // TestCheckpointTelemetryReported pins the checkpoint telemetry surfaces on
-// a known small scenario: a spilled engine run reports the default
-// checkpoint count with all payload on disk, the CheckpointTag progress
-// column renders every mode, and the Collector prints one golden line per
-// scenario carrying the tag.
+// a known small scenario: an engine run reports the default checkpoint
+// count and its RAM payload, the CheckpointTag progress column renders both
+// modes, and the Collector prints one golden line per scenario carrying the
+// tag.
 func TestCheckpointTelemetryReported(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
 	events := make(chan campaign.Event, 64)
 	eng := campaign.New(
 		campaign.Faults(2),
-		campaign.CheckpointSpill(t.TempDir()),
 		campaign.WithEvents(events),
 	)
 	if _, err := eng.RunMatrix(context.Background(), []campaign.ScenarioJob{{Scenario: sc, Seed: 3}}); err != nil {
@@ -427,14 +424,11 @@ func TestCheckpointTelemetryReported(t *testing.T) {
 	if golden.Checkpoints != fi.DefaultCheckpoints {
 		t.Errorf("checkpoints = %d, want the default %d", golden.Checkpoints, fi.DefaultCheckpoints)
 	}
-	if golden.CheckpointBytes != 0 {
-		t.Errorf("spilled run still reports %d in-RAM bytes", golden.CheckpointBytes)
-	}
-	if golden.CheckpointSpilledBytes == 0 {
-		t.Error("spilled run reports no on-disk payload")
+	if golden.CheckpointBytes == 0 {
+		t.Error("run reports no checkpoint payload")
 	}
 	tag := golden.CheckpointTag()
-	for _, want := range []string{"ckpt=8", "spill="} {
+	for _, want := range []string{"ckpt=8", "mem="} {
 		if !bytes.Contains([]byte(tag), []byte(want)) {
 			t.Errorf("CheckpointTag %q missing %q", tag, want)
 		}
@@ -448,7 +442,7 @@ func TestCheckpointTelemetryReported(t *testing.T) {
 	col := campaign.NewCollector(&buf, 1)
 	col.Handle(*golden)
 	line := buf.String()
-	for _, want := range []string{"armv8/IS/SER-1", "golden", "ckpt=8", "spill="} {
+	for _, want := range []string{"armv8/IS/SER-1", "golden", "ckpt=8", "mem="} {
 		if !bytes.Contains([]byte(line), []byte(want)) {
 			t.Errorf("collector golden line missing %q: %q", want, line)
 		}
@@ -471,7 +465,6 @@ func TestEngineCancelResumeRoundTripsRecordedRuns(t *testing.T) {
 			campaign.Faults(8),
 			campaign.JobSize(2),
 			campaign.Workers(1),
-			campaign.MaxOpen(1),
 			campaign.RecordRuns(),
 			campaign.TraceProp(),
 		}, extra...)

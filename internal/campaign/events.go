@@ -37,28 +37,21 @@ type GoldenDone struct {
 	Seed     int64
 	Golden   GoldenSummary
 	WallSec  float64 // host wall clock of the golden phase
-	// Snapshot capture stats of the checkpoint fast-forward: the count, the
-	// in-RAM payload of the delta chain, and — when the engine runs with
-	// CheckpointSpill — the payload moved to the spill file.
-	Checkpoints            int
-	CheckpointBytes        int
-	CheckpointSpilledBytes int
+	// Snapshot capture stats of the checkpoint fast-forward: the count and
+	// the RAM payload of the delta chain.
+	Checkpoints     int
+	CheckpointBytes int
 }
 
 // CheckpointTag compresses the capture stats into a progress-line column
-// ("ckpt=8 mem=1.2MiB", plus " spill=9.5MiB" on spilled runs, or
-// "ckpt=off" when snapshots are disabled). Both CLIs print it, so the
+// ("ckpt=8 mem=1.2MiB", or "ckpt=off" when snapshots are disabled). Both CLIs print it, so the
 // per-scenario checkpoint counts the telemetry tests pin appear on every
 // surface the same way.
 func (e GoldenDone) CheckpointTag() string {
 	if e.Checkpoints == 0 {
 		return "ckpt=off"
 	}
-	tag := fmt.Sprintf("ckpt=%d mem=%s", e.Checkpoints, byteSize(e.CheckpointBytes))
-	if e.CheckpointSpilledBytes > 0 {
-		tag += " spill=" + byteSize(e.CheckpointSpilledBytes)
-	}
-	return tag
+	return fmt.Sprintf("ckpt=%d mem=%s", e.Checkpoints, byteSize(e.CheckpointBytes))
 }
 
 // byteSize renders a byte count compactly ("412B", "3.5KiB", "9.1MiB").

@@ -68,18 +68,17 @@ type faultList struct {
 // BuildGroup runs the fault-free phases: image build, profiled golden run,
 // feature and API-call extraction, and the checkpoint fast-forward from
 // the unprofiled configuration. snapshots follows the campaign convention
-// (0 picks fi.DefaultCheckpoints, negative disables acceleration);
-// spillDir, when non-empty, moves the checkpoint RAM payload to an
-// unlinked temp file there. A non-nil tracer receives one span per phase
-// (build, golden, profile, checkpoint) on the group's track. Close the
-// group when its last shard has run.
-func BuildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int, spillDir string, tracer *obs.Tracer) (*Group, error) {
-	return buildGroup(ctx, sc, seed, snapshots, spillDir, tracer, false)
+// (0 picks fi.DefaultCheckpoints, negative disables acceleration). A
+// non-nil tracer receives one span per phase (build, golden, profile,
+// checkpoint) on the group's track. A group is plain memory: drop the
+// reference when its last shard has run.
+func BuildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int, tracer *obs.Tracer) (*Group, error) {
+	return buildGroup(ctx, sc, seed, snapshots, tracer, false)
 }
 
 // buildGroup adds the full-copy checkpoint engine switch, reachable only
 // from tests (TestCOWCheckpointsGoldenCompat's differential reference).
-func buildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int, spillDir string, tracer *obs.Tracer, fullCopy bool) (*Group, error) {
+func buildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int, tracer *obs.Tracer, fullCopy bool) (*Group, error) {
 	t0 := time.Now()
 	tid := tracer.TID(GroupKey(sc.ID(), seed))
 	endSpan := tracer.Start("build", "build", tid, nil)
@@ -117,11 +116,7 @@ func buildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int,
 		snapshots = 0
 	}
 	endSpan = tracer.Start("checkpoint", "checkpoint", tid, nil)
-	grp.cs, err = fi.BuildCheckpointsOpt(ctx, img, cfg, g, fi.CheckpointOptions{
-		N:        snapshots,
-		SpillDir: spillDir,
-		FullCopy: fullCopy,
-	})
+	grp.cs, err = fi.BuildCheckpointsOpt(ctx, img, cfg, g, fi.CheckpointOptions{N: snapshots, FullCopy: fullCopy})
 	endSpan()
 	if err != nil {
 		return nil, err
@@ -140,14 +135,10 @@ func (g *Group) Summary() GoldenSummary {
 	}
 }
 
-// Checkpoints returns the snapshot count, the delta chain's in-RAM payload
-// and the payload moved to the spill file.
-func (g *Group) Checkpoints() (n, residentBytes, spilledBytes int) {
-	return g.cs.Len(), g.cs.MemBytes(), g.cs.SpilledBytes()
+// Checkpoints returns the snapshot count and the delta chain's RAM payload.
+func (g *Group) Checkpoints() (n, residentBytes int) {
+	return g.cs.Len(), g.cs.MemBytes()
 }
-
-// Close releases the spill file, if any. No Inject may be in flight.
-func (g *Group) Close() error { return g.cs.Close() }
 
 // list returns model's domain and the campaign's complete n-fault list,
 // drawn from the group seed on first use (concurrent needers wait).

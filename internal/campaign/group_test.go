@@ -30,7 +30,7 @@ func TestGroupShardsConcatenate(t *testing.T) {
 		{npb.Scenario{App: "MG", Mode: npb.OMP, ISA: "armv7", Cores: 2}, 3},
 	} {
 		sc, n := tc.sc, tc.n
-		g, err := campaign.BuildGroup(ctx, sc, seed, 0, "", nil)
+		g, err := campaign.BuildGroup(ctx, sc, seed, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +125,6 @@ func TestGroupShardsConcatenate(t *testing.T) {
 				})
 			}
 		})
-		g.Close()
 	}
 }
 

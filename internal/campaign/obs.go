@@ -34,7 +34,6 @@ type engineMetrics struct {
 	injections       obs.CounterVec // by outcome
 	prunedRuns       obs.Counter
 	ckptResident     obs.Gauge
-	ckptSpilled      obs.Gauge
 	campaigns        obs.CounterVec // by status
 }
 
@@ -52,7 +51,6 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		injections:       r.CounterVec("serfi_campaign_injections_total", "Classified injection runs, by outcome.", "outcome"),
 		prunedRuns:       r.Counter("serfi_campaign_pruned_runs_total", "Injection runs scored by convergence pruning."),
 		ckptResident:     r.Gauge("serfi_campaign_checkpoint_resident_bytes", "Checkpoint RAM payload resident across open scenario groups."),
-		ckptSpilled:      r.Gauge("serfi_campaign_checkpoint_spilled_bytes", "Checkpoint RAM payload on spill files across open scenario groups."),
 		campaigns:        r.CounterVec("serfi_campaign_campaigns_total", "Retired (scenario, domain) campaigns, by status.", "status"),
 	}
 }

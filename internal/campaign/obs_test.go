@@ -25,13 +25,12 @@ func TestEventOrderingUnderCancellation(t *testing.T) {
 	events := make(chan campaign.Event, 256)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// One worker and one open-scenario slot serialize the matrix, so the
+	// One worker (hence one open-scenario slot) serializes the matrix, so the
 	// cancel lands while later campaigns are still pending.
 	eng := campaign.New(
 		campaign.Faults(8),
 		campaign.JobSize(2),
 		campaign.Workers(1),
-		campaign.MaxOpen(1),
 		campaign.WithEvents(events),
 	)
 	var got []campaign.Event
@@ -130,5 +129,10 @@ func TestMetricsExposition(t *testing.T) {
 	// so >= not ==).
 	if !strings.Contains(text, `serfi_campaign_injections_total{outcome="`) {
 		t.Error("no outcome-labelled injection counters in exposition")
+	}
+	// Every group that added its checkpoint payload to the resident gauge
+	// has closed and taken it back.
+	if !strings.Contains(text, "\nserfi_campaign_checkpoint_resident_bytes 0\n") {
+		t.Error("checkpoint resident gauge did not return to 0 with no group open")
 	}
 }

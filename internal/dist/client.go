@@ -25,63 +25,51 @@ import (
 	"time"
 )
 
-// defaultRetries is the retry budget per logical request: the first
-// attempt plus this many re-sends on transient failure.
-const defaultRetries = 4
+// maxRetries is the retry budget per logical request: the first attempt
+// plus this many re-sends on transient failure.
+const maxRetries = 4
 
 // Client speaks the coordinator protocol. Construct with NewClient (HTTP)
 // or NewLoopbackClient (in-process). Safe for concurrent use.
 type Client struct {
-	base    string
-	hc      *http.Client
+	base string
+	hc   *http.Client
+	// retries is maxRetries and sleep is sleepCtx; fields so tests can
+	// shrink the budget and stub the wait.
 	retries int
-	sleep   func(context.Context, time.Duration) error // test seam
+	sleep   func(context.Context, time.Duration) error
 
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-// ClientOption configures a Client.
-type ClientOption func(*Client)
-
-// Retries sets the transient-failure retry budget per request (re-sends
-// after the first attempt). 0 disables retries; negative picks the
-// default.
-func Retries(n int) ClientOption { return func(c *Client) { c.retries = n } }
-
 // NewClient returns a client for a coordinator at addr ("host:8340" or a
 // full "http://host:8340" base URL).
-func NewClient(addr string, opts ...ClientOption) *Client {
+func NewClient(addr string) *Client {
 	if !strings.Contains(addr, "://") {
 		addr = "http://" + addr
 	}
 	return newClient(&Client{
 		base: strings.TrimRight(addr, "/"),
 		hc:   &http.Client{Timeout: 2 * time.Minute},
-	}, opts)
+	})
 }
 
 // NewLoopbackClient returns a client that serves every request directly
 // from h — the coordinator's Handler — in the calling goroutine. The full
 // wire path (routing, JSON encode/decode, protocol version checks, status
 // codes) is exercised; only the TCP socket is elided.
-func NewLoopbackClient(h http.Handler, opts ...ClientOption) *Client {
+func NewLoopbackClient(h http.Handler) *Client {
 	return newClient(&Client{
 		base: "http://loopback",
 		hc:   &http.Client{Transport: loopbackTransport{h: h}},
-	}, opts)
+	})
 }
 
-func newClient(c *Client, opts []ClientOption) *Client {
-	c.retries = defaultRetries
+func newClient(c *Client) *Client {
+	c.retries = maxRetries
 	c.sleep = sleepCtx
 	c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
-	for _, opt := range opts {
-		opt(c)
-	}
-	if c.retries < 0 {
-		c.retries = defaultRetries
-	}
 	return c
 }
 

@@ -73,7 +73,8 @@ func TestClientRetriesTransientErrors(t *testing.T) {
 
 func TestClientRetryBudgetExhausted(t *testing.T) {
 	flaky := &flakyHandler{fail: 1 << 30, next: http.NotFoundHandler()}
-	cl := NewLoopbackClient(flaky, Retries(2))
+	cl := NewLoopbackClient(flaky)
+	cl.retries = 2
 	var delays []time.Duration
 	cl.sleep = stubSleep(&delays)
 

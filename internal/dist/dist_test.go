@@ -39,6 +39,10 @@ const compatFaults = 6
 
 // runCluster drives one coordinator to completion with n loopback workers
 // and returns the folded results.
+// batchSize overrides the faults a worker runs between progress beats
+// (production: campaign.DefaultJobSize).
+func batchSize(n int) WorkerOption { return func(w *Worker) { w.batch = n } }
+
 func runCluster(t *testing.T, coord *Coordinator, n int, opts ...WorkerOption) []*campaign.Result {
 	t.Helper()
 	cl := NewLoopbackClient(coord.Handler())
@@ -232,9 +236,9 @@ func TestClusterEventStream(t *testing.T) {
 			}
 		}
 	}()
-	runCluster(t, coord, 2, BatchSize(1))
+	runCluster(t, coord, 2, batchSize(1))
 	<-consumed
-	// With BatchSize(1) every fault produces one beat, and every beat is
+	// With batchSize(1) every fault produces one beat, and every beat is
 	// delivered before its shard completes — so before MatrixDone.
 	if beats != compatFaults || maxDone != compatFaults {
 		t.Errorf("JobDone beats = %d (peak Done %d), want %d", beats, maxDone, compatFaults)

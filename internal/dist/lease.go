@@ -4,16 +4,15 @@
 // every acquire), so the fabric needs no background timer goroutine and
 // tests can drive time explicitly.
 //
-// Grant order is fair-share across tenants: a deficit round-robin over the
-// pending shards, one quantum (the shard size, in faults) of credit per
-// visit, so no tenant starves however lopsided the queue is. With every
-// shard costing at most one quantum the scheduler degenerates to a strict
-// tenant rotation — the deficit counters only matter for sub-quantum tail
-// shards, where they carry the unused credit to the tenant's next visit.
+// Grant order is fair-share across tenants: a strict rotation by tenant
+// name over the tenants with pending shards, one shard per turn, so no
+// tenant starves however lopsided the queue is. Every shard costs at most
+// one shard size, which is why nothing finer than taking turns is needed (a
+// deficit round-robin with that quantum grants the identical sequence:
+// TestLeaseGrantSequences).
 package dist
 
 import (
-	"sort"
 	"time"
 
 	"serfi/internal/campaign"
@@ -50,7 +49,6 @@ type leaseTable struct {
 	nextID   int64
 	ttl      time.Duration
 	now      func() time.Time
-	quantum  int // DRR credit per tenant visit, in faults (= shard size)
 	reissued int // expired leases returned to pending
 
 	total   int // shards ever added (survives pruning)
@@ -58,9 +56,8 @@ type leaseTable struct {
 	leased  int // shards in flight
 	done    int // shards retired (cumulative; pruned shards stay counted)
 
-	// Fair-share state: per-tenant deficit credit and the rotation pointer
-	// (grants resume after the tenant served last).
-	deficit    map[string]int
+	// Fair-share state: the rotation pointer (grants resume after the tenant
+	// served last).
 	lastTenant string
 }
 
@@ -68,7 +65,7 @@ type leaseTable struct {
 // shardSize faults, in campaign order. Campaigns already answered from the
 // store contribute no shards.
 func newLeaseTable(camps []*campState, shardSize int, ttl time.Duration, now func() time.Time) *leaseTable {
-	t := &leaseTable{ttl: ttl, now: now, quantum: shardSize, deficit: make(map[string]int)}
+	t := &leaseTable{ttl: ttl, now: now}
 	t.add(camps, shardSize)
 	return t
 }
@@ -122,81 +119,40 @@ func (t *leaseTable) acquire(worker string) (s *shard, allRetired bool) {
 	if t.done == t.total {
 		return nil, true
 	}
-	// The DRR candidate set: each tenant's first pending shard, in table
-	// (submission) order, so within one tenant shards still grant in the
-	// deterministic submit order.
-	first := make(map[string]*shard)
-	var tenants []string
+	// Rotation: the grant goes to the first tenant after the one served
+	// last, by name, that has a pending shard — wrapping to the smallest
+	// name — so grants interleave tenants even when one tenant's shards
+	// dominate the table. Within a tenant the first pending shard in table
+	// (submission) order wins: the strict < keeps the earliest.
+	var next, wrap *shard
 	for _, sh := range t.shards {
 		if sh.state != shardPending {
 			continue
 		}
 		tn := sh.camp.tenant()
-		if _, ok := first[tn]; !ok {
-			first[tn] = sh
-			tenants = append(tenants, tn)
+		if tn > t.lastTenant {
+			if next == nil || tn < next.camp.tenant() {
+				next = sh
+			}
+		} else if wrap == nil || tn < wrap.camp.tenant() {
+			wrap = sh
 		}
 	}
-	if len(tenants) == 0 {
+	if next == nil {
+		next = wrap
+	}
+	if next == nil {
 		return nil, false
 	}
-	sort.Strings(tenants)
-	// Tenants with nothing pending forfeit their banked credit: saved-up
-	// deficit must not let a returning tenant burst ahead of the rotation.
-	for tn := range t.deficit {
-		if _, ok := first[tn]; !ok {
-			delete(t.deficit, tn)
-		}
-	}
-	// Rotation: resume after the tenant served last (wrapping), so grants
-	// interleave tenants even when one tenant's shards dominate the table.
-	start := 0
-	for i, tn := range tenants {
-		if tn > t.lastTenant {
-			start = i
-			break
-		}
-	}
-	quantum := t.quantum
-	if quantum <= 0 {
-		quantum = 1
-	}
-	// Two DRR passes: every visit banks one quantum; a tenant whose head
-	// shard costs at most the quantum (always true — shards never exceed
-	// the shard size) is served by its first visit, so the first tenant in
-	// rotation order with pending work gets this grant. The second pass is
-	// a safety net, never reached with well-formed shards.
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; i < len(tenants); i++ {
-			tn := tenants[(start+i)%len(tenants)]
-			sh := first[tn]
-			cost := sh.hi - sh.lo
-			if cost < 1 {
-				cost = 1 // the zero-fault metadata shard still costs a turn
-			}
-			t.deficit[tn] += quantum
-			if t.deficit[tn] < cost {
-				continue
-			}
-			t.deficit[tn] -= cost
-			if t.deficit[tn] > quantum {
-				// Credit is capped at one quantum: sub-quantum tail shards
-				// may bank the remainder of a visit, never more, so no
-				// tenant can save up a burst.
-				t.deficit[tn] = quantum
-			}
-			t.lastTenant = tn
-			t.nextID++
-			sh.state = shardLeased
-			sh.leaseID = t.nextID
-			sh.worker = worker
-			sh.deadline = t.now().Add(t.ttl)
-			t.pending--
-			t.leased++
-			return sh, false
-		}
-	}
-	return nil, false
+	t.lastTenant = next.camp.tenant()
+	t.nextID++
+	next.state = shardLeased
+	next.leaseID = t.nextID
+	next.worker = worker
+	next.deadline = t.now().Add(t.ttl)
+	t.pending--
+	t.leased++
+	return next, false
 }
 
 // complete retires the shard held under leaseID, or reports it stale: the

@@ -8,6 +8,7 @@ package dist
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -259,6 +260,83 @@ func TestLeaseTableShardMath(t *testing.T) {
 		}
 		if covered != tc.faults {
 			t.Errorf("faults=%d shard=%d: shards cover %d", tc.faults, tc.shardSize, covered)
+		}
+	}
+}
+
+// TestLeaseGrantSequences pins fair-share as tenant rotation. Every want
+// string was recorded from the deficit-round-robin scheduler this rotation
+// replaced (quantum = shard size 4, one-quantum credit cap, idle tenants
+// forfeit), so the two are equal on {1, 2, 3 tenants} × {full shards, a
+// sub-quantum tail, the zero-fault metadata shard}, on a mix of the three,
+// and when a drained tenant returns mid-rotation. Tenants enter the table
+// as carol, alice, bob — rotation is by name, not by submit order — with
+// two campaigns each, so submit order within one tenant is pinned too.
+func TestLeaseGrantSequences(t *testing.T) {
+	const shardSize = 4
+	subs := map[string]*submission{}
+	camp := func(key string, faults int) *campState {
+		tn := map[byte]string{'a': "alice", 'b': "bob", 'c': "carol"}[key[0]]
+		if subs[tn] == nil {
+			subs[tn] = &submission{tenant: tn}
+		}
+		return &campState{sub: subs[tn], key: key, Fold: campaign.Fold{Faults: faults}}
+	}
+	// uniform is rounds 0 and 1 of one campaign per tenant, all one shape.
+	uniform := func(tenants string, faults int) []*campState {
+		var out []*campState
+		for _, round := range "01" {
+			for _, tn := range tenants {
+				out = append(out, camp(string(tn)+string(round), faults))
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		camps []*campState
+		late  []*campState // submitted after the fourth grant
+		want  string
+	}{
+		{name: "1 tenant full", camps: uniform("c", 8),
+			want: "c0[0,4) c0[4,8) c1[0,4) c1[4,8)"},
+		{name: "1 tenant tail", camps: uniform("c", 6),
+			want: "c0[0,4) c0[4,6) c1[0,4) c1[4,6)"},
+		{name: "1 tenant zero", camps: uniform("c", 0),
+			want: "c0[0,0) c1[0,0)"},
+		{name: "2 tenants full", camps: uniform("ca", 8),
+			want: "a0[0,4) c0[0,4) a0[4,8) c0[4,8) a1[0,4) c1[0,4) a1[4,8) c1[4,8)"},
+		{name: "2 tenants tail", camps: uniform("ca", 6),
+			want: "a0[0,4) c0[0,4) a0[4,6) c0[4,6) a1[0,4) c1[0,4) a1[4,6) c1[4,6)"},
+		{name: "2 tenants zero", camps: uniform("ca", 0),
+			want: "a0[0,0) c0[0,0) a1[0,0) c1[0,0)"},
+		{name: "3 tenants full", camps: uniform("cab", 8),
+			want: "a0[0,4) b0[0,4) c0[0,4) a0[4,8) b0[4,8) c0[4,8) a1[0,4) b1[0,4) c1[0,4) a1[4,8) b1[4,8) c1[4,8)"},
+		{name: "3 tenants tail", camps: uniform("cab", 6),
+			want: "a0[0,4) b0[0,4) c0[0,4) a0[4,6) b0[4,6) c0[4,6) a1[0,4) b1[0,4) c1[0,4) a1[4,6) b1[4,6) c1[4,6)"},
+		{name: "3 tenants zero", camps: uniform("cab", 0),
+			want: "a0[0,0) b0[0,0) c0[0,0) a1[0,0) b1[0,0) c1[0,0)"},
+		{name: "mixed shapes", camps: []*campState{camp("c0", 8), camp("a0", 6), camp("b0", 0), camp("a1", 1)},
+			want: "a0[0,4) b0[0,0) c0[0,4) a0[4,6) c0[4,8) a1[0,1)"},
+		{name: "drained tenant returns",
+			camps: []*campState{camp("c0", 12), camp("b0", 2), camp("a0", 6)},
+			late:  []*campState{camp("b1", 6), camp("a1", 0)},
+			want:  "a0[0,4) b0[0,2) c0[0,4) a0[4,6) b1[0,4) c0[4,8) a1[0,0) b1[4,6) c0[8,12)"},
+	} {
+		tab := newLeaseTable(tc.camps, shardSize, time.Minute, time.Now)
+		var got []string
+		for {
+			if len(got) == 4 && tc.late != nil {
+				tab.add(tc.late, shardSize)
+			}
+			sh, _ := tab.acquire("w")
+			if sh == nil {
+				break
+			}
+			got = append(got, fmt.Sprintf("%s[%d,%d)", sh.camp.key, sh.lo, sh.hi))
+		}
+		if g := strings.Join(got, " "); g != tc.want {
+			t.Errorf("%s: grants\n got %s\nwant %s", tc.name, g, tc.want)
 		}
 	}
 }

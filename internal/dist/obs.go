@@ -60,11 +60,10 @@ type coordMetrics struct {
 	campaignsDone obs.Gauge
 	injected      obs.Gauge
 
-	// Queue-level families: pending depth and banked fair-share credit per
-	// tenant, and the submission lifecycle tally.
-	queueDepth    obs.GaugeVec // pending shards, by tenant
-	tenantDeficit obs.GaugeVec // banked DRR credit (faults), by tenant
-	submissions   obs.GaugeVec // queued matrices, by state
+	// Queue-level families: pending depth per tenant and the submission
+	// lifecycle tally.
+	queueDepth  obs.GaugeVec // pending shards, by tenant
+	submissions obs.GaugeVec // queued matrices, by state
 
 	// Engine-level families, fed by the coordinator's fold path. The
 	// coordinator is the cluster's orchestration layer — it classifies
@@ -92,7 +91,6 @@ func newCoordMetrics() *coordMetrics {
 		campaignsDone: r.Gauge("serfi_dist_campaigns_done", "Campaigns assembled or failed."),
 		injected:      r.Gauge("serfi_dist_injected", "Injection results folded (each fault once)."),
 		queueDepth:    r.GaugeVec("serfi_dist_queue_depth", "Pending shards awaiting a lease, by tenant.", "tenant"),
-		tenantDeficit: r.GaugeVec("serfi_dist_tenant_deficit", "Banked fair-share credit (in faults), by tenant.", "tenant"),
 		submissions:   r.GaugeVec("serfi_dist_submissions", "Queued campaign matrices, by lifecycle state.", "state"),
 		injections:    r.CounterVec("serfi_campaign_injections_total", "Classified injection runs, by outcome.", "outcome"),
 		campaigns:     r.CounterVec("serfi_campaign_campaigns_total", "Retired (scenario, domain) campaigns, by status and tenant.", "status", "tenant"),
@@ -136,7 +134,6 @@ func (c *Coordinator) syncGaugesLocked() {
 	}
 	for ns, n := range depth {
 		c.cm.queueDepth.With(tenantLabel(ns)).Set(float64(n))
-		c.cm.tenantDeficit.With(tenantLabel(ns)).Set(float64(c.table.deficit[ns]))
 	}
 }
 

@@ -307,7 +307,7 @@ func TestQueueCancelDropsPendingKeepsDurable(t *testing.T) {
 	}
 }
 
-// TestQueueFairShareBoundedGap pins the deficit-round-robin guarantee:
+// TestQueueFairShareBoundedGap pins the tenant-rotation guarantee:
 // under two-tenant contention grants alternate tenants, so a tenant with
 // pending work never waits more than one grant — even when the other
 // tenant has ten times the shards queued.
@@ -343,14 +343,6 @@ func TestQueueFairShareBoundedGap(t *testing.T) {
 	}
 	if lastBob < 2 || lastBob > 4 {
 		t.Errorf("bob's shards not interleaved early: %v", order)
-	}
-	// Sub-quantum tails: a tenant whose head shard is smaller than the
-	// quantum still pays its true cost, so the deficit never exceeds one
-	// quantum per tenant.
-	for tn, d := range tab.deficit {
-		if d > 4 {
-			t.Errorf("tenant %s banked %d credit, cap is one quantum", tn, d)
-		}
 	}
 }
 

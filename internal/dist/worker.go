@@ -31,8 +31,7 @@ type Worker struct {
 	name      string
 	parallel  int
 	snapshots int // campaign convention: 0 = default, negative = off
-	batch     int // faults per injection batch (progress-beat granularity)
-	spillDir  string
+	batch     int // faults between progress beats within one shard
 
 	draining atomic.Bool
 
@@ -58,17 +57,6 @@ func Parallel(n int) WorkerOption { return func(w *Worker) { w.parallel = n } }
 // snapshot acceleration. Results are bit-identical either way.
 func Snapshots(n int) WorkerOption { return func(w *Worker) { w.snapshots = n } }
 
-// CheckpointSpill moves each cached scenario group's checkpoint RAM
-// payload into an unlinked temp file under dir after the fast-forward
-// (lazy reload on restore), mirroring the engine's CheckpointSpill option;
-// "" (the default) keeps checkpoints in RAM. Results are bit-identical
-// either way.
-func CheckpointSpill(dir string) WorkerOption { return func(w *Worker) { w.spillDir = dir } }
-
-// BatchSize sets how many faults run between progress beats within one
-// shard; 0 picks campaign.DefaultJobSize.
-func BatchSize(n int) WorkerOption { return func(w *Worker) { w.batch = n } }
-
 // maxOpenGroups bounds how many scenario groups (golden state +
 // checkpoints) a worker caches at once.
 const maxOpenGroups = 2
@@ -82,6 +70,7 @@ func NewWorker(cl *Client, opts ...WorkerOption) *Worker {
 	w := &Worker{
 		cl:     cl,
 		name:   fmt.Sprintf("%s-%d", host, os.Getpid()),
+		batch:  campaign.DefaultJobSize,
 		groups: make(map[string]*cacheEntry),
 	}
 	for _, opt := range opts {
@@ -89,9 +78,6 @@ func NewWorker(cl *Client, opts ...WorkerOption) *Worker {
 	}
 	if w.parallel <= 0 {
 		w.parallel = 1
-	}
-	if w.batch <= 0 {
-		w.batch = campaign.DefaultJobSize
 	}
 	return w
 }
@@ -310,7 +296,7 @@ func (w *Worker) acquire(ctx context.Context, l *Lease) (*cacheEntry, error) {
 	if build {
 		var sc npb.Scenario
 		if sc, ce.err = npb.ParseID(l.Scenario); ce.err == nil {
-			ce.group, ce.err = campaign.BuildGroup(ctx, sc, l.Seed, w.snapshots, w.spillDir, nil)
+			ce.group, ce.err = campaign.BuildGroup(ctx, sc, l.Seed, w.snapshots, nil)
 		}
 		close(ce.ready)
 	}
@@ -357,9 +343,6 @@ func (w *Worker) evictLocked() {
 		}
 		if victim == nil {
 			return
-		}
-		if victim.group != nil {
-			victim.group.Close() // release the spill file, if any
 		}
 		delete(w.groups, victim.key)
 	}

@@ -68,37 +68,23 @@ type Matrix struct {
 	Results map[string]*campaign.Result // keyed by campaign.Key
 }
 
-// RunMatrix executes the 130-scenario campaign on the shared matrix
+// RunMatrixContext executes the 130-scenario campaign on the shared matrix
 // scheduler, interleaving golden runs and injection jobs across scenarios.
-func RunMatrix(cfg Config) (*Matrix, error) {
-	return RunMatrixContext(context.Background(), cfg)
-}
-
-// RunMatrixContext is RunMatrix with cancellation: the campaign engine
-// stops at job granularity when ctx is cancelled and the error is
-// ctx.Err(). Campaigns already streamed to cfg.Store stay durable, so a
-// rerun over the same store resumes where the cancelled run stopped.
+// The campaign engine stops at job granularity when ctx is cancelled and the
+// error is ctx.Err(). Campaigns already streamed to cfg.Store stay durable,
+// so a rerun over the same store resumes where the cancelled run stopped.
 func RunMatrixContext(ctx context.Context, cfg Config) (*Matrix, error) {
-	return runScenarios(ctx, cfg, func(npb.Scenario) bool { return true })
+	return RunSubsetContext(ctx, cfg, func(npb.Scenario) bool { return true })
 }
 
-// RunSubset executes campaigns only for the scenarios that pass keep
-// (used by per-table benchmarks that don't need the full matrix). Scenario
-// seeds depend on the position in the full scenario list (and are shared
-// across domains), so a subset run reproduces the exact per-campaign
-// results of the full matrix.
-func RunSubset(cfg Config, keep func(npb.Scenario) bool) (*Matrix, error) {
-	return RunSubsetContext(context.Background(), cfg, keep)
-}
-
-// RunSubsetContext is RunSubset with cancellation; see RunMatrixContext.
+// RunSubsetContext executes campaigns only for the scenarios that pass keep
+// (used by per-table benchmarks that don't need the full matrix): it
+// assembles the jobs, runs the campaign engine and indexes the results into
+// a Matrix. Scenario seeds depend on the position in the full scenario list
+// (and are shared across domains), so a subset run reproduces the exact
+// per-campaign results of the full matrix. Cancellation is as for
+// RunMatrixContext.
 func RunSubsetContext(ctx context.Context, cfg Config, keep func(npb.Scenario) bool) (*Matrix, error) {
-	return runScenarios(ctx, cfg, keep)
-}
-
-// runScenarios assembles jobs, runs the campaign engine and indexes the
-// results into a Matrix.
-func runScenarios(ctx context.Context, cfg Config, keep func(npb.Scenario) bool) (*Matrix, error) {
 	domains := cfg.Domains
 	if len(domains) == 0 {
 		domains = []fault.Model{fault.Reg}

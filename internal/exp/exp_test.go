@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -18,7 +19,7 @@ func smallMatrix(t *testing.T) *Matrix {
 		return cached
 	}
 	cfg := Config{Faults: 3, Seed: 7}
-	m, err := RunSubset(cfg, func(sc npb.Scenario) bool {
+	m, err := RunSubsetContext(context.Background(), cfg, func(sc npb.Scenario) bool {
 		// IS on armv8 everywhere (cheap); a slice of armv7 IS for the
 		// v7 panels; the Table 3/4 scenarios at 1 core.
 		if sc.App == "IS" && sc.ISA == "armv8" {
@@ -130,7 +131,7 @@ func TestReportAssembles(t *testing.T) {
 // Report.
 func TestDomainTableRenders(t *testing.T) {
 	cfg := Config{Faults: 2, Seed: 5, Domains: fault.Models()}
-	m, err := RunSubset(cfg, func(sc npb.Scenario) bool {
+	m, err := RunSubsetContext(context.Background(), cfg, func(sc npb.Scenario) bool {
 		return sc.App == "IS" && sc.Mode == npb.Serial
 	})
 	if err != nil {
@@ -172,7 +173,7 @@ func TestMacroAndVulnRender(t *testing.T) {
 
 func TestPropTableRenders(t *testing.T) {
 	cfg := Config{Faults: 8, Seed: 99, TraceProp: true, Domains: []fault.Model{fault.Reg, fault.CacheTag}}
-	m, err := RunSubset(cfg, func(sc npb.Scenario) bool {
+	m, err := RunSubsetContext(context.Background(), cfg, func(sc npb.Scenario) bool {
 		return sc.App == "IS" && sc.Mode == npb.Serial && sc.ISA == "armv8"
 	})
 	if err != nil {

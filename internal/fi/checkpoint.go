@@ -52,11 +52,6 @@ type CheckpointSet struct {
 	// the same warm machines.
 	pool *sync.Pool
 
-	// spill owns the on-disk page store when the set was built with a
-	// SpillDir; only the originally built set holds it (clones share the
-	// snapshots, not the file's ownership).
-	spill *mem.Spill
-
 	// simulated accumulates retired instructions executed by Inject calls;
 	// fromReset accumulates what those runs would have retired from reset.
 	// The ratio is the engine's amortization win (reported by benchmarks).
@@ -73,10 +68,6 @@ type CheckpointOptions struct {
 	// N is the checkpoint count; n <= 0 yields an empty set (every
 	// injection runs from reset).
 	N int
-	// SpillDir, when non-empty, moves every checkpoint's RAM payload into
-	// an unlinked temp file under that directory after the build; restores
-	// reload pages lazily via pread. Close releases the file.
-	SpillDir string
 	// FullCopy captures each checkpoint as a complete sparse RAM copy and
 	// runs every injection on a fresh machine — the pre-delta engine,
 	// retained as a differential reference and as the "before" side of
@@ -84,28 +75,16 @@ type CheckpointOptions struct {
 	FullCopy bool
 }
 
-// BuildCheckpoints executes the fault-free machine once up to the last
-// checkpoint, capturing n snapshots spread over the application lifespan
+// BuildCheckpointsOpt executes the fault-free machine once up to the last
+// checkpoint, capturing opt.N snapshots spread over the application lifespan
 // recorded in g. The first checkpoint sits one instruction before the
 // lifespan opens so that every possible fault index has a snapshot strictly
-// below it. n <= 0 yields an empty set (every injection runs from reset).
-func BuildCheckpoints(img *cc.Image, cfg mach.Config, g *Golden, n int) (*CheckpointSet, error) {
-	return BuildCheckpointsContext(context.Background(), img, cfg, g, n)
-}
-
-// BuildCheckpointsContext is BuildCheckpoints with cancellation: the
-// fast-forward polls ctx between run slices and between snapshot captures,
-// returning ctx.Err() when cancelled. Captured snapshots are bit-identical
-// to BuildCheckpoints.
-func BuildCheckpointsContext(ctx context.Context, img *cc.Image, cfg mach.Config, g *Golden, n int) (*CheckpointSet, error) {
-	return BuildCheckpointsOpt(ctx, img, cfg, g, CheckpointOptions{N: n})
-}
-
-// BuildCheckpointsOpt is BuildCheckpointsContext with explicit options. By
-// default each checkpoint after the first is captured as a delta holding
-// only the pages dirtied since its predecessor — the fast-forwarding
-// machine's dirty bitmap is reset at every capture, so the chain falls out
-// of the run itself with no extra page comparisons beyond the dirty set.
+// below it. The fast-forward polls ctx between run slices and between
+// captures, returning ctx.Err() when cancelled. By default each checkpoint
+// after the first is captured as a delta holding only the pages dirtied
+// since its predecessor — the fast-forwarding machine's dirty bitmap is reset
+// at every capture, so the chain falls out of the run itself with no extra
+// page comparisons beyond the dirty set.
 func BuildCheckpointsOpt(ctx context.Context, img *cc.Image, cfg mach.Config, g *Golden, opt CheckpointOptions) (*CheckpointSet, error) {
 	cs := &CheckpointSet{img: img, cfg: cfg}
 	if opt.N <= 0 {
@@ -142,22 +121,6 @@ func BuildCheckpointsOpt(ctx context.Context, img *cc.Image, cfg mach.Config, g 
 		// The terminal image joins the chain by page compare against the
 		// retained golden machine's RAM, not by simulating to the end again.
 		cs.final = cs.snaps[len(cs.snaps)-1].Mem().DeltaOf(g.Machine.Mem)
-	}
-	if opt.SpillDir != "" {
-		sp, err := mem.NewSpill(opt.SpillDir)
-		if err != nil {
-			return nil, err
-		}
-		for _, im := range cs.images() {
-			if err := im.SpillTo(sp); err != nil {
-				sp.Close()
-				return nil, err
-			}
-		}
-		cs.spill = sp
-	}
-	if !opt.FullCopy {
-		cfg := cfg
 		cs.pool = &sync.Pool{New: func() any { return mach.New(cfg) }}
 	}
 	return cs, nil
@@ -167,59 +130,28 @@ func BuildCheckpointsOpt(ctx context.Context, img *cc.Image, cfg mach.Config, g 
 // share — but with fresh savings/prune counters, so concurrent campaigns
 // over the same scenario (one per fault domain) pay the checkpoint
 // fast-forward once yet attribute their telemetry separately. The machine
-// pool is shared too (all clones restore from the same chain); spill-file
-// ownership is not — Close on a clone is a no-op.
+// pool is shared too (all clones restore from the same chain).
 func (cs *CheckpointSet) Clone() *CheckpointSet {
 	return &CheckpointSet{img: cs.img, cfg: cs.cfg, snaps: cs.snaps, final: cs.final, pool: cs.pool}
 }
 
-// Close releases the spill file backing this set's checkpoints, if any.
-// Only the set BuildCheckpointsOpt returned owns the file; it must not be
-// closed while any injection that could restore a spilled checkpoint — on
-// this set or any Clone — is still in flight.
-func (cs *CheckpointSet) Close() error {
-	sp := cs.spill
-	cs.spill = nil
-	if sp == nil {
-		return nil
-	}
-	return sp.Close()
-}
+// Close is a no-op kept for bench/'s calls (sets could once spill to disk): a set is plain memory.
+func (cs *CheckpointSet) Close() error { return nil }
 
 // Len returns the number of captured snapshots.
 func (cs *CheckpointSet) Len() int { return len(cs.snaps) }
 
-// images returns every RAM image the set owns: each checkpoint's and, on a
-// delta chain, the terminal image.
-func (cs *CheckpointSet) images() []*mem.Snapshot {
-	out := make([]*mem.Snapshot, 0, len(cs.snaps)+1)
-	for _, s := range cs.snaps {
-		out = append(out, s.Mem())
-	}
-	if cs.final != nil {
-		out = append(out, cs.final)
-	}
-	return out
-}
-
-// MemBytes returns the total in-memory payload of all retained RAM pages
-// (telemetry). On the delta path this sums each image's own pages — equal to
-// the terminal image's ChainBytes for a linear chain — and is a small
-// fraction of the full-copy cost; after a spill it approaches zero.
+// MemBytes returns the total payload of all retained RAM pages (telemetry):
+// each checkpoint's own pages plus, on a delta chain, the terminal image's —
+// equal to the terminal image's ChainBytes for a linear chain, and a small
+// fraction of the full-copy cost.
 func (cs *CheckpointSet) MemBytes() int {
 	n := 0
-	for _, im := range cs.images() {
-		n += im.Bytes()
+	for _, s := range cs.snaps {
+		n += s.MemBytes()
 	}
-	return n
-}
-
-// SpilledBytes returns the total RAM payload the set keeps on disk
-// (telemetry; zero unless built with a SpillDir).
-func (cs *CheckpointSet) SpilledBytes() int {
-	n := 0
-	for _, im := range cs.images() {
-		n += im.SpilledBytes()
+	if cs.final != nil {
+		n += cs.final.Bytes()
 	}
 	return n
 }
@@ -390,12 +322,6 @@ func (cs *CheckpointSet) InjectRangeContext(ctx context.Context, d fault.Domain,
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-// Inject runs one register fault (legacy entry point; equivalent to
-// InjectPoint with the fault.Reg domain).
-func (cs *CheckpointSet) Inject(g *Golden, f Fault) Result {
-	return cs.InjectPoint(regDomain(g, cs.cfg.ISA.Feat(), cs.cfg.Cores), g, f)
 }
 
 // SimulatedInstructions returns (executed, fromReset): retired instructions

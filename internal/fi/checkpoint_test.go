@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"serfi/internal/fault"
 	"serfi/internal/fi"
 	"serfi/internal/npb"
 )
@@ -28,14 +27,12 @@ func TestCheckpointInjectMatchesReset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs, err := fi.BuildCheckpoints(img, cfg, g, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cs := checkpoints(t, img, cfg, g, 6)
 			if cs.Len() == 0 {
 				t.Fatal("no checkpoints captured")
 			}
-			faults := fi.FaultList(11, 12, g, cfg.ISA.Feat(), cfg.Cores)
+			d := regDomain(t, img, cfg, g)
+			faults := fi.List(11, 12, d)
 			// Include the hardest edge: a fault at the first committed
 			// instruction of the lifespan and at the last.
 			faults = append(faults,
@@ -43,7 +40,7 @@ func TestCheckpointInjectMatchesReset(t *testing.T) {
 				fi.Fault{Index: g.AppEnd - g.AppStart - 1, Core: 0, Reg: 3, Bit: 5})
 			for i, f := range faults {
 				want := fi.Inject(img, cfg, g, f)
-				got := cs.Inject(g, f)
+				got := cs.InjectPoint(d, g, f)
 				if got != want {
 					t.Errorf("fault %d (%s): snapshot run %+v != reset run %+v", i, f, got, want)
 				}
@@ -58,10 +55,10 @@ func TestCheckpointInjectMatchesReset(t *testing.T) {
 
 // TestCheckpointOptionsBitIdentical pins the delta-checkpoint engine
 // against its retained full-copy reference at the fi layer: the same fault
-// list injected through a default (COW) set, a FullCopy set and a spilled
-// set yields identical Results and identical savings/prune telemetry —
-// while the capture telemetry shows the delta chain actually paying pages
-// instead of RAM images.
+// list injected through a default (COW) set and a FullCopy set yields
+// identical Results and identical savings/prune telemetry — while the
+// capture telemetry shows the delta chain actually paying pages instead of
+// RAM images.
 func TestCheckpointOptionsBitIdentical(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
 	img, cfg, err := npb.BuildScenario(sc)
@@ -82,49 +79,30 @@ func TestCheckpointOptionsBitIdentical(t *testing.T) {
 	}
 	cow := build(fi.CheckpointOptions{})
 	full := build(fi.CheckpointOptions{FullCopy: true})
-	spill := build(fi.CheckpointOptions{SpillDir: t.TempDir()})
-	defer spill.Close()
 
 	// Capture telemetry: the delta chain holds a fraction of the full-copy
-	// payload, MemBytes equals the last checkpoint's ChainBytes on a linear
-	// chain, and a spilled set keeps its payload on disk instead of in RAM.
+	// payload.
 	if cow.MemBytes() >= full.MemBytes() {
 		t.Errorf("delta chain (%d bytes) not smaller than full copies (%d bytes)", cow.MemBytes(), full.MemBytes())
 	}
 	if cow.MemBytes() == 0 {
 		t.Error("delta chain retained no RAM")
 	}
-	if full.SpilledBytes() != 0 || cow.SpilledBytes() != 0 {
-		t.Error("unspilled sets report spilled bytes")
-	}
-	if spill.MemBytes() != 0 {
-		t.Errorf("spilled set still holds %d bytes in RAM", spill.MemBytes())
-	}
-	if spill.SpilledBytes() != cow.MemBytes() {
-		t.Errorf("spilled payload %d != in-RAM payload %d of the identical build", spill.SpilledBytes(), cow.MemBytes())
-	}
 
-	faults := fi.FaultList(17, 8, g, cfg.ISA.Feat(), cfg.Cores)
-	for i, f := range faults {
-		want := cow.Inject(g, f)
-		if got := full.Inject(g, f); got != want {
+	d := regDomain(t, img, cfg, g)
+	for i, f := range fi.List(17, 8, d) {
+		want := cow.InjectPoint(d, g, f)
+		if got := full.InjectPoint(d, g, f); got != want {
 			t.Errorf("fault %d (%s): full-copy %+v != cow %+v", i, f, got, want)
-		}
-		if got := spill.Inject(g, f); got != want {
-			t.Errorf("fault %d (%s): spilled %+v != cow %+v", i, f, got, want)
 		}
 	}
 	cowSim, cowReset := cow.SimulatedInstructions()
-	for name, cs := range map[string]*fi.CheckpointSet{"full": full, "spill": spill} {
-		sim, reset := cs.SimulatedInstructions()
-		if sim != cowSim || reset != cowReset {
-			t.Errorf("%s telemetry sim=%d reset=%d != cow sim=%d reset=%d", name, sim, reset, cowSim, cowReset)
-		}
-		p, tot := cs.PruneStats()
-		cp, ctot := cow.PruneStats()
-		if p != cp || tot != ctot {
-			t.Errorf("%s prune %d/%d != cow %d/%d", name, p, tot, cp, ctot)
-		}
+	if sim, reset := full.SimulatedInstructions(); sim != cowSim || reset != cowReset {
+		t.Errorf("full telemetry sim=%d reset=%d != cow sim=%d reset=%d", sim, reset, cowSim, cowReset)
+	}
+	p, tot := full.PruneStats()
+	if cp, ctot := cow.PruneStats(); p != cp || tot != ctot {
+		t.Errorf("full prune %d/%d != cow %d/%d", p, tot, cp, ctot)
 	}
 }
 
@@ -140,10 +118,7 @@ func TestBuildCheckpointsSpansLifespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := fi.BuildCheckpoints(img, cfg, g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := checkpoints(t, img, cfg, g, 4)
 	if cs.Len() != 4 {
 		t.Fatalf("checkpoints = %d, want 4", cs.Len())
 	}
@@ -151,12 +126,9 @@ func TestBuildCheckpointsSpansLifespan(t *testing.T) {
 		t.Error("checkpoints retained no RAM")
 	}
 	// Zero checkpoints: valid, every injection falls back to reset.
-	empty, err := fi.BuildCheckpoints(img, cfg, g, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	empty := checkpoints(t, img, cfg, g, 0)
 	f := fi.Fault{Index: 1, Core: 0, Reg: 2, Bit: 9}
-	if got, want := empty.Inject(g, f), fi.Inject(img, cfg, g, f); got != want {
+	if got, want := empty.InjectPoint(regDomain(t, img, cfg, g), g, f), fi.Inject(img, cfg, g, f); got != want {
 		t.Errorf("empty-set inject %+v != reset %+v", got, want)
 	}
 }
@@ -180,17 +152,11 @@ func TestContextCancellation(t *testing.T) {
 	if _, err := fi.RunGoldenContext(cancelled, img, cfg, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunGoldenContext err = %v, want context.Canceled", err)
 	}
-	if _, err := fi.BuildCheckpointsContext(cancelled, img, cfg, g, 4); !errors.Is(err, context.Canceled) {
-		t.Errorf("BuildCheckpointsContext err = %v, want context.Canceled", err)
+	if _, err := fi.BuildCheckpointsOpt(cancelled, img, cfg, g, fi.CheckpointOptions{N: 4}); !errors.Is(err, context.Canceled) {
+		t.Errorf("BuildCheckpointsOpt err = %v, want context.Canceled", err)
 	}
-	cs, err := fi.BuildCheckpointsContext(context.Background(), img, cfg, g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := fi.NewDomain(fault.Reg, img, cfg, g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := checkpoints(t, img, cfg, g, 4)
+	d := regDomain(t, img, cfg, g)
 	f := fi.Fault{Index: 7, Core: 0, Reg: 2, Bit: 3}
 	if _, err := cs.InjectPointContext(cancelled, d, g, f); !errors.Is(err, context.Canceled) {
 		t.Errorf("InjectPointContext err = %v, want context.Canceled", err)

@@ -43,8 +43,8 @@ func refOutcome(img *cc.Image, cfg mach.Config, g *fi.Golden, goldenMemHash uint
 // TestClassificationMatchesHashOracle is the differential pin of the
 // terminal-image classifier: over a seeded fault list per domain and
 // scenario, every injection path — pooled machines on the delta chain
-// (selective compare against the chained terminal image), a FullCopy set, a
-// spilled set, an empty set and InjectDomain (from reset), and the
+// (selective compare against the chained terminal image), a FullCopy set,
+// an empty set and InjectDomain (from reset), and the
 // propagation tracer's faulty twin (full compare against Golden.Final) —
 // must score each fault exactly as the full-RAM-digest rule does.
 func TestClassificationMatchesHashOracle(t *testing.T) {
@@ -76,14 +76,12 @@ func TestClassificationMatchesHashOracle(t *testing.T) {
 				for name, opt := range map[string]fi.CheckpointOptions{
 					"pooled":   {N: 6},
 					"fullcopy": {N: 6, FullCopy: true},
-					"spilled":  {N: 6, SpillDir: t.TempDir()},
 					"empty":    {N: 0},
 				} {
 					cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer cs.Close()
 					sets[name] = cs
 				}
 				tracer := prop.NewTracer(img, cfg, g, sets["pooled"])

@@ -104,8 +104,8 @@ func TestListExhaustedSpaceAllowsRepeats(t *testing.T) {
 }
 
 // TestFaultListMatchesLegacySampler locks golden compatibility: at seeds
-// whose streams do not collide (every realistic campaign), FaultList is
-// bit-identical to the pre-domain sampler — same index, core, register and
+// whose streams do not collide (every realistic campaign), the register
+// domain's List is bit-identical to the pre-domain sampler — same index, core, register and
 // bit from the same rand stream.
 func TestFaultListMatchesLegacySampler(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
@@ -118,7 +118,7 @@ func TestFaultListMatchesLegacySampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	feat := cfg.ISA.Feat()
-	got := fi.FaultList(99, 64, g, feat, cfg.Cores)
+	got := fi.List(99, 64, regDomain(t, img, cfg, g))
 	r := rand.New(rand.NewSource(99))
 	span := g.AppEnd - g.AppStart
 	for i, p := range got {
@@ -148,10 +148,7 @@ func TestCheckpointInjectMatchesResetAllDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := fi.BuildCheckpoints(img, cfg, g, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := checkpoints(t, img, cfg, g, 6)
 	for _, model := range fault.Models() {
 		d, err := fi.NewDomain(model, img, cfg, g)
 		if err != nil {
@@ -207,10 +204,7 @@ func TestCheckpointsShortLifespan(t *testing.T) {
 	}
 	short := *g
 	short.AppEnd = short.AppStart + 3 // lifespan of 3 instructions, 8 checkpoints
-	cs, err := fi.BuildCheckpoints(img, cfg, &short, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := checkpoints(t, img, cfg, &short, 8)
 	if cs.Len() == 0 || cs.Len() > 4 {
 		t.Fatalf("checkpoints = %d, want 1..4 for a 3-instruction lifespan", cs.Len())
 	}
@@ -221,7 +215,7 @@ func TestCheckpointsShortLifespan(t *testing.T) {
 		{Index: 2, Core: 0, Reg: 3, Bit: 5},
 	} {
 		want := fi.Inject(img, cfg, g, f)
-		got := cs.Inject(g, f)
+		got := cs.InjectPoint(regDomain(t, img, cfg, g), g, f)
 		if got != want {
 			t.Errorf("short-lifespan fault %s: snapshot run %+v != reset run %+v", f, got, want)
 		}
@@ -242,13 +236,10 @@ func TestFirstInstructionFaultUsesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := fi.BuildCheckpoints(img, cfg, g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cs := checkpoints(t, img, cfg, g, 4)
 	f := fi.Fault{Index: 0, Core: 0, Reg: 3, Bit: 5}
 	want := fi.Inject(img, cfg, g, f)
-	got := cs.Inject(g, f)
+	got := cs.InjectPoint(regDomain(t, img, cfg, g), g, f)
 	if got != want {
 		t.Fatalf("first-instruction fault: snapshot run %+v != reset run %+v", got, want)
 	}

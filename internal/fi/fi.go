@@ -7,9 +7,8 @@
 // fault model itself is pluggable: every phase is generic over a
 // fault.Domain — the register single-bit-upset space of the paper, data
 // words in guest RAM, instruction words, or register bit bursts
-// (internal/fault). The legacy register-only entry points (RandomFault,
-// FaultList, Inject) are thin wrappers over the fault.Reg domain and remain
-// bit-identical to the pre-domain injector at the same seed.
+// (internal/fault). The fault.Reg domain (and Inject, its from-reset
+// wrapper) is bit-identical to the pre-domain injector at the same seed.
 package fi
 
 import (
@@ -20,7 +19,6 @@ import (
 
 	"serfi/internal/cc"
 	"serfi/internal/fault"
-	"serfi/internal/isa"
 	"serfi/internal/mach"
 	"serfi/internal/mem"
 )
@@ -166,22 +164,6 @@ func NewDomain(model fault.Model, img *cc.Image, cfg mach.Config, g *Golden) (fa
 	})
 }
 
-// regDomain builds the legacy register domain (panic-free by construction:
-// RunGolden guarantees a non-empty lifespan and configs have >= 1 core).
-func regDomain(g *Golden, feat isa.Features, cores int) fault.Domain {
-	d, err := fault.New(fault.Reg, fault.Env{Feat: feat, Cores: cores, Span: g.AppEnd - g.AppStart})
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// RandomFault draws a uniform register fault (§3.2.1: uniform random bit
-// location and injection time across the register file and app lifespan).
-func RandomFault(r *rand.Rand, g *Golden, feat isa.Features, cores int) Fault {
-	return regDomain(g, feat, cores).Sample(r)
-}
-
 // List is phase 2, domain-generic: n seeded faults drawn from the domain's
 // stream. Duplicate (time, location, bit) tuples are deduplicated by
 // deterministic resampling — a colliding draw is discarded and the next
@@ -203,11 +185,6 @@ func List(seed int64, n int, d fault.Domain) []Fault {
 		out = append(out, p)
 	}
 	return out
-}
-
-// FaultList is the legacy register-domain fault list (phase 2).
-func FaultList(seed int64, n int, g *Golden, feat isa.Features, cores int) []Fault {
-	return List(seed, n, regDomain(g, feat, cores))
 }
 
 // Outcome is the Cho et al. classification (§3.2.2).
@@ -262,10 +239,15 @@ func InjectDomain(img *cc.Image, cfg mach.Config, g *Golden, d fault.Domain, p F
 	return finishFault(m, g, g.Final, p, stop)
 }
 
-// Inject runs phase 3 for one register fault from machine reset (legacy
-// entry point; equivalent to InjectDomain with the fault.Reg domain).
+// Inject runs phase 3 for one register fault from machine reset: InjectDomain
+// with the fault.Reg domain (which cannot fail to build: RunGolden guarantees
+// a non-empty lifespan and configs have >= 1 core).
 func Inject(img *cc.Image, cfg mach.Config, g *Golden, f Fault) Result {
-	return InjectDomain(img, cfg, g, regDomain(g, cfg.ISA.Feat(), cfg.Cores), f)
+	d, err := NewDomain(fault.Reg, img, cfg, g)
+	if err != nil {
+		panic(err)
+	}
+	return InjectDomain(img, cfg, g, d, f)
 }
 
 // hangBudget is the absolute cycle budget of one injection run.

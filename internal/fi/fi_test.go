@@ -1,12 +1,36 @@
 package fi_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
+	"serfi/internal/cc"
+	"serfi/internal/fault"
 	"serfi/internal/fi"
+	"serfi/internal/mach"
 	"serfi/internal/npb"
 )
+
+// regDomain builds the register fault domain of one scenario.
+func regDomain(t testing.TB, img *cc.Image, cfg mach.Config, g *fi.Golden) fault.Domain {
+	t.Helper()
+	d, err := fi.NewDomain(fault.Reg, img, cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// checkpoints builds an n-checkpoint delta-chain set.
+func checkpoints(t testing.TB, img *cc.Image, cfg mach.Config, g *fi.Golden, n int) *fi.CheckpointSet {
+	t.Helper()
+	cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, fi.CheckpointOptions{N: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs
+}
 
 func golden(t *testing.T, sc npb.Scenario) (*fi.Golden, npb.Scenario) {
 	t.Helper()
@@ -65,8 +89,9 @@ func TestFaultListDeterministicAndInRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	feat := cfg.ISA.Feat()
-	a := fi.FaultList(42, 200, g, feat, cfg.Cores)
-	b := fi.FaultList(42, 200, g, feat, cfg.Cores)
+	d := regDomain(t, img, cfg, g)
+	a := fi.List(42, 200, d)
+	b := fi.List(42, 200, d)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("fault list not deterministic at %d", i)
@@ -86,7 +111,7 @@ func TestFaultListDeterministicAndInRange(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	sawPC, sawHighBit := false, false
 	for i := 0; i < 2000; i++ {
-		f := fi.RandomFault(r, g, feat, 1)
+		f := d.Sample(r)
 		if f.Reg == 15 {
 			sawPC = true
 		}
@@ -109,7 +134,7 @@ func TestInjectOutcomesSane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults := fi.FaultList(7, 24, g, cfg.ISA.Feat(), cfg.Cores)
+	faults := fi.List(7, 24, regDomain(t, img, cfg, g))
 	var counts fi.Counts
 	for _, f := range faults {
 		r := fi.Inject(img, cfg, g, f)

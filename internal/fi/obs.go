@@ -10,7 +10,7 @@ import "serfi/internal/obs"
 var (
 	// 10µs .. 10s exponential buckets: a selective delta restore of a warm
 	// pooled machine lands in the tens of microseconds, a cold full rebuild
-	// of a large spilled image in the tens of milliseconds.
+	// of a large image in the milliseconds.
 	obsRestoreSeconds = obs.Default.Histogram("serfi_fi_restore_seconds", "Wall time of one pre-fault checkpoint restore.", obs.ExpBuckets(1e-5, 10, 7))
 	// 1µs .. 1s: both compares touch tens of pages on a pooled machine and
 	// all of RAM (milliseconds) from reset, on FullCopy sets and on twins.

@@ -6,7 +6,6 @@ import (
 
 	"serfi/internal/isa"
 	"serfi/internal/isa/armv8"
-	"serfi/internal/mem"
 )
 
 // matrixProg is a short loop ending in MOVZ r5,#imm / HALT; each delta in a
@@ -23,84 +22,62 @@ func matrixProg(imm int64) []isa.Instr {
 }
 
 // TestRestoreMatrix extends TestRestoreDropsBlockRuns across the delta-chain
-// engine: chains of depth 1, 2 and 8, with and without disk spill, restored
-// in a deliberately jumpy order (both directions along the chain) into the
-// same live machine (selective fast path) and into bare machines (full
-// materialization). Every element of every chain must reproduce its own
+// engine: chains of depth 1, 2 and 8, restored in a deliberately jumpy order
+// (both directions along the chain) into the same live machine (selective
+// fast path) and into bare machines (full materialization). Every element of every chain must reproduce its own
 // patched text — a stale decode or block run would surface as the wrong r5.
 func TestRestoreMatrix(t *testing.T) {
 	const patchAddr = kernBase + 3*4
 	for _, depth := range []int{1, 2, 8} {
-		for _, spill := range []bool{false, true} {
-			t.Run(fmt.Sprintf("depth%d_spill%v", depth, spill), func(t *testing.T) {
-				cfg := testConfig(armv8.New(), 1)
-				m := newTestMachine(t, cfg, matrixProg(100), nil)
-				snaps := []*Snapshot{m.Snapshot()}
-				want := []uint64{100}
-				for k := 1; k <= depth; k++ {
-					w, err := cfg.ISA.Encode(al(isa.Instr{Op: isa.OpMOVZ, Rd: 5, Imm: int64(100 + k)}))
-					if err != nil {
-						t.Fatal(err)
-					}
-					m.Mem.WriteU32(patchAddr, w)
-					m.InvalidateText(patchAddr, 4)
-					// Touch a data page too, so deltas carry both kinds.
-					m.Mem.WriteU64(dataBase+uint32(k)*8, uint64(k)*0x1111)
-					snaps = append(snaps, m.DeltaSnapshot())
-					want = append(want, uint64(100+k))
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			cfg := testConfig(armv8.New(), 1)
+			m := newTestMachine(t, cfg, matrixProg(100), nil)
+			snaps := []*Snapshot{m.Snapshot()}
+			want := []uint64{100}
+			for k := 1; k <= depth; k++ {
+				w, err := cfg.ISA.Encode(al(isa.Instr{Op: isa.OpMOVZ, Rd: 5, Imm: int64(100 + k)}))
+				if err != nil {
+					t.Fatal(err)
 				}
-				if got := snaps[depth].mem.Depth(); got != depth {
-					t.Fatalf("chain depth = %d, want %d", got, depth)
+				m.Mem.WriteU32(patchAddr, w)
+				m.InvalidateText(patchAddr, 4)
+				// Touch a data page too, so deltas carry both kinds.
+				m.Mem.WriteU64(dataBase+uint32(k)*8, uint64(k)*0x1111)
+				snaps = append(snaps, m.DeltaSnapshot())
+				want = append(want, uint64(100+k))
+			}
+			if got := snaps[depth].mem.Depth(); got != depth {
+				t.Fatalf("chain depth = %d, want %d", got, depth)
+			}
+			// Jump around the chain: down to the root, back up, into the
+			// middle. Each restore must re-decode exactly the right text.
+			order := []int{depth, 0, depth, depth / 2, depth - 1, 0, depth}
+			for step, idx := range order {
+				m.Restore(snaps[idx])
+				if !snaps[idx].StateEquals(m) {
+					t.Fatalf("step %d: StateEquals false right after restoring chain[%d]", step, idx)
 				}
-				if spill {
-					sp, err := mem.NewSpill(t.TempDir())
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer sp.Close()
-					for i, s := range snaps {
-						if err := s.mem.SpillTo(sp); err != nil {
-							t.Fatalf("snapshot %d: SpillTo: %v", i, err)
-						}
-						if s.MemBytes() != 0 {
-							t.Fatalf("snapshot %d holds %d bytes in RAM after spill", i, s.MemBytes())
-						}
-					}
-					if snaps[0].mem.SpilledBytes() == 0 {
-						t.Fatal("root snapshot spilled nothing")
-					}
+				if r := m.Run(0); r != StopHalted {
+					t.Fatalf("step %d: stop = %v", step, r)
 				}
+				if got := m.Cores[0].Regs[5]; got != want[idx] {
+					t.Errorf("step %d: chain[%d] ran r5 = %d, want %d (stale decode)", step, idx, got, want[idx])
+				}
+			}
 
-				// Jump around the chain: down to the root, back up, into the
-				// middle. Each restore must re-decode exactly the right text.
-				order := []int{depth, 0, depth, depth / 2, depth - 1, 0, depth}
-				for step, idx := range order {
-					m.Restore(snaps[idx])
-					if !snaps[idx].StateEquals(m) {
-						t.Fatalf("step %d: StateEquals false right after restoring chain[%d]", step, idx)
-					}
-					if r := m.Run(0); r != StopHalted {
-						t.Fatalf("step %d: stop = %v", step, r)
-					}
-					if got := m.Cores[0].Regs[5]; got != want[idx] {
-						t.Errorf("step %d: chain[%d] ran r5 = %d, want %d (stale decode)", step, idx, got, want[idx])
-					}
+			// Bare machines share no chain with any snapshot: the restore
+			// takes the full-materialization path and must agree.
+			for idx := 0; idx <= depth; idx++ {
+				f := New(cfg)
+				f.Restore(snaps[idx])
+				if r := f.Run(0); r != StopHalted {
+					t.Fatalf("fresh chain[%d]: stop = %v", idx, r)
 				}
-
-				// Bare machines share no chain with any snapshot: the restore
-				// takes the full-materialization path and must agree.
-				for idx := 0; idx <= depth; idx++ {
-					f := New(cfg)
-					f.Restore(snaps[idx])
-					if r := f.Run(0); r != StopHalted {
-						t.Fatalf("fresh chain[%d]: stop = %v", idx, r)
-					}
-					if got := f.Cores[0].Regs[5]; got != want[idx] {
-						t.Errorf("fresh chain[%d]: r5 = %d, want %d", idx, got, want[idx])
-					}
+				if got := f.Cores[0].Regs[5]; got != want[idx] {
+					t.Errorf("fresh chain[%d]: r5 = %d, want %d", idx, got, want[idx])
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -47,9 +47,8 @@ type Snapshot struct {
 func (s *Snapshot) Retired() uint64 { return s.totalRetired }
 
 // Mem returns the snapshot's RAM image: the handle for chaining
-// further deltas onto it (mem.Snapshot.DeltaOf), spilling its payload
-// (SpillTo mutates it and must run before the snapshot is shared across
-// goroutines) and chain telemetry (Depth, ChainBytes, SpilledBytes).
+// further deltas onto it (mem.Snapshot.DeltaOf) and chain telemetry
+// (Depth, ChainBytes).
 func (s *Snapshot) Mem() *mem.Snapshot { return s.mem }
 
 // MemBytes returns the in-memory payload of this snapshot's own RAM pages

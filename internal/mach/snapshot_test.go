@@ -15,7 +15,7 @@ func snapProg() []isa.Instr {
 		al(isa.Instr{Op: isa.OpMOVZ, Rd: 1, Imm: 0}),        // sum
 		al(isa.Instr{Op: isa.OpMOVZ, Rd: 2, Imm: dataBase}), // store base
 		al(isa.Instr{Op: isa.OpADD, Rd: 1, Rn: 1, Rm: 0}),   // sum += counter
-		al(isa.Instr{Op: isa.OpSTR, Rd: 1, Rn: 2, Imm: 0}),  // spill partial sum
+		al(isa.Instr{Op: isa.OpSTR, Rd: 1, Rn: 2, Imm: 0}),  // store partial sum
 		al(isa.Instr{Op: isa.OpADDI, Rd: 2, Rn: 2, Imm: 8}), // advance pointer
 		al(isa.Instr{Op: isa.OpSUBI, Rd: 0, Rn: 0, Imm: 1}), // counter--
 		al(isa.Instr{Op: isa.OpCBNZ, Rn: 0, Imm: -4}),       // loop

@@ -1,9 +1,6 @@
 package mem
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // TestDeltaSnapshotCapturesOnlyDirtyPages pins the delta-chain contract at
 // the mem layer: a delta holds exactly the pages whose contents changed
@@ -142,50 +139,5 @@ func TestTakeDirtyPagesDropsTrackingBase(t *testing.T) {
 	}
 	if !s.EqualsMemory(m) || m.ReadU32(2*PageBytes+4) != 0 {
 		t.Error("full restore did not repair the corrupted page")
-	}
-}
-
-// TestSpillMovesPayloadToDisk checks SpillTo accounting and that spilled
-// snapshots restore bit-identically through the lazy reload path.
-func TestSpillMovesPayloadToDisk(t *testing.T) {
-	m := New(4 * PageBytes)
-	m.WriteBytes(PageBytes/2, bytes.Repeat([]byte{0xab}, PageBytes)) // straddles pages 0-1
-	root := m.Snapshot()
-	m.WriteU32(2*PageBytes, 0xdeadbeef)
-	delta := m.DeltaSnapshot()
-
-	inRAM := root.Bytes() + delta.Bytes()
-	sp, err := NewSpill(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sp.Close()
-	for _, s := range []*Snapshot{root, delta} {
-		if err := s.SpillTo(sp); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if root.Bytes()+delta.Bytes() != 0 {
-		t.Errorf("payload left in RAM after spill: %d", root.Bytes()+delta.Bytes())
-	}
-	if got := root.SpilledBytes() + delta.SpilledBytes(); got != inRAM {
-		t.Errorf("SpilledBytes = %d, want the pre-spill payload %d", got, inRAM)
-	}
-
-	other := &Spill{}
-	if err := root.SpillTo(other); err == nil {
-		t.Error("re-spilling to a different file must be rejected")
-	}
-
-	fresh := New(4 * PageBytes)
-	fresh.Restore(delta)
-	if got := fresh.ReadU8(PageBytes / 2); got != 0xab {
-		t.Errorf("spilled root page lost: %#x", got)
-	}
-	if got := fresh.ReadU32(2 * PageBytes); got != 0xdeadbeef {
-		t.Errorf("spilled delta page lost: %#x", got)
-	}
-	if !delta.EqualsMemory(fresh) {
-		t.Error("EqualsMemory false after spilled restore")
 	}
 }

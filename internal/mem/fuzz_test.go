@@ -11,9 +11,8 @@ import (
 // byte slice mutated in lockstep) through random write/snapshot/restore/
 // compare sequences, including deltas chained from a foreign memory
 // (DeltaOf) and write-log use of the dirty bitmap (TakeDirtyPages). Any
-// divergence between the sparse delta-chain machinery and the oracle —
-// including after spilling every snapshot to disk — is a bug in the
-// copy-on-write engine.
+// divergence between the sparse delta-chain machinery and the oracle is a
+// bug in the copy-on-write engine.
 
 // oracleSnap pairs a real snapshot with the oracle's full RAM copy taken
 // at the same instant.
@@ -184,7 +183,11 @@ func untracked(ram []byte) *Memory {
 // verifySnapshots restores every captured snapshot into both a fresh
 // memory (no shared chain: the slow full-materialization path) and the
 // live memory (shared chain: the selective fast path) and checks each
-// against the oracle copy.
+// against the oracle copy. It then walks every page of every snapshot
+// through pageData — the one chain read under patch, pageEquals and
+// selective Restore, which hands out the chain's own page — and holds it to
+// the oracle too: nil exactly where the oracle page is all-zero, after the
+// script and the restores have had every chance to write through one.
 func verifySnapshots(t *testing.T, m *Memory, size uint32, snaps []oracleSnap) {
 	t.Helper()
 	for i, pair := range snaps {
@@ -201,28 +204,20 @@ func verifySnapshots(t *testing.T, m *Memory, size uint32, snaps []oracleSnap) {
 			t.Fatalf("snapshot %d: EqualsMemory false right after restore", i)
 		}
 	}
+	for i, pair := range snaps {
+		for off := uint32(0); off < size; off = pageEnd(off, size) {
+			want := pair.ram[off:pageEnd(off, size)]
+			got := pair.snap.pageData(off)
+			if (got == nil) != isZero(want) || got != nil && !bytes.Equal(got, want) {
+				t.Fatalf("snapshot %d (depth %d) page %#x: pageData diverged from oracle", i, pair.snap.Depth(), off)
+			}
+		}
+	}
 }
 
 func runSnapshotOracle(t *testing.T, sizeSel uint8, script []byte) {
 	size := fuzzSizes[int(sizeSel)%len(fuzzSizes)]
 	m, snaps := runSnapshotScript(t, size, script)
-	verifySnapshots(t, m, size, snaps)
-
-	// Spill everything to disk and prove the lazy-reload representation is
-	// still bit-identical.
-	sp, err := NewSpill(t.TempDir())
-	if err != nil {
-		t.Fatalf("NewSpill: %v", err)
-	}
-	defer sp.Close()
-	for i, pair := range snaps {
-		if err := pair.snap.SpillTo(sp); err != nil {
-			t.Fatalf("snapshot %d: SpillTo: %v", i, err)
-		}
-		if pair.snap.Bytes() != 0 {
-			t.Fatalf("snapshot %d: %d payload bytes left in memory after spill", i, pair.snap.Bytes())
-		}
-	}
 	verifySnapshots(t, m, size, snaps)
 }
 

@@ -301,23 +301,18 @@ func pageEnd(off, size uint32) uint32 {
 
 func isZero(b []byte) bool { return bytes.Equal(b, zeroPage[:len(b)]) }
 
-// snapPage is one RAM page captured by a Snapshot. Exactly one of three
-// states holds: data carries the contents in memory; zero marks a page that
-// is all-zero (meaningful in deltas, where the parent's page may not be);
-// or data is nil with spillN > 0 and the payload lives at spillAt in the
-// owning snapshot's spill file.
+// snapPage is one RAM page captured by a Snapshot: data carries the
+// contents, or zero marks a page that is all-zero (meaningful in deltas,
+// where the parent's page may not be).
 type snapPage struct {
-	off     uint32
-	data    []byte
-	zero    bool
-	spillAt int64
-	spillN  int
+	off  uint32
+	data []byte
+	zero bool
 }
 
 // Snapshot is an immutable copy of the RAM contents and region table at one
 // instant — either a full capture or a delta chained to a parent. It is safe
-// to share across goroutines once fully built (SpillTo mutates it and must
-// run before sharing); Restore and EqualsMemory only read it.
+// to share across goroutines; Restore and EqualsMemory only read it.
 type Snapshot struct {
 	size    uint32
 	pages   []snapPage // ascending by off
@@ -328,9 +323,6 @@ type Snapshot struct {
 	// above the root, used to find common ancestors in O(depth).
 	parent *Snapshot
 	depth  int
-
-	// spill backs pages whose payload has been moved to disk.
-	spill *Spill
 }
 
 // Parent returns the snapshot this delta patches, or nil for a full capture.
@@ -340,8 +332,8 @@ func (s *Snapshot) Parent() *Snapshot { return s.parent }
 // full capture).
 func (s *Snapshot) Depth() int { return s.depth }
 
-// Bytes returns the number of payload bytes the snapshot holds in memory
-// (test and telemetry helper; zero markers and spilled pages count nothing).
+// Bytes returns the number of payload bytes the snapshot holds (test and
+// telemetry helper; zero markers count nothing).
 func (s *Snapshot) Bytes() int {
 	n := 0
 	for _, p := range s.pages {
@@ -350,18 +342,8 @@ func (s *Snapshot) Bytes() int {
 	return n
 }
 
-// SpilledBytes returns the number of payload bytes the snapshot keeps on
-// disk after SpillTo.
-func (s *Snapshot) SpilledBytes() int {
-	n := 0
-	for _, p := range s.pages {
-		n += p.spillN
-	}
-	return n
-}
-
-// ChainBytes returns the in-memory payload of the whole chain this snapshot
-// restores through: its own pages plus every ancestor's.
+// ChainBytes returns the payload of the whole chain this snapshot restores
+// through: its own pages plus every ancestor's.
 func (s *Snapshot) ChainBytes() int {
 	n := 0
 	for c := s; c != nil; c = c.parent {
@@ -387,37 +369,16 @@ func (s *Snapshot) findPage(off uint32) *snapPage {
 	return nil
 }
 
-// scratch returns a page-sized read buffer when the chain holds spilled
-// payloads (pageData needs somewhere to load them), nil otherwise.
-func (s *Snapshot) scratch() []byte {
-	for c := s; c != nil; c = c.parent {
-		if c.spill != nil {
-			return make([]byte, PageBytes)
-		}
-	}
-	return nil
-}
-
 // pageData returns the materialized contents of the page at off: the
 // nearest chain entry holding the page wins, and absence all the way past
 // the root means all-zero (nil return, matching the full capture's
-// gap-means-zero convention). Spilled payloads are read into buf, so the
-// returned slice is only valid until the next call with the same buf.
-func (s *Snapshot) pageData(off uint32, buf []byte) []byte {
+// gap-means-zero convention). The returned slice is the chain's own page:
+// callers must not modify it.
+func (s *Snapshot) pageData(off uint32) []byte {
 	for c := s; c != nil; c = c.parent {
-		p := c.findPage(off)
-		if p == nil {
-			continue
+		if p := c.findPage(off); p != nil {
+			return p.data // nil for a zero marker
 		}
-		if p.zero {
-			return nil
-		}
-		if p.data != nil {
-			return p.data
-		}
-		b := buf[:p.spillN]
-		c.spill.readAt(b, p.spillAt)
-		return b
 	}
 	return nil
 }
@@ -460,8 +421,7 @@ func (m *Memory) DeltaSnapshot() *Snapshot {
 		parent:  m.base,
 		depth:   m.base.depth + 1,
 	}
-	buf := m.base.scratch()
-	m.eachDirtyPage(func(off uint32) { s.patch(off, m.ram[off:pageEnd(off, s.size)], buf) })
+	m.eachDirtyPage(func(off uint32) { s.patch(off, m.ram[off:pageEnd(off, s.size)]) })
 	m.rebase(s)
 	obsSnapshotDelta.Inc()
 	obsSnapshotPagesDelta.Add(float64(len(s.pages)))
@@ -471,8 +431,8 @@ func (m *Memory) DeltaSnapshot() *Snapshot {
 // patch records the page at off in delta s if chunk differs from the
 // parent's materialization: nothing when equal, an explicit zero marker when
 // the page became all-zero, a private copy otherwise.
-func (s *Snapshot) patch(off uint32, chunk, buf []byte) {
-	was := s.parent.pageData(off, buf)
+func (s *Snapshot) patch(off uint32, chunk []byte) {
+	was := s.parent.pageData(off)
 	switch {
 	case was == nil && isZero(chunk), was != nil && bytes.Equal(chunk, was):
 		// Still zero over a zero parent page, or the parent's contents again.
@@ -491,9 +451,8 @@ func (s *Snapshot) patch(off uint32, chunk, buf []byte) {
 // selectively.
 func (s *Snapshot) DeltaOf(src *Memory) *Snapshot {
 	d := &Snapshot{size: s.size, regions: s.regions, parent: s, depth: s.depth + 1}
-	buf := s.scratch()
 	for off := uint32(0); off < s.size; off = pageEnd(off, s.size) {
-		d.patch(off, src.ram[off:pageEnd(off, s.size)], buf)
+		d.patch(off, src.ram[off:pageEnd(off, s.size)])
 	}
 	obsSnapshotDelta.Inc()
 	obsSnapshotPagesDelta.Add(float64(len(d.pages)))
@@ -549,9 +508,9 @@ func (m *Memory) diffPages(target, anc *Snapshot) map[uint32]struct{} {
 
 // pageEquals compares one page of m's RAM against the snapshot's
 // materialized contents.
-func (s *Snapshot) pageEquals(m *Memory, off uint32, buf []byte) bool {
+func (s *Snapshot) pageEquals(m *Memory, off uint32) bool {
 	chunk := m.ram[off:pageEnd(off, s.size)]
-	if want := s.pageData(off, buf); want != nil {
+	if want := s.pageData(off); want != nil {
 		return bytes.Equal(chunk, want)
 	}
 	return isZero(chunk)
@@ -567,11 +526,10 @@ func (s *Snapshot) EqualsMemory(m *Memory) bool {
 	if m.Size() != s.size {
 		return false
 	}
-	buf := s.scratch()
 	if m.base != nil {
 		if anc := commonAncestor(m.base, s); anc != nil {
 			for off := range m.diffPages(s, anc) {
-				if !s.pageEquals(m, off, buf) {
+				if !s.pageEquals(m, off) {
 					return false
 				}
 			}
@@ -579,7 +537,7 @@ func (s *Snapshot) EqualsMemory(m *Memory) bool {
 		}
 	}
 	for off := uint32(0); off < s.size; off = pageEnd(off, s.size) {
-		if !s.pageEquals(m, off, buf) {
+		if !s.pageEquals(m, off) {
 			return false
 		}
 	}
@@ -595,10 +553,9 @@ func (s *Snapshot) EqualsMemory(m *Memory) bool {
 func (m *Memory) Restore(s *Snapshot) (touched []uint32, selective bool) {
 	if m.Size() == s.size && m.base != nil {
 		if anc := commonAncestor(m.base, s); anc != nil {
-			buf := s.scratch()
 			for off := range m.diffPages(s, anc) {
 				chunk := m.ram[off:pageEnd(off, s.size)]
-				if want := s.pageData(off, buf); want != nil {
+				if want := s.pageData(off); want != nil {
 					copy(chunk, want)
 				} else {
 					clear(chunk)
@@ -641,13 +598,10 @@ func (s *Snapshot) materializeInto(ram []byte) {
 		c := chain[i]
 		for _, p := range c.pages {
 			dst := ram[p.off:pageEnd(p.off, s.size)]
-			switch {
-			case p.zero:
+			if p.zero {
 				clear(dst)
-			case p.data != nil:
+			} else {
 				copy(dst, p.data)
-			default:
-				c.spill.readAt(dst[:p.spillN], p.spillAt)
 			}
 		}
 	}

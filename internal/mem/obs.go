@@ -1,6 +1,6 @@
 // Telemetry instruments for the memory layer, registered on the process-
-// wide obs.Default registry. Updates happen only at snapshot, restore and
-// spill operation boundaries — markPage and the load/store paths are never
+// wide obs.Default registry. Updates happen only at snapshot and restore
+// operation boundaries — markPage and the load/store paths are never
 // instrumented, per the obs package's off-hot-path rule.
 package mem
 
@@ -19,6 +19,4 @@ var (
 	obsRestoreFull        = obsRestores.With("full")
 
 	obsRestorePages = obs.Default.Counter("serfi_mem_restore_pages_total", "Pages rewritten by selective restores.")
-	obsSpillWritten = obs.Default.Counter("serfi_mem_spill_write_bytes_total", "Snapshot page payload bytes moved to the spill file.")
-	obsSpillRead    = obs.Default.Counter("serfi_mem_spill_read_bytes_total", "Spilled page payload bytes reloaded via pread.")
 )

@@ -66,7 +66,7 @@ type Registry struct {
 
 // Default is the process-wide registry. Package-level instruments in the
 // simulator layers (fi restore latency, mach retirement counters, mem
-// snapshot/spill counters, dist wire counters) register here, so any
+// snapshot counters, dist wire counters) register here, so any
 // /metrics handler over Default sees the whole process.
 var Default = NewRegistry()
 

@@ -1,6 +1,7 @@
 package prop_test
 
 import (
+	"context"
 	"testing"
 
 	"serfi/internal/fault"
@@ -27,7 +28,7 @@ func scenario(t *testing.T) (*prop.Tracer, *fi.CheckpointSet, fault.Domain, *fi.
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := fi.BuildCheckpoints(img, cfg, g, 4)
+	cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, fi.CheckpointOptions{N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestTracerCacheDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := fi.BuildCheckpoints(img, cfg, g, 4)
+	cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, fi.CheckpointOptions{N: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
