@@ -153,8 +153,12 @@ func savingsLine(r *campaign.Result) string {
 	if !ok {
 		return "snapshots: off (every fault ran from reset)"
 	}
-	return fmt.Sprintf("snapshots: simulated %.3gM of %.3gM from-reset instructions (%.1fx saved), pruned %d/%d runs (%.1f%%)",
-		float64(r.SimulatedInstr)/1e6, float64(r.FromResetInstr)/1e6, save,
+	saved := fmt.Sprintf("%.1fx saved", save)
+	if r.SimulatedInstr == 0 {
+		saved = "all saved" // every fault was decided without simulation
+	}
+	return fmt.Sprintf("snapshots: simulated %.3gM of %.3gM from-reset instructions (%s), pruned %d/%d runs (%.1f%%)",
+		float64(r.SimulatedInstr)/1e6, float64(r.FromResetInstr)/1e6, saved,
 		r.PrunedRuns, r.Faults, 100*prune)
 }
 

@@ -327,16 +327,33 @@ func (h *Hierarchy) State() *HierState {
 }
 
 // Equals reports whether a hierarchy's current state — line tags, LRU
-// clocks, statistics, directory and coherence counters — is bit-identical to
-// the captured state. Used by the fault injector's convergence pruning:
-// cache state shapes timing, so "the machine has rejoined the golden path"
-// must include it.
-func (s *HierState) Equals(h *Hierarchy) bool {
+// clocks, statistics, directory and coherence counters — is
+// indistinguishable from the captured state. Used by the fault injector's
+// convergence pruning: cache state shapes timing, so "the machine has
+// rejoined the golden path" must include it. The tag, dirty bit and LRU clock
+// of a line that is invalid on both sides are dead and compare equal: Access'
+// hit scan and Invalidate gate on valid, victim choice takes an invalid way
+// without reading its clock, and a fill overwrites the whole slot.
+func (s *HierState) Equals(h *Hierarchy) bool { return s.equals(h, false) }
+
+// EqualsExact is Equals with dead fields compared too: every stored bit must
+// match. The injector's full-copy reference sets converge by it.
+func (s *HierState) EqualsExact(h *Hierarchy) bool { return s.equals(h, true) }
+
+func (s *HierState) equals(h *Hierarchy, exact bool) bool {
 	if len(s.l1i) != len(h.l1i) || len(s.l1d) != len(h.l1d) {
 		return false
 	}
 	eq := func(c *Cache, st cacheState) bool {
-		return c.tick == st.tick && c.Stats == st.stats && slices.Equal(c.lines, st.lines)
+		if c.tick != st.tick || c.Stats != st.stats || len(c.lines) != len(st.lines) {
+			return false
+		}
+		for i, l := range c.lines {
+			if o := st.lines[i]; l != o && (exact || l.valid || o.valid) {
+				return false
+			}
+		}
+		return true
 	}
 	for i := range h.l1i {
 		if !eq(h.l1i[i], s.l1i[i]) || !eq(h.l1d[i], s.l1d[i]) {

@@ -191,3 +191,140 @@ func TestFlipStateRoundTrip(t *testing.T) {
 			tag2, valid2, dirty2, lru2, tag, valid, dirty, lru)
 	}
 }
+
+// deadLineHiers returns two small hierarchies warmed by the same access
+// stream, the second with the tag, dirty bit and LRU clock of every invalid
+// line scribbled over: the state a tag/status/lru strike on an invalid line
+// leaves next to its golden twin.
+func deadLineHiers(t *testing.T, r *rand.Rand) (a, b *Hierarchy, cfg HierConfig) {
+	cfg = DefaultConfig()
+	cfg.L1I = Config{Name: "l1i", SizeBytes: 1 << 10, LineBytes: 64, Ways: 2}
+	cfg.L1D = Config{Name: "l1d", SizeBytes: 1 << 10, LineBytes: 64, Ways: 2}
+	cfg.L2 = Config{Name: "l2", SizeBytes: 4 << 10, LineBytes: 64, Ways: 4}
+	const cores, ram = 2, 1 << 16
+	a, b = NewHierarchy(cfg, cores, ram), NewHierarchy(cfg, cores, ram)
+	for i := 0; i < 40; i++ {
+		core, addr, write := r.Intn(cores), uint32(r.Intn(ram)), r.Intn(3) == 0
+		a.Data(core, addr, write)
+		b.Data(core, addr, write)
+		a.Fetch(core, addr)
+		b.Fetch(core, addr)
+	}
+	scribbled := 0
+	for l := Level(0); l < NumLevels; l++ {
+		lc := cfg.LevelConfig(l)
+		for core := 0; core < cores; core++ {
+			for set := uint32(0); set < lc.Sets(); set++ {
+				for way := uint32(0); way < lc.Ways; way++ {
+					if _, valid, _, _ := b.LineState(l, core, set, way); valid || (l == L2 && core > 0) {
+						continue
+					}
+					b.FlipTag(l, core, set, way, r.Intn(lc.TagBits()))
+					b.FlipRepl(l, core, set, way, r.Intn(64))
+					if r.Intn(2) == 0 {
+						b.FlipDirty(l, core, set, way, 0)
+					}
+					scribbled++
+				}
+			}
+		}
+	}
+	if scribbled == 0 {
+		t.Fatal("warm-up left no invalid line to scribble on")
+	}
+	return a, b, cfg
+}
+
+// TestDeadLineFieldsAreUnobservable is the proof obligation of
+// HierState.Equals' dead-line rule, as a property: two hierarchies that
+// differ only in the tag, dirty bit and LRU clock of lines invalid on both
+// sides are driven through the same random Data/Fetch/FlipDirty stream and
+// must return identical latencies, keep identical statistics and stay Equal
+// at every step. The stream never flips an invalid line valid: resurrecting a
+// line is the one operation that reads dead fields, and in an injection run
+// it can only be the fault itself, applied before any compare.
+func TestDeadLineFieldsAreUnobservable(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	a, b, cfg := deadLineHiers(t, r)
+	if a.State().EqualsExact(b) {
+		t.Fatal("scribbling changed no stored bit")
+	}
+	if !a.State().Equals(b) || !b.State().Equals(a) {
+		t.Fatal("hierarchies differing only in dead fields must be Equal")
+	}
+	for i := 0; i < 20000; i++ {
+		core, addr := r.Intn(a.Cores()), uint32(r.Intn(1<<16))
+		switch op := r.Intn(10); {
+		case op < 5:
+			write := r.Intn(3) == 0
+			if la, lb := a.Data(core, addr, write), b.Data(core, addr, write); la != lb {
+				t.Fatalf("step %d: Data(%d, %#x, %v) latency %d != %d", i, core, addr, write, la, lb)
+			}
+		case op < 9:
+			if la, lb := a.Fetch(core, addr), b.Fetch(core, addr); la != lb {
+				t.Fatalf("step %d: Fetch(%d, %#x) latency %d != %d", i, core, addr, la, lb)
+			}
+		default:
+			// Drop a valid line (its fields die on both sides alike) or
+			// toggle the dirty bit of any line, dead or live.
+			l := Level(r.Intn(int(NumLevels)))
+			lc := cfg.LevelConfig(l)
+			set, way, bit := uint32(r.Intn(int(lc.Sets()))), uint32(r.Intn(int(lc.Ways))), 0
+			if _, valid, _, _ := a.LineState(l, core, set, way); valid {
+				bit = r.Intn(2)
+			}
+			a.FlipDirty(l, core, set, way, bit)
+			b.FlipDirty(l, core, set, way, bit)
+		}
+		for l := Level(0); l < NumLevels; l++ {
+			if sa, sb := a.LevelStats(l), b.LevelStats(l); sa != sb {
+				t.Fatalf("step %d: %v stats %+v != %+v", i, l, sa, sb)
+			}
+		}
+		if a.Invalidations != b.Invalidations || !a.State().Equals(b) {
+			t.Fatalf("step %d: hierarchies no longer Equal", i)
+		}
+	}
+}
+
+// TestEqualsSeesLiveState pins the other side of the rule: a differing valid
+// line (tag, dirty bit or LRU clock), a differing valid bit in either
+// direction and a differing directory byte are all unequal.
+func TestEqualsSeesLiveState(t *testing.T) {
+	r := rand.New(rand.NewSource(17))
+	a, b, cfg := deadLineHiers(t, r)
+	golden, scribbled := a.State(), b.State()
+	find := func(wantValid bool) (l Level, set, way uint32) {
+		for l = 0; l < NumLevels; l++ {
+			lc := cfg.LevelConfig(l)
+			for set = 0; set < lc.Sets(); set++ {
+				for way = 0; way < lc.Ways; way++ {
+					if _, valid, _, _ := b.LineState(l, 0, set, way); valid == wantValid {
+						return l, set, way
+					}
+				}
+			}
+		}
+		t.Fatalf("no line with valid=%v", wantValid)
+		return
+	}
+	ll, ls, lw := find(true)
+	dl, ds, dw := find(false)
+	for name, perturb := range map[string]func(){
+		"live tag":      func() { b.FlipTag(ll, 0, ls, lw, 3) },
+		"live dirty":    func() { b.FlipDirty(ll, 0, ls, lw, 0) },
+		"live lru":      func() { b.FlipRepl(ll, 0, ls, lw, 5) },
+		"line dropped":  func() { b.FlipDirty(ll, 0, ls, lw, 1) },
+		"line revived":  func() { b.FlipDirty(dl, 0, ds, dw, 1) },
+		"directory bit": func() { b.dir[len(b.dir)/2] ^= 2 },
+	} {
+		b.SetState(scribbled)
+		if !golden.Equals(b) {
+			t.Fatalf("%s: not Equal before the perturbation", name)
+		}
+		perturb()
+		if golden.Equals(b) || b.State().Equals(a) {
+			t.Errorf("%s: still Equal", name)
+		}
+	}
+}

@@ -85,7 +85,8 @@ type Result struct {
 	JobSpans []JobSpan
 	// Snapshot-engine observability: instructions actually simulated by the
 	// injection runs versus their from-reset cost, and how many runs were
-	// scored by convergence pruning (zero-valued when snapshots are off).
+	// scored by convergence pruning or decided as dead faults (zero-valued
+	// when snapshots are off).
 	SimulatedInstr uint64
 	FromResetInstr uint64
 	PrunedRuns     int
@@ -212,20 +213,17 @@ func MergeJobSpans(spans []JobSpan) float64 {
 }
 
 // SnapshotSavings returns the snapshot engine's amortization factor
-// (from-reset instructions per simulated instruction) and the
-// convergence-prune rate; ok is false when the campaign ran without
-// snapshot acceleration (or was reloaded from a database, which stores no
-// engine telemetry).
+// (from-reset instructions per simulated instruction) and the prune rate;
+// ok is false when the campaign ran without snapshot acceleration (or was
+// reloaded from a database, which stores no engine telemetry). A campaign
+// decided entirely without simulation (SimulatedInstr == 0: every fault
+// dead) is accelerated; its factor is per one instruction.
 func (r *Result) SnapshotSavings() (save, pruneRate float64, ok bool) {
-	if r.SimulatedInstr == 0 || r.FromResetInstr == 0 {
+	if r.FromResetInstr == 0 {
 		return 0, 0, false
 	}
-	runs := r.Faults
-	if runs < 1 {
-		runs = 1
-	}
-	return float64(r.FromResetInstr) / float64(r.SimulatedInstr),
-		float64(r.PrunedRuns) / float64(runs), true
+	return float64(r.FromResetInstr) / float64(max(r.SimulatedInstr, 1)),
+		float64(r.PrunedRuns) / float64(max(r.Faults, 1)), true
 }
 
 // GoldenSummary carries the reference-run headline numbers.

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"serfi/internal/campaign"
+	"serfi/internal/fault"
 	"serfi/internal/fi"
 	"serfi/internal/npb"
 )
@@ -299,6 +301,30 @@ func TestCollectorFoldsEvents(t *testing.T) {
 	}
 }
 
+// TestSnapshotSavingsOfDecidedCampaign: a campaign whose every fault was
+// decided without simulation (a mem campaign over dead pages) has from-reset
+// instructions, pruned runs and zero simulated instructions. That is the
+// most accelerated a campaign can be, not "snapshots off" — which
+// SnapshotSavings used to report for it, keyed on SimulatedInstr == 0.
+func TestSnapshotSavingsOfDecidedCampaign(t *testing.T) {
+	r := &campaign.Result{Scenario: npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1},
+		Domain: fault.Mem, Faults: 6, FromResetInstr: 6 * 2_366_646, PrunedRuns: 6}
+	r.Counts[fi.ONA] = 6
+	save, prune, ok := r.SnapshotSavings()
+	if !ok || prune != 1 || save != float64(r.FromResetInstr) {
+		t.Errorf("SnapshotSavings = (%v, %v, %v), want (from-reset instructions per one, 1, true)", save, prune, ok)
+	}
+	if _, _, ok := (&campaign.Result{Faults: 6, SimulatedInstr: 9}).SnapshotSavings(); ok {
+		t.Error("a result without from-reset telemetry (snapshots off, reloaded row) reads as accelerated")
+	}
+	var buf bytes.Buffer
+	col := campaign.NewCollector(&buf, 1)
+	col.Handle(campaign.ScenarioDone{Key: r.Key(), Result: r})
+	if out := buf.String(); !strings.Contains(out, "save=all prune=100%") {
+		t.Errorf("progress line of a decided campaign: %q", out)
+	}
+}
+
 // TestMergeJobSpans pins the interval merge behind ExclusiveCompute:
 // overlapping fault ranges (a re-issued shard, a job re-run across a
 // cancel/resume) count once, zero-length spans count nothing, and partial
@@ -428,7 +454,7 @@ func TestCheckpointTelemetryReported(t *testing.T) {
 		t.Error("run reports no checkpoint payload")
 	}
 	tag := golden.CheckpointTag()
-	for _, want := range []string{"ckpt=8", "mem="} {
+	for _, want := range []string{"ckpt=16", "mem="} {
 		if !bytes.Contains([]byte(tag), []byte(want)) {
 			t.Errorf("CheckpointTag %q missing %q", tag, want)
 		}
@@ -442,7 +468,7 @@ func TestCheckpointTelemetryReported(t *testing.T) {
 	col := campaign.NewCollector(&buf, 1)
 	col.Handle(*golden)
 	line := buf.String()
-	for _, want := range []string{"armv8/IS/SER-1", "golden", "ckpt=8", "mem="} {
+	for _, want := range []string{"armv8/IS/SER-1", "golden", "ckpt=16", "mem="} {
 		if !bytes.Contains([]byte(line), []byte(want)) {
 			t.Errorf("collector golden line missing %q: %q", want, line)
 		}

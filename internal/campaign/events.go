@@ -44,7 +44,7 @@ type GoldenDone struct {
 }
 
 // CheckpointTag compresses the capture stats into a progress-line column
-// ("ckpt=8 mem=1.2MiB", or "ckpt=off" when snapshots are disabled). Both CLIs print it, so the
+// ("ckpt=16 mem=1.2MiB", or "ckpt=off" when snapshots are disabled). Both CLIs print it, so the
 // per-scenario checkpoint counts the telemetry tests pin appear on every
 // surface the same way.
 func (e GoldenDone) CheckpointTag() string {
@@ -346,12 +346,15 @@ func (c *Collector) Results() []*Result {
 }
 
 // savingsTag compresses a campaign's snapshot-engine telemetry into the
-// progress-line column ("save=2.3x prune=12%", or "save=off" when the
-// campaign ran from reset).
+// progress-line column ("save=2.3x prune=12%", "save=off" when the campaign
+// ran from reset, "save=all" when no fault needed simulating).
 func savingsTag(r *Result) string {
 	save, prune, ok := r.SnapshotSavings()
 	if !ok {
 		return "save=off"
+	}
+	if r.SimulatedInstr == 0 {
+		return fmt.Sprintf("save=all prune=%.0f%%", 100*prune)
 	}
 	return fmt.Sprintf("save=%.1fx prune=%.0f%%", save, 100*prune)
 }

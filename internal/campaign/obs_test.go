@@ -111,6 +111,7 @@ func TestMetricsExposition(t *testing.T) {
 		"# TYPE serfi_campaign_jobs_done_total counter",
 		"# TYPE serfi_campaign_checkpoint_resident_bytes gauge",
 		"# TYPE serfi_fi_injections_total counter",
+		"# TYPE serfi_fi_dead_fault_runs_total counter",
 		"# TYPE serfi_fi_restore_seconds histogram",
 		"# TYPE serfi_fi_converge_compare_seconds histogram",
 		"# TYPE serfi_fi_classify_seconds histogram",

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"serfi/internal/campaign"
+	"serfi/internal/fault"
 )
 
 // TestOutOfOrderShardsFoldSorted completes one campaign's shards last to
@@ -81,7 +82,9 @@ func TestOutOfOrderShardsFoldSorted(t *testing.T) {
 // the simulated/from-reset/pruned counters are equal; with snapshots off
 // both paths report zeros and SnapshotSavings says "not accelerated" — a
 // worker used to ship its from-reset counters regardless, which the
-// coordinator summed into a bogus ~1.0x saving.
+// coordinator summed into a bogus ~1.0x saving. The mem campaign of the
+// pair is decided entirely from the page-touch record: no simulated
+// instruction on either path, every run pruned, and still "accelerated".
 func TestClusterTelemetryMatchesEngine(t *testing.T) {
 	jobs := compatJobs()[:2]
 	for _, tc := range []struct {
@@ -110,6 +113,9 @@ func TestClusterTelemetryMatchesEngine(t *testing.T) {
 				_, _, cok := c.SnapshotSavings()
 				if eok != tc.wantOK || cok != tc.wantOK {
 					t.Errorf("%s: SnapshotSavings ok engine=%v cluster=%v, want %v", e.Key(), eok, cok, tc.wantOK)
+				}
+				if decided := e.SimulatedInstr == 0 && e.PrunedRuns == e.Faults; tc.wantOK && decided != (e.Domain == fault.Mem) {
+					t.Errorf("%s: simulated %d instructions, pruned %d of %d runs", e.Key(), e.SimulatedInstr, e.PrunedRuns, e.Faults)
 				}
 			}
 		})

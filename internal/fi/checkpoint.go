@@ -25,10 +25,13 @@ import (
 
 // DefaultCheckpoints is the per-scenario snapshot count campaigns use when
 // the caller does not choose one. More checkpoints shorten the average
-// restored suffix; since each checkpoint is a delta holding only the pages
-// dirtied since its predecessor, the memory cost grows with pages written,
-// not with RAM images retained.
-const DefaultCheckpoints = 8
+// restored suffix and the interval a pruned run simulates before it is seen
+// to have converged; since each checkpoint is a delta holding only the pages
+// dirtied since its predecessor, the memory cost grows with pages written
+// (plus ~0.6 MB of cache and directory state per checkpoint), not with RAM
+// images retained. 16 is measured, not guessed: ROADMAP "Simulate less per
+// injection" (b) has the numbers at 8, 16 and 32.
+const DefaultCheckpoints = 16
 
 // CheckpointSet holds the pre-fault snapshots of one scenario, plus the
 // image and configuration needed to stamp out machines. It is safe for
@@ -57,8 +60,8 @@ type CheckpointSet struct {
 	// The ratio is the engine's amortization win (reported by benchmarks).
 	simulated atomic.Uint64
 	fromReset atomic.Uint64
-	// pruned/total count convergence-pruned versus all injection runs (the
-	// per-scenario prune rate of campaign summaries).
+	// pruned/total count convergence-pruned and dead-fault runs versus all
+	// injection runs (the per-scenario prune rate of campaign summaries).
 	pruned atomic.Uint64
 	total  atomic.Uint64
 }
@@ -198,10 +201,13 @@ func (cs *CheckpointSet) RestoreNearest(m *mach.Machine, injectAt uint64) bool {
 // Vanished with the golden run's terminal numbers without simulating the
 // remaining suffix. Most masked register faults (a flipped bit that is
 // overwritten before being read) converge at the first boundary after
-// injection, which is where the bulk of the engine's simulated-instruction
-// savings comes from. Faults whose flip persists in RAM (an instruction
-// word, a data word the program never rewrites) can never converge and run
-// to completion.
+// injection, and so does a cache strike on an invalid line, whose fields no
+// lookup reads (cache.HierState.Equals). A flip that persists in RAM can
+// never converge: an instruction word runs to completion, and so does a data
+// word the guest still accesses; a data word on a page the golden run never
+// touches again is not simulated at all (deadWord). FullCopy sets take
+// neither shortcut: they compare cache state bit for bit and simulate every
+// fault, as the references the delta-chain path is tested against.
 func (cs *CheckpointSet) InjectPoint(d fault.Domain, g *Golden, p Fault) Result {
 	res, _ := cs.InjectPointContext(context.Background(), d, g, p)
 	return res
@@ -213,8 +219,20 @@ func (cs *CheckpointSet) InjectPoint(d fault.Domain, g *Golden, p Fault) Result 
 // telemetry counters untouched (an aborted run never counts); a completed
 // run is bit-identical to InjectPoint.
 func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain, g *Golden, p Fault) (Result, error) {
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
 	var m *mach.Machine
 	injectAt := g.AppStart + p.Index
+	if cs.pool != nil && d.Model() == fault.Mem && cs.deadWord(g, injectAt, p) {
+		// Until its first access the faulty run is the golden run, and the
+		// golden run has none: it ends as the golden run did, with the
+		// flipped word still in RAM. No machine is built.
+		res := goldenResult(g, p, ONA)
+		cs.count(res, 0, true)
+		obsDeadFaultRuns.Inc()
+		return res, nil
+	}
 	if s := cs.nearest(injectAt); s != nil {
 		if cs.pool != nil {
 			// A recycled machine still carries its last restore as the
@@ -243,6 +261,10 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 	res, pruned := Result{}, false
 	stop := mach.StopInstrBudget
 	var compare time.Duration // convergence compares of this run, summed
+	equals := (*mach.Snapshot).StateEquals
+	if cs.pool == nil {
+		equals = (*mach.Snapshot).StateEqualsExact // FullCopy: the bit-for-bit reference
+	}
 	// Run in stages, pausing at each checkpoint boundary past the fault.
 	next := sort.Search(len(cs.snaps), func(i int) bool {
 		return cs.snaps[i].Retired() > injectAt
@@ -256,19 +278,11 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 			break // halted, hung or deadlocked before the boundary
 		}
 		t0 := time.Now()
-		converged := cs.snaps[next].StateEquals(m)
+		converged := equals(cs.snaps[next], m)
 		compare += time.Since(t0)
 		if converged {
 			// Converged: the rest of the run is the golden run.
-			res = Result{
-				Fault:    p,
-				Outcome:  Vanished,
-				Retired:  g.Retired,
-				Cycles:   g.Cycles,
-				ExitCode: g.ExitCode,
-				Signal:   g.Signal,
-			}
-			pruned = true
+			res, pruned = goldenResult(g, p, Vanished), true
 			break
 		}
 	}
@@ -285,19 +299,52 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 		}
 		res = finishFault(m, g, final, p, stop)
 	}
-	cs.simulated.Add(m.TotalRetired - start)
-	cs.fromReset.Add(res.Retired)
-	cs.total.Add(1)
+	cs.count(res, m.TotalRetired-start, pruned)
 	if pruned {
-		cs.pruned.Add(1)
 		obsPruned.Inc()
 	}
 	if compare > 0 {
 		obsConvergeSeconds.Observe(compare.Seconds())
 	}
-	obsInstrsPerInject.Observe(float64(m.TotalRetired - start))
-	obsInjections.Inc()
 	return res, nil
+}
+
+// goldenResult is the record of a run proven to end as the golden run did.
+func goldenResult(g *Golden, p Fault, o Outcome) Result {
+	return Result{Fault: p, Outcome: o, Retired: g.Retired, Cycles: g.Cycles, ExitCode: g.ExitCode, Signal: g.Signal}
+}
+
+// count books one completed run that simulated n instructions; pruned runs
+// are those scored without reaching the end (converged, or a dead fault).
+func (cs *CheckpointSet) count(res Result, n uint64, pruned bool) {
+	cs.simulated.Add(n)
+	cs.fromReset.Add(res.Retired)
+	cs.total.Add(1)
+	if pruned {
+		cs.pruned.Add(1)
+	}
+	obsInstrsPerInject.Observe(float64(n))
+	obsInjections.Inc()
+}
+
+// deadWord reports whether a mem strike that fires after instruction
+// injectAt can never be consumed: the flip fires and changes the word, the
+// word lies outside every executable region (fetches are not recorded, so
+// such pages are never dead), and the golden run's last load or store in its
+// page(s) retired no later than injectAt. MemDomain.Apply writes RAM only,
+// never the cache model, so nothing else can observe the flip.
+func (cs *CheckpointSet) deadWord(g *Golden, injectAt uint64, p Fault) bool {
+	first, last := uint64(p.Addr)/mem.PageBytes, (uint64(p.Addr)+3)/mem.PageBytes
+	if injectAt > g.Retired || uint32(p.Mask()) == 0 || last >= uint64(len(g.PageTouch)) ||
+		g.PageTouch[first] > injectAt || g.PageTouch[last] > injectAt {
+		return false
+	}
+	for _, r := range cs.img.Regions {
+		if r.Perm&mem.PermX != 0 && p.Addr < r.End && r.Start <= p.Addr+3 { // Addr+3 is in RAM: no wrap
+			return false
+		}
+	}
+	return true
 }
 
 // InjectRangeContext runs the contiguous fault sublist faults[lo:hi]
@@ -332,7 +379,7 @@ func (cs *CheckpointSet) SimulatedInstructions() (executed, fromReset uint64) {
 }
 
 // PruneStats returns (pruned, total): injection runs scored by convergence
-// pruning versus all runs injected through this set.
+// pruning or decided as dead faults versus all runs injected through this set.
 func (cs *CheckpointSet) PruneStats() (pruned, total uint64) {
 	return cs.pruned.Load(), cs.total.Load()
 }

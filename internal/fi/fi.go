@@ -50,6 +50,11 @@ type Golden struct {
 	// it). Runs that end with the golden console are scored Vanished or ONA
 	// by exact byte equality against it, never by a digest.
 	Final *mem.Snapshot
+	// PageTouch is the golden machine's page-touch record (mach.Machine.
+	// PageTouch): per mem.PageBytes page, the number of the last instruction
+	// that loaded or stored in it, 0 for never. CheckpointSet.InjectPoint
+	// decides mem strikes on pages with no later access from it.
+	PageTouch []uint64
 }
 
 // ctxCheckInterval is how many committed instructions a context-aware run
@@ -95,6 +100,7 @@ func RunGolden(img *cc.Image, cfg mach.Config, budget uint64) (*Golden, error) {
 func RunGoldenContext(ctx context.Context, img *cc.Image, cfg mach.Config, budget uint64) (*Golden, error) {
 	m := mach.New(cfg)
 	img.InstallTo(m)
+	m.PageTouch = make([]uint64, (uint64(m.Mem.Size())+mem.PageBytes-1)/mem.PageBytes)
 	if budget == 0 {
 		budget = 30_000_000_000
 	}
@@ -113,17 +119,18 @@ func RunGoldenContext(ctx context.Context, img *cc.Image, cfg mach.Config, budge
 		return nil, fmt.Errorf("fi: app lifespan beacons missing")
 	}
 	g := &Golden{
-		AppStart: m.AppStartRetired,
-		AppEnd:   m.AppEndRetired,
-		Retired:  m.TotalRetired,
-		Cycles:   m.MaxCycles(),
-		Console:  m.ConsoleString(),
-		RegHash:  m.RegFileHash(),
-		ExitCode: m.AppExitCode,
-		Signal:   m.AppSignal,
-		Stats:    m.TotalStats(),
-		Machine:  m,
-		Final:    m.Mem.Snapshot(),
+		AppStart:  m.AppStartRetired,
+		AppEnd:    m.AppEndRetired,
+		Retired:   m.TotalRetired,
+		Cycles:    m.MaxCycles(),
+		Console:   m.ConsoleString(),
+		RegHash:   m.RegFileHash(),
+		ExitCode:  m.AppExitCode,
+		Signal:    m.AppSignal,
+		Stats:     m.TotalStats(),
+		Machine:   m,
+		Final:     m.Mem.Snapshot(),
+		PageTouch: m.PageTouch,
 	}
 	for i := range m.Cores {
 		g.PerCore = append(g.PerCore, m.Cores[i].Stats)

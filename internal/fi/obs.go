@@ -23,5 +23,6 @@ var (
 
 	obsInjections    = obs.Default.Counter("serfi_fi_injections_total", "Completed injection runs.")
 	obsPruned        = obs.Default.Counter("serfi_fi_pruned_total", "Injection runs scored by convergence pruning at a checkpoint boundary.")
+	obsDeadFaultRuns = obs.Default.Counter("serfi_fi_dead_fault_runs_total", "Injection runs decided without a machine: mem strikes on a page the golden run never accesses again.")
 	obsFromResetRuns = obs.Default.Counter("serfi_fi_from_reset_runs_total", "Injection runs with no usable pre-fault checkpoint (booted from reset).")
 )

@@ -122,6 +122,20 @@ func (m *Machine) retire(c *Core) {
 	}
 }
 
+// touch stamps the pages of a data access into PageTouch, when the machine
+// keeps one. The instruction committing the access retires as number
+// TotalRetired+1 and the injection hook of index n fires after instruction n
+// retired, so a page whose stamp is <= n is not accessed again once fault n
+// has struck.
+func (m *Machine) touch(addr, size uint32) {
+	if m.PageTouch == nil {
+		return
+	}
+	for p := addr / mem.PageBytes; p <= (addr+size-1)/mem.PageBytes; p++ {
+		m.PageTouch[p] = m.TotalRetired + 1
+	}
+}
+
 // branchStat books a branch outcome against the static
 // backward-taken/forward-not-taken predictor; indirect branches always
 // mispredict.
@@ -158,6 +172,7 @@ func (m *Machine) load(c *Core, addr uint64, size uint32) (v uint64, ok bool) {
 	}
 	c.Cycles += uint64(m.Hier.Data(c.ID, a, false))
 	c.Stats.Loads++
+	m.touch(a, size)
 	switch size {
 	case 1:
 		return uint64(m.Mem.ReadU8(a)), true
@@ -189,6 +204,7 @@ func (m *Machine) store(c *Core, addr uint64, size uint32, v uint64) bool {
 	}
 	c.Cycles += uint64(m.Hier.Data(c.ID, a, true))
 	c.Stats.Stores++
+	m.touch(a, size)
 	switch size {
 	case 1:
 		m.Mem.WriteU8(a, uint8(v))
@@ -713,6 +729,7 @@ func (m *Machine) ctxAddr(c *Core) (uint32, bool) {
 		m.exception(c, isa.ExcDataAbort, c.PC, addr)
 		return 0, false
 	}
+	m.touch(a, size)
 	return a, true
 }
 

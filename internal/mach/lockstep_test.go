@@ -1,21 +1,26 @@
 package mach
 
 import (
+	"slices"
 	"testing"
 
 	"serfi/internal/isa"
 	"serfi/internal/isa/armv7"
 	"serfi/internal/isa/armv8"
+	"serfi/internal/mem"
 )
 
 // runLockstep drives two identically configured machines — the block-cached
 // fast path and the reference interpreter — in chunks of `stride` retired
 // instructions, asserting complete machine-state equality (registers, RAM,
 // caches, timers, console, counters) at every boundary. stride 1 checks
-// every single retirement boundary.
+// every single retirement boundary. Both machines also keep a page-touch
+// table, which is no part of a Snapshot and is compared beside it.
 func runLockstep(t *testing.T, mk func(slow bool) *Machine, stride, maxInstr uint64) {
 	t.Helper()
 	fast, slow := mk(false), mk(true)
+	fast.PageTouch = make([]uint64, fast.Mem.Size()/mem.PageBytes)
+	slow.PageTouch = make([]uint64, slow.Mem.Size()/mem.PageBytes)
 	for i := uint64(0); ; i++ {
 		target := fast.TotalRetired + stride
 		if maxInstr != 0 && target > maxInstr {
@@ -40,6 +45,10 @@ func runLockstep(t *testing.T, mk func(slow bool) *Machine, stride, maxInstr uin
 				}
 			}
 			t.Fatalf("boundary %d (retired %d, stop %v): machine state diverged", i, fast.TotalRetired, rf)
+		}
+		if !slices.Equal(fast.PageTouch, slow.PageTouch) {
+			t.Fatalf("boundary %d (retired %d): page-touch tables diverged\nfast: %v\nslow: %v",
+				i, fast.TotalRetired, fast.PageTouch, slow.PageTouch)
 		}
 		if rf != StopInstrBudget || (maxInstr != 0 && fast.TotalRetired >= maxInstr) {
 			return

@@ -192,6 +192,13 @@ type Machine struct {
 	Samples    map[uint32]uint64
 	sampleLeft uint64
 
+	// PageTouch, when non-nil, records per mem.PageBytes page the 1-based
+	// number of the last instruction whose data access (load, store, SAVECTX,
+	// RESTCTX) touched it; fetches are not recorded. Only fi's golden run
+	// allocates it. It is not part of Snapshot/Restore/StateEquals: a golden
+	// machine is never restored, and no other machine carries a table.
+	PageTouch []uint64
+
 	wmask    uint64 // word mask (0xffffffff on v7)
 	wbits    uint32
 	wbytes   uint32

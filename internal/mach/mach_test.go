@@ -565,3 +565,48 @@ func TestStoreToTextInvalidatesDecode(t *testing.T) {
 		t.Error("self-modified code did not take effect (stale decode cache)")
 	}
 }
+
+// TestPageTouchStampsCommitNumber pins the page-touch record's contract with
+// the injection hook: a data access of the instruction that retires as number
+// n stamps its page(s) with n, the hook of index n fires after that access,
+// and fetches stamp nothing — so "stamp <= n" means "not accessed again once
+// fault n has struck". Table-less machines (every machine but fi's golden
+// one) are covered by every other test in this package.
+func TestPageTouchStampsCommitNumber(t *testing.T) {
+	const lo, hi = dataBase / mem.PageBytes, dataBase/mem.PageBytes + 1 // two data pages
+	prog := []isa.Instr{
+		al(isa.Instr{Op: isa.OpMOVZ, Rd: 1, Imm: lo * mem.PageBytes}),
+		al(isa.Instr{Op: isa.OpMOVZ, Rd: 3, Imm: hi * mem.PageBytes}),
+		al(isa.Instr{Op: isa.OpSTR, Rd: 0, Rn: 1, Imm: 0}), // 3: store, low page
+		al(isa.Instr{Op: isa.OpNOP}),
+		al(isa.Instr{Op: isa.OpLDR, Rd: 4, Rn: 3, Imm: 0}), // 5: load, high page
+		al(isa.Instr{Op: isa.OpSTR, Rd: 0, Rn: 1, Imm: 8}), // 6: store, low page
+		al(isa.Instr{Op: isa.OpSUBI, Rd: 5, Rn: 3, Imm: 4}),
+		al(isa.Instr{Op: isa.OpSTR, Rd: 0, Rn: 5, Imm: 0}), // 8: 8-byte store across the boundary
+		al(isa.Instr{Op: isa.OpHALT}),
+	}
+	for _, slow := range []bool{false, true} {
+		cfg := testConfig(armv8.New(), 1)
+		cfg.SlowPath = slow
+		m := newTestMachine(t, cfg, prog, nil)
+		m.PageTouch = make([]uint64, m.Mem.Size()/mem.PageBytes)
+		var atHook []uint64
+		m.InjectAt = 5
+		m.Inject = func(m *Machine) { atHook = append([]uint64(nil), m.PageTouch...) }
+		if r := m.Run(1_000_000); r != StopHalted {
+			t.Fatalf("slow=%v: stop = %v", slow, r)
+		}
+		if atHook == nil {
+			t.Fatalf("slow=%v: hook 5 never fired", slow)
+		}
+		if atHook[lo] != 3 || atHook[hi] != 5 {
+			t.Errorf("slow=%v: stamps when hook 5 fired = low %d, high %d, want 3 and 5", slow, atHook[lo], atHook[hi])
+		}
+		if m.PageTouch[lo] != 8 || m.PageTouch[hi] != 8 {
+			t.Errorf("slow=%v: final stamps low %d, high %d, want 8 and 8 (the straddling store)", slow, m.PageTouch[lo], m.PageTouch[hi])
+		}
+		if got := m.PageTouch[kernBase/mem.PageBytes]; got != 0 {
+			t.Errorf("slow=%v: the text page carries stamp %d, fetches must not be recorded", slow, got)
+		}
+	}
+}

@@ -110,8 +110,20 @@ func (m *Machine) capture(ms *mem.Snapshot) *Snapshot {
 // the continuation the snapshotted machine would have taken — the basis of
 // the fault injector's convergence pruning. Injection plumbing (InjectAt,
 // the injected latch) and derived caches are deliberately excluded: a fired,
-// latched fault hook can no longer influence execution.
+// latched fault hook can no longer influence execution. So are cache-line
+// fields no lookup can read (cache.HierState.Equals).
 func (s *Snapshot) StateEquals(m *Machine) bool {
+	return s.coresEqual(m) && s.hier.Equals(m.Hier) && s.mem.EqualsMemory(m.Mem)
+}
+
+// StateEqualsExact is StateEquals with the cache hierarchy compared bit for
+// bit (cache.HierState.EqualsExact).
+func (s *Snapshot) StateEqualsExact(m *Machine) bool {
+	return s.coresEqual(m) && s.hier.EqualsExact(m.Hier) && s.mem.EqualsMemory(m.Mem)
+}
+
+// coresEqual compares everything StateEquals covers outside caches and RAM.
+func (s *Snapshot) coresEqual(m *Machine) bool {
 	if m.TotalRetired != s.totalRetired ||
 		m.Halted != s.halted || m.ExitCode != s.exitCode ||
 		m.AppStartRetired != s.appStartRetired || m.AppEndRetired != s.appEndRetired ||
@@ -121,10 +133,7 @@ func (s *Snapshot) StateEquals(m *Machine) bool {
 	if !slices.Equal(m.Cores, s.cores) {
 		return false
 	}
-	if !bytes.Equal(m.Console.Bytes(), s.console) {
-		return false
-	}
-	return s.hier.Equals(m.Hier) && s.mem.EqualsMemory(m.Mem)
+	return bytes.Equal(m.Console.Bytes(), s.console)
 }
 
 // Restore resets the machine to a snapshot taken from a machine with the

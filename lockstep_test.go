@@ -5,7 +5,8 @@ package serfi
 // interpreter run the same scenario side by side, pausing every
 // lockstepStride retired instructions to compare complete machine state
 // (registers, RAM, cache hierarchy, timers, console, beacons and every
-// cycle/stat counter). This pins the fast path's contract — bit-identical
+// cycle/stat counter) and the page-touch table both machines keep, as the
+// golden run of a campaign does. This pins the fast path's contract — bit-identical
 // architectural state and identical counters at retirement boundaries —
 // over real NPB workloads rather than microprograms (those live in
 // internal/mach/lockstep_test.go).
@@ -17,9 +18,11 @@ package serfi
 
 import (
 	"os"
+	"slices"
 	"testing"
 
 	"serfi/internal/mach"
+	"serfi/internal/mem"
 	"serfi/internal/npb"
 )
 
@@ -77,6 +80,7 @@ func TestLockstepFastVsSlowPath(t *testing.T) {
 				c.SlowPath = slow
 				m := mach.New(c)
 				img.InstallTo(m)
+				m.PageTouch = make([]uint64, m.Mem.Size()/mem.PageBytes)
 				return m
 			}
 			fast, slow := mk(false), mk(true)
@@ -96,6 +100,9 @@ func TestLockstepFastVsSlowPath(t *testing.T) {
 					ff, sf := fast.TotalStats(), slow.TotalStats()
 					t.Fatalf("boundary %d (retired %d): state diverged\nfast stats: %+v\nslow stats: %+v",
 						boundary, fast.TotalRetired, ff, sf)
+				}
+				if !slices.Equal(fast.PageTouch, slow.PageTouch) {
+					t.Fatalf("boundary %d (retired %d): page-touch tables diverged", boundary, fast.TotalRetired)
 				}
 				if rf != mach.StopInstrBudget {
 					if rf != mach.StopHalted {
