@@ -50,7 +50,7 @@ func main() {
 	join := flag.String("join", "", "drive the matrix through a campaign queue: submit it to the `serfi serve -data` coordinator at this address and report from the fetched results")
 	tenant := flag.String("tenant", "", "tenant namespace for the -join submission (default: the shared namespace)")
 	workers := flag.Int("workers", 0, "host worker pool size (0 = all cores)")
-	snapshots := flag.Int("snapshots", 0, "pre-fault checkpoints per scenario (0 = default, negative disables)")
+	snapshots := flag.Int("snapshots", 0, "at most n pre-fault checkpoints per scenario (0 = default, negative disables)")
 	resume := flag.Bool("resume", false, "skip campaigns already recorded in -db and append the rest")
 	flag.Parse()
 	if env := os.Getenv("SERFI_FAULTS"); env != "" {

@@ -258,7 +258,7 @@ func cmdInject(args []string) error {
 	verbose := fs.Bool("v", false, "print each run")
 	workers := fs.Int("workers", 0, "host worker pool size (0 = all cores)")
 	jobSize := fs.Int("jobsize", 0, "faults per injection job (0 = default)")
-	snapshots := fs.Int("snapshots", fi.DefaultCheckpoints, "pre-fault checkpoints (0 = run every fault from reset)")
+	snapshots := fs.Int("snapshots", fi.DefaultCheckpoints, "at most n pre-fault checkpoints (0 = run every fault from reset)")
 	traceProp := fs.Bool("trace-prop", false, "propagation-trace every unmasked run against a golden twin")
 	slow := slowPathFlag(fs)
 	prof := addProfFlags(fs)
@@ -346,7 +346,7 @@ func cmdCampaign(args []string) error {
 	model := fs.String("faultmodel", "reg", faultModelHelp)
 	workers := fs.Int("workers", 0, "host worker pool size (0 = all cores)")
 	jobSize := fs.Int("jobsize", 0, "faults per injection job (0 = default)")
-	snapshots := fs.Int("snapshots", fi.DefaultCheckpoints, "pre-fault checkpoints per scenario (0 = run every fault from reset)")
+	snapshots := fs.Int("snapshots", fi.DefaultCheckpoints, "at most n pre-fault checkpoints per scenario (0 = run every fault from reset)")
 	recordRuns := fs.Bool("record-runs", false, "persist per-fault rows (v4 records) for `serfi sens` attribution")
 	resume := fs.Bool("resume", false, "skip campaigns already recorded in -db and append the rest")
 	slow := slowPathFlag(fs)
@@ -763,7 +763,7 @@ func cmdWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	join := fs.String("join", "", "coordinator address (host:port), required")
 	workers := fs.Int("workers", 0, "concurrent shard executions (0 = all cores)")
-	snapshots := fs.Int("snapshots", fi.DefaultCheckpoints, "pre-fault checkpoints per scenario (0 = run every fault from reset)")
+	snapshots := fs.Int("snapshots", fi.DefaultCheckpoints, "at most n pre-fault checkpoints per scenario (0 = run every fault from reset)")
 	name := fs.String("name", "", "worker name on the coordinator status page (default host-pid)")
 	slow := slowPathFlag(fs)
 	prof := addProfFlags(fs)

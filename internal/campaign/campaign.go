@@ -6,8 +6,8 @@
 //
 // The public orchestration API has three pillars. The Engine (engine.go)
 // is a constructed, reusable orchestrator: New(opts...) fixes the tuning,
-// RunMatrix(ctx, jobs) interleaves golden runs, checkpoint fast-forwards
-// and injection jobs across scenarios on one shared worker pool, cancels
+// RunMatrix(ctx, jobs) interleaves golden runs (which capture the
+// checkpoints) and injection jobs across scenarios on one shared worker pool, cancels
 // promptly at job granularity and returns partial results plus ctx.Err().
 // Progress is a typed event stream (events.go) consumed live by CLIs or
 // folded into summaries by a Collector. Completed campaigns land in a

@@ -2,7 +2,7 @@
 // shared-worker-pool matrix scheduler. One Engine carries its tuning
 // (workers, job size, snapshots, fault models) as functional options;
 // RunMatrix(ctx, jobs) threads the context through every phase — golden
-// runs, checkpoint fast-forwards and injection job loops — so a campaign
+// runs, checkpoint selection and injection job loops — so a campaign
 // cancels promptly at job granularity and returns partial results plus
 // ctx.Err(). Progress is published as a typed event stream (events.go) and
 // completed campaigns land in a Store (store.go), whose pre-loaded keys

@@ -22,7 +22,7 @@ import (
 type Event interface{ event() }
 
 // ScenarioStarted opens one scenario group: the fault-free phases (image
-// build, golden run, profiling, checkpoint fast-forward) are about to run
+// build, golden run, profiling, checkpoint selection) are about to run
 // once for every fault-domain campaign listed in Domains.
 type ScenarioStarted struct {
 	Scenario npb.Scenario
@@ -37,8 +37,8 @@ type GoldenDone struct {
 	Seed     int64
 	Golden   GoldenSummary
 	WallSec  float64 // host wall clock of the golden phase
-	// Snapshot capture stats of the checkpoint fast-forward: the count and
-	// the RAM payload of the delta chain.
+	// The checkpoint set selected from the golden run's captures: the count
+	// and the RAM payload of the delta chain.
 	Checkpoints     int
 	CheckpointBytes int
 }

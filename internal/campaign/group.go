@@ -42,7 +42,8 @@ type Group struct {
 	APICalls      uint64  // calls into the parallelization runtime
 	GoldenWallSec float64 // host wall clock of image build + profiled golden run
 
-	seed   int64 // fault-list seed every domain of the group draws from
+	id     string // scenario ID, for error reports
+	seed   int64  // fault-list seed every domain of the group draws from
 	img    *cc.Image
 	cfg    mach.Config
 	g      *fi.Golden
@@ -65,9 +66,15 @@ type faultList struct {
 	faults []fi.Fault
 }
 
-// BuildGroup runs the fault-free phases: image build, profiled golden run,
-// feature and API-call extraction, and the checkpoint fast-forward from
-// the unprofiled configuration. snapshots follows the campaign convention
+// newDomain builds a group's fault domains. A variable so that tests can
+// plant a domain that misbehaves; nothing else assigns it.
+var newDomain = fi.NewDomain
+
+// BuildGroup runs the fault-free phases: image build, profiled golden run
+// (the scenario's only fault-free simulation; it captures the checkpoint
+// candidates), feature and API-call extraction, and checkpoint selection for
+// machines of the unprofiled configuration; the candidates not selected are
+// dropped before it returns. snapshots follows the campaign convention
 // (0 picks fi.DefaultCheckpoints, negative disables acceleration). A
 // non-nil tracer receives one span per phase (build, golden, profile,
 // checkpoint) on the group's track. A group is plain memory: drop the
@@ -97,6 +104,7 @@ func buildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int,
 		return nil, err
 	}
 	grp := &Group{
+		id:            sc.ID(),
 		seed:          seed,
 		GoldenWallSec: time.Since(t0).Seconds(),
 		img:           img,
@@ -118,6 +126,7 @@ func buildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int,
 	endSpan = tracer.Start("checkpoint", "checkpoint", tid, nil)
 	grp.cs, err = fi.BuildCheckpointsOpt(ctx, img, cfg, g, fi.CheckpointOptions{N: snapshots, FullCopy: fullCopy})
 	endSpan()
+	g.ReleaseCandidates()
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +158,7 @@ func (g *Group) list(model fault.Model, n int) (fault.Domain, []fi.Fault, error)
 	if l, ok := g.lists[key]; ok {
 		return l.dom, l.faults, nil
 	}
-	dom, err := fi.NewDomain(model, g.img, g.cfg, g.g)
+	dom, err := newDomain(model, g.img, g.cfg, g.g)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -191,30 +200,48 @@ func ShardRanges(n, size int) [][2]int {
 // any partition of [0, n) concatenate to one shard over the whole range.
 // With traceProp every unmasked run is re-run against a golden twin. Only
 // cancellation returns ctx's error; any other error (a domain the scenario
-// cannot host, a tracer failure) is fatal for the campaign.
-func (g *Group) Inject(ctx context.Context, model fault.Model, n, lo, hi int, traceProp bool) (Shard, error) {
+// cannot host, a tracer failure, a host panic) is fatal for the campaign.
+//
+// The simulator is meant to be total — whatever a fault does to the guest is
+// a classified outcome — so a host panic during a run is a bug. Inject is the
+// one place every run passes through, and its last-resort guard turns such a
+// panic into an error naming the fault that was in flight: the engine fails
+// that campaign and a worker that shard, the process and its other campaigns
+// carry on, and the tuple in the message replays the crash.
+func (g *Group) Inject(ctx context.Context, model fault.Model, n, lo, hi int, traceProp bool) (sh Shard, err error) {
 	dom, faults, err := g.list(model, n)
 	if err != nil {
 		return Shard{}, err
 	}
+	if lo < 0 || hi > len(faults) || lo > hi {
+		return Shard{}, fmt.Errorf("fault range [%d, %d) outside list of %d", lo, hi, len(faults))
+	}
+	at := lo // the fault in flight
+	defer func() {
+		if r := recover(); r != nil {
+			env := fault.Env{Feat: g.cfg.ISA.Feat(), Regions: g.img.Regions}
+			sh, err = Shard{}, fmt.Errorf("host panic in %s domain %s at fault %d (%s): %v",
+				g.id, model, at, faults[at].Format(env), r)
+		}
+	}()
 	// A clone shares the immutable snapshots but counts only this shard.
 	cs := g.cs.Clone()
-	runs, err := cs.InjectRangeContext(ctx, dom, g.g, faults, lo, hi)
-	if err != nil {
-		return Shard{}, err
-	}
-	sh := Shard{Runs: runs}
+	sh.Runs = make([]fi.Result, 0, hi-lo)
 	if traceProp {
-		sh.Traces = make([]*prop.Trace, len(runs))
-		for i, r := range runs {
-			if !fi.IsUnmasked(r.Outcome) {
-				continue
-			}
-			tr, _, err := g.tracer.Trace(dom, faults[lo+i])
+		sh.Traces = make([]*prop.Trace, hi-lo)
+	}
+	for ; at < hi; at++ {
+		r, err := cs.InjectPointContext(ctx, dom, g.g, faults[at])
+		if err != nil {
+			return Shard{}, err
+		}
+		sh.Runs = append(sh.Runs, r)
+		if traceProp && fi.IsUnmasked(r.Outcome) {
+			tr, _, err := g.tracer.Trace(dom, faults[at])
 			if err != nil {
-				return Shard{}, fmt.Errorf("propagation trace %v: %w", faults[lo+i], err)
+				return Shard{}, fmt.Errorf("propagation trace %v: %w", faults[at], err)
 			}
-			sh.Traces[i] = &tr
+			sh.Traces[at-lo] = &tr
 		}
 	}
 	if cs.Len() > 0 {

@@ -17,7 +17,7 @@ func WithMetrics(r *obs.Registry) Option { return func(e *Engine) { e.metrics = 
 
 // WithTracer attaches a span trace journal: RunMatrix records one span per
 // fault-free phase (image build, golden run, profiling, checkpoint
-// fast-forward) and one per injection job, on one track per scenario group
+// selection) and one per injection job, on one track per scenario group
 // so a group's phases and jobs line up in the Chrome trace export. nil (the
 // default) records nothing.
 func WithTracer(t *obs.Tracer) Option { return func(e *Engine) { e.tracer = t } }

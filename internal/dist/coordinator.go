@@ -41,8 +41,8 @@ const (
 	DefaultShardSize = campaign.DefaultJobSize
 	// DefaultLeaseTTL is how long a worker may sit on a shard before the
 	// coordinator re-issues it. Generous on purpose: a shard's cost is
-	// dominated by the first shard of a scenario (golden run + checkpoint
-	// fast-forward), and a premature re-issue only wastes work, never
+	// dominated by the first shard of a scenario (the golden run, which
+	// also captures the checkpoints), and a premature re-issue only wastes work, never
 	// corrupts results.
 	DefaultLeaseTTL = 5 * time.Minute
 	// defaultRetryMs is the back-off hint handed to workers when every

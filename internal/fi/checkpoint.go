@@ -1,12 +1,13 @@
 // Checkpoint-accelerated injection: instead of re-executing every faulty
-// machine from reset, a CheckpointSet fast-forwards one fault-free machine
-// through the application lifespan once, capturing snapshots at evenly
-// spaced committed-instruction boundaries. Each injection run then restores
-// the nearest snapshot strictly below its fault index and simulates only the
-// remaining suffix. Because a snapshot restores the complete machine state
-// (registers, RAM, caches, console, counters), the suffix interleaves and
-// classifies bit-for-bit like a from-reset run: campaigns with checkpoints
-// on and off produce identical Counts.
+// machine from reset, a CheckpointSet holds snapshots of the fault-free
+// machine spread over the application lifespan — states the golden run
+// captured as it passed them, so a scenario is simulated fault-free once.
+// Each injection run then restores the nearest snapshot strictly below its
+// fault index and simulates only the remaining suffix. Because a snapshot
+// restores the complete machine state (registers, RAM, caches, console,
+// counters), the suffix interleaves and classifies bit-for-bit like a
+// from-reset run: campaigns with checkpoints on and off produce identical
+// Counts.
 package fi
 
 import (
@@ -68,72 +69,78 @@ type CheckpointSet struct {
 
 // CheckpointOptions configures BuildCheckpointsOpt.
 type CheckpointOptions struct {
-	// N is the checkpoint count; n <= 0 yields an empty set (every
-	// injection runs from reset).
+	// N is the most checkpoints the set may hold (positions snap to the
+	// golden run's candidate grid, and two targets can share one); n <= 0
+	// yields an empty set (every injection runs from reset).
 	N int
 	// FullCopy captures each checkpoint as a complete sparse RAM copy and
 	// runs every injection on a fresh machine — the pre-delta engine,
-	// retained as a differential reference and as the "before" side of
-	// checkpoint benchmarks. Results are bit-identical either way.
+	// retained as the differential reference. It fast-forwards a machine of
+	// its own to the positions the product set selects. Results are
+	// bit-identical either way.
 	FullCopy bool
 }
 
-// BuildCheckpointsOpt executes the fault-free machine once up to the last
-// checkpoint, capturing opt.N snapshots spread over the application lifespan
-// recorded in g. The first checkpoint sits one instruction before the
-// lifespan opens so that every possible fault index has a snapshot strictly
-// below it. The fast-forward polls ctx between run slices and between
-// captures, returning ctx.Err() when cancelled. By default each checkpoint
-// after the first is captured as a delta holding only the pages dirtied
-// since its predecessor — the fast-forwarding machine's dirty bitmap is reset
-// at every capture, so the chain falls out of the run itself with no extra
-// page comparisons beyond the dirty set.
+// BuildCheckpointsOpt builds a set of at most opt.N checkpoints spread over
+// the application lifespan recorded in g, and simulates nothing to do it: the
+// golden run already walked through every state a checkpoint could hold and
+// kept candidates on a doubling grid (candidateCap). Golden.place picks the
+// latest candidate at or below each target of the even rule; the RAM deltas
+// of the candidates between two picks are squashed forward so the set is one
+// short delta chain (the first checkpoint a full image, each later one the
+// pages that differ from its predecessor), and the golden terminal image is
+// chained on last. g is only read: the call can be repeated, with any N. It
+// returns ctx.Err() on a cancelled context and an error once g's candidates
+// have been released.
+//
+// A FullCopy set is the differential reference and shares with the product
+// set only the placement: it boots its own machine from cfg, fast-forwards it
+// to each picked position (polling ctx between run slices) and takes a full
+// snapshot there, so that what it compares the candidates against never came
+// from the golden machine.
 func BuildCheckpointsOpt(ctx context.Context, img *cc.Image, cfg mach.Config, g *Golden, opt CheckpointOptions) (*CheckpointSet, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	cs := &CheckpointSet{img: img, cfg: cfg}
 	if opt.N <= 0 {
 		return cs, nil
 	}
-	m := mach.New(cfg)
-	img.InstallTo(m)
-	budget := hangBudget(g)
-	span := g.AppEnd - g.AppStart
-	last := uint64(0)
-	for k := 0; k < opt.N; k++ {
-		target := g.AppStart - 1 + span*uint64(k)/uint64(opt.N)
-		if target <= last && k > 0 {
-			continue // lifespan shorter than the checkpoint count
-		}
-		stop, err := runCtx(ctx, m, target, budget)
-		if err != nil {
-			return nil, err
-		}
-		if stop != mach.StopInstrBudget {
-			return nil, fmt.Errorf("fi: checkpoint fast-forward stopped early: %v at %d (target %d)",
-				stop, m.TotalRetired, target)
-		}
-		if opt.FullCopy {
+	if len(g.candidates) == 0 {
+		return nil, fmt.Errorf("fi: golden run holds no checkpoint candidates (released)")
+	}
+	picks := g.place(opt.N)
+	if opt.FullCopy {
+		m := mach.New(cfg)
+		img.InstallTo(m)
+		for _, p := range picks {
+			if target := p.Retired(); target > 0 { // instruction 0 is the installed image
+				stop, err := runCtx(ctx, m, target, hangBudget(g))
+				if err != nil {
+					return nil, err
+				}
+				if stop != mach.StopInstrBudget {
+					return nil, fmt.Errorf("fi: checkpoint fast-forward stopped early: %v at %d (target %d)",
+						stop, m.TotalRetired, target)
+				}
+			}
 			cs.snaps = append(cs.snaps, m.Snapshot())
-		} else {
-			// The first capture has no base and falls back to a full copy;
-			// every later one chains to its predecessor.
-			cs.snaps = append(cs.snaps, m.DeltaSnapshot())
 		}
-		last = target
+		return cs, nil
 	}
-	if !opt.FullCopy {
-		// The terminal image joins the chain by page compare against the
-		// retained golden machine's RAM, not by simulating to the end again.
-		cs.final = cs.snaps[len(cs.snaps)-1].Mem().DeltaOf(g.Machine.Mem)
-		cs.pool = &sync.Pool{New: func() any { return mach.New(cfg) }}
-	}
+	cs.snaps = mach.Squash(picks)
+	// The terminal image joins the chain by page compare against the retained
+	// golden machine's RAM.
+	cs.final = cs.snaps[len(cs.snaps)-1].Mem().DeltaOf(g.Machine.Mem)
+	cs.pool = &sync.Pool{New: func() any { return mach.New(cfg) }}
 	return cs, nil
 }
 
 // Clone returns a set sharing this set's snapshots — immutable and safe to
 // share — but with fresh savings/prune counters, so concurrent campaigns
-// over the same scenario (one per fault domain) pay the checkpoint
-// fast-forward once yet attribute their telemetry separately. The machine
-// pool is shared too (all clones restore from the same chain).
+// over the same scenario (one per fault domain) share one resident chain yet
+// attribute their telemetry separately. The machine pool is shared too (all
+// clones restore from the same chain).
 func (cs *CheckpointSet) Clone() *CheckpointSet {
 	return &CheckpointSet{img: cs.img, cfg: cs.cfg, snaps: cs.snaps, final: cs.final, pool: cs.pool}
 }

@@ -15,6 +15,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 	"time"
 
 	"serfi/internal/cc"
@@ -45,7 +46,10 @@ type Golden struct {
 	PerCore []mach.CoreStats // per-core counters
 	L2Miss  float64
 	L1DMiss float64
-	Machine *mach.Machine // retained for profiling inspection; never run again
+	// Machine is the halted golden machine, retained for profiling inspection
+	// and as the source of the terminal image; never run again. Its memory
+	// tracks Final, not the checkpoint candidates it captured on the way.
+	Machine *mach.Machine
 	// Final is the terminal RAM image, a full capture (Machine.Mem tracks
 	// it). Runs that end with the golden console are scored Vanished or ONA
 	// by exact byte equality against it, never by a digest.
@@ -55,6 +59,62 @@ type Golden struct {
 	// that loaded or stored in it, 0 for never. CheckpointSet.InjectPoint
 	// decides mem strikes on pages with no later access from it.
 	PageTouch []uint64
+
+	// candidates are the fault-free machine states the run captured on its
+	// way (see candidateCap), ascending by Retired() from instruction 0: one
+	// delta chain without profile tables, from which BuildCheckpointsOpt
+	// selects a set's checkpoints. Nil after ReleaseCandidates.
+	candidates []*mach.Snapshot
+}
+
+// Checkpoint candidates. The golden run cannot know where a set's
+// checkpoints belong until it has reported AppEnd, so it captures candidates
+// on a period grid as it goes — instruction 0 included, so that every fault
+// index has a candidate strictly below it — and whenever more than
+// candidateCap are held it drops every other one (its RAM delta squashed into
+// its successor) and doubles the period. Captures are O(cap · log span) and
+// at most candidateCap+1 are alive at once, whatever the run's length; the
+// grid a run ends with has between cap/2 and cap points over all it retired.
+//
+// Each capture copies ~0.6 MB of cache and directory state
+// (mach.Machine.DeltaSnapshot), which is what the two values trade against
+// how far below its target a checkpoint snaps. Measured with the benchmark
+// at seed 2018, parent figures in brackets: cap 32 gives matrix_wide 16.6 to
+// 17.2 inj/s [10.1] and 456,647 simulated instructions per injection on
+// inject_deep [438,188]; cap 64 gives 15.5 to 16.1 inj/s and 448,333, and
+// twice the candidates alive in every golden run under way. A first period of
+// 2^13 instead of 2^15 keeps all 16 checkpoints on the shortest guests
+// (fi.checkpoints 864 instead of 739 over matrix_wide's 54 scenarios,
+// 609,820 instead of 613,481 instructions per injection there) for 32 more
+// captures per run: fi.golden_s 11.2 s instead of 10.5 s [10.0].
+const (
+	candidateCap         = 32
+	candidateFirstPeriod = 1 << 15
+)
+
+// ReleaseCandidates drops the checkpoint candidates, each of which holds a
+// copy of the cache hierarchy: a holder that has built the sets it wants
+// calls it so that only the selected checkpoints stay resident.
+// BuildCheckpointsOpt fails on a released Golden.
+func (g *Golden) ReleaseCandidates() { g.candidates = nil }
+
+// place selects the checkpoints of an n-point set: for each target of the
+// even rule AppStart−1 + span·k/n the latest candidate at or below it,
+// ascending and without repeats (a lifespan of fewer grid periods than n
+// yields fewer than n). The first target sits one instruction before the
+// lifespan opens, so every fault index has a checkpoint strictly below it.
+func (g *Golden) place(n int) []*mach.Snapshot {
+	span := g.AppEnd - g.AppStart
+	var picks []*mach.Snapshot
+	for k := 0; k < n; k++ {
+		target := g.AppStart - 1 + span*uint64(k)/uint64(n)
+		i := sort.Search(len(g.candidates), func(i int) bool { return g.candidates[i].Retired() > target })
+		// i >= 1: the first candidate sits at instruction 0.
+		if c := g.candidates[i-1]; len(picks) == 0 || picks[len(picks)-1] != c {
+			picks = append(picks, c)
+		}
+	}
+	return picks
 }
 
 // ctxCheckInterval is how many committed instructions a context-aware run
@@ -95,8 +155,13 @@ func RunGolden(img *cc.Image, cfg mach.Config, budget uint64) (*Golden, error) {
 }
 
 // RunGoldenContext is RunGolden with cancellation: the reference run polls
-// ctx every few million committed instructions and returns ctx.Err() when
-// cancelled. The machine evolution is bit-identical to RunGolden.
+// ctx at every candidate grid point (and every few million committed
+// instructions between them) and returns ctx.Err() when cancelled. The
+// machine evolution is bit-identical to RunGolden.
+//
+// This is the only fault-free pass of a scenario: the run pauses on the
+// candidate grid (pausing at a retirement boundary is state-preserving) and
+// captures the states BuildCheckpointsOpt later selects from.
 func RunGoldenContext(ctx context.Context, img *cc.Image, cfg mach.Config, budget uint64) (*Golden, error) {
 	m := mach.New(cfg)
 	img.InstallTo(m)
@@ -104,9 +169,30 @@ func RunGoldenContext(ctx context.Context, img *cc.Image, cfg mach.Config, budge
 	if budget == 0 {
 		budget = 30_000_000_000
 	}
-	stop, err := runCtx(ctx, m, 0, budget)
-	if err != nil {
-		return nil, err
+	cands := []*mach.Snapshot{m.CheckpointSnapshot()}
+	var stop mach.StopReason
+	for period := uint64(candidateFirstPeriod); ; {
+		var err error
+		if stop, err = runCtx(ctx, m, m.TotalRetired+period, budget); err != nil {
+			return nil, err
+		}
+		if stop != mach.StopInstrBudget {
+			break
+		}
+		cands = append(cands, m.CheckpointSnapshot())
+		if len(cands) > candidateCap {
+			// Keep the grid points of the doubled period. The squashed chain
+			// is a new one holding the same images, so the machine's memory
+			// moves its tracking base over to the new tip.
+			n := 0
+			for i := 0; i < len(cands); i += 2 {
+				cands[n] = cands[i]
+				n++
+			}
+			cands = mach.Squash(cands[:n])
+			m.Mem.Rebase(cands[n-1].Mem())
+			period *= 2
+		}
 	}
 	m.SetInstrBudget(0) // clear the polling slice bound on the retained machine
 	if stop != mach.StopHalted {
@@ -132,6 +218,7 @@ func RunGoldenContext(ctx context.Context, img *cc.Image, cfg mach.Config, budge
 		Final:     m.Mem.Snapshot(),
 		PageTouch: m.PageTouch,
 	}
+	g.candidates = cands
 	for i := range m.Cores {
 		g.PerCore = append(g.PerCore, m.Cores[i].Stats)
 	}

@@ -2,8 +2,8 @@
 // process-wide obs.Default registry. All updates are batched at the Run
 // boundary: one set of atomic adds per run slice, accumulated locally
 // inside the loops — never per retired instruction, per the obs package's
-// off-hot-path rule (the lockstep suites and BenchmarkExecHot pin both the
-// determinism contract and the <2% overhead budget).
+// off-hot-path rule (the lockstep suites pin the determinism contract,
+// guest_mips on the sim_golden benchmark workload the overhead budget).
 package mach
 
 import (

@@ -77,6 +77,36 @@ func TestRestoreMatrix(t *testing.T) {
 					t.Errorf("fresh chain[%d]: r5 = %d, want %d", idx, got, want[idx])
 				}
 			}
+
+			// The chain squashed around every other element and the tip
+			// (at odd depth the root goes too): each survivor is still its
+			// own patched text, restored into the live machine — which sits
+			// on the old chain first, on the new one after — and a bare one.
+			var keep []int
+			for idx := depth % 2; idx <= depth; idx += 2 {
+				keep = append(keep, idx)
+			}
+			var in []*Snapshot
+			for _, idx := range keep {
+				in = append(in, snaps[idx])
+			}
+			for i, s := range Squash(in) {
+				if s.Retired() != in[i].Retired() || s.mem.Depth() != i {
+					t.Fatalf("squashed[%d]: retired %d depth %d", i, s.Retired(), s.mem.Depth())
+				}
+				for _, mm := range []*Machine{m, New(cfg)} {
+					mm.Restore(s)
+					if !in[i].StateEqualsExact(mm) {
+						t.Fatalf("squashed[%d] restores unlike chain[%d]", i, keep[i])
+					}
+					if r := mm.Run(0); r != StopHalted {
+						t.Fatalf("squashed[%d]: stop = %v", i, r)
+					}
+					if got := mm.Cores[0].Regs[5]; got != want[keep[i]] {
+						t.Errorf("squashed[%d]: r5 = %d, want %d", i, got, want[keep[i]])
+					}
+				}
+			}
 		})
 	}
 }

@@ -67,7 +67,7 @@ func copyCounts(m map[uint32]uint64) map[uint32]uint64 {
 }
 
 // Snapshot captures the machine's current state with a full RAM copy.
-func (m *Machine) Snapshot() *Snapshot { return m.capture(m.Mem.Snapshot()) }
+func (m *Machine) Snapshot() *Snapshot { return m.capture(m.Mem.Snapshot(), true) }
 
 // DeltaSnapshot captures the machine's current state with the RAM image
 // stored as a delta off the memory's tracking base — the snapshot most
@@ -76,13 +76,22 @@ func (m *Machine) Snapshot() *Snapshot { return m.capture(m.Mem.Snapshot()) }
 // back to a full copy when no base exists. Restoring the result is
 // bit-identical to restoring a full Snapshot of the same instant.
 //
-// The cache hierarchy state (a few KB of tag/LRU metadata against MBs of
-// RAM) and the other machine fields are still captured in full; only RAM
-// is delta-encoded.
-func (m *Machine) DeltaSnapshot() *Snapshot { return m.capture(m.Mem.DeltaSnapshot()) }
+// Only RAM is delta-encoded. The cache hierarchy state is captured in full,
+// and on a capture that dirtied few pages it is the dominant cost: line
+// arrays plus the coherence directory, one byte per line of RAM — about
+// 0.6 MB for the 24 MiB guests.
+func (m *Machine) DeltaSnapshot() *Snapshot { return m.capture(m.Mem.DeltaSnapshot(), true) }
 
-func (m *Machine) capture(ms *mem.Snapshot) *Snapshot {
-	return &Snapshot{
+// CheckpointSnapshot is DeltaSnapshot without the profile tables
+// (CallCounts, Samples, the sampling countdown): the snapshot an unprofiled
+// machine would capture at this instant. Profiling observes execution and
+// never steers it, so a profiled fault-free run can capture the checkpoints
+// that unprofiled injection machines restore — a restore hands them no
+// tables to fill.
+func (m *Machine) CheckpointSnapshot() *Snapshot { return m.capture(m.Mem.DeltaSnapshot(), false) }
+
+func (m *Machine) capture(ms *mem.Snapshot, profile bool) *Snapshot {
+	s := &Snapshot{
 		cores:           append([]Core(nil), m.Cores...),
 		mem:             ms,
 		hier:            m.Hier.State(),
@@ -97,10 +106,35 @@ func (m *Machine) capture(ms *mem.Snapshot) *Snapshot {
 		appExitCode:     m.AppExitCode,
 		appSignal:       m.AppSignal,
 		injected:        m.injected,
-		sampleLeft:      m.sampleLeft,
-		callCounts:      copyCounts(m.CallCounts),
-		samples:         copyCounts(m.Samples),
 	}
+	if profile {
+		s.sampleLeft = m.sampleLeft
+		s.callCounts = copyCounts(m.CallCounts)
+		s.samples = copyCounts(m.Samples)
+	}
+	return s
+}
+
+// Squash is mem.Squash over machine snapshots: keep lists members of one
+// delta chain in ascending order, and the result holds the same machine
+// states with their RAM images chained to each other directly, the deltas of
+// the members left out folded forward. The input snapshots are not modified.
+func Squash(keep []*Snapshot) []*Snapshot {
+	mems := make([]*mem.Snapshot, len(keep))
+	for i, s := range keep {
+		mems[i] = s.mem
+	}
+	mems = mem.Squash(mems)
+	out := make([]*Snapshot, len(keep))
+	for i, s := range keep {
+		if mems[i] != s.mem { // rechained: same machine state over the new image
+			c := *s
+			c.mem = mems[i]
+			s = &c
+		}
+		out[i] = s
+	}
+	return out
 }
 
 // StateEquals reports whether the machine's current execution state is

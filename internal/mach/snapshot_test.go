@@ -108,3 +108,38 @@ func TestSnapshotRestoreIntoUninstalledMachine(t *testing.T) {
 		t.Errorf("bare-machine restore diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// TestCheckpointSnapshotOmitsProfileTables: a checkpoint captured from a
+// profiling machine is the snapshot an unprofiled machine would have taken —
+// same execution state, no call counts, no samples, no sampling countdown —
+// so a machine restored from it does not start profiling; DeltaSnapshot keeps
+// the tables.
+func TestCheckpointSnapshotOmitsProfileTables(t *testing.T) {
+	cfg := testConfig(armv8.New(), 1)
+	plain := newTestMachine(t, cfg, snapProg(), nil)
+	cfg.Profile, cfg.SamplePeriod = true, 7
+	prof := newTestMachine(t, cfg, snapProg(), nil)
+	for _, m := range []*Machine{plain, prof} {
+		m.SetInstrBudget(300)
+		if r := m.Run(0); r != StopInstrBudget {
+			t.Fatalf("stop reason %v", r)
+		}
+	}
+	if len(prof.Samples) == 0 {
+		t.Fatal("the profiling machine took no samples")
+	}
+	ck := prof.CheckpointSnapshot()
+	if ck.callCounts != nil || ck.samples != nil || ck.sampleLeft != 0 {
+		t.Errorf("checkpoint carries profile state: %v %v %d", ck.callCounts, ck.samples, ck.sampleLeft)
+	}
+	if !ck.StateEqualsExact(plain) {
+		t.Error("checkpoint of the profiling machine differs from the unprofiled machine's state")
+	}
+	if full := prof.DeltaSnapshot(); len(full.samples) != len(prof.Samples) || full.sampleLeft != prof.sampleLeft {
+		t.Error("DeltaSnapshot lost the profile tables")
+	}
+	prof.Restore(ck)
+	if prof.Samples != nil || prof.CallCounts != nil {
+		t.Error("a machine restored from a checkpoint still profiles")
+	}
+}

@@ -4,13 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // The fuzz harness drives a Memory and a naive full-copy oracle (a flat
 // byte slice mutated in lockstep) through random write/snapshot/restore/
 // compare sequences, including deltas chained from a foreign memory
-// (DeltaOf) and write-log use of the dirty bitmap (TakeDirtyPages). Any
+// (DeltaOf), chains rebuilt around a subset of their members (Squash) and
+// write-log use of the dirty bitmap (TakeDirtyPages). Any
 // divergence between the sparse delta-chain machinery and the oracle is a
 // bug in the copy-on-write engine.
 
@@ -56,7 +58,7 @@ func runSnapshotScript(t *testing.T, size uint32, script []byte) (*Memory, []ora
 	}
 
 	for op := 0; rd.Len() > 0 && op < maxScriptOps; op++ {
-		switch u8() % 11 {
+		switch u8() % 12 {
 		case 0: // bulk write, possibly straddling pages or clamped at the end
 			addr := u32() % size
 			n := u32()%(3*PageBytes) + 1
@@ -167,9 +169,75 @@ func runSnapshotScript(t *testing.T, size uint32, script []byte) (*Memory, []ora
 			if m.Base() != nil {
 				t.Fatalf("op %d: TakeDirtyPages left a tracking base behind", op)
 			}
+		case 11: // rebuild a chain around a subset of its members
+			// (how the golden run thins its checkpoint candidates and a
+			// checkpoint set drops the ones it did not select): the mask
+			// picks which ancestors of a snapshot survive, the snapshot
+			// itself always does, the root only if its bit is set.
+			if len(snaps) == 0 {
+				continue
+			}
+			pick, mask := snaps[u32()%uint32(len(snaps))], u32()
+			var keep []oracleSnap
+			for c := pick.snap; c != nil; c = c.parent {
+				if c == pick.snap || mask&(1<<(c.depth%32)) != 0 {
+					keep = append(keep, oracleOf(t, snaps, c))
+				}
+			}
+			slices.Reverse(keep)
+			in := make([]*Snapshot, len(keep))
+			for i, k := range keep {
+				in[i] = k.snap
+			}
+			out := Squash(in)
+			for i, s := range out {
+				var parent *Snapshot
+				depth := 0
+				if i > 0 {
+					parent, depth = out[i-1], out[i-1].depth+1
+				}
+				if s.parent != parent || s.depth != depth {
+					t.Fatalf("op %d: squashed snapshot %d is not chained onto its predecessor", op, i)
+				}
+				fresh := New(size)
+				fresh.Restore(s)
+				if !bytes.Equal(fresh.ram, keep[i].ram) {
+					t.Fatalf("op %d: squashed snapshot %d materializes unlike the member it stands for", op, i)
+				}
+				if got, want := s.EqualsMemory(m), bytes.Equal(oracle, keep[i].ram); got != want {
+					t.Fatalf("op %d: EqualsMemory(squashed %d) = %v, oracle says %v", op, i, got, want)
+				}
+				// What Squash built joins the pool: later restores move the
+				// live memory along the new chain selectively, compares run
+				// against it, and verifySnapshots walks its pages (a zero
+				// marker must survive exactly over a page the kept
+				// predecessor holds). The input chain stays in the pool too,
+				// and must still verify untouched.
+				if s != in[i] && len(snaps) < 2*maxScriptSnap {
+					squashed++
+					snaps = append(snaps, oracleSnap{s, keep[i].ram})
+				}
+			}
 		}
 	}
 	return m, snaps
+}
+
+// squashed counts the snapshots Squash built (not reused) across all scripts
+// of the test binary: the proof that a script reached the op with a chain
+// worth squashing.
+var squashed int
+
+// oracleOf finds the oracle copy recorded for snapshot s.
+func oracleOf(t *testing.T, snaps []oracleSnap, s *Snapshot) oracleSnap {
+	t.Helper()
+	for _, p := range snaps {
+		if p.snap == s {
+			return p
+		}
+	}
+	t.Fatal("snapshot on a chain was never recorded")
+	return oracleSnap{}
 }
 
 // untracked returns a memory holding a copy of ram with no tracking base, so
@@ -221,7 +289,39 @@ func runSnapshotOracle(t *testing.T, sizeSel uint8, script []byte) {
 	verifySnapshots(t, m, size, snaps)
 }
 
+// squashSeed is a script that reaches the squash op with a chain worth
+// squashing: a full capture and three deltas (a pattern write, a zero-fill
+// over it — a zero marker — and the pattern again), squashed around the tip
+// alone and then around root and tip; then the live memory walks the pool
+// and compares against it.
+func squashSeed() []byte {
+	le := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	var b []byte
+	add := func(parts ...[]byte) {
+		for _, p := range parts {
+			b = append(b, p...)
+		}
+	}
+	write := func(addr, n uint32, pat byte) { add([]byte{0}, le(addr), le(n-1), []byte{pat}) }
+	write(100, 3*PageBytes, 7)
+	add([]byte{5})
+	write(PageBytes+5, PageBytes, 9)
+	add([]byte{6})
+	add([]byte{1}, le(0), le(2*PageBytes-1)) // zero-fill pages 0 and 1
+	add([]byte{6})
+	write(40, 2*PageBytes, 3)
+	add([]byte{6})
+	add([]byte{11}, le(3), le(0)) // around the tip alone: a full image
+	add([]byte{11}, le(3), le(1)) // around root and tip: three deltas in one
+	add([]byte{11}, le(2), le(1)) // around root and the zero-fill: markers over the root's data
+	for i := uint32(0); i < 7; i++ {
+		add([]byte{7}, le(i), []byte{8}, le(6-i))
+	}
+	return b
+}
+
 func FuzzSnapshotDeltaOracle(f *testing.F) {
+	f.Add(uint8(5), squashSeed())
 	for sel := range fuzzSizes {
 		rng := rand.New(rand.NewSource(int64(sel) + 7))
 		seed := make([]byte, 512)
@@ -235,6 +335,11 @@ func FuzzSnapshotDeltaOracle(f *testing.F) {
 // over every fuzz size under plain `go test`, so the oracle equivalence
 // suite runs even where the fuzz engine does not.
 func TestSnapshotOracleScripts(t *testing.T) {
+	squashed = 0
+	runSnapshotOracle(t, 5, squashSeed())
+	if squashed != 3 {
+		t.Errorf("the squash seed built %d snapshots, want one per squash op", squashed)
+	}
 	for sel := range fuzzSizes {
 		for round := 0; round < 4; round++ {
 			rng := rand.New(rand.NewSource(int64(sel*100 + round)))

@@ -279,7 +279,7 @@ func (m *Memory) eachDirtyPage(fn func(off uint32)) {
 func (m *Memory) TakeDirtyPages() []uint32 {
 	var out []uint32
 	m.eachDirtyPage(func(off uint32) { out = append(out, off) })
-	m.rebase(nil)
+	m.Rebase(nil)
 	return out
 }
 
@@ -397,7 +397,7 @@ func (m *Memory) Snapshot() *Snapshot {
 		}
 		s.pages = append(s.pages, snapPage{off: off, data: append([]byte(nil), chunk...)})
 	}
-	m.rebase(s)
+	m.Rebase(s)
 	obsSnapshotFull.Inc()
 	obsSnapshotPagesFull.Add(float64(len(s.pages)))
 	return s
@@ -421,23 +421,27 @@ func (m *Memory) DeltaSnapshot() *Snapshot {
 		parent:  m.base,
 		depth:   m.base.depth + 1,
 	}
-	m.eachDirtyPage(func(off uint32) { s.patch(off, m.ram[off:pageEnd(off, s.size)]) })
-	m.rebase(s)
+	m.eachDirtyPage(func(off uint32) { s.patch(off, m.ram[off:pageEnd(off, s.size)], false) })
+	m.Rebase(s)
 	obsSnapshotDelta.Inc()
 	obsSnapshotPagesDelta.Add(float64(len(s.pages)))
 	return s
 }
 
 // patch records the page at off in delta s if chunk differs from the
-// parent's materialization: nothing when equal, an explicit zero marker when
-// the page became all-zero, a private copy otherwise.
-func (s *Snapshot) patch(off uint32, chunk []byte) {
+// parent's materialization (all-zero when s has no parent): nothing when
+// equal, an explicit zero marker when the page became all-zero, otherwise
+// chunk itself when it is immutable snapshot payload already (shared) and a
+// private copy when it is live RAM.
+func (s *Snapshot) patch(off uint32, chunk []byte, shared bool) {
 	was := s.parent.pageData(off)
 	switch {
 	case was == nil && isZero(chunk), was != nil && bytes.Equal(chunk, was):
 		// Still zero over a zero parent page, or the parent's contents again.
 	case isZero(chunk):
 		s.pages = append(s.pages, snapPage{off: off, zero: true})
+	case shared:
+		s.pages = append(s.pages, snapPage{off: off, data: chunk})
 	default:
 		s.pages = append(s.pages, snapPage{off: off, data: append([]byte(nil), chunk...)})
 	}
@@ -452,15 +456,68 @@ func (s *Snapshot) patch(off uint32, chunk []byte) {
 func (s *Snapshot) DeltaOf(src *Memory) *Snapshot {
 	d := &Snapshot{size: s.size, regions: s.regions, parent: s, depth: s.depth + 1}
 	for off := uint32(0); off < s.size; off = pageEnd(off, s.size) {
-		d.patch(off, src.ram[off:pageEnd(off, s.size)])
+		d.patch(off, src.ram[off:pageEnd(off, s.size)], false)
 	}
 	obsSnapshotDelta.Inc()
 	obsSnapshotPagesDelta.Add(float64(len(d.pages)))
 	return d
 }
 
-// rebase re-anchors dirty tracking: ram now matches s everywhere (nil: off).
-func (m *Memory) rebase(s *Snapshot) {
+// Squash rebuilds a delta chain around the snapshots in keep — members of one
+// chain in ascending order, each an ancestor of the next — and returns the
+// new chain: out[i] materializes exactly like keep[i], out[0] is a full image
+// and out[i] patches out[i-1]. The deltas of the members left out are folded
+// into the next kept one: the latest write to a page wins, a page that is
+// back to the kept predecessor's contents is dropped, and a zero marker
+// survives only over a page that predecessor holds. Page payloads are shared
+// with the input chain, which is not modified (snapshots stay immutable), and
+// a snapshot already chained the way the result needs it is reused as is, so
+// squashing a chain around all of its members returns them.
+func Squash(keep []*Snapshot) []*Snapshot {
+	out := make([]*Snapshot, len(keep))
+	for i, k := range keep {
+		var anc, parent *Snapshot
+		if i > 0 {
+			anc, parent = keep[i-1], out[i-1]
+		}
+		if k.parent == anc && parent == anc {
+			out[i] = k
+			continue
+		}
+		s := &Snapshot{size: k.size, regions: k.regions, parent: parent}
+		if parent != nil {
+			s.depth = parent.depth + 1
+		}
+		// Nearest delta first: the first entry met for a page is the one k
+		// materializes.
+		var pages []snapPage
+		seen := make(map[uint32]struct{})
+		for c := k; c != anc; c = c.parent {
+			if c == nil {
+				panic("mem: Squash: keep is not an ascending chain")
+			}
+			for _, p := range c.pages {
+				if _, dup := seen[p.off]; !dup {
+					seen[p.off] = struct{}{}
+					pages = append(pages, p)
+				}
+			}
+		}
+		sort.Slice(pages, func(a, b int) bool { return pages[a].off < pages[b].off })
+		for _, p := range pages {
+			s.patch(p.off, p.data, true) // nil data is a zero marker: an all-zero page
+		}
+		out[i] = s
+	}
+	return out
+}
+
+// Rebase re-anchors dirty tracking on s and clears the dirty bitmap: the
+// caller asserts that RAM equals s's materialization at this instant. Nil
+// switches tracking off. Snapshot, DeltaSnapshot and Restore rebase by
+// themselves; the exported form is for a holder that has replaced the chain
+// under the tracking base with an equivalent one (Squash).
+func (m *Memory) Rebase(s *Snapshot) {
 	m.base = s
 	clear(m.dirty)
 }
@@ -583,7 +640,7 @@ func (m *Memory) Restore(s *Snapshot) (touched []uint32, selective bool) {
 func (m *Memory) finishRestore(s *Snapshot) {
 	m.regions = append(m.regions[:0], s.regions...)
 	m.last, m.last2 = 0, 0
-	m.rebase(s)
+	m.Rebase(s)
 }
 
 // materializeInto writes the chain's full image into ram (already zeroed):

@@ -1,6 +1,6 @@
 // The span-based trace journal: named, categorised spans with exact host
 // start/end times and string labels, recorded by the fault-free phases
-// (image build, golden run, profiling, checkpoint fast-forward) and by
+// (image build, golden run, profiling, checkpoint selection) and by
 // injection jobs. The journal exports as Chrome trace_event JSON — load it
 // in chrome://tracing or https://ui.perfetto.dev — and summarises per
 // category for the `serfi trace` subcommand.
