@@ -189,7 +189,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "submitted %s: %d campaigns (%d already recorded) to %s\n",
 			reply.ID, reply.Campaigns, reply.Skipped, *join)
-		ms, err := watchQueue(ctx, cl, reply.ID)
+		ms, err := cl.Watch(ctx, reply.ID, func(ms dist.MatrixStatus) { fmt.Fprintln(os.Stderr, ms) })
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				fmt.Fprintf(os.Stderr, "interrupted: submission %s stays queued on the coordinator\n", reply.ID)
@@ -260,7 +260,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote %s (%d scenarios, %d faults each) in %v\n",
 			*out, len(m.Order), *n, time.Since(start).Round(time.Second))
 	}
-	_ = strings.TrimSpace
 }
 
 // artefacts maps -run names to their formatter — the single dispatch table
@@ -279,42 +278,6 @@ var artefacts = map[string]func(*exp.Matrix) string{
 	"macro":      exp.MacroStats,
 	"vulnwindow": exp.VulnWindow,
 	"mine":       exp.MineReport,
-}
-
-// watchQueue polls the queue coordinator until the submission goes
-// terminal, printing progress lines as they change.
-func watchQueue(ctx context.Context, cl *dist.Client, id string) (dist.MatrixStatus, error) {
-	last := ""
-	for {
-		mr, err := cl.Matrices(ctx)
-		if err != nil {
-			return dist.MatrixStatus{}, err
-		}
-		var ms *dist.MatrixStatus
-		for i := range mr.Matrices {
-			if mr.Matrices[i].ID == id {
-				ms = &mr.Matrices[i]
-				break
-			}
-		}
-		if ms == nil {
-			return dist.MatrixStatus{}, fmt.Errorf("submission %s vanished from the queue", id)
-		}
-		line := fmt.Sprintf("%s %s: campaigns %d/%d, injections %d/%d",
-			ms.ID, ms.State, ms.CampaignsDone, ms.Campaigns, ms.Injected, ms.Injections)
-		if line != last {
-			fmt.Fprintln(os.Stderr, line)
-			last = line
-		}
-		if ms.State != "running" {
-			return *ms, nil
-		}
-		select {
-		case <-ctx.Done():
-			return *ms, context.Canceled
-		case <-time.After(2 * time.Second):
-		}
-	}
 }
 
 // writeReport prints the report to stdout or the -out path.

@@ -43,13 +43,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"strings"
 	"syscall"
-	"time"
 
 	"runtime"
 
@@ -62,7 +60,6 @@ import (
 	"serfi/internal/isa"
 	"serfi/internal/mach"
 	"serfi/internal/npb"
-	"serfi/internal/obs"
 	"serfi/internal/profile"
 	"serfi/internal/prop"
 	"serfi/internal/stats"
@@ -123,28 +120,6 @@ func usage() {
 // parseScenario accepts "armv7/IS/MPI-4".
 func parseScenario(s string) (npb.Scenario, error) { return npb.ParseID(s) }
 
-// slowPathFlag registers the -slowpath escape hatch: it selects the
-// retained per-instruction reference interpreter instead of the
-// block-cached fast path for every machine this process builds. Both
-// engines are bit-identical (the lockstep differential tests pin it); the
-// flag exists for debugging and for the CI differential jobs.
-func slowPathFlag(fs *flag.FlagSet) *bool {
-	return fs.Bool("slowpath", false, "use the reference interpreter instead of the block-cached fast path (bit-identical, slower)")
-}
-
-// faultModelHelp is the -faultmodel usage string every campaign-shaped
-// subcommand shares (fault.ParseModels is the parser behind all of them).
-const faultModelHelp = "fault domain: reg|mem|imem|burst|cachetag|cachedirty|cacherepl, uncore (the cache trio), or all"
-
-// snapshotCount maps the CLI convention (0 disables) onto the campaign
-// convention (0 = default, negative disables).
-func snapshotCount(flagVal int) int {
-	if flagVal <= 0 {
-		return -1
-	}
-	return flagVal
-}
-
 // savingsLine summarizes the snapshot engine's work for one campaign:
 // simulated-instruction savings versus from-reset execution and the
 // convergence-prune rate.
@@ -182,12 +157,12 @@ func propLine(r *campaign.Result) string {
 	return b.String()
 }
 
-// interruptContext returns a context cancelled by the first SIGINT; a
-// second SIGINT kills the process the default way (the handler is
-// uninstalled the moment the context fires, restoring the default
+// interruptContext returns a context cancelled by the first SIGINT (or any
+// of also); a second signal kills the process the default way (the handler
+// is uninstalled the moment the context fires, restoring the default
 // disposition for the graceful-shutdown window).
-func interruptContext() (context.Context, context.CancelFunc) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+func interruptContext(also ...os.Signal) (context.Context, context.CancelFunc) {
+	ctx, stop := signal.NotifyContext(context.Background(), append(also, os.Interrupt)...)
 	go func() {
 		<-ctx.Done()
 		stop()
@@ -256,15 +231,10 @@ func cmdInject(args []string) error {
 	seed := fs.Int64("seed", 1, "fault-list seed")
 	model := fs.String("faultmodel", "reg", faultModelHelp)
 	verbose := fs.Bool("v", false, "print each run")
-	workers := fs.Int("workers", 0, "host worker pool size (0 = all cores)")
-	jobSize := fs.Int("jobsize", 0, "faults per injection job (0 = default)")
-	snapshots := fs.Int("snapshots", fi.DefaultCheckpoints, "at most n pre-fault checkpoints (0 = run every fault from reset)")
 	traceProp := fs.Bool("trace-prop", false, "propagation-trace every unmasked run against a golden twin")
-	slow := slowPathFlag(fs)
-	prof := addProfFlags(fs)
+	ef := addEngineFlags(fs)
 	fs.Parse(args)
-	mach.ForceSlowPath = *slow
-	defer prof.start()()
+	defer ef.start()()
 	jobs, err := scenarioJobs(*scid, *model, *seed)
 	if err != nil {
 		return err
@@ -288,14 +258,7 @@ func cmdInject(args []string) error {
 			}
 		}
 	}()
-	opts := []campaign.Option{
-		campaign.Faults(*n),
-		campaign.Workers(*workers),
-		campaign.JobSize(*jobSize),
-		campaign.Snapshots(snapshotCount(*snapshots)),
-		campaign.WithEvents(events),
-		campaign.WithMetrics(obs.Default),
-	}
+	opts := append(ef.options(), campaign.Faults(*n), campaign.WithEvents(events))
 	if *traceProp {
 		opts = append(opts, campaign.TraceProp())
 	}
@@ -339,22 +302,12 @@ func cmdInject(args []string) error {
 
 func cmdCampaign(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
-	n := fs.Int("n", 50, "faults per scenario")
-	seed := fs.Int64("seed", 2018, "base seed")
 	db := fs.String("db", "results.jsonl", "output database path")
-	only := fs.String("only", "", "substring filter on scenario ids")
-	model := fs.String("faultmodel", "reg", faultModelHelp)
-	workers := fs.Int("workers", 0, "host worker pool size (0 = all cores)")
-	jobSize := fs.Int("jobsize", 0, "faults per injection job (0 = default)")
-	snapshots := fs.Int("snapshots", fi.DefaultCheckpoints, "at most n pre-fault checkpoints per scenario (0 = run every fault from reset)")
-	recordRuns := fs.Bool("record-runs", false, "persist per-fault rows (v4 records) for `serfi sens` attribution")
-	resume := fs.Bool("resume", false, "skip campaigns already recorded in -db and append the rest")
-	slow := slowPathFlag(fs)
-	prof := addProfFlags(fs)
+	mf := addMatrixFlags(fs, "skip campaigns already recorded in -db and append the rest")
+	ef := addEngineFlags(fs)
 	fs.Parse(args)
-	mach.ForceSlowPath = *slow
-	defer prof.start()()
-	jobs, err := matrixJobs(*only, *model, *seed)
+	defer ef.start()()
+	jobs, err := mf.jobs()
 	if err != nil {
 		return err
 	}
@@ -364,35 +317,20 @@ func cmdCampaign(args []string) error {
 	// The results database is a campaign.Store: a fresh run starts from an
 	// empty file, a -resume run loads the recorded campaigns and the
 	// engine skips them.
-	st, err := campaign.OpenMatrixStore(*db, *resume, jobs, *n)
+	st, err := campaign.OpenMatrixStore(*db, *mf.resume, jobs, *mf.n)
 	if err != nil {
 		return err
 	}
 	defer st.Close()
 
-	events := make(chan campaign.Event, 64)
-	opts := []campaign.Option{
-		campaign.Faults(*n),
-		campaign.Workers(*workers),
-		campaign.JobSize(*jobSize),
-		campaign.Snapshots(snapshotCount(*snapshots)),
-		campaign.WithStore(st),
-		campaign.WithEvents(events),
-		campaign.WithMetrics(obs.Default),
-	}
-	if *recordRuns {
+	col := campaign.NewCollector(os.Stdout, len(jobs))
+	events, wait := col.Start()
+	opts := append(ef.options(), campaign.Faults(*mf.n), campaign.WithStore(st), campaign.WithEvents(events))
+	if *mf.recordRuns {
 		opts = append(opts, campaign.RecordRuns())
 	}
-	eng := campaign.New(opts...)
-
-	col := campaign.NewCollector(os.Stdout, len(jobs))
-	consumed := make(chan struct{})
-	go func() {
-		defer close(consumed)
-		col.Consume(events)
-	}()
-	_, err = eng.RunMatrix(ctx, jobs)
-	<-consumed
+	_, err = campaign.New(opts...).RunMatrix(ctx, jobs)
+	wait()
 	if errors.Is(err, context.Canceled) {
 		// Graceful shutdown: every completed campaign already streamed to
 		// the store; close it and hand the user the resume command.
@@ -401,14 +339,13 @@ func cmdCampaign(args []string) error {
 		}
 		fmt.Printf("interrupted: %d of %d campaigns recorded in %s (%d finished this run)\n",
 			len(st.Keys()), len(jobs), *db, col.Completed())
-		fmt.Printf("resume with: serfi campaign -resume -db %s -n %d -seed %d%s%s%s\n",
-			*db, *n, *seed, flagIf("-only", *only), flagIf("-faultmodel", *model), boolFlagIf("-record-runs", *recordRuns))
+		fmt.Println(mf.resumeHint("serfi campaign -resume -db " + *db))
 		return nil
 	}
 	if err != nil {
 		return err
 	}
-	if *resume {
+	if *mf.resume {
 		fmt.Printf("resumed: %d campaigns already in %s, %d added\n", col.Skipped(), *db, col.Completed())
 	} else {
 		fmt.Printf("wrote %d campaign records to %s\n", col.Completed(), *db)
@@ -416,114 +353,133 @@ func cmdCampaign(args []string) error {
 	return st.Close()
 }
 
-// flagIf renders an optional flag for the printed resume command.
-func flagIf(flag, val string) string {
-	if val == "" {
-		return ""
-	}
-	return fmt.Sprintf(" %s %s", flag, val)
-}
-
-// boolFlagIf renders an optional boolean flag for the printed resume command.
-func boolFlagIf(flag string, on bool) string {
-	if !on {
-		return ""
-	}
-	return " " + flag
-}
-
-// cmdServe runs the distributed campaign coordinator in one of two modes.
+// cmdServe runs the distributed campaign coordinator: a queue of campaign
+// matrices sharded into leases and served to `serfi worker -join`
+// processes. What the two invocations differ in is where state lives and
+// what is queued at start — never how the queue is served.
 //
-// With -db (the default) it is the classic one-shot coordinator: the same
-// matrix `serfi campaign` executes locally, sharded into leases and served
-// to `serfi worker -join` processes, exiting when the matrix completes.
-// The JSONL store is opened with fsync so a coordinator host crash never
-// loses an acknowledged campaign.
+// With -db (the default) results go to one JSONL file, opened with fsync
+// so a coordinator host crash never loses an acknowledged campaign; the
+// matrix the flags describe (the one `serfi campaign` executes locally) is
+// submitted up front and the queue drained, so the process exits when that
+// matrix completes or is cancelled.
 //
-// With -data DIR it is the persistent multi-tenant campaign queue: an
-// empty service over a segmented store (DIR/store) and a submission
-// journal (DIR/queue.jsonl), fed by `serfi submit` and drained by the same
-// worker fleet, restoring its queue from the journal on restart. It serves
-// until SIGINT/SIGTERM.
+// With -data DIR results go to a segmented tenant-scoped store (DIR/store)
+// and the queue itself to a submission journal (DIR/queue.jsonl); both
+// survive a restart, so the daemon resumes exactly where it stopped
+// (completed campaigns answered from the store, unfinished submissions
+// re-sharded). It starts with whatever the journal holds, is fed by `serfi
+// submit`, and serves until signalled.
+//
+// SIGINT and SIGTERM both stop either one gracefully.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8340", "listen address for workers and the status page")
-	n := fs.Int("n", 50, "faults per scenario")
-	seed := fs.Int64("seed", 2018, "base seed")
 	db := fs.String("db", "results.jsonl", "output database path (one-shot mode)")
 	data := fs.String("data", "", "queue mode: serve a persistent multi-tenant campaign queue from this directory")
-	only := fs.String("only", "", "substring filter on scenario ids")
-	model := fs.String("faultmodel", "reg", faultModelHelp)
 	shardSize := fs.Int("shardsize", dist.DefaultShardSize, "faults per lease shard")
 	leaseTTL := fs.Duration("lease", dist.DefaultLeaseTTL, "lease TTL before a shard is re-issued")
-	recordRuns := fs.Bool("record-runs", false, "persist per-fault rows (v4 records) for `serfi sens` attribution")
-	resume := fs.Bool("resume", false, "skip campaigns already recorded in -db and serve the rest")
+	mf := addMatrixFlags(fs, "skip campaigns already recorded in -db and serve the rest")
 	fs.Parse(args)
-	if *data != "" {
-		return serveQueue(*addr, *data, *shardSize, *leaseTTL)
-	}
-	jobs, err := matrixJobs(*only, *model, *seed)
-	if err != nil {
-		return err
-	}
-	ctx, stop := interruptContext()
+	ctx, stop := interruptContext(syscall.SIGTERM)
 	defer stop()
 
-	st, err := campaign.OpenMatrixStore(*db, *resume, jobs, *n, campaign.Fsync())
-	if err != nil {
-		return err
+	opts := []dist.CoordOption{dist.ShardSize(*shardSize), dist.LeaseTTL(*leaseTTL)}
+	var (
+		coord   *dist.Coordinator
+		journal *dist.Journal // -data only: one flag-described submission needs no journal
+		st      interface {
+			campaign.Store
+			Sync() error
+			Close() error
+		}
+		jobs []campaign.ScenarioJob
+		col  *campaign.Collector
+		wait = func() {}
+	)
+	if *data != "" {
+		if err := os.MkdirAll(*data, 0o755); err != nil {
+			return err
+		}
+		seg, err := campaign.OpenSegmentedStore(filepath.Join(*data, "store"), campaign.SegmentSync())
+		if err != nil {
+			return err
+		}
+		defer seg.Close()
+		st = seg
+		coord, journal, err = dist.RestoreQueue(filepath.Join(*data, "queue.jsonl"), append(opts, dist.WithStore(seg))...)
+		if err != nil {
+			return err
+		}
+		defer journal.Close()
+		restored := coord.MatrixList()
+		running := 0
+		for _, ms := range restored {
+			if ms.State == "running" {
+				running++
+			}
+		}
+		fmt.Printf("campaign queue at %s (data %s): %d submissions restored, %d still running\n",
+			*addr, *data, len(restored), running)
+		fmt.Printf("submit matrices with: serfi submit -join <host>%s [-tenant NAME] ...\n", portSuffix(*addr))
+	} else {
+		var err error
+		if jobs, err = mf.jobs(); err != nil {
+			return err
+		}
+		file, err := campaign.OpenMatrixStore(*db, *mf.resume, jobs, *mf.n, campaign.Fsync())
+		if err != nil {
+			return err
+		}
+		defer file.Close()
+		st = file
+		col = campaign.NewCollector(os.Stdout, len(jobs))
+		var events chan campaign.Event
+		events, wait = col.Start()
+		coord = dist.NewQueue(append(opts, dist.WithStore(file), dist.WithEvents(events))...)
+		if _, err := coord.Submit(dist.SubmitSpec{Jobs: jobs, Faults: *mf.n, RecordRuns: *mf.recordRuns}); err != nil {
+			return err
+		}
+		coord.Drain()
+		status := coord.Status()
+		fmt.Printf("serving %d campaigns (%d shards of <=%d faults, %d already recorded) at %s\n",
+			status.Campaigns-status.Skipped, status.Shards, *shardSize, status.Skipped, *addr)
 	}
-	defer st.Close()
-
-	events := make(chan campaign.Event, 64)
-	coordOpts := []dist.CoordOption{
-		dist.ShardSize(*shardSize),
-		dist.LeaseTTL(*leaseTTL),
-		dist.WithStore(st),
-		dist.WithEvents(events),
-	}
-	if *recordRuns {
-		coordOpts = append(coordOpts, dist.RecordRuns())
-	}
-	coord, err := dist.NewCoordinator(jobs, *n, coordOpts...)
-	if err != nil {
-		return err
-	}
-	status := coord.Status()
-	fmt.Printf("serving %d campaigns (%d shards of <=%d faults, %d already recorded) at %s\n",
-		status.Campaigns-status.Skipped, status.Shards, *shardSize, status.Skipped, *addr)
 	fmt.Printf("join workers with: serfi worker -join <host>%s\n", portSuffix(*addr))
 
-	col := campaign.NewCollector(os.Stdout, len(jobs))
-	consumed := make(chan struct{})
-	go func() {
-		defer close(consumed)
-		col.Consume(events)
-	}()
-	_, err = coord.Serve(ctx, *addr)
-	<-consumed
-	if errors.Is(err, context.Canceled) {
-		// Make the store durable before advertising it as resumable: fsync
-		// whatever the final shards appended, then close, then print the
-		// hint — a crash after the hint can no longer lose acknowledged
-		// campaigns.
-		if serr := st.Sync(); serr != nil {
-			return serr
-		}
-		if cerr := st.Close(); cerr != nil {
-			return cerr
-		}
-		fmt.Printf("interrupted: %d of %d campaigns recorded in %s\n", len(st.Keys()), len(jobs), *db)
-		fmt.Printf("resume with: serfi serve -resume -addr %s -db %s -n %d -seed %d%s%s%s\n",
-			*addr, *db, *n, *seed, flagIf("-only", *only), flagIf("-faultmodel", *model), boolFlagIf("-record-runs", *recordRuns))
-		return nil
-	}
-	if err != nil {
+	_, err := coord.Serve(ctx, *addr)
+	wait()
+	cancelled := errors.Is(err, dist.ErrCancelled)
+	if err != nil && !cancelled && !errors.Is(err, context.Canceled) {
 		return err
 	}
-	fmt.Printf("matrix complete: %d campaigns in %s (%d served fresh, %d resumed)\n",
-		len(st.Keys()), *db, col.Completed(), col.Skipped())
-	return st.Close()
+	// Durability before any hint that the state is resumable: seal the
+	// journal, fsync whatever the final shards appended, close the store —
+	// a crash after the hint can no longer lose acknowledged campaigns.
+	if journal != nil {
+		if err := journal.Close(); err != nil {
+			return err
+		}
+	}
+	if err := st.Sync(); err != nil {
+		return err
+	}
+	if err := st.Close(); err != nil {
+		return err
+	}
+	switch {
+	case *data != "":
+		fmt.Printf("queue stopped; resume with: serfi serve -data %s -addr %s\n", *data, *addr)
+	case cancelled:
+		fmt.Printf("cancelled: %d of %d campaigns recorded in %s\n", len(st.Keys()), len(jobs), *db)
+	case err != nil:
+		fmt.Printf("interrupted: %d of %d campaigns recorded in %s\n", len(st.Keys()), len(jobs), *db)
+		fmt.Println(mf.resumeHint(fmt.Sprintf("serfi serve -resume -addr %s -db %s", *addr, *db)))
+	default:
+		fmt.Printf("matrix complete: %d campaigns in %s (%d served fresh, %d resumed)\n",
+			len(st.Keys()), *db, col.Completed(), col.Skipped())
+	}
+	return nil
 }
 
 // portSuffix extracts the ":port" part of a listen address for the printed
@@ -535,91 +491,6 @@ func portSuffix(addr string) string {
 	return ""
 }
 
-// serveQueue is `serfi serve -data DIR`: the persistent multi-tenant
-// campaign queue. Results live in a segmented tenant-scoped store under
-// DIR/store, the submission queue in DIR/queue.jsonl; both survive a
-// restart, so the daemon resumes exactly where it stopped (completed
-// campaigns answered from the store, unfinished submissions re-sharded).
-func serveQueue(addr, dataDir string, shardSize int, leaseTTL time.Duration) error {
-	if err := os.MkdirAll(dataDir, 0o755); err != nil {
-		return err
-	}
-	st, err := campaign.OpenSegmentedStore(filepath.Join(dataDir, "store"), campaign.SegmentSync())
-	if err != nil {
-		return err
-	}
-	journalPath := filepath.Join(dataDir, "queue.jsonl")
-	coord, journal, err := dist.RestoreQueue(journalPath,
-		dist.ShardSize(shardSize), dist.LeaseTTL(leaseTTL), dist.WithStore(st))
-	if err != nil {
-		st.Close()
-		return err
-	}
-	restored := coord.MatrixList()
-	running := 0
-	for _, ms := range restored {
-		if ms.State == "running" {
-			running++
-		}
-	}
-	fmt.Printf("campaign queue at %s (data %s): %d submissions restored, %d still running\n",
-		addr, dataDir, len(restored), running)
-	fmt.Printf("submit matrices with: serfi submit -join <host>%s [-tenant NAME] ...\n", portSuffix(addr))
-	fmt.Printf("join workers with:    serfi worker -join <host>%s\n", portSuffix(addr))
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	srv := &http.Server{Addr: addr, Handler: coord.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.ListenAndServe() }()
-	select {
-	case err := <-serveErr:
-		journal.Close()
-		st.Close()
-		return err
-	case <-ctx.Done():
-	}
-	stop() // second signal kills the process the default way
-
-	// Graceful shutdown, durability first: stop accepting wire traffic,
-	// seal the journal, fsync and close the store — only then advertise the
-	// directory as resumable.
-	shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shctx); err != nil {
-		srv.Close()
-	}
-	if err := journal.Close(); err != nil {
-		return err
-	}
-	if err := st.Sync(); err != nil {
-		return err
-	}
-	if err := st.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("queue stopped; resume with: serfi serve -data %s -addr %s\n", dataDir, addr)
-	return nil
-}
-
-// matrixJobs builds the scenario matrix `serfi campaign`, `serve` and
-// `submit` share: the full scenario list fixes per-scenario seeds (seed +
-// index, shared across domains; Engine.JobsFor), so a filtered, resumed or
-// submitted matrix reproduces the full matrix's rows.
-func matrixJobs(only, model string, seed int64) ([]campaign.ScenarioJob, error) {
-	domains, err := fault.ParseModels(model)
-	if err != nil {
-		return nil, err
-	}
-	var scs []npb.Scenario
-	for _, sc := range npb.Scenarios() {
-		if only == "" || strings.Contains(sc.ID(), only) {
-			scs = append(scs, sc)
-		}
-	}
-	return campaign.New(campaign.Models(domains...)).JobsFor(scs, seed), nil
-}
-
 // cmdSubmit enqueues one campaign matrix on a queue coordinator (`serfi
 // serve -data`) and optionally watches it to completion.
 func cmdSubmit(args []string) error {
@@ -627,18 +498,14 @@ func cmdSubmit(args []string) error {
 	join := fs.String("join", "", "queue coordinator address (host:port), required")
 	tenant := fs.String("tenant", "", "tenant namespace for the matrix's rows (default: the shared namespace)")
 	id := fs.String("id", "", "submission ID for idempotent resubmission (default: coordinator-assigned)")
-	n := fs.Int("n", 50, "faults per scenario")
-	seed := fs.Int64("seed", 2018, "base seed")
-	only := fs.String("only", "", "substring filter on scenario ids")
-	model := fs.String("faultmodel", "reg", faultModelHelp)
 	traceProp := fs.Bool("trace-prop", false, "propagation-trace every unmasked injection")
-	recordRuns := fs.Bool("record-runs", false, "persist per-fault rows (v4 records)")
 	watch := fs.Bool("watch", false, "poll the queue until this submission is terminal")
+	mf := addMatrixFlags(fs, "") // the store, and so the resume, is the coordinator's
 	fs.Parse(args)
 	if *join == "" {
 		return fmt.Errorf("submit: -join <host:port> is required")
 	}
-	jobs, err := matrixJobs(*only, *model, *seed)
+	jobs, err := mf.jobs()
 	if err != nil {
 		return err
 	}
@@ -649,9 +516,9 @@ func cmdSubmit(args []string) error {
 		ID:         *id,
 		Tenant:     *tenant,
 		Jobs:       dist.WireJobs(jobs),
-		Faults:     *n,
+		Faults:     *mf.n,
 		TraceProp:  *traceProp,
-		RecordRuns: *recordRuns,
+		RecordRuns: *mf.recordRuns,
 	})
 	if err != nil {
 		return err
@@ -662,7 +529,7 @@ func cmdSubmit(args []string) error {
 		fmt.Printf("watch with: serfi ls -join %s\n", *join)
 		return nil
 	}
-	ms, err := watchSubmission(ctx, cl, reply.ID)
+	ms, err := cl.Watch(ctx, reply.ID, func(ms dist.MatrixStatus) { fmt.Println(ms) })
 	if err != nil {
 		return err
 	}
@@ -670,42 +537,6 @@ func cmdSubmit(args []string) error {
 		return fmt.Errorf("submission %s finished %s", ms.ID, ms.State)
 	}
 	return nil
-}
-
-// watchSubmission polls the queue until the submission goes terminal,
-// printing progress lines.
-func watchSubmission(ctx context.Context, cl *dist.Client, id string) (dist.MatrixStatus, error) {
-	last := ""
-	for {
-		mr, err := cl.Matrices(ctx)
-		if err != nil {
-			return dist.MatrixStatus{}, err
-		}
-		var ms *dist.MatrixStatus
-		for i := range mr.Matrices {
-			if mr.Matrices[i].ID == id {
-				ms = &mr.Matrices[i]
-				break
-			}
-		}
-		if ms == nil {
-			return dist.MatrixStatus{}, fmt.Errorf("submission %s vanished from the queue", id)
-		}
-		line := fmt.Sprintf("%s %s: campaigns %d/%d, injections %d/%d",
-			ms.ID, ms.State, ms.CampaignsDone, ms.Campaigns, ms.Injected, ms.Injections)
-		if line != last {
-			fmt.Println(line)
-			last = line
-		}
-		if ms.State != "running" {
-			return *ms, nil
-		}
-		select {
-		case <-ctx.Done():
-			return *ms, ctx.Err()
-		case <-time.After(2 * time.Second):
-		}
-	}
 }
 
 // cmdLs lists a queue coordinator's submissions.
@@ -762,18 +593,14 @@ func cmdCancel(args []string) error {
 func cmdWorker(args []string) error {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	join := fs.String("join", "", "coordinator address (host:port), required")
-	workers := fs.Int("workers", 0, "concurrent shard executions (0 = all cores)")
-	snapshots := fs.Int("snapshots", fi.DefaultCheckpoints, "at most n pre-fault checkpoints per scenario (0 = run every fault from reset)")
 	name := fs.String("name", "", "worker name on the coordinator status page (default host-pid)")
-	slow := slowPathFlag(fs)
-	prof := addProfFlags(fs)
+	hf := addHostFlags(fs, "concurrent shard executions (0 = all cores)")
 	fs.Parse(args)
-	mach.ForceSlowPath = *slow
-	defer prof.start()()
+	defer hf.start()()
 	if *join == "" {
 		return fmt.Errorf("worker: -join <host:port> is required")
 	}
-	parallel := *workers
+	parallel := *hf.workers
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
@@ -781,7 +608,7 @@ func cmdWorker(args []string) error {
 	defer stop()
 	opts := []dist.WorkerOption{
 		dist.Parallel(parallel),
-		dist.Snapshots(snapshotCount(*snapshots)),
+		dist.Snapshots(snapshotCount(*hf.snapshots)),
 	}
 	if *name != "" {
 		opts = append(opts, dist.Name(*name))

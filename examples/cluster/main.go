@@ -37,7 +37,8 @@ func main() {
 	}, 2018)
 
 	st := campaign.NewMemStore()
-	events := make(chan campaign.Event, 64)
+	// The shared progress consumer both CLIs use.
+	events, consumed := campaign.NewCollector(os.Stdout, len(jobs)).Start()
 	coord, err := dist.NewCoordinator(jobs, 24,
 		dist.ShardSize(4), // 6 leases per campaign: plenty to spread around
 		dist.WithStore(st),
@@ -46,14 +47,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// The shared progress consumer both CLIs use.
-	col := campaign.NewCollector(os.Stdout, len(jobs))
-	consumed := make(chan struct{})
-	go func() {
-		defer close(consumed)
-		col.Consume(events)
-	}()
 
 	// Three workers join through loopback clients: every lease, progress
 	// beat and completion crosses the real versioned JSON protocol.
@@ -77,7 +70,7 @@ func main() {
 		log.Fatal(err) // context.Canceled here if Ctrl-C interrupted the run
 	}
 	wg.Wait()
-	<-consumed
+	consumed()
 
 	status := coord.Status()
 	fmt.Printf("\n%d campaigns over %d shards, %d injections classified by %d workers\n",

@@ -167,6 +167,20 @@ func (c *Collector) Consume(events <-chan Event) {
 	}
 }
 
+// Start runs Consume on its own goroutine: events is the channel to hand
+// WithEvents, and wait returns once the run's MatrixDone has been folded.
+func (c *Collector) Start() (events chan Event, wait func()) {
+	// 64 events of slack keep a burst of job beats from stalling the pool
+	// on the progress printer.
+	events = make(chan Event, 64)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Consume(events)
+	}()
+	return events, func() { <-done }
+}
+
 // Handle folds one event and reports whether it was the final MatrixDone.
 func (c *Collector) Handle(ev Event) bool {
 	c.mu.Lock()

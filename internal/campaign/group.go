@@ -284,11 +284,18 @@ func NewFold(job ScenarioJob, faults int, traceProp bool) Fold {
 }
 
 // Add folds the shard executed over [lo, hi) in wallSec host seconds; one
-// whose shape does not match its range is rejected untouched. Each range
-// is added once (the engine's job list and the lease table guarantee it).
+// whose shape does not match its range, or that holds an outcome code
+// outside the taxonomy (a shard off the wire is outside input: Result would
+// index fi.Counts with it), is rejected untouched. Each range is added once
+// (the engine's job list and the lease table guarantee it).
 func (f *Fold) Add(lo, hi int, sh Shard, wallSec float64) error {
 	if len(sh.Runs) != hi-lo {
 		return fmt.Errorf("shard [%d,%d) returned %d runs", lo, hi, len(sh.Runs))
+	}
+	for i, r := range sh.Runs {
+		if r.Outcome < 0 || r.Outcome >= fi.NumOutcomes {
+			return fmt.Errorf("shard [%d,%d) run %d has outcome code %d outside [0,%d)", lo, hi, lo+i, int(r.Outcome), int(fi.NumOutcomes))
+		}
 	}
 	if f.TraceProp {
 		if len(sh.Traces) != len(sh.Runs) {

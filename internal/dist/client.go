@@ -20,6 +20,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -34,8 +35,8 @@ const maxRetries = 4
 type Client struct {
 	base string
 	hc   *http.Client
-	// retries is maxRetries and sleep is sleepCtx; fields so tests can
-	// shrink the budget and stub the wait.
+	// retries is maxRetries and sleep is the package's sleep; fields so
+	// tests can shrink the budget and stub the wait.
 	retries int
 	sleep   func(context.Context, time.Duration) error
 
@@ -68,12 +69,13 @@ func NewLoopbackClient(h http.Handler) *Client {
 
 func newClient(c *Client) *Client {
 	c.retries = maxRetries
-	c.sleep = sleepCtx
+	c.sleep = sleep
 	c.rng = rand.New(rand.NewSource(time.Now().UnixNano()))
 	return c
 }
 
-func sleepCtx(ctx context.Context, d time.Duration) error {
+// sleep waits for d or until ctx cancels.
+func sleep(ctx context.Context, d time.Duration) error {
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
@@ -208,6 +210,45 @@ func (c *Client) Matrices(ctx context.Context) (MatricesReply, error) {
 		Proto int `json:"proto"`
 	}{ProtoVersion}, &reply)
 	return reply, err
+}
+
+// watchInterval is how often Watch polls the queue.
+const watchInterval = 2 * time.Second
+
+// Watch polls the queue until submission id goes terminal and returns its
+// final row. onChange sees the first row and every later one that differs
+// in anything but elapsed time. A cancelled ctx returns the last row seen
+// with ctx.Err().
+func (c *Client) Watch(ctx context.Context, id string, onChange func(MatrixStatus)) (MatrixStatus, error) {
+	var last MatrixStatus
+	for {
+		mr, err := c.Matrices(ctx)
+		if err != nil {
+			return last, err
+		}
+		i := slices.IndexFunc(mr.Matrices, func(ms MatrixStatus) bool { return ms.ID == id })
+		if i < 0 {
+			return last, fmt.Errorf("dist: submission %s vanished from the queue", id)
+		}
+		seen := last
+		last = mr.Matrices[i]
+		seen.ElapsedSec = last.ElapsedSec
+		if last != seen {
+			onChange(last)
+		}
+		if last.State != "running" {
+			return last, nil
+		}
+		if err := c.sleep(ctx, watchInterval); err != nil {
+			return last, err
+		}
+	}
+}
+
+// String is the progress line the watching CLIs print.
+func (ms MatrixStatus) String() string {
+	return fmt.Sprintf("%s %s: campaigns %d/%d, injections %d/%d",
+		ms.ID, ms.State, ms.CampaignsDone, ms.Campaigns, ms.Injected, ms.Injections)
 }
 
 // CancelMatrix cancels one queued submission.

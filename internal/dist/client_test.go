@@ -115,3 +115,32 @@ func TestClientNeverRetries4xx(t *testing.T) {
 		t.Errorf("4xx slept %v before failing", delays)
 	}
 }
+
+// TestClientWatch: Watch reports each changed row once, returns the
+// terminal one, and errors on a submission the queue does not hold.
+func TestClientWatch(t *testing.T) {
+	coord, err := NewCoordinator(compatJobs()[:1], compatFaults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := NewLoopbackClient(coord.Handler())
+	polls := 0
+	cl.sleep = func(ctx context.Context, d time.Duration) error {
+		if polls++; polls == 2 { // two identical "running" rows, then the change
+			_, err := coord.CancelSubmission("m000001")
+			return err
+		}
+		return nil
+	}
+	var seen []string
+	ms, err := cl.Watch(context.Background(), "m000001", func(ms MatrixStatus) { seen = append(seen, ms.State) })
+	if err != nil || ms.State != "cancelled" {
+		t.Fatalf("Watch = %+v, %v", ms, err)
+	}
+	if len(seen) != 2 || seen[0] != "running" || seen[1] != "cancelled" {
+		t.Errorf("onChange saw %v, want [running cancelled]", seen)
+	}
+	if _, err := cl.Watch(context.Background(), "m000009", func(MatrixStatus) {}); err == nil {
+		t.Error("watching an unknown submission did not error")
+	}
+}

@@ -2,14 +2,14 @@
 // bookkeeping, the HTTP+JSON protocol handlers, result folding into the
 // canonical campaign.Store and event stream, and the status page.
 //
-// A coordinator runs in one of two modes over the same machinery. The
-// one-shot mode (NewCoordinator) is the original single-matrix service:
-// one implicit submission, Done signalled to workers when it drains, Wait
-// returns its results. The persistent mode (NewQueue) is the multi-tenant
-// campaign service: submissions arrive over /v1/submit, each scoped to a
-// tenant namespace, the lease scheduler fair-shares the fleet across
-// tenants, and the queue survives restarts through the submission journal
-// (journal.go) plus the store's resume path.
+// A coordinator is always a queue (queue.go): submissions arrive through
+// Submit or /v1/submit, each scoped to a tenant namespace, the lease
+// scheduler fair-shares the fleet across tenants, and the queue survives
+// restarts through the submission journal (journal.go) plus the store's
+// resume path. Drain closes intake; once every submission of a draining
+// queue is terminal, workers are told Done and Wait returns. The
+// single-matrix service (NewCoordinator) is a queue with one entry that was
+// told to drain at construction.
 package dist
 
 import (
@@ -46,15 +46,17 @@ const (
 	// corrupts results.
 	DefaultLeaseTTL = 5 * time.Minute
 	// defaultRetryMs is the back-off hint handed to workers when every
-	// remaining shard is leased (or, on a persistent queue, when the queue
-	// is momentarily empty).
+	// remaining shard is leased, or the queue is momentarily empty.
 	defaultRetryMs = 200
 )
 
+// ErrCancelled is the cause Wait reports when a submission it waited for
+// was withdrawn through /v1/cancel rather than run to completion.
+var ErrCancelled = errors.New("submission cancelled")
+
 // submission is one queued campaign matrix: the jobs and fault count a
 // local Engine.RunMatrix would take, the tenant namespace its rows land
-// in, and the per-campaign folding state. The one-shot coordinator has
-// exactly one; a persistent queue accumulates them over /v1/submit.
+// in, and the per-campaign folding state.
 type submission struct {
 	id         string
 	tenant     string
@@ -133,31 +135,29 @@ type workerInfo struct {
 	lastSeen time.Time
 }
 
-// Coordinator serves campaign shards to workers. Construct with
-// NewCoordinator for the one-shot mode (one matrix, Wait for its results)
-// or NewQueue for the persistent multi-tenant service (Submit enqueues
-// matrices; the process serves until stopped). Mount Handler on a server
-// or hand it to loopback clients; Serve does listen+wait in one call.
+// Coordinator serves campaign shards to workers. Construct with NewQueue
+// (Submit enqueues matrices; the process serves until drained or stopped)
+// or with NewCoordinator, the one-matrix shorthand. Mount Handler on a
+// server or hand it to loopback clients; Serve does listen+wait in one call.
 type Coordinator struct {
-	shardSize  int
-	ttl        time.Duration
-	store      campaign.Store
-	events     chan<- campaign.Event
-	traceProp  bool
-	recordRuns bool
-	now        func() time.Time
-	persistent bool
+	shardSize int
+	ttl       time.Duration
+	store     campaign.Store
+	events    chan<- campaign.Event
+	now       func() time.Time
 
 	mu      sync.Mutex
 	subs    []*submission
 	subByID map[string]*submission
 	nextSeq int
-	oneShot *submission // NewCoordinator's single implicit submission
 	table   *leaseTable
 	workers map[string]*workerInfo
 	t0      time.Time
 	muted   bool // terminal MatrixDone announced; drop late handler events
 	journal *Journal
+	// draining is closed by Drain: intake is shut, and once every submission
+	// is terminal the fleet is told Done. The only lifecycle state there is.
+	draining chan struct{}
 
 	// Observability state (obs.go, dash.go): the coordinator's private
 	// instrument registry, the latest cumulative metric snapshot per worker
@@ -166,9 +166,6 @@ type Coordinator struct {
 	workerFams map[string][]obs.Family
 	outcomes   map[string]int
 	sse        *sseHub
-
-	finished chan struct{}
-	finOnce  sync.Once
 }
 
 // CoordOption configures a Coordinator.
@@ -186,8 +183,7 @@ func LeaseTTL(d time.Duration) CoordOption { return func(c *Coordinator) { c.ttl
 // WithStore attaches the canonical results store: campaigns whose key the
 // store already holds are answered from it (the resume path, exactly like
 // the local Engine), and every freshly assembled campaign is Put in
-// completion order. On a persistent queue the store should be a
-// campaign.TenantStore (e.g. OpenSegmentedStore) so named tenants can be
+// completion order. The store should be a campaign.TenantStore (e.g. OpenSegmentedStore) so named tenants can be
 // scoped; submissions for named tenants over a flat store are rejected.
 func WithStore(st campaign.Store) CoordOption { return func(c *Coordinator) { c.store = st } }
 
@@ -195,85 +191,32 @@ func WithStore(st campaign.Store) CoordOption { return func(c *Coordinator) { c.
 // JobDone beats as workers report progress, ScenarioDone as campaigns
 // assemble (or fail) and exactly one terminal MatrixDone from Wait; the
 // same consumer contract as campaign.Engine applies (one live consumer per
-// run, draining until MatrixDone).
+// run, draining until MatrixDone — or, on a queue nobody Waits on, for as
+// long as workers are attached).
 func WithEvents(ch chan<- campaign.Event) CoordOption { return func(c *Coordinator) { c.events = ch } }
-
-// TraceProp marks every lease with the propagation-tracing flag: workers
-// trace unmasked runs and ship the traces back, and assembled results carry
-// the campaign-level prop fold — the distributed analogue of the Engine's
-// TraceProp option. On a persistent queue this is the default for
-// submissions; each SubmitSpec can override it.
-func TraceProp() CoordOption { return func(c *Coordinator) { c.traceProp = true } }
-
-// RecordRuns marks every assembled campaign as a recorded one: the
-// per-fault rows the fabric already folds over the wire persist as v4
-// database rows — the distributed analogue of the Engine's RecordRuns
-// option. The wire protocol is unchanged (workers always ship per-shard
-// runs); only the assembled Result is marked, so the store writes the
-// extended records and a coordinator database stays byte-identical to a
-// local recorded run at the same seed.
-func RecordRuns() CoordOption { return func(c *Coordinator) { c.recordRuns = true } }
 
 // withNow overrides the coordinator clock (lease-expiry tests).
 func withNow(f func() time.Time) CoordOption { return func(c *Coordinator) { c.now = f } }
 
-// newCoordinator builds the shared chassis of both modes.
-func newCoordinator(opts ...CoordOption) *Coordinator {
-	c := &Coordinator{
-		shardSize:  DefaultShardSize,
-		ttl:        DefaultLeaseTTL,
-		now:        time.Now,
-		subByID:    make(map[string]*submission),
-		workers:    make(map[string]*workerInfo),
-		cm:         newCoordMetrics(),
-		workerFams: make(map[string][]obs.Family),
-		outcomes:   make(map[string]int),
-		sse:        newSSEHub(),
-		finished:   make(chan struct{}),
-	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	if c.shardSize <= 0 {
-		c.shardSize = DefaultShardSize
-	}
-	if c.ttl <= 0 {
-		c.ttl = DefaultLeaseTTL
-	}
-	c.table = newLeaseTable(nil, c.shardSize, c.ttl, c.now)
-	c.t0 = c.now()
-	return c
-}
-
 // NewCoordinator shards one matrix: the same jobs and per-campaign fault
-// count a local Engine.RunMatrix would take. Jobs already recorded in the
-// store must match their fault count and seed (the campaign.ValidateResume
-// rule) and are answered without sharding; everything else becomes pending
-// shards. The fabric inherits the Engine's seed convention unchanged, so a
-// distributed run reproduces a local run bit for bit. The coordinator is
-// one-shot: the single implicit submission, then Done.
+// count a local Engine.RunMatrix would take, submitted to a fresh queue
+// that is drained at once — so workers are told Done when the matrix
+// retires and Wait returns its results. The fabric inherits the Engine's
+// seed convention unchanged, so a distributed run reproduces a local run
+// bit for bit.
 func NewCoordinator(jobs []campaign.ScenarioJob, faults int, opts ...CoordOption) (*Coordinator, error) {
-	c := newCoordinator(opts...)
-	sub, err := c.enqueue(SubmitSpec{
-		Jobs:       jobs,
-		Faults:     faults,
-		TraceProp:  c.traceProp,
-		RecordRuns: c.recordRuns,
-	})
-	if err != nil {
+	c := NewQueue(opts...)
+	if _, err := c.Submit(SubmitSpec{Jobs: jobs, Faults: faults}); err != nil {
 		return nil, err
 	}
-	c.oneShot = sub
-	if sub.campsLeft == 0 {
-		close(c.finished)
-	}
+	c.Drain()
 	return c, nil
 }
 
 // enqueue validates one submission spec and threads it into the queue:
 // store-answered campaigns retire immediately, the rest become pending
-// shards. Callers in persistent mode hold c.mu; NewCoordinator calls it
-// before the coordinator is shared.
+// shards. Caller holds c.mu (RestoreQueue replays before the queue is
+// shared).
 func (c *Coordinator) enqueue(spec SubmitSpec) (*submission, error) {
 	if spec.Faults < 0 {
 		return nil, fmt.Errorf("dist: negative fault count %d", spec.Faults)
@@ -356,73 +299,92 @@ func (c *Coordinator) enqueue(spec SubmitSpec) (*submission, error) {
 	return sub, nil
 }
 
-// emit publishes one campaign event when a stream is attached. Handlers
-// call it under c.mu; after the terminal MatrixDone has been announced
+// emit is the one path every transition is announced on: the attached
+// event stream, if any, and the dashboard feed (which marshals only while
+// someone is subscribed). Caller holds c.mu; after the terminal MatrixDone
 // (muted, set under the same mutex) late handler events are dropped, so
 // MatrixDone is always the stream's last event and no handler can block on
 // a channel whose consumer already detached.
 func (c *Coordinator) emit(ev campaign.Event) {
-	if c.events != nil && !c.muted {
+	if c.muted {
+		return
+	}
+	if c.events != nil {
 		c.events <- ev
 	}
+	c.sse.publish(ev)
 }
 
-// finish announces the terminal MatrixDone exactly once and mutes further
-// handler events. Safe to call from Wait and from Serve's error path.
-func (c *Coordinator) finish(ev campaign.MatrixDone) {
-	c.finOnce.Do(func() {
-		// Taking the mutex serializes with any handler mid-emit: its send
-		// completes (the consumer is still draining — MatrixDone has not
-		// been sent yet), then muted flips, then MatrixDone goes out last.
-		c.mu.Lock()
-		c.muted = true
-		c.mu.Unlock()
-		if c.events != nil {
-			c.events <- ev
-		}
-	})
-}
-
-// Wait blocks until every campaign of the one-shot matrix is assembled (or
-// failed), or until ctx cancels, then emits the terminal MatrixDone and
-// returns results in job order — the same contract as Engine.RunMatrix. On
-// cancellation the partial results plus ctx.Err() are returned; campaigns
-// already assembled are durable in the store, and a new coordinator over
-// the same store resumes where this one stopped.
-func (c *Coordinator) Wait(ctx context.Context) ([]*campaign.Result, error) {
-	var cause error
-	select {
-	case <-c.finished:
-	case <-ctx.Done():
-		cause = ctx.Err()
-	}
+// finish snapshots every submission's results in submission then job order,
+// announces the terminal MatrixDone exactly once and mutes further handler
+// events. A cancelled submission is the cause when nothing else is. Holding
+// the mutex serializes with any handler mid-emit: its send completes (the
+// consumer is still draining), then MatrixDone goes out last.
+func (c *Coordinator) finish(cause error) ([]*campaign.Result, error) {
 	c.mu.Lock()
-	sub := c.oneShot
-	results := append([]*campaign.Result(nil), sub.results...)
-	md := campaign.NewMatrixDone(results, sub.errs, sub.skipped, cause, c.now().Sub(c.t0).Seconds())
-	c.mu.Unlock()
-	c.finish(md)
+	defer c.mu.Unlock()
+	var results []*campaign.Result
+	var errs []error
+	skipped := 0
+	for _, sub := range c.subs {
+		results = append(results, sub.results...)
+		errs = append(errs, sub.errs...)
+		skipped += sub.skipped
+		if sub.cancelled && cause == nil {
+			cause = fmt.Errorf("dist: %s: %w", sub.id, ErrCancelled)
+		}
+	}
+	md := campaign.NewMatrixDone(results, errs, skipped, cause, c.now().Sub(c.t0).Seconds())
+	c.emit(md)
+	c.muted = true
 	return results, md.Err
 }
 
+// Wait blocks until the queue has drained — Drain was called and every
+// submission is terminal (assembled, failed or cancelled) — or until ctx
+// cancels, then emits the terminal MatrixDone and returns the results in
+// submission then job order: for NewCoordinator's one matrix, the same
+// contract as Engine.RunMatrix. On cancellation the partial results plus
+// ctx.Err() are returned; campaigns already assembled are durable in the
+// store, and a new coordinator over the same store resumes where this one
+// stopped.
+func (c *Coordinator) Wait(ctx context.Context) ([]*campaign.Result, error) {
+	select {
+	case <-c.draining:
+	case <-ctx.Done():
+		return c.finish(ctx.Err())
+	}
+	c.mu.Lock()
+	subs := c.subs // intake is closed: the list is final
+	c.mu.Unlock()
+	for _, sub := range subs {
+		select {
+		case <-sub.done:
+		case <-ctx.Done():
+			return c.finish(ctx.Err())
+		}
+	}
+	return c.finish(nil)
+}
+
 // doneLinger is how long Serve keeps answering the protocol after the
-// matrix finishes, so workers sitting in their retry-poll loop observe the
+// queue drains, so workers sitting in their retry-poll loop observe the
 // Done reply and exit cleanly instead of finding a closed port. (The worker
 // that folds the final shard learns Done from its CompleteReply and needs
 // no linger at all.)
 const doneLinger = 1500 * time.Millisecond
 
 // Serve listens on addr, serves the wire protocol plus the status page, and
-// waits for the one-shot matrix (see Wait). After completion the server
-// lingers briefly (doneLinger) so polling workers see the Done signal, then
-// the listener closes. Persistent queues serve Handler on their own
-// http.Server instead.
+// waits for the queue to drain (see Wait) — which, for a queue nobody
+// drains, means until ctx cancels. After a drain the server lingers briefly
+// (doneLinger) so polling workers see the Done signal, then the listener
+// closes.
 func (c *Coordinator) Serve(ctx context.Context, addr string) ([]*campaign.Result, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		// Announce the terminal event even when the run never starts, so an
 		// attached Collector goroutine unblocks instead of hanging its CLI.
-		c.finish(campaign.MatrixDone{Skipped: c.oneShot.skipped, Err: err})
+		c.finish(err)
 		return nil, err
 	}
 	srv := &http.Server{Handler: c.Handler()}
@@ -501,12 +463,28 @@ func (c *Coordinator) touch(name string) *workerInfo {
 	return wi
 }
 
-// matrixDoneLocked reports the Done flag piggybacked to workers: a one-shot
-// coordinator is done when its matrix drains; a persistent queue never
+// reapLocked returns overdue leases to pending and fails the campaign of
+// any shard whose lease has now expired maxShardAttempts times: a fault
+// that kills or hangs every worker it touches must fail its campaign
+// loudly, not loop on lease expiry. Caller holds c.mu.
+func (c *Coordinator) reapLocked() {
+	for _, sh := range c.table.expire() {
+		if sh.camp.done {
+			continue // a sibling shard already failed it
+		}
+		c.cm.shards.With("failed", tenantLabel(sh.camp.tenant())).Inc()
+		c.failCampaign(sh.camp, fmt.Errorf("shard [%d,%d) abandoned: its lease expired %d times, last held by worker %q",
+			sh.lo, sh.hi, maxShardAttempts, sh.worker))
+	}
+}
+
+// drainedLocked reports the Done flag piggybacked to workers: the queue is
+// draining and every shard it ever held is retired, which is exactly when
+// every submission is terminal. A queue that was not told to drain never
 // tells workers to exit — an idle fleet polls for the next submission.
 // Caller holds c.mu.
-func (c *Coordinator) matrixDoneLocked() bool {
-	return !c.persistent && c.oneShot != nil && c.oneShot.campsLeft == 0
+func (c *Coordinator) drainedLocked() bool {
+	return c.isDraining() && c.table.done == c.table.total
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
@@ -520,9 +498,10 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if req.Capacity > 0 {
 		wi.capacity = req.Capacity
 	}
+	c.reapLocked()
 	sh, allRetired := c.table.acquire(req.Worker)
 	if sh == nil {
-		if allRetired && !c.persistent {
+		if allRetired && c.isDraining() {
 			c.cm.leaseRequests.With("done", "none").Inc()
 			writeJSON(w, http.StatusOK, LeaseReply{Proto: ProtoVersion, Done: true})
 			return
@@ -566,7 +545,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	sh, stale := c.table.complete(req.LeaseID, req.Key, req.Lo, req.Hi)
 	if stale {
 		c.cm.shards.With("stale", "none").Inc()
-		writeJSON(w, http.StatusOK, CompleteReply{Proto: ProtoVersion, Stale: true, Done: c.matrixDoneLocked()})
+		writeJSON(w, http.StatusOK, CompleteReply{Proto: ProtoVersion, Stale: true, Done: c.drainedLocked()})
 		return
 	}
 	camp := sh.camp
@@ -588,7 +567,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		c.cm.shards.With("failed", tn).Inc()
 		c.failCampaign(camp, err)
-		writeJSON(w, http.StatusOK, CompleteReply{Proto: ProtoVersion, Accepted: true, Done: c.matrixDoneLocked()})
+		writeJSON(w, http.StatusOK, CompleteReply{Proto: ProtoVersion, Accepted: true, Done: c.drainedLocked()})
 		return
 	}
 	if !camp.haveMeta {
@@ -610,7 +589,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	if camp.shardsLeft == 0 && !camp.done {
 		c.assemble(camp)
 	}
-	writeJSON(w, http.StatusOK, CompleteReply{Proto: ProtoVersion, Accepted: true, Done: c.matrixDoneLocked()})
+	writeJSON(w, http.StatusOK, CompleteReply{Proto: ProtoVersion, Accepted: true, Done: c.drainedLocked()})
 }
 
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -625,7 +604,7 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// its deadline must be dropped here, not counted now and retracted at
 	// the next acquire — that window double-counted re-issued work on the
 	// progress stream (Done briefly exceeding the shard's true progress).
-	c.table.expire()
+	c.reapLocked()
 	sh := c.table.holder(req.LeaseID)
 	if sh == nil || sh.camp.key != req.Key {
 		// Stale beat from an expired lease: acknowledge and drop.
@@ -637,15 +616,6 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	sh.beats += req.Hi - req.Lo
 	camp.beats += req.Hi - req.Lo
 	c.cm.beats.With(tenantLabel(camp.tenant())).Inc()
-	c.sse.publish(dashEvent{
-		Type:    "job",
-		Key:     camp.key,
-		Lo:      req.Lo,
-		Hi:      req.Hi,
-		Done:    camp.beats,
-		Total:   camp.Faults,
-		WallSec: req.WallSec,
-	})
 	c.emit(campaign.JobDone{
 		Scenario: camp.Job.Scenario,
 		Domain:   camp.Job.Domain,
@@ -675,7 +645,6 @@ func (c *Coordinator) assemble(camp *campState) {
 	sub.results[camp.idx] = res
 	camp.done = true
 	c.cm.campaigns.With("completed", tenantLabel(sub.tenant)).Inc()
-	c.sse.publish(dashEvent{Type: "scenario", Key: camp.key, Done: camp.Folded, Total: camp.Faults})
 	c.emit(campaign.ScenarioDone{Key: camp.key, Result: res})
 	c.campDone(sub)
 }
@@ -693,14 +662,12 @@ func (c *Coordinator) failCampaign(camp *campState, err error) {
 	sub.failed++
 	c.cm.campaigns.With("failed", tenantLabel(sub.tenant)).Inc()
 	c.table.retireCampaign(camp)
-	c.sse.publish(dashEvent{Type: "scenario", Key: camp.key, Failed: true, Err: err.Error()})
 	c.emit(campaign.ScenarioDone{Key: camp.key, Err: camp.err})
 	c.campDone(sub)
 }
 
 // campDone retires one campaign slot of a submission; the submission
-// finishes when none remain, and a one-shot coordinator then finishes the
-// matrix. Caller holds c.mu.
+// finishes when none remain. Caller holds c.mu.
 func (c *Coordinator) campDone(sub *submission) {
 	sub.campsLeft--
 	if sub.campsLeft != 0 {
@@ -708,14 +675,9 @@ func (c *Coordinator) campDone(sub *submission) {
 	}
 	sub.endT = c.now()
 	close(sub.done)
-	if sub == c.oneShot {
-		close(c.finished)
-	}
-	if c.persistent {
-		// Long-lived queues prune retired shards so acquire scans stay
-		// proportional to live work, not to everything ever submitted.
-		c.table.pruneDone()
-	}
+	// Prune retired shards so acquire scans stay proportional to live work,
+	// not to everything ever submitted.
+	c.table.pruneDone()
 }
 
 // matrixStatusLocked renders one submission's queue row. Caller holds c.mu.
@@ -751,7 +713,7 @@ func (c *Coordinator) matrixStatusLocked(sub *submission) MatrixStatus {
 func (c *Coordinator) Status() StatusReply {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.table.expire()
+	c.reapLocked()
 	now := c.now()
 	st := StatusReply{
 		Proto:         ProtoVersion,
@@ -868,7 +830,9 @@ func (c *Coordinator) handlePage(w http.ResponseWriter, r *http.Request) {
 		st.ShardsDone, st.Shards, st.ShardsLeased, st.ShardsPending, st.Reissued)
 	fmt.Fprintf(&b, "injections %d/%d classified\n", st.Injected, st.Injections)
 	fmt.Fprintf(&b, "elapsed    %.1fs\n", st.ElapsedSec)
-	if c.persistent && len(st.Matrices) > 0 {
+	// The submissions table shows once there is a queue to speak of: more
+	// than one submission, or a named tenant (dash.go's script: same rule).
+	if len(st.Matrices) > 1 || (len(st.Matrices) == 1 && st.Matrices[0].Tenant != "") {
 		fmt.Fprintf(&b, "\n%-10s %-12s %-10s %10s %10s\n", "matrix", "tenant", "state", "campaigns", "injected")
 		for _, ms := range st.Matrices {
 			fmt.Fprintf(&b, "%-10s %-12s %-10s %6d/%-3d %10d\n",
@@ -892,7 +856,7 @@ func (c *Coordinator) handlePage(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&b, "%-24s %8d\n", k, st.Outcomes[k])
 		}
 	}
-	if st.Done && !c.persistent {
+	if st.Done && c.isDraining() {
 		fmt.Fprintln(&b, "\nmatrix complete")
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")

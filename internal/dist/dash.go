@@ -122,8 +122,8 @@ function renderStatus(st) {
     });
 
   // Submission queue: one row per queued matrix, grouped by tenant so a
-  // starved namespace is visible at a glance. One-shot coordinators report
-  // a single anonymous matrix; the panel only shows once a queue exists.
+  // starved namespace is visible at a glance. A lone anonymous matrix (a
+  // one-shot serve) needs no table; the status page applies the same rule.
   var ms = st.matrices || [];
   document.getElementById("queuepanel").style.display = ms.length > 1 || (ms.length === 1 && ms[0].tenant) ? "" : "none";
   var qb = document.querySelector("#queue tbody");

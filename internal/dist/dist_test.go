@@ -340,10 +340,11 @@ func TestClusterTracePropMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coord, err := NewCoordinator(jobs, compatFaults, ShardSize(2), WithStore(st), TraceProp())
-			if err != nil {
+			coord := NewQueue(ShardSize(2), WithStore(st))
+			if _, err := coord.Submit(SubmitSpec{Jobs: jobs, Faults: compatFaults, TraceProp: true}); err != nil {
 				t.Fatal(err)
 			}
+			coord.Drain()
 			results := runCluster(t, coord, workers)
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
@@ -412,10 +413,11 @@ func TestClusterRecordRunsMatchesEngine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			coord, err := NewCoordinator(jobs, compatFaults, ShardSize(2), WithStore(st), TraceProp(), RecordRuns())
-			if err != nil {
+			coord := NewQueue(ShardSize(2), WithStore(st))
+			if _, err := coord.Submit(SubmitSpec{Jobs: jobs, Faults: compatFaults, TraceProp: true, RecordRuns: true}); err != nil {
 				t.Fatal(err)
 			}
+			coord.Drain()
 			results := runCluster(t, coord, workers)
 			if err := st.Close(); err != nil {
 				t.Fatal(err)

@@ -1,5 +1,5 @@
 // The submission journal: a tiny append-only JSONL log of queue
-// operations (submit, cancel) that makes a persistent coordinator survive
+// operations (submit, cancel) that makes a coordinator's queue survive
 // restarts. On startup RestoreQueue replays the journal against a fresh
 // queue; campaigns whose rows the store already holds are answered from it
 // (the ordinary resume path), so a restart loses at most the in-flight
@@ -126,12 +126,14 @@ func PendingSubmissions(entries []JournalEntry) []JournalEntry {
 	return out
 }
 
-// RestoreQueue builds a persistent queue from the journal at path: replays
+// RestoreQueue builds a durable queue from the journal at path: replays
 // every still-wanted submission against a fresh NewQueue (store-recorded
 // campaigns are answered immediately; unfinished ones become pending
-// shards again), then attaches the journal for new operations. Replayed
-// submissions are NOT re-appended — the journal already holds them. The
-// caller owns the returned journal and should Close it on shutdown.
+// shards again), then attaches the journal: from here on every accepted
+// submission and cancellation is appended (and fsynced) before it is
+// acknowledged. Replayed submissions are NOT re-appended — the journal
+// already holds them. The caller owns the returned journal and should
+// Close it on shutdown.
 func RestoreQueue(path string, opts ...CoordOption) (*Coordinator, *Journal, error) {
 	entries, err := ReadJournal(path)
 	if err != nil {
@@ -162,16 +164,14 @@ func RestoreQueue(path string, opts ...CoordOption) (*Coordinator, *Journal, err
 			return nil, nil, fmt.Errorf("dist journal %s: %w", e.ID, err)
 		}
 	}
-	c.mu.Lock()
-	if maxSeq > c.nextSeq {
-		c.nextSeq = maxSeq
-	}
-	c.mu.Unlock()
 	j, err := OpenJournal(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	c.AttachJournal(j)
+	c.mu.Lock()
+	c.nextSeq = max(c.nextSeq, maxSeq)
+	c.journal = j
+	c.mu.Unlock()
 	return c, j, nil
 }
 

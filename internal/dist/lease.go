@@ -40,7 +40,15 @@ type shard struct {
 	worker   string
 	deadline time.Time
 	beats    int // injection runs reported by the current lease holder
+	expiries int // leases on this shard that ran out unanswered
 }
+
+// maxShardAttempts is how many leases on one shard may expire before the
+// coordinator gives the shard up and fails its campaign. Not an option: a
+// healthy shard finishes well inside one generous TTL, so a third silent
+// holder means the fault itself kills or hangs workers (OOM, a host loop
+// past the TTL) and every further grant would only take another one down.
+const maxShardAttempts = 3
 
 // leaseTable tracks every shard. It is not self-locking: the coordinator
 // serializes access under its own mutex, which also covers campaign state.
@@ -71,8 +79,7 @@ func newLeaseTable(camps []*campState, shardSize int, ttl time.Duration, now fun
 }
 
 // add shards a batch of open campaigns into the table — the submission
-// path of the persistent queue (newLeaseTable calls it for the initial
-// matrix).
+// path of the queue.
 func (t *leaseTable) add(camps []*campState, shardSize int) {
 	for _, c := range camps {
 		if c.done {
@@ -89,15 +96,16 @@ func (t *leaseTable) add(camps []*campState, shardSize int) {
 	}
 }
 
-// expire returns every overdue lease to pending. Called under the
-// coordinator lock before any grant or status read.
-func (t *leaseTable) expire() {
+// expire returns every overdue lease to pending and reports the shards that
+// have now used up maxShardAttempts leases (worker still names the last
+// holder); the coordinator fails those campaigns instead of granting them
+// again. Called under the coordinator lock before any grant or status read.
+func (t *leaseTable) expire() (abandoned []*shard) {
 	now := t.now()
 	for _, s := range t.shards {
 		if s.state == shardLeased && now.After(s.deadline) {
 			s.state = shardPending
 			s.leaseID = 0
-			s.worker = ""
 			// The dead holder's progress beats are retracted so the next
 			// holder's beats don't double-count (Done must never exceed
 			// Total on the campaign progress line).
@@ -106,16 +114,20 @@ func (t *leaseTable) expire() {
 			t.reissued++
 			t.leased--
 			t.pending++
+			if s.expiries++; s.expiries >= maxShardAttempts {
+				abandoned = append(abandoned, s)
+			}
 		}
 	}
+	return abandoned
 }
 
 // acquire grants one pending shard to worker under the fair-share policy,
-// arming its deadline. allRetired reports that every shard ever added is
-// retired (a one-shot coordinator translates that to Done); a nil shard
-// with allRetired false means everything left is currently leased — retry.
+// arming its deadline; the coordinator reaps overdue leases first. allRetired
+// reports that every shard ever added is retired (a draining coordinator
+// translates that to Done); a nil shard with allRetired false means
+// everything left is currently leased — retry.
 func (t *leaseTable) acquire(worker string) (s *shard, allRetired bool) {
-	t.expire()
 	if t.done == t.total {
 		return nil, true
 	}
@@ -209,9 +221,9 @@ func (t *leaseTable) retireCampaign(c *campState) {
 	}
 }
 
-// pruneDone drops retired shards from the scan slice — long-lived queue
-// coordinators would otherwise scan every shard ever submitted on each
-// acquire. The cumulative counters (total, done, reissued) keep counting
+// pruneDone drops retired shards from the scan slice — a long-lived queue
+// would otherwise scan every shard ever submitted on each acquire. The
+// cumulative counters (total, done, reissued) keep counting
 // pruned shards, so status arithmetic is unchanged.
 func (t *leaseTable) pruneDone() {
 	live := t.shards[:0]

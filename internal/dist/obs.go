@@ -17,8 +17,10 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 
+	"serfi/internal/campaign"
 	"serfi/internal/obs"
 )
 
@@ -142,7 +144,7 @@ func (c *Coordinator) syncGaugesLocked() {
 // pushed alongside a completed shard.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
-	c.table.expire()
+	c.reapLocked()
 	c.syncGaugesLocked()
 	merged := c.cm.reg.Snapshot()
 	names := make([]string, 0, len(c.workerFams))
@@ -162,50 +164,84 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // dashEvent is one live-feed entry on the /dash/events SSE stream — the
 // typed campaign events re-encoded for the dashboard's JavaScript.
 type dashEvent struct {
-	Type     string  `json:"type"` // "job" | "scenario" | "matrix"
-	Key      string  `json:"key,omitempty"`
-	Lo       int     `json:"lo,omitempty"`
-	Hi       int     `json:"hi,omitempty"`
-	Done     int     `json:"done,omitempty"`
-	Total    int     `json:"total,omitempty"`
-	WallSec  float64 `json:"wall_sec,omitempty"`
-	Err      string  `json:"err,omitempty"`
-	Failed   bool    `json:"failed,omitempty"`
-	Injected int     `json:"injected,omitempty"` // matrix-wide, on "job" events
+	Type    string  `json:"type"` // "job" | "scenario" | "matrix"
+	Key     string  `json:"key,omitempty"`
+	Lo      int     `json:"lo,omitempty"`
+	Hi      int     `json:"hi,omitempty"`
+	Done    int     `json:"done,omitempty"`
+	Total   int     `json:"total,omitempty"`
+	WallSec float64 `json:"wall_sec,omitempty"`
+	Err     string  `json:"err,omitempty"`
+	Failed  bool    `json:"failed,omitempty"`
 }
 
-// sseHub fans dashboard events out to any number of SSE subscribers.
-// Publishing never blocks: a subscriber that cannot keep up loses events
-// (the dashboard re-syncs from /v1/status anyway).
+// sseHub fans the coordinator's event path out to any number of SSE
+// subscribers. Publishing never blocks: a subscriber that cannot keep up
+// loses events (the dashboard re-syncs from /v1/status anyway) — except the
+// terminal one, which is delivered by closing every subscriber's channel.
 type sseHub struct {
 	mu   sync.Mutex
 	subs map[chan []byte]struct{}
+	done bool // MatrixDone went out; later subscribers start closed
 }
 
 func newSSEHub() *sseHub {
 	return &sseHub{subs: make(map[chan []byte]struct{})}
 }
 
-func (h *sseHub) publish(ev dashEvent) {
-	data, err := json.Marshal(ev)
+// publish re-encodes one campaign event for the feed. With nobody
+// subscribed it marshals nothing.
+func (h *sseHub) publish(ev campaign.Event) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if _, last := ev.(campaign.MatrixDone); last {
+		h.done = true
+		for ch := range h.subs {
+			close(ch)
+		}
+		h.subs = nil
+		return
+	}
+	if len(h.subs) == 0 {
+		return
+	}
+	var de dashEvent
+	switch ev := ev.(type) {
+	case campaign.JobDone:
+		de = dashEvent{Type: "job", Key: ev.Key(), Lo: ev.Lo, Hi: ev.Hi, Done: ev.Done, Total: ev.Total, WallSec: ev.WallSec}
+	case campaign.ScenarioDone:
+		de = dashEvent{Type: "scenario", Key: ev.Key}
+		if ev.Err != nil {
+			// failCampaign prefixes the campaign key; the feed carries the
+			// cause alone, beside its own key field.
+			de.Failed, de.Err = true, strings.TrimPrefix(ev.Err.Error(), ev.Key+": ")
+		} else {
+			de.Done, de.Total = ev.Result.Faults, ev.Result.Faults
+		}
+	default:
+		return
+	}
+	data, err := json.Marshal(de)
 	if err != nil {
 		return
 	}
-	h.mu.Lock()
 	for ch := range h.subs {
 		select {
 		case ch <- data:
 		default: // slow consumer: drop, the status poll re-syncs it
 		}
 	}
-	h.mu.Unlock()
 }
 
 func (h *sseHub) subscribe() chan []byte {
 	ch := make(chan []byte, 64)
 	h.mu.Lock()
-	h.subs[ch] = struct{}{}
-	h.mu.Unlock()
+	defer h.mu.Unlock()
+	if h.done {
+		close(ch)
+	} else {
+		h.subs[ch] = struct{}{}
+	}
 	return ch
 }
 
@@ -234,14 +270,15 @@ func (c *Coordinator) handleDashEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-r.Context().Done():
 			return
-		case <-c.finished:
-			data, _ := json.Marshal(dashEvent{Type: "matrix"})
+		case data, live := <-ch:
+			if !live { // MatrixDone closed the feed
+				data = []byte(`{"type":"matrix"}`)
+			}
 			fmt.Fprintf(w, "data: %s\n\n", data)
 			fl.Flush()
-			return
-		case data := <-ch:
-			fmt.Fprintf(w, "data: %s\n\n", data)
-			fl.Flush()
+			if !live {
+				return
+			}
 		}
 	}
 }

@@ -196,8 +196,7 @@ type StatusReply struct {
 	Workers      []WorkerStatus   `json:"workers,omitempty"`
 	CampaignList []CampaignStatus `json:"campaign_list,omitempty"`
 
-	// Matrices lists the submission queue (persistent coordinators; a
-	// one-shot coordinator reports its single implicit submission).
+	// Matrices lists the submission queue, submission order preserved.
 	Matrices []MatrixStatus `json:"matrices,omitempty"`
 }
 
@@ -241,7 +240,8 @@ type WireJob struct {
 	Seed     int64  `json:"seed"`
 }
 
-// SubmitRequest enqueues one campaign matrix on a persistent coordinator.
+// SubmitRequest enqueues one campaign matrix (refused once the coordinator
+// is draining).
 // ID is optional: a client-generated submission ID makes resubmission after
 // a lost reply idempotent (the coordinator returns the existing submission
 // instead of enqueueing a duplicate); empty lets the coordinator assign one.

@@ -1,17 +1,20 @@
-// The persistent queue face of the coordinator: multi-tenant submission,
-// listing, cancellation and result fetch, over the same lease fabric the
-// one-shot coordinator uses. A queue coordinator never tells workers the
-// matrix is done — an idle fleet polls for the next submission — and its
-// lifetime is the process's, not one matrix's.
+// The queue face of the coordinator: construction, multi-tenant submission,
+// drain, listing, cancellation and result fetch. An open queue never tells
+// workers the matrix is done — an idle fleet polls for the next submission;
+// Drain closes intake, after which the last terminal submission releases
+// the fleet.
 package dist
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
+	"time"
 
 	"serfi/internal/campaign"
+	"serfi/internal/obs"
 )
 
 // SubmitSpec is one campaign matrix entering the queue: the same jobs and
@@ -33,57 +36,88 @@ type SubmitSpec struct {
 	RecordRuns bool
 }
 
-// NewQueue builds a persistent multi-tenant coordinator: an empty
-// submission queue over the usual options. Unlike NewCoordinator it has no
-// implicit matrix and never signals Done to workers; serve its Handler on
-// an http.Server for as long as the service should live, and feed it with
-// Submit (or the /v1/submit endpoint). On a queue the store should be a
-// campaign.TenantStore (e.g. OpenSegmentedStore) so named tenants can be
-// scoped.
+// NewQueue builds a coordinator: an empty submission queue over the usual
+// options. Serve it (or mount its Handler) for as long as the service
+// should live, and feed it with Submit or the /v1/submit endpoint. The
+// store should be a campaign.TenantStore (e.g. OpenSegmentedStore) so
+// named tenants can be scoped.
 func NewQueue(opts ...CoordOption) *Coordinator {
-	c := newCoordinator(opts...)
-	c.persistent = true
+	c := &Coordinator{
+		shardSize:  DefaultShardSize,
+		ttl:        DefaultLeaseTTL,
+		now:        time.Now,
+		subByID:    make(map[string]*submission),
+		workers:    make(map[string]*workerInfo),
+		draining:   make(chan struct{}),
+		cm:         newCoordMetrics(),
+		workerFams: make(map[string][]obs.Family),
+		outcomes:   make(map[string]int),
+		sse:        newSSEHub(),
+	}
+	for _, opt := range opts {
+		opt(c)
+	}
+	if c.shardSize <= 0 {
+		c.shardSize = DefaultShardSize
+	}
+	if c.ttl <= 0 {
+		c.ttl = DefaultLeaseTTL
+	}
+	c.table = newLeaseTable(nil, c.shardSize, c.ttl, c.now)
+	c.t0 = c.now()
 	return c
 }
 
-// AttachJournal makes the queue durable: every accepted submission and
-// cancellation is appended (and fsynced) to j before it is acknowledged,
-// so RestoreQueue can rebuild the queue after a restart. Attach before
-// serving traffic.
-func (c *Coordinator) AttachJournal(j *Journal) {
+// Drain closes intake: Submit and /v1/submit refuse from here on, the
+// submissions already queued still run, and once the last of them is
+// terminal workers are told Done and Wait returns. Calling it again is a
+// no-op.
+func (c *Coordinator) Drain() {
 	c.mu.Lock()
-	c.journal = j
-	c.mu.Unlock()
+	defer c.mu.Unlock()
+	if !c.isDraining() {
+		close(c.draining)
+	}
+}
+
+// isDraining reports whether Drain was called.
+func (c *Coordinator) isDraining() bool {
+	select {
+	case <-c.draining:
+		return true
+	default:
+		return false
+	}
 }
 
 // Submit enqueues one matrix and returns its submission ID. Campaigns the
-// tenant's store already holds are answered from it immediately (the same
-// resume rule as NewCoordinator); the rest become pending shards,
-// fair-shared against every other tenant's. Safe to call while the queue
-// is serving traffic.
+// tenant's store already holds — which must match their fault count and
+// seed, the campaign.ValidateResume rule — are answered from it at once
+// (the resume path, exactly like the local Engine); the rest become pending
+// shards, fair-shared against every other tenant's. Safe to call while the
+// queue is serving traffic.
 func (c *Coordinator) Submit(spec SubmitSpec) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.persistent {
-		return "", fmt.Errorf("dist: Submit requires a queue coordinator (NewQueue)")
-	}
-	sub, err := c.enqueue(spec)
+	sub, err := c.submitLocked(spec)
 	if err != nil {
-		return "", err
-	}
-	if err := c.journalSubmitLocked(sub); err != nil {
 		return "", err
 	}
 	return sub.id, nil
 }
 
-// journalSubmitLocked appends one accepted submission to the journal, if
-// attached. Caller holds c.mu.
-func (c *Coordinator) journalSubmitLocked(sub *submission) error {
-	if c.journal == nil {
-		return nil
+// submitLocked is the one intake path: refuse on a draining queue, enqueue,
+// then journal (when a journal is attached) before anything is
+// acknowledged. Caller holds c.mu.
+func (c *Coordinator) submitLocked(spec SubmitSpec) (*submission, error) {
+	if c.isDraining() {
+		return nil, fmt.Errorf("dist: coordinator is draining (a one-shot serve): this instance accepts no further submissions")
 	}
-	err := c.journal.Append(JournalEntry{
+	sub, err := c.enqueue(spec)
+	if err != nil || c.journal == nil {
+		return sub, err
+	}
+	err = c.journal.Append(JournalEntry{
 		Op:         "submit",
 		ID:         sub.id,
 		Tenant:     sub.tenant,
@@ -93,10 +127,14 @@ func (c *Coordinator) journalSubmitLocked(sub *submission) error {
 		Jobs:       wireFromJobs(sub.jobs),
 	})
 	if err != nil {
-		return fmt.Errorf("dist: journal submission %s: %w", sub.id, err)
+		return nil, journalError{fmt.Errorf("dist: journal submission %s: %w", sub.id, err)}
 	}
-	return nil
+	return sub, nil
 }
+
+// journalError marks a failed journal append: the one submit failure that
+// is not the request's fault.
+type journalError struct{ error }
 
 // CancelSubmission cancels a queued matrix: every unfinished campaign's
 // shards are dropped from the lease table and the submission goes
@@ -126,9 +164,7 @@ func (c *Coordinator) CancelSubmission(id string) (state string, err error) {
 	sub.campsLeft = 0
 	sub.endT = c.now()
 	close(sub.done)
-	if c.persistent {
-		c.table.pruneDone()
-	}
+	c.table.pruneDone()
 	if c.journal != nil {
 		if jerr := c.journal.Append(JournalEntry{Op: "cancel", ID: sub.id}); jerr != nil {
 			return sub.state(), fmt.Errorf("dist: journal cancel %s: %w", sub.id, jerr)
@@ -201,35 +237,25 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.persistent {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: "coordinator is one-shot: this instance does not accept submissions"})
-		return
-	}
 	// Idempotent resubmission: a client that lost the reply re-posts with
 	// the same ID and gets the original acknowledgement back.
-	if req.ID != "" {
-		if sub := c.subByID[req.ID]; sub != nil {
-			writeJSON(w, http.StatusOK, SubmitReply{
-				Proto: ProtoVersion, ID: sub.id, Campaigns: len(sub.camps),
-				Skipped: sub.skipped, Shards: c.shardsOfLocked(sub),
-			})
-			return
-		}
+	sub := c.subByID[req.ID]
+	if sub == nil {
+		sub, err = c.submitLocked(SubmitSpec{
+			ID:         req.ID,
+			Tenant:     req.Tenant,
+			Jobs:       jobs,
+			Faults:     req.Faults,
+			TraceProp:  req.TraceProp,
+			RecordRuns: req.RecordRuns,
+		})
 	}
-	sub, err := c.enqueue(SubmitSpec{
-		ID:         req.ID,
-		Tenant:     req.Tenant,
-		Jobs:       jobs,
-		Faults:     req.Faults,
-		TraceProp:  req.TraceProp,
-		RecordRuns: req.RecordRuns,
-	})
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
-		return
-	}
-	if err := c.journalSubmitLocked(sub); err != nil {
-		writeJSON(w, http.StatusInternalServerError, errorReply{Error: err.Error()})
+		code := http.StatusBadRequest
+		if errors.As(err, new(journalError)) {
+			code = http.StatusInternalServerError // the coordinator's fault: clients retry
+		}
+		writeJSON(w, code, errorReply{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, SubmitReply{

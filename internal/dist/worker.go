@@ -347,15 +347,3 @@ func (w *Worker) evictLocked() {
 		delete(w.groups, victim.key)
 	}
 }
-
-// sleep waits for d or until ctx cancels.
-func sleep(ctx context.Context, d time.Duration) error {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}

@@ -110,23 +110,16 @@ func RunSubsetContext(ctx context.Context, cfg Config, keep func(npb.Scenario) b
 	}
 	// Live progress rides the typed event stream: one Collector goroutine
 	// prints per-campaign lines until the engine's MatrixDone.
-	var done chan struct{}
+	wait := func() {}
 	if cfg.Progress != nil {
-		events := make(chan campaign.Event, 64)
-		col := campaign.NewCollector(cfg.Progress, len(m.Order)*len(domains))
+		var events chan campaign.Event
+		events, wait = campaign.NewCollector(cfg.Progress, len(m.Order)*len(domains)).Start()
 		opts = append(opts, campaign.WithEvents(events))
-		done = make(chan struct{})
-		go func() {
-			defer close(done)
-			col.Consume(events)
-		}()
 	}
 	eng := campaign.New(opts...)
 	jobs := eng.JobsFor(m.Order, cfg.Seed)
 	results, err := eng.RunMatrix(ctx, jobs)
-	if done != nil {
-		<-done
-	}
+	wait()
 	for i, r := range results {
 		if r != nil {
 			m.Results[jobs[i].Key()] = r
