@@ -95,12 +95,13 @@ func (s *submission) state() string {
 // campState is one (scenario, domain) campaign's state on the coordinator:
 // the fold its accepted shards accumulate in (campaign.Fold — the identity
 // it was sharded from, Job and Faults, included), the scenario-level
-// metadata reported by the first completed shard, and the lease
-// bookkeeping.
+// metadata reported by the first completed shard (which every later shard's
+// golden summary is checked against), and the lease bookkeeping.
 type campState struct {
-	sub *submission // owning submission (nil only in table-level tests)
-	idx int         // position in the submission's jobs / results slices
-	key string
+	sub   *submission // owning submission (nil only in table-level tests)
+	idx   int         // position in the submission's jobs / results slices
+	key   string
+	group string // campaign.GroupKey of the job: what a worker builds once, so what leases are affine to
 	campaign.Fold
 
 	shardsLeft int  // shards not yet folded
@@ -108,10 +109,11 @@ type campState struct {
 	started    bool
 	t0         time.Time // first lease grant (campaign wall span opens)
 
-	haveMeta bool
-	golden   campaign.GoldenSummary
-	features map[string]float64
-	apiCalls uint64
+	haveMeta   bool
+	metaWorker string // who reported the metadata every later shard must match
+	golden     campaign.GoldenSummary
+	features   map[string]float64
+	apiCalls   uint64
 
 	beats int // injection runs reported via progress events
 
@@ -266,7 +268,8 @@ func (c *Coordinator) enqueue(spec SubmitSpec) (*submission, error) {
 				}
 			}
 		}
-		st := &campState{sub: sub, idx: i, key: key, Fold: campaign.NewFold(job, spec.Faults, spec.TraceProp)}
+		st := &campState{sub: sub, idx: i, key: key, group: campaign.GroupKey(job.Scenario.ID(), job.Seed),
+			Fold: campaign.NewFold(job, spec.Faults, spec.TraceProp)}
 		r, err := campaign.Recorded(view, job, spec.Faults)
 		if err != nil {
 			return nil, fmt.Errorf("dist: %w", err)
@@ -512,6 +515,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	camp := sh.camp
 	c.cm.leaseRequests.With("grant", tenantLabel(camp.tenant())).Inc()
+	c.cm.grants.With(affinityNames[sh.affinity]).Inc()
 	if !camp.started {
 		camp.started = true
 		camp.t0 = c.now()
@@ -555,6 +559,11 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var err error
 	if req.Err != "" {
 		err = errors.New(req.Err)
+	} else if camp.haveMeta && req.Golden != camp.golden {
+		// Simulation is deterministic: a golden run two workers disagree on
+		// is a stale binary, another model or a host soft error.
+		err = fmt.Errorf("golden run mismatch: worker %q reports %+v, worker %q reported %+v",
+			req.Worker, req.Golden, camp.metaWorker, camp.golden)
 	} else {
 		err = camp.Add(sh.lo, sh.hi, campaign.Shard{
 			Runs:           req.Runs,
@@ -572,6 +581,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	}
 	if !camp.haveMeta {
 		camp.haveMeta = true
+		camp.metaWorker = req.Worker
 		camp.golden = req.Golden
 		camp.features = req.Features
 		camp.apiCalls = req.APICalls
@@ -606,15 +616,19 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// progress stream (Done briefly exceeding the shard's true progress).
 	c.reapLocked()
 	sh := c.table.holder(req.LeaseID)
-	if sh == nil || sh.camp.key != req.Key {
-		// Stale beat from an expired lease: acknowledge and drop.
+	n := req.Hi - req.Lo
+	if sh == nil || sh.camp.key != req.Key ||
+		n < 0 || req.Lo < sh.lo || req.Hi > sh.hi || sh.beats+n > sh.hi-sh.lo {
+		// A beat from an expired lease, or one that lies about its range
+		// (inverted, outside its lease, more runs than the shard holds):
+		// acknowledge and drop, so Done never exceeds Total.
 		c.cm.beatsStale.Inc()
 		writeJSON(w, http.StatusOK, EventReply{Proto: ProtoVersion})
 		return
 	}
 	camp := sh.camp
-	sh.beats += req.Hi - req.Lo
-	camp.beats += req.Hi - req.Lo
+	sh.beats += n
+	camp.beats += n
 	c.cm.beats.With(tenantLabel(camp.tenant())).Inc()
 	c.emit(campaign.JobDone{
 		Scenario: camp.Job.Scenario,

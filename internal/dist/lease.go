@@ -10,6 +10,12 @@
 // one shard size, which is why nothing finer than taking turns is needed (a
 // deficit round-robin with that quantum grants the identical sequence:
 // TestLeaseGrantSequences).
+//
+// Within the tenant whose turn it is, grants are scenario-affine: a worker
+// keeps the group (scenario, seed) it last built for that tenant, an idle
+// worker opens a group nobody holds, and only then steals from a group
+// another worker holds — so the cluster runs each fault-free pass once and
+// nothing waits on a departed worker (TestLeaseAffinitySequences).
 package dist
 
 import (
@@ -41,7 +47,23 @@ type shard struct {
 	deadline time.Time
 	beats    int // injection runs reported by the current lease holder
 	expiries int // leases on this shard that ran out unanswered
+	affinity int // how the current lease ranked for its holder (affinityNames)
 }
+
+// The within-tenant grant order: a shard of the asking worker's own group,
+// then of a group nobody holds, then (steal) of a group another worker holds.
+const (
+	affinityOwn = iota
+	affinityFresh
+	affinitySteal
+)
+
+var affinityNames = [...]string{"own", "fresh", "steal"}
+
+// claim keys the affinity map by tenant as well as worker: that keeps a
+// worker on its scenario while the rotation alternates tenants, and one
+// group per tenant is what the worker's group cache holds.
+type claim struct{ worker, tenant string }
 
 // maxShardAttempts is how many leases on one shard may expire before the
 // coordinator gives the shard up and fails its campaign. Not an option: a
@@ -67,13 +89,18 @@ type leaseTable struct {
 	// Fair-share state: the rotation pointer (grants resume after the tenant
 	// served last).
 	lastTenant string
+
+	// Affinity state: the group of each worker's latest grant in each tenant.
+	// A claim is a preference, never a reservation: a group whose holder left
+	// is granted last, not never. pruneDone drops claims on finished groups.
+	held map[claim]string
 }
 
 // newLeaseTable shards every open campaign into [lo, hi) ranges of at most
 // shardSize faults, in campaign order. Campaigns already answered from the
 // store contribute no shards.
 func newLeaseTable(camps []*campState, shardSize int, ttl time.Duration, now func() time.Time) *leaseTable {
-	t := &leaseTable{ttl: ttl, now: now}
+	t := &leaseTable{ttl: ttl, now: now, held: make(map[claim]string)}
 	t.add(camps, shardSize)
 	return t
 }
@@ -134,19 +161,38 @@ func (t *leaseTable) acquire(worker string) (s *shard, allRetired bool) {
 	// Rotation: the grant goes to the first tenant after the one served
 	// last, by name, that has a pending shard — wrapping to the smallest
 	// name — so grants interleave tenants even when one tenant's shards
-	// dominate the table. Within a tenant the first pending shard in table
-	// (submission) order wins: the strict < keeps the earliest.
+	// dominate the table. Within a tenant the lowest affinity rank wins, and
+	// within a rank the first pending shard in table (submission) order: the
+	// strict < keeps the earliest.
+	others := make(map[string]bool, len(t.held)) // groups another worker holds
+	for cl, g := range t.held {
+		if cl.worker != worker {
+			others[g] = true
+		}
+	}
+	ahead := func(sh, best *shard, tn string) bool {
+		if best == nil || tn != best.camp.tenant() {
+			return best == nil || tn < best.camp.tenant()
+		}
+		return sh.affinity < best.affinity
+	}
 	var next, wrap *shard
 	for _, sh := range t.shards {
 		if sh.state != shardPending {
 			continue
 		}
 		tn := sh.camp.tenant()
+		sh.affinity = affinityFresh
+		if own, ok := t.held[claim{worker, tn}]; ok && own == sh.camp.group {
+			sh.affinity = affinityOwn
+		} else if others[sh.camp.group] {
+			sh.affinity = affinitySteal
+		}
 		if tn > t.lastTenant {
-			if next == nil || tn < next.camp.tenant() {
+			if ahead(sh, next, tn) {
 				next = sh
 			}
-		} else if wrap == nil || tn < wrap.camp.tenant() {
+		} else if ahead(sh, wrap, tn) {
 			wrap = sh
 		}
 	}
@@ -157,6 +203,7 @@ func (t *leaseTable) acquire(worker string) (s *shard, allRetired bool) {
 		return nil, false
 	}
 	t.lastTenant = next.camp.tenant()
+	t.held[claim{worker, t.lastTenant}] = next.camp.group
 	t.nextID++
 	next.state = shardLeased
 	next.leaseID = t.nextID
@@ -224,12 +271,20 @@ func (t *leaseTable) retireCampaign(c *campState) {
 // pruneDone drops retired shards from the scan slice — a long-lived queue
 // would otherwise scan every shard ever submitted on each acquire. The
 // cumulative counters (total, done, reissued) keep counting
-// pruned shards, so status arithmetic is unchanged.
+// pruned shards, so status arithmetic is unchanged. Claims on groups with
+// no shard left go with them.
 func (t *leaseTable) pruneDone() {
 	live := t.shards[:0]
+	groups := make(map[string]bool)
 	for _, sh := range t.shards {
 		if sh.state != shardDone {
 			live = append(live, sh)
+			groups[sh.camp.group] = true
+		}
+	}
+	for cl, g := range t.held {
+		if !groups[g] {
+			delete(t.held, cl)
 		}
 	}
 	for i := len(live); i < len(t.shards); i++ {

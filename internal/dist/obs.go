@@ -24,12 +24,16 @@ import (
 	"serfi/internal/obs"
 )
 
-// Client-side wire instruments, on the process registry (a worker process
-// pushes these to its coordinator like every other obs.Default family, so
-// the cluster /metrics shows per-path round-trip volume).
+// Client- and worker-side instruments, on the process registry (a worker
+// process pushes these to its coordinator like every other obs.Default
+// family, so the cluster /metrics shows per-path round-trip volume and how
+// often each scenario's fault-free pass ran: once, if affinity held).
 var (
 	obsWireRequests = obs.Default.CounterVec("serfi_dist_wire_requests_total", "Coordinator protocol round trips issued by this process, by path.", "path")
 	obsWireErrors   = obs.Default.CounterVec("serfi_dist_wire_errors_total", "Failed coordinator protocol round trips, by path.", "path")
+
+	obsGroupBuilds       = obs.Default.CounterVec("serfi_dist_group_builds_total", "Scenario groups (image, golden run, checkpoints) built by workers, by scenario.", "scenario")
+	obsGroupBuildSeconds = obs.Default.Histogram("serfi_dist_group_build_seconds", "Wall time of one worker-side scenario group build.", obs.ExpBuckets(0.01, 4, 8))
 )
 
 // tenantLabel renders a tenant namespace as a metric label value: the
@@ -49,10 +53,11 @@ type coordMetrics struct {
 	reg *obs.Registry
 
 	leaseRequests obs.CounterVec // result: grant | retry | done; tenant
+	grants        obs.CounterVec // affinity: own | fresh | steal
 	shards        obs.CounterVec // result: accepted | stale | failed; tenant
 	shardSeconds  obs.Histogram  // wall clock of accepted shards
 	beats         obs.CounterVec // progress beats folded, by tenant
-	beatsStale    obs.Counter    // beats dropped from expired leases
+	beatsStale    obs.Counter    // beats dropped: expired lease, or a range outside it
 
 	shardsPending obs.Gauge
 	shardsLeased  obs.Gauge
@@ -81,10 +86,11 @@ func newCoordMetrics() *coordMetrics {
 	return &coordMetrics{
 		reg:           r,
 		leaseRequests: r.CounterVec("serfi_dist_lease_requests_total", "Lease requests answered, by result and tenant.", "result", "tenant"),
+		grants:        r.CounterVec("serfi_dist_grants_total", "Leases granted, by how the shard ranked for its worker: its own group, a group nobody held, or one stolen from another worker.", "affinity"),
 		shards:        r.CounterVec("serfi_dist_shards_total", "Shard completions posted, by result and tenant.", "result", "tenant"),
 		shardSeconds:  r.Histogram("serfi_dist_shard_seconds", "Worker-reported wall clock of accepted shards.", obs.ExpBuckets(0.01, 4, 8)),
 		beats:         r.CounterVec("serfi_dist_beats_total", "Progress beats folded into campaign state, by tenant.", "tenant"),
-		beatsStale:    r.Counter("serfi_dist_beats_stale_total", "Progress beats dropped because their lease had expired."),
+		beatsStale:    r.Counter("serfi_dist_beats_stale_total", "Progress beats dropped: their lease had expired, or their range was not inside it."),
 		shardsPending: r.Gauge("serfi_dist_shards_pending", "Shards with no live lease."),
 		shardsLeased:  r.Gauge("serfi_dist_shards_leased", "Shards currently leased."),
 		shardsDone:    r.Gauge("serfi_dist_shards_done", "Shards folded."),

@@ -296,7 +296,10 @@ func (w *Worker) acquire(ctx context.Context, l *Lease) (*cacheEntry, error) {
 	if build {
 		var sc npb.Scenario
 		if sc, ce.err = npb.ParseID(l.Scenario); ce.err == nil {
+			t0 := time.Now()
 			ce.group, ce.err = campaign.BuildGroup(ctx, sc, l.Seed, w.snapshots, nil)
+			obsGroupBuilds.With(l.Scenario).Inc()
+			obsGroupBuildSeconds.Observe(time.Since(t0).Seconds())
 		}
 		close(ce.ready)
 	}
