@@ -127,10 +127,6 @@ func New(opts ...Option) *Engine {
 // (scenario, domain) pair. Domain campaigns of one scenario share its
 // seed. A scenario outside the catalog draws baseSeed unmodified.
 func (e *Engine) JobsFor(scs []npb.Scenario, baseSeed int64) []ScenarioJob {
-	pos := make(map[string]int)
-	for i, sc := range npb.Scenarios() {
-		pos[sc.ID()] = i
-	}
 	models := e.models
 	if len(models) == 0 {
 		models = []fault.Model{fault.Reg}
@@ -138,7 +134,7 @@ func (e *Engine) JobsFor(scs []npb.Scenario, baseSeed int64) []ScenarioJob {
 	jobs := make([]ScenarioJob, 0, len(scs)*len(models))
 	for _, sc := range scs {
 		seed := baseSeed
-		if i, ok := pos[sc.ID()]; ok {
+		if i, ok := npb.Index(sc); ok {
 			seed += int64(i)
 		}
 		for _, d := range models {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"serfi/internal/campaign"
+	"serfi/internal/fault"
 	"serfi/internal/npb"
 )
 
@@ -140,5 +141,49 @@ func TestMatrixReportsScenarioError(t *testing.T) {
 	}
 	if res[1] == nil || res[1].Counts.Total() != 2 {
 		t.Error("healthy scenario did not complete alongside the failure")
+	}
+}
+
+// TestJobsForSeedsStable pins the seed convention across the change from a
+// per-call map of formatted IDs to npb.Index: a scenario draws base + its
+// position in npb.Scenarios(), found here the way JobsFor used to find it,
+// whether it is the catalog's own value or parsed back from its ID, in
+// catalog order or not; a scenario outside the catalog draws the base seed.
+func TestJobsForSeedsStable(t *testing.T) {
+	const base = 2018
+	catalog := npb.Scenarios()
+	pos := make(map[string]int)
+	for i, sc := range catalog {
+		pos[sc.ID()] = i
+	}
+	var scs []npb.Scenario
+	for i := range catalog { // back to front, through the ID
+		parsed, err := npb.ParseID(catalog[len(catalog)-1-i].ID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		scs = append(scs, parsed)
+	}
+	outside := npb.Scenario{App: "IS", Mode: npb.OMP, ISA: "armv8", Cores: 3}
+	scs = append(scs, outside)
+	models := []fault.Model{fault.Reg, fault.Mem, fault.IMem}
+	jobs := campaign.New(campaign.Models(models...)).JobsFor(scs, base)
+	if len(jobs) != len(scs)*len(models) {
+		t.Fatalf("%d jobs for %d scenarios x %d domains", len(jobs), len(scs), len(models))
+	}
+	for n, job := range jobs {
+		want := int64(base)
+		if i, ok := pos[job.Scenario.ID()]; ok {
+			want += int64(i)
+		}
+		if job.Scenario != scs[n/len(models)] || job.Domain != models[n%len(models)] || job.Seed != want {
+			t.Fatalf("job %d = %+v, want %s %v seed %d", n, job, scs[n/len(models)].ID(), models[n%len(models)], want)
+		}
+	}
+	if got := jobs[len(jobs)-1].Seed; got != base {
+		t.Errorf("out-of-catalog scenario drew seed %d, want the base %d", got, base)
+	}
+	if first := jobs[0]; first.Seed != base+int64(len(pos))-1 {
+		t.Errorf("last catalog scenario drew seed %d, want %d", first.Seed, base+len(pos)-1)
 	}
 }

@@ -30,10 +30,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -80,13 +83,18 @@ type rowRef struct {
 
 // tenantSegs is one tenant namespace's partition: its segment chain, the
 // live-key index, the lazily filled row cache, and the write state of the
-// unsealed active segment.
+// unsealed active segment. The partition is the unit of exclusion: mu guards
+// every field below it and is held across this partition's appends, fsyncs
+// and merges, so one tenant's disk never stalls another's.
 type tenantSegs struct {
-	ns    string
-	dir   string
-	segs  []*segment
-	idx   map[string]rowRef
-	cache map[string]*Result
+	ns  string
+	dir string
+
+	mu     sync.Mutex
+	closed bool // Close has been here: the active file is gone, writes are refused
+	segs   []*segment
+	idx    map[string]rowRef
+	cache  map[string]*Result
 
 	active    *os.File // nil until the first Put after open/seal
 	activeSeg *segment
@@ -107,6 +115,10 @@ type SegmentedStore struct {
 	fsync   bool
 	compact int // auto-compact when a tenant's superseded rows reach this; 0 = manual
 
+	// mu guards the three fields below it and is never held across I/O or
+	// while taking a partition's mutex: the order is store, release, then
+	// partition, so a partition busy with an fsync or a merge blocks nobody
+	// who wants another one.
 	mu       sync.Mutex
 	tenants  map[string]*tenantSegs
 	compactQ chan string // pending auto-compaction namespaces
@@ -226,12 +238,7 @@ func ValidTenant(ns string) bool {
 
 // openTenant indexes one tenant partition from disk.
 func (s *SegmentedStore) openTenant(ns string) (*tenantSegs, error) {
-	t := &tenantSegs{
-		ns:    ns,
-		dir:   filepath.Join(s.root, tenantDir(ns)),
-		idx:   make(map[string]rowRef),
-		cache: make(map[string]*Result),
-	}
+	t := s.newTenant(ns)
 	entries, err := os.ReadDir(t.dir)
 	if os.IsNotExist(err) {
 		return t, nil
@@ -440,14 +447,11 @@ func (s *SegmentedStore) Tenant(ns string) Store {
 // TenantNames lists the namespaces present on disk (the default namespace
 // included only when it holds rows), sorted.
 func (s *SegmentedStore) TenantNames() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var names []string
-	for ns, t := range s.tenants {
-		if ns == "" && len(t.idx) == 0 {
-			continue
+	for _, t := range s.partitions() {
+		if t.ns != "" || len(s.keys("")) > 0 {
+			names = append(names, t.ns)
 		}
-		names = append(names, ns)
 	}
 	sort.Strings(names)
 	return names
@@ -467,27 +471,76 @@ func (v *segTenantView) Query(q Query) []*Result        { return v.s.query(v.ns,
 // Delete tombstones one key in this namespace.
 func (v *segTenantView) Delete(key string) error { return v.s.delete(v.ns, key) }
 
-// tenant returns (creating on demand) the partition for ns. Caller holds
-// s.mu.
-func (s *SegmentedStore) tenantLocked(ns string) (*tenantSegs, error) {
+func (s *SegmentedStore) newTenant(ns string) *tenantSegs {
+	return &tenantSegs{
+		ns:    ns,
+		dir:   filepath.Join(s.root, tenantDir(ns)),
+		idx:   make(map[string]rowRef),
+		cache: make(map[string]*Result),
+	}
+}
+
+// partition returns ns's partition, nil when the store has none.
+func (s *SegmentedStore) partition(ns string) *tenantSegs {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.tenants[ns]
+}
+
+// partitions returns every partition the store has right now.
+func (s *SegmentedStore) partitions() []*tenantSegs {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return slices.Collect(maps.Values(s.tenants))
+}
+
+var errSegClosed = errors.New("segmented store: closed")
+
+// writable returns ns's partition, created on demand, with its mutex held;
+// the caller hands it back through release. A closed store creates none, and
+// a partition refuses writes from the moment Close has been to it.
+func (s *SegmentedStore) writable(ns string) (*tenantSegs, error) {
 	if !ValidTenant(ns) {
 		return nil, fmt.Errorf("segmented store: invalid tenant namespace %q", ns)
 	}
+	s.mu.Lock()
 	t := s.tenants[ns]
-	if t == nil {
-		t = &tenantSegs{
-			ns:    ns,
-			dir:   filepath.Join(s.root, tenantDir(ns)),
-			idx:   make(map[string]rowRef),
-			cache: make(map[string]*Result),
-		}
+	if t == nil && !s.closed {
+		t = s.newTenant(ns)
 		s.tenants[ns] = t
+	}
+	s.mu.Unlock()
+	if t == nil {
+		return nil, errSegClosed
+	}
+	t.mu.Lock()
+	if t.closed {
+		t.mu.Unlock()
+		return nil, errSegClosed
 	}
 	return t, nil
 }
 
+// release unlocks a partition after a write and, when its garbage has
+// reached the CompactAfter threshold, queues a background pass for it.
+func (s *SegmentedStore) release(t *tenantSegs) {
+	due := s.compact > 0 && t.rows-len(t.idx) >= s.compact
+	t.mu.Unlock()
+	if !due {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.compactQ != nil {
+		select {
+		case s.compactQ <- t.ns:
+		default: // the queue is full of passes that will observe the garbage
+		}
+	}
+}
+
 // ensureActive opens (rotating first if needed) the tenant's active
-// segment for appending. Caller holds s.mu.
+// segment for appending. Caller holds t.mu.
 func (s *SegmentedStore) ensureActive(t *tenantSegs) error {
 	if t.active != nil {
 		if t.activeLen < s.segMax {
@@ -545,7 +598,7 @@ func (s *SegmentedStore) ensureActive(t *tenantSegs) error {
 }
 
 // sealLocked writes the active segment's footer, fsyncs and closes it.
-// Caller holds s.mu.
+// Caller holds t.mu.
 func (s *SegmentedStore) sealLocked(t *tenantSegs) error {
 	if t.active == nil {
 		return nil
@@ -576,15 +629,11 @@ func (s *SegmentedStore) sealLocked(t *tenantSegs) error {
 
 func (s *SegmentedStore) put(ns string, r *Result) error {
 	key := r.Key()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("segmented store: closed")
-	}
-	t, err := s.tenantLocked(ns)
+	t, err := s.writable(ns)
 	if err != nil {
 		return err
 	}
+	defer s.release(t)
 	if _, dup := t.idx[key]; dup {
 		return fmt.Errorf("campaign store: duplicate record for %q", key)
 	}
@@ -612,20 +661,15 @@ func (s *SegmentedStore) put(ns string, r *Result) error {
 	t.idx[key] = rowRef{seg: t.activeSeg, off: off}
 	t.cache[key] = r
 	t.rows++
-	s.maybeCompactLocked(t)
 	return nil
 }
 
 func (s *SegmentedStore) delete(ns, key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("segmented store: closed")
-	}
-	t, err := s.tenantLocked(ns)
+	t, err := s.writable(ns)
 	if err != nil {
 		return err
 	}
+	defer s.release(t)
 	if _, ok := t.idx[key]; !ok {
 		return fmt.Errorf("segmented store: no record for %q", key)
 	}
@@ -653,82 +697,130 @@ func (s *SegmentedStore) delete(ns, key string) error {
 	t.activeDead[key] = true
 	delete(t.idx, key)
 	delete(t.cache, key)
-	s.maybeCompactLocked(t)
 	return nil
 }
 
 func (s *SegmentedStore) get(ns, key string) (*Result, bool) {
-	s.mu.Lock()
-	t := s.tenants[ns]
+	t := s.partition(ns)
 	if t == nil {
-		s.mu.Unlock()
 		return nil, false
 	}
-	if r, ok := t.cache[key]; ok {
-		s.mu.Unlock()
-		return r, true
-	}
-	ref, ok := t.idx[key]
-	s.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	r, err := loadRow(ref)
-	if err != nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	// The slot may have been deleted or re-put while unlocked; only cache
-	// when the index still points at the row we read.
-	if cur, ok2 := t.idx[key]; ok2 && cur == ref {
-		t.cache[key] = r
-	}
-	s.mu.Unlock()
-	return r, true
+	r := t.load([]string{key})[0]
+	return r, r != nil
 }
 
-// loadRow reads and decodes one row at a segment offset.
-func loadRow(ref rowRef) (*Result, error) {
-	f, err := os.Open(ref.seg.path)
-	if err != nil {
-		return nil, err
+// load returns the rows of keys, position for position, nil where the
+// partition has no such row. Cached rows come back as they are. The rest are
+// read with the partition unlocked, and a read only counts if the index
+// still names the place it read once the lock is retaken: a merge or a
+// rewrite in between (the merge unlinks the file, and renames a new one to
+// the last segment's path) sends the key round again instead of reporting a
+// live row missing.
+func (t *tenantSegs) load(keys []string) []*Result {
+	out := make([]*Result, len(keys))
+	refs := make([]rowRef, len(keys)) // where out[i] was read from
+	todo := make([]int, len(keys))
+	for i := range todo {
+		todo[i] = i
 	}
-	defer f.Close()
-	if _, err := f.Seek(ref.off, io.SeekStart); err != nil {
-		return nil, err
+	var buf []byte
+	for {
+		t.mu.Lock()
+		unread := todo[:0]
+		for _, i := range todo {
+			ref, live := t.idx[keys[i]]
+			switch r := t.cache[keys[i]]; {
+			case r != nil:
+				out[i] = r
+			case !live:
+				out[i] = nil
+			case ref != refs[i]:
+				out[i], refs[i] = nil, ref
+				unread = append(unread, i)
+			case out[i] != nil:
+				t.cache[keys[i]] = out[i]
+			}
+		}
+		t.mu.Unlock()
+		if todo = unread; len(todo) == 0 {
+			return out
+		}
+		files := segFiles{}
+		for _, i := range todo {
+			line, err := files.row(refs[i], buf)
+			if err != nil {
+				continue
+			}
+			buf = line
+			out[i], _ = decodeRecordLine(bytes.TrimRight(line, "\n"))
+		}
+		files.close()
 	}
-	rd := bufio.NewReaderSize(f, 64<<10)
-	line, err := rd.ReadBytes('\n')
-	if err != nil && err != io.EOF {
-		return nil, err
+}
+
+// segFiles is the one row reader, for a batch of reads that opens each
+// segment once.
+type segFiles map[*segment]*os.File
+
+// row returns the line at ref, newline included (supplied when the file ends
+// without one), in buf's storage, grown as needed — a buffer handed back in
+// serves every row of the batch.
+func (fs segFiles) row(ref rowRef, buf []byte) ([]byte, error) {
+	f := fs[ref.seg]
+	if f == nil {
+		var err error
+		if f, err = os.Open(ref.seg.path); err != nil {
+			return nil, err
+		}
+		fs[ref.seg] = f
 	}
-	return decodeRecordLine(bytes.TrimRight(line, "\n"))
+	buf = buf[:0]
+	for {
+		buf = slices.Grow(buf, 4<<10)
+		n, err := f.ReadAt(buf[len(buf):cap(buf)], ref.off+int64(len(buf)))
+		if i := bytes.IndexByte(buf[len(buf):len(buf)+n], '\n'); i >= 0 {
+			return buf[:len(buf)+i+1], nil
+		}
+		buf = buf[:len(buf)+n]
+		switch {
+		case err == io.EOF && len(buf) > 0:
+			return append(buf, '\n'), nil
+		case err != nil:
+			return nil, err
+		}
+	}
+}
+
+func (fs segFiles) close() {
+	for _, f := range fs {
+		f.Close()
+	}
 }
 
 func (s *SegmentedStore) keys(ns string) []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.tenants[ns]
+	t := s.partition(ns)
 	if t == nil {
 		return nil
 	}
-	keys := make([]string, 0, len(t.idx))
-	for k := range t.idx {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return slices.Sorted(maps.Keys(t.idx))
 }
 
 func (s *SegmentedStore) query(ns string, q Query) []*Result {
+	t := s.partition(ns)
+	if t == nil {
+		return nil
+	}
+	// Identity predicates resolve from the key alone — no row load for
+	// campaigns the query filters out.
+	keys := slices.DeleteFunc(s.keys(ns), func(k string) bool {
+		sc, d, err := ParseKey(k)
+		return err == nil && !q.Matches(sc, d)
+	})
 	var out []*Result
-	for _, k := range s.keys(ns) {
-		// Identity predicates resolve from the key alone — no row load for
-		// campaigns the query filters out.
-		if sc, d, err := ParseKey(k); err == nil && !q.Matches(sc, d) {
-			continue
-		}
-		if r, ok := s.get(ns, k); ok && q.MatchesResult(r) {
+	for _, r := range t.load(keys) {
+		if r != nil && q.MatchesResult(r) {
 			out = append(out, r)
 		}
 	}
@@ -738,23 +830,23 @@ func (s *SegmentedStore) query(ns string, q Query) []*Result {
 // Garbage returns the superseded (deleted or overwritten) row count of one
 // namespace — the rows a compaction pass would drop.
 func (s *SegmentedStore) Garbage(ns string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.tenants[ns]
+	t := s.partition(ns)
 	if t == nil {
 		return 0
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return t.rows - len(t.idx)
 }
 
 // Segments returns how many on-disk segments one namespace currently has.
 func (s *SegmentedStore) Segments(ns string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t := s.tenants[ns]
+	t := s.partition(ns)
 	if t == nil {
 		return 0
 	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	return len(t.segs)
 }
 
@@ -766,24 +858,23 @@ func (s *SegmentedStore) Segments(ns string) int {
 // atomically; stale lower-id segments left by a crash are superseded on
 // the next open by replay order.
 func (s *SegmentedStore) Compact(ns string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked(ns)
+	t := s.partition(ns)
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return s.compactLocked(t)
 }
 
-func (s *SegmentedStore) compactLocked(ns string) error {
-	t := s.tenants[ns]
-	if t == nil || len(t.segs) == 0 {
+func (s *SegmentedStore) compactLocked(t *tenantSegs) error {
+	if len(t.segs) == 0 {
 		return nil
 	}
 	if err := s.sealLocked(t); err != nil {
 		return err
 	}
-	keys := make([]string, 0, len(t.idx))
-	for k := range t.idx {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := slices.Sorted(maps.Keys(t.idx))
 	last := t.segs[len(t.segs)-1]
 	tmp := last.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -795,9 +886,13 @@ func (s *SegmentedStore) compactLocked(ns string) error {
 	w := bufio.NewWriterSize(f, 256<<10)
 	var off int64
 	var rows int
+	// Compaction copies bytes, never re-marshals; every source segment is
+	// opened once for the whole pass.
+	files := segFiles{}
+	defer files.close()
+	var line []byte
 	for _, k := range keys {
-		line, err := rawRow(t.idx[k])
-		if err != nil {
+		if line, err = files.row(t.idx[k], line); err != nil {
 			f.Close()
 			os.Remove(tmp)
 			return fmt.Errorf("compact %s: %q: %w", t.dir, k, err)
@@ -850,74 +945,45 @@ func (s *SegmentedStore) compactLocked(ns string) error {
 	return nil
 }
 
-// rawRow reads one row's raw line bytes (newline included) from its
-// segment — compaction copies bytes, never re-marshals.
-func rawRow(ref rowRef) ([]byte, error) {
-	f, err := os.Open(ref.seg.path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if _, err := f.Seek(ref.off, io.SeekStart); err != nil {
-		return nil, err
-	}
-	rd := bufio.NewReaderSize(f, 64<<10)
-	line, err := rd.ReadBytes('\n')
-	if err == io.EOF && len(line) > 0 {
-		line = append(line, '\n')
-		err = nil
-	}
-	return line, err
-}
-
-// maybeCompactLocked queues a background compaction when the namespace's
-// garbage crosses the CompactAfter threshold. Caller holds s.mu.
-func (s *SegmentedStore) maybeCompactLocked(t *tenantSegs) {
-	if s.compact <= 0 || s.compactQ == nil {
-		return
-	}
-	if t.rows-len(t.idx) < s.compact {
-		return
-	}
-	select {
-	case s.compactQ <- t.ns:
-	default: // a pass is already queued; it will observe the garbage
-	}
-}
-
 // compactLoop is the background compaction worker. It owns its end of the
 // queue as an argument: Close nils the s.compactQ field under s.mu, and a
 // goroutine first scheduled after that would range over a nil channel
-// forever while Close waits on s.wg.
+// forever while Close waits on s.wg. Every write past the threshold queues
+// a pass, so a pass looks at the garbage again before it rewrites anything:
+// all but the first find it gone.
 func (s *SegmentedStore) compactLoop(q <-chan string) {
 	defer s.wg.Done()
 	for ns := range q {
-		s.mu.Lock()
-		if !s.closed {
-			s.compactLocked(ns)
+		t := s.partition(ns)
+		t.mu.Lock()
+		if !t.closed && t.rows-len(t.idx) >= s.compact {
+			s.compactLocked(t)
 		}
-		s.mu.Unlock()
+		t.mu.Unlock()
 	}
 }
 
 // Sync fsyncs every active segment — the graceful-shutdown barrier before
 // a resume hint is printed.
 func (s *SegmentedStore) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var first error
-	for _, t := range s.tenants {
+	for _, t := range s.partitions() {
+		t.mu.Lock()
 		if t.active != nil {
 			if err := t.active.Sync(); err != nil && first == nil {
 				first = err
 			}
 		}
+		t.mu.Unlock()
 	}
 	return first
 }
 
 // Close syncs and closes every active segment and stops the background
-// compactor. The in-memory index stays readable; further writes fail.
+// compactor. The in-memory index stays readable; further writes fail. The
+// store is marked closed first (no partition is born after that) and the
+// partitions are then closed one at a time, each behind whatever write or
+// merge it is in the middle of.
 func (s *SegmentedStore) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -927,8 +993,11 @@ func (s *SegmentedStore) Close() error {
 	s.closed = true
 	q := s.compactQ
 	s.compactQ = nil
+	s.mu.Unlock()
 	var first error
-	for _, t := range s.tenants {
+	for _, t := range s.partitions() {
+		t.mu.Lock()
+		t.closed = true
 		if t.active != nil {
 			if err := t.active.Sync(); err != nil && first == nil {
 				first = err
@@ -938,8 +1007,8 @@ func (s *SegmentedStore) Close() error {
 			}
 			t.active = nil
 		}
+		t.mu.Unlock()
 	}
-	s.mu.Unlock()
 	if q != nil {
 		close(q)
 		s.wg.Wait()

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 
 	"serfi/internal/cc"
 	"serfi/internal/mach"
@@ -153,6 +154,22 @@ func Scenarios() []Scenario {
 		}
 	}
 	return out
+}
+
+// catalogIndex maps each catalog scenario to its position in Scenarios().
+var catalogIndex = sync.OnceValue(func() map[Scenario]int {
+	idx := make(map[Scenario]int)
+	for i, sc := range Scenarios() {
+		idx[sc] = i
+	}
+	return idx
+})
+
+// Index returns sc's position in Scenarios() — the offset a campaign adds to
+// its base seed — and false for a scenario outside the catalog.
+func Index(sc Scenario) (int, bool) {
+	i, ok := catalogIndex()[sc]
+	return i, ok
 }
 
 // Run is a completed scenario execution.
