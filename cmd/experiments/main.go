@@ -34,6 +34,7 @@ import (
 	"serfi/internal/dist"
 	"serfi/internal/exp"
 	"serfi/internal/fault"
+	"serfi/internal/fi"
 	"serfi/internal/npb"
 )
 
@@ -50,7 +51,7 @@ func main() {
 	join := flag.String("join", "", "drive the matrix through a campaign queue: submit it to the `serfi serve -data` coordinator at this address and report from the fetched results")
 	tenant := flag.String("tenant", "", "tenant namespace for the -join submission (default: the shared namespace)")
 	workers := flag.Int("workers", 0, "host worker pool size (0 = all cores)")
-	snapshots := flag.Int("snapshots", 0, "at most n pre-fault checkpoints per scenario (0 = default, negative disables)")
+	snapshots := flag.Int("snapshots", fi.DefaultCheckpoints, "at most n pre-fault checkpoints per scenario (0 = run every fault from reset)")
 	resume := flag.Bool("resume", false, "skip campaigns already recorded in -db and append the rest")
 	flag.Parse()
 	if env := os.Getenv("SERFI_FAULTS"); env != "" {
@@ -70,6 +71,11 @@ func main() {
 		stop()
 	}()
 
+	// -snapshots means what it means to `serfi` (0 = from reset);
+	// exp.Config keeps the campaign convention (negative = from reset).
+	if *snapshots <= 0 {
+		*snapshots = -1
+	}
 	cfg := exp.Config{Faults: *n, Seed: *seed, Progress: os.Stderr,
 		Workers: *workers, Snapshots: *snapshots, Domains: domains,
 		TraceProp: *traceProp, RecordRuns: *recordRuns}

@@ -19,7 +19,6 @@
 package campaign
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -29,6 +28,7 @@ import (
 
 	"serfi/internal/fault"
 	"serfi/internal/fi"
+	"serfi/internal/jsonl"
 	"serfi/internal/npb"
 	"serfi/internal/profile"
 	"serfi/internal/prop"
@@ -370,18 +370,20 @@ func restoreRuns(res *Result, rows []runRow, domain fault.Model) error {
 	return nil
 }
 
-// writeRecord appends one scenario's JSONL row (the streaming-write path of
-// the matrix scheduler).
-func writeRecord(w io.Writer, r *Result) error {
+// recordLine is one scenario's JSONL row without its newline — what every
+// backend appends to its log.
+func recordLine(r *Result) ([]byte, error) {
 	rec := recordOf(r)
-	return json.NewEncoder(w).Encode(&rec)
+	return json.Marshal(&rec)
 }
 
 // WriteDB streams scenario records as JSON lines (the single database of
 // workflow phase 4).
 func WriteDB(w io.Writer, results []*Result) error {
+	enc := json.NewEncoder(w) // recordLine's bytes and a newline, one Write per row
 	for _, r := range results {
-		if err := writeRecord(w, r); err != nil {
+		rec := recordOf(r)
+		if err := enc.Encode(&rec); err != nil {
 			return err
 		}
 	}
@@ -400,30 +402,38 @@ func WriteDB(w io.Writer, results []*Result) error {
 // runs that were traced, and re-writing such a result reproduces its row
 // byte for byte.
 func ReadDB(r io.Reader) (map[string]*Result, error) {
+	out, _, err := readDB(r)
+	return out, err
+}
+
+// readDB is ReadDB, and the number of bytes it read: where the FileStore's
+// log starts.
+func readDB(r io.Reader) (map[string]*Result, int64, error) {
 	out := make(map[string]*Result)
-	// No line cap: a v4 row grows with its campaign's fault count (tens of
-	// bytes per run), and whatever WriteDB wrote must read back.
-	rd := bufio.NewReaderSize(r, 64<<10)
-	for line := 1; ; line++ {
-		b, rerr := rd.ReadBytes('\n')
-		if rerr != nil && rerr != io.EOF {
-			return nil, rerr
+	line := 0
+	add := func(_ int64, b []byte) error {
+		line++
+		if b = bytes.TrimRight(b, "\r"); len(b) == 0 {
+			return nil
 		}
-		if b = bytes.TrimRight(b, "\r\n"); len(b) > 0 {
-			res, err := decodeRecordLine(b)
-			if err != nil {
-				return nil, fmt.Errorf("campaign db line %d: %w", line, err)
-			}
-			key := res.Key()
-			if _, dup := out[key]; dup {
-				return nil, fmt.Errorf("campaign db line %d: duplicate record for %q", line, key)
-			}
-			out[key] = res
+		res, err := decodeRecordLine(b)
+		if err != nil {
+			return fmt.Errorf("campaign db line %d: %w", line, err)
 		}
-		if rerr == io.EOF {
-			return out, nil
+		key := res.Key()
+		if _, dup := out[key]; dup {
+			return fmt.Errorf("campaign db line %d: duplicate record for %q", line, key)
 		}
+		out[key] = res
+		return nil
 	}
+	valid, tail, err := jsonl.Scan(r, add)
+	if err == nil {
+		// The database is the user's file, so a torn last line is refused, not
+		// dropped: what follows the last newline must be a whole row.
+		err = add(valid, tail)
+	}
+	return out, valid + int64(len(tail)), err
 }
 
 // decodeRecordLine parses one JSONL database row into a Result — the

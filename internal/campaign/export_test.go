@@ -4,6 +4,7 @@ import (
 	"serfi/internal/cc"
 	"serfi/internal/fault"
 	"serfi/internal/fi"
+	"serfi/internal/jsonl"
 	"serfi/internal/mach"
 )
 
@@ -20,4 +21,13 @@ func SetNewDomain(f func(fault.Model, *cc.Image, mach.Config, *fi.Golden) (fault
 	old := newDomain
 	newDomain = f
 	return func() { newDomain = old }
+}
+
+// SetOpenLog swaps how every durable file of the package (the FileStore's
+// database, a partition's active segment) is opened for appending, and
+// returns the call that puts jsonl.Open back.
+func SetOpenLog(f func(path string, n int64, sync bool) (*jsonl.Log, error)) (restore func()) {
+	old := openLog
+	openLog = f
+	return func() { openLog = old }
 }

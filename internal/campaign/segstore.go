@@ -2,7 +2,7 @@
 // to long-lived multi-tenant service traffic. One flat JSONL file serves a
 // single matrix fine, but a persistent campaign queue accumulates rows
 // forever and interleaves tenants; the segmented store keeps the row bytes
-// identical (writeRecord/decodeRecordLine are shared, so a tenant's rows
+// identical (recordLine/decodeRecordLine are shared, so a tenant's rows
 // stay byte-for-byte comparable to a local engine run) while organizing
 // them into size-rotated append-only segments per tenant namespace, with a
 // key index rebuilt from segment footers at open and a compaction pass
@@ -42,6 +42,7 @@ import (
 	"sync"
 
 	"serfi/internal/fault"
+	"serfi/internal/jsonl"
 	"serfi/internal/npb"
 )
 
@@ -96,10 +97,13 @@ type tenantSegs struct {
 	idx    map[string]rowRef
 	cache  map[string]*Result
 
-	active    *os.File // nil until the first Put after open/seal
-	activeSeg *segment
-	activeLen int64
-	// Net effect of the active segment so far, for its eventual footer.
+	// The unsealed last segment, if there is one: its net effect so far, for
+	// its eventual footer, and the length of its acknowledged lines as the
+	// open scan found it. Its log opens there at the first write (nil until
+	// then), which is when a torn tail is cut.
+	active     *jsonl.Log
+	activeSeg  *segment
+	tailLen    int64
 	activeLive map[string]int64
 	activeDead map[string]bool
 
@@ -275,14 +279,18 @@ func (t *tenantSegs) indexSegment(seg *segment) error {
 		seg.sealed = true
 		t.applyNet(seg, foot.Live, foot.Dead)
 		t.rows += len(foot.Live)
+		t.activeSeg, t.activeLive, t.activeDead = nil, nil, nil
 		return nil
 	}
-	live, dead, n, err := scanSegment(seg.path)
+	live, dead, rows, valid, err := scanSegment(seg.path)
 	if err != nil {
 		return err
 	}
 	t.applyNet(seg, live, deadKeys(dead))
-	t.rows += n
+	t.rows += rows
+	// Segments index in id order, so what the last one leaves here is the
+	// tail ensureActive adopts.
+	t.activeSeg, t.activeLive, t.activeDead, t.tailLen = seg, live, dead, valid
 	return nil
 }
 
@@ -331,6 +339,10 @@ func readFooter(path string) (*segFooter, error) {
 	if _, err := f.ReadAt(buf, off); err != nil && err != io.EOF {
 		return nil, err
 	}
+	// A footer whose newline never landed was not acknowledged: a torn tail.
+	if buf[len(buf)-1] != '\n' {
+		return nil, nil
+	}
 	// Last non-empty line of the tail window.
 	buf = bytes.TrimRight(buf, "\n")
 	i := bytes.LastIndexByte(buf, '\n')
@@ -347,57 +359,47 @@ func readFooter(path string) (*segFooter, error) {
 }
 
 // scanSegment reads every line of an unsealed segment and returns its net
-// effect (live key offsets, net-deleted keys) plus its data row count.
-func scanSegment(path string) (live map[string]int64, dead map[string]bool, rows int, err error) {
+// effect (live key offsets, net-deleted keys), its data row count and the
+// length of its acknowledged lines. A segment is the service's own file and
+// every line it acknowledged ends in a newline, so what follows the last one
+// is a write that never finished: dropped here, cut when the log is opened.
+func scanSegment(path string) (live map[string]int64, dead map[string]bool, rows int, valid int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, 0, 0, err
 	}
 	defer f.Close()
 	live = make(map[string]int64)
 	dead = make(map[string]bool)
-	rd := bufio.NewReaderSize(f, 64<<10)
-	var off int64
-	for {
-		line, err := rd.ReadBytes('\n')
-		if len(line) == 0 && err != nil {
-			if err == io.EOF {
-				break
-			}
-			return nil, nil, 0, err
+	valid, _, err = jsonl.Scan(f, func(off int64, line []byte) error {
+		if len(line) == 0 {
+			return nil
 		}
-		n := int64(len(line))
-		trimmed := bytes.TrimRight(line, "\n")
-		if len(trimmed) > 0 {
-			var probe segProbe
-			if jerr := json.Unmarshal(trimmed, &probe); jerr != nil {
-				return nil, nil, 0, fmt.Errorf("offset %d: %w", off, jerr)
-			}
-			switch {
-			case probe.Footer != 0:
-				// A footer mid-file cannot happen in a well-formed segment;
-				// treat it as a seal marker and stop (crash-truncated tail).
-			case probe.Del != "":
-				delete(live, probe.Del)
-				dead[probe.Del] = true
-			case probe.Scenario != "":
-				key, kerr := rowKey(probe)
-				if kerr != nil {
-					return nil, nil, 0, fmt.Errorf("offset %d: %w", off, kerr)
-				}
-				rows++
-				live[key] = off
-				delete(dead, key)
-			default:
-				return nil, nil, 0, fmt.Errorf("offset %d: unrecognized segment line", off)
-			}
+		var probe segProbe
+		if err := json.Unmarshal(line, &probe); err != nil {
+			return fmt.Errorf("offset %d: %w", off, err)
 		}
-		off += n
-		if err == io.EOF {
-			break
+		switch {
+		case probe.Footer != 0:
+			// A footer mid-file cannot happen in a well-formed segment;
+			// ignore it.
+		case probe.Del != "":
+			delete(live, probe.Del)
+			dead[probe.Del] = true
+		case probe.Scenario != "":
+			key, err := rowKey(probe)
+			if err != nil {
+				return fmt.Errorf("offset %d: %w", off, err)
+			}
+			rows++
+			live[key] = off
+			delete(dead, key)
+		default:
+			return fmt.Errorf("offset %d: unrecognized segment line", off)
 		}
-	}
-	return live, dead, rows, nil
+		return nil
+	})
+	return live, dead, rows, valid, err
 }
 
 // rowKey derives the canonical campaign key from a probed record line
@@ -541,37 +543,17 @@ func (s *SegmentedStore) release(t *tenantSegs) {
 
 // ensureActive opens (rotating first if needed) the tenant's active
 // segment for appending. Caller holds t.mu.
-func (s *SegmentedStore) ensureActive(t *tenantSegs) error {
-	if t.active != nil {
-		if t.activeLen < s.segMax {
-			return nil
-		}
-		if err := s.sealLocked(t); err != nil {
-			return err
-		}
-	}
+func (s *SegmentedStore) ensureActive(t *tenantSegs) (err error) {
 	// Adopt an unsealed tail segment left by a previous process, so a
 	// reopened store keeps appending instead of sprouting tiny segments. A
 	// tail already at size is sealed in place and a fresh one opened.
-	if n := len(t.segs); n > 0 && !t.segs[n-1].sealed {
-		seg := t.segs[n-1]
-		f, err := os.OpenFile(seg.path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
+	if t.active == nil && t.activeSeg != nil {
+		if t.active, err = openLog(t.activeSeg.path, t.tailLen, s.fsync); err != nil {
 			return err
 		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return err
-		}
-		alive, dead, _, err := scanSegment(seg.path)
-		if err != nil {
-			f.Close()
-			return err
-		}
-		t.active, t.activeSeg, t.activeLen = f, seg, st.Size()
-		t.activeLive, t.activeDead = alive, dead
-		if st.Size() < s.segMax {
+	}
+	if t.active != nil {
+		if t.active.Len() < s.segMax {
 			return nil
 		}
 		if err := s.sealLocked(t); err != nil {
@@ -586,12 +568,11 @@ func (s *SegmentedStore) ensureActive(t *tenantSegs) error {
 		id = t.segs[n-1].id + 1
 	}
 	seg := &segment{id: id, path: filepath.Join(t.dir, fmt.Sprintf("seg-%06d.jsonl", id))}
-	f, err := os.OpenFile(seg.path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
+	if t.active, err = openLog(seg.path, 0, s.fsync); err != nil {
 		return err
 	}
 	t.segs = append(t.segs, seg)
-	t.active, t.activeSeg, t.activeLen = f, seg, 0
+	t.activeSeg = seg
 	t.activeLive = make(map[string]int64)
 	t.activeDead = make(map[string]bool)
 	return nil
@@ -611,8 +592,7 @@ func (s *SegmentedStore) sealLocked(t *tenantSegs) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if _, err := t.active.Write(data); err != nil {
+	if _, err := t.active.Append(data); err != nil {
 		return err
 	}
 	if err := t.active.Sync(); err != nil {
@@ -622,7 +602,7 @@ func (s *SegmentedStore) sealLocked(t *tenantSegs) error {
 		return err
 	}
 	t.activeSeg.sealed = true
-	t.active, t.activeSeg, t.activeLen = nil, nil, 0
+	t.active, t.activeSeg = nil, nil
 	t.activeLive, t.activeDead = nil, nil
 	return nil
 }
@@ -640,22 +620,14 @@ func (s *SegmentedStore) put(ns string, r *Result) error {
 	if err := s.ensureActive(t); err != nil {
 		return fmt.Errorf("segmented store %s: %w", s.root, err)
 	}
-	off := t.activeLen
-	var buf bytes.Buffer
-	if err := writeRecord(&buf, r); err != nil {
+	line, err := recordLine(r)
+	if err != nil {
 		return err
 	}
-	if _, err := t.active.Write(buf.Bytes()); err != nil {
-		// Best-effort truncate so a partial line never corrupts the segment.
-		t.active.Truncate(off)
+	off, err := t.active.Append(line)
+	if err != nil {
 		return fmt.Errorf("segmented store %s: %w", s.root, err)
 	}
-	if s.fsync {
-		if err := t.active.Sync(); err != nil {
-			return fmt.Errorf("segmented store %s: %w", s.root, err)
-		}
-	}
-	t.activeLen += int64(buf.Len())
 	t.activeLive[key] = off
 	delete(t.activeDead, key)
 	t.idx[key] = rowRef{seg: t.activeSeg, off: off}
@@ -682,17 +654,9 @@ func (s *SegmentedStore) delete(ns, key string) error {
 	if err != nil {
 		return err
 	}
-	data = append(data, '\n')
-	if _, err := t.active.Write(data); err != nil {
-		t.active.Truncate(t.activeLen)
+	if _, err := t.active.Append(data); err != nil {
 		return err
 	}
-	if s.fsync {
-		if err := t.active.Sync(); err != nil {
-			return err
-		}
-	}
-	t.activeLen += int64(len(data))
 	delete(t.activeLive, key)
 	t.activeDead[key] = true
 	delete(t.idx, key)
@@ -936,6 +900,7 @@ func (s *SegmentedStore) compactLocked(t *tenantSegs) error {
 		os.Remove(seg.path)
 	}
 	t.segs = []*segment{merged}
+	t.activeSeg, t.activeLive, t.activeDead = nil, nil, nil // an unsealed tail nobody had written to is merged like the rest
 	t.rows = rows
 	newIdx := make(map[string]rowRef, rows)
 	for k, o := range foot.Live {

@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"serfi/internal/fault"
+	"serfi/internal/jsonl"
 	"serfi/internal/npb"
 )
 
@@ -269,8 +270,8 @@ type FileStore struct {
 	path  string
 	fsync bool
 
-	wmu sync.Mutex
-	f   *os.File
+	wmu sync.Mutex // one Put at a time: duplicate check, append, index
+	log *jsonl.Log
 }
 
 // FileStoreOption configures OpenFileStore.
@@ -289,9 +290,13 @@ func Fsync() FileStoreOption { return func(s *FileStore) { s.fsync = true } }
 // A missing file is an empty store — the resume convention: -resume over
 // a database that was never written resumes from nothing.
 func OpenFileStore(path string, opts ...FileStoreOption) (*FileStore, error) {
-	var loaded map[string]*Result
+	s := &FileStore{path: path}
+	for _, opt := range opts {
+		opt(s)
+	}
+	var n int64
 	if rf, err := os.Open(path); err == nil {
-		loaded, err = ReadDB(rf)
+		s.m, n, err = readDB(rf)
 		rf.Close()
 		if err != nil {
 			return nil, err
@@ -299,16 +304,16 @@ func OpenFileStore(path string, opts ...FileStoreOption) (*FileStore, error) {
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
+	var err error
+	if s.log, err = openLog(path, n, s.fsync); err != nil {
 		return nil, err
-	}
-	s := &FileStore{memIndex: memIndex{m: loaded}, path: path, f: f}
-	for _, opt := range opts {
-		opt(s)
 	}
 	return s, nil
 }
+
+// openLog opens every durable file this package appends to. A variable so
+// that tests can put a failing file under a store.
+var openLog = jsonl.Open
 
 // OpenMatrixStore opens the JSONL database one matrix run streams to: a
 // fresh run (resume false) starts from an empty file, a resumed one loads
@@ -333,26 +338,24 @@ func OpenMatrixStore(path string, resume bool, jobs []ScenarioJob, faults int, o
 // Path returns the database file path.
 func (s *FileStore) Path() string { return s.path }
 
-// Put appends one campaign record to the file and the in-memory index,
-// fsyncing when the store was opened with Fsync.
+// Put appends one campaign record to the file, fsyncing when the store was
+// opened with Fsync, and then to the in-memory index: a row the log did not
+// acknowledge is in neither.
 func (s *FileStore) Put(r *Result) error {
-	if err := s.put(r); err != nil {
+	key := r.Key()
+	line, err := recordLine(r)
+	if err != nil {
 		return err
 	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	err := writeRecord(s.f, r)
-	if err == nil && s.fsync {
-		err = s.f.Sync()
+	if _, dup := s.Get(key); dup {
+		return fmt.Errorf("campaign store: duplicate record for %q", key)
 	}
-	if err != nil {
-		// Roll the index back so the store stays consistent with the file.
-		s.mu.Lock()
-		delete(s.m, r.Key())
-		s.mu.Unlock()
+	if _, err := s.log.Append(line); err != nil {
 		return fmt.Errorf("campaign store %s: %w", s.path, err)
 	}
-	return nil
+	return s.put(r)
 }
 
 // Sync flushes the backing file to stable storage without closing it —
@@ -361,9 +364,9 @@ func (s *FileStore) Put(r *Result) error {
 func (s *FileStore) Sync() error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	return s.f.Sync()
+	return s.log.Sync()
 }
 
-// Close flushes and closes the backing file. The in-memory index stays
-// readable; further Puts fail.
-func (s *FileStore) Close() error { return s.f.Close() }
+// Close closes the backing file. The in-memory index stays readable;
+// further Puts fail.
+func (s *FileStore) Close() error { return s.log.Close() }

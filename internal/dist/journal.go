@@ -12,7 +12,6 @@
 package dist
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -22,6 +21,7 @@ import (
 
 	"serfi/internal/campaign"
 	"serfi/internal/fault"
+	"serfi/internal/jsonl"
 	"serfi/internal/npb"
 )
 
@@ -38,21 +38,30 @@ type JournalEntry struct {
 
 // Journal is an append-only, fsync-on-append log of queue operations.
 type Journal struct {
-	mu sync.Mutex
-	f  *os.File
+	mu  sync.Mutex
+	log *jsonl.Log
 }
 
-// OpenJournal opens (or creates) the journal at path for appending.
+// openLog opens the journal's file. A variable so that tests can put a
+// failing file under a journal.
+var openLog = jsonl.Open
+
+// OpenJournal opens (or creates) the journal at path for appending, after
+// the operations it already holds.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	_, n, err := ReadJournal(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{f: f}, nil
+	log, err := openLog(path, n, true)
+	if err != nil {
+		return nil, err
+	}
+	return &Journal{log: log}, nil
 }
 
 // Append writes one entry and fsyncs before returning, so an acknowledged
-// queue operation survives a crash.
+// queue operation survives a crash; one that failed leaves no bytes behind.
 func (j *Journal) Append(e JournalEntry) error {
 	data, err := json.Marshal(e)
 	if err != nil {
@@ -60,49 +69,46 @@ func (j *Journal) Append(e JournalEntry) error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(append(data, '\n')); err != nil {
-		return err
-	}
-	return j.f.Sync()
+	_, err = j.log.Append(data)
+	return err
 }
 
 // Close closes the underlying file.
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.f.Close()
+	return j.log.Close()
 }
 
-// ReadJournal loads every entry from path, in append order. A missing file
-// is an empty journal, not an error — the first boot of a fresh queue.
-func ReadJournal(path string) ([]JournalEntry, error) {
+// ReadJournal loads every entry from path, in append order, and the length
+// of the lines that hold them. A missing file is an empty journal, not an
+// error — the first boot of a fresh queue. The journal is the service's own
+// file and an operation is acknowledged only once its line and newline are
+// on disk, so what follows the last newline is an operation nobody was told
+// succeeded: it is dropped, and cut when the journal is opened at n.
+func ReadJournal(path string) (entries []JournalEntry, n int64, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer f.Close()
-	var out []JournalEntry
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
 	line := 0
-	for sc.Scan() {
+	n, _, err = jsonl.Scan(f, func(_ int64, b []byte) error {
 		line++
-		if len(sc.Bytes()) == 0 {
-			continue
+		if len(b) == 0 {
+			return nil
 		}
 		var e JournalEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("dist journal line %d: %w", line, err)
+		if err := json.Unmarshal(b, &e); err != nil {
+			return fmt.Errorf("dist journal line %d: %w", line, err)
 		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+		entries = append(entries, e)
+		return nil
+	})
+	return entries, n, err
 }
 
 // PendingSubmissions folds a journal down to the submissions still wanted:
@@ -135,7 +141,7 @@ func PendingSubmissions(entries []JournalEntry) []JournalEntry {
 // already holds them. The caller owns the returned journal and should
 // Close it on shutdown.
 func RestoreQueue(path string, opts ...CoordOption) (*Coordinator, *Journal, error) {
-	entries, err := ReadJournal(path)
+	entries, n, err := ReadJournal(path)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -164,10 +170,11 @@ func RestoreQueue(path string, opts ...CoordOption) (*Coordinator, *Journal, err
 			return nil, nil, fmt.Errorf("dist journal %s: %w", e.ID, err)
 		}
 	}
-	j, err := OpenJournal(path)
+	log, err := openLog(path, n, true) // at the length just read: a torn tail is cut here
 	if err != nil {
 		return nil, nil, err
 	}
+	j := &Journal{log: log}
 	c.mu.Lock()
 	c.nextSeq = max(c.nextSeq, maxSeq)
 	c.journal = j

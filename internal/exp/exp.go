@@ -31,8 +31,10 @@ type Config struct {
 	Progress io.Writer
 	// Workers bounds the scheduler's host worker pool; 0 = GOMAXPROCS.
 	Workers int
-	// Snapshots is the per-scenario checkpoint count (0 = default on,
-	// negative = from-reset mode); see campaign.Snapshots.
+	// Snapshots is the per-scenario checkpoint count in the campaign
+	// convention (campaign.Snapshots: 0 = fi.DefaultCheckpoints, negative =
+	// every fault from reset) — not the CLIs', whose -snapshots 0 means
+	// from reset; cmd/experiments and cmd/serfi translate.
 	Snapshots int
 	// Domains lists the fault models each scenario runs under (nil: the
 	// paper's register domain only). The paper's tables and figures always

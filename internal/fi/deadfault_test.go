@@ -39,14 +39,19 @@ func injectKind(cs *fi.CheckpointSet, d fault.Domain, g *fi.Golden, p fi.Fault) 
 
 // TestDeadFaultsMatchSimulation is the admission ticket of dead-fault
 // pruning: over six fault domains and three scenarios every result of the
-// product path (InjectPoint on a delta-chain set, both rules on) equals
-// fi.InjectDomain from reset — which restores nothing, compares nothing and
-// consults no record — field for field, while dead-fault decisions,
+// product path (InjectPoint on a delta-chain set, both rules on) equals a
+// rule-free reference field for field, while dead-fault decisions,
 // convergence on dead cache-line state, exact convergence and full
-// simulation all occur. FullCopy and empty sets are held to the same
-// reference and shown to take neither shortcut.
+// simulation all occur. On the cheapest scenario the reference is
+// fi.InjectDomain from reset — which restores nothing, compares nothing and
+// consults no record — and FullCopy and empty sets are held to it too and
+// shown to take neither shortcut. On the other two it is that FullCopy set
+// (DESIGN.md §3.2: no dead-fault rule, exact equality only; pinned equal to
+// from-reset by TestCOWCheckpointsGoldenCompat), which starts a fault at its
+// checkpoint and not at reset: tier-1 time is a budget, and armv7/MG/OMP-2
+// from reset was 3.5 G reference instructions.
 func TestDeadFaultsMatchSimulation(t *testing.T) {
-	n := 64 // per domain and scenario; -short (the CI race job) trims the from-reset references
+	n := 64 // per domain and scenario; -short (the CI race job) trims the references
 	if testing.Short() {
 		n = 8
 	}
@@ -57,7 +62,7 @@ func TestDeadFaultsMatchSimulation(t *testing.T) {
 			{App: "MG", Mode: npb.OMP, ISA: "armv7", Cores: 2},
 			{App: "IS", Mode: npb.MPI, ISA: "armv8", Cores: 2},
 		} {
-			references := i == 0 // the FullCopy and empty sets run on the cheapest scenario
+			fromReset := i == 0
 			t.Run(sc.ID(), func(t *testing.T) {
 				t.Parallel()
 				img, cfg, err := npb.BuildScenario(sc)
@@ -69,13 +74,13 @@ func TestDeadFaultsMatchSimulation(t *testing.T) {
 					t.Fatal(err)
 				}
 				cs := checkpoints(t, img, cfg, g, fi.DefaultCheckpoints)
-				var full, empty *fi.CheckpointSet
-				if references {
-					full, err = fi.BuildCheckpointsOpt(context.Background(), img, cfg, g,
-						fi.CheckpointOptions{N: fi.DefaultCheckpoints, FullCopy: true})
-					if err != nil {
-						t.Fatal(err)
-					}
+				full, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g,
+					fi.CheckpointOptions{N: fi.DefaultCheckpoints, FullCopy: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var empty *fi.CheckpointSet
+				if fromReset {
 					empty = checkpoints(t, img, cfg, g, 0)
 				}
 				// The sets, image and golden record serve concurrent executors.
@@ -87,12 +92,18 @@ func TestDeadFaultsMatchSimulation(t *testing.T) {
 							t.Fatal(err)
 						}
 						cacheModel := model == fault.CacheTag || model == fault.CacheDirty || model == fault.CacheRepl
-						shown := 0 // dead mem faults run through the references: a few suffice
+						shown := 0 // dead mem faults run through the from-reset scenario's sets: a few suffice
 						for i, p := range fi.List(16, n, d) {
-							want := fi.InjectDomain(img, cfg, g, d, p)
+							var want fi.Result
+							fkind := runKind(-1) // how the FullCopy set scored p, once it has
+							if fromReset {
+								want = fi.InjectDomain(img, cfg, g, d, p)
+							} else {
+								want, fkind = injectKind(full, d, g, p)
+							}
 							got, kind := injectKind(cs, d, g, p)
 							if got != want {
-								t.Errorf("fault %d (%s): product path %+v != from reset %+v", i, p, got, want)
+								t.Errorf("fault %d (%s): product path %+v != rule-free reference %+v", i, p, got, want)
 							}
 							switch {
 							case kind == decided:
@@ -105,26 +116,28 @@ func TestDeadFaultsMatchSimulation(t *testing.T) {
 							case !cacheModel:
 								nExact.Add(1) // no cache strike, no dead cache state: bit-identical
 							}
-							if !references || kind == simulated || (kind == decided && shown >= 4) {
-								continue
-							}
-							// The references reach the same result the long way.
-							fgot, fkind := injectKind(full, d, g, p)
-							if fgot != want {
-								t.Errorf("fault %d (%s): FullCopy %+v != from reset %+v", i, p, fgot, want)
+							if fromReset && kind != simulated && (kind != decided || shown < 4) {
+								// The other sets reach the same result the long way.
+								var fgot fi.Result
+								if fgot, fkind = injectKind(full, d, g, p); fgot != want {
+									t.Errorf("fault %d (%s): FullCopy %+v != from reset %+v", i, p, fgot, want)
+								}
+								if kind == decided {
+									shown++
+									c := empty.Clone()
+									if egot := c.InjectPoint(d, g, p); egot != want {
+										t.Errorf("fault %d (%s): empty set %+v != from reset %+v", i, p, egot, want)
+									}
+									if sim, _ := c.SimulatedInstructions(); sim != want.Retired {
+										t.Errorf("fault %d (%s): empty set simulated %d of %d instructions", i, p, sim, want.Retired)
+									}
+								}
 							}
 							switch {
+							case fkind < 0 || kind == simulated:
 							case kind == decided:
-								shown++
 								if fkind != simulated {
 									t.Errorf("fault %d (%s): a FullCopy set did not simulate a dead fault", i, p)
-								}
-								c := empty.Clone()
-								if egot := c.InjectPoint(d, g, p); egot != want {
-									t.Errorf("fault %d (%s): empty set %+v != from reset %+v", i, p, egot, want)
-								}
-								if sim, _ := c.SimulatedInstructions(); sim != want.Retired {
-									t.Errorf("fault %d (%s): empty set simulated %d of %d instructions", i, p, sim, want.Retired)
 								}
 							case cacheModel && fkind == converged:
 								nExact.Add(1)
