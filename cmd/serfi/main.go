@@ -499,7 +499,7 @@ func cmdSubmit(args []string) error {
 	tenant := fs.String("tenant", "", "tenant namespace for the matrix's rows (default: the shared namespace)")
 	id := fs.String("id", "", "submission ID for idempotent resubmission (default: coordinator-assigned)")
 	traceProp := fs.Bool("trace-prop", false, "propagation-trace every unmasked injection")
-	watch := fs.Bool("watch", false, "poll the queue until this submission is terminal")
+	watch := fs.Bool("watch", false, "poll this submission until it is terminal")
 	mf := addMatrixFlags(fs, "") // the store, and so the resume, is the coordinator's
 	fs.Parse(args)
 	if *join == "" {

@@ -402,13 +402,13 @@ func WriteDB(w io.Writer, results []*Result) error {
 // runs that were traced, and re-writing such a result reproduces its row
 // byte for byte.
 func ReadDB(r io.Reader) (map[string]*Result, error) {
-	out, _, err := readDB(r)
+	out, _, _, err := readDB(r)
 	return out, err
 }
 
-// readDB is ReadDB, and the number of bytes it read: where the FileStore's
-// log starts.
-func readDB(r io.Reader) (map[string]*Result, int64, error) {
+// readDB is ReadDB, the number of bytes it read — where the FileStore's log
+// starts — and whether the last of them is not a newline.
+func readDB(r io.Reader) (_ map[string]*Result, n int64, unterminated bool, _ error) {
 	out := make(map[string]*Result)
 	line := 0
 	add := func(_ int64, b []byte) error {
@@ -433,7 +433,7 @@ func readDB(r io.Reader) (map[string]*Result, int64, error) {
 		// dropped: what follows the last newline must be a whole row.
 		err = add(valid, tail)
 	}
-	return out, valid + int64(len(tail)), err
+	return out, valid + int64(len(tail)), len(tail) > 0, err
 }
 
 // decodeRecordLine parses one JSONL database row into a Result — the

@@ -124,6 +124,42 @@ func TestTornTailReopensToAcknowledgedPrefix(t *testing.T) {
 	}
 }
 
+// TestFileStoreReopensUnterminatedRow: a database whose last row is whole
+// but lacks its newline (written by hand, or by another tool) loads, and the
+// next Put starts a line of its own. It used to be appended onto that row,
+// and the reopen after it failed with "campaign db line 1: invalid character
+// '{' after top-level value".
+func TestFileStoreReopensUnterminatedRow(t *testing.T) {
+	a, b := segResult("IS", fault.Reg, 4), segResult("MG", fault.Mem, 5)
+	path := filepath.Join(t.TempDir(), "db.jsonl")
+	if err := os.WriteFile(path, []byte(strings.TrimSuffix(rowLine(a), "\n")), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := campaign.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != rowLine(a)+rowLine(b) {
+		t.Errorf("database holds\n%q\nwant rows a and b, each on its own line", got)
+	}
+	re, err := campaign.OpenFileStore(path)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer re.Close()
+	for _, r := range []*campaign.Result{a, b} {
+		if got, ok := re.Get(r.Key()); !ok || rowLine(got) != rowLine(r) {
+			t.Errorf("reopened Get(%s) = %v, %v", r.Key(), got, ok)
+		}
+	}
+}
+
 // faultyFile is an append-mode file whose next Write or Sync fails once, as
 // set; everything else goes through.
 type faultyFile struct {

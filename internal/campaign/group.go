@@ -219,6 +219,7 @@ func (g *Group) Inject(ctx context.Context, model fault.Model, n, lo, hi int, tr
 	at := lo // the fault in flight
 	defer func() {
 		if r := recover(); r != nil {
+			obsHostPanics.Inc()
 			env := fault.Env{Feat: g.cfg.ISA.Feat(), Regions: g.img.Regions}
 			sh, err = Shard{}, fmt.Errorf("host panic in %s domain %s at fault %d (%s): %v",
 				g.id, model, at, faults[at].Format(env), r)

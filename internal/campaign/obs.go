@@ -1,5 +1,6 @@
-// Engine observability: the WithMetrics / WithTracer options and the
-// metric-instrument bundle RunMatrix updates at phase and job boundaries.
+// Engine observability: the WithMetrics / WithTracer options, the
+// metric-instrument bundle RunMatrix updates at phase and job boundaries,
+// and the host-panic counter of Group.Inject's guard.
 // Updates are batched per event — one set of atomic adds per scenario
 // phase, per injection job, per campaign — never per injection run or per
 // retired instruction, and they observe host progress only, so campaigns
@@ -7,6 +8,11 @@
 package campaign
 
 import "serfi/internal/obs"
+
+// obsHostPanics is on the process registry, not the engine's: Group.Inject
+// serves the engine and dist workers alike, and a worker pushes obs.Default
+// to its coordinator with every completion.
+var obsHostPanics = obs.Default.Counter("serfi_campaign_host_panics_total", "Host panics caught by Group.Inject's guard, each failing the campaign or shard it hit.")
 
 // WithMetrics attaches a metrics registry: RunMatrix registers the engine's
 // metric families there and updates them as phases, jobs and campaigns

@@ -12,6 +12,7 @@ import (
 	"serfi/internal/fi"
 	"serfi/internal/mach"
 	"serfi/internal/npb"
+	"serfi/internal/obs"
 )
 
 // explodingDomain samples like the real burst domain and panics on Apply,
@@ -97,4 +98,52 @@ func TestHostPanicFailsCampaignNotProcess(t *testing.T) {
 	if remote[0] == nil || remote[0].Counts != local[0].Counts || remote[1] != nil {
 		t.Fatalf("cluster results = %v, want the reg campaign only, counts %v", remote, local[0].Counts)
 	}
+}
+
+// TestHostPanicsCounted: serfi_campaign_host_panics_total moves by exactly
+// the panics the guard caught — one per failed campaign below, each run as a
+// single job or shard, on the engine and through a worker — and a clean
+// campaign leaves it where it was.
+func TestHostPanicsCounted(t *testing.T) {
+	plantExplodingBurst(t)
+	panics := obs.Default.Counter("serfi_campaign_host_panics_total", "")
+	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
+	const seed, faults = 5, 4
+	reg := campaign.ScenarioJob{Scenario: sc, Domain: fault.Reg, Seed: seed}
+	burst := campaign.ScenarioJob{Scenario: sc, Domain: fault.Burst, Seed: seed}
+	ctx := context.Background()
+	before := panics.Value()
+	moved := func(what string, want float64) {
+		t.Helper()
+		if got := panics.Value() - before; got != want {
+			t.Errorf("after %s the counter moved by %v, want %v", what, got, want)
+		}
+	}
+
+	if _, err := campaign.New(campaign.Faults(faults)).RunMatrix(ctx, []campaign.ScenarioJob{reg}); err != nil {
+		t.Fatal(err)
+	}
+	moved("a clean campaign", 0)
+
+	_, err := campaign.New(campaign.Faults(faults), campaign.JobSize(faults)).RunMatrix(ctx, []campaign.ScenarioJob{reg, burst})
+	if err == nil || !strings.Contains(err.Error(), "host panic") {
+		t.Fatalf("engine: %v, want the burst campaign's host panic", err)
+	}
+	moved("one failed engine campaign", 1)
+
+	coord, err := dist.NewCoordinator([]campaign.ScenarioJob{burst}, faults, dist.ShardSize(faults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := dist.NewWorker(dist.NewLoopbackClient(coord.Handler()), dist.Name("w"))
+	workerErr := make(chan error, 1)
+	go func() { workerErr <- w.Run(ctx) }()
+	_, err = coord.Wait(ctx)
+	if werr := <-workerErr; werr != nil {
+		t.Errorf("worker died with the shard: %v", werr)
+	}
+	if err == nil || !strings.Contains(err.Error(), "host panic") {
+		t.Fatalf("cluster: %v, want the burst shard's host panic", err)
+	}
+	moved("one failed shard on a worker", 2)
 }

@@ -295,8 +295,9 @@ func OpenFileStore(path string, opts ...FileStoreOption) (*FileStore, error) {
 		opt(s)
 	}
 	var n int64
+	var unterminated bool
 	if rf, err := os.Open(path); err == nil {
-		s.m, n, err = readDB(rf)
+		s.m, n, unterminated, err = readDB(rf)
 		rf.Close()
 		if err != nil {
 			return nil, err
@@ -307,6 +308,14 @@ func OpenFileStore(path string, opts ...FileStoreOption) (*FileStore, error) {
 	var err error
 	if s.log, err = openLog(path, n, s.fsync); err != nil {
 		return nil, err
+	}
+	// A whole last row without its newline: end it, or the next Put would be
+	// glued onto it.
+	if unterminated {
+		if _, err = s.log.Append(nil); err != nil {
+			s.log.Close()
+			return nil, fmt.Errorf("campaign store %s: %w", s.path, err)
+		}
 	}
 	return s, nil
 }

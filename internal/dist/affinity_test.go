@@ -284,7 +284,11 @@ func TestBeatCannotLieAboutItsRange(t *testing.T) {
 		if err := cl.Event(ctx, EventRequest{Worker: liar.name, LeaseID: l.ID, Key: l.Key, Lo: lo, Hi: hi}); err != nil {
 			t.Fatal(err)
 		}
-		row := coord.Status().CampaignList[0]
+		mr, err := coord.Matrix("m000001")
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := mr.CampaignList[0]
 		if row.Injected < 0 || row.Injected > row.Faults {
 			t.Errorf("after beat [%d,%d): status shows %d of %d injected", lo, hi, row.Injected, row.Faults)
 		}

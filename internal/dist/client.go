@@ -20,7 +20,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -206,32 +205,40 @@ func (c *Client) Submit(ctx context.Context, req SubmitRequest) (SubmitReply, er
 // Matrices lists the queue's submissions, submission order preserved.
 func (c *Client) Matrices(ctx context.Context) (MatricesReply, error) {
 	var reply MatricesReply
-	err := c.post(ctx, PathMatrices, struct {
-		Proto int `json:"proto"`
-	}{ProtoVersion}, &reply)
+	err := c.post(ctx, PathMatrices, MatricesRequest{Proto: ProtoVersion}, &reply)
 	return reply, err
 }
 
-// watchInterval is how often Watch polls the queue.
+// Matrix fetches one submission: its queue row and its campaign rows. A
+// reply that is not exactly that row — a coordinator that ignores the ID
+// lists the whole queue — is an error, not a misread.
+func (c *Client) Matrix(ctx context.Context, id string) (MatricesReply, error) {
+	var reply MatricesReply
+	if err := c.post(ctx, PathMatrices, MatricesRequest{Proto: ProtoVersion, ID: id}, &reply); err != nil {
+		return reply, err
+	}
+	if len(reply.Matrices) != 1 || reply.Matrices[0].ID != id {
+		return MatricesReply{}, fmt.Errorf("dist: %s: asked for submission %s, got %d rows", PathMatrices, id, len(reply.Matrices))
+	}
+	return reply, nil
+}
+
+// watchInterval is how often Watch polls the submission.
 const watchInterval = 2 * time.Second
 
-// Watch polls the queue until submission id goes terminal and returns its
-// final row. onChange sees the first row and every later one that differs
-// in anything but elapsed time. A cancelled ctx returns the last row seen
-// with ctx.Err().
+// Watch polls submission id until it goes terminal and returns its final
+// row. onChange sees the first row and every later one that differs in
+// anything but elapsed time. A cancelled ctx returns the last row seen with
+// ctx.Err().
 func (c *Client) Watch(ctx context.Context, id string, onChange func(MatrixStatus)) (MatrixStatus, error) {
 	var last MatrixStatus
 	for {
-		mr, err := c.Matrices(ctx)
+		mr, err := c.Matrix(ctx, id)
 		if err != nil {
 			return last, err
 		}
-		i := slices.IndexFunc(mr.Matrices, func(ms MatrixStatus) bool { return ms.ID == id })
-		if i < 0 {
-			return last, fmt.Errorf("dist: submission %s vanished from the queue", id)
-		}
 		seen := last
-		last = mr.Matrices[i]
+		last = mr.Matrices[0]
 		seen.ElapsedSec = last.ElapsedSec
 		if last != seen {
 			onChange(last)

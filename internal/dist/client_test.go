@@ -2,14 +2,19 @@ package dist
 
 // Client retry pins: transient failures (5xx, transport errors) retry with
 // jittered exponential backoff under a bounded budget; 4xx rejections
-// never retry.
+// never retry. And Watch reads one submission per poll.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"testing"
 	"time"
+
+	"serfi/internal/campaign"
 )
 
 // flakyHandler answers 503 for the first fail requests, then delegates.
@@ -142,5 +147,57 @@ func TestClientWatch(t *testing.T) {
 	}
 	if _, err := cl.Watch(context.Background(), "m000009", func(MatrixStatus) {}); err == nil {
 		t.Error("watching an unknown submission did not error")
+	}
+}
+
+// requestLog records the path and submission ID of every request it passes
+// on.
+type requestLog struct {
+	next http.Handler
+	reqs []string
+}
+
+func (h *requestLog) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	body, _ := io.ReadAll(r.Body)
+	var req MatricesRequest
+	json.Unmarshal(body, &req)
+	h.reqs = append(h.reqs, r.URL.Path+" "+req.ID)
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	h.next.ServeHTTP(w, r)
+}
+
+// TestClientWatchPollsOneSubmission: every Watch poll is one /v1/matrices
+// request for the watched ID — not a listing of the whole queue.
+func TestClientWatchPollsOneSubmission(t *testing.T) {
+	coord := NewQueue()
+	var ids []string
+	for _, jobs := range [][]campaign.ScenarioJob{compatJobs()[:1], compatJobs()[3:]} {
+		id, err := coord.Submit(SubmitSpec{Jobs: jobs, Faults: compatFaults})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	log := &requestLog{next: coord.Handler()}
+	cl := NewLoopbackClient(log)
+	polls := 0
+	cl.sleep = func(ctx context.Context, d time.Duration) error {
+		if polls++; polls == 3 {
+			_, err := coord.CancelSubmission(ids[1])
+			return err
+		}
+		return nil
+	}
+	ms, err := cl.Watch(context.Background(), ids[1], func(MatrixStatus) {})
+	if err != nil || ms.ID != ids[1] || ms.State != "cancelled" {
+		t.Fatalf("Watch = %+v, %v", ms, err)
+	}
+	if len(log.reqs) != polls+1 {
+		t.Errorf("%d requests for %d polls and the terminal read: %v", len(log.reqs), polls, log.reqs)
+	}
+	for _, req := range log.reqs {
+		if req != PathMatrices+" "+ids[1] {
+			t.Errorf("Watch sent %q, want only %s for %s", req, PathMatrices, ids[1])
+		}
 	}
 }

@@ -722,6 +722,47 @@ func (c *Coordinator) matrixStatusLocked(sub *submission) MatrixStatus {
 	return ms
 }
 
+// Matrix snapshots one submission (also served at /v1/matrices with an ID):
+// its queue row, and one row per campaign sorted by key.
+func (c *Coordinator) Matrix(id string) (MatricesReply, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sub := c.subByID[id]
+	if sub == nil {
+		return MatricesReply{}, fmt.Errorf("dist: unknown submission %q", id)
+	}
+	mr := MatricesReply{Proto: ProtoVersion, Matrices: []MatrixStatus{c.matrixStatusLocked(sub)}}
+	for _, camp := range sub.camps {
+		row := CampaignStatus{
+			Key:     camp.key,
+			Tenant:  sub.tenant,
+			Matrix:  sub.id,
+			Faults:  camp.Faults,
+			Done:    camp.done,
+			Skipped: camp.skipped,
+			Failed:  camp.err != nil,
+		}
+		// Live progress: beats lead the fold while a shard is in flight, the
+		// fold wins once it catches up (a store-answered campaign has
+		// neither). Vulnerability: the unmasked rate over folded results,
+		// with its 95% Wilson interval; store-answered campaigns read the
+		// stored counts instead.
+		row.Injected = max(camp.Folded, camp.beats)
+		unmasked, n := camp.Unmasked, camp.Folded
+		if r := sub.results[camp.idx]; camp.skipped && r != nil {
+			unmasked, n = r.Counts.Unmasked(), r.Counts.Total()
+		}
+		if n > 0 {
+			row.Unmasked = unmasked
+			row.Sampled = n
+			row.CILo, row.CIHi = sens.Wilson95(unmasked, n)
+		}
+		mr.CampaignList = append(mr.CampaignList, row)
+	}
+	sort.Slice(mr.CampaignList, func(i, j int) bool { return mr.CampaignList[i].Key < mr.CampaignList[j].Key })
+	return mr, nil
+}
+
 // Status snapshots the coordinator's aggregate state (also served at
 // /v1/status).
 func (c *Coordinator) Status() StatusReply {
@@ -746,43 +787,10 @@ func (c *Coordinator) Status() StatusReply {
 		if sub.campsLeft > 0 {
 			live++
 		}
-		st.Matrices = append(st.Matrices, c.matrixStatusLocked(sub))
 		for _, camp := range sub.camps {
 			if camp.done {
 				st.CampaignsDone++
 			}
-			row := CampaignStatus{
-				Key:     camp.key,
-				Tenant:  sub.tenant,
-				Matrix:  sub.id,
-				Faults:  camp.Faults,
-				Done:    camp.done,
-				Skipped: camp.skipped,
-				Failed:  camp.err != nil,
-			}
-			if !camp.skipped {
-				// Live progress: beats lead the fold while a shard is in
-				// flight, the fold wins once it catches up.
-				row.Injected = camp.Folded
-				if camp.beats > row.Injected {
-					row.Injected = camp.beats
-				}
-			}
-			// Vulnerability: unmasked rate over folded results, with its 95%
-			// Wilson interval. Store-answered campaigns read the stored
-			// counts; live ones the fold's counters.
-			unmasked, n := camp.Unmasked, camp.Folded
-			if camp.skipped {
-				if r := sub.results[camp.idx]; r != nil {
-					unmasked, n = r.Counts.Unmasked(), r.Counts.Total()
-				}
-			}
-			if n > 0 {
-				row.Unmasked = unmasked
-				row.Sampled = n
-				row.CILo, row.CIHi = sens.Wilson95(unmasked, n)
-			}
-			st.CampaignList = append(st.CampaignList, row)
 			if camp.skipped {
 				continue // answered from the store: counted in Skipped, not here
 			}
@@ -791,7 +799,6 @@ func (c *Coordinator) Status() StatusReply {
 		}
 	}
 	st.Done = live == 0
-	sort.Slice(st.CampaignList, func(i, j int) bool { return st.CampaignList[i].Key < st.CampaignList[j].Key })
 	if len(c.outcomes) > 0 {
 		st.Outcomes = make(map[string]int, len(c.outcomes))
 		for k, v := range c.outcomes {
@@ -835,7 +842,7 @@ func (c *Coordinator) handlePage(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	st := c.Status()
+	st, matrices := c.Status(), c.MatrixList()
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "serfi distributed campaign coordinator (protocol v%d)\n\n", st.Proto)
 	fmt.Fprintf(&b, "campaigns  %d/%d done (%d skipped, %d failed)\n",
@@ -846,9 +853,9 @@ func (c *Coordinator) handlePage(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "elapsed    %.1fs\n", st.ElapsedSec)
 	// The submissions table shows once there is a queue to speak of: more
 	// than one submission, or a named tenant (dash.go's script: same rule).
-	if len(st.Matrices) > 1 || (len(st.Matrices) == 1 && st.Matrices[0].Tenant != "") {
+	if len(matrices) > 1 || (len(matrices) == 1 && matrices[0].Tenant != "") {
 		fmt.Fprintf(&b, "\n%-10s %-12s %-10s %10s %10s\n", "matrix", "tenant", "state", "campaigns", "injected")
-		for _, ms := range st.Matrices {
+		for _, ms := range matrices {
 			fmt.Fprintf(&b, "%-10s %-12s %-10s %6d/%-3d %10d\n",
 				ms.ID, tenantLabel(ms.Tenant), ms.State, ms.CampaignsDone, ms.Campaigns, ms.Injected)
 		}

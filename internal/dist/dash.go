@@ -1,8 +1,10 @@
 // The live campaign dashboard: a single self-contained HTML page at /dash,
-// no external assets. The page polls /v1/status every two seconds for the
-// scenario grid, outcome taxonomy table and worker table, and subscribes to
-// the /dash/events SSE feed (obs.go) for the injection-throughput
-// sparkline. Every dynamic value is rendered through textContent, so
+// no external assets. Every two seconds the page polls /v1/status for the
+// header, outcome taxonomy table and worker table, /v1/matrices for the
+// submission queue, and /v1/matrices by ID for the scenario grid and
+// vulnerability panel — the running submissions, or the latest one when
+// none runs. It subscribes to the /dash/events SSE feed (obs.go) for the
+// injection-throughput sparkline. Every dynamic value is rendered through textContent, so
 // caller-controlled wire strings (worker names, campaign keys) can never
 // inject markup.
 package dist
@@ -77,9 +79,32 @@ function renderStatus(st) {
     " · elapsed " + st.elapsed_sec.toFixed(0) + "s" +
     (st.done ? " · matrix complete" : "");
 
+  var ob = document.querySelector("#outcomes tbody");
+  ob.textContent = "";
+  Object.keys(st.outcomes || {}).sort().forEach(function (k) {
+    var tr = document.createElement("tr");
+    td(tr, k); td(tr, String(st.outcomes[k]), true);
+    ob.appendChild(tr);
+  });
+
+  var wb = document.querySelector("#workers tbody");
+  wb.textContent = "";
+  (st.workers || []).forEach(function (w) {
+    var tr = document.createElement("tr");
+    td(tr, w.name); td(tr, String(w.live), true); td(tr, String(w.shards), true);
+    td(tr, String(w.runs), true); td(tr, w.last_seen_sec.toFixed(1) + "s", true);
+    wb.appendChild(tr);
+  });
+
+  if (st.done) matrixDone = true;
+}
+
+// renderCampaigns draws the scenario grid and the vulnerability panel from
+// the campaign rows of the submissions on show.
+function renderCampaigns(rows) {
   var grid = document.getElementById("grid");
   grid.textContent = "";
-  (st.campaign_list || []).forEach(function (c) {
+  rows.forEach(function (c) {
     var cell = document.createElement("div");
     cell.className = "cell" + (c.failed ? " failed" : c.done ? " done" : "") + (c.skipped ? " skipped" : "");
     var name = document.createElement("div");
@@ -96,17 +121,9 @@ function renderStatus(st) {
     grid.appendChild(cell);
   });
 
-  var ob = document.querySelector("#outcomes tbody");
-  ob.textContent = "";
-  Object.keys(st.outcomes || {}).sort().forEach(function (k) {
-    var tr = document.createElement("tr");
-    td(tr, k); td(tr, String(st.outcomes[k]), true);
-    ob.appendChild(tr);
-  });
-
   var vb = document.querySelector("#vuln tbody");
   vb.textContent = "";
-  (st.campaign_list || []).filter(function (c) { return c.sampled > 0; })
+  rows.filter(function (c) { return c.sampled > 0; })
     .sort(function (a, b) {
       return (b.unmasked || 0) / b.sampled - (a.unmasked || 0) / a.sampled;
     })
@@ -120,11 +137,12 @@ function renderStatus(st) {
       td(tr, (100 * (c.ci_lo || 0)).toFixed(1) + "-" + (100 * (c.ci_hi || 0)).toFixed(1) + "%", true);
       vb.appendChild(tr);
     });
+}
 
-  // Submission queue: one row per queued matrix, grouped by tenant so a
-  // starved namespace is visible at a glance. A lone anonymous matrix (a
-  // one-shot serve) needs no table; the status page applies the same rule.
-  var ms = st.matrices || [];
+// Submission queue: one row per queued matrix, grouped by tenant so a
+// starved namespace is visible at a glance. A lone anonymous matrix (a
+// one-shot serve) needs no table; the status page applies the same rule.
+function renderQueue(ms) {
   document.getElementById("queuepanel").style.display = ms.length > 1 || (ms.length === 1 && ms[0].tenant) ? "" : "none";
   var qb = document.querySelector("#queue tbody");
   qb.textContent = "";
@@ -141,17 +159,6 @@ function renderStatus(st) {
     td(tr, m.elapsed_sec.toFixed(0) + "s", true);
     qb.appendChild(tr);
   });
-
-  var wb = document.querySelector("#workers tbody");
-  wb.textContent = "";
-  (st.workers || []).forEach(function (w) {
-    var tr = document.createElement("tr");
-    td(tr, w.name); td(tr, String(w.live), true); td(tr, String(w.shards), true);
-    td(tr, String(w.runs), true); td(tr, w.last_seen_sec.toFixed(1) + "s", true);
-    wb.appendChild(tr);
-  });
-
-  if (st.done) matrixDone = true;
 }
 
 function drawSpark() {
@@ -182,8 +189,29 @@ function drawSpark() {
   ctx.fillText("peak " + max.toFixed(1) + "/s", 6, 12);
 }
 
+function post(path, body) {
+  return fetch(path, {method: "POST", headers: {"Content-Type": "application/json"}, body: JSON.stringify(body)})
+    .then(function (r) { return r.json(); });
+}
+
+// poll reads the aggregate, then the queue, then the campaign rows of the
+// running submissions — or of the latest one when none runs, so a finished
+// one-shot serve still shows its grid.
 function poll() {
-  fetch("/v1/status").then(function (r) { return r.json(); }).then(renderStatus).catch(function () {});
+  fetch("/v1/status").then(function (r) { return r.json(); }).then(function (st) {
+    renderStatus(st);
+    return post("/v1/matrices", {proto: st.proto}).then(function (mr) {
+      var ms = mr.matrices || [];
+      renderQueue(ms);
+      var ids = ms.filter(function (m) { return m.state === "running"; }).map(function (m) { return m.id; });
+      if (!ids.length && ms.length) ids = [ms[ms.length - 1].id];
+      return Promise.all(ids.map(function (id) { return post("/v1/matrices", {proto: st.proto, id: id}); }));
+    });
+  }).then(function (replies) {
+    var rows = [];
+    replies.forEach(function (r) { rows = rows.concat(r.campaign_list || []); });
+    renderCampaigns(rows.sort(function (a, b) { return a.key < b.key ? -1 : a.key > b.key ? 1 : 0; }));
+  }).catch(function () {});
   if (!matrixDone) setTimeout(poll, 2000);
 }
 poll();

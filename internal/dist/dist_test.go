@@ -461,8 +461,8 @@ func TestClusterRecordRunsMatchesEngine(t *testing.T) {
 }
 
 // TestStatusVulnerabilityPanel: a completed matrix reports per-campaign
-// unmasked counts with a well-formed Wilson interval on /v1/status — the
-// feed behind the dashboard's vulnerability panel.
+// unmasked counts with a well-formed Wilson interval on /v1/matrices by ID —
+// the feed behind the dashboard's vulnerability panel.
 func TestStatusVulnerabilityPanel(t *testing.T) {
 	jobs := compatJobs()[:2]
 	coord, err := NewCoordinator(jobs, compatFaults, ShardSize(3))
@@ -470,7 +470,10 @@ func TestStatusVulnerabilityPanel(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := runCluster(t, coord, 2)
-	st := coord.Status()
+	st, err := coord.Matrix("m000001")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(st.CampaignList) != len(jobs) {
 		t.Fatalf("status lists %d campaigns, want %d", len(st.CampaignList), len(jobs))
 	}

@@ -183,7 +183,7 @@ type dashEvent struct {
 
 // sseHub fans the coordinator's event path out to any number of SSE
 // subscribers. Publishing never blocks: a subscriber that cannot keep up
-// loses events (the dashboard re-syncs from /v1/status anyway) — except the
+// loses events (the dashboard re-syncs from its status poll anyway) — except the
 // terminal one, which is delivered by closing every subscriber's channel.
 type sseHub struct {
 	mu   sync.Mutex

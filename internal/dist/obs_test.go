@@ -126,7 +126,8 @@ func TestStatusPageEscapesWorkerNames(t *testing.T) {
 }
 
 // TestStatusOutcomesAndCampaignList: the status reply carries the
-// matrix-wide outcome taxonomy tally and per-campaign progress rows.
+// matrix-wide outcome taxonomy tally, and the submission's matrices reply its
+// per-campaign progress rows.
 func TestStatusOutcomesAndCampaignList(t *testing.T) {
 	coord, err := NewCoordinator(compatJobs()[:2], compatFaults, ShardSize(2))
 	if err != nil {
@@ -141,16 +142,20 @@ func TestStatusOutcomesAndCampaignList(t *testing.T) {
 	if want := 2 * compatFaults; total != want {
 		t.Errorf("outcome tally sums to %d, want %d: %v", total, want, st.Outcomes)
 	}
-	if len(st.CampaignList) != 2 {
-		t.Fatalf("CampaignList has %d rows, want 2: %+v", len(st.CampaignList), st.CampaignList)
+	mr, err := coord.Matrix("m000001")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, row := range st.CampaignList {
+	if len(mr.CampaignList) != 2 {
+		t.Fatalf("CampaignList has %d rows, want 2: %+v", len(mr.CampaignList), mr.CampaignList)
+	}
+	for _, row := range mr.CampaignList {
 		if !row.Done || row.Failed || row.Skipped || row.Injected != compatFaults || row.Faults != compatFaults {
 			t.Errorf("campaign row = %+v", row)
 		}
 	}
-	if !sortedByKey(st.CampaignList) {
-		t.Errorf("CampaignList not sorted by key: %+v", st.CampaignList)
+	if !sortedByKey(mr.CampaignList) {
+		t.Errorf("CampaignList not sorted by key: %+v", mr.CampaignList)
 	}
 }
 

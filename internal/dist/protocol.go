@@ -165,8 +165,10 @@ type EventReply struct {
 }
 
 // StatusReply is the coordinator's aggregate state: campaign and shard
-// progress, lease health and per-worker activity. Workers are sorted by
-// name, so status output is stable across polls.
+// progress, lease health, the outcome tally and per-worker activity — no
+// list that grows with the queue's history (a submission's rows are asked
+// for by ID on /v1/matrices). Workers are sorted by name, so status output
+// is stable across polls.
 type StatusReply struct {
 	Proto         int  `json:"proto"`
 	Done          bool `json:"done"`
@@ -193,16 +195,12 @@ type StatusReply struct {
 	// (vanished, application hang, silent data corruption, ...), matrix-wide.
 	Outcomes map[string]int `json:"outcomes,omitempty"`
 
-	Workers      []WorkerStatus   `json:"workers,omitempty"`
-	CampaignList []CampaignStatus `json:"campaign_list,omitempty"`
-
-	// Matrices lists the submission queue, submission order preserved.
-	Matrices []MatrixStatus `json:"matrices,omitempty"`
+	Workers []WorkerStatus `json:"workers,omitempty"`
 }
 
-// CampaignStatus is one campaign's row in the status reply, sorted by key.
-// Injected is live progress: folded results where shards completed, beats
-// where a shard is still in flight.
+// CampaignStatus is one campaign's row in a per-submission matrices reply,
+// sorted by key. Injected is live progress: folded results where shards
+// completed, beats where a shard is still in flight.
 type CampaignStatus struct {
 	Key      string `json:"key"`
 	Tenant   string `json:"tenant,omitempty"` // owning submission's namespace
@@ -265,10 +263,20 @@ type SubmitReply struct {
 	Shards    int    `json:"shards"`
 }
 
-// MatricesReply lists the submission queue.
+// MatricesRequest asks for the submission queue, or with ID for one
+// submission and its campaign rows.
+type MatricesRequest struct {
+	Proto int    `json:"proto"`
+	ID    string `json:"id,omitempty"`
+}
+
+// MatricesReply lists the submission queue, submission order preserved. To a
+// request with an ID it holds that submission's row alone, and CampaignList
+// its campaigns.
 type MatricesReply struct {
-	Proto    int            `json:"proto"`
-	Matrices []MatrixStatus `json:"matrices,omitempty"`
+	Proto        int              `json:"proto"`
+	Matrices     []MatrixStatus   `json:"matrices,omitempty"`
+	CampaignList []CampaignStatus `json:"campaign_list,omitempty"`
 }
 
 // MatrixStatus is one submission's row: identity, lifecycle state and

@@ -278,7 +278,17 @@ func (c *Coordinator) shardsOfLocked(sub *submission) int {
 }
 
 func (c *Coordinator) handleMatrices(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, MatricesReply{Proto: ProtoVersion, Matrices: c.MatrixList()})
+	var req MatricesRequest
+	if !decode(w, r, &req.Proto, &req) {
+		return
+	}
+	if req.ID == "" {
+		writeJSON(w, http.StatusOK, MatricesReply{Proto: ProtoVersion, Matrices: c.MatrixList()})
+	} else if mr, err := c.Matrix(req.ID); err != nil {
+		writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
+	} else {
+		writeJSON(w, http.StatusOK, mr)
+	}
 }
 
 func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
