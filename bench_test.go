@@ -4,8 +4,7 @@ package serfi
 // microbenchmarks go run ./bench has no twin for (bench/README.md, "Legacy →
 // this benchmark", maps the ones it replaced). Campaign
 // sizes are intentionally small so `go test -bench=.` finishes on a laptop;
-// scale with SERFI_FAULTS (the experiment runner cmd/experiments is the
-// full-size path and honours the same variable).
+// scale with SERFI_FAULTS (the full-size path is `serfi experiments -n`).
 
 import (
 	"context"
@@ -33,8 +32,21 @@ func benchFaults() int {
 	return 4
 }
 
-func benchConfig() exp.Config {
-	return exp.Config{Faults: benchFaults(), Seed: 2018}
+// benchMatrix runs the catalog scenarios that pass keep through the campaign
+// engine at the bench scale and indexes the rows for the formatters.
+func benchMatrix(keep func(npb.Scenario) bool) (*exp.Matrix, error) {
+	var scs []npb.Scenario
+	for _, sc := range npb.Scenarios() {
+		if keep(sc) {
+			scs = append(scs, sc)
+		}
+	}
+	eng := campaign.New(campaign.Faults(benchFaults()))
+	results, err := eng.RunMatrix(context.Background(), eng.JobsFor(scs, 2018))
+	if err != nil {
+		return nil, err
+	}
+	return exp.NewMatrix(results), nil
 }
 
 // run executes fn once per b.N iteration, reporting nothing but wall time.
@@ -55,7 +67,7 @@ func runArtefact(b *testing.B, fn func() (string, error)) {
 // small campaigns over all 130 scenarios).
 func BenchmarkTable1(b *testing.B) {
 	runArtefact(b, func() (string, error) {
-		m, err := exp.RunMatrixContext(context.Background(), benchConfig())
+		m, err := benchMatrix(func(npb.Scenario) bool { return true })
 		if err != nil {
 			return "", err
 		}
@@ -66,7 +78,7 @@ func BenchmarkTable1(b *testing.B) {
 // BenchmarkTable2 regenerates the IS Hang-vs-F*B-index table.
 func BenchmarkTable2(b *testing.B) {
 	runArtefact(b, func() (string, error) {
-		m, err := exp.RunSubsetContext(context.Background(), benchConfig(), func(sc npb.Scenario) bool {
+		m, err := benchMatrix(func(sc npb.Scenario) bool {
 			return sc.App == "IS" && sc.Mode != npb.Serial
 		})
 		if err != nil {
@@ -79,7 +91,7 @@ func BenchmarkTable2(b *testing.B) {
 // BenchmarkTable3 regenerates the ARMv7 memory-transaction table.
 func BenchmarkTable3(b *testing.B) {
 	runArtefact(b, func() (string, error) {
-		m, err := exp.RunSubsetContext(context.Background(), benchConfig(), func(sc npb.Scenario) bool {
+		m, err := benchMatrix(func(sc npb.Scenario) bool {
 			return sc.ISA == "armv7" && sc.Mode == npb.MPI && (sc.App == "MG" || sc.App == "IS")
 		})
 		if err != nil {
@@ -92,7 +104,7 @@ func BenchmarkTable3(b *testing.B) {
 // BenchmarkTable4 regenerates the ARMv8 memory-transaction table.
 func BenchmarkTable4(b *testing.B) {
 	runArtefact(b, func() (string, error) {
-		m, err := exp.RunSubsetContext(context.Background(), benchConfig(), func(sc npb.Scenario) bool {
+		m, err := benchMatrix(func(sc npb.Scenario) bool {
 			return sc.ISA == "armv8" && ((sc.Mode == npb.OMP && (sc.App == "LU" || sc.App == "SP")) ||
 				(sc.Mode == npb.MPI && sc.App == "FT"))
 		})
@@ -112,7 +124,7 @@ func BenchmarkFigure1(b *testing.B) {
 // the MPI-vs-OMP mismatch panel (all 65 ARMv7 scenarios).
 func BenchmarkFigure2(b *testing.B) {
 	runArtefact(b, func() (string, error) {
-		m, err := exp.RunSubsetContext(context.Background(), benchConfig(), func(sc npb.Scenario) bool {
+		m, err := benchMatrix(func(sc npb.Scenario) bool {
 			return sc.ISA == "armv7"
 		})
 		if err != nil {
@@ -125,7 +137,7 @@ func BenchmarkFigure2(b *testing.B) {
 // BenchmarkFigure3 regenerates the ARMv8 panels (all 65 ARMv8 scenarios).
 func BenchmarkFigure3(b *testing.B) {
 	runArtefact(b, func() (string, error) {
-		m, err := exp.RunSubsetContext(context.Background(), benchConfig(), func(sc npb.Scenario) bool {
+		m, err := benchMatrix(func(sc npb.Scenario) bool {
 			return sc.ISA == "armv8"
 		})
 		if err != nil {

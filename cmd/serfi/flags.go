@@ -1,6 +1,7 @@
 // The flag sets subcommands share, each registered in one place so a name,
-// default or help string cannot drift between `campaign`, `serve` and
-// `submit`, or between `inject`, `campaign`, `trace` and `worker`.
+// default or help string cannot drift between `campaign`, `serve`, `submit`
+// and `experiments`, or between `inject`, `campaign`, `trace`, `experiments`
+// and `worker`.
 package main
 
 import (
@@ -102,7 +103,8 @@ func (h *hostFlags) start() func() {
 }
 
 // engineFlags are the scheduler flags of the subcommands that run a local
-// campaign.Engine (`inject`, `campaign`, `trace`): hostFlags plus -jobsize.
+// campaign.Engine (`inject`, `campaign`, `trace`, `experiments`): hostFlags
+// plus -jobsize.
 type engineFlags struct {
 	*hostFlags
 	jobSize *int
@@ -127,7 +129,7 @@ func (e *engineFlags) options() []campaign.Option {
 
 // matrixFlags describe a scenario matrix — -n -seed -only -faultmodel
 // -record-runs, plus -resume where the command owns the store — for
-// `campaign`, `serve` and `submit`.
+// `campaign`, `serve`, `submit` and `experiments`.
 type matrixFlags struct {
 	n          *int
 	seed       *int64
@@ -137,11 +139,11 @@ type matrixFlags struct {
 	resume     *bool
 }
 
-// addMatrixFlags registers the set; an empty resumeHelp leaves -resume out
-// (and reading as false).
-func addMatrixFlags(fs *flag.FlagSet, resumeHelp string) *matrixFlags {
+// addMatrixFlags registers the set with -n defaulting to n; an empty
+// resumeHelp leaves -resume out (and reading as false).
+func addMatrixFlags(fs *flag.FlagSet, n int, resumeHelp string) *matrixFlags {
 	m := &matrixFlags{
-		n:          fs.Int("n", 50, "faults per scenario"),
+		n:          fs.Int("n", n, "faults per scenario"),
 		seed:       fs.Int64("seed", 2018, "base seed"),
 		only:       fs.String("only", "", "substring filter on scenario ids"),
 		model:      fs.String("faultmodel", "reg", faultModelHelp),
@@ -154,17 +156,18 @@ func addMatrixFlags(fs *flag.FlagSet, resumeHelp string) *matrixFlags {
 	return m
 }
 
-// jobs builds the matrix: the full scenario list fixes per-scenario seeds
-// (seed + index, shared across domains; Engine.JobsFor), so a filtered,
-// resumed or submitted matrix reproduces the full matrix's rows.
-func (m *matrixFlags) jobs() ([]campaign.ScenarioJob, error) {
+// jobs builds the matrix over the scenarios -only and keep (nil: all)
+// both admit: the full scenario list fixes per-scenario seeds (seed +
+// index, shared across domains; Engine.JobsFor), so a filtered, resumed or
+// submitted matrix reproduces the full matrix's rows.
+func (m *matrixFlags) jobs(keep func(npb.Scenario) bool) ([]campaign.ScenarioJob, error) {
 	domains, err := fault.ParseModels(*m.model)
 	if err != nil {
 		return nil, err
 	}
 	var scs []npb.Scenario
 	for _, sc := range npb.Scenarios() {
-		if *m.only == "" || strings.Contains(sc.ID(), *m.only) {
+		if strings.Contains(sc.ID(), *m.only) && (keep == nil || keep(sc)) {
 			scs = append(scs, sc)
 		}
 	}

@@ -12,7 +12,7 @@
 //	serfi profile  -s ...                  golden flat profile (calls/samples)
 //	serfi disasm   -s ... -f main          disassemble a guest function
 //	serfi trace    -s ... -o trace.json    campaign phase trace (Chrome trace_event JSON)
-//	serfi trends                           print the Figure 1 dataset
+//	serfi experiments -n 24 -out EXPERIMENTS.md every table and figure of the paper
 //
 // serve/worker are the distributed campaign fabric (internal/dist): serve
 // shards the same matrix `serfi campaign` runs locally and hands lease-based
@@ -28,9 +28,9 @@
 // -faultmodel (fault domain: reg|mem|imem|burst|cachetag|cachedirty|
 // cacherepl, the uncore alias for the cache trio, or all). inject also takes
 // -trace-prop, which re-runs every unmasked injection against a golden twin
-// and reports how far the corruption propagated. inject, campaign
-// and worker also take -cpuprofile/-memprofile, written on clean exit and
-// on graceful SIGINT shutdown.
+// and reports how far the corruption propagated. inject, campaign,
+// experiments, trace and worker also take -cpuprofile/-memprofile, written
+// on clean exit and on graceful SIGINT shutdown.
 //
 // A SIGINT (Ctrl-C) cancels the campaign engine gracefully: in-flight
 // injection jobs stop at the next run slice, every completed campaign is
@@ -43,18 +43,17 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
-
-	"runtime"
 
 	"serfi/internal/campaign"
 	"serfi/internal/cc"
 	"serfi/internal/dist"
-	"serfi/internal/exp"
 	"serfi/internal/fault"
 	"serfi/internal/fi"
 	"serfi/internal/isa"
@@ -101,11 +100,14 @@ func main() {
 		err = cmdTrace(args)
 	case "sens":
 		err = cmdSens(args)
-	case "trends":
-		fmt.Print(exp.Figure1())
+	case "experiments":
+		err = cmdExperiments(args)
 	default:
 		usage()
 		os.Exit(2)
+	}
+	if errors.Is(err, errInterrupted) {
+		os.Exit(130)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "serfi:", err)
@@ -114,8 +116,12 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: serfi {scenarios|golden|stats|inject|campaign|serve|submit|ls|cancel|worker|sens|profile|disasm|trace|trends} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: serfi {scenarios|golden|stats|inject|campaign|serve|submit|ls|cancel|worker|sens|profile|disasm|trace|experiments} [flags]")
 }
+
+// errInterrupted ends a command whose SIGINT it has already explained (what
+// survived, how to resume or withdraw it): main exits 130, printing nothing.
+var errInterrupted = errors.New("interrupted")
 
 // parseScenario accepts "armv7/IS/MPI-4".
 func parseScenario(s string) (npb.Scenario, error) { return npb.ParseID(s) }
@@ -303,45 +309,17 @@ func cmdInject(args []string) error {
 func cmdCampaign(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
 	db := fs.String("db", "results.jsonl", "output database path")
-	mf := addMatrixFlags(fs, "skip campaigns already recorded in -db and append the rest")
+	mf := addMatrixFlags(fs, 50, "skip campaigns already recorded in -db and append the rest")
 	ef := addEngineFlags(fs)
 	fs.Parse(args)
 	defer ef.start()()
-	jobs, err := mf.jobs()
+	jobs, err := mf.jobs(nil)
 	if err != nil {
 		return err
 	}
 	ctx, stop := interruptContext()
 	defer stop()
-
-	// The results database is a campaign.Store: a fresh run starts from an
-	// empty file, a -resume run loads the recorded campaigns and the
-	// engine skips them.
-	st, err := campaign.OpenMatrixStore(*db, *mf.resume, jobs, *mf.n)
-	if err != nil {
-		return err
-	}
-	defer st.Close()
-
-	col := campaign.NewCollector(os.Stdout, len(jobs))
-	events, wait := col.Start()
-	opts := append(ef.options(), campaign.Faults(*mf.n), campaign.WithStore(st), campaign.WithEvents(events))
-	if *mf.recordRuns {
-		opts = append(opts, campaign.RecordRuns())
-	}
-	_, err = campaign.New(opts...).RunMatrix(ctx, jobs)
-	wait()
-	if errors.Is(err, context.Canceled) {
-		// Graceful shutdown: every completed campaign already streamed to
-		// the store; close it and hand the user the resume command.
-		if cerr := st.Close(); cerr != nil {
-			return cerr
-		}
-		fmt.Printf("interrupted: %d of %d campaigns recorded in %s (%d finished this run)\n",
-			len(st.Keys()), len(jobs), *db, col.Completed())
-		fmt.Println(mf.resumeHint("serfi campaign -resume -db " + *db))
-		return nil
-	}
+	_, col, err := runLocal(ctx, os.Stdout, "serfi campaign", *db, jobs, mf, ef)
 	if err != nil {
 		return err
 	}
@@ -350,7 +328,53 @@ func cmdCampaign(args []string) error {
 	} else {
 		fmt.Printf("wrote %d campaign records to %s\n", col.Completed(), *db)
 	}
-	return st.Close()
+	return nil
+}
+
+// runLocal runs jobs on this host's campaign engine — the one local path of
+// `serfi campaign` and `serfi experiments`. A non-empty db is the matrix
+// store: campaigns stream to it as they complete and, under -resume, the
+// ones it holds are skipped (OpenMatrixStore refuses rows recorded at
+// another fault count or seed). Progress lines go to w, and so, on SIGINT,
+// do what survived and the command that resumes it (command, then -resume
+// -db and the matrix flags); the run then returns errInterrupted.
+func runLocal(ctx context.Context, w io.Writer, command, db string, jobs []campaign.ScenarioJob,
+	mf *matrixFlags, ef *engineFlags, opts ...campaign.Option) ([]*campaign.Result, *campaign.Collector, error) {
+	opts = append(append(ef.options(), opts...), campaign.Faults(*mf.n))
+	if *mf.recordRuns {
+		opts = append(opts, campaign.RecordRuns())
+	}
+	var st *campaign.FileStore
+	if db != "" {
+		var err error
+		if st, err = campaign.OpenMatrixStore(db, *mf.resume, jobs, *mf.n); err != nil {
+			return nil, nil, err
+		}
+		defer st.Close()
+		opts = append(opts, campaign.WithStore(st))
+	}
+	col := campaign.NewCollector(w, len(jobs))
+	events, wait := col.Start()
+	results, err := campaign.New(append(opts, campaign.WithEvents(events))...).RunMatrix(ctx, jobs)
+	wait()
+	switch {
+	case errors.Is(err, context.Canceled) && st == nil:
+		fmt.Fprintln(w, "interrupted: no -db was set, so nothing was recorded")
+		return nil, col, errInterrupted
+	case errors.Is(err, context.Canceled):
+		// Graceful shutdown: every completed campaign already streamed to
+		// the store; close it before handing out the resume command.
+		if err := st.Close(); err != nil {
+			return nil, col, err
+		}
+		fmt.Fprintf(w, "interrupted: %d of %d campaigns recorded in %s (%d finished this run)\n",
+			len(st.Keys()), len(jobs), db, col.Completed())
+		fmt.Fprintln(w, mf.resumeHint(command+" -resume -db "+db))
+		return nil, col, errInterrupted
+	case err == nil && st != nil:
+		err = st.Close()
+	}
+	return results, col, err
 }
 
 // cmdServe runs the distributed campaign coordinator: a queue of campaign
@@ -379,7 +403,7 @@ func cmdServe(args []string) error {
 	data := fs.String("data", "", "queue mode: serve a persistent multi-tenant campaign queue from this directory")
 	shardSize := fs.Int("shardsize", dist.DefaultShardSize, "faults per lease shard")
 	leaseTTL := fs.Duration("lease", dist.DefaultLeaseTTL, "lease TTL before a shard is re-issued")
-	mf := addMatrixFlags(fs, "skip campaigns already recorded in -db and serve the rest")
+	mf := addMatrixFlags(fs, 50, "skip campaigns already recorded in -db and serve the rest")
 	fs.Parse(args)
 	ctx, stop := interruptContext(syscall.SIGTERM)
 	defer stop()
@@ -424,7 +448,7 @@ func cmdServe(args []string) error {
 		fmt.Printf("submit matrices with: serfi submit -join <host>%s [-tenant NAME] ...\n", portSuffix(*addr))
 	} else {
 		var err error
-		if jobs, err = mf.jobs(); err != nil {
+		if jobs, err = mf.jobs(nil); err != nil {
 			return err
 		}
 		file, err := campaign.OpenMatrixStore(*db, *mf.resume, jobs, *mf.n, campaign.Fsync())
@@ -500,43 +524,58 @@ func cmdSubmit(args []string) error {
 	id := fs.String("id", "", "submission ID for idempotent resubmission (default: coordinator-assigned)")
 	traceProp := fs.Bool("trace-prop", false, "propagation-trace every unmasked injection")
 	watch := fs.Bool("watch", false, "poll this submission until it is terminal")
-	mf := addMatrixFlags(fs, "") // the store, and so the resume, is the coordinator's
+	mf := addMatrixFlags(fs, 50, "") // the store, and so the resume, is the coordinator's
 	fs.Parse(args)
 	if *join == "" {
 		return fmt.Errorf("submit: -join <host:port> is required")
 	}
-	jobs, err := mf.jobs()
+	jobs, err := mf.jobs(nil)
 	if err != nil {
 		return err
 	}
 	ctx, stop := interruptContext()
 	defer stop()
-	cl := dist.NewClient(*join)
-	reply, err := cl.Submit(ctx, dist.SubmitRequest{
+	_, err = submitWatch(ctx, os.Stdout, *join, dist.SubmitRequest{
 		ID:         *id,
 		Tenant:     *tenant,
 		Jobs:       dist.WireJobs(jobs),
 		Faults:     *mf.n,
 		TraceProp:  *traceProp,
 		RecordRuns: *mf.recordRuns,
-	})
+	}, *watch)
+	return err
+}
+
+// submitWatch enqueues one matrix on the queue coordinator at join — the one
+// client path of `serfi submit` and `serfi experiments -join` — and, with
+// watch, polls it until it is terminal, writing its status lines to w. A
+// SIGINT during the watch leaves the submission queued, says how to follow
+// or withdraw it and returns errInterrupted; a submission that ends other
+// than done is an error. It returns the submission ID.
+func submitWatch(ctx context.Context, w io.Writer, join string, req dist.SubmitRequest, watch bool) (string, error) {
+	cl := dist.NewClient(join)
+	reply, err := cl.Submit(ctx, req)
 	if err != nil {
-		return err
+		return "", err
 	}
-	fmt.Printf("submitted %s: %d campaigns (%d already recorded), %d shards\n",
+	fmt.Fprintf(w, "submitted %s: %d campaigns (%d already recorded), %d shards\n",
 		reply.ID, reply.Campaigns, reply.Skipped, reply.Shards)
-	if !*watch {
-		fmt.Printf("watch with: serfi ls -join %s\n", *join)
-		return nil
+	if !watch {
+		fmt.Fprintf(w, "watch with: serfi ls -join %s\n", join)
+		return reply.ID, nil
 	}
-	ms, err := cl.Watch(ctx, reply.ID, func(ms dist.MatrixStatus) { fmt.Println(ms) })
-	if err != nil {
-		return err
+	ms, err := cl.Watch(ctx, reply.ID, func(ms dist.MatrixStatus) { fmt.Fprintln(w, ms) })
+	switch {
+	case errors.Is(err, context.Canceled):
+		fmt.Fprintf(w, "interrupted: submission %s stays queued on the coordinator\n", reply.ID)
+		fmt.Fprintf(w, "watch with: serfi ls -join %s · withdraw with: serfi cancel -join %s -id %s\n", join, join, reply.ID)
+		return reply.ID, errInterrupted
+	case err != nil:
+		return reply.ID, err
+	case ms.State != "done":
+		return reply.ID, fmt.Errorf("submission %s finished %s", reply.ID, ms.State)
 	}
-	if ms.State != "done" {
-		return fmt.Errorf("submission %s finished %s", ms.ID, ms.State)
-	}
-	return nil
+	return reply.ID, nil
 }
 
 // cmdLs lists a queue coordinator's submissions.
@@ -688,7 +727,7 @@ func cmdProfile(args []string) error {
 		return err
 	}
 	cfg.Profile = true
-	cfg.SamplePeriod = 97
+	cfg.SamplePeriod = campaign.DefaultSamplePeriod
 	g, err := fi.RunGolden(img, cfg, 0)
 	if err != nil {
 		return err

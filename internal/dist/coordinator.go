@@ -245,6 +245,10 @@ func (c *Coordinator) enqueue(spec SubmitSpec) (*submission, error) {
 		done:       make(chan struct{}),
 	}
 	if sub.id == "" {
+		// Sequential, stepping over any ID a caller has already chosen.
+		for c.subByID[fmt.Sprintf("m%06d", c.nextSeq)] != nil {
+			c.nextSeq++
+		}
 		sub.id = fmt.Sprintf("m%06d", c.nextSeq)
 	}
 	if c.subByID[sub.id] != nil {

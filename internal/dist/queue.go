@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"time"
 
@@ -23,9 +24,10 @@ import (
 // caller-chosen ID for idempotent resubmission).
 type SubmitSpec struct {
 	// ID names the submission. Empty picks the next sequential ID
-	// ("m000001", ...). Submitting an ID that already exists is an error on
-	// the Go API; the wire handler answers it idempotently instead, so a
-	// client that lost a reply can safely resubmit.
+	// ("m000001", ...), skipping IDs already taken. Submitting an ID that
+	// already exists is an error on the Go API; the wire handler answers an
+	// identical resubmission idempotently instead, so a client that lost a
+	// reply can safely resubmit, and refuses any other.
 	ID string
 	// Tenant is the namespace the matrix's rows land in ("" = the default
 	// namespace; see campaign.ValidTenant for the character set).
@@ -235,20 +237,28 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
 		return
 	}
+	spec := SubmitSpec{
+		ID:         req.ID,
+		Tenant:     req.Tenant,
+		Jobs:       jobs,
+		Faults:     req.Faults,
+		TraceProp:  req.TraceProp,
+		RecordRuns: req.RecordRuns,
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Idempotent resubmission: a client that lost the reply re-posts with
-	// the same ID and gets the original acknowledgement back.
+	// Idempotent resubmission: a client that lost the reply re-posts the
+	// same request (tenant, jobs, fault count, flags) with the same ID and
+	// gets the original acknowledgement back. Anything else under a taken ID
+	// is refused.
 	sub := c.subByID[req.ID]
 	if sub == nil {
-		sub, err = c.submitLocked(SubmitSpec{
-			ID:         req.ID,
-			Tenant:     req.Tenant,
-			Jobs:       jobs,
-			Faults:     req.Faults,
-			TraceProp:  req.TraceProp,
-			RecordRuns: req.RecordRuns,
-		})
+		sub, err = c.submitLocked(spec)
+	} else if sub.tenant != spec.Tenant || sub.faults != spec.Faults || sub.traceProp != spec.TraceProp ||
+		sub.recordRuns != spec.RecordRuns || !slices.Equal(sub.jobs, spec.Jobs) {
+		writeJSON(w, http.StatusConflict, errorReply{
+			Error: fmt.Sprintf("dist: submission %s already exists with another tenant or matrix", req.ID)})
+		return
 	}
 	if err != nil {
 		code := http.StatusBadRequest

@@ -10,6 +10,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -407,5 +408,54 @@ func TestQueueSubmitValidation(t *testing.T) {
 	fcl := NewLoopbackClient(fcoord.Handler())
 	if _, err := fcl.Submit(ctx, SubmitRequest{Tenant: "alice", Jobs: wire, Faults: compatFaults}); err == nil {
 		t.Error("named tenant accepted over a flat store")
+	}
+}
+
+// TestSubmitIDTakenByAnotherRequest: an ID a caller chose is never handed
+// out again by the sequence, and answers only for the request that took it.
+// alice takes m000002 before the sequence reaches it, so the next anonymous
+// submission must get a fresh ID rather than a collision error. bob then
+// posts m000002 with another tenant and matrix: he must be refused by name
+// (a 4xx, never retried), not acknowledged as alice's submission.
+func TestSubmitIDTakenByAnotherRequest(t *testing.T) {
+	coord := NewQueue(WithStore(campaign.NewMemStore()))
+	cl := NewLoopbackClient(coord.Handler())
+	ctx := context.Background()
+	jobs := wireFromJobs(compatJobs())
+
+	alice := SubmitRequest{ID: "m000002", Tenant: "alice", Jobs: jobs[:1], Faults: compatFaults}
+	if _, err := cl.Submit(ctx, alice); err != nil {
+		t.Fatal(err)
+	}
+	anon, err := cl.Submit(ctx, SubmitRequest{Jobs: jobs[:1], Faults: compatFaults})
+	if err != nil {
+		t.Fatalf("anonymous submission after a caller-chosen ID: %v", err)
+	}
+	if anon.ID == alice.ID {
+		t.Fatalf("anonymous submission acknowledged as %s", anon.ID)
+	}
+
+	bob := SubmitRequest{ID: alice.ID, Tenant: "bob", Jobs: jobs[:2], Faults: compatFaults}
+	reply, err := cl.Submit(ctx, bob)
+	if err == nil {
+		t.Fatalf("bob's different matrix under %s acknowledged: %+v", alice.ID, reply)
+	}
+	var re *retryableError
+	if errors.As(err, &re) || !strings.Contains(err.Error(), alice.ID) {
+		t.Errorf("bob's conflict = %v, want a 4xx naming %s", err, alice.ID)
+	}
+	// The same matrix with another fault count is another request too.
+	changed := alice
+	changed.Faults++
+	if _, err := cl.Submit(ctx, changed); err == nil {
+		t.Error("resubmission with another fault count acknowledged")
+	}
+	// alice's own lost-reply resubmission still gets her acknowledgement.
+	again, err := cl.Submit(ctx, alice)
+	if err != nil || again.ID != alice.ID || again.Campaigns != 1 {
+		t.Errorf("alice's resubmission = %+v, %v", again, err)
+	}
+	if got := len(coord.MatrixList()); got != 2 {
+		t.Errorf("queue holds %d submissions, want alice's and the anonymous one", got)
 	}
 }

@@ -1,16 +1,16 @@
-// Package exp regenerates every table and figure of the paper's evaluation
-// from fresh simulations: Table 1 (workload summary), Table 2 (Hang vs the
-// function-calls-x-branches index), Tables 3/4 (memory transactions vs
-// outcome classes), Figures 2/3 (per-scenario outcome distributions and
+// Package exp formats every table and figure of the paper's evaluation
+// from a matrix of campaign rows: Table 1 (workload summary), Table 2 (Hang
+// vs the function-calls-x-branches index), Tables 3/4 (memory transactions
+// vs outcome classes), Figures 2/3 (per-scenario outcome distributions and
 // MPI-vs-OMP mismatch) plus the narrative statistics of §4.1.3 and §4.2.2
-// and the intro trends of Figure 1. Absolute values reflect the miniature
-// workloads; EXPERIMENTS.md records paper-vs-measured shape checks.
+// and the intro trends of Figure 1. It runs nothing: the rows come from a
+// live engine run, a fetched queue submission or a recorded store alike.
+// Absolute values reflect the miniature workloads; EXPERIMENTS.md records
+// paper-vs-measured shape checks.
 package exp
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -24,130 +24,33 @@ import (
 	"serfi/internal/soc"
 )
 
-// Config scales the experiment campaigns.
-type Config struct {
-	Faults   int
-	Seed     int64
-	Progress io.Writer
-	// Workers bounds the scheduler's host worker pool; 0 = GOMAXPROCS.
-	Workers int
-	// Snapshots is the per-scenario checkpoint count in the campaign
-	// convention (campaign.Snapshots: 0 = fi.DefaultCheckpoints, negative =
-	// every fault from reset) — not the CLIs', whose -snapshots 0 means
-	// from reset; cmd/experiments and cmd/serfi translate.
-	Snapshots int
-	// Domains lists the fault models each scenario runs under (nil: the
-	// paper's register domain only). The paper's tables and figures always
-	// format the register campaigns; extra domains feed DomainTable.
-	Domains []fault.Model
-	// TraceProp turns on the propagation tracer: every unmasked injection
-	// is re-run against a golden twin to localize the first architectural
-	// divergence and classify its escape; the folds feed PropTable.
-	TraceProp bool
-	// RecordRuns persists the per-fault rows of every campaign (v4 store
-	// records): the fault tuple, outcome and escape/latency when traced.
-	// The rows feed SensTable and the `serfi sens` attribution engine.
-	RecordRuns bool
-	// Store, when set, receives streamed scenario records as they complete
-	// and supplies already-recorded campaigns for resume (matching
-	// campaigns are not re-executed).
-	Store campaign.Store
-}
-
-// DefaultConfig uses a small per-scenario fault count suitable for a
-// laptop-scale reproduction (the paper used 8000 on a 5000-core cluster).
-func DefaultConfig() Config {
-	return Config{Faults: 24, Seed: 2018}
-}
-
-// Matrix holds one campaign result per (scenario, fault domain) — the full
-// evaluation run every artefact formats from. The paper's tables and
-// figures read the register-domain results; DomainTable compares domains.
+// Matrix holds one campaign result per (scenario, fault domain) — the rows
+// every artefact formats from. The paper's tables and figures read the
+// register-domain results; DomainTable compares domains.
 type Matrix struct {
-	Cfg     Config
 	Order   []npb.Scenario
 	Domains []fault.Model
 	Results map[string]*campaign.Result // keyed by campaign.Key
+	// Faults and Seed are the scale the rows were recorded at: the
+	// per-campaign fault count and the matrix's base seed.
+	Faults int
+	Seed   int64
 }
 
-// RunMatrixContext executes the 130-scenario campaign on the shared matrix
-// scheduler, interleaving golden runs and injection jobs across scenarios.
-// The campaign engine stops at job granularity when ctx is cancelled and the
-// error is ctx.Err(). Campaigns already streamed to cfg.Store stay durable,
-// so a rerun over the same store resumes where the cancelled run stopped.
-func RunMatrixContext(ctx context.Context, cfg Config) (*Matrix, error) {
-	return RunSubsetContext(ctx, cfg, func(npb.Scenario) bool { return true })
-}
-
-// RunSubsetContext executes campaigns only for the scenarios that pass keep
-// (used by per-table benchmarks that don't need the full matrix): it
-// assembles the jobs, runs the campaign engine and indexes the results into
-// a Matrix. Scenario seeds depend on the position in the full scenario list
-// (and are shared across domains), so a subset run reproduces the exact
-// per-campaign results of the full matrix. Cancellation is as for
-// RunMatrixContext.
-func RunSubsetContext(ctx context.Context, cfg Config, keep func(npb.Scenario) bool) (*Matrix, error) {
-	domains := cfg.Domains
-	if len(domains) == 0 {
-		domains = []fault.Model{fault.Reg}
-	}
-	m := &Matrix{Cfg: cfg, Domains: domains, Results: make(map[string]*campaign.Result)}
-	for _, sc := range npb.Scenarios() {
-		if keep(sc) {
-			m.Order = append(m.Order, sc)
-		}
-	}
-	opts := []campaign.Option{
-		campaign.Faults(cfg.Faults),
-		campaign.Workers(cfg.Workers),
-		campaign.Snapshots(cfg.Snapshots),
-		campaign.Models(domains...),
-		campaign.WithStore(cfg.Store),
-	}
-	if cfg.TraceProp {
-		opts = append(opts, campaign.TraceProp())
-	}
-	if cfg.RecordRuns {
-		opts = append(opts, campaign.RecordRuns())
-	}
-	// Live progress rides the typed event stream: one Collector goroutine
-	// prints per-campaign lines until the engine's MatrixDone.
-	wait := func() {}
-	if cfg.Progress != nil {
-		var events chan campaign.Event
-		events, wait = campaign.NewCollector(cfg.Progress, len(m.Order)*len(domains)).Start()
-		opts = append(opts, campaign.WithEvents(events))
-	}
-	eng := campaign.New(opts...)
-	jobs := eng.JobsFor(m.Order, cfg.Seed)
-	results, err := eng.RunMatrix(ctx, jobs)
-	wait()
-	for i, r := range results {
-		if r != nil {
-			m.Results[jobs[i].Key()] = r
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// MatrixFromStore assembles a Matrix from already-recorded campaigns
-// without running anything — the offline path of the report generators.
-// Scenario order follows the npb catalog, domains the fault.Models order,
-// and the matrix's Cfg.Faults/Seed report what the rows were actually
-// recorded with (not what the caller's cfg says); only artefacts over
-// stored columns are meaningful (wall-clock spans are never persisted, and
-// per-run records reload only from campaigns recorded with RecordRuns —
-// v4 rows).
-func MatrixFromStore(st campaign.Store, cfg Config) *Matrix {
-	m := &Matrix{Cfg: cfg, Results: make(map[string]*campaign.Result)}
-	for _, r := range st.Query(campaign.Query{}) {
+// NewMatrix indexes campaign rows into a Matrix. Scenario order follows the
+// npb catalog and domain order fault.Models, whatever order the rows come
+// in. The fault count and base seed are read off the rows (uniform across a
+// matrix: resume validation refuses mixed databases), the seed back-derived
+// from the first row's catalog position per the Engine.JobsFor convention.
+// Only stored columns survive a store round trip: wall-clock spans are
+// never persisted, and per-run records exist only for RecordRuns campaigns
+// (v4 rows).
+func NewMatrix(results []*campaign.Result) *Matrix {
+	m := &Matrix{Results: make(map[string]*campaign.Result, len(results))}
+	for _, r := range results {
 		m.Results[r.Key()] = r
 	}
 	haveDomain := make(map[fault.Model]bool)
-	scale := false
 	for i, sc := range npb.Scenarios() {
 		inMatrix := false
 		for _, d := range fault.Models() {
@@ -155,17 +58,11 @@ func MatrixFromStore(st campaign.Store, cfg Config) *Matrix {
 			if !ok {
 				continue
 			}
+			if len(m.Order) == 0 && !inMatrix {
+				m.Faults, m.Seed = r.Faults, r.Seed-int64(i)
+			}
 			inMatrix = true
 			haveDomain[d] = true
-			if !scale {
-				// The recorded scale (uniform across rows — resume
-				// validation refuses mixed databases): fault count as
-				// stored, base seed back-derived from the catalog
-				// position per the JobsFor convention.
-				m.Cfg.Faults = r.Faults
-				m.Cfg.Seed = r.Seed - int64(i)
-				scale = true
-			}
 		}
 		if inMatrix {
 			m.Order = append(m.Order, sc)
@@ -188,20 +85,6 @@ func (m *Matrix) Get(sc npb.Scenario) *campaign.Result {
 // GetDomain returns a scenario's result under one fault domain.
 func (m *Matrix) GetDomain(sc npb.Scenario, d fault.Model) *campaign.Result {
 	return m.Results[campaign.Key(sc, d)]
-}
-
-// All returns every campaign result in deterministic order (scenario order,
-// domains within a scenario in configured order).
-func (m *Matrix) All() []*campaign.Result {
-	var out []*campaign.Result
-	for _, sc := range m.Order {
-		for _, d := range m.Domains {
-			if r := m.GetDomain(sc, d); r != nil {
-				out = append(out, r)
-			}
-		}
-	}
-	return out
 }
 
 // HasDomain reports whether the matrix ran campaigns under the model.

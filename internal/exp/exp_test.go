@@ -6,9 +6,28 @@ import (
 	"testing"
 	"time"
 
+	"serfi/internal/campaign"
 	"serfi/internal/fault"
 	"serfi/internal/npb"
 )
+
+// runSubset runs the catalog scenarios that pass keep through the campaign
+// engine at base seed seed, under opts, and returns their rows.
+func runSubset(t *testing.T, seed int64, keep func(npb.Scenario) bool, opts ...campaign.Option) []*campaign.Result {
+	t.Helper()
+	var scs []npb.Scenario
+	for _, sc := range npb.Scenarios() {
+		if keep(sc) {
+			scs = append(scs, sc)
+		}
+	}
+	eng := campaign.New(opts...)
+	results, err := eng.RunMatrix(context.Background(), eng.JobsFor(scs, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results
+}
 
 // smallMatrix runs a cheap subset once for all formatting tests.
 var cached *Matrix
@@ -18,8 +37,7 @@ func smallMatrix(t *testing.T) *Matrix {
 	if cached != nil {
 		return cached
 	}
-	cfg := Config{Faults: 3, Seed: 7}
-	m, err := RunSubsetContext(context.Background(), cfg, func(sc npb.Scenario) bool {
+	m := NewMatrix(runSubset(t, 7, func(sc npb.Scenario) bool {
 		// IS on armv8 everywhere (cheap); a slice of armv7 IS for the
 		// v7 panels; the Table 3/4 scenarios at 1 core.
 		if sc.App == "IS" && sc.ISA == "armv8" {
@@ -36,10 +54,7 @@ func smallMatrix(t *testing.T) *Matrix {
 			return true
 		}
 		return false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, campaign.Faults(3)))
 	cached = m
 	return m
 }
@@ -130,13 +145,9 @@ func TestReportAssembles(t *testing.T) {
 // acceptance artefact) renders one row per ISA per domain, wired through
 // Report.
 func TestDomainTableRenders(t *testing.T) {
-	cfg := Config{Faults: 2, Seed: 5, Domains: fault.Models()}
-	m, err := RunSubsetContext(context.Background(), cfg, func(sc npb.Scenario) bool {
+	m := NewMatrix(runSubset(t, 5, func(sc npb.Scenario) bool {
 		return sc.App == "IS" && sc.Mode == npb.Serial
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, campaign.Faults(2), campaign.Models(fault.Models()...)))
 	s := DomainTable(m)
 	for _, want := range []string{"armv7", "armv8", "reg", "mem", "imem", "burst", "Masking%"} {
 		if !strings.Contains(s, want) {
@@ -172,13 +183,9 @@ func TestMacroAndVulnRender(t *testing.T) {
 }
 
 func TestPropTableRenders(t *testing.T) {
-	cfg := Config{Faults: 8, Seed: 99, TraceProp: true, Domains: []fault.Model{fault.Reg, fault.CacheTag}}
-	m, err := RunSubsetContext(context.Background(), cfg, func(sc npb.Scenario) bool {
+	m := NewMatrix(runSubset(t, 99, func(sc npb.Scenario) bool {
 		return sc.App == "IS" && sc.Mode == npb.Serial && sc.ISA == "armv8"
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, campaign.Faults(8), campaign.TraceProp(), campaign.Models(fault.Reg, fault.CacheTag)))
 	s := PropTable(m)
 	for _, want := range []string{"Propagation Table", "traced", "xcore%", "med(inst)", "timing", "kernel"} {
 		if !strings.Contains(s, want) {
@@ -194,5 +201,55 @@ func TestPropTableRenders(t *testing.T) {
 	}
 	if r := Report(smallMatrix(t), time.Second); strings.Contains(r, "Propagation Table") {
 		t.Error("untraced report grew a propagation table section")
+	}
+}
+
+// TestMatrixFromRowsMatchesLive: a run's report is the report of its rows.
+// A traced, recorded reg+mem run streams into a FileStore; the matrix built
+// from the live results and the one built from the reopened store must
+// render every stored-column artefact byte for byte alike and report the
+// same scale — the live, -join and -from paths of `serfi experiments` all
+// format through NewMatrix.
+func TestMatrixFromRowsMatchesLive(t *testing.T) {
+	path := t.TempDir() + "/rows.jsonl"
+	st, err := campaign.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := NewMatrix(runSubset(t, 7, func(sc npb.Scenario) bool {
+		return sc.App == "IS" && sc.Cores == 1
+	}, campaign.Faults(4), campaign.Models(fault.Reg, fault.Mem), campaign.RecordRuns(), campaign.TraceProp(),
+		campaign.WithStore(st)))
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := campaign.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	stored := NewMatrix(reopened.Query(campaign.Query{}))
+
+	if live.Faults != 4 || live.Seed != 7 || stored.Faults != live.Faults || stored.Seed != live.Seed {
+		t.Errorf("scale: live %d faults seed %d, stored %d faults seed %d, want 4 and 7",
+			live.Faults, live.Seed, stored.Faults, stored.Seed)
+	}
+	if len(live.Order) != 6 || len(live.Domains) != 2 {
+		t.Fatalf("live matrix has %d scenarios x %d domains, want 6 x 2", len(live.Order), len(live.Domains))
+	}
+	for _, a := range []struct {
+		name   string
+		format func(*Matrix) string
+	}{
+		{"Table2", Table2}, {"Table3", Table3}, {"Table4", Table4},
+		{"DomainTable", DomainTable}, {"PropTable", PropTable}, {"SensTable", SensTable},
+		{"MacroStats", MacroStats}, {"VulnWindow", VulnWindow}, {"MineReport", MineReport},
+	} {
+		if got, want := a.format(stored), a.format(live); got != want {
+			t.Errorf("%s from the reopened store differs from the live run:\n--- stored\n%s--- live\n%s", a.name, got, want)
+		}
+	}
+	if s := SensTable(stored); strings.Contains(s, "no recorded per-fault rows") {
+		t.Errorf("recorded matrix rendered the empty sensitivity notice:\n%s", s)
 	}
 }

@@ -221,9 +221,9 @@ func Report(m *Matrix, elapsed time.Duration) string {
 	}
 	fmt.Fprintf(&b, "- fault domains: %s (the paper evaluates reg; see the Domain Table for the rest)\n",
 		strings.Join(doms, ", "))
-	fmt.Fprintf(&b, "- faults per scenario: %d (paper: 8000 per scenario on a 5000-core cluster;\n", m.Cfg.Faults)
-	fmt.Fprintf(&b, "  scale with `cmd/experiments -n` / `SERFI_FAULTS`)\n")
-	fmt.Fprintf(&b, "- base seed: %d\n", m.Cfg.Seed)
+	fmt.Fprintf(&b, "- faults per scenario: %d (paper: 8000 per scenario on a 5000-core cluster;\n", m.Faults)
+	fmt.Fprintf(&b, "  scale with `serfi experiments -n`)\n")
+	fmt.Fprintf(&b, "- base seed: %d\n", m.Seed)
 	fmt.Fprintf(&b, "- total wall time: %v\n\n", elapsed.Round(time.Second))
 
 	fmt.Fprintf(&b, "## Shape checks (who wins / how it moves)\n\n")

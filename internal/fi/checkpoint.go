@@ -115,7 +115,7 @@ func BuildCheckpointsOpt(ctx context.Context, img *cc.Image, cfg mach.Config, g 
 		img.InstallTo(m)
 		for _, p := range picks {
 			if target := p.Retired(); target > 0 { // instruction 0 is the installed image
-				stop, err := runCtx(ctx, m, target, hangBudget(g))
+				stop, err := runCtx(ctx, m, target, HangBudget(g.Cycles))
 				if err != nil {
 					return nil, err
 				}
@@ -263,7 +263,7 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 	}
 	start := m.TotalRetired
 	armFault(m, d, g, p)
-	budget := hangBudget(g)
+	budget := HangBudget(g.Cycles)
 
 	res, pruned := Result{}, false
 	stop := mach.StopInstrBudget

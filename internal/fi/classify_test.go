@@ -24,7 +24,7 @@ func refOutcome(img *cc.Image, cfg mach.Config, g *fi.Golden, goldenMemHash uint
 	img.InstallTo(m)
 	m.InjectAt = g.AppStart + p.Index
 	m.Inject = func(mm *mach.Machine) { d.Apply(mm, p) }
-	stop := m.Run(g.Cycles*fi.HangFactor + fi.HangSlack)
+	stop := m.Run(fi.HangBudget(g.Cycles))
 	switch {
 	case stop != mach.StopHalted:
 		return fi.Hang, false

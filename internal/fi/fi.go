@@ -24,12 +24,17 @@ import (
 	"serfi/internal/mem"
 )
 
-// HangFactor multiplies the golden cycle count to obtain the fault-run
+// hangFactor multiplies the golden cycle count to obtain the fault-run
 // budget; a run still alive past it is classified Hang.
-const HangFactor = 3
+const hangFactor = 3
 
-// HangSlack is added on top for very short workloads.
-const HangSlack = 500_000
+// hangSlack is added on top for very short workloads.
+const hangSlack = 500_000
+
+// HangBudget is the absolute cycle budget of one fault run of a workload
+// whose golden run took cycles: the one rule every injection, trace and
+// residency walk runs under.
+func HangBudget(cycles uint64) uint64 { return cycles*hangFactor + hangSlack }
 
 // Golden is the phase-1 reference record.
 type Golden struct {
@@ -329,7 +334,7 @@ func InjectDomain(img *cc.Image, cfg mach.Config, g *Golden, d fault.Domain, p F
 	m := mach.New(cfg)
 	img.InstallTo(m)
 	armFault(m, d, g, p)
-	stop := m.Run(hangBudget(g))
+	stop := m.Run(HangBudget(g.Cycles))
 	return finishFault(m, g, g.Final, p, stop)
 }
 
@@ -343,9 +348,6 @@ func Inject(img *cc.Image, cfg mach.Config, g *Golden, f Fault) Result {
 	}
 	return InjectDomain(img, cfg, g, d, f)
 }
-
-// hangBudget is the absolute cycle budget of one injection run.
-func hangBudget(g *Golden) uint64 { return g.Cycles*HangFactor + HangSlack }
 
 // armFault installs the injection hook for one fault point: when the
 // machine commits instruction AppStart+Index, the domain applies the flip.

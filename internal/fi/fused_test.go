@@ -73,7 +73,7 @@ func checkMatchesFastForward(t *testing.T, img *cc.Image, cfg mach.Config, g *Go
 	for i, s := range cs.snaps {
 		if s.Retired() > 0 {
 			ref.SetInstrBudget(s.Retired())
-			if stop := ref.Run(hangBudget(g)); stop != mach.StopInstrBudget {
+			if stop := ref.Run(HangBudget(g.Cycles)); stop != mach.StopInstrBudget {
 				t.Fatalf("checkpoint %d: reference stopped with %v at %d", i, stop, ref.TotalRetired)
 			}
 		}

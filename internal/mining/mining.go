@@ -8,7 +8,9 @@ package mining
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -27,17 +29,20 @@ func NewDataSet() *DataSet {
 }
 
 // AddRow appends one observation; missing columns are padded with NaN.
+// Columns a row introduces join the order by name, never by map iteration,
+// so every ranking over the same rows comes out the same.
 func (d *DataSet) AddRow(name string, values map[string]float64) {
 	idx := len(d.Rows)
 	d.Rows = append(d.Rows, name)
-	for col := range values {
-		if _, ok := d.columns[col]; !ok {
-			d.columns[col] = make([]float64, idx)
-			for i := range d.columns[col] {
-				d.columns[col][i] = math.NaN()
-			}
-			d.order = append(d.order, col)
+	for _, col := range slices.Sorted(maps.Keys(values)) {
+		if _, ok := d.columns[col]; ok {
+			continue
 		}
+		d.columns[col] = make([]float64, idx)
+		for i := range d.columns[col] {
+			d.columns[col][i] = math.NaN()
+		}
+		d.order = append(d.order, col)
 	}
 	for col, vals := range d.columns {
 		if v, ok := values[col]; ok {
@@ -182,8 +187,10 @@ func (d *DataSet) Correlate(target string, exclude ...string) []Corr {
 			N:        len(xs),
 		})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return math.Abs(out[i].Spearman) > math.Abs(out[j].Spearman)
+	// Strongest first, an undefined coefficient (a constant column) last.
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := math.Abs(out[i].Spearman), math.Abs(out[j].Spearman)
+		return a > b || !math.IsNaN(a) && math.IsNaN(b)
 	})
 	return out
 }

@@ -191,7 +191,7 @@ func (t *Tracer) position(m *mach.Machine, injectAt, budget uint64) error {
 func (t *Tracer) Trace(d fault.Domain, p fault.Point) (Trace, fi.Outcome, error) {
 	t0 := time.Now()
 	injectAt := t.g.AppStart + p.Index
-	budget := t.g.Cycles*fi.HangFactor + fi.HangSlack
+	budget := fi.HangBudget(t.g.Cycles)
 	stride := t.Stride
 	if stride == 0 {
 		stride = DefaultStride

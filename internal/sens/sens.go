@@ -211,8 +211,7 @@ func NewContext(sc npb.Scenario, golden campaign.GoldenSummary, windows int) (*C
 	if err != nil {
 		return nil, fmt.Errorf("sens: %w", err)
 	}
-	budget := golden.Cycles*fi.HangFactor + fi.HangSlack
-	res, err := profile.SampleResidency(img, cfg, golden.AppStart, golden.AppEnd, budget, windows)
+	res, err := profile.SampleResidency(img, cfg, golden.AppStart, golden.AppEnd, fi.HangBudget(golden.Cycles), windows)
 	if err != nil {
 		return nil, fmt.Errorf("sens: %w", err)
 	}
