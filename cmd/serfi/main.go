@@ -422,6 +422,18 @@ func cmdServe(args []string) error {
 		wait = func() {}
 	)
 	if *data != "" {
+		// The queue serves what is submitted to it: flags that describe a
+		// one-shot matrix or its output file would be silently dropped.
+		var oneShot []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "db", "resume", "n", "seed", "only", "faultmodel", "record-runs":
+				oneShot = append(oneShot, "-"+f.Name)
+			}
+		})
+		if len(oneShot) > 0 {
+			return fmt.Errorf("serve -data takes its matrices from serfi submit, not from %s", strings.Join(oneShot, " "))
+		}
 		if err := os.MkdirAll(*data, 0o755); err != nil {
 			return err
 		}

@@ -29,7 +29,6 @@ func cmdSens(args []string) error {
 	only := fs.String("s", "", "substring filter on scenario ids")
 	top := fs.Int("top", 12, "rows per attribution table (0 = all)")
 	htmlOut := fs.String("html", "", "write the self-contained vulnerability heatmap here")
-	windows := fs.Int("windows", 0, "residency windows over the app lifespan (0 = default)")
 	metricsOut := fs.String("metrics", "", "also dump the Prometheus exposition here")
 	fs.Parse(args)
 
@@ -66,7 +65,7 @@ func cmdSens(args []string) error {
 	for i, sc := range scs {
 		group := byScenario[sc]
 		t0 := time.Now()
-		ctx, err := sens.NewContext(sc, group[0].Golden, *windows)
+		ctx, err := sens.NewContext(sc, group[0].Golden)
 		if err != nil {
 			return err
 		}

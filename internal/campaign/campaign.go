@@ -77,12 +77,6 @@ type Result struct {
 	GoldenWallSec   float64
 	CampaignWallSec float64
 	JobWallSec      float64
-	// JobSpans are the per-job spans behind JobWallSec, tagged with the
-	// fault-index range each job covered. ExclusiveCompute merges them by
-	// range so that duplicated work — a re-issued distributed shard, a
-	// job re-executed across a cancel/resume — is counted once. Sorted by
-	// (Lo, Hi); empty on results reloaded from a database.
-	JobSpans []JobSpan
 	// Snapshot-engine observability: instructions actually simulated by the
 	// injection runs versus their from-reset cost, and how many runs were
 	// scored by convergence pruning or decided as dead faults (zero-valued
@@ -127,29 +121,18 @@ type JobSpan struct {
 }
 
 // ExclusiveCompute returns the host compute attributable to this campaign
-// alone: the golden-phase span plus the merged spans of its injection
-// jobs. The merge is by fault-index interval: when two spans overlap —
-// the same faults executed twice by a re-issued distributed shard or a
-// cancelled-then-resumed matrix — only the first execution's share
-// counts, and zero-length spans (the empty shard of a zero-fault
-// campaign) count nothing, so summing ExclusiveCompute across campaigns
-// approximates total pool busy time without double-counting duplicated
-// work. Unlike CampaignWallSec — an open-to-close span over the shared
-// worker pool — every counted span occupies one worker. Domain campaigns
-// of one scenario share a single golden phase, so a cross-domain sum
-// counts that phase once per domain. Results without span records fall
-// back to the raw JobWallSec sum; results reloaded from a database store
-// no wall-clock columns and report zero.
-func (r *Result) ExclusiveCompute() float64 {
-	if len(r.JobSpans) == 0 {
-		return r.GoldenWallSec + r.JobWallSec
-	}
-	return r.GoldenWallSec + MergeJobSpans(r.JobSpans)
-}
+// alone: the golden-phase span plus its injection jobs' spans. Fold.Add takes
+// each fault-index range once, so those spans never overlap and summing
+// ExclusiveCompute across campaigns approximates total pool busy time. Unlike
+// CampaignWallSec — an open-to-close span over the shared worker pool — every
+// counted span occupies one worker. Domain campaigns of one scenario share a
+// single golden phase, so a cross-domain sum counts that phase once per
+// domain. Results reloaded from a database store no wall-clock columns and
+// report zero.
+func (r *Result) ExclusiveCompute() float64 { return r.GoldenWallSec + r.JobWallSec }
 
-// SortJobSpans orders spans by fault-index range — the Result.JobSpans
-// contract, applied once by Fold.Result for every execution path.
-func SortJobSpans(spans []JobSpan) {
+// sortJobSpans orders spans by fault-index range.
+func sortJobSpans(spans []JobSpan) {
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].Lo != spans[j].Lo {
 			return spans[i].Lo < spans[j].Lo
@@ -163,7 +146,7 @@ func SortJobSpans(spans []JobSpan) {
 // surface. The input need not be sorted and is not modified.
 func CoverageCount(spans []JobSpan) int {
 	ss := append([]JobSpan(nil), spans...)
-	SortJobSpans(ss)
+	sortJobSpans(ss)
 	total, maxHi := 0, 0
 	first := true
 	for _, s := range ss {
@@ -189,7 +172,7 @@ func CoverageCount(spans []JobSpan) int {
 // sorted and is not modified.
 func MergeJobSpans(spans []JobSpan) float64 {
 	ss := append([]JobSpan(nil), spans...)
-	SortJobSpans(ss)
+	sortJobSpans(ss)
 	total := 0.0
 	maxHi := 0
 	for _, s := range ss {
@@ -246,11 +229,10 @@ const (
 	recordVersionRuns = 4
 )
 
-// Version returns the database row version this result would be written
+// version returns the database row version this result would be written
 // as: v4 when per-run records are kept (RecordRuns), v3 when a propagation
-// fold is attached, v2 otherwise. Store predicates (Query.MinVersion)
-// select on this.
-func (r *Result) Version() int {
+// fold is attached, v2 otherwise.
+func (r *Result) version() int {
 	switch {
 	case r.RecordRuns:
 		return recordVersionRuns
@@ -297,7 +279,7 @@ type runRow struct {
 // recordOf flattens a scenario result into its database row.
 func recordOf(r *Result) record {
 	rec := record{
-		Version:  r.Version(),
+		Version:  r.version(),
 		Prop:     r.Prop,
 		Scenario: r.Scenario.ID(),
 		Domain:   r.Domain.String(),
@@ -337,7 +319,7 @@ func recordOf(r *Result) record {
 // that were traced. Only the persisted columns are recovered — host-side
 // run telemetry (retired/cycles/exit) reads zero on reloaded runs. The
 // point's Domain is the campaign's domain column (the register domain is
-// the zero value, matching RegDomain.Sample).
+// the zero value, matching the reg domain's Sample).
 func restoreRuns(res *Result, rows []runRow, domain fault.Model) error {
 	res.RecordRuns = true
 	res.Runs = make([]fi.Result, len(rows))

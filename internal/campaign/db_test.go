@@ -195,7 +195,7 @@ func TestStoreQueryEmptyPredicateSet(t *testing.T) {
 }
 
 // TestStoreQueryPredicates exercises the per-axis constraints and the
-// arbitrary Match predicate.
+// arbitrary Match predicate, which carries every other identity axis.
 func TestStoreQueryPredicates(t *testing.T) {
 	st := campaign.NewMemStore()
 	put := func(app, isaName string, mode npb.Mode, cores int, d fault.Model) {
@@ -215,22 +215,25 @@ func TestStoreQueryPredicates(t *testing.T) {
 	if got := st.Query(campaign.Query{Apps: []string{"EP"}}); len(got) != 1 || got[0].Scenario.App != "EP" {
 		t.Errorf("app query = %v", got)
 	}
-	if got := st.Query(campaign.Query{ISAs: []string{"armv7"}}); len(got) != 1 || got[0].Domain != fault.Mem {
+	isa := func(name string) func(npb.Scenario, fault.Model) bool {
+		return func(sc npb.Scenario, _ fault.Model) bool { return sc.ISA == name }
+	}
+	if got := st.Query(campaign.Query{Match: isa("armv7")}); len(got) != 1 || got[0].Domain != fault.Mem {
 		t.Errorf("isa query = %v", got)
 	}
-	if got := st.Query(campaign.Query{Modes: []npb.Mode{npb.MPI}}); len(got) != 2 {
+	if got := st.Query(campaign.Query{Match: func(sc npb.Scenario, _ fault.Model) bool { return sc.Mode == npb.MPI }}); len(got) != 2 {
 		t.Errorf("mode query returned %d rows", len(got))
 	}
 	if got := st.Query(campaign.Query{Domains: []fault.Model{fault.Mem}}); len(got) != 1 {
 		t.Errorf("domain query returned %d rows", len(got))
 	}
 	if got := st.Query(campaign.Query{
-		ISAs:  []string{"armv8"},
-		Match: func(sc npb.Scenario, _ fault.Model) bool { return sc.Cores > 1 },
-	}); len(got) != 2 {
+		Apps:  []string{"IS"},
+		Match: func(sc npb.Scenario, _ fault.Model) bool { return sc.ISA == "armv8" && sc.Cores > 1 },
+	}); len(got) != 1 {
 		t.Errorf("combined query returned %d rows", len(got))
 	}
-	if got := st.Query(campaign.Query{Cores: []int{8}}); len(got) != 0 {
+	if got := st.Query(campaign.Query{Match: func(sc npb.Scenario, _ fault.Model) bool { return sc.Cores == 8 }}); len(got) != 0 {
 		t.Errorf("no-match query returned %d rows", len(got))
 	}
 }
@@ -413,8 +416,8 @@ func TestReadDBLargeRunsRow(t *testing.T) {
 	}
 }
 
-// TestStoreQueryContentPredicates: MinVersion, HasProp and HasRuns select
-// on row content (not identity) and behave identically on every backend.
+// TestStoreQueryContentPredicates: HasRuns selects on row content (not
+// identity) and behaves identically on every backend.
 func TestStoreQueryContentPredicates(t *testing.T) {
 	for name, st := range storeImpls(t) {
 		v2 := storeResult("IS", fault.Reg, 2)
@@ -426,19 +429,8 @@ func TestStoreQueryContentPredicates(t *testing.T) {
 				t.Fatalf("%s: Put: %v", name, err)
 			}
 		}
-		if got := st.Query(campaign.Query{MinVersion: 3}); len(got) != 2 {
-			t.Errorf("%s: MinVersion 3 returned %d rows, want 2", name, len(got))
-		}
-		got := st.Query(campaign.Query{MinVersion: 4})
-		if len(got) != 1 || !got[0].RecordRuns {
-			t.Errorf("%s: MinVersion 4 = %v", name, got)
-		}
-		got = st.Query(campaign.Query{HasProp: true})
-		if len(got) != 1 || got[0].Scenario.App != "MG" {
-			t.Errorf("%s: HasProp = %v", name, got)
-		}
-		got = st.Query(campaign.Query{HasRuns: true})
-		if len(got) != 1 || len(got[0].Runs) != 3 {
+		got := st.Query(campaign.Query{HasRuns: true})
+		if len(got) != 1 || len(got[0].Runs) != 3 || !got[0].RecordRuns {
 			t.Errorf("%s: HasRuns = %v", name, got)
 		}
 		// Content and identity predicates compose.

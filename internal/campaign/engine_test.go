@@ -349,10 +349,10 @@ func TestMergeJobSpans(t *testing.T) {
 }
 
 // TestResumeComputeNotDoubleCounted is the cancel/resume pin for
-// ExclusiveCompute: campaigns assembled by the resumed run carry job spans
-// that tile the fault list exactly once (no overlap from the work the
-// cancelled run had already executed and threw away), so the merged
-// compute equals the plain span sum and every fault is attributed once.
+// ExclusiveCompute: a campaign the resumed run executes folds each fault
+// range once (nothing from the work the cancelled run had already executed
+// and thrown away), so its JobWallSec is exactly the wall clock of the jobs
+// the resumed run reported, and ExclusiveCompute adds only the golden phase.
 func TestResumeComputeNotDoubleCounted(t *testing.T) {
 	jobs := []campaign.ScenarioJob{
 		{Scenario: npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}, Seed: 51},
@@ -386,35 +386,57 @@ func TestResumeComputeNotDoubleCounted(t *testing.T) {
 		t.Fatalf("cancelled run error = %v, want context.Canceled", err)
 	}
 	<-consumed
-	resumed, err := campaign.New(opts(campaign.WithStore(st))...).RunMatrix(context.Background(), jobs)
+	events = make(chan campaign.Event, 64)
+	type ranges struct {
+		spans []campaign.JobSpan
+		wall  float64
+	}
+	seen := map[string]*ranges{}
+	consumed = make(chan struct{})
+	go func() {
+		defer close(consumed)
+		for ev := range events {
+			switch ev := ev.(type) {
+			case campaign.JobDone:
+				j := seen[ev.Key()]
+				if j == nil {
+					j = &ranges{}
+					seen[ev.Key()] = j
+				}
+				j.spans = append(j.spans, campaign.JobSpan{Lo: ev.Lo, Hi: ev.Hi, WallSec: ev.WallSec})
+				j.wall += ev.WallSec
+			case campaign.MatrixDone:
+				return
+			}
+		}
+	}()
+	resumed, err := campaign.New(opts(campaign.WithStore(st), campaign.WithEvents(events))...).RunMatrix(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-consumed
 	fresh := 0
 	for i, r := range resumed {
 		if r == nil {
 			t.Fatalf("campaign %d unfinished after resume", i)
 		}
-		if len(r.JobSpans) == 0 {
-			continue // answered from the store: spans are not persisted
+		j := seen[r.Key()]
+		if j == nil {
+			continue // answered from the store: the resumed run executed nothing
 		}
 		fresh++
 		covered := 0
-		for j, sp := range r.JobSpans {
+		for _, sp := range j.spans {
 			covered += sp.Hi - sp.Lo
-			if j > 0 && sp.Lo < r.JobSpans[j-1].Hi {
-				t.Errorf("campaign %d: span %d overlaps predecessor: %+v", i, j, r.JobSpans)
-			}
 		}
-		if covered != faults {
-			t.Errorf("campaign %d: spans cover %d of %d faults: %+v", i, covered, faults, r.JobSpans)
+		if covered != faults || campaign.CoverageCount(j.spans) != faults {
+			t.Errorf("campaign %d: resumed jobs cover %d of %d faults: %+v", i, covered, faults, j.spans)
 		}
-		sum := 0.0
-		for _, sp := range r.JobSpans {
-			sum += sp.WallSec
+		if r.JobWallSec != j.wall {
+			t.Errorf("campaign %d: JobWallSec = %v, want the resumed jobs' %v", i, r.JobWallSec, j.wall)
 		}
-		if got, want := r.ExclusiveCompute(), r.GoldenWallSec+sum; got != want {
-			t.Errorf("campaign %d: ExclusiveCompute = %v, want %v (disjoint spans)", i, got, want)
+		if got, want := r.ExclusiveCompute(), r.GoldenWallSec+r.JobWallSec; got != want {
+			t.Errorf("campaign %d: ExclusiveCompute = %v, want %v", i, got, want)
 		}
 	}
 	if fresh == 0 {

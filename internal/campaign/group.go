@@ -268,7 +268,6 @@ type Fold struct {
 
 	runs      []fi.Result
 	traces    []*prop.Trace
-	spans     []JobSpan
 	jobWall   float64
 	simulated uint64
 	fromReset uint64
@@ -321,11 +320,6 @@ func (f *Fold) Add(lo, hi int, sh Shard, wallSec float64) error {
 	f.fromReset += sh.FromResetInstr
 	f.pruned += sh.PrunedRuns
 	f.jobWall += wallSec
-	if hi > lo {
-		// A zero-fault campaign's empty shard records no span: its wall
-		// clock flows through JobWallSec, ExclusiveCompute's fallback.
-		f.spans = append(f.spans, JobSpan{Lo: lo, Hi: hi, WallSec: wallSec})
-	}
 	return nil
 }
 
@@ -333,7 +327,6 @@ func (f *Fold) Add(lo, hi int, sh Shard, wallSec float64) error {
 // group metadata all of them share. The caller stamps what only it knows:
 // GoldenWallSec, CampaignWallSec and RecordRuns.
 func (f *Fold) Result(golden GoldenSummary, features profile.Features, apiCalls uint64) *Result {
-	SortJobSpans(f.spans)
 	res := &Result{
 		Scenario:       f.Job.Scenario,
 		Domain:         f.Job.Domain,
@@ -346,7 +339,6 @@ func (f *Fold) Result(golden GoldenSummary, features profile.Features, apiCalls 
 		Traces:         f.traces,
 		Prop:           prop.Summarize(f.traces),
 		JobWallSec:     f.jobWall,
-		JobSpans:       f.spans,
 		SimulatedInstr: f.simulated,
 		FromResetInstr: f.fromReset,
 		PrunedRuns:     f.pruned,

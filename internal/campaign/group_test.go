@@ -3,7 +3,6 @@ package campaign_test
 import (
 	"context"
 	"reflect"
-	"sort"
 	"testing"
 
 	"serfi/internal/campaign"
@@ -112,9 +111,9 @@ func TestGroupShardsConcatenate(t *testing.T) {
 							t.Errorf("size %d: folded counts %v, telemetry sim=%d pruned=%d; whole sim=%d pruned=%d",
 								size, res.Counts, res.SimulatedInstr, res.PrunedRuns, whole.SimulatedInstr, whole.PrunedRuns)
 						}
-						sorted := sort.SliceIsSorted(res.JobSpans, func(i, j int) bool { return res.JobSpans[i].Lo < res.JobSpans[j].Lo })
-						if !sorted || campaign.CoverageCount(res.JobSpans) != n {
-							t.Errorf("size %d: spans %+v not sorted or not covering %d faults", size, res.JobSpans, n)
+						if res.JobWallSec != 0.5*float64(len(ranges)) || res.ExclusiveCompute() != res.GoldenWallSec+res.JobWallSec {
+							t.Errorf("size %d: %d shards folded to JobWallSec %v, ExclusiveCompute %v",
+								size, len(ranges), res.JobWallSec, res.ExclusiveCompute())
 						}
 					}
 					// A shard that does not fit its range is rejected untouched.

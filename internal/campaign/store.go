@@ -68,40 +68,22 @@ func TenantView(st Store, ns string) (Store, error) {
 // Query selects the whole store.
 type Query struct {
 	Apps    []string      // benchmark names ("IS", "MG", ...)
-	ISAs    []string      // "armv7" / "armv8"
-	Modes   []npb.Mode    // programming models
-	Cores   []int         // core counts
 	Domains []fault.Model // fault domains
-	// MinVersion selects campaigns whose database row version
-	// (Result.Version) is at least this value; 0 matches everything.
-	MinVersion int
-	// HasProp selects campaigns carrying a propagation fold (traced
-	// campaigns, v3+).
-	HasProp bool
 	// HasRuns selects campaigns whose per-run records are available —
 	// live results, or results reloaded from v4 rows. This is the
 	// predicate the sensitivity layer uses to find analyzable rows
 	// without a full scan.
 	HasRuns bool
 	// Match, when set, is an arbitrary extra predicate ANDed with the
-	// field constraints.
+	// field constraints: any other identity axis (ISA, mode, cores).
 	Match func(npb.Scenario, fault.Model) bool
 }
 
 // Matches reports whether one (scenario, domain) campaign satisfies q's
-// identity constraints. The content predicates (MinVersion, HasProp,
-// HasRuns) need the full record — MatchesResult checks those too.
+// identity constraints. HasRuns needs the full record — MatchesResult
+// checks it too.
 func (q Query) Matches(sc npb.Scenario, d fault.Model) bool {
 	if len(q.Apps) > 0 && !contains(q.Apps, sc.App) {
-		return false
-	}
-	if len(q.ISAs) > 0 && !contains(q.ISAs, sc.ISA) {
-		return false
-	}
-	if len(q.Modes) > 0 && !contains(q.Modes, sc.Mode) {
-		return false
-	}
-	if len(q.Cores) > 0 && !contains(q.Cores, sc.Cores) {
 		return false
 	}
 	if len(q.Domains) > 0 && !contains(q.Domains, d) {
@@ -111,21 +93,9 @@ func (q Query) Matches(sc npb.Scenario, d fault.Model) bool {
 }
 
 // MatchesResult reports whether a stored campaign satisfies the whole
-// query: the identity constraints of Matches plus the content predicates.
+// query: the identity constraints of Matches plus HasRuns.
 func (q Query) MatchesResult(r *Result) bool {
-	if !q.Matches(r.Scenario, r.Domain) {
-		return false
-	}
-	if q.MinVersion > 0 && r.Version() < q.MinVersion {
-		return false
-	}
-	if q.HasProp && r.Prop == nil {
-		return false
-	}
-	if q.HasRuns && len(r.Runs) == 0 {
-		return false
-	}
-	return true
+	return q.Matches(r.Scenario, r.Domain) && (!q.HasRuns || len(r.Runs) > 0)
 }
 
 func contains[T comparable](xs []T, x T) bool {
@@ -223,7 +193,7 @@ func (s *memIndex) Query(q Query) []*Result {
 	return out
 }
 
-// MemStore is the in-memory Store: tests, examples and in-process
+// MemStore is the in-memory Store: tests and in-process
 // pipelines that never touch disk. It is also a TenantStore: Tenant(ns)
 // returns an isolated per-namespace sub-store, the in-memory analogue of
 // the segmented store's per-tenant segment sets.

@@ -2,7 +2,7 @@
 // transports — real HTTP for cluster deployments, and a loopback transport
 // that drives a coordinator's http.Handler in-process through the full
 // request/response marshal path (no sockets), which is what the
-// golden-compat tests, the CI smoke cluster and the examples use.
+// golden-compat tests and the benchmark harness use.
 //
 // Transient failures (transport errors, 5xx answers) retry with jittered
 // exponential backoff inside post, so callers see one round trip per

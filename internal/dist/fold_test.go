@@ -7,7 +7,6 @@ package dist
 
 import (
 	"context"
-	"sort"
 	"strings"
 	"testing"
 
@@ -16,9 +15,8 @@ import (
 )
 
 // TestOutOfOrderShardsFoldSorted completes one campaign's shards last to
-// first across two workers. The assembled result must still honour the
-// Result.JobSpans contract — sorted by (Lo, Hi), covering every fault once
-// — which the coordinator used to violate by appending spans in completion
+// first across two workers. The assembled result must classify every fault
+// once and count each shard's wall clock once, whatever the completion
 // order.
 func TestOutOfOrderShardsFoldSorted(t *testing.T) {
 	jobs := compatJobs()[:1]
@@ -62,15 +60,15 @@ func TestOutOfOrderShardsFoldSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := results[0]
-	sorted := sort.SliceIsSorted(r.JobSpans, func(i, j int) bool {
-		a, b := r.JobSpans[i], r.JobSpans[j]
-		return a.Lo < b.Lo || a.Lo == b.Lo && a.Hi < b.Hi
-	})
-	if !sorted {
-		t.Errorf("JobSpans not sorted by (Lo, Hi): %+v", r.JobSpans)
+	wall := 0.0
+	for i := len(reqs) - 1; i >= 0; i-- {
+		wall += reqs[i].WallSec
 	}
-	if got := campaign.CoverageCount(r.JobSpans); got != r.Faults || len(r.JobSpans) != len(reqs) {
-		t.Errorf("%d spans cover %d faults, want %d spans over %d", len(r.JobSpans), got, len(reqs), r.Faults)
+	if r.JobWallSec != wall {
+		t.Errorf("JobWallSec = %v, want the %d shards' %v", r.JobWallSec, len(reqs), wall)
+	}
+	if got, want := r.ExclusiveCompute(), r.GoldenWallSec+r.JobWallSec; got != want {
+		t.Errorf("ExclusiveCompute = %v, want %v", got, want)
 	}
 	if r.Counts.Total() != compatFaults {
 		t.Errorf("classified %d of %d", r.Counts.Total(), compatFaults)

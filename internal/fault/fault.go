@@ -6,7 +6,8 @@
 // a seeded stream, and applies a flip to a machine paused at the fault's
 // commit boundary.
 //
-// Four concrete domains ship with the framework:
+// Seven models ship with the framework, behind four unexported domain types
+// (register, burst, memory word, cache metadata); New is the only way in:
 //
 //   - Reg: the paper's single-bit-upset model over architectural registers
 //     (bit-identical to the historical campaigns at the same seed);
@@ -95,10 +96,6 @@ func Models() []Model {
 	return []Model{Reg, Mem, IMem, Burst, CacheTag, CacheDirty, CacheRepl}
 }
 
-// UncoreModels returns the cache-hierarchy domains — the "uncore" alias of
-// -faultmodel flags.
-func UncoreModels() []Model { return []Model{CacheTag, CacheDirty, CacheRepl} }
-
 // ParseModels expands a -faultmodel flag value: one model name, "uncore"
 // for the three cache-hierarchy domains, or "all" for every shipped domain.
 func ParseModels(s string) ([]Model, error) {
@@ -106,7 +103,7 @@ func ParseModels(s string) ([]Model, error) {
 	case "all":
 		return Models(), nil
 	case "uncore":
-		return UncoreModels(), nil
+		return []Model{CacheTag, CacheDirty, CacheRepl}, nil
 	}
 	m, err := ParseModel(s)
 	if err != nil {
@@ -262,21 +259,19 @@ func New(model Model, env Env) (Domain, error) {
 			if bits < maxBurst {
 				return nil, fmt.Errorf("fault: burst: %d-bit words too narrow", bits)
 			}
-			return &BurstDomain{regSpace: regSpace{feat: env.Feat, cores: env.Cores, span: env.Span}}, nil
+			return &burstDomain{regSpace: regSpace{feat: env.Feat, cores: env.Cores, span: env.Span}}, nil
 		}
-		return &RegDomain{regSpace: regSpace{feat: env.Feat, cores: env.Cores, span: env.Span}}, nil
-	case Mem:
-		words := wordRanges(env.Regions, mem.PermW)
+		return &regDomain{regSpace: regSpace{feat: env.Feat, cores: env.Cores, span: env.Span}}, nil
+	case Mem, IMem:
+		perm, kind := mem.PermW, "writable"
+		if model == IMem {
+			perm, kind = mem.PermX, "executable"
+		}
+		words := wordRanges(env.Regions, perm)
 		if len(words) == 0 {
-			return nil, fmt.Errorf("fault: mem: no mapped writable regions")
+			return nil, fmt.Errorf("fault: %s: no mapped %s regions", model, kind)
 		}
-		return &MemDomain{memSpace: memSpace{span: env.Span, words: words}}, nil
-	case IMem:
-		words := wordRanges(env.Regions, mem.PermX)
-		if len(words) == 0 {
-			return nil, fmt.Errorf("fault: imem: no mapped executable regions")
-		}
-		return &IMemDomain{memSpace: memSpace{span: env.Span, words: words}}, nil
+		return &memDomain{model: model, span: env.Span, words: words}, nil
 	case CacheTag, CacheDirty, CacheRepl:
 		if env.Cores < 1 {
 			return nil, fmt.Errorf("fault: %s: no cores", model)
@@ -286,15 +281,7 @@ func New(model Model, env Env) (Domain, error) {
 				return nil, fmt.Errorf("fault: %s: no cache geometry: %w", model, err)
 			}
 		}
-		s := cacheSpace{model: model, span: env.Span, cores: env.Cores, cfg: env.Cache}
-		switch model {
-		case CacheTag:
-			return &CacheTagDomain{s}, nil
-		case CacheDirty:
-			return &CacheDirtyDomain{s}, nil
-		default:
-			return &CacheReplDomain{s}, nil
-		}
+		return &cacheDomain{model: model, span: env.Span, cores: env.Cores, cfg: env.Cache}, nil
 	}
 	return nil, fmt.Errorf("fault: unknown model %d", int(model))
 }
@@ -323,21 +310,21 @@ func (s *regSpace) flip(m *mach.Machine, p Point, mask uint64) {
 	}
 }
 
-// RegDomain is the paper's register single-bit-upset model. Its sampling
+// regDomain is the paper's register single-bit-upset model. Its sampling
 // order (instruction index, core, register, bit) and flip semantics are
 // bit-identical to the pre-domain injector.
-type RegDomain struct{ regSpace }
+type regDomain struct{ regSpace }
 
 // Model identifies the domain.
-func (d *RegDomain) Model() Model { return Reg }
+func (d *regDomain) Model() Model { return Reg }
 
 // Size counts span x cores x registers x word bits.
-func (d *RegDomain) Size() uint64 {
+func (d *regDomain) Size() uint64 {
 	return d.span * uint64(d.cores) * uint64(d.feat.FaultTargets) * uint64(d.feat.WordBytes*8)
 }
 
 // Sample draws index, core, register, bit — the frozen legacy order.
-func (d *RegDomain) Sample(r *rand.Rand) Point {
+func (d *regDomain) Sample(r *rand.Rand) Point {
 	return Point{
 		Index: uint64(r.Int63n(int64(d.span))),
 		Core:  r.Intn(d.cores),
@@ -347,7 +334,7 @@ func (d *RegDomain) Sample(r *rand.Rand) Point {
 }
 
 // Apply flips one register bit.
-func (d *RegDomain) Apply(m *mach.Machine, p Point) { d.flip(m, p, p.Mask()) }
+func (d *regDomain) Apply(m *mach.Machine, p Point) { d.flip(m, p, p.Mask()) }
 
 // Burst widths: 2 to maxBurst adjacent bits.
 const (
@@ -355,17 +342,17 @@ const (
 	maxBurst = 4
 )
 
-// BurstDomain flips 2-4 adjacent bits of one register word — the multi-bit
+// burstDomain flips 2-4 adjacent bits of one register word — the multi-bit
 // upset mix of modern technology nodes, where a single strike upsets
 // neighboring cells.
-type BurstDomain struct{ regSpace }
+type burstDomain struct{ regSpace }
 
 // Model identifies the domain.
-func (d *BurstDomain) Model() Model { return Burst }
+func (d *burstDomain) Model() Model { return Burst }
 
 // Size counts the distinct (index, core, register, start bit, width)
 // tuples: a width-w burst can start at bits-w+1 positions.
-func (d *BurstDomain) Size() uint64 {
+func (d *burstDomain) Size() uint64 {
 	bits := d.feat.WordBytes * 8
 	starts := 0
 	for w := minBurst; w <= maxBurst; w++ {
@@ -376,7 +363,7 @@ func (d *BurstDomain) Size() uint64 {
 
 // Sample draws index, core, register, width, start bit (frozen order). The
 // start bit is bounded so the whole burst stays inside the register word.
-func (d *BurstDomain) Sample(r *rand.Rand) Point {
+func (d *burstDomain) Sample(r *rand.Rand) Point {
 	bits := d.feat.WordBytes * 8
 	w := minBurst + r.Intn(maxBurst-minBurst+1)
 	return Point{
@@ -390,7 +377,7 @@ func (d *BurstDomain) Sample(r *rand.Rand) Point {
 }
 
 // Apply flips the burst's adjacent bits in one register.
-func (d *BurstDomain) Apply(m *mach.Machine, p Point) { d.flip(m, p, p.Mask()) }
+func (d *burstDomain) Apply(m *mach.Machine, p Point) { d.flip(m, p, p.Mask()) }
 
 // wordRange is one run of 32-bit words inside a mapped region.
 type wordRange struct {
@@ -414,26 +401,40 @@ func wordRanges(regions []mem.Region, perm mem.Perm) []wordRange {
 	return out
 }
 
-// memSpace is the shared target space of the memory domains: 32-bit words
-// across the selected region spans. Memory is byte-addressed on both ISAs,
-// so a fixed 32-bit word granularity keeps the space ISA-independent.
-type memSpace struct {
+// memDomain strikes one 32-bit word across the selected region spans.
+// Memory is byte-addressed on both ISAs, so a fixed 32-bit word granularity
+// keeps the space ISA-independent. The model picks the regions:
+//
+//   - Mem: data words in guest RAM, the mapped writable regions (kernel data,
+//     user data, heap, stacks). The flip lands in physical RAM directly — the
+//     cache hierarchy is a timing model, architectural data always flows
+//     through RAM — so a corrupted word is visible to the next load exactly
+//     like an uncore fault that escaped ECC.
+//   - IMem: instruction words in the mapped executable regions (kernel and
+//     user text). Both ISAs use fixed 32-bit encodings, so the corrupted word
+//     simply re-decodes — into a neighboring opcode, a different operand, or
+//     an invalid instruction that traps — without desynchronizing the fetch
+//     stream. Text is read-only to the guest, so the flip persists for the
+//     rest of the run: an IMem fault can change architectural state forever
+//     even when it never alters the output.
+type memDomain struct {
+	model Model
 	span  uint64
 	words []wordRange
 }
 
 // totalWords sums the selected spans.
-func (s *memSpace) totalWords() uint64 {
+func (d *memDomain) totalWords() uint64 {
 	var n uint64
-	for _, wr := range s.words {
+	for _, wr := range d.words {
 		n += wr.words
 	}
 	return n
 }
 
 // addrOf maps a uniform word ordinal onto its physical address.
-func (s *memSpace) addrOf(ordinal uint64) uint32 {
-	for _, wr := range s.words {
+func (d *memDomain) addrOf(ordinal uint64) uint32 {
+	for _, wr := range d.words {
 		if ordinal < wr.words {
 			return wr.start + uint32(ordinal)*4
 		}
@@ -443,66 +444,28 @@ func (s *memSpace) addrOf(ordinal uint64) uint32 {
 	panic("fault: word ordinal outside target space")
 }
 
-// sample draws index, word ordinal, bit (frozen order shared by Mem/IMem).
-func (s *memSpace) sample(r *rand.Rand, model Model) Point {
+// Model identifies the domain.
+func (d *memDomain) Model() Model { return d.model }
+
+// Size counts span x target words x 32 bits.
+func (d *memDomain) Size() uint64 { return d.span * d.totalWords() * 32 }
+
+// Sample draws index, word ordinal, bit (frozen order shared by Mem/IMem).
+func (d *memDomain) Sample(r *rand.Rand) Point {
 	return Point{
-		Domain: model,
-		Index:  uint64(r.Int63n(int64(s.span))),
-		Addr:   s.addrOf(uint64(r.Int63n(int64(s.totalWords())))),
+		Domain: d.model,
+		Index:  uint64(r.Int63n(int64(d.span))),
+		Addr:   d.addrOf(uint64(r.Int63n(int64(d.totalWords())))),
 		Bit:    r.Intn(32),
 	}
 }
 
-// size counts span x words x 32 bits.
-func (s *memSpace) size() uint64 { return s.span * s.totalWords() * 32 }
-
-// MemDomain strikes data words in guest RAM: the mapped writable regions
-// (kernel data, user data, heap, stacks). The flip lands in physical RAM
-// directly — the cache hierarchy is a timing model, architectural data
-// always flows through RAM — so a corrupted word is visible to the next
-// load exactly like an uncore fault that escaped ECC.
-type MemDomain struct{ memSpace }
-
-// Model identifies the domain.
-func (d *MemDomain) Model() Model { return Mem }
-
-// Size counts span x data words x 32 bits.
-func (d *MemDomain) Size() uint64 { return d.size() }
-
-// Sample draws index, word, bit (frozen order).
-func (d *MemDomain) Sample(r *rand.Rand) Point { return d.sample(r, Mem) }
-
-// Apply flips the addressed data word. The flip also drops any cached
-// decode covering the word: real images map text read-only so a data-word
-// strike never lands there, but a region mapped both writable and
-// executable (self-hosted test kernels do this) makes the data word an
-// instruction word too, and the next fetch must see the corruption.
-func (d *MemDomain) Apply(m *mach.Machine, p Point) {
-	m.Mem.WriteU32(p.Addr, m.Mem.ReadU32(p.Addr)^uint32(p.Mask()))
-	m.InvalidateText(p.Addr, 4)
-}
-
-// IMemDomain strikes instruction words in the mapped executable regions
-// (kernel and user text). Both ISAs use fixed 32-bit encodings, so the
-// corrupted word simply re-decodes — into a neighboring opcode, a different
-// operand, or an invalid instruction that traps — without desynchronizing
-// the fetch stream. Text is read-only to the guest, so the flip persists
-// for the rest of the run: an IMem fault can change architectural state
-// forever even when it never alters the output.
-type IMemDomain struct{ memSpace }
-
-// Model identifies the domain.
-func (d *IMemDomain) Model() Model { return IMem }
-
-// Size counts span x instruction words x 32 bits.
-func (d *IMemDomain) Size() uint64 { return d.size() }
-
-// Sample draws index, word, bit (frozen order).
-func (d *IMemDomain) Sample(r *rand.Rand) Point { return d.sample(r, IMem) }
-
-// Apply flips the instruction word and drops its cached decode so the next
-// fetch re-decodes the corrupted encoding.
-func (d *IMemDomain) Apply(m *mach.Machine, p Point) {
+// Apply flips the addressed word and drops any cached decode covering it, so
+// the next fetch re-decodes a corrupted instruction. Real images map text
+// read-only so a data-word strike never lands there, but a region mapped both
+// writable and executable (self-hosted test kernels do this) makes a data
+// word an instruction word too.
+func (d *memDomain) Apply(m *mach.Machine, p Point) {
 	m.Mem.WriteU32(p.Addr, m.Mem.ReadU32(p.Addr)^uint32(p.Mask()))
 	m.InvalidateText(p.Addr, 4)
 }
@@ -519,11 +482,23 @@ const statusBits = 2
 // workload scale.
 const replBits = 16
 
-// cacheSpace is the shared target space of the uncore domains: every line
-// slot of the live hierarchy geometry, in the frozen unit order L1I core
-// 0..C-1, L1D core 0..C-1, then the shared L2, with a per-domain bit width
-// (tag bits, status bits or the LRU window).
-type cacheSpace struct {
+// cacheDomain strikes one metadata bit of a line slot: every line slot of
+// the live hierarchy geometry, in the frozen unit order L1I core 0..C-1, L1D
+// core 0..C-1, then the shared L2. The model picks the array and with it the
+// bit width (tag bits, status bits or the LRU window):
+//
+//   - CacheTag: the tag arrays. A flipped tag silently evicts live data from
+//     the timing model's view (the next lookup of the original address
+//     misses) or aliases a wrong line address into a spurious hit; RAM is
+//     never corrupted, so the fault is invisible to architectural comparison
+//     and manifests only through timing and coherence.
+//   - CacheDirty: the per-line status bits. A toggled dirty bit produces a
+//     spurious writeback (or loses a real one), a toggled valid bit drops a
+//     live line (or resurrects a stale slot).
+//   - CacheRepl: one bit of a line's LRU clock. Victim selection reorders —
+//     hot lines evict early, dead lines linger — shifting miss patterns and
+//     therefore timing, without touching any stored data or tag.
+type cacheDomain struct {
 	model Model
 	span  uint64
 	cores int
@@ -531,22 +506,22 @@ type cacheSpace struct {
 }
 
 // levelLines counts the line slots of one cache array at the given level.
-func (s *cacheSpace) levelLines(l cache.Level) uint64 {
-	c := s.cfg.LevelConfig(l)
+func (d *cacheDomain) levelLines(l cache.Level) uint64 {
+	c := d.cfg.LevelConfig(l)
 	return uint64(c.Sets()) * uint64(c.Ways)
 }
 
 // totalLines counts line slots across every unit of the hierarchy.
-func (s *cacheSpace) totalLines() uint64 {
-	return (s.levelLines(cache.L1I)+s.levelLines(cache.L1D))*uint64(s.cores) +
-		s.levelLines(cache.L2)
+func (d *cacheDomain) totalLines() uint64 {
+	return (d.levelLines(cache.L1I)+d.levelLines(cache.L1D))*uint64(d.cores) +
+		d.levelLines(cache.L2)
 }
 
 // bitsFor is the flippable-bit count per line for this domain at one level.
-func (s *cacheSpace) bitsFor(l cache.Level) int {
-	switch s.model {
+func (d *cacheDomain) bitsFor(l cache.Level) int {
+	switch d.model {
 	case CacheTag:
-		return s.cfg.LevelConfig(l).TagBits()
+		return d.cfg.LevelConfig(l).TagBits()
 	case CacheDirty:
 		return statusBits
 	default:
@@ -555,108 +530,64 @@ func (s *cacheSpace) bitsFor(l cache.Level) int {
 }
 
 // locate maps a uniform line ordinal onto its (level, core, set, way) slot
-// by walking the frozen unit order, mirroring memSpace.addrOf.
-func (s *cacheSpace) locate(ordinal uint64) (l cache.Level, core int, set, way uint32) {
+// by walking the frozen unit order, mirroring memDomain.addrOf.
+func (d *cacheDomain) locate(ordinal uint64) (l cache.Level, core int, set, way uint32) {
 	for _, lvl := range []cache.Level{cache.L1I, cache.L1D} {
-		per := s.levelLines(lvl)
-		for c := 0; c < s.cores; c++ {
+		per := d.levelLines(lvl)
+		for c := 0; c < d.cores; c++ {
 			if ordinal < per {
-				ways := uint64(s.cfg.LevelConfig(lvl).Ways)
+				ways := uint64(d.cfg.LevelConfig(lvl).Ways)
 				return lvl, c, uint32(ordinal / ways), uint32(ordinal % ways)
 			}
 			ordinal -= per
 		}
 	}
-	if ordinal >= s.levelLines(cache.L2) {
+	if ordinal >= d.levelLines(cache.L2) {
 		// Unreachable for ordinals < totalLines.
 		panic("fault: cache line ordinal outside target space")
 	}
-	ways := uint64(s.cfg.L2.Ways)
+	ways := uint64(d.cfg.L2.Ways)
 	return cache.L2, 0, uint32(ordinal / ways), uint32(ordinal % ways)
 }
 
-// size counts span x Σ(unit lines x unit bits).
-func (s *cacheSpace) size() uint64 {
-	perCore := s.levelLines(cache.L1I)*uint64(s.bitsFor(cache.L1I)) +
-		s.levelLines(cache.L1D)*uint64(s.bitsFor(cache.L1D))
-	return s.span * (perCore*uint64(s.cores) + s.levelLines(cache.L2)*uint64(s.bitsFor(cache.L2)))
+// Model identifies the domain.
+func (d *cacheDomain) Model() Model { return d.model }
+
+// Size counts span x Σ(unit lines x unit bits).
+func (d *cacheDomain) Size() uint64 {
+	perCore := d.levelLines(cache.L1I)*uint64(d.bitsFor(cache.L1I)) +
+		d.levelLines(cache.L1D)*uint64(d.bitsFor(cache.L1D))
+	return d.span * (perCore*uint64(d.cores) + d.levelLines(cache.L2)*uint64(d.bitsFor(cache.L2)))
 }
 
-// sample draws index, line ordinal, bit (frozen order shared by the three
-// uncore domains). The ordinal is uniform over line slots; the bit draw is
+// Sample draws index, line ordinal, bit (frozen order shared by the three
+// uncore models). The ordinal is uniform over line slots; the bit draw is
 // bounded by the struck level's bit width, so tuples are uniform over the
 // whole (line, bit) space when every level shares one line size (they do in
 // every shipped configuration) and uniform per level otherwise.
-func (s *cacheSpace) sample(r *rand.Rand) Point {
-	idx := uint64(r.Int63n(int64(s.span)))
-	lvl, core, set, way := s.locate(uint64(r.Int63n(int64(s.totalLines()))))
+func (d *cacheDomain) Sample(r *rand.Rand) Point {
+	idx := uint64(r.Int63n(int64(d.span)))
+	lvl, core, set, way := d.locate(uint64(r.Int63n(int64(d.totalLines()))))
 	return Point{
-		Domain: s.model,
+		Domain: d.model,
 		Index:  idx,
 		Level:  int(lvl),
 		Core:   core,
 		Addr:   set,
 		Reg:    int(way),
-		Bit:    r.Intn(s.bitsFor(lvl)),
+		Bit:    r.Intn(d.bitsFor(lvl)),
 	}
 }
 
-// CacheTagDomain strikes the tag arrays of the cache hierarchy. A flipped
-// tag silently evicts live data from the timing model's view (the next
-// lookup of the original address misses) or aliases a wrong line address
-// into a spurious hit; RAM is never corrupted, so the fault is invisible to
-// architectural comparison and manifests only through timing and coherence.
-type CacheTagDomain struct{ cacheSpace }
-
-// Model identifies the domain.
-func (d *CacheTagDomain) Model() Model { return CacheTag }
-
-// Size counts span x line slots x tag bits.
-func (d *CacheTagDomain) Size() uint64 { return d.size() }
-
-// Sample draws index, line ordinal, bit (frozen order).
-func (d *CacheTagDomain) Sample(r *rand.Rand) Point { return d.sample(r) }
-
-// Apply XORs the sampled tag bit of the struck line.
-func (d *CacheTagDomain) Apply(m *mach.Machine, p Point) {
-	m.Hier.FlipTag(cache.Level(p.Level), p.Core, p.Addr, uint32(p.Reg), p.Bit)
-}
-
-// CacheDirtyDomain strikes the per-line status bits: a toggled dirty bit
-// produces a spurious writeback (or loses a real one), a toggled valid bit
-// drops a live line (or resurrects a stale slot).
-type CacheDirtyDomain struct{ cacheSpace }
-
-// Model identifies the domain.
-func (d *CacheDirtyDomain) Model() Model { return CacheDirty }
-
-// Size counts span x line slots x status bits.
-func (d *CacheDirtyDomain) Size() uint64 { return d.size() }
-
-// Sample draws index, line ordinal, bit (frozen order).
-func (d *CacheDirtyDomain) Sample(r *rand.Rand) Point { return d.sample(r) }
-
-// Apply toggles the sampled status bit of the struck line.
-func (d *CacheDirtyDomain) Apply(m *mach.Machine, p Point) {
-	m.Hier.FlipDirty(cache.Level(p.Level), p.Core, p.Addr, uint32(p.Reg), p.Bit)
-}
-
-// CacheReplDomain strikes the replacement state: one bit of a line's LRU
-// clock. Victim selection reorders — hot lines evict early, dead lines
-// linger — shifting miss patterns and therefore timing, without touching
-// any stored data or tag.
-type CacheReplDomain struct{ cacheSpace }
-
-// Model identifies the domain.
-func (d *CacheReplDomain) Model() Model { return CacheRepl }
-
-// Size counts span x line slots x sampled LRU bits.
-func (d *CacheReplDomain) Size() uint64 { return d.size() }
-
-// Sample draws index, line ordinal, bit (frozen order).
-func (d *CacheReplDomain) Sample(r *rand.Rand) Point { return d.sample(r) }
-
-// Apply XORs the sampled LRU-clock bit of the struck line.
-func (d *CacheReplDomain) Apply(m *mach.Machine, p Point) {
-	m.Hier.FlipRepl(cache.Level(p.Level), p.Core, p.Addr, uint32(p.Reg), p.Bit)
+// Apply flips the sampled bit of the struck line in the domain's array.
+func (d *cacheDomain) Apply(m *mach.Machine, p Point) {
+	l, set, way := cache.Level(p.Level), p.Addr, uint32(p.Reg)
+	switch d.model {
+	case CacheTag:
+		m.Hier.FlipTag(l, p.Core, set, way, p.Bit)
+	case CacheDirty:
+		m.Hier.FlipDirty(l, p.Core, set, way, p.Bit)
+	default:
+		m.Hier.FlipRepl(l, p.Core, set, way, p.Bit)
+	}
 }

@@ -283,7 +283,7 @@ func flipBit(t *testing.T, a, b uint32) int {
 }
 
 // TestIMemApplyFirstAndLastTextWord is the regression test for the
-// unaligned/off-end edges of IMemDomain.Apply's decode invalidation: a
+// unaligned/off-end edges of the imem domain's decode invalidation: a
 // flip at the very first and at the very last cached text word — with a
 // warm decode/block cache, and with text limits that exercise the
 // limit/4+1 slot rounding — must re-decode on the next fetch (never

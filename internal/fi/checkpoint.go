@@ -338,7 +338,7 @@ func (cs *CheckpointSet) count(res Result, n uint64, pruned bool) {
 // injectAt can never be consumed: the flip fires and changes the word, the
 // word lies outside every executable region (fetches are not recorded, so
 // such pages are never dead), and the golden run's last load or store in its
-// page(s) retired no later than injectAt. MemDomain.Apply writes RAM only,
+// page(s) retired no later than injectAt. A mem flip writes RAM only,
 // never the cache model, so nothing else can observe the flip.
 func (cs *CheckpointSet) deadWord(g *Golden, injectAt uint64, p Fault) bool {
 	first, last := uint64(p.Addr)/mem.PageBytes, (uint64(p.Addr)+3)/mem.PageBytes

@@ -16,10 +16,10 @@ import (
 	"serfi/internal/mach"
 )
 
-// DefaultResidencyWindows is the window count SampleResidency uses when
-// the caller does not choose one: fine enough to resolve phase changes in
-// the NPB kernels, coarse enough that the whole table stays a few KB.
-const DefaultResidencyWindows = 256
+// residencyWindows is the window count SampleResidency samples: fine enough
+// to resolve phase changes in the NPB kernels, coarse enough that the whole
+// table stays a few KB.
+const residencyWindows = 256
 
 // Residency holds per-core PC samples over the application lifespan
 // [Start, End) in retired instructions, one row per Stride-sized window.
@@ -34,20 +34,14 @@ type Residency struct {
 
 // SampleResidency re-runs a scenario's golden execution and samples every
 // core's PC at window boundaries across [start, end) retired instructions
-// (the application lifespan of the golden summary). budget is the cycle
-// budget of one full run (the golden cycle count with hang slack);
-// windows <= 0 picks DefaultResidencyWindows.
-func SampleResidency(img *cc.Image, cfg mach.Config, start, end, budget uint64, windows int) (*Residency, error) {
+// (the application lifespan of the golden summary), residencyWindows times.
+// budget is the cycle budget of one full run (the golden cycle count with
+// hang slack).
+func SampleResidency(img *cc.Image, cfg mach.Config, start, end, budget uint64) (*Residency, error) {
 	if end <= start {
 		return nil, fmt.Errorf("profile: empty application lifespan [%d,%d)", start, end)
 	}
-	if windows <= 0 {
-		windows = DefaultResidencyWindows
-	}
-	stride := (end - start + uint64(windows) - 1) / uint64(windows)
-	if stride == 0 {
-		stride = 1
-	}
+	stride := (end - start + residencyWindows - 1) / residencyWindows
 	m := mach.New(cfg)
 	img.InstallTo(m)
 	r := &Residency{Start: start, End: end, Stride: stride}

@@ -168,22 +168,13 @@ func (r *Report) jointCell(fn, reg string) *Cell {
 }
 
 // JointAxes returns the sorted function and register axes of the Joint
-// matrix, functions most-vulnerable first (by their Functions-table order
-// when present, alphabetically otherwise) and registers in index order as
-// named (sorted lexically with the numeric registers padded is overkill —
-// the register table order is reused instead).
+// matrix: functions most-vulnerable first, in their Functions-table order
+// (every joint function is scored there by the same attribute call), and
+// registers in the Registers-table order.
 func (r *Report) JointAxes() (funcs, regs []string) {
-	seen := make(map[string]bool)
 	for _, c := range r.Functions.Cells() {
-		if _, ok := r.Joint[c.Key]; ok && !seen[c.Key] {
+		if _, ok := r.Joint[c.Key]; ok {
 			funcs = append(funcs, c.Key)
-			seen[c.Key] = true
-		}
-	}
-	for fn := range r.Joint {
-		if !seen[fn] {
-			funcs = append(funcs, fn)
-			seen[fn] = true
 		}
 	}
 	for _, c := range r.Registers.Cells() {
@@ -204,14 +195,13 @@ type Context struct {
 
 // NewContext rebuilds the join machinery for one scenario from its golden
 // summary — everything a stored campaign row already carries, so reports
-// are reproducible from the database alone. windows <= 0 picks
-// profile.DefaultResidencyWindows.
-func NewContext(sc npb.Scenario, golden campaign.GoldenSummary, windows int) (*Context, error) {
+// are reproducible from the database alone.
+func NewContext(sc npb.Scenario, golden campaign.GoldenSummary) (*Context, error) {
 	img, cfg, err := npb.BuildScenario(sc)
 	if err != nil {
 		return nil, fmt.Errorf("sens: %w", err)
 	}
-	res, err := profile.SampleResidency(img, cfg, golden.AppStart, golden.AppEnd, fi.HangBudget(golden.Cycles), windows)
+	res, err := profile.SampleResidency(img, cfg, golden.AppStart, golden.AppEnd, fi.HangBudget(golden.Cycles))
 	if err != nil {
 		return nil, fmt.Errorf("sens: %w", err)
 	}

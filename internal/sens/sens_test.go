@@ -3,6 +3,7 @@ package sens
 import (
 	"context"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -40,7 +41,7 @@ func recordedCampaigns(t *testing.T, st campaign.Store) (npb.Scenario, []*campai
 
 func TestAnalyzeAttribution(t *testing.T) {
 	sc, results := recordedCampaigns(t, nil)
-	ctx, err := NewContext(sc, results[0].Golden, 32)
+	ctx, err := NewContext(sc, results[0].Golden)
 	if err != nil {
 		t.Fatalf("NewContext: %v", err)
 	}
@@ -127,7 +128,7 @@ func TestReportFromDBAloneMatchesLive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	liveCtx, err := NewContext(sc, live[0].Golden, 0)
+	liveCtx, err := NewContext(sc, live[0].Golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestReportFromDBAloneMatchesLive(t *testing.T) {
 	if len(reloaded) != len(live) {
 		t.Fatalf("reloaded %d recorded campaigns, want %d", len(reloaded), len(live))
 	}
-	dbCtx, err := NewContext(reloaded[0].Scenario, reloaded[0].Golden, 0)
+	dbCtx, err := NewContext(reloaded[0].Scenario, reloaded[0].Golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	sc, results := recordedCampaigns(t, nil)
-	ctx, err := NewContext(sc, results[0].Golden, 16)
+	ctx, err := NewContext(sc, results[0].Golden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,4 +198,56 @@ func TestMetricsExposition(t *testing.T) {
 	}
 	// The inert-registry path must stay panic-free.
 	NewMetrics(nil).Observe(rep, 0.1)
+}
+
+// TestJointAxesFollowFunctionTable: over a recorded reg+burst+imem report
+// the heatmap's function axis is the Functions table order filtered to the
+// joint keys (every joint function is scored there too, so none is left
+// over), and the HTML renders byte-identically twice.
+func TestJointAxesFollowFunctionTable(t *testing.T) {
+	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
+	path := filepath.Join(t.TempDir(), "db.jsonl")
+	st, err := campaign.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []campaign.ScenarioJob
+	for _, d := range []fault.Model{fault.Reg, fault.Burst, fault.IMem} {
+		jobs = append(jobs, campaign.ScenarioJob{Scenario: sc, Domain: d, Seed: 21})
+	}
+	eng := campaign.New(campaign.Faults(12), campaign.Workers(2), campaign.RecordRuns(), campaign.WithStore(st))
+	if _, err := eng.RunMatrix(context.Background(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err = campaign.OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rows := st.Query(campaign.Query{HasRuns: true})
+	ctx, err := NewContext(sc, rows[0].Golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Analyze(ctx, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	funcs, _ := rep.JointAxes()
+	var want []string
+	for _, c := range rep.Functions.Cells() {
+		if _, ok := rep.Joint[c.Key]; ok {
+			want = append(want, c.Key)
+		}
+	}
+	if len(rep.Joint) == 0 || !reflect.DeepEqual(funcs, want) || len(funcs) != len(rep.Joint) {
+		t.Errorf("function axis %v, want %v (joint rows %d)", funcs, want, len(rep.Joint))
+	}
+	if a, b := HTML([]*Report{rep}), HTML([]*Report{rep}); a != b {
+		t.Error("HTML heatmap differs between two renderings of one report")
+	}
 }

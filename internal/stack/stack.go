@@ -41,7 +41,7 @@ func NewMachine(cfg mach.Config, img *cc.Image) *mach.Machine {
 	return m
 }
 
-// BuildAndBoot is the one-call convenience used by tests and examples.
+// BuildAndBoot is the one-call build-and-install convenience of the tests.
 func BuildAndBoot(cfg mach.Config, app *cc.Program, extra ...*cc.Program) (*mach.Machine, *cc.Image, error) {
 	img, err := Build(cfg, app, extra...)
 	if err != nil {
