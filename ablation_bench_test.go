@@ -13,7 +13,6 @@ import (
 	"serfi/internal/fi"
 	"serfi/internal/mach"
 	"serfi/internal/npb"
-	"serfi/internal/stack"
 )
 
 // goldenWith runs EP/OMP-2 with a tweaked machine configuration.
@@ -29,7 +28,6 @@ func goldenWith(b *testing.B, tweak func(*mach.Config)) *fi.Golden {
 	if err != nil {
 		b.Fatal(err)
 	}
-	_ = stack.Model // keep the package linked for the example docs
 	return g
 }
 

@@ -1,7 +1,7 @@
 // The flag sets subcommands share, each registered in one place so a name,
 // default or help string cannot drift between `campaign`, `serve`, `submit`
-// and `experiments`, or between `inject`, `campaign`, `trace`, `experiments`
-// and `worker`.
+// and `experiments`, or between `inject`, `campaign`, `experiments` and
+// `worker`.
 package main
 
 import (
@@ -103,7 +103,7 @@ func (h *hostFlags) start() func() {
 }
 
 // engineFlags are the scheduler flags of the subcommands that run a local
-// campaign.Engine (`inject`, `campaign`, `trace`, `experiments`): hostFlags
+// campaign.Engine (`inject`, `campaign`, `experiments`): hostFlags
 // plus -jobsize.
 type engineFlags struct {
 	*hostFlags

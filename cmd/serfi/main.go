@@ -2,8 +2,9 @@
 //
 //	serfi scenarios                        list the 130 fault-injection scenarios
 //	serfi golden   -s armv7/IS/MPI-4       faultless run + gem5-style stats dump
-//	serfi stats    -s armv7/IS/MPI-4       gem5-style counter dump only (machine-readable)
+//	serfi golden   -s ... -o stats.txt     the same, the stats dump to a file
 //	serfi inject   -s ... -n 100 -seed 7   one scenario campaign, print outcomes
+//	serfi inject   -chrome-trace t.json    the same plus its phase trace (Chrome trace_event JSON)
 //	serfi campaign -n 100 -db results.jsonl all scenarios, write the database
 //	serfi campaign -resume -db results.jsonl finish an interrupted matrix
 //	serfi serve    -addr :8340 -n 100 -db results.jsonl   distributed coordinator
@@ -11,7 +12,6 @@
 //	serfi sens     -db results.jsonl       sensitivity attribution report from recorded rows
 //	serfi profile  -s ...                  golden flat profile (calls/samples)
 //	serfi disasm   -s ... -f main          disassemble a guest function
-//	serfi trace    -s ... -o trace.json    campaign phase trace (Chrome trace_event JSON)
 //	serfi experiments -n 24 -out EXPERIMENTS.md every table and figure of the paper
 //
 // serve/worker are the distributed campaign fabric (internal/dist): serve
@@ -29,8 +29,8 @@
 // cacherepl, the uncore alias for the cache trio, or all). inject also takes
 // -trace-prop, which re-runs every unmasked injection against a golden twin
 // and reports how far the corruption propagated. inject, campaign,
-// experiments, trace and worker also take -cpuprofile/-memprofile, written
-// on clean exit and on graceful SIGINT shutdown.
+// experiments and worker also take -cpuprofile/-memprofile, written on
+// clean exit and on graceful SIGINT shutdown.
 //
 // A SIGINT (Ctrl-C) cancels the campaign engine gracefully: in-flight
 // injection jobs stop at the next run slice, every completed campaign is
@@ -59,6 +59,7 @@ import (
 	"serfi/internal/isa"
 	"serfi/internal/mach"
 	"serfi/internal/npb"
+	"serfi/internal/obs"
 	"serfi/internal/profile"
 	"serfi/internal/prop"
 	"serfi/internal/stats"
@@ -90,14 +91,10 @@ func main() {
 		err = cmdCancel(args)
 	case "worker":
 		err = cmdWorker(args)
-	case "stats":
-		err = cmdStats(args)
 	case "profile":
 		err = cmdProfile(args)
 	case "disasm":
 		err = cmdDisasm(args)
-	case "trace":
-		err = cmdTrace(args)
 	case "sens":
 		err = cmdSens(args)
 	case "experiments":
@@ -116,7 +113,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: serfi {scenarios|golden|stats|inject|campaign|serve|submit|ls|cancel|worker|sens|profile|disasm|trace|experiments} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: serfi {scenarios|golden|inject|campaign|serve|submit|ls|cancel|worker|sens|profile|disasm|experiments} [flags]")
 }
 
 // errInterrupted ends a command whose SIGINT it has already explained (what
@@ -186,6 +183,7 @@ func cmdScenarios(args []string) error {
 func cmdGolden(args []string) error {
 	fs := flag.NewFlagSet("golden", flag.ExitOnError)
 	scid := fs.String("s", "armv8/IS/SER-1", "scenario id")
+	out := fs.String("o", "", "write the gem5-style stats dump here instead of stdout")
 	slow := slowPathFlag(fs)
 	fs.Parse(args)
 	mach.ForceSlowPath = *slow
@@ -206,12 +204,18 @@ func cmdGolden(args []string) error {
 	fmt.Printf("total retired   %d\n", g.Retired)
 	fmt.Printf("machine cycles  %d\n", g.Cycles)
 	fmt.Printf("console:\n%s\n", g.Console)
-	stats.Dump(os.Stdout, stats.Collect(g.Machine))
-	return nil
+	dump := func(w io.Writer) error {
+		stats.Dump(w, stats.Collect(g.Machine))
+		return nil
+	}
+	if *out == "" {
+		return dump(os.Stdout)
+	}
+	return writeFile(*out, dump)
 }
 
 // scenarioJobs expands one scenario under the -faultmodel domains (`serfi
-// inject` and `trace`). The jobs share scenario and seed, so they form one
+// inject`). The jobs share scenario and seed, so they form one
 // engine group: the golden run and checkpoints are built once even with
 // -faultmodel all.
 func scenarioJobs(scid, model string, seed int64) ([]campaign.ScenarioJob, error) {
@@ -238,6 +242,8 @@ func cmdInject(args []string) error {
 	model := fs.String("faultmodel", "reg", faultModelHelp)
 	verbose := fs.Bool("v", false, "print each run")
 	traceProp := fs.Bool("trace-prop", false, "propagation-trace every unmasked run against a golden twin")
+	chromeTrace := fs.String("chrome-trace", "", "record the campaign's phase spans and write them here as Chrome trace_event JSON")
+	metricsOut := fs.String("metrics", "", "also dump the Prometheus exposition here")
 	ef := addEngineFlags(fs)
 	fs.Parse(args)
 	defer ef.start()()
@@ -247,35 +253,20 @@ func cmdInject(args []string) error {
 	}
 	ctx, stop := interruptContext()
 	defer stop()
-	// The event stream carries the per-scenario checkpoint telemetry
-	// (count, delta-chain bytes) that has no column in the
-	// campaign record; fold it into one line per golden phase.
-	events := make(chan campaign.Event, 64)
-	var ckptLines []string
-	consumed := make(chan struct{})
-	go func() {
-		defer close(consumed)
-		for ev := range events {
-			switch ev := ev.(type) {
-			case campaign.GoldenDone:
-				ckptLines = append(ckptLines, fmt.Sprintf("%s %s", ev.Scenario.ID(), ev.CheckpointTag()))
-			case campaign.MatrixDone:
-				return
-			}
-		}
-	}()
-	opts := append(ef.options(), campaign.Faults(*n), campaign.WithEvents(events))
+	var tr *obs.Tracer // nil records nothing
+	if *chromeTrace != "" {
+		tr = obs.NewTracer()
+	}
+	col := campaign.NewCollector(os.Stdout, len(jobs))
+	events, wait := col.Start()
+	opts := append(ef.options(), campaign.Faults(*n), campaign.WithEvents(events), campaign.WithTracer(tr))
 	if *traceProp {
 		opts = append(opts, campaign.TraceProp())
 	}
-	eng := campaign.New(opts...)
-	results, err := eng.RunMatrix(ctx, jobs)
-	<-consumed
+	results, err := campaign.New(opts...).RunMatrix(ctx, jobs)
+	wait()
 	if err != nil {
 		return err
-	}
-	for _, l := range ckptLines {
-		fmt.Println(l)
 	}
 	// Verbose runs print domain-aware fault coordinates: register names,
 	// region-annotated addresses, cache arrays. The naming environment comes
@@ -303,6 +294,43 @@ func cmdInject(args []string) error {
 			fmt.Printf("%s\n", propLine(r))
 		}
 	}
+	if tr != nil {
+		if err := writeFile(*chromeTrace, tr.WriteChromeTrace); err != nil {
+			return err
+		}
+		fmt.Printf("\nwrote %d spans to %s (load in chrome://tracing or Perfetto)\n", len(tr.Spans()), *chromeTrace)
+		fmt.Printf("\n%-12s %8s %12s %12s\n", "phase", "spans", "total", "max")
+		for _, st := range tr.Summary() {
+			fmt.Printf("%-12s %8d %11.3fs %11.3fs\n", st.Cat, st.Count, st.TotalSec, st.MaxSec)
+		}
+	}
+	if *metricsOut != "" {
+		return writeMetrics(*metricsOut)
+	}
+	return nil
+}
+
+// writeFile creates path and fills it through write, reporting the first
+// error of the create, the write or the close.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeMetrics dumps the process's Prometheus exposition (obs.Default) to
+// path.
+func writeMetrics(path string) error {
+	if err := writeFile(path, obs.Default.WriteText); err != nil {
+		return err
+	}
+	fmt.Printf("\nwrote metrics exposition to %s\n", path)
 	return nil
 }
 
@@ -353,7 +381,7 @@ func runLocal(ctx context.Context, w io.Writer, command, db string, jobs []campa
 		defer st.Close()
 		opts = append(opts, campaign.WithStore(st))
 	}
-	col := campaign.NewCollector(w, len(jobs))
+	col := progress(w, st, jobs)
 	events, wait := col.Start()
 	results, err := campaign.New(append(opts, campaign.WithEvents(events))...).RunMatrix(ctx, jobs)
 	wait()
@@ -375,6 +403,22 @@ func runLocal(ctx context.Context, w io.Writer, command, db string, jobs []campa
 		err = st.Close()
 	}
 	return results, col, err
+}
+
+// progress returns the Collector that prints a run's progress lines to w.
+// The engine and the coordinator announce nothing for a campaign the store
+// already holds, so the [done/total] prefix and the ETA count only the jobs
+// st (nil: no store) does not hold.
+func progress(w io.Writer, st *campaign.FileStore, jobs []campaign.ScenarioJob) *campaign.Collector {
+	fresh := len(jobs)
+	if st != nil {
+		for _, job := range jobs {
+			if _, ok := st.Get(job.Key()); ok {
+				fresh--
+			}
+		}
+	}
+	return campaign.NewCollector(w, fresh)
 }
 
 // cmdServe runs the distributed campaign coordinator: a queue of campaign
@@ -469,7 +513,7 @@ func cmdServe(args []string) error {
 		}
 		defer file.Close()
 		st = file
-		col = campaign.NewCollector(os.Stdout, len(jobs))
+		col = progress(os.Stdout, file, jobs)
 		var events chan campaign.Event
 		events, wait = col.Start()
 		coord = dist.NewQueue(append(opts, dist.WithStore(file), dist.WithEvents(events))...)
@@ -688,40 +732,6 @@ func cmdWorker(args []string) error {
 		return err
 	}
 	fmt.Println("worker exiting: matrix complete or drained")
-	return nil
-}
-
-// cmdStats dumps the gem5-style counter file for a golden run of one
-// scenario — the machine-readable slice of `serfi golden`.
-func cmdStats(args []string) error {
-	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	scid := fs.String("s", "armv8/IS/SER-1", "scenario id")
-	out := fs.String("o", "", "write the dump here (default stdout)")
-	slow := slowPathFlag(fs)
-	fs.Parse(args)
-	mach.ForceSlowPath = *slow
-	sc, err := parseScenario(*scid)
-	if err != nil {
-		return err
-	}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		return err
-	}
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		return err
-	}
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	stats.Dump(w, stats.Collect(g.Machine))
 	return nil
 }
 

@@ -88,15 +88,7 @@ func cmdSens(args []string) error {
 		fmt.Printf("\nwrote vulnerability heatmap to %s\n", *htmlOut)
 	}
 	if *metricsOut != "" {
-		mf, err := os.Create(*metricsOut)
-		if err != nil {
-			return err
-		}
-		defer mf.Close()
-		if err := obs.Default.WriteText(mf); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote metrics exposition to %s\n", *metricsOut)
+		return writeMetrics(*metricsOut)
 	}
 	return nil
 }

@@ -9,8 +9,8 @@
 // RunMatrix(ctx, jobs) interleaves golden runs (which capture the
 // checkpoints) and injection jobs across scenarios on one shared worker pool, cancels
 // promptly at job granularity and returns partial results plus ctx.Err().
-// Progress is a typed event stream (events.go) consumed live by CLIs or
-// folded into summaries by a Collector. Completed campaigns land in a
+// Progress is a typed event stream (events.go) that a Collector folds into
+// live progress lines and summaries. Completed campaigns land in a
 // Store (store.go) — a queryable results database whose pre-loaded keys
 // double as the resume set; the JSONL file is the first backend. Under all
 // three sits group.go: the scenario Group, its shard executor and the Fold
@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"serfi/internal/fault"
@@ -113,13 +112,6 @@ func ParseKey(key string) (npb.Scenario, fault.Model, error) {
 // Key returns the result's database identity.
 func (r *Result) Key() string { return Key(r.Scenario, r.Domain) }
 
-// JobSpan is one injection job's host wall-clock span, tagged with the
-// fault-index range [Lo, Hi) the job executed.
-type JobSpan struct {
-	Lo, Hi  int
-	WallSec float64
-}
-
 // ExclusiveCompute returns the host compute attributable to this campaign
 // alone: the golden-phase span plus its injection jobs' spans. Fold.Add takes
 // each fault-index range once, so those spans never overlap and summing
@@ -130,70 +122,6 @@ type JobSpan struct {
 // domain. Results reloaded from a database store no wall-clock columns and
 // report zero.
 func (r *Result) ExclusiveCompute() float64 { return r.GoldenWallSec + r.JobWallSec }
-
-// sortJobSpans orders spans by fault-index range.
-func sortJobSpans(spans []JobSpan) {
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Lo != spans[j].Lo {
-			return spans[i].Lo < spans[j].Lo
-		}
-		return spans[i].Hi < spans[j].Hi
-	})
-}
-
-// CoverageCount returns how many distinct fault indices a span set covers
-// (overlaps counted once) — the unit behind every "injections classified"
-// surface. The input need not be sorted and is not modified.
-func CoverageCount(spans []JobSpan) int {
-	ss := append([]JobSpan(nil), spans...)
-	sortJobSpans(ss)
-	total, maxHi := 0, 0
-	first := true
-	for _, s := range ss {
-		if s.Hi <= s.Lo {
-			continue
-		}
-		if first || s.Lo > maxHi {
-			total += s.Hi - s.Lo
-		} else if s.Hi > maxHi {
-			total += s.Hi - maxHi
-		}
-		if first || s.Hi > maxHi {
-			maxHi = s.Hi
-		}
-		first = false
-	}
-	return total
-}
-
-// MergeJobSpans returns the total seconds of a span set with overlapping
-// fault-index ranges counted once: each span contributes the fraction of
-// its range not already covered by an earlier span. The input need not be
-// sorted and is not modified.
-func MergeJobSpans(spans []JobSpan) float64 {
-	ss := append([]JobSpan(nil), spans...)
-	sortJobSpans(ss)
-	total := 0.0
-	maxHi := 0
-	for _, s := range ss {
-		if s.Hi <= s.Lo {
-			continue // zero-length span: no compute to attribute
-		}
-		// Sorted by Lo, so coverage at or above s.Lo is exactly [s.Lo, maxHi).
-		uncovered := 0
-		switch {
-		case maxHi <= s.Lo:
-			uncovered = s.Hi - s.Lo
-		case maxHi < s.Hi:
-			uncovered = s.Hi - maxHi
-		}
-		total += s.WallSec * float64(uncovered) / float64(s.Hi-s.Lo)
-		if s.Hi > maxHi {
-			maxHi = s.Hi
-		}
-	}
-	return total
-}
 
 // SnapshotSavings returns the snapshot engine's amortization factor
 // (from-reset instructions per simulated instruction) and the prune rate;

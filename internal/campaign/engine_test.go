@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"serfi/internal/campaign"
 	"serfi/internal/fault"
@@ -301,6 +302,84 @@ func TestCollectorFoldsEvents(t *testing.T) {
 	}
 }
 
+// TestCollectorCountsEachFaultOnce feeds a Collector the JobDone counts its
+// two sources send and checks it counts every fault once: the engine's
+// Fold.Folded, which concurrent jobs may deliver out of order, and the
+// coordinator's beat count, which drops back when an expired lease's beats
+// are retracted and the next holder beats the same range again. The rate
+// column is distinct injections per wall second since the first event, and
+// the ETA is the injections left at that rate.
+func TestCollectorCountsEachFaultOnce(t *testing.T) {
+	is := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
+	beat := func(lo, hi, done int) campaign.JobDone {
+		return campaign.JobDone{Scenario: is, Lo: lo, Hi: hi, Done: done, Total: 8}
+	}
+	for _, tc := range []struct {
+		name     string
+		beats    []campaign.JobDone
+		injected int
+		rateTag  string // after 4 s, the second campaign not yet started
+	}{
+		{"engine jobs out of order", []campaign.JobDone{beat(4, 8, 8), beat(0, 4, 4)},
+			8, " 2.0 inj/s eta=4s"},
+		{"coordinator re-issue", []campaign.JobDone{
+			beat(0, 1, 1), beat(1, 2, 2), beat(2, 3, 3), beat(3, 4, 4), // lease expires
+			beat(0, 1, 1), beat(1, 2, 2), beat(2, 3, 3), beat(3, 4, 4), // re-issued
+		}, 4, " 1.0 inj/s eta=12s"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			col := campaign.NewCollector(&buf, 2)
+			clock := time.Unix(1000, 0)
+			campaign.SetCollectorClock(col, func() time.Time { return clock })
+			for _, ev := range tc.beats {
+				col.Handle(ev)
+			}
+			if got := col.Injected(); got != tc.injected {
+				t.Errorf("Injected = %d, want the %d distinct faults", got, tc.injected)
+			}
+			clock = clock.Add(4 * time.Second)
+			r := &campaign.Result{Scenario: is, Faults: 8}
+			r.Counts[fi.Vanished] = 8
+			col.Handle(campaign.ScenarioDone{Key: r.Key(), Result: r})
+			line := buf.String()
+			if !strings.HasPrefix(line, "[  1/  2] armv8/IS/SER-1 ") || !strings.HasSuffix(line, tc.rateTag+"\n") {
+				t.Errorf("progress line %q, want prefix [  1/  2] and rate column %q", line, tc.rateTag)
+			}
+		})
+	}
+}
+
+// TestResumedProgressCountsOnlyFreshCampaigns: the engine announces nothing
+// for a campaign its store already holds, so a run's progress total is the
+// campaigns the store does not hold, and the last line reads [1/1] rather
+// than stopping short of a total that counted the stored one.
+func TestResumedProgressCountsOnlyFreshCampaigns(t *testing.T) {
+	jobs := []campaign.ScenarioJob{
+		{Scenario: npb.Scenario{App: "EP", Mode: npb.Serial, ISA: "armv8", Cores: 1}, Seed: 5},
+		{Scenario: npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}, Seed: 6},
+	}
+	st := campaign.NewMemStore()
+	if err := st.Put(&campaign.Result{Scenario: jobs[0].Scenario, Seed: jobs[0].Seed, Faults: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	col := campaign.NewCollector(&buf, 1) // the one job st does not hold
+	events, wait := col.Start()
+	_, err := campaign.New(campaign.Faults(2), campaign.WithStore(st), campaign.WithEvents(events)).RunMatrix(context.Background(), jobs)
+	wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "[  1/  1] armv8/IS/SER-1 ") {
+		t.Errorf("last progress line %q, want [  1/  1] on the fresh campaign", last)
+	}
+	if col.Skipped() != 1 || col.Completed() != 1 {
+		t.Errorf("skipped=%d completed=%d, want 1 and 1", col.Skipped(), col.Completed())
+	}
+}
+
 // TestSnapshotSavingsOfDecidedCampaign: a campaign whose every fault was
 // decided without simulation (a mem campaign over dead pages) has from-reset
 // instructions, pruned runs and zero simulated instructions. That is the
@@ -322,29 +401,6 @@ func TestSnapshotSavingsOfDecidedCampaign(t *testing.T) {
 	col.Handle(campaign.ScenarioDone{Key: r.Key(), Result: r})
 	if out := buf.String(); !strings.Contains(out, "save=all prune=100%") {
 		t.Errorf("progress line of a decided campaign: %q", out)
-	}
-}
-
-// TestMergeJobSpans pins the interval merge behind ExclusiveCompute:
-// overlapping fault ranges (a re-issued shard, a job re-run across a
-// cancel/resume) count once, zero-length spans count nothing, and partial
-// overlaps contribute only their uncovered share.
-func TestMergeJobSpans(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		spans []campaign.JobSpan
-		want  float64
-	}{
-		{"disjoint", []campaign.JobSpan{{Lo: 0, Hi: 4, WallSec: 2}, {Lo: 4, Hi: 8, WallSec: 3}}, 5},
-		{"duplicate", []campaign.JobSpan{{Lo: 0, Hi: 4, WallSec: 2}, {Lo: 0, Hi: 4, WallSec: 9}}, 2},
-		{"zero-length", []campaign.JobSpan{{Lo: 3, Hi: 3, WallSec: 7}, {Lo: 0, Hi: 2, WallSec: 1}}, 1},
-		{"half-overlap", []campaign.JobSpan{{Lo: 0, Hi: 4, WallSec: 4}, {Lo: 2, Hi: 6, WallSec: 4}}, 6},
-		{"unsorted-hole", []campaign.JobSpan{{Lo: 8, Hi: 12, WallSec: 4}, {Lo: 0, Hi: 4, WallSec: 4}, {Lo: 2, Hi: 10, WallSec: 8}}, 12},
-		{"empty", nil, 0},
-	} {
-		if got := campaign.MergeJobSpans(tc.spans); got != tc.want {
-			t.Errorf("%s: MergeJobSpans = %v, want %v", tc.name, got, tc.want)
-		}
 	}
 }
 
@@ -387,8 +443,9 @@ func TestResumeComputeNotDoubleCounted(t *testing.T) {
 	}
 	<-consumed
 	events = make(chan campaign.Event, 64)
+	type span struct{ lo, hi int }
 	type ranges struct {
-		spans []campaign.JobSpan
+		spans []span
 		wall  float64
 	}
 	seen := map[string]*ranges{}
@@ -403,7 +460,7 @@ func TestResumeComputeNotDoubleCounted(t *testing.T) {
 					j = &ranges{}
 					seen[ev.Key()] = j
 				}
-				j.spans = append(j.spans, campaign.JobSpan{Lo: ev.Lo, Hi: ev.Hi, WallSec: ev.WallSec})
+				j.spans = append(j.spans, span{ev.Lo, ev.Hi})
 				j.wall += ev.WallSec
 			case campaign.MatrixDone:
 				return
@@ -425,11 +482,14 @@ func TestResumeComputeNotDoubleCounted(t *testing.T) {
 			continue // answered from the store: the resumed run executed nothing
 		}
 		fresh++
-		covered := 0
+		covered, distinct := 0, map[int]bool{}
 		for _, sp := range j.spans {
-			covered += sp.Hi - sp.Lo
+			covered += sp.hi - sp.lo
+			for f := sp.lo; f < sp.hi; f++ {
+				distinct[f] = true
+			}
 		}
-		if covered != faults || campaign.CoverageCount(j.spans) != faults {
+		if covered != faults || len(distinct) != faults {
 			t.Errorf("campaign %d: resumed jobs cover %d of %d faults: %+v", i, covered, faults, j.spans)
 		}
 		if r.JobWallSec != j.wall {

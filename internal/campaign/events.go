@@ -1,6 +1,6 @@
 // The typed event stream of an Engine run. Every phase transition of every
 // campaign is published as one Event value on the engine's Events channel:
-// CLIs consume it for live progress, the Collector folds it into summaries,
+// the Collector folds it into every CLI's progress lines and summaries,
 // and tests assert on the taxonomy directly — replacing the func(*Result) /
 // func(string) callback zoo the schedulers grew before the Engine existed.
 package campaign
@@ -44,9 +44,10 @@ type GoldenDone struct {
 }
 
 // CheckpointTag compresses the capture stats into a progress-line column
-// ("ckpt=16 mem=1.2MiB", or "ckpt=off" when snapshots are disabled). Both CLIs print it, so the
-// per-scenario checkpoint counts the telemetry tests pin appear on every
-// surface the same way.
+// ("ckpt=16 mem=1.2MiB", or "ckpt=off" when snapshots are disabled). The
+// Collector prints it on every run's golden line, so the per-scenario
+// checkpoint counts the telemetry tests pin appear on every surface the
+// same way.
 func (e GoldenDone) CheckpointTag() string {
 	if e.Checkpoints == 0 {
 		return "ckpt=off"
@@ -131,29 +132,32 @@ func (ScenarioDone) event()    {}
 func (MatrixDone) event()      {}
 
 // Collector folds an Engine event stream into live progress lines and an
-// end-of-run summary — the one consumer both CLIs share instead of bespoke
-// printing. It is safe for use from one consuming goroutine while other
-// goroutines read the summary accessors.
+// end-of-run summary — the one consumer every CLI run shares instead of
+// bespoke printing. It is safe for use from one consuming goroutine while
+// other goroutines read the summary accessors.
 type Collector struct {
 	w     io.Writer
 	total int
+	now   func() time.Time
 
 	mu        sync.Mutex
 	completed int
 	failed    int
 	skipped   int
 	results   []*Result
-	cover     map[string][]JobSpan // per-campaign fault ranges seen via JobDone
-	totals    map[string]int       // per-campaign injection totals (JobDone.Total)
-	firstJob  time.Time            // when the first JobDone arrived (ETA epoch)
+	done      map[string]int // per-campaign largest JobDone.Done
+	totals    map[string]int // per-campaign JobDone.Total
+	start     time.Time      // when the first event arrived (rate epoch)
 	err       error
 }
 
 // NewCollector returns a collector writing progress lines to w (nil
-// discards them). total is the expected campaign count, used only for the
-// [done/total] progress prefix; 0 leaves the prefix out.
+// discards them). total is the number of campaigns the run will execute,
+// used for the [done/total] progress prefix and the ETA; 0 leaves the
+// prefix out. Campaigns a store already holds send no event, so they do
+// not belong in total.
 func NewCollector(w io.Writer, total int) *Collector {
-	return &Collector{w: w, total: total}
+	return &Collector{w: w, total: total, now: time.Now}
 }
 
 // Consume folds events until the stream ends: either MatrixDone arrives or
@@ -185,25 +189,22 @@ func (c *Collector) Start() (events chan Event, wait func()) {
 func (c *Collector) Handle(ev Event) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.start.IsZero() {
+		c.start = c.now()
+	}
 	switch ev := ev.(type) {
 	case JobDone:
-		// Fold the job's fault range into the campaign's coverage. Ranges
-		// are merged, not summed: a re-issued distributed shard (or any
-		// other duplicated beat) reports the same [Lo, Hi) twice, and the
-		// progress accounting must count each fault once — the same rule
-		// the coordinator's status page applies to its Injected total.
-		if c.cover == nil {
-			c.cover = make(map[string][]JobSpan)
+		// Done is the campaign's count at its source, each fault once: the
+		// engine's fold, or the coordinator's beats, from which an expired
+		// lease's are retracted before its shard is re-issued. Sends from
+		// concurrent jobs may arrive out of order, so the largest one wins.
+		if c.done == nil {
+			c.done = make(map[string]int)
 			c.totals = make(map[string]int)
 		}
-		if c.firstJob.IsZero() {
-			c.firstJob = time.Now()
-		}
-		if ev.Hi > ev.Lo {
-			key := ev.Key()
-			c.cover[key] = append(c.cover[key], JobSpan{Lo: ev.Lo, Hi: ev.Hi, WallSec: ev.WallSec})
-			c.totals[key] = ev.Total
-		}
+		key := ev.Key()
+		c.done[key] = max(c.done[key], ev.Done)
+		c.totals[key] = ev.Total
 	case GoldenDone:
 		c.printf("%s%-24s golden %.1fs %s\n", c.prefix(), ev.Scenario.ID(), ev.WallSec, ev.CheckpointTag())
 	case ScenarioDone:
@@ -242,100 +243,48 @@ func (c *Collector) printf(format string, args ...any) {
 }
 
 // Injected returns the number of distinct injection runs reported via
-// JobDone events so far, with overlapping fault ranges counted once. On a
-// distributed run this reconciles with the coordinator status page's
-// Injected total (both surfaces count every fault exactly once, however
-// many times a re-issued shard re-executed it).
+// JobDone events so far. On a distributed run this reconciles with the
+// coordinator status page's Injected total: both count every fault exactly
+// once, however many times a re-issued shard re-executed it.
 func (c *Collector) Injected() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	total := 0
-	for _, spans := range c.cover {
-		total += CoverageCount(spans)
-	}
-	return total
+	return c.injectedLocked()
 }
 
-// statsLocked sums distinct injections and merged pool-busy seconds across
-// campaigns. Both sides merge by fault-index range (CoverageCount /
-// MergeJobSpans), so duplicated work — a re-issued distributed shard, a job
-// re-executed across a cancel/resume — skews neither the numerator nor the
-// denominator of the derived rate.
-func (c *Collector) statsLocked() (injected int, busySec float64) {
-	for _, spans := range c.cover {
-		injected += CoverageCount(spans)
-		busySec += MergeJobSpans(spans)
+func (c *Collector) injectedLocked() int {
+	n := 0
+	for _, done := range c.done {
+		n += done
 	}
-	return injected, busySec
+	return n
 }
 
-// Rate returns the observed injection throughput per pool-busy second
-// (distinct injections over merged job spans — a per-worker number that is
-// stable across worker counts); ok is false before any job has completed.
-func (c *Collector) Rate() (perSec float64, ok bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rateLocked()
-}
-
-func (c *Collector) rateLocked() (float64, bool) {
-	injected, busy := c.statsLocked()
-	if injected == 0 || busy <= 0 {
-		return 0, false
-	}
-	return float64(injected) / busy, true
-}
-
-// ETA estimates the wall-clock time left to finish every remaining
-// injection at the observed wall rate (distinct injections since the first
-// JobDone). Campaigns that have reported no JobDone yet are estimated at
-// the mean per-campaign total of those that have; skipped campaigns cost
-// nothing. ok is false before any job has completed. On a resumed matrix
-// only fresh work enters both the numerator and the clock, so stored
-// campaigns do not skew the estimate.
-func (c *Collector) ETA() (time.Duration, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.etaLocked()
-}
-
-func (c *Collector) etaLocked() (time.Duration, bool) {
-	injected, _ := c.statsLocked()
-	if injected == 0 || c.firstJob.IsZero() {
-		return 0, false
-	}
-	elapsed := time.Since(c.firstJob).Seconds()
-	if elapsed <= 0 {
-		return 0, false
-	}
-	remaining, totalSum := 0, 0
-	for key, total := range c.totals {
-		if rem := total - CoverageCount(c.cover[key]); rem > 0 {
-			remaining += rem
-		}
-		totalSum += total
-	}
-	if c.total > 0 && len(c.totals) > 0 {
-		// Campaigns not yet injecting (including ones that failed before
-		// their first job — a slight overestimate) at the observed mean.
-		if unstarted := c.total - c.skipped - len(c.totals); unstarted > 0 {
-			remaining += unstarted * totalSum / len(c.totals)
-		}
-	}
-	wallRate := float64(injected) / elapsed
-	return time.Duration(float64(remaining) / wallRate * float64(time.Second)), true
-}
-
-// rateTagLocked renders the progress-line rate column (" 123 inj/s
-// eta=1m30s"), empty before the first completed job.
+// rateTagLocked renders the progress-line rate column (" 12.5 inj/s
+// eta=1m30s"), empty before the first completed job. The rate is distinct
+// injections per wall second since the run's first event (an engine's first
+// ScenarioStarted, a coordinator's first beat), and the ETA is the
+// injections still to run at that rate. Campaigns that have reported no
+// JobDone yet are estimated at the mean per-campaign total of those that
+// have (one that failed before its first job is a slight overestimate).
 func (c *Collector) rateTagLocked() string {
-	rate, ok := c.rateLocked()
-	if !ok {
+	injected := c.injectedLocked()
+	elapsed := c.now().Sub(c.start).Seconds()
+	if injected == 0 || elapsed <= 0 {
 		return ""
 	}
+	rate := float64(injected) / elapsed
+	remaining, totalSum := 0, 0
+	for key, total := range c.totals {
+		remaining += max(total-c.done[key], 0)
+		totalSum += total
+	}
+	if unstarted := c.total - len(c.totals); unstarted > 0 {
+		remaining += unstarted * totalSum / len(c.totals)
+	}
 	tag := fmt.Sprintf(" %.1f inj/s", rate)
-	if eta, ok := c.etaLocked(); ok && eta > 0 {
-		tag += fmt.Sprintf(" eta=%s", eta.Round(time.Second))
+	if eta := time.Duration(float64(remaining) / rate * float64(time.Second)).Round(time.Second); eta > 0 {
+		tag += fmt.Sprintf(" eta=%s", eta)
 	}
 	return tag
 }

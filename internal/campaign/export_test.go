@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"time"
+
 	"serfi/internal/cc"
 	"serfi/internal/fault"
 	"serfi/internal/fi"
@@ -39,3 +41,7 @@ func SetMergeOps(remove func(string) error, rename func(string, string) error) (
 	removeFile, renameFile = remove, rename
 	return func() { removeFile, renameFile = oldRemove, oldRename }
 }
+
+// SetCollectorClock replaces the wall clock c reads for its rate epoch and
+// progress-line rate column.
+func SetCollectorClock(c *Collector, now func() time.Time) { c.now = now }

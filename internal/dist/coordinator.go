@@ -795,7 +795,8 @@ func (c *Coordinator) Status() StatusReply {
 			st.Injected += camp.Folded
 		}
 	}
-	st.Done = live == 0
+	// An idle queue nobody told to drain is not done: a submit may still come.
+	st.Done = c.isDraining() && live == 0
 	if len(c.outcomes) > 0 {
 		st.Outcomes = make(map[string]int, len(c.outcomes))
 		for k, v := range c.outcomes {
@@ -874,7 +875,7 @@ func (c *Coordinator) handlePage(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(&b, "%-24s %8d\n", k, st.Outcomes[k])
 		}
 	}
-	if st.Done && c.isDraining() {
+	if st.Done {
 		fmt.Fprintln(&b, "\nmatrix complete")
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")

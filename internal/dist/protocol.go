@@ -171,7 +171,7 @@ type EventReply struct {
 // is stable across polls.
 type StatusReply struct {
 	Proto         int  `json:"proto"`
-	Done          bool `json:"done"`
+	Done          bool `json:"done"` // drained: told to drain, every submission terminal
 	Campaigns     int  `json:"campaigns"`
 	CampaignsDone int  `json:"campaigns_done"`
 	Skipped       int  `json:"skipped"` // answered from the store at startup

@@ -67,6 +67,7 @@ func TestStatusIndependentOfHistory(t *testing.T) {
 	for i := 1; i < subs; i++ {
 		submit()
 	}
+	coord.Drain()
 	last := getStatus(t, cl)
 	if float64(len(last)) >= 1.2*float64(len(first)) {
 		t.Errorf("/v1/status is %d bytes after %d submissions, %d after one", len(last), subs, len(first))
@@ -82,6 +83,31 @@ func TestStatusIndependentOfHistory(t *testing.T) {
 	}
 	if !s.Done || s.Campaigns != subs*len(jobs) || s.Skipped != s.Campaigns || s.CampaignsDone != s.Campaigns {
 		t.Errorf("aggregate after %d store-answered submissions = %+v", subs, s)
+	}
+}
+
+// TestIdleQueueIsNotDone: a queue nobody told to drain (`serve -data`) is
+// not done while it is idle, before or after a submission completes, so the
+// dashboard keeps polling for the next `serfi submit`; once drained it is.
+func TestIdleQueueIsNotDone(t *testing.T) {
+	jobs := compatJobs()[:1]
+	st := campaign.NewMemStore()
+	if err := st.Put(storedResult(jobs[0], 1)); err != nil {
+		t.Fatal(err)
+	}
+	coord := NewQueue(WithStore(st))
+	if coord.Status().Done {
+		t.Error("an empty queue that is not draining reports Done")
+	}
+	if _, err := coord.Submit(SubmitSpec{Jobs: jobs, Faults: compatFaults}); err != nil {
+		t.Fatal(err)
+	}
+	if s := coord.Status(); s.Done || s.CampaignsDone != 1 {
+		t.Errorf("after its store-answered submission completed: %+v, want Done false, 1 campaign done", s)
+	}
+	coord.Drain()
+	if !coord.Status().Done {
+		t.Error("a drained queue with nothing live does not report Done")
 	}
 }
 

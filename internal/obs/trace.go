@@ -3,7 +3,7 @@
 // (image build, golden run, profiling, checkpoint selection) and by
 // injection jobs. The journal exports as Chrome trace_event JSON — load it
 // in chrome://tracing or https://ui.perfetto.dev — and summarises per
-// category for the `serfi trace` subcommand.
+// category for `serfi inject -chrome-trace`.
 package obs
 
 import (
@@ -156,7 +156,7 @@ type PhaseStat struct {
 }
 
 // Summary aggregates the journal per category, ordered by descending total
-// time — the phase breakdown `serfi trace` prints.
+// time — the phase breakdown `serfi inject -chrome-trace` prints.
 func (t *Tracer) Summary() []PhaseStat {
 	agg := make(map[string]*PhaseStat)
 	var order []string

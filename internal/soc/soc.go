@@ -69,17 +69,6 @@ func CortexA72(cores int) mach.Config {
 	}
 }
 
-// Model names a processor variant ("cortex-a9x2" etc.).
-func Model(isaName string, cores int) string {
-	switch isaName {
-	case "armv7":
-		return fmt.Sprintf("cortex-a9x%d", cores)
-	case "armv8":
-		return fmt.Sprintf("cortex-a72x%d", cores)
-	}
-	return fmt.Sprintf("%sx%d", isaName, cores)
-}
-
 // Config returns the machine configuration for an ISA name and core count.
 func Config(isaName string, cores int) (mach.Config, error) {
 	switch isaName {

@@ -27,8 +27,10 @@ func TestModelsMatchPaperConfiguration(t *testing.T) {
 }
 
 func TestModelNames(t *testing.T) {
-	if Model("armv7", 2) != "cortex-a9x2" || Model("armv8", 4) != "cortex-a72x4" {
-		t.Error("model naming broken")
+	for isaName, want := range map[string]string{"armv7": "cortex-a9", "armv8": "cortex-a72"} {
+		if cfg, err := Config(isaName, 2); err != nil || cfg.Timing.Name != want || cfg.Cores != 2 {
+			t.Errorf("Config(%q, 2) = %s x%d, %v; want %s x2", isaName, cfg.Timing.Name, cfg.Cores, err, want)
+		}
 	}
 	if _, err := Config("armv9", 1); err == nil {
 		t.Error("unknown ISA accepted")

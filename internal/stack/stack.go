@@ -12,7 +12,6 @@ import (
 	"serfi/internal/glib"
 	"serfi/internal/kos"
 	"serfi/internal/mach"
-	"serfi/internal/soc"
 )
 
 // Build links app (plus any extra user programs) against a freshly built
@@ -48,9 +47,4 @@ func BuildAndBoot(cfg mach.Config, app *cc.Program, extra ...*cc.Program) (*mach
 		return nil, nil, err
 	}
 	return NewMachine(cfg, img), img, nil
-}
-
-// Model returns the soc configuration for an ISA name and core count.
-func Model(isaName string, cores int) (mach.Config, error) {
-	return soc.Config(isaName, cores)
 }
