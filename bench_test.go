@@ -166,7 +166,7 @@ func BenchmarkInjection(b *testing.B) {
 	faults := fi.List(3, 64, d)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = fi.Inject(img, cfg, g, faults[i%len(faults)])
+		_ = fi.InjectDomain(img, cfg, g, d, faults[i%len(faults)])
 	}
 }
 

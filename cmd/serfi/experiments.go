@@ -87,14 +87,12 @@ func cmdExperiments(args []string) error {
 	}
 
 	// The domain comparison runs every fault model, the propagation table
-	// needs the tracer and the sensitivity table per-fault rows.
+	// needs the tracer.
 	switch *run {
 	case "domains":
 		*mf.model = "all"
 	case "prop":
 		*traceProp = true
-	case "sens":
-		*mf.recordRuns = true
 	}
 	jobs, err := mf.jobs(a.keep)
 	if err != nil {
@@ -106,11 +104,10 @@ func cmdExperiments(args []string) error {
 	var results []*campaign.Result
 	if *join != "" {
 		results, err = fetchSubmission(ctx, *join, *db, dist.SubmitRequest{
-			Tenant:     *tenant,
-			Jobs:       dist.WireJobs(jobs),
-			Faults:     *mf.n,
-			TraceProp:  *traceProp,
-			RecordRuns: *mf.recordRuns,
+			Tenant:    *tenant,
+			Jobs:      dist.WireJobs(jobs),
+			Faults:    *mf.n,
+			TraceProp: *traceProp,
 		})
 	} else {
 		var opts []campaign.Option

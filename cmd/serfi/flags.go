@@ -127,28 +127,26 @@ func (e *engineFlags) options() []campaign.Option {
 	}
 }
 
-// matrixFlags describe a scenario matrix — -n -seed -only -faultmodel
-// -record-runs, plus -resume where the command owns the store — for
-// `campaign`, `serve`, `submit` and `experiments`.
+// matrixFlags describe a scenario matrix — -n -seed -only -faultmodel,
+// plus -resume where the command owns the store — for `campaign`, `serve`,
+// `submit` and `experiments`.
 type matrixFlags struct {
-	n          *int
-	seed       *int64
-	only       *string
-	model      *string
-	recordRuns *bool
-	resume     *bool
+	n      *int
+	seed   *int64
+	only   *string
+	model  *string
+	resume *bool
 }
 
 // addMatrixFlags registers the set with -n defaulting to n; an empty
 // resumeHelp leaves -resume out (and reading as false).
 func addMatrixFlags(fs *flag.FlagSet, n int, resumeHelp string) *matrixFlags {
 	m := &matrixFlags{
-		n:          fs.Int("n", n, "faults per scenario"),
-		seed:       fs.Int64("seed", 2018, "base seed"),
-		only:       fs.String("only", "", "substring filter on scenario ids"),
-		model:      fs.String("faultmodel", "reg", faultModelHelp),
-		recordRuns: fs.Bool("record-runs", false, "persist per-fault rows (v4 records) for `serfi sens` attribution"),
-		resume:     new(bool),
+		n:      fs.Int("n", n, "faults per scenario"),
+		seed:   fs.Int64("seed", 2018, "base seed"),
+		only:   fs.String("only", "", "substring filter on scenario ids"),
+		model:  fs.String("faultmodel", "reg", faultModelHelp),
+		resume: new(bool),
 	}
 	if resumeHelp != "" {
 		m.resume = fs.Bool("resume", false, resumeHelp)
@@ -178,12 +176,8 @@ func (m *matrixFlags) jobs(keep func(npb.Scenario) bool) ([]campaign.ScenarioJob
 // subcommand with its own -resume, store and address flags) followed by
 // the flags that reproduce this matrix.
 func (m *matrixFlags) resumeHint(command string) string {
-	recorded := ""
-	if *m.recordRuns {
-		recorded = " -record-runs"
-	}
-	return fmt.Sprintf("resume with: %s -n %d -seed %d%s%s%s", command, *m.n, *m.seed,
-		flagIf("-only", *m.only), flagIf("-faultmodel", *m.model), recorded)
+	return fmt.Sprintf("resume with: %s -n %d -seed %d%s%s", command, *m.n, *m.seed,
+		flagIf("-only", *m.only), flagIf("-faultmodel", *m.model))
 }
 
 // flagIf renders an optional flag for the printed resume command.

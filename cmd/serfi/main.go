@@ -1,7 +1,7 @@
 // Command serfi is the umbrella CLI of the soft-error reliability framework:
 //
 //	serfi scenarios                        list the 130 fault-injection scenarios
-//	serfi golden   -s armv7/IS/MPI-4       faultless run + gem5-style stats dump
+//	serfi golden   -s armv7/IS/MPI-4       faultless run, flat profile + gem5-style stats dump
 //	serfi golden   -s ... -o stats.txt     the same, the stats dump to a file
 //	serfi inject   -s ... -n 100 -seed 7   one scenario campaign, print outcomes
 //	serfi inject   -chrome-trace t.json    the same plus its phase trace (Chrome trace_event JSON)
@@ -10,7 +10,6 @@
 //	serfi serve    -addr :8340 -n 100 -db results.jsonl   distributed coordinator
 //	serfi worker   -join host:8340         pull and execute shards for a coordinator
 //	serfi sens     -db results.jsonl       sensitivity attribution report from recorded rows
-//	serfi profile  -s ...                  golden flat profile (calls/samples)
 //	serfi disasm   -s ... -f main          disassemble a guest function
 //	serfi experiments -n 24 -out EXPERIMENTS.md every table and figure of the paper
 //
@@ -91,8 +90,6 @@ func main() {
 		err = cmdCancel(args)
 	case "worker":
 		err = cmdWorker(args)
-	case "profile":
-		err = cmdProfile(args)
 	case "disasm":
 		err = cmdDisasm(args)
 	case "sens":
@@ -113,7 +110,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: serfi {scenarios|golden|inject|campaign|serve|submit|ls|cancel|worker|sens|profile|disasm|experiments} [flags]")
+	fmt.Fprintln(os.Stderr, "usage: serfi {scenarios|golden|inject|campaign|serve|submit|ls|cancel|worker|sens|disasm|experiments} [flags]")
 }
 
 // errInterrupted ends a command whose SIGINT it has already explained (what
@@ -195,6 +192,10 @@ func cmdGolden(args []string) error {
 	if err != nil {
 		return err
 	}
+	// Profiled like every campaign's golden run; sampling only observes, so
+	// the stats dump is the unprofiled run's.
+	cfg.Profile = true
+	cfg.SamplePeriod = campaign.DefaultSamplePeriod
 	g, err := fi.RunGolden(img, cfg, 0)
 	if err != nil {
 		return err
@@ -204,6 +205,16 @@ func cmdGolden(args []string) error {
 	fmt.Printf("total retired   %d\n", g.Retired)
 	fmt.Printf("machine cycles  %d\n", g.Cycles)
 	fmt.Printf("console:\n%s\n", g.Console)
+	p := profile.Build(img, g.Machine)
+	fmt.Printf("%-28s %12s %12s %8s\n", "function", "samples", "calls", "time%")
+	for _, fn := range p.Funcs[:min(len(p.Funcs), 20)] {
+		share := 0.0
+		if p.TotalSamples > 0 {
+			share = 100 * float64(fn.Samples) / float64(p.TotalSamples)
+		}
+		fmt.Printf("%-28s %12d %12d %7.2f%%\n", fn.Name, fn.Samples, fn.Calls, share)
+	}
+	fmt.Printf("parallelization-API window: %.2f%%\n", 100*p.SampleShare(profile.RuntimePrefixes...))
 	dump := func(w io.Writer) error {
 		stats.Dump(w, stats.Collect(g.Machine))
 		return nil
@@ -369,9 +380,6 @@ func cmdCampaign(args []string) error {
 func runLocal(ctx context.Context, w io.Writer, command, db string, jobs []campaign.ScenarioJob,
 	mf *matrixFlags, ef *engineFlags, opts ...campaign.Option) ([]*campaign.Result, *campaign.Collector, error) {
 	opts = append(append(ef.options(), opts...), campaign.Faults(*mf.n))
-	if *mf.recordRuns {
-		opts = append(opts, campaign.RecordRuns())
-	}
 	var st *campaign.FileStore
 	if db != "" {
 		var err error
@@ -471,7 +479,7 @@ func cmdServe(args []string) error {
 		var oneShot []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "db", "resume", "n", "seed", "only", "faultmodel", "record-runs":
+			case "db", "resume", "n", "seed", "only", "faultmodel":
 				oneShot = append(oneShot, "-"+f.Name)
 			}
 		})
@@ -516,11 +524,9 @@ func cmdServe(args []string) error {
 		col = progress(os.Stdout, file, jobs)
 		var events chan campaign.Event
 		events, wait = col.Start()
-		coord = dist.NewQueue(append(opts, dist.WithStore(file), dist.WithEvents(events))...)
-		if _, err := coord.Submit(dist.SubmitSpec{Jobs: jobs, Faults: *mf.n, RecordRuns: *mf.recordRuns}); err != nil {
+		if coord, err = dist.NewCoordinator(jobs, *mf.n, append(opts, dist.WithStore(file), dist.WithEvents(events))...); err != nil {
 			return err
 		}
-		coord.Drain()
 		status := coord.Status()
 		fmt.Printf("serving %d campaigns (%d shards of <=%d faults, %d already recorded) at %s\n",
 			status.Campaigns-status.Skipped, status.Shards, *shardSize, status.Skipped, *addr)
@@ -592,12 +598,11 @@ func cmdSubmit(args []string) error {
 	ctx, stop := interruptContext()
 	defer stop()
 	_, err = submitWatch(ctx, os.Stdout, *join, dist.SubmitRequest{
-		ID:         *id,
-		Tenant:     *tenant,
-		Jobs:       dist.WireJobs(jobs),
-		Faults:     *mf.n,
-		TraceProp:  *traceProp,
-		RecordRuns: *mf.recordRuns,
+		ID:        *id,
+		Tenant:    *tenant,
+		Jobs:      dist.WireJobs(jobs),
+		Faults:    *mf.n,
+		TraceProp: *traceProp,
 	}, *watch)
 	return err
 }
@@ -732,41 +737,6 @@ func cmdWorker(args []string) error {
 		return err
 	}
 	fmt.Println("worker exiting: matrix complete or drained")
-	return nil
-}
-
-func cmdProfile(args []string) error {
-	fs := flag.NewFlagSet("profile", flag.ExitOnError)
-	scid := fs.String("s", "armv8/IS/SER-1", "scenario id")
-	top := fs.Int("top", 20, "functions to print")
-	fs.Parse(args)
-	sc, err := parseScenario(*scid)
-	if err != nil {
-		return err
-	}
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		return err
-	}
-	cfg.Profile = true
-	cfg.SamplePeriod = campaign.DefaultSamplePeriod
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		return err
-	}
-	p := profile.Build(img, g.Machine)
-	fmt.Printf("%-28s %12s %12s %8s\n", "function", "samples", "calls", "time%")
-	for i, fn := range p.Funcs {
-		if i >= *top {
-			break
-		}
-		share := 0.0
-		if p.TotalSamples > 0 {
-			share = 100 * float64(fn.Samples) / float64(p.TotalSamples)
-		}
-		fmt.Printf("%-28s %12d %12d %7.2f%%\n", fn.Name, fn.Samples, fn.Calls, share)
-	}
-	fmt.Printf("parallelization-API window: %.2f%%\n", 100*p.SampleShare(profile.RuntimePrefixes...))
 	return nil
 }
 

@@ -1,6 +1,6 @@
 // The `serfi sens` subcommand: the sensitivity observability surface over
-// a recorded campaign database. It loads the v4 per-fault rows a
-// -record-runs campaign persisted, rebuilds each scenario's join context
+// a recorded campaign database. It loads the v4 per-fault rows every
+// campaign persists, rebuilds each scenario's join context
 // from nothing but the stored scenario ID and golden summary (image,
 // symbols, residency windows), and prints the per-register / per-function /
 // per-page / per-cache-structure vulnerability report with Wilson
@@ -51,7 +51,7 @@ func cmdSens(args []string) error {
 		byScenario[r.Scenario] = append(byScenario[r.Scenario], r)
 	}
 	if len(byScenario) == 0 {
-		return fmt.Errorf("no recorded campaigns in %s (run the campaign with -record-runs)", *db)
+		return fmt.Errorf("no recorded campaigns in %s (only legacy rows without per-fault records; rerun the campaign)", *db)
 	}
 
 	scs := make([]npb.Scenario, 0, len(byScenario))

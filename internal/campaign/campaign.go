@@ -48,19 +48,15 @@ type Result struct {
 	// Traces are per-run propagation records when the campaign ran with
 	// propagation tracing: Traces[i] belongs to Runs[i], nil for masked or
 	// untraced runs. Nil entirely when tracing was off. Results reloaded
-	// from a v2/v3 database carry neither Runs nor Traces (only the Prop
-	// fold is stored); v4 rows (RecordRuns) reload Runs exactly and Traces
-	// as minimal escape/latency records (Escape + ArchInstr, every other
+	// from a legacy v1/v2/v3 database carry neither Runs nor Traces (only
+	// the Prop fold is stored); v4 rows reload Runs exactly and Traces as
+	// minimal escape/latency records (Escape + ArchInstr, every other
 	// latency axis -1).
 	Traces []*prop.Trace
 	// Prop is the campaign-level fold of Traces (escape-class histogram and
 	// latency samples); nil when no run was traced.
 	Prop *prop.Summary
-	// RecordRuns marks a campaign whose per-fault rows persist in the
-	// database (v4 records): the fault.Point tuple and outcome of every
-	// run, plus escape class and divergence latency for traced runs. Off
-	// by default — untouched campaigns keep writing v2/v3 rows byte for
-	// byte.
+	// Ignored: every campaign records its runs; kept for bench/ (ROADMAP item 9).
 	RecordRuns bool
 	// Host wall-clock costs (the paper's Table 1 simulation-time axis).
 	// Campaigns overlap on the shared worker pool, so GoldenWallSec and
@@ -145,24 +141,23 @@ type GoldenSummary struct {
 	Cycles   uint64
 }
 
-// recordVersion is the current database row format. Rows written before
-// the fault-domain axis carry no "v" field and parse as the implicit
-// version 1: a register-domain campaign. recordVersionProp marks rows that
-// additionally carry a propagation-trace fold; campaigns without tracing
-// keep writing v2 rows, so existing databases and byte-diff suites see no
-// change unless -trace-prop is on.
+// Database row versions. Rows written before the fault-domain axis carry
+// no "v" field and parse as the implicit version 1: a register-domain
+// campaign. v2 added the domain column, v3 a propagation-trace fold, v4 the
+// per-fault rows every campaign writes. Legacy v1–v3 rows are still
+// read; v2/v3 rows rewrite as they were read, v1 rows as their v2 form.
 const (
 	recordVersion     = 2
 	recordVersionProp = 3
 	recordVersionRuns = 4
 )
 
-// version returns the database row version this result would be written
-// as: v4 when per-run records are kept (RecordRuns), v3 when a propagation
-// fold is attached, v2 otherwise.
+// version returns the database row version this result is written as: v4
+// when it carries runs (every fresh campaign, every reloaded v4 row), else
+// the legacy v3 when a propagation fold is attached, else v2.
 func (r *Result) version() int {
 	switch {
-	case r.RecordRuns:
+	case r.Runs != nil:
 		return recordVersionRuns
 	case r.Prop != nil:
 		return recordVersionProp
@@ -224,7 +219,7 @@ func recordOf(r *Result) record {
 		Features: r.Features.Map(),
 		APICalls: r.APICalls,
 	}
-	if r.RecordRuns {
+	if r.Runs != nil {
 		rec.Runs = make([]runRow, len(r.Runs))
 		for i, run := range r.Runs {
 			p := run.Fault
@@ -249,7 +244,6 @@ func recordOf(r *Result) record {
 // point's Domain is the campaign's domain column (the register domain is
 // the zero value, matching the reg domain's Sample).
 func restoreRuns(res *Result, rows []runRow, domain fault.Model) error {
-	res.RecordRuns = true
 	res.Runs = make([]fi.Result, len(rows))
 	for i, row := range rows {
 		if row.O < 0 || row.O >= int(fi.NumOutcomes) {
@@ -305,12 +299,12 @@ func WriteDB(w io.Writer, results []*Result) error {
 // without a version field are accepted as register-domain campaigns;
 // unknown record versions and duplicate keys are rejected with a clear
 // error rather than silently last-write-wins. Counts, golden summary and
-// features round-trip on every version. v2/v3 rows store no per-run
-// records, so Runs is empty on their reloaded results; v4 rows (written
-// under RecordRuns) reload Runs exactly — fault tuple and outcome per run
-// — plus minimal Traces (escape class and arch-divergence latency) for
-// runs that were traced, and re-writing such a result reproduces its row
-// byte for byte.
+// features round-trip on every version. Legacy v1–v3 rows store no
+// per-run records, so Runs is nil on their reloaded results; v4 rows reload
+// Runs exactly — fault tuple and outcome per run — plus minimal Traces
+// (escape class and arch-divergence latency) for runs that were traced.
+// Re-writing a reloaded v2, v3 or v4 result reproduces its row byte for
+// byte.
 func ReadDB(r io.Reader) (map[string]*Result, error) {
 	out, _, _, err := readDB(r)
 	return out, err

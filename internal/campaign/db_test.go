@@ -331,15 +331,14 @@ func TestStoreKeysDeterministic(t *testing.T) {
 	}
 }
 
-// recordedResult builds a v4 (RecordRuns) result with per-fault rows; the
+// recordedResult builds a v4 result with per-fault rows; the
 // middle row carries a full propagation trace.
 func recordedResult(app string, d fault.Model) *campaign.Result {
 	r := &campaign.Result{
-		Scenario:   npb.Scenario{App: app, Mode: npb.Serial, ISA: "armv8", Cores: 1},
-		Domain:     d,
-		Faults:     3,
-		Seed:       9,
-		RecordRuns: true,
+		Scenario: npb.Scenario{App: app, Mode: npb.Serial, ISA: "armv8", Cores: 1},
+		Domain:   d,
+		Faults:   3,
+		Seed:     9,
 		Runs: []fi.Result{
 			{Fault: fault.Point{Domain: d, Index: 100, Core: 0, Reg: 3, Bit: 7}, Outcome: fi.Vanished},
 			{Fault: fault.Point{Domain: d, Index: 200, Core: 0, Reg: 13, Bit: 1}, Outcome: fi.OMM},
@@ -358,7 +357,7 @@ func recordedResult(app string, d fault.Model) *campaign.Result {
 	return r
 }
 
-// TestReadDBLargeRunsRow: a -record-runs row has no size bound — 40 000
+// TestReadDBLargeRunsRow: a v4 row has no size bound — 40 000
 // mem-domain runs make a ~2 MiB line, past the 1 MiB scanner cap ReadDB used
 // to carry — so whatever WriteDB wrote must read back, rewrite byte for byte
 // and reopen as a FileStore (the -resume, `serfi sens` and `experiments
@@ -366,12 +365,11 @@ func recordedResult(app string, d fault.Model) *campaign.Result {
 func TestReadDBLargeRunsRow(t *testing.T) {
 	const n = 40000
 	big := &campaign.Result{
-		Scenario:   npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1},
-		Domain:     fault.Mem,
-		Faults:     n,
-		Seed:       9,
-		RecordRuns: true,
-		Runs:       make([]fi.Result, n),
+		Scenario: npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1},
+		Domain:   fault.Mem,
+		Faults:   n,
+		Seed:     9,
+		Runs:     make([]fi.Result, n),
 	}
 	for i := range big.Runs {
 		big.Runs[i] = fi.Result{
@@ -430,7 +428,7 @@ func TestStoreQueryContentPredicates(t *testing.T) {
 			}
 		}
 		got := st.Query(campaign.Query{HasRuns: true})
-		if len(got) != 1 || len(got[0].Runs) != 3 || !got[0].RecordRuns {
+		if len(got) != 1 || len(got[0].Runs) != got[0].Faults {
 			t.Errorf("%s: HasRuns = %v", name, got)
 		}
 		// Content and identity predicates compose.
@@ -443,8 +441,8 @@ func TestStoreQueryContentPredicates(t *testing.T) {
 // TestRecordRunsDBRoundTrip: a v4 row reloads its per-fault tuples and
 // outcomes exactly, its traced rows keep the escape class and
 // arch-divergence latency (every other latency axis resets to -1), and
-// re-writing the reloaded result reproduces the database byte for byte.
-// Rows written without RecordRuns must not mention runs at all.
+// re-writing the reloaded result reproduces the database byte for byte. A
+// result reloaded without runs rewrites its legacy row: v2, no runs.
 func TestRecordRunsDBRoundTrip(t *testing.T) {
 	v4 := recordedResult("IS", fault.Reg)
 	v2 := storeResult("EP", fault.Reg, 2)
@@ -459,8 +457,8 @@ func TestRecordRunsDBRoundTrip(t *testing.T) {
 	if !strings.Contains(lines[0], `"v":4`) || !strings.Contains(lines[0], `"runs":[`) {
 		t.Errorf("v4 row lacks version/runs: %s", lines[0])
 	}
-	if strings.Contains(lines[1], "runs") {
-		t.Errorf("RecordRuns-off row mentions runs: %s", lines[1])
+	if !strings.Contains(lines[1], `"v":2`) || strings.Contains(lines[1], "runs") {
+		t.Errorf("result without runs did not write its legacy v2 row: %s", lines[1])
 	}
 
 	got, err := campaign.ReadDB(bytes.NewReader(buf.Bytes()))
@@ -468,7 +466,7 @@ func TestRecordRunsDBRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	re := got[v4.Key()]
-	if re == nil || !re.RecordRuns {
+	if re == nil || len(re.Runs) != re.Faults {
 		t.Fatalf("v4 row did not reload as a recorded campaign: %+v", re)
 	}
 	if len(re.Runs) != len(v4.Runs) {
@@ -497,6 +495,6 @@ func TestRecordRunsDBRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
-		t.Error("write-read-rewrite is not byte-stable for v4 rows")
+		t.Error("write-read-rewrite is not byte-stable for v4 and legacy rows")
 	}
 }

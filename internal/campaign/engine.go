@@ -36,18 +36,17 @@ import (
 // one WithEvents channel need one consumer per run (see WithEvents), so
 // concurrent runs should use separate engines with separate channels.
 type Engine struct {
-	workers    int
-	jobSize    int
-	snapshots  int // campaign convention: 0 = default, negative = off
-	faults     int
-	models     []fault.Model
-	store      Store
-	events     chan<- Event
-	fullCopy   bool // test-only: the full-copy checkpoint reference engine
-	traceProp  bool
-	recordRuns bool
-	metrics    *obs.Registry
-	tracer     *obs.Tracer
+	workers   int
+	jobSize   int
+	snapshots int // campaign convention: 0 = default, negative = off
+	faults    int
+	models    []fault.Model
+	store     Store
+	events    chan<- Event
+	fullCopy  bool // test-only: the full-copy checkpoint reference engine
+	traceProp bool
+	metrics   *obs.Registry
+	tracer    *obs.Tracer
 }
 
 // Option configures an Engine.
@@ -83,14 +82,8 @@ func Models(ms ...fault.Model) Option {
 // untraced database rows are byte-identical with tracing off.
 func TraceProp() Option { return func(e *Engine) { e.traceProp = true } }
 
-// RecordRuns persists the per-fault rows of every campaign: results are
-// marked RecordRuns, so the store writes v4 database rows carrying each
-// run's fault tuple and outcome (plus escape class and divergence latency
-// when TraceProp is also on) — the raw material of the sensitivity
-// attribution layer (internal/sens). Purely additive: fault lists,
-// outcomes and scheduling are untouched, and campaigns without the option
-// keep writing v2/v3 rows byte for byte.
-func RecordRuns() Option { return func(e *Engine) { e.recordRuns = true } }
+// Ignored: every campaign records its runs; kept for bench/ (ROADMAP item 9).
+func RecordRuns() Option { return func(*Engine) {} }
 
 // WithStore attaches a results store: campaigns whose key the store
 // already holds are skipped (their stored results returned in place — the
@@ -288,7 +281,6 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 		res := ds.Result(g.Summary(), g.Features, g.APICalls)
 		res.GoldenWallSec = g.GoldenWallSec
 		res.CampaignWallSec = time.Since(st.t0).Seconds()
-		res.RecordRuns = e.recordRuns
 		results[ds.idx] = res
 		em.campaigns.With("completed").Inc()
 		em.prunedRuns.Add(float64(res.PrunedRuns))

@@ -177,12 +177,10 @@ func TestEngineCancelThenResumeBitIdentical(t *testing.T) {
 			t.Errorf("resume identity drifted: %+v vs %+v", resumed[i], ref[i])
 		}
 	}
-	// Campaigns resumed fresh carry per-run records; they must match the
-	// uninterrupted run per fault, not just in aggregate.
+	// Every campaign carries per-run records, fresh or answered from the
+	// store; they must match the uninterrupted run per fault, not just in
+	// aggregate.
 	for i := range jobs {
-		if len(resumed[i].Runs) == 0 {
-			continue // answered from the store, which keeps no run records
-		}
 		if !reflect.DeepEqual(resumed[i].Runs, ref[i].Runs) {
 			t.Errorf("resume per-run records differ for %s", jobs[i].Key())
 		}
@@ -245,8 +243,13 @@ func TestEngineFileStoreResume(t *testing.T) {
 	if all[0].Counts != first[0].Counts {
 		t.Errorf("stored campaign drifted on resume: %v != %v", all[0].Counts, first[0].Counts)
 	}
-	if len(all[0].Runs) != 0 {
-		t.Errorf("store-answered campaign carries %d run records, want none", len(all[0].Runs))
+	if len(all[0].Runs) != len(first[0].Runs) {
+		t.Fatalf("store-answered campaign carries %d run records, want %d", len(all[0].Runs), len(first[0].Runs))
+	}
+	for i, run := range all[0].Runs {
+		if run.Fault != first[0].Runs[i].Fault || run.Outcome != first[0].Runs[i].Outcome {
+			t.Errorf("stored run %d drifted on resume: %+v != %+v", i, run, first[0].Runs[i])
+		}
 	}
 	if all[1] == nil || all[1].Counts.Total() != 6 {
 		t.Error("fresh campaign did not complete alongside the skip")
@@ -557,8 +560,7 @@ func TestCheckpointTelemetryReported(t *testing.T) {
 	}
 }
 
-// TestEngineCancelResumeRoundTripsRecordedRuns: under -record-runs, a
-// cancelled matrix persists its per-fault rows as v4 records; reopening the
+// TestEngineCancelResumeRoundTripsRecordedRuns: a cancelled matrix persists its per-fault rows as v4 records; reopening the
 // file store reloads them, and the resumed matrix — part answered from
 // disk, part run fresh — lands on the uninterrupted run's per-fault tuples
 // and outcomes exactly.
@@ -573,7 +575,6 @@ func TestEngineCancelResumeRoundTripsRecordedRuns(t *testing.T) {
 			campaign.Faults(8),
 			campaign.JobSize(2),
 			campaign.Workers(1),
-			campaign.RecordRuns(),
 			campaign.TraceProp(),
 		}, extra...)
 	}
@@ -625,7 +626,7 @@ func TestEngineCancelResumeRoundTripsRecordedRuns(t *testing.T) {
 	}
 	for _, k := range re.Keys() {
 		r, ok := re.Get(k)
-		if !ok || !r.RecordRuns || len(r.Runs) != 8 {
+		if !ok || len(r.Runs) != r.Faults {
 			t.Fatalf("reloaded %s lost its per-run records: %+v", k, r)
 		}
 	}

@@ -325,7 +325,7 @@ func (f *Fold) Add(lo, hi int, sh Shard, wallSec float64) error {
 
 // Result assembles the campaign's record from the folded shards plus the
 // group metadata all of them share. The caller stamps what only it knows:
-// GoldenWallSec, CampaignWallSec and RecordRuns.
+// GoldenWallSec and CampaignWallSec.
 func (f *Fold) Result(golden GoldenSummary, features profile.Features, apiCalls uint64) *Result {
 	res := &Result{
 		Scenario:       f.Job.Scenario,

@@ -59,8 +59,8 @@ func TestTracePropCampaign(t *testing.T) {
 		t.Fatalf("Prop = %+v, want Traced = %d", r.Prop, unmasked)
 	}
 
-	// DB round trip: traced rows are v3 and preserve the summary; untraced
-	// rows stay on the v2 record format byte-for-byte.
+	// DB round trip: traced rows carry the summary and the escape class of
+	// each traced run; untraced rows carry neither.
 	var tracedDB, plainDB bytes.Buffer
 	if err := campaign.WriteDB(&tracedDB, traced); err != nil {
 		t.Fatal(err)
@@ -68,11 +68,11 @@ func TestTracePropCampaign(t *testing.T) {
 	if err := campaign.WriteDB(&plainDB, plain); err != nil {
 		t.Fatal(err)
 	}
-	if s := tracedDB.String(); !strings.Contains(s, `"v":3`) || !strings.Contains(s, `"prop"`) {
-		t.Errorf("traced row not on v3 prop format: %s", s)
+	if s := tracedDB.String(); !strings.Contains(s, `"prop"`) || !strings.Contains(s, `"e":`) {
+		t.Errorf("traced row lacks its prop summary or escape classes: %s", s)
 	}
-	if s := plainDB.String(); strings.Contains(s, `"v":3`) || strings.Contains(s, `"prop"`) {
-		t.Errorf("untraced row leaked onto v3 format: %s", s)
+	if s := plainDB.String(); strings.Contains(s, `"prop"`) || strings.Contains(s, `"e":`) {
+		t.Errorf("untraced row carries propagation data: %s", s)
 	}
 	back, err := campaign.ReadDB(&tracedDB)
 	if err != nil {

@@ -201,9 +201,6 @@ func (p *Program) Func(name string, params ...string) *Func {
 	return f
 }
 
-// HasFunc reports whether the program defines name.
-func (p *Program) HasFunc(name string) bool { return p.byName[name] != nil }
-
 // Local declares a Word local.
 func (f *Func) Local(name string) *Var {
 	v := &Var{Name: name, Typ: Word, Index: len(f.Locals), fn: f}

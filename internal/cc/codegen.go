@@ -404,11 +404,6 @@ func (g *gen) eval(e *Expr) val {
 		rd := g.reuse(a)
 		g.emit(isa.Instr{Op: isa.OpNEG, Cond: isa.CondAL, Rd: rd, Rm: a.reg})
 		return val{rd, true}
-	case kNot:
-		a := g.eval(e.a)
-		rd := g.reuse(a)
-		g.emit(isa.Instr{Op: isa.OpMVN, Cond: isa.CondAL, Rd: rd, Rm: a.reg})
-		return val{rd, true}
 	case kLoad, kLoadW, kLoadB:
 		base, off := g.addrOperand(e.a)
 		op := isa.OpLDR

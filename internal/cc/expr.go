@@ -17,7 +17,6 @@ const (
 	kGlobal // address of a global (+ constant offset in val)
 	kBin
 	kNeg
-	kNot // bitwise complement
 	kLoad
 	kLoadW
 	kLoadB
@@ -186,9 +185,6 @@ func Neg(a *Expr) *Expr {
 	return &Expr{kind: kNeg, typ: Word, a: a}
 }
 
-// Not returns ^a (bitwise complement).
-func Not(a *Expr) *Expr { return &Expr{kind: kNot, typ: Word, a: a} }
-
 // MulHi returns the high 32 bits of the 64-bit product of the low 32 bits
 // of a and b (the UMULL idiom of the 32-bit ISA; mul+shift on the 64-bit
 // one).
@@ -292,9 +288,6 @@ func IndexW(base, i *Expr) *Expr { return Add(base, Shl(i, WordShift())) }
 // Index8 computes base + i*8 (float64-array indexing).
 func Index8(base, i *Expr) *Expr { return Add(base, Shl(i, I(3))) }
 
-// Index4 computes base + i*4.
-func Index4(base, i *Expr) *Expr { return Add(base, Shl(i, I(2))) }
-
 // LoadWVar etc. convenience: load word element i of a word array global.
 func LoadWordElem(global string, i *Expr) *Expr { return Load(IndexW(G(global), i)) }
 
@@ -375,9 +368,6 @@ func Ge(a, b *Expr) *Cond { return icond(CGe, a, b) }
 
 // LtU tests a < b (unsigned).
 func LtU(a, b *Expr) *Cond { return icond(CLtU, a, b) }
-
-// LeU tests a <= b (unsigned).
-func LeU(a, b *Expr) *Cond { return icond(CLeU, a, b) }
 
 // GtU tests a > b (unsigned).
 func GtU(a, b *Expr) *Cond { return icond(CGtU, a, b) }

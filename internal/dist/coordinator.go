@@ -58,22 +58,21 @@ var ErrCancelled = errors.New("submission cancelled")
 // local Engine.RunMatrix would take, the tenant namespace its rows land
 // in, and the per-campaign folding state.
 type submission struct {
-	id         string
-	tenant     string
-	faults     int
-	traceProp  bool
-	recordRuns bool
-	store      campaign.Store // tenant-scoped view of the coordinator store
-	jobs       []campaign.ScenarioJob
-	camps      []*campState
-	results    []*campaign.Result
-	errs       []error
-	campsLeft  int
-	skipped    int
-	failed     int
-	cancelled  bool
-	t0         time.Time
-	endT       time.Time // terminal timestamp (zero while running)
+	id        string
+	tenant    string
+	faults    int
+	traceProp bool
+	store     campaign.Store // tenant-scoped view of the coordinator store
+	jobs      []campaign.ScenarioJob
+	camps     []*campState
+	results   []*campaign.Result
+	errs      []error
+	campsLeft int
+	skipped   int
+	failed    int
+	cancelled bool
+	t0        time.Time
+	endT      time.Time // terminal timestamp (zero while running)
 
 	done chan struct{} // closed when the last campaign retires
 }
@@ -231,17 +230,16 @@ func (c *Coordinator) enqueue(spec SubmitSpec) (*submission, error) {
 	}
 	c.nextSeq++
 	sub := &submission{
-		id:         spec.ID,
-		tenant:     spec.Tenant,
-		faults:     spec.Faults,
-		traceProp:  spec.TraceProp,
-		recordRuns: spec.RecordRuns,
-		store:      view,
-		jobs:       spec.Jobs,
-		results:    make([]*campaign.Result, len(spec.Jobs)),
-		errs:       make([]error, len(spec.Jobs)),
-		t0:         c.now(),
-		done:       make(chan struct{}),
+		id:        spec.ID,
+		tenant:    spec.Tenant,
+		faults:    spec.Faults,
+		traceProp: spec.TraceProp,
+		store:     view,
+		jobs:      spec.Jobs,
+		results:   make([]*campaign.Result, len(spec.Jobs)),
+		errs:      make([]error, len(spec.Jobs)),
+		t0:        c.now(),
+		done:      make(chan struct{}),
 	}
 	if sub.id == "" {
 		// Sequential, stepping over any ID a caller has already chosen.
@@ -646,7 +644,6 @@ func (c *Coordinator) assemble(camp *campState) {
 	sub := camp.sub
 	res := camp.Result(camp.golden, profile.FeaturesFromMap(camp.features), camp.apiCalls)
 	res.CampaignWallSec = c.now().Sub(camp.t0).Seconds()
-	res.RecordRuns = sub.recordRuns
 	if sub.store != nil {
 		if err := sub.store.Put(res); err != nil {
 			c.failCampaign(camp, fmt.Errorf("stream record: %w", err))

@@ -63,7 +63,7 @@ func TestTornJournalRestoresQueue(t *testing.T) {
 	acked := readFile(t, path)
 	// What the second submission appends; its torn prefixes are the crash.
 	coord, journal = restore("the second boot", id1)
-	id2, err := coord.Submit(SubmitSpec{Tenant: "bob", Jobs: jobs[2:], Faults: compatFaults, RecordRuns: true})
+	id2, err := coord.Submit(SubmitSpec{Tenant: "bob", Jobs: jobs[2:], Faults: compatFaults})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestTornJournalRestoresQueue(t *testing.T) {
 			t.Fatalf("torn at byte %d: the journal opened for appending holds\n%s\nwant the acknowledged line alone", k, got)
 		}
 		// The torn submission was never acknowledged, so its ID is free.
-		id, err := coord.Submit(SubmitSpec{Tenant: "bob", Jobs: jobs[2:], Faults: compatFaults, RecordRuns: true})
+		id, err := coord.Submit(SubmitSpec{Tenant: "bob", Jobs: jobs[2:], Faults: compatFaults})
 		if err != nil || id != id2 {
 			t.Fatalf("torn at byte %d: Submit after the restore: %q, %v", k, id, err)
 		}
@@ -150,7 +150,7 @@ func TestJournalFailedAppendLeavesNoBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	entry := func(id string) JournalEntry {
-		return JournalEntry{Op: "submit", ID: id, Tenant: "t-" + id, Faults: compatFaults, Jobs: wireFromJobs(compatJobs()[:1])}
+		return JournalEntry{Op: "submit", ID: id, Tenant: "t-" + id, Faults: compatFaults, Jobs: WireJobs(compatJobs()[:1])}
 	}
 	var want string
 	for _, step := range []struct {

@@ -368,9 +368,9 @@ func TestClusterTracePropMatchesEngine(t *testing.T) {
 }
 
 // TestClusterRecordRunsMatchesEngine extends the golden-compat pin to
-// recorded campaigns: a cluster run with RecordRuns (and tracing, so the
-// escape columns are exercised) must write v4 store records byte-identical
-// to a recorded local engine run at the same seed, and the reloaded rows
+// recorded campaigns: a cluster run (with tracing, so the escape columns
+// are exercised) must write v4 store records byte-identical to a local
+// engine run at the same seed, and the reloaded rows
 // must round-trip the cluster's in-memory results — at any worker count.
 func TestClusterRecordRunsMatchesEngine(t *testing.T) {
 	jobs := []campaign.ScenarioJob{
@@ -387,7 +387,6 @@ func TestClusterRecordRunsMatchesEngine(t *testing.T) {
 		campaign.Faults(compatFaults),
 		campaign.WithStore(refStore),
 		campaign.TraceProp(),
-		campaign.RecordRuns(),
 	).RunMatrix(context.Background(), jobs)
 	if err != nil {
 		t.Fatal(err)
@@ -414,7 +413,7 @@ func TestClusterRecordRunsMatchesEngine(t *testing.T) {
 				t.Fatal(err)
 			}
 			coord := NewQueue(ShardSize(2), WithStore(st))
-			if _, err := coord.Submit(SubmitSpec{Jobs: jobs, Faults: compatFaults, TraceProp: true, RecordRuns: true}); err != nil {
+			if _, err := coord.Submit(SubmitSpec{Jobs: jobs, Faults: compatFaults, TraceProp: true}); err != nil {
 				t.Fatal(err)
 			}
 			coord.Drain()
@@ -426,8 +425,8 @@ func TestClusterRecordRunsMatchesEngine(t *testing.T) {
 				t.Errorf("recorded distributed records differ from engine records:\n dist: %v\n ref:  %v", got, refLines)
 			}
 			for i := range jobs {
-				if !results[i].RecordRuns {
-					t.Errorf("%s assembled without the RecordRuns mark", jobs[i].Key())
+				if len(results[i].Runs) != compatFaults {
+					t.Errorf("%s assembled %d runs, want %d", jobs[i].Key(), len(results[i].Runs), compatFaults)
 				}
 				if !reflect.DeepEqual(results[i].Runs, ref[i].Runs) {
 					t.Errorf("%s per-run records differ across the wire", jobs[i].Key())

@@ -27,13 +27,12 @@ import (
 
 // JournalEntry is one queue operation on disk.
 type JournalEntry struct {
-	Op         string    `json:"op"` // "submit" | "cancel"
-	ID         string    `json:"id"`
-	Tenant     string    `json:"tenant,omitempty"`
-	Faults     int       `json:"faults,omitempty"`
-	TraceProp  bool      `json:"trace_prop,omitempty"`
-	RecordRuns bool      `json:"record_runs,omitempty"`
-	Jobs       []WireJob `json:"jobs,omitempty"`
+	Op        string    `json:"op"` // "submit" | "cancel"
+	ID        string    `json:"id"`
+	Tenant    string    `json:"tenant,omitempty"`
+	Faults    int       `json:"faults,omitempty"`
+	TraceProp bool      `json:"trace_prop,omitempty"`
+	Jobs      []WireJob `json:"jobs,omitempty"`
 }
 
 // Journal is an append-only, fsync-on-append log of queue operations.
@@ -160,12 +159,11 @@ func RestoreQueue(path string, opts ...CoordOption) (*Coordinator, *Journal, err
 			return nil, nil, fmt.Errorf("dist journal %s: %w", e.ID, err)
 		}
 		if _, err := c.enqueue(SubmitSpec{
-			ID:         e.ID,
-			Tenant:     e.Tenant,
-			Jobs:       jobs,
-			Faults:     e.Faults,
-			TraceProp:  e.TraceProp,
-			RecordRuns: e.RecordRuns,
+			ID:        e.ID,
+			Tenant:    e.Tenant,
+			Jobs:      jobs,
+			Faults:    e.Faults,
+			TraceProp: e.TraceProp,
 		}); err != nil {
 			return nil, nil, fmt.Errorf("dist journal %s: %w", e.ID, err)
 		}
@@ -182,13 +180,9 @@ func RestoreQueue(path string, opts ...CoordOption) (*Coordinator, *Journal, err
 	return c, j, nil
 }
 
-// WireJobs encodes scenario jobs for a SubmitRequest — the client-side
-// half of the wire encoding the journal shares.
-func WireJobs(jobs []campaign.ScenarioJob) []WireJob { return wireFromJobs(jobs) }
-
-// wireFromJobs encodes scenario jobs for the journal and the submit wire
+// WireJobs encodes scenario jobs for the journal and the submit wire
 // message.
-func wireFromJobs(jobs []campaign.ScenarioJob) []WireJob {
+func WireJobs(jobs []campaign.ScenarioJob) []WireJob {
 	out := make([]WireJob, len(jobs))
 	for i, job := range jobs {
 		out[i] = WireJob{Scenario: job.Scenario.ID(), Domain: job.Domain.String(), Seed: job.Seed}

@@ -244,13 +244,14 @@ type WireJob struct {
 // a lost reply idempotent (the coordinator returns the existing submission
 // instead of enqueueing a duplicate); empty lets the coordinator assign one.
 type SubmitRequest struct {
-	Proto      int       `json:"proto"`
-	ID         string    `json:"id,omitempty"`
-	Tenant     string    `json:"tenant,omitempty"`
-	Jobs       []WireJob `json:"jobs"`
-	Faults     int       `json:"faults"`
-	TraceProp  bool      `json:"trace_prop,omitempty"`
-	RecordRuns bool      `json:"record_runs,omitempty"`
+	Proto     int       `json:"proto"`
+	ID        string    `json:"id,omitempty"`
+	Tenant    string    `json:"tenant,omitempty"`
+	Jobs      []WireJob `json:"jobs"`
+	Faults    int       `json:"faults"`
+	TraceProp bool      `json:"trace_prop,omitempty"`
+	// Ignored: every campaign records its runs; kept for bench/ (ROADMAP item 9).
+	RecordRuns bool `json:"record_runs,omitempty"`
 }
 
 // SubmitReply acknowledges a submission: its (possibly assigned) ID and how

@@ -31,11 +31,10 @@ type SubmitSpec struct {
 	ID string
 	// Tenant is the namespace the matrix's rows land in ("" = the default
 	// namespace; see campaign.ValidTenant for the character set).
-	Tenant     string
-	Jobs       []campaign.ScenarioJob
-	Faults     int
-	TraceProp  bool
-	RecordRuns bool
+	Tenant    string
+	Jobs      []campaign.ScenarioJob
+	Faults    int
+	TraceProp bool
 }
 
 // NewQueue builds a coordinator: an empty submission queue over the usual
@@ -119,13 +118,12 @@ func (c *Coordinator) submitLocked(spec SubmitSpec) (*submission, error) {
 		return sub, err
 	}
 	err = c.journal.Append(JournalEntry{
-		Op:         "submit",
-		ID:         sub.id,
-		Tenant:     sub.tenant,
-		Faults:     sub.faults,
-		TraceProp:  sub.traceProp,
-		RecordRuns: sub.recordRuns,
-		Jobs:       wireFromJobs(sub.jobs),
+		Op:        "submit",
+		ID:        sub.id,
+		Tenant:    sub.tenant,
+		Faults:    sub.faults,
+		TraceProp: sub.traceProp,
+		Jobs:      WireJobs(sub.jobs),
 	})
 	if err != nil {
 		return nil, journalError{fmt.Errorf("dist: journal submission %s: %w", sub.id, err)}
@@ -237,12 +235,11 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec := SubmitSpec{
-		ID:         req.ID,
-		Tenant:     req.Tenant,
-		Jobs:       jobs,
-		Faults:     req.Faults,
-		TraceProp:  req.TraceProp,
-		RecordRuns: req.RecordRuns,
+		ID:        req.ID,
+		Tenant:    req.Tenant,
+		Jobs:      jobs,
+		Faults:    req.Faults,
+		TraceProp: req.TraceProp,
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -254,7 +251,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if sub == nil {
 		sub, err = c.submitLocked(spec)
 	} else if sub.tenant != spec.Tenant || sub.faults != spec.Faults || sub.traceProp != spec.TraceProp ||
-		sub.recordRuns != spec.RecordRuns || !slices.Equal(sub.jobs, spec.Jobs) {
+		!slices.Equal(sub.jobs, spec.Jobs) {
 		writeJSON(w, http.StatusConflict, errorReply{
 			Error: fmt.Sprintf("dist: submission %s already exists with another tenant or matrix", req.ID)})
 		return

@@ -361,11 +361,11 @@ func TestQueueSubmitValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ocl := NewLoopbackClient(once.Handler())
-	if _, err := ocl.Submit(ctx, SubmitRequest{Jobs: wireFromJobs(compatJobs()[:1]), Faults: compatFaults}); err == nil || !strings.Contains(err.Error(), "one-shot") {
+	if _, err := ocl.Submit(ctx, SubmitRequest{Jobs: WireJobs(compatJobs()[:1]), Faults: compatFaults}); err == nil || !strings.Contains(err.Error(), "one-shot") {
 		t.Errorf("one-shot coordinator accepted a submission: %v", err)
 	}
 
-	wire := wireFromJobs(compatJobs()[:2])
+	wire := WireJobs(compatJobs()[:2])
 	reply, err := cl.Submit(ctx, SubmitRequest{Tenant: "alice", Jobs: wire, Faults: compatFaults})
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +421,7 @@ func TestSubmitIDTakenByAnotherRequest(t *testing.T) {
 	coord := NewQueue(WithStore(campaign.NewMemStore()))
 	cl := NewLoopbackClient(coord.Handler())
 	ctx := context.Background()
-	jobs := wireFromJobs(compatJobs())
+	jobs := WireJobs(compatJobs())
 
 	alice := SubmitRequest{ID: "m000002", Tenant: "alice", Jobs: jobs[:1], Faults: compatFaults}
 	if _, err := cl.Submit(ctx, alice); err != nil {

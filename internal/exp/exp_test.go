@@ -218,7 +218,7 @@ func TestMatrixFromRowsMatchesLive(t *testing.T) {
 	}
 	live := NewMatrix(runSubset(t, 7, func(sc npb.Scenario) bool {
 		return sc.App == "IS" && sc.Cores == 1
-	}, campaign.Faults(4), campaign.Models(fault.Reg, fault.Mem), campaign.RecordRuns(), campaign.TraceProp(),
+	}, campaign.Faults(4), campaign.Models(fault.Reg, fault.Mem), campaign.TraceProp(),
 		campaign.WithStore(st)))
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -39,7 +39,7 @@ func TestCheckpointInjectMatchesReset(t *testing.T) {
 				fi.Fault{Index: 0, Core: 0, Reg: 3, Bit: 5},
 				fi.Fault{Index: g.AppEnd - g.AppStart - 1, Core: 0, Reg: 3, Bit: 5})
 			for i, f := range faults {
-				want := fi.Inject(img, cfg, g, f)
+				want := fi.InjectDomain(img, cfg, g, d, f)
 				got := cs.InjectPoint(d, g, f)
 				if got != want {
 					t.Errorf("fault %d (%s): snapshot run %+v != reset run %+v", i, f, got, want)
@@ -128,7 +128,8 @@ func TestBuildCheckpointsSpansLifespan(t *testing.T) {
 	// Zero checkpoints: valid, every injection falls back to reset.
 	empty := checkpoints(t, img, cfg, g, 0)
 	f := fi.Fault{Index: 1, Core: 0, Reg: 2, Bit: 9}
-	if got, want := empty.InjectPoint(regDomain(t, img, cfg, g), g, f), fi.Inject(img, cfg, g, f); got != want {
+	d := regDomain(t, img, cfg, g)
+	if got, want := empty.InjectPoint(d, g, f), fi.InjectDomain(img, cfg, g, d, f); got != want {
 		t.Errorf("empty-set inject %+v != reset %+v", got, want)
 	}
 }
@@ -171,7 +172,7 @@ func TestContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fi.Inject(img, cfg, g, f); got != want {
+	if want := fi.InjectDomain(img, cfg, g, d, f); got != want {
 		t.Errorf("ctx inject %+v != legacy inject %+v", got, want)
 	}
 	g2, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)

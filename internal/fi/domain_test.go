@@ -210,12 +210,13 @@ func TestCheckpointsShortLifespan(t *testing.T) {
 	}
 	// Faults at the very first and the last lifespan instruction must find
 	// a strictly-earlier checkpoint and classify exactly like from-reset.
+	d := regDomain(t, img, cfg, g)
 	for _, f := range []fi.Fault{
 		{Index: 0, Core: 0, Reg: 3, Bit: 5},
 		{Index: 2, Core: 0, Reg: 3, Bit: 5},
 	} {
-		want := fi.Inject(img, cfg, g, f)
-		got := cs.InjectPoint(regDomain(t, img, cfg, g), g, f)
+		want := fi.InjectDomain(img, cfg, g, d, f)
+		got := cs.InjectPoint(d, g, f)
 		if got != want {
 			t.Errorf("short-lifespan fault %s: snapshot run %+v != reset run %+v", f, got, want)
 		}
@@ -238,8 +239,9 @@ func TestFirstInstructionFaultUsesSnapshot(t *testing.T) {
 	}
 	cs := checkpoints(t, img, cfg, g, 4)
 	f := fi.Fault{Index: 0, Core: 0, Reg: 3, Bit: 5}
-	want := fi.Inject(img, cfg, g, f)
-	got := cs.InjectPoint(regDomain(t, img, cfg, g), g, f)
+	d := regDomain(t, img, cfg, g)
+	want := fi.InjectDomain(img, cfg, g, d, f)
+	got := cs.InjectPoint(d, g, f)
 	if got != want {
 		t.Fatalf("first-instruction fault: snapshot run %+v != reset run %+v", got, want)
 	}

@@ -338,17 +338,6 @@ func InjectDomain(img *cc.Image, cfg mach.Config, g *Golden, d fault.Domain, p F
 	return finishFault(m, g, g.Final, p, stop)
 }
 
-// Inject runs phase 3 for one register fault from machine reset: InjectDomain
-// with the fault.Reg domain (which cannot fail to build: RunGolden guarantees
-// a non-empty lifespan and configs have >= 1 core).
-func Inject(img *cc.Image, cfg mach.Config, g *Golden, f Fault) Result {
-	d, err := NewDomain(fault.Reg, img, cfg, g)
-	if err != nil {
-		panic(err)
-	}
-	return InjectDomain(img, cfg, g, d, f)
-}
-
 // armFault installs the injection hook for one fault point: when the
 // machine commits instruction AppStart+Index, the domain applies the flip.
 func armFault(m *mach.Machine, d fault.Domain, g *Golden, p Fault) {

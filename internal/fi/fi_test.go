@@ -134,10 +134,11 @@ func TestInjectOutcomesSane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults := fi.List(7, 24, regDomain(t, img, cfg, g))
+	d := regDomain(t, img, cfg, g)
+	faults := fi.List(7, 24, d)
 	var counts fi.Counts
 	for _, f := range faults {
-		r := fi.Inject(img, cfg, g, f)
+		r := fi.InjectDomain(img, cfg, g, d, f)
 		counts.Add(r.Outcome)
 	}
 	if counts.Total() != len(faults) {
@@ -161,8 +162,9 @@ func TestInjectDeterministicReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := fi.Fault{Index: (g.AppEnd - g.AppStart) / 3, Core: 1, Reg: 5, Bit: 17}
-	r1 := fi.Inject(img, cfg, g, f)
-	r2 := fi.Inject(img, cfg, g, f)
+	d := regDomain(t, img, cfg, g)
+	r1 := fi.InjectDomain(img, cfg, g, d, f)
+	r2 := fi.InjectDomain(img, cfg, g, d, f)
 	if r1.Outcome != r2.Outcome || r1.Retired != r2.Retired || r1.Cycles != r2.Cycles {
 		t.Errorf("injection not replayable: %+v vs %+v", r1, r2)
 	}
@@ -179,10 +181,11 @@ func TestPCFlipIsUsuallyFatalOnV7(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flip a high PC bit mid-run: the program lands in unmapped space.
+	d := regDomain(t, img, cfg, g)
 	bad := 0
 	for _, bit := range []int{20, 24, 26} {
 		f := fi.Fault{Index: (g.AppEnd - g.AppStart) / 2, Core: 0, Reg: 15, Bit: bit}
-		r := fi.Inject(img, cfg, g, f)
+		r := fi.InjectDomain(img, cfg, g, d, f)
 		if r.Outcome == fi.UT || r.Outcome == fi.Hang {
 			bad++
 		}
@@ -205,7 +208,7 @@ func TestZeroBitFaultOnDeadRegisterVanishes(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := fi.Fault{Index: g.AppEnd - g.AppStart - 2, Core: 0, Reg: 27, Bit: 3}
-	r := fi.Inject(img, cfg, g, f)
+	r := fi.InjectDomain(img, cfg, g, regDomain(t, img, cfg, g), f)
 	if r.Outcome == fi.UT || r.Outcome == fi.Hang || r.Outcome == fi.OMM {
 		t.Errorf("late dead-register fault escalated to %v", r.Outcome)
 	}

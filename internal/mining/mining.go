@@ -53,9 +53,6 @@ func (d *DataSet) AddRow(name string, values map[string]float64) {
 	}
 }
 
-// Columns lists column names in insertion order.
-func (d *DataSet) Columns() []string { return append([]string(nil), d.order...) }
-
 // Column returns a column's values (shared slice).
 func (d *DataSet) Column(name string) ([]float64, bool) {
 	c, ok := d.columns[name]

@@ -142,9 +142,6 @@ type Tracer struct {
 	cfg mach.Config
 	g   *fi.Golden
 	cs  *fi.CheckpointSet // optional restore accelerator; nil = from reset
-
-	// Stride is the comparison granularity; 0 means DefaultStride.
-	Stride uint64
 }
 
 // NewTracer builds a tracer over one scenario. cs may be nil, in which case
@@ -192,10 +189,6 @@ func (t *Tracer) Trace(d fault.Domain, p fault.Point) (Trace, fi.Outcome, error)
 	t0 := time.Now()
 	injectAt := t.g.AppStart + p.Index
 	budget := fi.HangBudget(t.g.Cycles)
-	stride := t.Stride
-	if stride == 0 {
-		stride = DefaultStride
-	}
 
 	mf, mg := mach.New(t.cfg), mach.New(t.cfg)
 	mf.InjectAt = injectAt
@@ -308,7 +301,7 @@ func (t *Tracer) Trace(d fault.Domain, p fault.Point) (Trace, fi.Outcome, error)
 
 	boundary() // latency 0: the fault has fired at the positioning stop
 	for stopF == mach.StopInstrBudget {
-		next := mf.TotalRetired + stride
+		next := mf.TotalRetired + DefaultStride
 		mf.SetInstrBudget(next)
 		stopF = mf.Run(budget)
 		if !goldenHalted {

@@ -211,7 +211,7 @@ func NewContext(sc npb.Scenario, golden campaign.GoldenSummary) (*Context, error
 // Analyze joins the per-fault rows of one scenario's recorded campaigns
 // (one Result per fault domain, all sharing ctx's scenario) against the
 // golden run and returns the full attribution report. Results without
-// per-run records are rejected — record them with -record-runs.
+// per-run records (legacy v1–v3 rows) are rejected.
 func Analyze(ctx *Context, results []*campaign.Result) (*Report, error) {
 	rep := &Report{
 		Scenario:     ctx.Scenario,
@@ -227,7 +227,7 @@ func Analyze(ctx *Context, results []*campaign.Result) (*Report, error) {
 			return nil, fmt.Errorf("sens: result %s does not belong to scenario %s", r.Key(), ctx.Scenario.ID())
 		}
 		if len(r.Runs) == 0 {
-			return nil, fmt.Errorf("sens: %s has no per-run records (record the campaign with -record-runs)", r.Key())
+			return nil, fmt.Errorf("sens: %s has no per-run records (a legacy v1-v3 row; rerun the campaign)", r.Key())
 		}
 		rep.Domains = append(rep.Domains, r.Domain)
 		rep.RowsByDomain[r.Domain] += len(r.Runs)

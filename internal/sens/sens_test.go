@@ -27,7 +27,7 @@ func recordedCampaigns(t *testing.T, st campaign.Store) (npb.Scenario, []*campai
 	}
 	opts := []campaign.Option{
 		campaign.Faults(8), campaign.Workers(2),
-		campaign.RecordRuns(), campaign.TraceProp(),
+		campaign.TraceProp(),
 	}
 	if st != nil {
 		opts = append(opts, campaign.WithStore(st))
@@ -215,7 +215,7 @@ func TestJointAxesFollowFunctionTable(t *testing.T) {
 	for _, d := range []fault.Model{fault.Reg, fault.Burst, fault.IMem} {
 		jobs = append(jobs, campaign.ScenarioJob{Scenario: sc, Domain: d, Seed: 21})
 	}
-	eng := campaign.New(campaign.Faults(12), campaign.Workers(2), campaign.RecordRuns(), campaign.WithStore(st))
+	eng := campaign.New(campaign.Faults(12), campaign.Workers(2), campaign.WithStore(st))
 	if _, err := eng.RunMatrix(context.Background(), jobs); err != nil {
 		t.Fatal(err)
 	}
