@@ -51,16 +51,15 @@ import (
 	"syscall"
 
 	"serfi/internal/campaign"
-	"serfi/internal/cc"
 	"serfi/internal/dist"
 	"serfi/internal/fault"
-	"serfi/internal/fi"
 	"serfi/internal/isa"
 	"serfi/internal/mach"
 	"serfi/internal/npb"
 	"serfi/internal/obs"
 	"serfi/internal/profile"
 	"serfi/internal/prop"
+	"serfi/internal/stack"
 	"serfi/internal/stats"
 )
 
@@ -188,24 +187,19 @@ func cmdGolden(args []string) error {
 	if err != nil {
 		return err
 	}
-	img, cfg, err := npb.BuildScenario(sc)
+	// A campaign's group without checkpoints: its golden run is profiled,
+	// and sampling only observes, so the stats dump is the unprofiled run's.
+	grp, err := campaign.BuildGroup(context.Background(), sc, 0, -1, nil)
 	if err != nil {
 		return err
 	}
-	// Profiled like every campaign's golden run; sampling only observes, so
-	// the stats dump is the unprofiled run's.
-	cfg.Profile = true
-	cfg.SamplePeriod = campaign.DefaultSamplePeriod
-	g, err := fi.RunGolden(img, cfg, 0)
-	if err != nil {
-		return err
-	}
+	g := grp.Golden()
 	fmt.Printf("scenario        %s\n", sc.ID())
 	fmt.Printf("lifespan        [%d, %d] retired instructions\n", g.AppStart, g.AppEnd)
 	fmt.Printf("total retired   %d\n", g.Retired)
 	fmt.Printf("machine cycles  %d\n", g.Cycles)
 	fmt.Printf("console:\n%s\n", g.Console)
-	p := profile.Build(img, g.Machine)
+	p := grp.Profile()
 	fmt.Printf("%-28s %12s %12s %8s\n", "function", "samples", "calls", "time%")
 	for _, fn := range p.Funcs[:min(len(p.Funcs), 20)] {
 		share := 0.0
@@ -758,18 +752,11 @@ func cmdDisasm(args []string) error {
 		return fmt.Errorf("no symbol %q", *fn)
 	}
 	// Install into a scratch machine to read the encoded words back.
-	m := mustMachine(cfg, img)
+	m := stack.NewMachine(cfg, img)
 	for pc := sym.Addr; pc < sym.Addr+sym.Size; pc += 4 {
 		w := m.Mem.ReadU32(pc)
 		ins := cfg.ISA.Decode(w)
 		fmt.Printf("%08x: %08x  %s\n", pc, w, isa.Disasm(cfg.ISA.Feat(), ins))
 	}
 	return nil
-}
-
-// mustMachine builds and installs a machine for inspection commands.
-func mustMachine(cfg mach.Config, img *cc.Image) *mach.Machine {
-	m := mach.New(cfg)
-	img.InstallTo(m)
-	return m
 }

@@ -1,14 +1,16 @@
 // The `serfi sens` subcommand: the sensitivity observability surface over
 // a recorded campaign database. It loads the v4 per-fault rows every
-// campaign persists, rebuilds each scenario's join context
-// from nothing but the stored scenario ID and golden summary (image,
-// symbols, residency windows), and prints the per-register / per-function /
+// campaign persists, rebuilds each scenario's campaign.Group from nothing
+// but the stored scenario ID and seed (image, symbols, golden run,
+// residency windows), refuses rows whose golden summary that group does not
+// reproduce, and prints the per-register / per-function /
 // per-page / per-cache-structure vulnerability report with Wilson
 // confidence intervals — optionally writing the self-contained HTML
 // heatmap and the serfi_sens_* metrics exposition.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -63,13 +65,13 @@ func cmdSens(args []string) error {
 	m := sens.NewMetrics(obs.Default)
 	var reports []*sens.Report
 	for i, sc := range scs {
-		group := byScenario[sc]
+		rows := byScenario[sc]
 		t0 := time.Now()
-		ctx, err := sens.NewContext(sc, group[0].Golden)
+		grp, err := campaign.BuildGroup(context.Background(), sc, rows[0].Seed, -1, nil)
 		if err != nil {
 			return err
 		}
-		rep, err := sens.Analyze(ctx, group)
+		rep, err := sens.Analyze(grp, rows)
 		if err != nil {
 			return err
 		}

@@ -34,21 +34,25 @@ func GroupKey(scenarioID string, seed int64) string {
 }
 
 // Group holds the fault-free phases of one (scenario, seed) pair — image,
-// profiled golden run, features, checkpoint set, propagation tracer and
-// each domain's frozen fault list — run once by BuildGroup and shared by
-// every domain campaign and every shard. It is safe for concurrent use.
+// profiled golden run, flat profile, features, checkpoint set, propagation
+// tracer and each domain's frozen fault list — run once by BuildGroup and
+// shared by every domain campaign and every shard. It is the only code that
+// runs a scenario's golden execution: `serfi golden` prints one and the
+// sensitivity join (internal/sens) reads one. It is safe for concurrent use.
 type Group struct {
 	Features      profile.Features
 	APICalls      uint64  // calls into the parallelization runtime
 	GoldenWallSec float64 // host wall clock of image build + profiled golden run
 
-	id     string // scenario ID, for error reports
-	seed   int64  // fault-list seed every domain of the group draws from
-	img    *cc.Image
-	cfg    mach.Config
-	g      *fi.Golden
-	cs     *fi.CheckpointSet // base set; every Inject runs through a clone
-	tracer *prop.Tracer
+	sc        npb.Scenario
+	seed      int64 // fault-list seed every domain of the group draws from
+	img       *cc.Image
+	cfg       mach.Config
+	g         *fi.Golden
+	prof      *profile.Profile
+	cs        *fi.CheckpointSet // base set; every Inject runs through a clone
+	tracer    *prop.Tracer
+	residency func() (*profile.Residency, error)
 
 	mu    sync.Mutex
 	lists map[listKey]faultList
@@ -104,7 +108,7 @@ func buildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int,
 		return nil, err
 	}
 	grp := &Group{
-		id:            sc.ID(),
+		sc:            sc,
 		seed:          seed,
 		GoldenWallSec: time.Since(t0).Seconds(),
 		img:           img,
@@ -114,8 +118,12 @@ func buildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int,
 	}
 	endSpan = tracer.Start("profile", "profile", tid, nil)
 	grp.Features = profile.Extract(img, g.Machine)
-	grp.APICalls = profile.Build(img, g.Machine).CallsTo(profile.RuntimePrefixes...)
+	grp.prof = profile.Build(img, g.Machine)
+	grp.APICalls = grp.prof.CallsTo(profile.RuntimePrefixes...)
 	endSpan()
+	grp.residency = sync.OnceValues(func() (*profile.Residency, error) {
+		return profile.SampleResidency(img, cfg, g.AppStart, g.AppEnd, fi.HangBudget(g.Cycles))
+	})
 
 	if snapshots == 0 {
 		snapshots = fi.DefaultCheckpoints
@@ -143,6 +151,24 @@ func (g *Group) Summary() GoldenSummary {
 		Cycles:   g.g.Cycles,
 	}
 }
+
+// Scenario returns the scenario the group was built from.
+func (g *Group) Scenario() npb.Scenario { return g.sc }
+
+// Image returns the scenario's linked image: symbols and mapped regions.
+func (g *Group) Image() *cc.Image { return g.img }
+
+// Golden returns the profiled golden run: console, lifespan and the halted
+// machine. Callers read it; they must not run or mutate the machine.
+func (g *Group) Golden() *fi.Golden { return g.g }
+
+// Profile returns the golden run's flat profile.
+func (g *Group) Profile() *profile.Profile { return g.prof }
+
+// Residency returns the per-core PC samples over the golden lifespan
+// (profile.SampleResidency), walked on the first call and shared after it.
+// No injection path calls it: only the sensitivity join pays for the walk.
+func (g *Group) Residency() (*profile.Residency, error) { return g.residency() }
 
 // Checkpoints returns the snapshot count and the delta chain's RAM payload.
 func (g *Group) Checkpoints() (n, residentBytes int) {
@@ -198,9 +224,10 @@ func ShardRanges(n, size int) [][2]int {
 // Inject executes faults [lo, hi) of model's n-fault list: an engine
 // injection job or a leased shard. Runs are independent, so shards over
 // any partition of [0, n) concatenate to one shard over the whole range.
-// With traceProp every unmasked run is re-run against a golden twin. Only
-// cancellation returns ctx's error; any other error (a domain the scenario
-// cannot host, a tracer failure, a host panic) is fatal for the campaign.
+// With traceProp every unmasked run is re-run against a golden twin, whose
+// outcome must be the run's. Only cancellation returns ctx's error; any
+// other error (a domain the scenario cannot host, a tracer failure, a twin
+// that disagrees, a host panic) is fatal for the campaign.
 //
 // The simulator is meant to be total — whatever a fault does to the guest is
 // a classified outcome — so a host panic during a run is a bug. Inject is the
@@ -217,12 +244,16 @@ func (g *Group) Inject(ctx context.Context, model fault.Model, n, lo, hi int, tr
 		return Shard{}, fmt.Errorf("fault range [%d, %d) outside list of %d", lo, hi, len(faults))
 	}
 	at := lo // the fault in flight
+	// name renders the fault in flight for an error report; its tuple
+	// replays the run.
+	name := func() string {
+		env := fault.Env{Feat: g.cfg.ISA.Feat(), Regions: g.img.Regions}
+		return fmt.Sprintf("%s domain %s at fault %d (%s)", g.sc.ID(), model, at, faults[at].Format(env))
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			obsHostPanics.Inc()
-			env := fault.Env{Feat: g.cfg.ISA.Feat(), Regions: g.img.Regions}
-			sh, err = Shard{}, fmt.Errorf("host panic in %s domain %s at fault %d (%s): %v",
-				g.id, model, at, faults[at].Format(env), r)
+			sh, err = Shard{}, fmt.Errorf("host panic in %s: %v", name(), r)
 		}
 	}()
 	// A clone shares the immutable snapshots but counts only this shard.
@@ -238,9 +269,12 @@ func (g *Group) Inject(ctx context.Context, model fault.Model, n, lo, hi int, tr
 		}
 		sh.Runs = append(sh.Runs, r)
 		if traceProp && fi.IsUnmasked(r.Outcome) {
-			tr, _, err := g.tracer.Trace(dom, faults[at])
+			tr, twin, err := g.tracer.Trace(dom, faults[at])
 			if err != nil {
 				return Shard{}, fmt.Errorf("propagation trace %v: %w", faults[at], err)
+			}
+			if twin != r.Outcome {
+				return Shard{}, fmt.Errorf("propagation twin disagrees in %s: injected run %v, twin %v", name(), r.Outcome, twin)
 			}
 			sh.Traces[at-lo] = &tr
 		}

@@ -2,7 +2,10 @@ package campaign_test
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"serfi/internal/campaign"
@@ -146,4 +149,62 @@ func TestHostPanicsCounted(t *testing.T) {
 		t.Fatalf("cluster: %v, want the burst shard's host panic", err)
 	}
 	moved("one failed shard on a worker", 2)
+}
+
+// flipOnceDomain applies the first fault it is handed and ignores every
+// later Apply: a domain whose propagation twin cannot reproduce the run it
+// traces.
+type flipOnceDomain struct {
+	fault.Domain
+	calls *atomic.Int32
+}
+
+func (d flipOnceDomain) Apply(m *mach.Machine, p fault.Point) {
+	if d.calls.Add(1) == 1 {
+		d.Domain.Apply(m, p)
+	}
+}
+
+// TestTraceTwinMustAgree: with propagation tracing on, an unmasked run
+// whose golden twin classifies differently from the injection fails its
+// shard with an error naming the fault and both outcomes, instead of
+// folding a trace of some other run.
+func TestTraceTwinMustAgree(t *testing.T) {
+	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
+	const seed, faults = 5, 8
+	ctx := context.Background()
+	g, err := campaign.BuildGroup(ctx, sc, seed, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := g.Inject(ctx, fault.Reg, faults, 0, faults, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := slices.IndexFunc(sh.Runs, func(r fi.Result) bool { return fi.IsUnmasked(r.Outcome) })
+	if at < 0 {
+		t.Fatalf("no unmasked run among %d faults to trace", faults)
+	}
+
+	t.Cleanup(campaign.SetNewDomain(func(model fault.Model, img *cc.Image, cfg mach.Config, g *fi.Golden) (fault.Domain, error) {
+		d, err := fi.NewDomain(model, img, cfg, g)
+		if err == nil {
+			d = flipOnceDomain{d, new(atomic.Int32)}
+		}
+		return d, err
+	}))
+	planted, err := campaign.BuildGroup(ctx, sc, seed, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = planted.Inject(ctx, fault.Reg, faults, at, at+1, true)
+	if err == nil {
+		t.Fatal("a traced run whose twin disagrees was folded")
+	}
+	for _, want := range []string{"propagation twin", sc.ID(), "domain reg", fmt.Sprintf("at fault %d (", at),
+		sh.Runs[at].Outcome.String(), fi.Vanished.String()} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
 }

@@ -541,7 +541,7 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 		// Latest cumulative snapshot wins; see obs.go for the merge rule.
 		c.workerFams[req.Worker] = req.Metrics
 	}
-	sh, stale := c.table.complete(req.LeaseID, req.Key, req.Lo, req.Hi)
+	sh, stale := c.table.complete(req.LeaseID, req.Worker, req.Key, req.Lo, req.Hi)
 	if stale {
 		c.cm.shards.With("stale", "none").Inc()
 		writeJSON(w, http.StatusOK, CompleteReply{Proto: ProtoVersion, Stale: true, Done: c.drainedLocked()})
@@ -610,13 +610,14 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// the next acquire — that window double-counted re-issued work on the
 	// progress stream (Done briefly exceeding the shard's true progress).
 	c.reapLocked()
-	sh := c.table.holder(req.LeaseID)
+	sh := c.table.holder(req.LeaseID, req.Worker)
 	n := req.Hi - req.Lo
 	if sh == nil || sh.camp.key != req.Key ||
 		n < 0 || req.Lo < sh.lo || req.Hi > sh.hi || sh.beats+n > sh.hi-sh.lo {
-		// A beat from an expired lease, or one that lies about its range
-		// (inverted, outside its lease, more runs than the shard holds):
-		// acknowledge and drop, so Done never exceeds Total.
+		// A beat from an expired lease or from a worker that does not hold
+		// it, or one that lies about its range (inverted, outside its lease,
+		// more runs than the shard holds): acknowledge and drop, so Done
+		// never exceeds Total.
 		c.cm.beatsStale.Inc()
 		writeJSON(w, http.StatusOK, EventReply{Proto: ProtoVersion})
 		return

@@ -214,30 +214,27 @@ func (t *leaseTable) acquire(worker string) (s *shard, allRetired bool) {
 	return next, false
 }
 
-// complete retires the shard held under leaseID, or reports it stale: the
-// lease expired and was re-issued, the shard was already completed by
-// another holder, or the ID was never granted. Stale completions are
-// discarded without touching campaign state — a re-executed shard produces
-// bit-identical results, so dropping either copy is sound and dropping the
-// stale one guarantees no result is folded twice.
-func (t *leaseTable) complete(leaseID int64, key string, lo, hi int) (s *shard, stale bool) {
-	for _, sh := range t.shards {
-		if sh.state == shardLeased && sh.leaseID == leaseID {
-			if sh.camp.key != key || sh.lo != lo || sh.hi != hi {
-				return nil, true // malformed echo of a live lease
-			}
-			t.retire(sh)
-			return sh, false
-		}
+// complete retires the shard worker holds under leaseID, or reports it
+// stale: the lease expired and was re-issued, the shard was already
+// completed by another holder, the ID was never granted, or another worker
+// holds it. Stale completions are discarded without touching campaign
+// state — a re-executed shard produces bit-identical results, so dropping
+// either copy is sound and dropping the stale one guarantees no result is
+// folded twice.
+func (t *leaseTable) complete(leaseID int64, worker, key string, lo, hi int) (s *shard, stale bool) {
+	sh := t.holder(leaseID, worker)
+	if sh == nil || sh.camp.key != key || sh.lo != lo || sh.hi != hi {
+		return nil, true // no live lease of this worker's, or a malformed echo of one
 	}
-	return nil, true
+	t.retire(sh)
+	return sh, false
 }
 
-// holder returns the live shard granted under leaseID, if any (used to
-// validate progress events).
-func (t *leaseTable) holder(leaseID int64) *shard {
+// holder returns the live shard granted to worker under leaseID, if any
+// (used to validate completions and progress events).
+func (t *leaseTable) holder(leaseID int64, worker string) *shard {
 	for _, sh := range t.shards {
-		if sh.state == shardLeased && sh.leaseID == leaseID {
+		if sh.state == shardLeased && sh.leaseID == leaseID && sh.worker == worker {
 			return sh
 		}
 	}

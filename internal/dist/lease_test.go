@@ -9,6 +9,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -345,6 +346,67 @@ func TestLeaseGrantSequences(t *testing.T) {
 		}
 		if g := strings.Join(got, " "); g != tc.want {
 			t.Errorf("%s: grants\n got %s\nwant %s", tc.name, g, tc.want)
+		}
+	}
+}
+
+// TestCompletionFromNonHolderIsStale: a lease belongs to the worker it was
+// granted to. Worker b's progress beat and completion for a's live lease
+// are dropped as stale, the completion counted under
+// serfi_dist_shards_total{result="stale"}, and a's own beat and completion
+// of the shard are the ones folded.
+func TestCompletionFromNonHolderIsStale(t *testing.T) {
+	const faults = 2
+	coord, err := NewCoordinator(compatJobs()[:1], faults, ShardSize(faults))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cl := NewLoopbackClient(coord.Handler())
+	a := NewWorker(cl, Name("a"))
+	r, err := cl.Lease(ctx, a.name)
+	if err != nil || r.Lease == nil {
+		t.Fatalf("lease: %+v, %v", r, err)
+	}
+	l := r.Lease
+	if err := cl.Event(ctx, EventRequest{Worker: "b", LeaseID: l.ID, Key: l.Key, Lo: l.Lo, Hi: l.Hi}); err != nil {
+		t.Fatal(err)
+	}
+	req, err := a.exec(ctx, l) // a's own beat covers the whole shard
+	if err != nil || req.Err != "" {
+		t.Fatalf("exec: %v %s", err, req.Err)
+	}
+	forged := req
+	forged.Worker = "b"
+	if reply, err := cl.Complete(ctx, forged); err != nil || !reply.Stale || reply.Accepted {
+		t.Fatalf("b's completion of a's lease = %+v, %v (want stale)", reply, err)
+	}
+	if reply, err := cl.Complete(ctx, req); err != nil || !reply.Accepted {
+		t.Fatalf("a's completion = %+v, %v (want accepted)", reply, err)
+	}
+	results, err := coord.Wait(ctx)
+	if err != nil || results[0] == nil || results[0].Counts.Total() != faults {
+		t.Fatalf("results = %v, %v", results, err)
+	}
+	if mr, err := coord.Matrix("m000001"); err != nil || mr.CampaignList[0].Injected != faults {
+		t.Errorf("matrix row = %+v, %v (want %d injected, from a's beat)", mr, err, faults)
+	}
+	resp, err := cl.hc.Get(cl.base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`serfi_dist_shards_total{result="stale",tenant="none"} 1`,
+		`serfi_dist_shards_total{result="accepted",tenant="default"} 1`,
+		`serfi_dist_beats_stale_total 1`,
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics lacks %s:\n%s", want, grepLines(string(body), "serfi_dist_"))
 		}
 	}
 }

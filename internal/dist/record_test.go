@@ -85,11 +85,11 @@ func TestDefaultCampaignRecordsRuns(t *testing.T) {
 	if len(got) != 1 || got[0].Key() != legacyJob(fault.CacheTag).Key() || len(got[0].Runs) != 4 {
 		t.Fatalf("HasRuns after reopen = %v, want the cachetag campaign with 4 runs", got)
 	}
-	ctx, err := sens.NewContext(got[0].Scenario, got[0].Golden)
+	grp, err := campaign.BuildGroup(context.Background(), got[0].Scenario, got[0].Seed, -1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sens.Analyze(ctx, got); err != nil {
+	if _, err := sens.Analyze(grp, got); err != nil {
 		t.Errorf("sens refused the default campaign's row: %v", err)
 	}
 }

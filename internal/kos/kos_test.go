@@ -17,11 +17,11 @@ func boot(t *testing.T, isaName string, cores int, app *cc.Program) (*mach.Machi
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, img, err := stack.BuildAndBoot(cfg, app)
+	img, err := stack.Build(cfg, app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, img
+	return stack.NewMachine(cfg, img), img
 }
 
 func runToHalt(t *testing.T, m *mach.Machine, budget uint64) {

@@ -172,30 +172,6 @@ func Index(sc Scenario) (int, bool) {
 	return i, ok
 }
 
-// Run is a completed scenario execution.
-type Run struct {
-	Scenario Scenario
-	Img      *cc.Image
-	Cfg      mach.Config
-	M        *mach.Machine
-	Stop     mach.StopReason
-}
-
-// Execute builds, boots and runs a scenario to completion. maxCycles of 0
-// applies a generous default budget.
-func Execute(sc Scenario, maxCycles uint64) (*Run, error) {
-	img, cfg, err := BuildScenario(sc)
-	if err != nil {
-		return nil, err
-	}
-	if maxCycles == 0 {
-		maxCycles = 20_000_000_000
-	}
-	m := stack.NewMachine(cfg, img)
-	stop := m.Run(maxCycles)
-	return &Run{Scenario: sc, Img: img, Cfg: cfg, M: m, Stop: stop}, nil
-}
-
 // BuildScenario links the scenario's image and machine configuration. The
 // image has the mode and thread/rank counts patched in.
 func BuildScenario(sc Scenario) (*cc.Image, mach.Config, error) {

@@ -5,18 +5,27 @@ import (
 	"math"
 	"testing"
 
+	"serfi/internal/cc"
 	"serfi/internal/mach"
+	"serfi/internal/stack"
 )
 
+// run is a scenario executed to halt: its image and the halted machine.
+type run struct {
+	Img *cc.Image
+	M   *mach.Machine
+}
+
 // runScenario boots and runs one scenario to halt, returning the machine.
-func runScenario(t *testing.T, sc Scenario) (*mach.Machine, *Run) {
+func runScenario(t *testing.T, sc Scenario) (*mach.Machine, *run) {
 	t.Helper()
-	r, err := Execute(sc, 0)
+	img, cfg, err := BuildScenario(sc)
 	if err != nil {
 		t.Fatalf("%s: %v", sc.ID(), err)
 	}
-	if r.Stop != mach.StopHalted {
-		t.Fatalf("%s: stopped %v (pc=%#x retired=%d)", sc.ID(), r.Stop,
+	r := &run{Img: img, M: stack.NewMachine(cfg, img)}
+	if stop := r.M.Run(20_000_000_000); stop != mach.StopHalted {
+		t.Fatalf("%s: stopped %v (pc=%#x retired=%d)", sc.ID(), stop,
 			r.M.Cores[0].PC, r.M.TotalRetired)
 	}
 	if r.M.ExitCode != 0 {
@@ -25,7 +34,7 @@ func runScenario(t *testing.T, sc Scenario) (*mach.Machine, *Run) {
 	return r.M, r
 }
 
-func results(t *testing.T, r *Run) []uint64 {
+func results(t *testing.T, r *run) []uint64 {
 	t.Helper()
 	out := make([]uint64, ResultWords)
 	for i := range out {
@@ -38,7 +47,7 @@ func results(t *testing.T, r *Run) []uint64 {
 	return out
 }
 
-func resultF(t *testing.T, r *Run, idx uint32) float64 {
+func resultF(t *testing.T, r *run, idx uint32) float64 {
 	t.Helper()
 	bits, err := r.Img.F64At(r.M, "__resultf", idx)
 	if err != nil {

@@ -5,8 +5,9 @@
 // coordinate against these windows to name the function that was live when
 // the fault struck — the program-structure axis of the paper's §3.4
 // cross-layer mining. The walk is pure observation over the deterministic
-// simulator, so it can be reproduced from a database row alone (scenario
-// ID + golden summary) long after the campaign ran.
+// simulator; campaign.Group.Residency runs it over the group's own golden
+// lifespan, so a group rebuilt from a database row's scenario ID and seed
+// reproduces it long after the campaign ran.
 package profile
 
 import (

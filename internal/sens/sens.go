@@ -5,7 +5,7 @@
 // injected into, and answers *where* a scenario is vulnerable rather than
 // merely *how much*. Register-file faults resolve to the architectural
 // register struck and, through ACE-like residency windows sampled over the
-// deterministic golden run (profile.SampleResidency), to the function that
+// deterministic golden run (campaign.Group.Residency), to the function that
 // was live when the fault landed; instruction-memory faults resolve through
 // the image's symbol table; data-memory faults to the mapped region and
 // 4 KiB page; cache faults to the (level, structure) metadata array. Every
@@ -13,10 +13,11 @@
 // here come from statistical sampling and the paper's cross-ISA deltas live
 // or die on whether the error bars overlap.
 //
-// The join is reproducible from a database row alone: the scenario ID
-// rebuilds the image and the golden summary replays the residency walk, so
-// `serfi sens` over yesterday's JSONL file reproduces today's report
-// bit for bit.
+// The join is reproducible from a database row alone: the row's scenario ID
+// and seed rebuild its campaign.Group — the one code that runs a scenario
+// fault-free — and the group's golden summary must equal the row's. So
+// `serfi sens` over yesterday's JSONL file reproduces today's report bit for
+// bit, and refuses a row this binary's golden run does not reproduce.
 package sens
 
 import (
@@ -28,7 +29,6 @@ import (
 	"serfi/internal/cc"
 	"serfi/internal/fault"
 	"serfi/internal/fi"
-	"serfi/internal/isa"
 	"serfi/internal/npb"
 	"serfi/internal/profile"
 )
@@ -183,38 +183,18 @@ func (r *Report) JointAxes() (funcs, regs []string) {
 	return funcs, regs
 }
 
-// Context carries the scenario-derived join machinery: the rebuilt image
-// (symbols, mapped regions), the ISA register-file shape, and the
-// residency table sampled off the golden run.
-type Context struct {
-	Scenario npb.Scenario
-	Img      *cc.Image
-	Feat     isa.Features
-	Res      *profile.Residency
-}
-
-// NewContext rebuilds the join machinery for one scenario from its golden
-// summary — everything a stored campaign row already carries, so reports
-// are reproducible from the database alone.
-func NewContext(sc npb.Scenario, golden campaign.GoldenSummary) (*Context, error) {
-	img, cfg, err := npb.BuildScenario(sc)
-	if err != nil {
-		return nil, fmt.Errorf("sens: %w", err)
-	}
-	res, err := profile.SampleResidency(img, cfg, golden.AppStart, golden.AppEnd, fi.HangBudget(golden.Cycles))
-	if err != nil {
-		return nil, fmt.Errorf("sens: %w", err)
-	}
-	return &Context{Scenario: sc, Img: img, Feat: img.Feat, Res: res}, nil
-}
-
 // Analyze joins the per-fault rows of one scenario's recorded campaigns
-// (one Result per fault domain, all sharing ctx's scenario) against the
-// golden run and returns the full attribution report. Results without
-// per-run records (legacy v1–v3 rows) are rejected.
-func Analyze(ctx *Context, results []*campaign.Result) (*Report, error) {
+// (one Result per fault domain) against grp, the group of the rows'
+// scenario, and returns the full attribution report. The fault list seed
+// plays no part in the join: any seed's group of the scenario serves. A row
+// of another scenario, a row without per-run records (legacy v1–v3) and a
+// row whose golden summary is not the one grp's golden run gives — written
+// by a binary with other interpreter semantics, so its faults would be
+// attributed against windows this binary does not produce — are refused.
+func Analyze(grp *campaign.Group, results []*campaign.Result) (*Report, error) {
+	sc := grp.Scenario()
 	rep := &Report{
-		Scenario:     ctx.Scenario,
+		Scenario:     sc,
 		RowsByDomain: make(map[fault.Model]int),
 		Registers:    NewTable("per-register"),
 		Functions:    NewTable("per-function"),
@@ -222,12 +202,20 @@ func Analyze(ctx *Context, results []*campaign.Result) (*Report, error) {
 		Structures:   NewTable("per-cache-structure"),
 		Joint:        make(map[string]map[string]*Cell),
 	}
+	res, err := grp.Residency()
+	if err != nil {
+		return nil, fmt.Errorf("sens: %w", err)
+	}
 	for _, r := range results {
-		if r.Scenario != ctx.Scenario {
-			return nil, fmt.Errorf("sens: result %s does not belong to scenario %s", r.Key(), ctx.Scenario.ID())
+		if r.Scenario != sc {
+			return nil, fmt.Errorf("sens: result %s does not belong to scenario %s", r.Key(), sc.ID())
 		}
 		if len(r.Runs) == 0 {
 			return nil, fmt.Errorf("sens: %s has no per-run records (a legacy v1-v3 row; rerun the campaign)", r.Key())
+		}
+		if want := grp.Summary(); r.Golden != want {
+			return nil, fmt.Errorf("sens: %s was recorded against golden run %+v, this build's is %+v (rerun the campaign)",
+				r.Key(), r.Golden, want)
 		}
 		rep.Domains = append(rep.Domains, r.Domain)
 		rep.RowsByDomain[r.Domain] += len(r.Runs)
@@ -239,7 +227,7 @@ func Analyze(ctx *Context, results []*campaign.Result) (*Report, error) {
 			}
 			rep.Faults++
 			rep.Total.Add(run.Outcome)
-			attribute(ctx, rep, run.Fault, run.Outcome, escape)
+			attribute(grp.Image(), res, rep, run.Fault, run.Outcome, escape)
 		}
 	}
 	sort.Slice(rep.Domains, func(i, j int) bool { return rep.Domains[i] < rep.Domains[j] })
@@ -255,13 +243,13 @@ func score(c *Cell, o fi.Outcome, escape string) {
 }
 
 // attribute joins one fault coordinate to every axis its domain defines.
-func attribute(ctx *Context, rep *Report, p fault.Point, o fi.Outcome, escape string) {
+func attribute(img *cc.Image, res *profile.Residency, rep *Report, p fault.Point, o fi.Outcome, escape string) {
 	switch p.Domain {
 	case fault.Mem:
-		score(rep.Pages.Cell(pageKey(ctx.Img, p.Addr)), o, escape)
+		score(rep.Pages.Cell(pageKey(img, p.Addr)), o, escape)
 	case fault.IMem:
-		score(rep.Pages.Cell(pageKey(ctx.Img, p.Addr)), o, escape)
-		fn := ctx.Img.FuncAt(p.Addr)
+		score(rep.Pages.Cell(pageKey(img, p.Addr)), o, escape)
+		fn := img.FuncAt(p.Addr)
 		if fn == "" {
 			fn = Unattributed
 		}
@@ -277,8 +265,8 @@ func attribute(ctx *Context, rep *Report, p fault.Point, o fi.Outcome, escape st
 		key := fmt.Sprintf("%s %s", cache.Level(p.Level), kind)
 		score(rep.Structures.Cell(key), o, escape)
 	default: // fault.Reg, fault.Burst
-		reg := fault.RegisterName(ctx.Feat, p.Reg)
-		fn := ctx.Res.Func(ctx.Img, p.Index, p.Core)
+		reg := fault.RegisterName(img.Feat, p.Reg)
+		fn := res.Func(img, p.Index, p.Core)
 		if fn == "" {
 			fn = Unattributed
 		}

@@ -39,13 +39,20 @@ func recordedCampaigns(t *testing.T, st campaign.Store) (npb.Scenario, []*campai
 	return sc, results
 }
 
+// groupOf builds the group rows of sc recorded at seed join against, the
+// way `serfi sens` does: no checkpoints.
+func groupOf(t *testing.T, sc npb.Scenario, seed int64) *campaign.Group {
+	t.Helper()
+	grp, err := campaign.BuildGroup(context.Background(), sc, seed, -1, nil)
+	if err != nil {
+		t.Fatalf("BuildGroup: %v", err)
+	}
+	return grp
+}
+
 func TestAnalyzeAttribution(t *testing.T) {
 	sc, results := recordedCampaigns(t, nil)
-	ctx, err := NewContext(sc, results[0].Golden)
-	if err != nil {
-		t.Fatalf("NewContext: %v", err)
-	}
-	rep, err := Analyze(ctx, results)
+	rep, err := Analyze(groupOf(t, sc, results[0].Seed), results)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -115,8 +122,8 @@ func TestAnalyzeAttribution(t *testing.T) {
 
 // TestReportFromDBAloneMatchesLive pins the tentpole reproducibility
 // property: analyzing the rows reloaded from the JSONL database — with the
-// join context rebuilt from nothing but the stored scenario ID and golden
-// summary — renders the same report text as analyzing the live results.
+// group rebuilt from nothing but the stored scenario ID and seed — renders
+// the same report text as analyzing the live results.
 func TestReportFromDBAloneMatchesLive(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.jsonl")
 	st, err := campaign.OpenFileStore(path)
@@ -128,11 +135,7 @@ func TestReportFromDBAloneMatchesLive(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	liveCtx, err := NewContext(sc, live[0].Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveRep, err := Analyze(liveCtx, live)
+	liveRep, err := Analyze(groupOf(t, sc, live[0].Seed), live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +148,7 @@ func TestReportFromDBAloneMatchesLive(t *testing.T) {
 	if len(reloaded) != len(live) {
 		t.Fatalf("reloaded %d recorded campaigns, want %d", len(reloaded), len(live))
 	}
-	dbCtx, err := NewContext(reloaded[0].Scenario, reloaded[0].Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dbRep, err := Analyze(dbCtx, reloaded)
+	dbRep, err := Analyze(groupOf(t, reloaded[0].Scenario, reloaded[0].Seed), reloaded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,9 +164,9 @@ func TestReportFromDBAloneMatchesLive(t *testing.T) {
 
 func TestAnalyzeRejectsUnrecordedResult(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
-	r := &campaign.Result{Scenario: sc, Domain: fault.Reg}
-	ctx := &Context{Scenario: sc}
-	if _, err := Analyze(ctx, []*campaign.Result{r}); err == nil {
+	grp := groupOf(t, sc, 0)
+	r := &campaign.Result{Scenario: sc, Domain: fault.Reg, Golden: grp.Summary()}
+	if _, err := Analyze(grp, []*campaign.Result{r}); err == nil {
 		t.Fatal("Analyze accepted a result without per-run records")
 	}
 }
@@ -176,11 +175,7 @@ func TestMetricsExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
 	sc, results := recordedCampaigns(t, nil)
-	ctx, err := NewContext(sc, results[0].Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Analyze(ctx, results)
+	rep, err := Analyze(groupOf(t, sc, results[0].Seed), results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,11 +223,7 @@ func TestJointAxesFollowFunctionTable(t *testing.T) {
 	}
 	defer st.Close()
 	rows := st.Query(campaign.Query{HasRuns: true})
-	ctx, err := NewContext(sc, rows[0].Golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := Analyze(ctx, rows)
+	rep, err := Analyze(groupOf(t, sc, rows[0].Seed), rows)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,12 +39,3 @@ func NewMachine(cfg mach.Config, img *cc.Image) *mach.Machine {
 	img.InstallTo(m)
 	return m
 }
-
-// BuildAndBoot is the one-call build-and-install convenience of the tests.
-func BuildAndBoot(cfg mach.Config, app *cc.Program, extra ...*cc.Program) (*mach.Machine, *cc.Image, error) {
-	img, err := Build(cfg, app, extra...)
-	if err != nil {
-		return nil, nil, err
-	}
-	return NewMachine(cfg, img), img, nil
-}
