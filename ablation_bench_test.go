@@ -39,8 +39,8 @@ func BenchmarkAblationTickQuantum(b *testing.B) {
 			var ctx, kern uint64
 			for i := 0; i < b.N; i++ {
 				g := goldenWith(b, func(cfg *mach.Config) { cfg.Timing.TickCycles = tick })
-				ctx = g.Stats.CtxRestores
-				kern = g.Stats.KernelRetired
+				st := g.Machine.TotalStats()
+				ctx, kern = st.CtxRestores, st.KernelRetired
 			}
 			b.ReportMetric(float64(ctx), "ctx-switches")
 			b.ReportMetric(float64(kern), "kernel-instrs")

@@ -61,9 +61,9 @@ func cmdExperiments(args []string) error {
 	tenant := fs.String("tenant", "", "tenant namespace for the -join submission (default: the shared namespace)")
 	traceProp := fs.Bool("trace-prop", false, "propagation-trace every unmasked injection (feeds the prop artefact)")
 	mf := addMatrixFlags(fs, 24, "skip campaigns already recorded in -db and append the rest")
-	ef := addEngineFlags(fs)
+	hf := addHostFlags(fs, engineHelp)
 	fs.Parse(args)
-	defer ef.start()()
+	defer hf.start()()
 
 	a, ok := artefacts[*run]
 	switch {
@@ -116,7 +116,7 @@ func cmdExperiments(args []string) error {
 			opts = append(opts, campaign.TraceProp())
 			command += " -trace-prop"
 		}
-		results, _, err = runLocal(ctx, os.Stderr, command, *db, jobs, mf, ef, opts...)
+		results, _, err = runLocal(ctx, os.Stderr, command, *db, jobs, mf, hf, opts...)
 	}
 	if err != nil {
 		return err

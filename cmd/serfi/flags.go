@@ -33,15 +33,6 @@ func slowPathFlag(fs *flag.FlagSet) *bool {
 // subcommand shares (fault.ParseModels is the parser behind all of them).
 const faultModelHelp = "fault domain: reg|mem|imem|burst|cachetag|cachedirty|cacherepl, uncore (the cache trio), or all"
 
-// snapshotCount maps the CLI convention (0 disables) onto the campaign
-// convention (0 = default, negative disables).
-func snapshotCount(flagVal int) int {
-	if flagVal <= 0 {
-		return -1
-	}
-	return flagVal
-}
-
 // hostFlags are what every subcommand that simulates on this host takes:
 // -workers -snapshots -slowpath -cpuprofile -memprofile (`serfi worker`
 // takes exactly these).
@@ -102,27 +93,16 @@ func (h *hostFlags) start() func() {
 	}
 }
 
-// engineFlags are the scheduler flags of the subcommands that run a local
-// campaign.Engine (`inject`, `campaign`, `experiments`): hostFlags
-// plus -jobsize.
-type engineFlags struct {
-	*hostFlags
-	jobSize *int
-}
+// engineHelp is the -workers help of the subcommands that run a local
+// campaign.Engine (`inject`, `campaign`, `experiments`).
+const engineHelp = "host worker pool size (0 = all cores)"
 
-func addEngineFlags(fs *flag.FlagSet) *engineFlags {
-	return &engineFlags{
-		hostFlags: addHostFlags(fs, "host worker pool size (0 = all cores)"),
-		jobSize:   fs.Int("jobsize", 0, "faults per injection job (0 = default)"),
-	}
-}
-
-// options renders the flags as engine options, process metrics attached.
-func (e *engineFlags) options() []campaign.Option {
+// options renders the flags as local engine options, process metrics
+// attached.
+func (h *hostFlags) options() []campaign.Option {
 	return []campaign.Option{
-		campaign.Workers(*e.workers),
-		campaign.JobSize(*e.jobSize),
-		campaign.Snapshots(snapshotCount(*e.snapshots)),
+		campaign.Workers(*h.workers),
+		campaign.Snapshots(*h.snapshots),
 		campaign.WithMetrics(obs.Default),
 	}
 }

@@ -22,8 +22,8 @@
 // /metrics, a live dashboard at /dash and pprof under /debug/pprof/.
 //
 // Campaign-shaped subcommands share the scheduler flags -workers (host
-// worker pool), -jobsize (faults per injection job), -snapshots (pre-fault
-// checkpoints per scenario; 0 disables snapshot acceleration) and
+// worker pool), -snapshots (pre-fault checkpoints per scenario, default
+// fi.DefaultCheckpoints; 0 disables snapshot acceleration) and
 // -faultmodel (fault domain: reg|mem|imem|burst|cachetag|cachedirty|
 // cacherepl, the uncore alias for the cache trio, or all). inject also takes
 // -trace-prop, which re-runs every unmasked injection against a golden twin
@@ -189,7 +189,7 @@ func cmdGolden(args []string) error {
 	}
 	// A campaign's group without checkpoints: its golden run is profiled,
 	// and sampling only observes, so the stats dump is the unprofiled run's.
-	grp, err := campaign.BuildGroup(context.Background(), sc, 0, -1, nil)
+	grp, err := campaign.BuildGroup(context.Background(), sc, 0, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -249,9 +249,9 @@ func cmdInject(args []string) error {
 	traceProp := fs.Bool("trace-prop", false, "propagation-trace every unmasked run against a golden twin")
 	chromeTrace := fs.String("chrome-trace", "", "record the campaign's phase spans and write them here as Chrome trace_event JSON")
 	metricsOut := fs.String("metrics", "", "also dump the Prometheus exposition here")
-	ef := addEngineFlags(fs)
+	hf := addHostFlags(fs, engineHelp)
 	fs.Parse(args)
-	defer ef.start()()
+	defer hf.start()()
 	jobs, err := scenarioJobs(*scid, *model, *seed)
 	if err != nil {
 		return err
@@ -264,7 +264,7 @@ func cmdInject(args []string) error {
 	}
 	col := campaign.NewCollector(os.Stdout, len(jobs))
 	events, wait := col.Start()
-	opts := append(ef.options(), campaign.Faults(*n), campaign.WithEvents(events), campaign.WithTracer(tr))
+	opts := append(hf.options(), campaign.Faults(*n), campaign.WithEvents(events), campaign.WithTracer(tr))
 	if *traceProp {
 		opts = append(opts, campaign.TraceProp())
 	}
@@ -343,16 +343,16 @@ func cmdCampaign(args []string) error {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
 	db := fs.String("db", "results.jsonl", "output database path")
 	mf := addMatrixFlags(fs, 50, "skip campaigns already recorded in -db and append the rest")
-	ef := addEngineFlags(fs)
+	hf := addHostFlags(fs, engineHelp)
 	fs.Parse(args)
-	defer ef.start()()
+	defer hf.start()()
 	jobs, err := mf.jobs(nil)
 	if err != nil {
 		return err
 	}
 	ctx, stop := interruptContext()
 	defer stop()
-	_, col, err := runLocal(ctx, os.Stdout, "serfi campaign", *db, jobs, mf, ef)
+	_, col, err := runLocal(ctx, os.Stdout, "serfi campaign", *db, jobs, mf, hf)
 	if err != nil {
 		return err
 	}
@@ -372,8 +372,8 @@ func cmdCampaign(args []string) error {
 // do what survived and the command that resumes it (command, then -resume
 // -db and the matrix flags); the run then returns errInterrupted.
 func runLocal(ctx context.Context, w io.Writer, command, db string, jobs []campaign.ScenarioJob,
-	mf *matrixFlags, ef *engineFlags, opts ...campaign.Option) ([]*campaign.Result, *campaign.Collector, error) {
-	opts = append(append(ef.options(), opts...), campaign.Faults(*mf.n))
+	mf *matrixFlags, hf *hostFlags, opts ...campaign.Option) ([]*campaign.Result, *campaign.Collector, error) {
+	opts = append(append(hf.options(), opts...), campaign.Faults(*mf.n))
 	var st *campaign.FileStore
 	if db != "" {
 		var err error
@@ -702,7 +702,7 @@ func cmdWorker(args []string) error {
 	defer stop()
 	opts := []dist.WorkerOption{
 		dist.Parallel(parallel),
-		dist.Snapshots(snapshotCount(*hf.snapshots)),
+		dist.Snapshots(*hf.snapshots),
 	}
 	if *name != "" {
 		opts = append(opts, dist.Name(*name))

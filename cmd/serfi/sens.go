@@ -67,7 +67,7 @@ func cmdSens(args []string) error {
 	for i, sc := range scs {
 		rows := byScenario[sc]
 		t0 := time.Now()
-		grp, err := campaign.BuildGroup(context.Background(), sc, rows[0].Seed, -1, nil)
+		grp, err := campaign.BuildGroup(context.Background(), sc, rows[0].Seed, 0, nil)
 		if err != nil {
 			return err
 		}

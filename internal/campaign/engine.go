@@ -1,6 +1,6 @@
 // The campaign Engine: a constructed, reusable orchestrator around the
 // shared-worker-pool matrix scheduler. One Engine carries its tuning
-// (workers, job size, snapshots, fault models) as functional options;
+// (workers, snapshots, fault models) as functional options;
 // RunMatrix(ctx, jobs) threads the context through every phase — golden
 // runs, checkpoint selection and injection job loops — so a campaign
 // cancels promptly at job granularity and returns partial results plus
@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"serfi/internal/fault"
+	"serfi/internal/fi"
 	"serfi/internal/npb"
 	"serfi/internal/obs"
 )
@@ -37,8 +38,8 @@ import (
 // concurrent runs should use separate engines with separate channels.
 type Engine struct {
 	workers   int
-	jobSize   int
-	snapshots int // campaign convention: 0 = default, negative = off
+	jobSize   int // DefaultJobSize; tests vary it (export_test.go)
+	snapshots int // checkpoints per scenario; <= 0 = none
 	faults    int
 	models    []fault.Model
 	store     Store
@@ -55,14 +56,10 @@ type Option func(*Engine)
 // Workers bounds the host worker pool; 0 (the default) uses GOMAXPROCS.
 func Workers(n int) Option { return func(e *Engine) { e.workers = n } }
 
-// JobSize groups faults into injection jobs — the paper batches
-// simulations per HPC job to amortize scheduling; 0 picks DefaultJobSize.
-func JobSize(n int) Option { return func(e *Engine) { e.jobSize = n } }
-
-// Snapshots sets the per-scenario checkpoint count: 0 (the default) picks
-// fi.DefaultCheckpoints, negative disables snapshot acceleration (every
-// injection re-executes from reset). Outcome counts are bit-identical
-// either way.
+// Snapshots sets the per-scenario checkpoint count (default
+// fi.DefaultCheckpoints); n <= 0 disables snapshot acceleration (every
+// injection re-executes from reset), as in fi.CheckpointOptions. Outcome
+// counts are bit-identical at any count.
 func Snapshots(n int) Option { return func(e *Engine) { e.snapshots = n } }
 
 // Faults sets the per-campaign fault count.
@@ -102,10 +99,10 @@ func WithStore(s Store) Option { return func(e *Engine) { e.store = s } }
 // the first MatrixDone would detach the consumer mid-flight).
 func WithEvents(ch chan<- Event) Option { return func(e *Engine) { e.events = ch } }
 
-// New constructs an Engine from functional options; zero-value settings
-// resolve to the documented defaults at run time.
+// New constructs an Engine from functional options; unset settings take
+// their documented defaults.
 func New(opts ...Option) *Engine {
-	e := &Engine{}
+	e := &Engine{jobSize: DefaultJobSize, snapshots: fi.DefaultCheckpoints}
 	for _, opt := range opts {
 		opt(e)
 	}
@@ -199,10 +196,6 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	jobSize := e.jobSize
-	if jobSize <= 0 {
-		jobSize = DefaultJobSize
-	}
 	// Open scenario groups hold golden state and checkpoints: bound them
 	// (memory backpressure) by the pool, at most 8.
 	maxOpen := min(workers, 8)
@@ -211,7 +204,7 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 	errs := make([]error, n)
 	skipped := 0
 
-	ranges := ShardRanges(faults, jobSize) // every campaign's injection jobs
+	ranges := ShardRanges(faults, e.jobSize) // every campaign's injection jobs
 	// The task queue is sized for every task the matrix can ever enqueue,
 	// so no producer — worker or feeder — ever blocks on it.
 	tasks := make(chan func(), n*(len(ranges)+1))

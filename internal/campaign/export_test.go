@@ -17,6 +17,11 @@ import (
 // copy-on-write engine against.
 func FullCopySnapshots() Option { return func(e *Engine) { e.fullCopy = true } }
 
+// JobSize groups faults into injection jobs of n (the product always uses
+// DefaultJobSize): the partition-invariance tests vary it, since outcomes
+// must not depend on how a campaign is cut into jobs.
+func JobSize(n int) Option { return func(e *Engine) { e.jobSize = n } }
+
 // SetNewDomain swaps the constructor of every group's fault domains and
 // returns the call that puts the real one back.
 func SetNewDomain(f func(fault.Model, *cc.Image, mach.Config, *fi.Golden) (fault.Domain, error)) (restore func()) {

@@ -78,8 +78,8 @@ var newDomain = fi.NewDomain
 // (the scenario's only fault-free simulation; it captures the checkpoint
 // candidates), feature and API-call extraction, and checkpoint selection for
 // machines of the unprofiled configuration; the candidates not selected are
-// dropped before it returns. snapshots follows the campaign convention
-// (0 picks fi.DefaultCheckpoints, negative disables acceleration). A
+// dropped before it returns. snapshots is the checkpoint count, as in
+// fi.CheckpointOptions (<= 0: none, every fault runs from reset). A
 // non-nil tracer receives one span per phase (build, golden, profile,
 // checkpoint) on the group's track. A group is plain memory: drop the
 // reference when its last shard has run.
@@ -125,12 +125,6 @@ func buildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int,
 		return profile.SampleResidency(img, cfg, g.AppStart, g.AppEnd, fi.HangBudget(g.Cycles))
 	})
 
-	if snapshots == 0 {
-		snapshots = fi.DefaultCheckpoints
-	}
-	if snapshots < 0 {
-		snapshots = 0
-	}
 	endSpan = tracer.Start("checkpoint", "checkpoint", tid, nil)
 	grp.cs, err = fi.BuildCheckpointsOpt(ctx, img, cfg, g, fi.CheckpointOptions{N: snapshots, FullCopy: fullCopy})
 	endSpan()

@@ -173,7 +173,7 @@ func TestTraceTwinMustAgree(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
 	const seed, faults = 5, 8
 	ctx := context.Background()
-	g, err := campaign.BuildGroup(ctx, sc, seed, 0, nil)
+	g, err := campaign.BuildGroup(ctx, sc, seed, fi.DefaultCheckpoints, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestTraceTwinMustAgree(t *testing.T) {
 		}
 		return d, err
 	}))
-	planted, err := campaign.BuildGroup(ctx, sc, seed, 0, nil)
+	planted, err := campaign.BuildGroup(ctx, sc, seed, fi.DefaultCheckpoints, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

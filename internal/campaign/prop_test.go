@@ -97,11 +97,11 @@ func TestCacheCampaignDeterministic(t *testing.T) {
 		return runOne(t, campaign.ScenarioJob{Scenario: sc, Domain: fault.CacheTag, Seed: 31}, 6,
 			campaign.Workers(workers), campaign.JobSize(2), campaign.Snapshots(snapshots))
 	}
-	ref := run(1, -1) // serial, from reset
+	ref := run(1, 0) // serial, from reset
 	if ref.Counts.Total() != 6 {
 		t.Fatalf("classified %d of 6", ref.Counts.Total())
 	}
-	for _, alt := range [][2]int{{3, -1}, {1, 5}, {3, 5}} {
+	for _, alt := range [][2]int{{3, 0}, {1, 5}, {3, 5}} {
 		got := run(alt[0], alt[1])
 		if got.Counts != ref.Counts {
 			t.Errorf("workers=%d snapshots=%d: counts %v != %v", alt[0], alt[1], got.Counts, ref.Counts)

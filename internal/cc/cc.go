@@ -52,14 +52,9 @@ type Program struct {
 	Name    string
 	Funcs   []*Func
 	Globals []*Global
-	// NoRegLocals forces every local onto the stack (an -O0-style
-	// allocation), the knob behind the compiler-flag reliability study
-	// the paper proposes as future work (§5): more load/store traffic,
-	// fewer live register bits.
-	NoRegLocals bool
-	byName      map[string]*Func
-	gByName     map[string]*Global
-	fconsts     map[uint64]string
+	byName  map[string]*Func
+	gByName map[string]*Global
+	fconsts map[uint64]string
 }
 
 // NewProgram creates an empty program.

@@ -140,13 +140,9 @@ func newGen(t *target, p *Program, f *Func) *gen {
 		g.ftempFree = append(g.ftempFree, t.ftempRegs[i])
 	}
 	g.retLabel = g.label()
-	// Assign homes: params first, then locals, registers while they last
-	// (or none at all under the -O0-style NoRegLocals mode).
+	// Assign homes: params first, then locals, registers while they last.
 	iregs := append([]uint8(nil), t.localRegs...)
 	fregs := append([]uint8(nil), t.flocalRegs...)
-	if p.NoRegLocals {
-		iregs, fregs = nil, nil
-	}
 	assign := func(v *Var) {
 		if v.Typ == F64 {
 			if !t.softFloat && len(fregs) > 0 {

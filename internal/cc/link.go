@@ -10,21 +10,22 @@ import (
 	"serfi/internal/mem"
 )
 
-// LinkConfig sizes the image layout.
+// LinkConfig sizes the image layout. The heap is everything between the
+// data segments and the stack region.
 type LinkConfig struct {
 	RAMBytes    uint32
-	HeapBytes   uint32 // 0 = everything between data and stacks
 	StackRegion uint32 // total bytes reserved for user thread stacks
-	StackBytes  uint32 // per-thread stack size (published to the kernel)
 	TickCycles  uint64 // scheduler quantum (published to the kernel)
 }
+
+// stackBytes is the per-thread stack size (published to the kernel).
+const stackBytes = 64 << 10
 
 // DefaultLinkConfig returns a layout suitable for the NPB-scale workloads.
 func DefaultLinkConfig() LinkConfig {
 	return LinkConfig{
 		RAMBytes:    24 << 20,
 		StackRegion: 4 << 20,
-		StackBytes:  64 << 10,
 		TickCycles:  20000,
 	}
 }
@@ -197,9 +198,6 @@ func Link(codec isa.ISA, kernel, user []*Program, cfg LinkConfig) (*Image, error
 	stacksBase := stacksEnd - cfg.StackRegion
 	heapBase := align(udataEnd, 4096)
 	heapEnd := stacksBase
-	if cfg.HeapBytes != 0 && heapBase+cfg.HeapBytes < heapEnd {
-		heapEnd = heapBase + cfg.HeapBytes
-	}
 	if heapBase >= heapEnd {
 		return nil, fmt.Errorf("link: no room for heap (data ends at %#x, stacks at %#x)", udataEnd, stacksBase)
 	}
@@ -310,7 +308,7 @@ func Link(codec isa.ISA, kernel, user []*Program, cfg LinkConfig) (*Image, error
 		"__cfg_heap_end":    uint64(heapEnd),
 		"__cfg_stacks_base": uint64(stacksBase),
 		"__cfg_stacks_end":  uint64(stacksEnd),
-		"__cfg_stack_size":  uint64(cfg.StackBytes),
+		"__cfg_stack_size":  stackBytes,
 		"__cfg_tick":        cfg.TickCycles,
 		"__cfg_ktext_end":   uint64(ktextEnd),
 	}

@@ -709,7 +709,7 @@ func (c *Coordinator) matrixStatusLocked(sub *submission) MatrixStatus {
 			ms.CampaignsDone++
 		}
 		if camp.skipped {
-			continue
+			continue // answered from the store: counted in Skipped, not here
 		}
 		ms.Injections += camp.Faults
 		ms.Injected += camp.Folded
@@ -759,7 +759,8 @@ func (c *Coordinator) Matrix(id string) (MatricesReply, error) {
 }
 
 // Status snapshots the coordinator's aggregate state (also served at
-// /v1/status).
+// /v1/status): the campaign tallies are the sums of the submissions' queue
+// rows.
 func (c *Coordinator) Status() StatusReply {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -776,21 +777,15 @@ func (c *Coordinator) Status() StatusReply {
 	}
 	live := 0
 	for _, sub := range c.subs {
-		st.Campaigns += len(sub.camps)
-		st.Skipped += sub.skipped
-		st.Failed += sub.failed
+		ms := c.matrixStatusLocked(sub)
+		st.Campaigns += ms.Campaigns
+		st.CampaignsDone += ms.CampaignsDone
+		st.Skipped += ms.Skipped
+		st.Failed += ms.Failed
+		st.Injections += ms.Injections
+		st.Injected += ms.Injected
 		if sub.campsLeft > 0 {
 			live++
-		}
-		for _, camp := range sub.camps {
-			if camp.done {
-				st.CampaignsDone++
-			}
-			if camp.skipped {
-				continue // answered from the store: counted in Skipped, not here
-			}
-			st.Injections += camp.Faults
-			st.Injected += camp.Folded
 		}
 	}
 	// An idle queue nobody told to drain is not done: a submit may still come.

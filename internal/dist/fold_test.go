@@ -12,6 +12,7 @@ import (
 
 	"serfi/internal/campaign"
 	"serfi/internal/fault"
+	"serfi/internal/fi"
 )
 
 // TestOutOfOrderShardsFoldSorted completes one campaign's shards last to
@@ -89,7 +90,7 @@ func TestClusterTelemetryMatchesEngine(t *testing.T) {
 		name      string
 		snapshots int
 		wantOK    bool
-	}{{"default", 0, true}, {"off", -1, false}} {
+	}{{"default", fi.DefaultCheckpoints, true}, {"off", 0, false}} {
 		t.Run(tc.name, func(t *testing.T) {
 			ref, err := campaign.New(campaign.Faults(compatFaults), campaign.Snapshots(tc.snapshots)).
 				RunMatrix(context.Background(), jobs)
@@ -115,6 +116,32 @@ func TestClusterTelemetryMatchesEngine(t *testing.T) {
 				if decided := e.SimulatedInstr == 0 && e.PrunedRuns == e.Faults; tc.wantOK && decided != (e.Domain == fault.Mem) {
 					t.Errorf("%s: simulated %d instructions, pruned %d of %d runs", e.Key(), e.SimulatedInstr, e.PrunedRuns, e.Faults)
 				}
+			}
+		})
+	}
+}
+
+// TestWorkerCheckpointCount is the worker row of
+// cmd/serfi's TestCheckpointCountAtEveryEntryPoint: NewWorker sets the
+// default fi.DefaultCheckpoints, and Snapshots(n) is fi's count, n <= 0 none.
+func TestWorkerCheckpointCount(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []WorkerOption
+		want int
+	}{
+		{"NewWorker-default", nil, fi.DefaultCheckpoints},
+		{"Snapshots(0)", []WorkerOption{Snapshots(0)}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWorker(NewClient("127.0.0.1:1"), tc.opts...)
+			ce, err := w.acquire(context.Background(), &Lease{Scenario: "armv8/IS/SER-1", Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.release(ce)
+			if got, _ := ce.group.Checkpoints(); got != tc.want {
+				t.Errorf("%d checkpoints, want %d", got, tc.want)
 			}
 		})
 	}

@@ -85,7 +85,7 @@ func TestDefaultCampaignRecordsRuns(t *testing.T) {
 	if len(got) != 1 || got[0].Key() != legacyJob(fault.CacheTag).Key() || len(got[0].Runs) != 4 {
 		t.Fatalf("HasRuns after reopen = %v, want the cachetag campaign with 4 runs", got)
 	}
-	grp, err := campaign.BuildGroup(context.Background(), got[0].Scenario, got[0].Seed, -1, nil)
+	grp, err := campaign.BuildGroup(context.Background(), got[0].Scenario, got[0].Seed, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,7 @@ import (
 
 	"serfi/internal/campaign"
 	"serfi/internal/fault"
+	"serfi/internal/fi"
 	"serfi/internal/npb"
 	"serfi/internal/obs"
 )
@@ -30,7 +31,7 @@ type Worker struct {
 	cl        *Client
 	name      string
 	parallel  int
-	snapshots int // campaign convention: 0 = default, negative = off
+	snapshots int // checkpoints per scenario; <= 0 = none
 	batch     int // faults between progress beats within one shard
 
 	draining atomic.Bool
@@ -52,9 +53,9 @@ func Name(s string) WorkerOption { return func(w *Worker) { w.name = s } }
 // sound.
 func Parallel(n int) WorkerOption { return func(w *Worker) { w.parallel = n } }
 
-// Snapshots sets the per-scenario checkpoint count, with the campaign
-// convention: 0 (default) picks fi.DefaultCheckpoints, negative disables
-// snapshot acceleration. Results are bit-identical either way.
+// Snapshots sets the per-scenario checkpoint count (default
+// fi.DefaultCheckpoints); n <= 0 disables snapshot acceleration, as in
+// fi.CheckpointOptions. Results are bit-identical at any count.
 func Snapshots(n int) WorkerOption { return func(w *Worker) { w.snapshots = n } }
 
 // maxOpenGroups bounds how many scenario groups (golden state +
@@ -68,10 +69,11 @@ func NewWorker(cl *Client, opts ...WorkerOption) *Worker {
 		host = "worker"
 	}
 	w := &Worker{
-		cl:     cl,
-		name:   fmt.Sprintf("%s-%d", host, os.Getpid()),
-		batch:  campaign.DefaultJobSize,
-		groups: make(map[string]*cacheEntry),
+		cl:        cl,
+		name:      fmt.Sprintf("%s-%d", host, os.Getpid()),
+		snapshots: fi.DefaultCheckpoints,
+		batch:     campaign.DefaultJobSize,
+		groups:    make(map[string]*cacheEntry),
 	}
 	for _, opt := range opts {
 		opt(w)

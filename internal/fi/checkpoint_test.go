@@ -179,7 +179,7 @@ func TestContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.Retired != g.Retired || g2.Cycles != g.Cycles || !g.Final.EqualsMemory(g2.Machine.Mem) || g2.RegHash != g.RegHash {
+	if g2.Retired != g.Retired || g2.Cycles != g.Cycles || !g.Final.EqualsMemory(g2.Machine.Mem) || !g2.Machine.RegFileEquals(g.Machine) {
 		t.Errorf("ctx golden diverged: %+v vs %+v", g2, g)
 	}
 }

@@ -33,7 +33,7 @@ func refOutcome(img *cc.Image, cfg mach.Config, g *fi.Golden, goldenMemHash uint
 	case m.ConsoleString() != g.Console:
 		return fi.OMM, false
 	}
-	regs := m.RegFileHash() == g.RegHash
+	regs := m.RegFileHash() == g.Machine.RegFileHash()
 	if regs && m.Mem.Hash() == goldenMemHash {
 		return fi.Vanished, true
 	}

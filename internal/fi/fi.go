@@ -43,17 +43,13 @@ type Golden struct {
 	Retired  uint64 // total retired instructions at halt
 	Cycles   uint64 // machine time (max per-core cycles)
 	Console  string
-	RegHash  uint64
 	ExitCode int
 	Signal   int
 
-	Stats   mach.CoreStats   // totals over cores
-	PerCore []mach.CoreStats // per-core counters
-	L2Miss  float64
-	L1DMiss float64
-	// Machine is the halted golden machine, retained for profiling inspection
-	// and as the source of the terminal image; never run again. Its memory
-	// tracks Final, not the checkpoint candidates it captured on the way.
+	// Machine is the halted golden machine, retained for profiling
+	// inspection and as the reference of the terminal image and register
+	// file; never run again. Its memory tracks Final, not the checkpoint
+	// candidates it captured on the way.
 	Machine *mach.Machine
 	// Final is the terminal RAM image, a full capture (Machine.Mem tracks
 	// it). Runs that end with the golden console are scored Vanished or ONA
@@ -210,36 +206,17 @@ func RunGoldenContext(ctx context.Context, img *cc.Image, cfg mach.Config, budge
 		return nil, fmt.Errorf("fi: app lifespan beacons missing")
 	}
 	g := &Golden{
-		AppStart:  m.AppStartRetired,
-		AppEnd:    m.AppEndRetired,
-		Retired:   m.TotalRetired,
-		Cycles:    m.MaxCycles(),
-		Console:   m.ConsoleString(),
-		RegHash:   m.RegFileHash(),
-		ExitCode:  m.AppExitCode,
-		Signal:    m.AppSignal,
-		Stats:     m.TotalStats(),
-		Machine:   m,
-		Final:     m.Mem.Snapshot(),
-		PageTouch: m.PageTouch,
-	}
-	g.candidates = cands
-	for i := range m.Cores {
-		g.PerCore = append(g.PerCore, m.Cores[i].Stats)
-	}
-	var dh, dm, l2h, l2m uint64
-	for c := 0; c < cfg.Cores; c++ {
-		s := m.Hier.L1DStats(c)
-		dh += s.Hits
-		dm += s.Misses
-	}
-	l2 := m.Hier.L2Stats()
-	l2h, l2m = l2.Hits, l2.Misses
-	if dh+dm > 0 {
-		g.L1DMiss = float64(dm) / float64(dh+dm)
-	}
-	if l2h+l2m > 0 {
-		g.L2Miss = float64(l2m) / float64(l2h+l2m)
+		AppStart:   m.AppStartRetired,
+		AppEnd:     m.AppEndRetired,
+		Retired:    m.TotalRetired,
+		Cycles:     m.MaxCycles(),
+		Console:    m.ConsoleString(),
+		ExitCode:   m.AppExitCode,
+		Signal:     m.AppSignal,
+		Machine:    m,
+		Final:      m.Mem.Snapshot(),
+		PageTouch:  m.PageTouch,
+		candidates: cands,
 	}
 	return g, nil
 }
@@ -372,9 +349,11 @@ func Classify(m *mach.Machine, g *Golden, stop mach.StopReason) Outcome {
 }
 
 // classify is the one scoring rule every injection path ends in. Vanished
-// versus ONA is exact byte equality of RAM with the golden terminal image:
-// EqualsMemory compares only dirty pages plus chain paths when m's memory
-// tracks a snapshot on final's chain (pooled machines of a delta-chain
+// versus ONA is exact equality with the golden terminal state, never a
+// digest: the register file field by field against the golden machine's,
+// and RAM byte for byte against the golden terminal image. EqualsMemory
+// compares only dirty pages plus chain paths when m's memory tracks a
+// snapshot on final's chain (pooled machines of a delta-chain
 // CheckpointSet), and every page otherwise (from reset, FullCopy, twins).
 func classify(m *mach.Machine, g *Golden, final *mem.Snapshot, stop mach.StopReason) Outcome {
 	if stop != mach.StopHalted {
@@ -386,7 +365,7 @@ func classify(m *mach.Machine, g *Golden, final *mem.Snapshot, stop mach.StopRea
 	if m.ConsoleString() != g.Console {
 		return OMM
 	}
-	if m.RegFileHash() == g.RegHash && final.EqualsMemory(m.Mem) {
+	if m.RegFileEquals(g.Machine) && final.EqualsMemory(m.Mem) {
 		return Vanished
 	}
 	return ONA

@@ -62,7 +62,7 @@ func TestGoldenReference(t *testing.T) {
 	if g.Console == "" {
 		t.Error("golden console empty")
 	}
-	if g.Stats.Retired == 0 || g.Cycles == 0 {
+	if g.Machine.TotalStats().Retired == 0 || g.Cycles == 0 {
 		t.Error("golden stats empty")
 	}
 	// Reproducibility: a second golden run matches bit for bit.
@@ -73,7 +73,7 @@ func TestGoldenReference(t *testing.T) {
 	// Both directions: g2's RAM tracks g2.Final (selective, nothing dirty)
 	// and shares no chain with g.Final (every page compared).
 	if !g.Final.EqualsMemory(g2.Machine.Mem) || !g2.Final.EqualsMemory(g2.Machine.Mem) ||
-		g2.RegHash != g.RegHash || g2.Retired != g.Retired {
+		!g2.Machine.RegFileEquals(g.Machine) || g2.Retired != g.Retired {
 		t.Error("golden run not reproducible")
 	}
 }

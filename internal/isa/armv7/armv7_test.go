@@ -1,7 +1,12 @@
 package armv7
 
 import (
+	"fmt"
 	"math/rand"
+	"os"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"serfi/internal/isa"
@@ -78,15 +83,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeNeverPanics(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
 	var codec ISA
-	for i := 0; i < 100000; i++ {
-		w := r.Uint32()
+	decodeWords(t, 11, func(w uint32) error {
 		ins := codec.Decode(w)
 		if ins.Op == isa.OpINVALID || ins.Cond > isa.CondAL {
 			// cond=15 (reserved) decodes for execution but has no
 			// canonical encoding.
-			continue
+			return nil
 		}
 		// Whatever decodes must re-encode to the same word (canonical
 		// encoding property) unless it uses don't-care bits.
@@ -95,14 +98,46 @@ func TestDecodeNeverPanics(t *testing.T) {
 			// Decoded-but-unencodable indicates field corruption such
 			// as a movk with hw forced; only movk may do this.
 			if ins.Op != isa.OpMOVK {
-				t.Fatalf("decode(%#x)=%+v not re-encodable: %v", w, ins, err)
+				return fmt.Errorf("decode(%#x)=%+v not re-encodable: %v", w, ins, err)
 			}
-			continue
+			return nil
 		}
 		if codec.Decode(w2) != ins {
-			t.Fatalf("decode(encode(decode(%#x))) mismatch: %+v", w, ins)
+			return fmt.Errorf("decode(encode(decode(%#x))) mismatch: %+v", w, ins)
 		}
+		return nil
+	})
+}
+
+// decodeWords runs check on 100,000 seeded random words, or on all 2^32
+// words across GOMAXPROCS goroutines under SERFI_LOCKSTEP=full (the CI
+// lockstep job). It reports the first failing word of each goroutine.
+func decodeWords(t *testing.T, seed int64, check func(w uint32) error) {
+	if os.Getenv("SERFI_LOCKSTEP") != "full" {
+		r := rand.New(rand.NewSource(seed))
+		for i := 0; i < 100000; i++ {
+			if err := check(r.Uint32()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return
 	}
+	n := uint64(runtime.GOMAXPROCS(0))
+	var failed atomic.Bool
+	var wg sync.WaitGroup
+	for i := uint64(0); i < n; i++ {
+		wg.Add(1)
+		go func(lo, hi uint64) {
+			defer wg.Done()
+			for w := lo; w < hi && !failed.Load(); w++ {
+				if err := check(uint32(w)); err != nil {
+					failed.Store(true)
+					t.Error(err)
+				}
+			}
+		}(i<<32/n, (i+1)<<32/n)
+	}
+	wg.Wait()
 }
 
 func TestV8OnlyOpsRejected(t *testing.T) {

@@ -13,6 +13,7 @@ package mach
 import (
 	"bytes"
 	"math"
+	"slices"
 
 	"serfi/internal/cache"
 	"serfi/internal/isa"
@@ -530,6 +531,21 @@ func (m *Machine) RegFileHash() uint64 {
 		mix(packPstate(c))
 	}
 	return h
+}
+
+// RegFileEquals reports whether every core of m holds the architectural
+// register state of the same core of o: exactly the fields RegFileHash
+// digests, compared field by field. m and o share one configuration.
+func (m *Machine) RegFileEquals(o *Machine) bool {
+	n := m.Feat.NumGPR
+	for i := range m.Cores {
+		c, d := &m.Cores[i], &o.Cores[i]
+		if !slices.Equal(c.Regs[:n], d.Regs[:n]) || c.PC != d.PC || packPstate(c) != packPstate(d) ||
+			m.Feat.HasHWFloat && c.F != d.F {
+			return false
+		}
+	}
+	return true
 }
 
 // TotalStats sums per-core counters.

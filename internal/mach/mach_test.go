@@ -610,3 +610,36 @@ func TestPageTouchStampsCommitNumber(t *testing.T) {
 		}
 	}
 }
+
+// TestRegFileEqualsMatchesHashFields: the exact register-file compare the
+// classifier scores Vanished versus ONA with covers exactly the fields
+// RegFileHash digests — every GPR, the FP file where the ISA has one, PC
+// and the packed PSTATE, per core — and nothing else.
+func TestRegFileEqualsMatchesHashFields(t *testing.T) {
+	for _, codec := range []isa.ISA{armv7.New(), armv8.New()} {
+		feat := codec.Feat()
+		for _, tc := range []struct {
+			name  string
+			flip  func(c *Core)
+			equal bool
+		}{
+			{"none", func(*Core) {}, true},
+			{"gpr0", func(c *Core) { c.Regs[0] ^= 1 }, false},
+			{"gpr-last", func(c *Core) { c.Regs[feat.NumGPR-1] ^= 1 << 63 }, false},
+			{"beyond-gpr", func(c *Core) { c.Regs[31] ^= 1 }, feat.NumGPR <= 31},
+			{"fp", func(c *Core) { c.F[7] ^= 1 }, !feat.HasHWFloat},
+			{"pc", func(c *Core) { c.PC += 4 }, false},
+			{"kernel", func(c *Core) { c.Kernel = !c.Kernel }, false},
+			{"flag-z", func(c *Core) { c.Flags.Z = !c.Flags.Z }, false},
+		} {
+			a, b := New(testConfig(codec, 2)), New(testConfig(codec, 2))
+			tc.flip(&b.Cores[1])
+			if got := a.RegFileEquals(b); got != tc.equal {
+				t.Errorf("%s %s: RegFileEquals = %v, want %v", feat.Name, tc.name, got, tc.equal)
+			}
+			if hashEq := a.RegFileHash() == b.RegFileHash(); hashEq != tc.equal {
+				t.Errorf("%s %s: RegFileHash equal = %v, want %v", feat.Name, tc.name, hashEq, tc.equal)
+			}
+		}
+	}
+}

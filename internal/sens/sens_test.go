@@ -43,7 +43,7 @@ func recordedCampaigns(t *testing.T, st campaign.Store) (npb.Scenario, []*campai
 // way `serfi sens` does: no checkpoints.
 func groupOf(t *testing.T, sc npb.Scenario, seed int64) *campaign.Group {
 	t.Helper()
-	grp, err := campaign.BuildGroup(context.Background(), sc, seed, -1, nil)
+	grp, err := campaign.BuildGroup(context.Background(), sc, seed, 0, nil)
 	if err != nil {
 		t.Fatalf("BuildGroup: %v", err)
 	}
