@@ -86,6 +86,15 @@ type Cache struct {
 	setMask  uint32
 	tick     uint64
 	Stats    Stats
+
+	// stamp, when non-nil, holds per set the commit number of the last
+	// instruction whose access read or wrote the set: *clock+1 at the access,
+	// so a set stamped n is not read again once the injection hook of index n
+	// has fired (the mach.Machine.PageTouch convention). Only the golden
+	// hierarchy keeps stamps (Hierarchy.StampSets); they are no part of
+	// HierState.
+	stamp []uint64
+	clock *uint64
 }
 
 // New builds a cache; it panics on invalid geometry (configuration is fixed
@@ -116,6 +125,9 @@ func (c *Cache) Access(addr uint32, write bool) (hit bool, evicted int64) {
 	lineAddr := addr >> c.setShift
 	set := lineAddr & c.setMask
 	tag := lineAddr // full line address as tag (set bits redundant but harmless)
+	if c.stamp != nil {
+		c.stamp[set] = *c.clock + 1
+	}
 	base := set * c.cfg.Ways
 	ways := c.lines[base : base+c.cfg.Ways]
 	// Hit scan first, victim bookkeeping only on the miss path: the choice
@@ -157,6 +169,9 @@ func (c *Cache) Access(addr uint32, write bool) (hit bool, evicted int64) {
 func (c *Cache) Invalidate(addr uint32) (present, dirty bool) {
 	lineAddr := addr >> c.setShift
 	set := lineAddr & c.setMask
+	if c.stamp != nil {
+		c.stamp[set] = *c.clock + 1
+	}
 	base := set * c.cfg.Ways
 	ways := c.lines[base : base+c.cfg.Ways]
 	for i := range ways {
@@ -173,6 +188,9 @@ func (c *Cache) Invalidate(addr uint32) (present, dirty bool) {
 func (c *Cache) Contains(addr uint32) bool {
 	lineAddr := addr >> c.setShift
 	set := lineAddr & c.setMask
+	if c.stamp != nil {
+		c.stamp[set] = *c.clock + 1
+	}
 	base := set * c.cfg.Ways
 	for _, l := range c.lines[base : base+c.cfg.Ways] {
 		if l.valid && l.tag == lineAddr {
@@ -447,6 +465,40 @@ func (h *Hierarchy) FlipDirty(l Level, core int, set, way uint32, bit int) {
 // miss patterns without corrupting any stored data.
 func (h *Hierarchy) FlipRepl(l Level, core int, set, way uint32, bit int) {
 	h.at(l, core).lineAt(set, way).lru ^= 1 << uint(bit)
+}
+
+// StampSets starts the per-set last-access record on every array of the
+// hierarchy: from now on each access, victim choice, writeback, coherence
+// probe and Contains stamps its set with *clock+1, clock being the owner's
+// retired-instruction count. Only the golden machine calls it; every other
+// hierarchy keeps no stamps, and HierState never carries them.
+func (h *Hierarchy) StampSets(clock *uint64) {
+	for _, c := range h.arrays() {
+		c.stamp, c.clock = make([]uint64, c.cfg.Sets()), clock
+	}
+}
+
+// SetStamp returns the stamp of one set (see StampSets): 0 when the set was
+// never accessed since stamping began. It panics on a hierarchy without
+// stamps or an out-of-range coordinate.
+func (h *Hierarchy) SetStamp(l Level, core int, set uint32) uint64 {
+	return h.at(l, core).stamp[set]
+}
+
+// SetStamps returns every stamp in the fault domains' unit order (L1I per
+// core, L1D per core, L2), nil on a hierarchy without stamps: the lockstep
+// tests compare two hierarchies' records with it.
+func (h *Hierarchy) SetStamps() []uint64 {
+	var out []uint64
+	for _, c := range h.arrays() {
+		out = append(out, c.stamp...)
+	}
+	return out
+}
+
+// arrays lists every cache of the hierarchy in the fault domains' unit order.
+func (h *Hierarchy) arrays() []*Cache {
+	return append(append(append([]*Cache(nil), h.l1i...), h.l1d...), h.l2)
 }
 
 // LineState exposes one line's stored state (tag, valid, dirty, LRU clock)

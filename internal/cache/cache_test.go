@@ -328,3 +328,96 @@ func TestEqualsSeesLiveState(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadSetFieldsAreUnobservable pins the set-stamp rule: once the last
+// access a golden run stamps into a set is behind, every metadata bit of the
+// set — tag, valid, dirty, LRU clock of every way — may differ and nothing
+// observes it. A stamping hierarchy records a two-phase trace (in the second
+// only core 0 runs, over a quarter of the sets, so core 1's L1D sets there
+// are read by coherence probes alone); two twins replay it, one of them
+// scribbled over every set dead at the cut, and they give equal latencies,
+// statistics and coherence counts at every later step.
+func TestDeadSetFieldsAreUnobservable(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.L1I = Config{Name: "l1i", SizeBytes: 1 << 10, LineBytes: 64, Ways: 2}
+	cfg.L1D = Config{Name: "l1d", SizeBytes: 1 << 10, LineBytes: 64, Ways: 2}
+	cfg.L2 = Config{Name: "l2", SizeBytes: 4 << 10, LineBytes: 64, Ways: 4}
+	const cores, ram, steps, cut = 2, 1 << 16, 6000, 3000
+	type step struct {
+		core  int
+		addr  uint32
+		fetch bool
+		write bool
+	}
+	r := rand.New(rand.NewSource(38))
+	trace := make([]step, steps)
+	for i := range trace {
+		s := step{core: r.Intn(cores), addr: uint32(r.Intn(ram)), fetch: r.Intn(3) == 0, write: r.Intn(3) == 0}
+		if i >= cut {
+			s.core = 0
+			s.addr &^= 0xc << 6 // line index mod 16 below 4: sets 0..3 only
+		}
+		trace[i] = s
+	}
+	do := func(h *Hierarchy, s step) uint32 {
+		if s.fetch {
+			return h.Fetch(s.core, s.addr)
+		}
+		return h.Data(s.core, s.addr, s.write)
+	}
+
+	// The golden record: step i runs while i-1 instructions have retired.
+	var clock uint64
+	g := NewHierarchy(cfg, cores, ram)
+	g.StampSets(&clock)
+	for i, s := range trace {
+		clock = uint64(i)
+		do(g, s)
+	}
+	if NewHierarchy(cfg, cores, ram).SetStamps() != nil {
+		t.Fatal("a hierarchy keeps stamps it was never asked for")
+	}
+
+	a, b := NewHierarchy(cfg, cores, ram), NewHierarchy(cfg, cores, ram)
+	for _, s := range trace[:cut] {
+		do(a, s)
+		do(b, s)
+	}
+	dead, live := 0, 0
+	for l := Level(0); l < NumLevels; l++ {
+		lc := cfg.LevelConfig(l)
+		for core := 0; core < cores; core++ {
+			for set := uint32(0); set < lc.Sets(); set++ {
+				if g.SetStamp(l, core, set) > cut {
+					live++
+					continue
+				}
+				dead++
+				for way := uint32(0); way < lc.Ways; way++ {
+					b.FlipTag(l, core, set, way, r.Intn(lc.TagBits()))
+					b.FlipDirty(l, core, set, way, r.Intn(2))
+					b.FlipRepl(l, core, set, way, r.Intn(64))
+				}
+			}
+		}
+	}
+	if dead == 0 || live == 0 {
+		t.Fatalf("%d dead and %d live sets: the trace must leave both", dead, live)
+	}
+	if a.State().Equals(b) {
+		t.Fatal("scribbling the dead sets changed no live field")
+	}
+	for i, s := range trace[cut:] {
+		if la, lb := do(a, s), do(b, s); la != lb {
+			t.Fatalf("step %d: %+v latency %d != %d", cut+i, s, la, lb)
+		}
+		for l := Level(0); l < NumLevels; l++ {
+			if sa, sb := a.LevelStats(l), b.LevelStats(l); sa != sb {
+				t.Fatalf("step %d: %v stats %+v != %+v", cut+i, l, sa, sb)
+			}
+		}
+		if a.Invalidations != b.Invalidations {
+			t.Fatalf("step %d: invalidations %d != %d", cut+i, a.Invalidations, b.Invalidations)
+		}
+	}
+}

@@ -18,6 +18,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"serfi/internal/cache"
 	"serfi/internal/cc"
 	"serfi/internal/fault"
 	"serfi/internal/mach"
@@ -30,8 +31,8 @@ import (
 // to have converged; since each checkpoint is a delta holding only the pages
 // dirtied since its predecessor, the memory cost grows with pages written
 // (plus ~0.6 MB of cache and directory state per checkpoint), not with RAM
-// images retained. 16 is measured, not guessed: ROADMAP "Simulate less per
-// injection" (b) has the numbers at 8, 16 and 32.
+// images retained. 16 is measured, not guessed: the numbers at 8, 16 and 32
+// are in the CHANGES.md entry of PR 16.
 const DefaultCheckpoints = 16
 
 // CheckpointSet holds the pre-fault snapshots of one scenario, plus the
@@ -65,6 +66,10 @@ type CheckpointSet struct {
 	// injection runs (the per-scenario prune rate of campaign summaries).
 	pruned atomic.Uint64
 	total  atomic.Uint64
+	// deadSets and deadState count the runs the set-stamp and the
+	// dead-state rules decided, per set like pruned (they are among it).
+	deadSets  atomic.Uint64
+	deadState atomic.Uint64
 }
 
 // CheckpointOptions configures BuildCheckpointsOpt.
@@ -240,6 +245,15 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 		obsDeadFaultRuns.Inc()
 		return res, nil
 	}
+	if cs.pool != nil && deadSet(d.Model(), g, injectAt, p) {
+		// No later access reads the struck set's metadata, and classify
+		// reads no cache state: the run is the golden run.
+		res := goldenResult(g, p, Vanished)
+		cs.count(res, 0, true)
+		cs.deadSets.Add(1)
+		obsDeadSetRuns.Inc()
+		return res, nil
+	}
 	if s := cs.nearest(injectAt); s != nil {
 		if cs.pool != nil {
 			// A recycled machine still carries its last restore as the
@@ -265,7 +279,7 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 	armFault(m, d, g, p)
 	budget := HangBudget(g.Cycles)
 
-	res, pruned := Result{}, false
+	res, pruned, dead := Result{}, false, false
 	stop := mach.StopInstrBudget
 	var compare time.Duration // convergence compares of this run, summed
 	equals := (*mach.Snapshot).StateEquals
@@ -286,10 +300,21 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 		}
 		t0 := time.Now()
 		converged := equals(cs.snaps[next], m)
+		var kept bool
+		if !converged && cs.pool != nil {
+			// Converged modulo dead state: what differs is only ever moved
+			// from here on, never read (mach.Snapshot.DeadDiff).
+			dead, kept = cs.snaps[next].DeadDiff(m)
+		}
 		compare += time.Since(t0)
-		if converged {
-			// Converged: the rest of the run is the golden run.
-			res, pruned = goldenResult(g, p, Vanished), true
+		if converged || dead {
+			// The rest of the run is the golden run, carrying any kept copy
+			// of a dead value to its end.
+			o := Vanished
+			if kept {
+				o = ONA
+			}
+			res, pruned = goldenResult(g, p, o), true
 			break
 		}
 	}
@@ -309,6 +334,10 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 	cs.count(res, m.TotalRetired-start, pruned)
 	if pruned {
 		obsPruned.Inc()
+	}
+	if dead {
+		cs.deadState.Add(1)
+		obsDeadStateRuns.Inc()
 	}
 	if compare > 0 {
 		obsConvergeSeconds.Observe(compare.Seconds())
@@ -354,6 +383,18 @@ func (cs *CheckpointSet) deadWord(g *Golden, injectAt uint64, p Fault) bool {
 	return true
 }
 
+// deadSet reports whether a cache metadata strike that fires after
+// instruction injectAt lands on a set no later access reads: the golden
+// run's last access to the set (cache.Hierarchy.SetStamp) came before the
+// hook of injectAt. Tag, status and LRU bits of such a set steer nothing.
+func deadSet(model fault.Model, g *Golden, injectAt uint64, p Fault) bool {
+	switch model {
+	case fault.CacheTag, fault.CacheDirty, fault.CacheRepl:
+		return injectAt <= g.Retired && g.Machine.Hier.SetStamp(cache.Level(p.Level), p.Core, p.Addr) <= injectAt
+	}
+	return false
+}
+
 // InjectRangeContext runs the contiguous fault sublist faults[lo:hi]
 // through the set in index order and returns one Result per fault. This is
 // the shard execution primitive of the distributed fabric (internal/dist):
@@ -383,6 +424,13 @@ func (cs *CheckpointSet) InjectRangeContext(ctx context.Context, d fault.Domain,
 // would have cost from reset.
 func (cs *CheckpointSet) SimulatedInstructions() (executed, fromReset uint64) {
 	return cs.simulated.Load(), cs.fromReset.Load()
+}
+
+// DeadRuns returns the runs of this set decided by the set-stamp rule
+// (cache strikes, no machine) and by the dead-state rule (stopped at a
+// checkpoint): two parts of the pruned count of PruneStats.
+func (cs *CheckpointSet) DeadRuns() (sets, state uint64) {
+	return cs.deadSets.Load(), cs.deadState.Load()
 }
 
 // PruneStats returns (pruned, total): injection runs scored by convergence

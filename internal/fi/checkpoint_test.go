@@ -56,8 +56,10 @@ func TestCheckpointInjectMatchesReset(t *testing.T) {
 // TestCheckpointOptionsBitIdentical pins the delta-checkpoint engine
 // against its retained full-copy reference at the fi layer: the same fault
 // list injected through a default (COW) set and a FullCopy set yields
-// identical Results and identical savings/prune telemetry — while the
-// capture telemetry shows the delta chain actually paying pages instead of
+// identical Results and savings/prune telemetry that differs only by the
+// runs the dead-state rule, which the rule-free reference never takes,
+// stopped early — while the capture telemetry shows the delta chain actually
+// paying pages instead of
 // RAM images.
 func TestCheckpointOptionsBitIdentical(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
@@ -96,13 +98,17 @@ func TestCheckpointOptionsBitIdentical(t *testing.T) {
 			t.Errorf("fault %d (%s): full-copy %+v != cow %+v", i, f, got, want)
 		}
 	}
+	// A dead-state run stops at a checkpoint the reference passes: it
+	// simulates less, and it is pruned where the reference may or may not
+	// converge exactly later on. Without one the telemetry is identical.
+	_, state := cow.DeadRuns()
 	cowSim, cowReset := cow.SimulatedInstructions()
-	if sim, reset := full.SimulatedInstructions(); sim != cowSim || reset != cowReset {
-		t.Errorf("full telemetry sim=%d reset=%d != cow sim=%d reset=%d", sim, reset, cowSim, cowReset)
+	if sim, reset := full.SimulatedInstructions(); reset != cowReset || cowSim > sim || state == 0 && cowSim != sim {
+		t.Errorf("full telemetry sim=%d reset=%d vs cow sim=%d reset=%d (%d dead-state runs)", sim, reset, cowSim, cowReset, state)
 	}
 	p, tot := full.PruneStats()
-	if cp, ctot := cow.PruneStats(); p != cp || tot != ctot {
-		t.Errorf("full prune %d/%d != cow %d/%d", p, tot, cp, ctot)
+	if cp, ctot := cow.PruneStats(); tot != ctot || cp < p || cp > p+state {
+		t.Errorf("full prune %d/%d vs cow %d/%d (%d dead-state runs)", p, tot, cp, ctot, state)
 	}
 }
 

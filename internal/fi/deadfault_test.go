@@ -14,12 +14,15 @@ import (
 )
 
 // runKind says how a delta-chain set scored one fault, read from the
-// counters of a fresh Clone that ran only that fault.
+// counters of a fresh Clone that ran only that fault (never from the
+// process-wide obs counters: subtests run in parallel).
 type runKind int
 
 const (
-	decided   runKind = iota // dead fault: no machine, nothing simulated
-	converged                // pruned at a checkpoint boundary
+	decided   runKind = iota // dead word (page-touch rule): no machine, nothing simulated
+	deadSet                  // dead cache set (set-stamp rule): no machine, nothing simulated
+	converged                // pruned at a checkpoint boundary by state equality
+	deadState                // pruned at a checkpoint boundary modulo dead registers and slots
 	simulated                // ran to its end
 )
 
@@ -28,9 +31,14 @@ func injectKind(cs *fi.CheckpointSet, d fault.Domain, g *fi.Golden, p fi.Fault) 
 	c := cs.Clone()
 	res := c.InjectPoint(d, g, p)
 	sim, _ := c.SimulatedInstructions()
+	sets, state := c.DeadRuns()
 	switch pruned, _ := c.PruneStats(); {
+	case sets == 1:
+		return res, deadSet
 	case pruned == 1 && sim == 0:
 		return res, decided
+	case state == 1:
+		return res, deadState
 	case pruned == 1:
 		return res, converged
 	}
@@ -39,10 +47,11 @@ func injectKind(cs *fi.CheckpointSet, d fault.Domain, g *fi.Golden, p fi.Fault) 
 
 // TestDeadFaultsMatchSimulation is the admission ticket of dead-fault
 // pruning: over six fault domains and three scenarios every result of the
-// product path (InjectPoint on a delta-chain set, both rules on) equals a
-// rule-free reference field for field, while dead-fault decisions,
-// convergence on dead cache-line state, exact convergence and full
-// simulation all occur. On the cheapest scenario the reference is
+// product path (InjectPoint on a delta-chain set, every rule on) equals a
+// rule-free reference field for field, while dead-word and dead-set
+// decisions, convergence on dead cache-line state, convergence modulo dead
+// registers and context slots, exact convergence and full simulation all
+// occur. On the cheapest scenario the reference is
 // fi.InjectDomain from reset — which restores nothing, compares nothing and
 // consults no record — and FullCopy and empty sets are held to it too and
 // shown to take neither shortcut. On the other two it is that FullCopy set
@@ -56,6 +65,9 @@ func TestDeadFaultsMatchSimulation(t *testing.T) {
 		n = 8
 	}
 	var nDecided, nCanonical, nExact, nSimulated atomic.Int64
+	// The two rules sized on these scenarios: dead state on the MG reg
+	// campaign, dead sets on cachetag.
+	var nDeadState, nDeadSet atomic.Int64
 	t.Run("scenarios", func(t *testing.T) {
 		for i, sc := range []npb.Scenario{
 			{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1},
@@ -105,24 +117,35 @@ func TestDeadFaultsMatchSimulation(t *testing.T) {
 							if got != want {
 								t.Errorf("fault %d (%s): product path %+v != rule-free reference %+v", i, p, got, want)
 							}
+							noMachine := kind == decided || kind == deadSet
 							switch {
 							case kind == decided:
 								nDecided.Add(1)
 								if model != fault.Mem {
-									t.Errorf("fault %d (%s) decided without simulation", i, p)
+									t.Errorf("fault %d (%s) decided by the page-touch record", i, p)
+								}
+							case kind == deadSet:
+								if !cacheModel {
+									t.Errorf("fault %d (%s) decided by the set stamps", i, p)
+								} else if model == fault.CacheTag {
+									nDeadSet.Add(1)
+								}
+							case kind == deadState:
+								if sc.ISA == "armv7" && sc.App == "MG" && model == fault.Reg {
+									nDeadState.Add(1)
 								}
 							case kind == simulated:
 								nSimulated.Add(1)
 							case !cacheModel:
 								nExact.Add(1) // no cache strike, no dead cache state: bit-identical
 							}
-							if fromReset && kind != simulated && (kind != decided || shown < 4) {
+							if fromReset && kind != simulated && (!noMachine || shown < 4) {
 								// The other sets reach the same result the long way.
 								var fgot fi.Result
 								if fgot, fkind = injectKind(full, d, g, p); fgot != want {
 									t.Errorf("fault %d (%s): FullCopy %+v != from reset %+v", i, p, fgot, want)
 								}
-								if kind == decided {
+								if noMachine {
 									shown++
 									c := empty.Clone()
 									if egot := c.InjectPoint(d, g, p); egot != want {
@@ -134,8 +157,8 @@ func TestDeadFaultsMatchSimulation(t *testing.T) {
 								}
 							}
 							switch {
-							case fkind < 0 || kind == simulated:
-							case kind == decided:
+							case fkind < 0 || kind == simulated || kind == deadState:
+							case noMachine:
 								if fkind != simulated {
 									t.Errorf("fault %d (%s): a FullCopy set did not simulate a dead fault", i, p)
 								}
@@ -153,10 +176,15 @@ func TestDeadFaultsMatchSimulation(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	t.Logf("decided %d, converged on dead cache state %d, converged exactly %d, simulated %d",
-		nDecided.Load(), nCanonical.Load(), nExact.Load(), nSimulated.Load())
+	t.Logf("decided %d, converged on dead cache state %d, converged exactly %d, simulated %d, dead state on MG reg %d, dead sets on cachetag %d",
+		nDecided.Load(), nCanonical.Load(), nExact.Load(), nSimulated.Load(), nDeadState.Load(), nDeadSet.Load())
 	if nDecided.Load() == 0 || nCanonical.Load() == 0 || nExact.Load() == 0 || nSimulated.Load() == 0 {
 		t.Error("one of the four ways to score a run never occurred: the differential lost its teeth")
+	}
+	// The two later rules were sized on the full lists; the eight-fault
+	// prefixes -short runs need not reach them (MG reg reaches none).
+	if !testing.Short() && (nDeadState.Load() == 0 || nDeadSet.Load() == 0) {
+		t.Error("no dead-state run on armv7/MG/OMP-2 reg or no dead-set decision on cachetag: the differential lost its teeth")
 	}
 }
 

@@ -49,7 +49,11 @@ type Golden struct {
 	// Machine is the halted golden machine, retained for profiling
 	// inspection and as the reference of the terminal image and register
 	// file; never run again. Its memory tracks Final, not the checkpoint
-	// candidates it captured on the way.
+	// candidates it captured on the way. It keeps the two records only a
+	// golden machine has besides PageTouch: the liveness record
+	// (mach.Liveness), whose marks ride on the candidates and decide which
+	// registers and context slots are dead at a checkpoint, and the cache-set
+	// stamps (cache.Hierarchy.SetStamp).
 	Machine *mach.Machine
 	// Final is the terminal RAM image, a full capture (Machine.Mem tracks
 	// it). Runs that end with the golden console are scored Vanished or ONA
@@ -167,6 +171,8 @@ func RunGoldenContext(ctx context.Context, img *cc.Image, cfg mach.Config, budge
 	m := mach.New(cfg)
 	img.InstallTo(m)
 	m.PageTouch = make([]uint64, (uint64(m.Mem.Size())+mem.PageBytes-1)/mem.PageBytes)
+	m.Live = mach.NewLiveness(cfg)
+	m.Hier.StampSets(&m.TotalRetired)
 	if budget == 0 {
 		budget = 30_000_000_000
 	}
@@ -205,6 +211,7 @@ func RunGoldenContext(ctx context.Context, img *cc.Image, cfg mach.Config, budge
 	if m.AppStartRetired == 0 || m.AppEndRetired <= m.AppStartRetired {
 		return nil, fmt.Errorf("fi: app lifespan beacons missing")
 	}
+	m.Live.Finish()
 	g := &Golden{
 		AppStart:   m.AppStartRetired,
 		AppEnd:     m.AppEndRetired,

@@ -23,6 +23,8 @@ var (
 
 	obsInjections    = obs.Default.Counter("serfi_fi_injections_total", "Completed injection runs.")
 	obsPruned        = obs.Default.Counter("serfi_fi_pruned_total", "Injection runs scored by convergence pruning at a checkpoint boundary.")
-	obsDeadFaultRuns = obs.Default.Counter("serfi_fi_dead_fault_runs_total", "Injection runs decided without a machine: mem strikes on a page the golden run never accesses again.")
+	obsDeadFaultRuns = obs.Default.Counter("serfi_fi_dead_fault_runs_total", "Injection runs decided without a machine by the page-touch rule: mem strikes on a page the golden run never accesses again (cache strikes count in serfi_fi_dead_set_runs_total, dead register state in serfi_fi_dead_state_runs_total).")
+	obsDeadSetRuns   = obs.Default.Counter("serfi_fi_dead_set_runs_total", "Injection runs decided without a machine by the set-stamp rule: cache metadata strikes on a set the golden run never accesses again.")
+	obsDeadStateRuns = obs.Default.Counter("serfi_fi_dead_state_runs_total", "Injection runs stopped at a checkpoint whose state differs from golden only in registers and context slots the golden run never reads again.")
 	obsFromResetRuns = obs.Default.Counter("serfi_fi_from_reset_runs_total", "Injection runs with no usable pre-fault checkpoint (booted from reset).")
 )

@@ -73,3 +73,66 @@ func TestPageTouchIsGoldenOnly(t *testing.T) {
 		t.Error("a pooled injection machine carries a page-touch table")
 	}
 }
+
+// TestLivenessIsGoldenOnly pins who owns the liveness record and the
+// cache-set stamps, as TestPageTouchIsGoldenOnly does for the page-touch
+// table: the golden machine keeps both, its checkpoint candidates carry
+// liveness marks, and the machines an injection runs on — pooled, fresh,
+// from reset, FullCopy and restored ones — keep neither and restore no mark
+// into a record.
+func TestLivenessIsGoldenOnly(t *testing.T) {
+	img, cfg, err := npb.BuildScenario(npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := RunGolden(img, cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Machine.Live == nil || g.Machine.Hier.SetStamps() == nil {
+		t.Fatal("the golden machine keeps no liveness record or no set stamps")
+	}
+	for i, c := range g.candidates {
+		if c.Live() == nil {
+			t.Fatalf("checkpoint candidate %d (retired %d) carries no liveness mark", i, c.Retired())
+		}
+	}
+	cs, err := BuildCheckpointsOpt(t.Context(), img, cfg, g, CheckpointOptions{N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := BuildCheckpointsOpt(t.Context(), img, cfg, g, CheckpointOptions{N: 4, FullCopy: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range cs.snaps {
+		if s.Live() == nil {
+			t.Errorf("checkpoint %d of the delta chain lost its candidate's mark", i)
+		}
+		if full.snaps[i].Live() != nil {
+			t.Errorf("FullCopy checkpoint %d carries a mark: the reference must take no rule", i)
+		}
+	}
+	d, err := NewDomain(fault.Reg, img, cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Fault{Index: 7, Reg: 3, Bit: 5}
+	cs.InjectPoint(d, g, p)
+	if pooled := cs.pool.Get().(*mach.Machine); pooled.Live != nil || pooled.Hier.SetStamps() != nil {
+		t.Error("a pooled injection machine keeps a liveness record or set stamps")
+	}
+	restored := mach.New(cfg)
+	restored.Restore(cs.snaps[len(cs.snaps)-1])
+	if restored.Live != nil || restored.Hier.SetStamps() != nil {
+		t.Error("Restore carried a liveness record or set stamps into a machine")
+	}
+	m := mach.New(cfg)
+	img.InstallTo(m)
+	if m.Live != nil || m.Hier.SetStamps() != nil {
+		t.Error("a fresh machine keeps a liveness record or set stamps")
+	}
+	if got, want := cs.InjectPoint(d, g, p), InjectDomain(img, cfg, g, d, p); got != want {
+		t.Errorf("%s: product path %+v != from reset %+v", p, got, want)
+	}
+}

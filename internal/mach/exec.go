@@ -24,6 +24,9 @@ func (m *Machine) wreg(c *Core, i uint8, v uint64) (branched bool) {
 		c.lastLine = 0
 		return true
 	}
+	if m.Live != nil {
+		m.Live.birth(c.ID, i)
+	}
 	c.Regs[i] = v & m.wmask
 	return false
 }
@@ -173,6 +176,9 @@ func (m *Machine) load(c *Core, addr uint64, size uint32) (v uint64, ok bool) {
 	c.Cycles += uint64(m.Hier.Data(c.ID, a, false))
 	c.Stats.Loads++
 	m.touch(a, size)
+	if l := m.Live; l != nil && l.slotNear(a, size) {
+		l.ram(a, size, false)
+	}
 	switch size {
 	case 1:
 		return uint64(m.Mem.ReadU8(a)), true
@@ -205,6 +211,9 @@ func (m *Machine) store(c *Core, addr uint64, size uint32, v uint64) bool {
 	c.Cycles += uint64(m.Hier.Data(c.ID, a, true))
 	c.Stats.Stores++
 	m.touch(a, size)
+	if l := m.Live; l != nil && l.slotNear(a, size) {
+		l.ram(a, size, true)
+	}
 	switch size {
 	case 1:
 		m.Mem.WriteU8(a, uint8(v))
@@ -260,6 +269,9 @@ func (m *Machine) step(c *Core) {
 	ins, ok := m.fetch(c)
 	if !ok {
 		return
+	}
+	if l := m.Live; l != nil && l.hot[c.ID&7]&readRegs(&ins) != 0 {
+		l.reads(c.ID, &ins)
 	}
 	m.execute(c, &ins)
 }
@@ -424,6 +436,9 @@ func (m *Machine) execute(c *Core, ins *isa.Instr) bool {
 		m.branchStat(c, taken, true)
 		if taken {
 			target := uint64(int64(c.PC)+ins.Imm*4) & m.wmask
+			if m.Live != nil {
+				m.Live.birth(c.ID, uint8(m.Feat.LRIndex))
+			}
 			c.Regs[m.Feat.LRIndex] = (c.PC + 4) & m.wmask
 			c.PC = target
 			c.Stats.Calls++
@@ -443,6 +458,9 @@ func (m *Machine) execute(c *Core, ins *isa.Instr) bool {
 	case isa.OpBLR:
 		if ins.Cond.Pass(c.Flags) {
 			target := m.rreg(c, ins.Rn) &^ 3
+			if m.Live != nil {
+				m.Live.birth(c.ID, uint8(m.Feat.LRIndex))
+			}
 			c.Regs[m.Feat.LRIndex] = (c.PC + 4) & m.wmask
 			c.PC = target
 			c.Stats.Calls++
@@ -739,6 +757,9 @@ func (m *Machine) saveCtx(c *Core) bool {
 	if !ok {
 		return false
 	}
+	if m.Live != nil {
+		m.Live.saveCtx(m, c, a)
+	}
 	wb := m.wbytes
 	put := func(slot int, v uint64) {
 		addr := a + uint32(slot)*wb
@@ -779,6 +800,9 @@ func (m *Machine) restCtx(c *Core) bool {
 	a, ok := m.ctxAddr(c)
 	if !ok {
 		return false
+	}
+	if m.Live != nil {
+		m.Live.restCtx(m, c, a)
 	}
 	wb := m.wbytes
 	get := func(slot int) uint64 {

@@ -44,6 +44,7 @@ type blockRun struct {
 	start  uint32 // first word index (pc >> 2)
 	nwords uint32 // words in the run (>= 1)
 	userOK bool   // the containing region is user-executable
+	reads  uint32 // every GPR an instruction of the run reads (readRegs)
 }
 
 // blockEnd marks the ops that terminate a block run: control transfers,
@@ -119,19 +120,20 @@ func (m *Machine) buildBlock(w uint32) int32 {
 	if w >= maxW {
 		return -1
 	}
-	n := uint32(0)
+	n, reads := uint32(0), uint32(0)
 	for i := w; i < maxW && m.blockOf[i] < 0; i++ {
 		if !m.decValid[i] {
 			m.decoded[i] = m.ISA.Decode(m.Mem.ReadU32(i << 2))
 			m.decValid[i] = true
 		}
+		reads |= readRegs(&m.decoded[i])
 		n++
 		if blockEnd[m.decoded[i].Op] {
 			break
 		}
 	}
 	var bi int32
-	run := blockRun{start: w, nwords: n, userOK: r.Perm&mem.PermUser != 0}
+	run := blockRun{start: w, nwords: n, userOK: r.Perm&mem.PermUser != 0, reads: reads}
 	if k := len(m.blockFree); k > 0 {
 		bi = m.blockFree[k-1]
 		m.blockFree = m.blockFree[:k-1]
@@ -157,6 +159,21 @@ type cursor struct {
 	pc    uint32 // current pc (always equals uint32(c.PC) when picked)
 	k     uint32 // words left in the run; 0 = cursor needs a refresh
 	bound uint64 // last cycle value at which this core may still commit
+	// live is set when the machine keeps a liveness record and the run reads
+	// a GPR the record still tracks (Liveness.hot): only then do its
+	// instructions book their reads, one by one as the reference interpreter
+	// does, so both record alike. The hot set only shrinks inside a run —
+	// marks come between Run calls, RESTCTX ends a run — so the flag taken
+	// when the cursor binds stays a superset.
+	live bool
+}
+
+// bind points the cursor at word w of run b.
+func (m *Machine) bind(cu *cursor, b *blockRun, w uint32) {
+	cu.w = w
+	cu.pc = w << 2
+	cu.k = b.start + b.nwords - w
+	cu.live = m.Live != nil && m.Live.hot[cu.c.ID&7]&b.reads != 0
 }
 
 // refreshCursor re-derives a core's cursor from its architectural state:
@@ -190,9 +207,7 @@ func (m *Machine) refreshCursor(cu *cursor, maxCycles uint64) bool {
 	if !c.Kernel && !b.userOK {
 		return false
 	}
-	cu.w = w
-	cu.pc = uint32(c.PC)
-	cu.k = b.start + b.nwords - w
+	m.bind(cu, b, w)
 	bound := maxCycles
 	if c.timerAt != 0 && c.timerAt-1 < bound {
 		// The timer fires at timerAt; the commit before it must be the last.
@@ -308,6 +323,9 @@ func (m *Machine) runGroup(maxCycles uint64) {
 		}
 		ins := &decoded[cu.w]
 		op := ins.Op
+		if cu.live {
+			m.Live.reads(c.ID, ins)
+		}
 		seq := m.execute(c, ins)
 		if m.Halted {
 			return
@@ -325,9 +343,7 @@ func (m *Machine) runGroup(maxCycles uint64) {
 				w := uint32(c.PC) >> 2
 				if bi := m.blockOf[w]; bi >= 0 {
 					if b := &m.blocks[bi]; c.Kernel || b.userOK {
-						cu.w = w
-						cu.pc = uint32(c.PC)
-						cu.k = b.start + b.nwords - w
+						m.bind(cu, b, w)
 					}
 				}
 			}

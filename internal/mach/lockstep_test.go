@@ -14,14 +14,23 @@ import (
 // fast path and the reference interpreter — in chunks of `stride` retired
 // instructions, asserting complete machine-state equality (registers, RAM,
 // caches, timers, console, counters) at every boundary. stride 1 checks
-// every single retirement boundary. Both machines also keep a page-touch
-// table, which is no part of a Snapshot and is compared beside it.
+// every single retirement boundary. Both machines also keep the golden
+// run's records — a page-touch table, a liveness record (marked every 64
+// boundaries, as a golden run marks its checkpoint candidates) and cache-set
+// stamps — which are no part of a Snapshot and are compared beside it.
 func runLockstep(t *testing.T, mk func(slow bool) *Machine, stride, maxInstr uint64) {
 	t.Helper()
 	fast, slow := mk(false), mk(true)
-	fast.PageTouch = make([]uint64, fast.Mem.Size()/mem.PageBytes)
-	slow.PageTouch = make([]uint64, slow.Mem.Size()/mem.PageBytes)
+	for _, m := range []*Machine{fast, slow} {
+		m.PageTouch = make([]uint64, m.Mem.Size()/mem.PageBytes)
+		m.Live = NewLiveness(m.Cfg)
+		m.Hier.StampSets(&m.TotalRetired)
+	}
 	for i := uint64(0); ; i++ {
+		if i%64 == 0 {
+			fast.CheckpointSnapshot()
+			slow.CheckpointSnapshot()
+		}
 		target := fast.TotalRetired + stride
 		if maxInstr != 0 && target > maxInstr {
 			target = maxInstr
@@ -49,6 +58,12 @@ func runLockstep(t *testing.T, mk func(slow bool) *Machine, stride, maxInstr uin
 		if !slices.Equal(fast.PageTouch, slow.PageTouch) {
 			t.Fatalf("boundary %d (retired %d): page-touch tables diverged\nfast: %v\nslow: %v",
 				i, fast.TotalRetired, fast.PageTouch, slow.PageTouch)
+		}
+		if !fast.Live.Equal(slow.Live) {
+			t.Fatalf("boundary %d (retired %d): liveness records diverged", i, fast.TotalRetired)
+		}
+		if !slices.Equal(fast.Hier.SetStamps(), slow.Hier.SetStamps()) {
+			t.Fatalf("boundary %d (retired %d): cache-set stamps diverged", i, fast.TotalRetired)
 		}
 		if rf != StopInstrBudget || (maxInstr != 0 && fast.TotalRetired >= maxInstr) {
 			return

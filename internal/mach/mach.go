@@ -199,6 +199,9 @@ type Machine struct {
 	// allocates it. It is not part of Snapshot/Restore/StateEquals: a golden
 	// machine is never restored, and no other machine carries a table.
 	PageTouch []uint64
+	// Live, when non-nil, is the value-lineage record of the GPRs and context
+	// slots (liveness.go); like PageTouch only fi's golden run allocates it.
+	Live *Liveness
 
 	wmask    uint64 // word mask (0xffffffff on v7)
 	wbits    uint32
@@ -391,6 +394,9 @@ func (m *Machine) exception(c *Core, cause, ret, badaddr uint64) {
 	c.Sys[isa.SysELR] = ret
 	c.Sys[isa.SysCAUSE] = cause
 	c.Sys[isa.SysBADADDR] = badaddr
+	if m.Live != nil {
+		m.Live.readReg(c.ID, uint8(m.spIndex)) // the bank switch consumes sp; KSP is a birth
+	}
 	c.Sys[isa.SysUSP] = c.Regs[m.spIndex]
 	c.Regs[m.spIndex] = c.Sys[isa.SysKSP] & m.wmask
 	c.Kernel = true

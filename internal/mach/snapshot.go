@@ -40,6 +40,11 @@ type Snapshot struct {
 	sampleLeft uint64
 	callCounts map[uint32]uint64
 	samples    map[uint32]uint64
+
+	// live is the golden run's liveness mark at this instant (LiveMark): an
+	// annotation CheckpointSnapshot attaches on a machine keeping a record,
+	// never machine state.
+	live *LiveMark
 }
 
 // Retired returns the machine's total retired-instruction count at capture
@@ -88,7 +93,20 @@ func (m *Machine) DeltaSnapshot() *Snapshot { return m.capture(m.Mem.DeltaSnapsh
 // never steers it, so a profiled fault-free run can capture the checkpoints
 // that unprofiled injection machines restore — a restore hands them no
 // tables to fill.
-func (m *Machine) CheckpointSnapshot() *Snapshot { return m.capture(m.Mem.DeltaSnapshot(), false) }
+//
+// On a machine keeping a liveness record it also marks the record, and the
+// snapshot carries the mark (Live).
+func (m *Machine) CheckpointSnapshot() *Snapshot {
+	s := m.capture(m.Mem.DeltaSnapshot(), false)
+	if m.Live != nil {
+		s.live = m.Live.mark(len(m.Cores))
+	}
+	return s
+}
+
+// Live returns the liveness mark CheckpointSnapshot attached, nil on every
+// snapshot of a machine without a record.
+func (s *Snapshot) Live() *LiveMark { return s.live }
 
 func (m *Machine) capture(ms *mem.Snapshot, profile bool) *Snapshot {
 	s := &Snapshot{
@@ -158,16 +176,61 @@ func (s *Snapshot) StateEqualsExact(m *Machine) bool {
 
 // coresEqual compares everything StateEquals covers outside caches and RAM.
 func (s *Snapshot) coresEqual(m *Machine) bool {
-	if m.TotalRetired != s.totalRetired ||
-		m.Halted != s.halted || m.ExitCode != s.exitCode ||
-		m.AppStartRetired != s.appStartRetired || m.AppEndRetired != s.appEndRetired ||
-		m.AppExited != s.appExited || m.AppExitCode != s.appExitCode || m.AppSignal != s.appSignal {
-		return false
+	return s.metaEqual(m) && slices.Equal(m.Cores, s.cores)
+}
+
+// metaEqual compares the retirement count, halt and lifecycle state and the
+// console.
+func (s *Snapshot) metaEqual(m *Machine) bool {
+	return m.TotalRetired == s.totalRetired &&
+		m.Halted == s.halted && m.ExitCode == s.exitCode &&
+		m.AppStartRetired == s.appStartRetired && m.AppEndRetired == s.appEndRetired &&
+		m.AppExited == s.appExited && m.AppExitCode == s.appExitCode && m.AppSignal == s.appSignal &&
+		bytes.Equal(m.Console.Bytes(), s.console)
+}
+
+// DeadDiff is the convergence test modulo dead state, for a golden
+// checkpoint that carries a liveness mark (nil mark: ok is false). It fails
+// fast on any difference outside the record's locations — pc, flags, mode,
+// system registers, FP registers, timers, counters, console, lifecycle
+// beacons, canonical cache state (HierState.Equals), any RAM word that is no
+// slot — and then requires every differing GPR and slot word to be
+// unconsumed after the mark. When ok, no later instruction reads a differing
+// value: addresses, branches and latencies are the golden run's, the run ends
+// exactly as the golden run did, and only copies of the differing values move
+// on. kept reports that some copy still sits in a GPR or RAM at halt (the run
+// ends ONA); otherwise it ends Vanished.
+func (s *Snapshot) DeadDiff(m *Machine) (ok, kept bool) {
+	lm := s.live
+	if lm == nil || !lm.l.done || len(m.Cores) != len(s.cores) || !s.metaEqual(m) {
+		return false, false
 	}
-	if !slices.Equal(m.Cores, s.cores) {
-		return false
+	n := lm.l.ngpr
+	for i := range m.Cores {
+		c := m.Cores[i]
+		copy(c.Regs[:n], s.cores[i].Regs[:n])
+		if c != s.cores[i] {
+			return false, false
+		}
 	}
-	return bytes.Equal(m.Console.Bytes(), s.console)
+	if !s.hier.Equals(m.Hier) {
+		return false, false
+	}
+	dead := func(f Fate) bool {
+		kept = kept || f == Kept
+		return f != Consumed
+	}
+	for i := range m.Cores {
+		for r := 0; r < n; r++ {
+			if m.Cores[i].Regs[r] != s.cores[i].Regs[r] && !dead(lm.Reg(i, r)) {
+				return false, false
+			}
+		}
+	}
+	if !s.mem.DiffWords(m.Mem, m.wbytes, func(addr uint32) bool { return dead(lm.Slot(addr)) }) {
+		return false, false
+	}
+	return true, kept
 }
 
 // Restore resets the machine to a snapshot taken from a machine with the

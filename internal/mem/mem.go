@@ -580,13 +580,44 @@ func (s *Snapshot) pageEquals(m *Memory, off uint32) bool {
 // paths between base and s — are compared; otherwise every page is. The
 // comparison never mutates tracking state.
 func (s *Snapshot) EqualsMemory(m *Memory) bool {
-	if m.Size() != s.size {
-		return false
-	}
+	return m.Size() == s.size && s.eachComparedPage(m, func(off uint32) bool { return s.pageEquals(m, off) })
+}
+
+// DiffWords walks m's RAM against the snapshot's materialization over the
+// pages EqualsMemory compares and calls fn with the address of every
+// size-byte word (size a power of two up to PageBytes, words aligned to it)
+// that differs. It stops as soon as fn returns false, and reports whether it
+// ran to the end; a memory of another size differs everywhere and reports
+// false at once. Equal pages cost one compare, as in EqualsMemory.
+func (s *Snapshot) DiffWords(m *Memory, size uint32, fn func(addr uint32) bool) bool {
+	return m.Size() == s.size && s.eachComparedPage(m, func(off uint32) bool {
+		if s.pageEquals(m, off) {
+			return true
+		}
+		chunk := m.ram[off:pageEnd(off, s.size)]
+		want := s.pageData(off)
+		if want == nil {
+			want = zeroPage[:len(chunk)]
+		}
+		for i := 0; i < len(chunk); i += int(size) {
+			j := min(i+int(size), len(chunk))
+			if !bytes.Equal(chunk[i:j], want[i:j]) && !fn(off+uint32(i)) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// eachComparedPage calls fn with every page offset at which m's RAM may
+// differ from s's materialization — the dirty-tracking subset when m's base
+// shares a chain with s, every page otherwise — until fn returns false, and
+// reports whether it ran to the end.
+func (s *Snapshot) eachComparedPage(m *Memory, fn func(off uint32) bool) bool {
 	if m.base != nil {
 		if anc := commonAncestor(m.base, s); anc != nil {
 			for off := range m.diffPages(s, anc) {
-				if !s.pageEquals(m, off) {
+				if !fn(off) {
 					return false
 				}
 			}
@@ -594,7 +625,7 @@ func (s *Snapshot) EqualsMemory(m *Memory) bool {
 		}
 	}
 	for off := uint32(0); off < s.size; off = pageEnd(off, s.size) {
-		if !s.pageEquals(m, off) {
+		if !fn(off) {
 			return false
 		}
 	}

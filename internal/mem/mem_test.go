@@ -2,6 +2,7 @@ package mem
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -125,5 +126,42 @@ func TestHashRange(t *testing.T) {
 func TestPermString(t *testing.T) {
 	if got := (PermR | PermW | PermUser).String(); got != "rw-u" {
 		t.Errorf("perm string = %q", got)
+	}
+}
+
+// TestDiffWordsListsExactlyTheChangedWords pins the word-level diff the
+// dead-state convergence rule walks: over a memory tracking the snapshot
+// (dirty pages only) and over one with no tracking base (every page), every
+// changed word is listed once at its aligned address, a word written back to
+// its old value is not, and a false return stops the walk.
+func TestDiffWordsListsExactlyTheChangedWords(t *testing.T) {
+	m := New(1 << 20)
+	m.WriteU64(0x2000, 0x1122334455667788)
+	m.WriteU64(0x9ff8, 7)
+	base := m.Snapshot()
+	m.WriteU32(0x2004, 0xdeadbeef) // second half of the 0x2000 word
+	m.WriteU8(0x9ffa, 9)           // one byte of the 0x9ff8 word
+	m.WriteU64(0x40000, 1)         // a page of zeros until now
+	m.WriteU64(0x50000, 2)
+	m.WriteU64(0x50000, 0) // back to its old value: no difference
+	want := []uint32{0x2000, 0x9ff8, 0x40000}
+	untracked := New(1 << 20) // no tracking base: every page is walked
+	untracked.WriteBytes(0, m.ReadBytes(0, m.Size()))
+	for name, mm := range map[string]*Memory{"tracking base": m, "no base": untracked} {
+		var got []uint32
+		if !base.DiffWords(mm, 8, func(addr uint32) bool { got = append(got, addr); return true }) {
+			t.Fatalf("%s: the walk stopped without being asked to", name)
+		}
+		slices.Sort(got)
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: differing words %#x, want %#x", name, got, want)
+		}
+		n := 0
+		if base.DiffWords(mm, 8, func(uint32) bool { n++; return false }) || n != 1 {
+			t.Errorf("%s: a false return did not stop the walk (%d calls)", name, n)
+		}
+	}
+	if base.DiffWords(New(2<<20), 8, func(uint32) bool { return true }) {
+		t.Error("a memory of another size compared word by word")
 	}
 }

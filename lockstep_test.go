@@ -81,6 +81,8 @@ func TestLockstepFastVsSlowPath(t *testing.T) {
 				m := mach.New(c)
 				img.InstallTo(m)
 				m.PageTouch = make([]uint64, m.Mem.Size()/mem.PageBytes)
+				m.Live = mach.NewLiveness(c)
+				m.Hier.StampSets(&m.TotalRetired)
 				return m
 			}
 			fast, slow := mk(false), mk(true)
@@ -104,6 +106,15 @@ func TestLockstepFastVsSlowPath(t *testing.T) {
 				if !slices.Equal(fast.PageTouch, slow.PageTouch) {
 					t.Fatalf("boundary %d (retired %d): page-touch tables diverged", boundary, fast.TotalRetired)
 				}
+				if !fast.Live.Equal(slow.Live) {
+					t.Fatalf("boundary %d (retired %d): liveness records diverged", boundary, fast.TotalRetired)
+				}
+				if !slices.Equal(fast.Hier.SetStamps(), slow.Hier.SetStamps()) {
+					t.Fatalf("boundary %d (retired %d): cache-set stamps diverged", boundary, fast.TotalRetired)
+				}
+				// Mark both records, as a golden run marks each checkpoint candidate.
+				fast.CheckpointSnapshot()
+				slow.CheckpointSnapshot()
 				if rf != mach.StopInstrBudget {
 					if rf != mach.StopHalted {
 						t.Fatalf("scenario did not halt: %v", rf)
