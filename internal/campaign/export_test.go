@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"time"
 
 	"serfi/internal/cc"
@@ -50,3 +51,22 @@ func SetMergeOps(remove func(string) error, rename func(string, string) error) (
 // SetCollectorClock replaces the wall clock c reads for its rate epoch and
 // progress-line rate column.
 func SetCollectorClock(c *Collector, now func() time.Time) { c.now = now }
+
+// DeadStateRuns runs model's n-fault list through a fresh clone of the
+// group's checkpoint set and returns how many runs the dead-state rule
+// stopped (fi.CheckpointSet.DeadRuns): the runs on which a campaign's
+// prune and simulation telemetry may differ from the FullCopy reference's.
+func (g *Group) DeadStateRuns(ctx context.Context, model fault.Model, n int) (uint64, error) {
+	dom, faults, err := g.list(model, n)
+	if err != nil {
+		return 0, err
+	}
+	cs := g.cs.Clone()
+	for _, f := range faults {
+		if _, err := cs.InjectPointContext(ctx, dom, g.g, f); err != nil {
+			return 0, err
+		}
+	}
+	_, state := cs.DeadRuns()
+	return state, nil
+}

@@ -282,10 +282,6 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 	res, pruned, dead := Result{}, false, false
 	stop := mach.StopInstrBudget
 	var compare time.Duration // convergence compares of this run, summed
-	equals := (*mach.Snapshot).StateEquals
-	if cs.pool == nil {
-		equals = (*mach.Snapshot).StateEqualsExact // FullCopy: the bit-for-bit reference
-	}
 	// Run in stages, pausing at each checkpoint boundary past the fault.
 	next := sort.Search(len(cs.snaps), func(i int) bool {
 		return cs.snaps[i].Retired() > injectAt
@@ -299,15 +295,16 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 			break // halted, hung or deadlocked before the boundary
 		}
 		t0 := time.Now()
-		converged := equals(cs.snaps[next], m)
-		var kept bool
-		if !converged && cs.pool != nil {
-			// Converged modulo dead state: what differs is only ever moved
-			// from here on, never read (mach.Snapshot.DeadDiff).
-			dead, kept = cs.snaps[next].DeadDiff(m)
+		var converged, kept bool
+		if cs.pool == nil {
+			converged = cs.snaps[next].StateEqualsExact(m) // FullCopy: the bit-for-bit reference
+		} else {
+			// Converged, or converged modulo dead state: what differs is
+			// only ever moved from here on, never read.
+			converged, dead, kept = cs.snaps[next].DeadDiff(m)
 		}
 		compare += time.Since(t0)
-		if converged || dead {
+		if converged {
 			// The rest of the run is the golden run, carrying any kept copy
 			// of a dead value to its end.
 			o := Vanished

@@ -170,9 +170,7 @@ func RunGolden(img *cc.Image, cfg mach.Config, budget uint64) (*Golden, error) {
 func RunGoldenContext(ctx context.Context, img *cc.Image, cfg mach.Config, budget uint64) (*Golden, error) {
 	m := mach.New(cfg)
 	img.InstallTo(m)
-	m.PageTouch = make([]uint64, (uint64(m.Mem.Size())+mem.PageBytes-1)/mem.PageBytes)
-	m.Live = mach.NewLiveness(cfg)
-	m.Hier.StampSets(&m.TotalRetired)
+	m.KeepRecords()
 	if budget == 0 {
 		budget = 30_000_000_000
 	}
@@ -211,7 +209,7 @@ func RunGoldenContext(ctx context.Context, img *cc.Image, cfg mach.Config, budge
 	if m.AppStartRetired == 0 || m.AppEndRetired <= m.AppStartRetired {
 		return nil, fmt.Errorf("fi: app lifespan beacons missing")
 	}
-	m.Live.Finish()
+	m.Liveness().Finish()
 	g := &Golden{
 		AppStart:   m.AppStartRetired,
 		AppEnd:     m.AppEndRetired,

@@ -89,7 +89,7 @@ func TestLivenessIsGoldenOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Machine.Live == nil || g.Machine.Hier.SetStamps() == nil {
+	if g.Machine.Liveness() == nil || g.Machine.Hier.SetStamps() == nil {
 		t.Fatal("the golden machine keeps no liveness record or no set stamps")
 	}
 	for i, c := range g.candidates {
@@ -119,17 +119,17 @@ func TestLivenessIsGoldenOnly(t *testing.T) {
 	}
 	p := Fault{Index: 7, Reg: 3, Bit: 5}
 	cs.InjectPoint(d, g, p)
-	if pooled := cs.pool.Get().(*mach.Machine); pooled.Live != nil || pooled.Hier.SetStamps() != nil {
+	if pooled := cs.pool.Get().(*mach.Machine); pooled.Liveness() != nil || pooled.Hier.SetStamps() != nil {
 		t.Error("a pooled injection machine keeps a liveness record or set stamps")
 	}
 	restored := mach.New(cfg)
 	restored.Restore(cs.snaps[len(cs.snaps)-1])
-	if restored.Live != nil || restored.Hier.SetStamps() != nil {
+	if restored.Liveness() != nil || restored.Hier.SetStamps() != nil {
 		t.Error("Restore carried a liveness record or set stamps into a machine")
 	}
 	m := mach.New(cfg)
 	img.InstallTo(m)
-	if m.Live != nil || m.Hier.SetStamps() != nil {
+	if m.Liveness() != nil || m.Hier.SetStamps() != nil {
 		t.Error("a fresh machine keeps a liveness record or set stamps")
 	}
 	if got, want := cs.InjectPoint(d, g, p), InjectDomain(img, cfg, g, d, p); got != want {

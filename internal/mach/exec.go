@@ -19,13 +19,13 @@ func (m *Machine) rreg(c *Core, i uint8) uint64 {
 // wreg writes an integer register and reports whether it branched (a v7
 // write to r15 redirects the pc).
 func (m *Machine) wreg(c *Core, i uint8, v uint64) (branched bool) {
-	if m.pcIsR15 && i == 15 {
-		c.PC = v & m.wmask &^ 3
-		c.lastLine = 0
-		return true
-	}
-	if m.Live != nil {
-		m.Live.birth(c.ID, i)
+	if m.wrSlow&(1<<(i&31)) != 0 {
+		if m.pcIsR15 && i == 15 {
+			c.PC = v & m.wmask &^ 3
+			c.lastLine = 0
+			return true
+		}
+		m.live.birth(c.ID, i) // past the pc, only a record sets wrSlow bits
 	}
 	c.Regs[i] = v & m.wmask
 	return false
@@ -175,9 +175,13 @@ func (m *Machine) load(c *Core, addr uint64, size uint32) (v uint64, ok bool) {
 	}
 	c.Cycles += uint64(m.Hier.Data(c.ID, a, false))
 	c.Stats.Loads++
-	m.touch(a, size)
-	if l := m.Live; l != nil && l.slotNear(a, size) {
-		l.ram(a, size, false)
+	if m.PageTouch != nil {
+		// A machine keeping the golden records: the pages, and the slot
+		// words of the liveness record (the context ops book theirs).
+		m.touch(a, size)
+		if l := m.live; l != nil && l.slotNear(a, size) {
+			l.ram(a, size, false)
+		}
 	}
 	switch size {
 	case 1:
@@ -210,9 +214,13 @@ func (m *Machine) store(c *Core, addr uint64, size uint32, v uint64) bool {
 	}
 	c.Cycles += uint64(m.Hier.Data(c.ID, a, true))
 	c.Stats.Stores++
-	m.touch(a, size)
-	if l := m.Live; l != nil && l.slotNear(a, size) {
-		l.ram(a, size, true)
+	if m.PageTouch != nil {
+		// A machine keeping the golden records: the pages, and the slot
+		// words of the liveness record (the context ops book theirs).
+		m.touch(a, size)
+		if l := m.live; l != nil && l.slotNear(a, size) {
+			l.ram(a, size, true)
+		}
 	}
 	switch size {
 	case 1:
@@ -270,7 +278,7 @@ func (m *Machine) step(c *Core) {
 	if !ok {
 		return
 	}
-	if l := m.Live; l != nil && l.hot[c.ID&7]&readRegs(&ins) != 0 {
+	if l := m.live; l != nil && l.hot[c.ID&7]&readRegs(&ins) != 0 {
 		l.reads(c.ID, &ins)
 	}
 	m.execute(c, &ins)
@@ -436,10 +444,7 @@ func (m *Machine) execute(c *Core, ins *isa.Instr) bool {
 		m.branchStat(c, taken, true)
 		if taken {
 			target := uint64(int64(c.PC)+ins.Imm*4) & m.wmask
-			if m.Live != nil {
-				m.Live.birth(c.ID, uint8(m.Feat.LRIndex))
-			}
-			c.Regs[m.Feat.LRIndex] = (c.PC + 4) & m.wmask
+			m.wreg(c, uint8(m.Feat.LRIndex), c.PC+4)
 			c.PC = target
 			c.Stats.Calls++
 			if m.CallCounts != nil {
@@ -458,10 +463,7 @@ func (m *Machine) execute(c *Core, ins *isa.Instr) bool {
 	case isa.OpBLR:
 		if ins.Cond.Pass(c.Flags) {
 			target := m.rreg(c, ins.Rn) &^ 3
-			if m.Live != nil {
-				m.Live.birth(c.ID, uint8(m.Feat.LRIndex))
-			}
-			c.Regs[m.Feat.LRIndex] = (c.PC + 4) & m.wmask
+			m.wreg(c, uint8(m.Feat.LRIndex), c.PC+4)
 			c.PC = target
 			c.Stats.Calls++
 			if m.CallCounts != nil {
@@ -757,8 +759,8 @@ func (m *Machine) saveCtx(c *Core) bool {
 	if !ok {
 		return false
 	}
-	if m.Live != nil {
-		m.Live.saveCtx(m, c, a)
+	if m.live != nil {
+		m.live.saveCtx(m, c, a)
 	}
 	wb := m.wbytes
 	put := func(slot int, v uint64) {
@@ -801,8 +803,8 @@ func (m *Machine) restCtx(c *Core) bool {
 	if !ok {
 		return false
 	}
-	if m.Live != nil {
-		m.Live.restCtx(m, c, a)
+	if m.live != nil {
+		m.live.restCtx(m, c, a)
 	}
 	wb := m.wbytes
 	get := func(slot int) uint64 {

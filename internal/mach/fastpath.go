@@ -159,21 +159,37 @@ type cursor struct {
 	pc    uint32 // current pc (always equals uint32(c.PC) when picked)
 	k     uint32 // words left in the run; 0 = cursor needs a refresh
 	bound uint64 // last cycle value at which this core may still commit
-	// live is set when the machine keeps a liveness record and the run reads
-	// a GPR the record still tracks (Liveness.hot): only then do its
-	// instructions book their reads, one by one as the reference interpreter
-	// does, so both record alike. The hot set only shrinks inside a run —
-	// marks come between Run calls, RESTCTX ends a run — so the flag taken
-	// when the cursor binds stays a superset.
-	live bool
 }
 
-// bind points the cursor at word w of run b.
-func (m *Machine) bind(cu *cursor, b *blockRun, w uint32) {
-	cu.w = w
-	cu.pc = w << 2
-	cu.k = b.start + b.nwords - w
-	cu.live = m.Live != nil && m.Live.hot[cu.c.ID&7]&b.reads != 0
+// runWords returns how many words of run b from word w on a cursor may
+// execute: all of them, or on a machine keeping a liveness record those
+// before the first that reads a GPR of core c the record still tracks
+// (Liveness.hot). The reference interpreter executes that one and books the
+// read as it happens, so the hot loop books none. The hot set only shrinks
+// while a cursor is bound — marks come between Run calls, RESTCTX ends a
+// run — so the words counted never read a tracked value.
+func (m *Machine) runWords(c *Core, b *blockRun, w uint32) uint32 {
+	if m.live != nil {
+		return m.hotRead(c, b, w) - w
+	}
+	return b.start + b.nwords - w
+}
+
+// hotRead returns the first word of run b from w on that reads a GPR of
+// core c the liveness record tracks, or the run's end: the run's union of
+// reads (blockRun.reads) is the quick test, the words themselves the exact
+// one.
+func (m *Machine) hotRead(c *Core, b *blockRun, w uint32) uint32 {
+	hot, end := m.live.hot[c.ID&7], b.start+b.nwords
+	if hot&b.reads == 0 {
+		return end
+	}
+	for ; w < end; w++ {
+		if hot&readRegs(&m.decoded[w]) != 0 {
+			return w
+		}
+	}
+	return end
 }
 
 // refreshCursor re-derives a core's cursor from its architectural state:
@@ -207,7 +223,13 @@ func (m *Machine) refreshCursor(cu *cursor, maxCycles uint64) bool {
 	if !c.Kernel && !b.userOK {
 		return false
 	}
-	m.bind(cu, b, w)
+	k := m.runWords(c, b, w)
+	if k == 0 {
+		return false // the next word reads a tracked GPR: the reference books it
+	}
+	cu.w = w
+	cu.pc = uint32(c.PC)
+	cu.k = k
 	bound := maxCycles
 	if c.timerAt != 0 && c.timerAt-1 < bound {
 		// The timer fires at timerAt; the commit before it must be the last.
@@ -237,6 +259,9 @@ func (m *Machine) refreshCursor(cu *cursor, maxCycles uint64) bool {
 func (m *Machine) runGroup(maxCycles uint64) {
 	if m.TotalRetired >= m.maxInstr {
 		return
+	}
+	if m.live != nil {
+		m.live.trim()
 	}
 	// Instruction allowance: the global budget, capped by a pending
 	// injection hook. The hook may rewrite arbitrary machine state
@@ -323,9 +348,6 @@ func (m *Machine) runGroup(maxCycles uint64) {
 		}
 		ins := &decoded[cu.w]
 		op := ins.Op
-		if cu.live {
-			m.Live.reads(c.ID, ins)
-		}
 		seq := m.execute(c, ins)
 		if m.Halted {
 			return
@@ -343,7 +365,9 @@ func (m *Machine) runGroup(maxCycles uint64) {
 				w := uint32(c.PC) >> 2
 				if bi := m.blockOf[w]; bi >= 0 {
 					if b := &m.blocks[bi]; c.Kernel || b.userOK {
-						m.bind(cu, b, w)
+						cu.w = w
+						cu.pc = uint32(c.PC)
+						cu.k = m.runWords(c, b, w)
 					}
 				}
 			}

@@ -1,6 +1,7 @@
 package mach
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -11,7 +12,7 @@ import (
 // Liveness is the golden run's value-lineage record over the locations the
 // register fault domains can corrupt: every GPR of every core, and every
 // context-block word SAVECTX writes from a GPR (a slot). Only fi's golden run
-// allocates one (Machine.Live); like PageTouch it is no part of Snapshot,
+// keeps one (Machine.KeepRecords); like PageTouch it is no part of Snapshot,
 // Restore or StateEquals, and every other machine carries none.
 //
 // Each CheckpointSnapshot marks the record: every location gets a fresh
@@ -35,8 +36,11 @@ import (
 // The cost is kept off the hot path by node 0, "born after the latest mark":
 // reads, writes and moves of such a value need no bookkeeping. A per-core
 // mask of the GPRs holding other nodes (hot) makes that one compare per
-// register write, and one per cached block run a cursor binds to (its
-// instructions book their reads only when the run reads a hot GPR). A
+// register write — a write books a birth only while some core tracks the
+// register (Machine.wrSlow) — and one per cached block run a cursor binds
+// to (a run
+// that reads a hot GPR goes through the reference interpreter, which books
+// its reads; see runWords). A
 // consumed location drops to node 0 too: its roots are consumed already, and
 // nothing it holds can answer for a root any more. Nodes are allocated only
 // at marks and moves.
@@ -46,11 +50,20 @@ type Liveness struct {
 	// hot[c] is set; a clear bit means node 0 (reg).
 	regs []int32
 	hot  [8]uint32 // a directory byte per line caps machines at 8 cores
+	// slow is the owner's Machine.wrSlow: fixed (the v7 pc) plus a superset
+	// of the union of hot, so that wreg books births only of GPRs some core
+	// may still track. setReg adds a bit at once; bits of values consumed or
+	// overwritten since leave at the next trim.
+	slow  *uint32
+	fixed uint32
 	// slotIdx maps a slot word's address to its index in slotNode, which is
-	// append-only: a mark's slots are a prefix of it. slotLine flags the
-	// 64-byte lines holding a slot, the filter plain loads and stores test.
+	// append-only: a mark's slots are a prefix of it. Plain loads and stores
+	// pass two filters before it: [slotLo, slotEnd) bounds every slot's
+	// address, and slotLine flags the 64-byte lines holding one.
 	slotIdx  map[uint32]int32
 	slotNode []int32
+	slotLo   uint32
+	slotEnd  uint32
 	slotLine []bool
 	ngpr     int
 	wbytes   uint32
@@ -67,28 +80,32 @@ type liveNode struct {
 // slotLineShift is log2 of the granule slotLine filters by.
 const slotLineShift = 6
 
-// NewLiveness returns an empty record for a machine built from cfg; assign
-// it to Machine.Live before the run's first CheckpointSnapshot.
-func NewLiveness(cfg Config) *Liveness {
-	if cfg.Cores < 1 {
-		cfg.Cores = 1
-	}
-	if cfg.RAMBytes == 0 {
-		cfg.RAMBytes = 16 << 20
-	}
-	if cfg.Cores > 8 {
+// KeepRecords starts the records only a golden run keeps, on a machine
+// that has not run yet: the page-touch table (PageTouch), the liveness
+// record (Liveness) and the cache-set stamps (cache.Hierarchy.StampSets).
+// Every other machine keeps none of them.
+func (m *Machine) KeepRecords() {
+	if len(m.Cores) > 8 {
 		panic("mach: a liveness record covers at most 8 cores")
 	}
-	f := cfg.ISA.Feat()
-	return &Liveness{
+	m.PageTouch = make([]uint64, (uint64(m.Mem.Size())+mem.PageBytes-1)/mem.PageBytes)
+	m.live = &Liveness{
 		nodes:    make([]liveNode, 1, 1024),
-		regs:     make([]int32, cfg.Cores*32),
+		regs:     make([]int32, len(m.Cores)*32),
 		slotIdx:  make(map[uint32]int32),
-		slotLine: make([]bool, uint64(cfg.RAMBytes)>>slotLineShift+1),
-		ngpr:     f.NumGPR,
-		wbytes:   uint32(f.WordBytes),
+		slotLo:   math.MaxUint32,
+		slotLine: make([]bool, uint64(m.Mem.Size())>>slotLineShift+1),
+		slow:     &m.wrSlow,
+		fixed:    m.wrSlow,
+		ngpr:     m.Feat.NumGPR,
+		wbytes:   m.wbytes,
 	}
+	m.Hier.StampSets(&m.TotalRetired)
 }
+
+// Liveness returns the machine's liveness record, nil unless KeepRecords
+// started one.
+func (m *Machine) Liveness() *Liveness { return m.live }
 
 // newNode allocates a node descending from parent.
 func (l *Liveness) newNode(parent int32) int32 {
@@ -128,6 +145,7 @@ func (l *Liveness) setReg(c, i int, n int32) {
 	l.regs[c*32+i] = n
 	if n != 0 {
 		l.hot[c&7] |= 1 << i
+		*l.slow |= 1 << i
 	} else {
 		l.hot[c&7] &^= 1 << i
 	}
@@ -135,10 +153,15 @@ func (l *Liveness) setReg(c, i int, n int32) {
 
 // birth records a write of a new value into GPR i of core c: clearing the
 // hot bit is all it takes (see reg).
-func (l *Liveness) birth(c int, i uint8) {
-	if b := uint32(1) << (i & 31); l.hot[c&7]&b != 0 {
-		l.hot[c&7] &^= b
+func (l *Liveness) birth(c int, i uint8) { l.hot[c&7] &^= 1 << (i & 31) }
+
+// trim drops from the owner's wrSlow the GPRs no core tracks any more.
+func (l *Liveness) trim() {
+	u := l.fixed
+	for _, h := range l.hot {
+		u |= h
 	}
+	*l.slow = u
 }
 
 // regReads holds per op an enable mask for each register field — Rn, Rm,
@@ -170,7 +193,7 @@ var regReads = func() (t [isa.NumOps][4]uint32) {
 // readRegs is the set of GPRs an instruction reads (bit i for GPR i). The
 // reference interpreter tests it against the hot set before it executes an
 // instruction; the fast path tests the union over a block run once, when a
-// cursor binds to the run (blockRun.reads, cursor.live).
+// cursor binds to the run (blockRun.reads, runWords).
 func readRegs(ins *isa.Instr) uint32 {
 	e := &regReads[ins.Op]
 	return 1<<(ins.Rn&31)&e[0] | 1<<(ins.Rm&31)&e[1] | 1<<(ins.Ra&31)&e[2] | 1<<(ins.Rd&31)&e[3]
@@ -196,7 +219,8 @@ func (l *Liveness) slotAt(addr uint32) int32 {
 // slotNear reports whether a data access of size bytes (at most a line) at
 // addr may overlap a slot: the inline filter in front of ram.
 func (l *Liveness) slotNear(addr, size uint32) bool {
-	return l.slotLine[addr>>slotLineShift] || l.slotLine[(addr+size-1)>>slotLineShift]
+	return addr < l.slotEnd && addr+size > l.slotLo &&
+		(l.slotLine[addr>>slotLineShift] || l.slotLine[(addr+size-1)>>slotLineShift])
 }
 
 // ram records a plain data access of size bytes at addr: a load consumes
@@ -224,6 +248,7 @@ func (l *Liveness) track(addr uint32) int32 {
 	s := int32(len(l.slotNode))
 	l.slotIdx[addr] = s
 	l.slotNode = append(l.slotNode, 0)
+	l.slotLo, l.slotEnd = min(l.slotLo, addr), max(l.slotEnd, addr+l.wbytes)
 	l.slotLine[addr>>slotLineShift] = true
 	l.slotLine[(addr+l.wbytes-1)>>slotLineShift] = true
 	return s

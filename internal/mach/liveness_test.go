@@ -62,7 +62,7 @@ func TestLivenessLineage(t *testing.T) {
 		cfg.SlowPath = slow
 		m := newTestMachine(t, cfg, prog, nil)
 		m.LoadBytes(VectorBase, asm(t, cfg.ISA, []isa.Instr{al(isa.Instr{Op: isa.OpHALT})}))
-		m.Live = NewLiveness(cfg)
+		m.KeepRecords()
 		a := m.CheckpointSnapshot().Live()
 		for m.Cores[0].PC != afterSave {
 			m.SetInstrBudget(m.TotalRetired + 1)
@@ -78,7 +78,7 @@ func TestLivenessLineage(t *testing.T) {
 		if r := m.Run(1_000_000); r != StopHalted {
 			t.Fatalf("slow=%v: stop %v", slow, r)
 		}
-		m.Live.Finish()
+		m.Liveness().Finish()
 
 		for _, c := range []struct {
 			name string

@@ -7,7 +7,6 @@ import (
 	"serfi/internal/isa"
 	"serfi/internal/isa/armv7"
 	"serfi/internal/isa/armv8"
-	"serfi/internal/mem"
 )
 
 // runLockstep drives two identically configured machines — the block-cached
@@ -22,9 +21,7 @@ func runLockstep(t *testing.T, mk func(slow bool) *Machine, stride, maxInstr uin
 	t.Helper()
 	fast, slow := mk(false), mk(true)
 	for _, m := range []*Machine{fast, slow} {
-		m.PageTouch = make([]uint64, m.Mem.Size()/mem.PageBytes)
-		m.Live = NewLiveness(m.Cfg)
-		m.Hier.StampSets(&m.TotalRetired)
+		m.KeepRecords()
 	}
 	for i := uint64(0); ; i++ {
 		if i%64 == 0 {
@@ -59,7 +56,7 @@ func runLockstep(t *testing.T, mk func(slow bool) *Machine, stride, maxInstr uin
 			t.Fatalf("boundary %d (retired %d): page-touch tables diverged\nfast: %v\nslow: %v",
 				i, fast.TotalRetired, fast.PageTouch, slow.PageTouch)
 		}
-		if !fast.Live.Equal(slow.Live) {
+		if !fast.Liveness().Equal(slow.Liveness()) {
 			t.Fatalf("boundary %d (retired %d): liveness records diverged", i, fast.TotalRetired)
 		}
 		if !slices.Equal(fast.Hier.SetStamps(), slow.Hier.SetStamps()) {

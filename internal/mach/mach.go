@@ -199,9 +199,10 @@ type Machine struct {
 	// allocates it. It is not part of Snapshot/Restore/StateEquals: a golden
 	// machine is never restored, and no other machine carries a table.
 	PageTouch []uint64
-	// Live, when non-nil, is the value-lineage record of the GPRs and context
-	// slots (liveness.go); like PageTouch only fi's golden run allocates it.
-	Live *Liveness
+	// live, when non-nil, is the value-lineage record of the GPRs and context
+	// slots (liveness.go); like PageTouch only the golden run keeps one
+	// (KeepRecords).
+	live *Liveness
 
 	wmask    uint64 // word mask (0xffffffff on v7)
 	wbits    uint32
@@ -212,6 +213,11 @@ type Machine struct {
 	slow     bool // reference interpreter selected (Config.SlowPath / ForceSlowPath)
 	stopWhy  StopReason
 	maxInstr uint64
+	// wrSlow flags the GPRs whose write takes more than a store (wreg): r15
+	// on v7, a branch; on a machine keeping a liveness record, every GPR
+	// some core may still track, a birth (Liveness.slow). Machines without a
+	// record pay nothing more than the pc test.
+	wrSlow uint32
 }
 
 // New builds a machine. The memory map must then be installed via Map and
@@ -243,6 +249,9 @@ func New(cfg Config) *Machine {
 	}
 	if f.WordBytes == 4 {
 		m.wmask = 0xffffffff
+	}
+	if f.PCTarget {
+		m.wrSlow = 1 << 15
 	}
 	for i := range m.Cores {
 		m.Cores[i].ID = i
@@ -394,8 +403,8 @@ func (m *Machine) exception(c *Core, cause, ret, badaddr uint64) {
 	c.Sys[isa.SysELR] = ret
 	c.Sys[isa.SysCAUSE] = cause
 	c.Sys[isa.SysBADADDR] = badaddr
-	if m.Live != nil {
-		m.Live.readReg(c.ID, uint8(m.spIndex)) // the bank switch consumes sp; KSP is a birth
+	if m.live != nil {
+		m.live.readReg(c.ID, uint8(m.spIndex)) // the bank switch consumes sp; KSP is a birth
 	}
 	c.Sys[isa.SysUSP] = c.Regs[m.spIndex]
 	c.Regs[m.spIndex] = c.Sys[isa.SysKSP] & m.wmask

@@ -98,8 +98,8 @@ func (m *Machine) DeltaSnapshot() *Snapshot { return m.capture(m.Mem.DeltaSnapsh
 // snapshot carries the mark (Live).
 func (m *Machine) CheckpointSnapshot() *Snapshot {
 	s := m.capture(m.Mem.DeltaSnapshot(), false)
-	if m.Live != nil {
-		s.live = m.Live.mark(len(m.Cores))
+	if m.live != nil {
+		s.live = m.live.mark(len(m.Cores))
 	}
 	return s
 }
@@ -189,48 +189,56 @@ func (s *Snapshot) metaEqual(m *Machine) bool {
 		bytes.Equal(m.Console.Bytes(), s.console)
 }
 
-// DeadDiff is the convergence test modulo dead state, for a golden
-// checkpoint that carries a liveness mark (nil mark: ok is false). It fails
-// fast on any difference outside the record's locations — pc, flags, mode,
-// system registers, FP registers, timers, counters, console, lifecycle
+// DeadDiff is StateEquals modulo dead state, in one pass, against a golden
+// checkpoint that carries a liveness mark. ok reports that the machine
+// equals the snapshot everywhere except in GPRs and slot words whose values
+// at the mark no later instruction consumes: no later instruction reads a
+// differing value, so addresses, branches and latencies are the golden
+// run's, the run ends exactly as the golden run did, and only copies of the
+// differing values move on. dead reports that some such location did differ
+// (false: StateEquals holds), kept that a copy of one still sits in a GPR or
+// RAM at halt (the run ends ONA; otherwise Vanished).
+//
+// Any difference outside the record's locations fails at once: pc, flags,
+// mode, system registers, FP registers, timers, counters, console, lifecycle
 // beacons, canonical cache state (HierState.Equals), any RAM word that is no
-// slot — and then requires every differing GPR and slot word to be
-// unconsumed after the mark. When ok, no later instruction reads a differing
-// value: addresses, branches and latencies are the golden run's, the run ends
-// exactly as the golden run did, and only copies of the differing values move
-// on. kept reports that some copy still sits in a GPR or RAM at halt (the run
-// ends ONA); otherwise it ends Vanished.
-func (s *Snapshot) DeadDiff(m *Machine) (ok, kept bool) {
-	lm := s.live
-	if lm == nil || !lm.l.done || len(m.Cores) != len(s.cores) || !s.metaEqual(m) {
-		return false, false
+// slot. Without a mark, or before the record is finished, every location
+// counts as consumed and ok is StateEquals.
+func (s *Snapshot) DeadDiff(m *Machine) (ok, dead, kept bool) {
+	if len(m.Cores) != len(s.cores) || !s.metaEqual(m) {
+		return false, false, false
 	}
-	n := lm.l.ngpr
+	lm := s.live
+	n := 0 // GPRs left out of the core compare, checked one by one below
+	if lm != nil && lm.l.done {
+		n = lm.l.ngpr
+	}
 	for i := range m.Cores {
 		c := m.Cores[i]
 		copy(c.Regs[:n], s.cores[i].Regs[:n])
 		if c != s.cores[i] {
-			return false, false
+			return false, false, false
 		}
 	}
 	if !s.hier.Equals(m.Hier) {
-		return false, false
+		return false, false, false
 	}
-	dead := func(f Fate) bool {
+	differs := func(f Fate) bool {
+		dead = true
 		kept = kept || f == Kept
 		return f != Consumed
 	}
 	for i := range m.Cores {
 		for r := 0; r < n; r++ {
-			if m.Cores[i].Regs[r] != s.cores[i].Regs[r] && !dead(lm.Reg(i, r)) {
-				return false, false
+			if m.Cores[i].Regs[r] != s.cores[i].Regs[r] && !differs(lm.Reg(i, r)) {
+				return false, false, false
 			}
 		}
 	}
-	if !s.mem.DiffWords(m.Mem, m.wbytes, func(addr uint32) bool { return dead(lm.Slot(addr)) }) {
-		return false, false
+	if !s.mem.DiffWords(m.Mem, m.wbytes, func(addr uint32) bool { return lm != nil && differs(lm.Slot(addr)) }) {
+		return false, false, false
 	}
-	return true, kept
+	return true, dead, kept
 }
 
 // Restore resets the machine to a snapshot taken from a machine with the

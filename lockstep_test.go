@@ -22,7 +22,6 @@ import (
 	"testing"
 
 	"serfi/internal/mach"
-	"serfi/internal/mem"
 	"serfi/internal/npb"
 )
 
@@ -80,9 +79,7 @@ func TestLockstepFastVsSlowPath(t *testing.T) {
 				c.SlowPath = slow
 				m := mach.New(c)
 				img.InstallTo(m)
-				m.PageTouch = make([]uint64, m.Mem.Size()/mem.PageBytes)
-				m.Live = mach.NewLiveness(c)
-				m.Hier.StampSets(&m.TotalRetired)
+				m.KeepRecords()
 				return m
 			}
 			fast, slow := mk(false), mk(true)
@@ -106,7 +103,7 @@ func TestLockstepFastVsSlowPath(t *testing.T) {
 				if !slices.Equal(fast.PageTouch, slow.PageTouch) {
 					t.Fatalf("boundary %d (retired %d): page-touch tables diverged", boundary, fast.TotalRetired)
 				}
-				if !fast.Live.Equal(slow.Live) {
+				if !fast.Liveness().Equal(slow.Liveness()) {
 					t.Fatalf("boundary %d (retired %d): liveness records diverged", boundary, fast.TotalRetired)
 				}
 				if !slices.Equal(fast.Hier.SetStamps(), slow.Hier.SetStamps()) {
