@@ -11,8 +11,10 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
+	"unsafe"
 )
 
 // Config describes one cache.
@@ -99,12 +101,20 @@ type Cache struct {
 
 // New builds a cache; it panics on invalid geometry (configuration is fixed
 // by the processor model).
-func New(cfg Config) *Cache {
+func New(cfg Config) *Cache { return newCache(cfg, nil) }
+
+// newCache builds a cache over the front of lines, or over lines of its own
+// when lines is too short.
+func newCache(cfg Config, lines []line) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	c := &Cache{cfg: cfg}
-	c.lines = make([]line, cfg.Sets()*cfg.Ways)
+	n := cfg.Sets() * cfg.Ways
+	if uint32(len(lines)) < n {
+		lines = make([]line, n)
+	}
+	c.lines = lines[:n:n]
 	shift := uint32(0)
 	for l := cfg.LineBytes; l > 1; l >>= 1 {
 		shift++
@@ -271,77 +281,152 @@ type Hierarchy struct {
 	l1i       []*Cache
 	l1d       []*Cache
 	l2        *Cache
-	dir       []uint8 // line index -> bitmask of cores with the line in L1D
+	all       []*Cache // l1i, l1d, l2: the fault domains' unit order
+	lines     []line   // every array's lines back to back, in that order
+	dir       []uint8  // line index -> bitmask of cores with the line in L1D
 	lineShift uint32
 	// Invalidations counts coherence invalidations of peer L1D lines.
 	Invalidations uint64
+
+	// base is the state most recently captured from or restored into the
+	// hierarchy: State shares each of its chunks the live state still equals.
+	base *HierState
 }
 
 // NewHierarchy builds caches for the given core count over ramSize bytes.
 func NewHierarchy(cfg HierConfig, cores int, ramSize uint32) *Hierarchy {
-	h := &Hierarchy{cfg: cfg, l2: New(cfg.L2)}
+	h := &Hierarchy{cfg: cfg}
 	shift := uint32(0)
 	for l := cfg.LineBytes; l > 1; l >>= 1 {
 		shift++
 	}
 	h.lineShift = shift
 	h.dir = make([]uint8, ramSize>>shift)
-	for i := 0; i < cores; i++ {
-		ci, cd := cfg.L1I, cfg.L1D
-		ci.Name = fmt.Sprintf("l1i%d", i)
-		cd.Name = fmt.Sprintf("l1d%d", i)
-		h.l1i = append(h.l1i, New(ci))
-		h.l1d = append(h.l1d, New(cd))
+	// One line array for the whole hierarchy, each cache a window on it, so
+	// that a state's chunks cut across caches like the directory's do.
+	size := func(c Config) int {
+		if err := c.Validate(); err != nil {
+			panic(err)
+		}
+		return int(c.Sets() * c.Ways)
 	}
+	h.lines = make([]line, cores*(size(cfg.L1I)+size(cfg.L1D))+size(cfg.L2))
+	rest := h.lines
+	add := func(c Config) *Cache {
+		cc := newCache(c, rest)
+		rest = rest[len(cc.lines):]
+		return cc
+	}
+	for i := 0; i < cores; i++ {
+		ci := cfg.L1I
+		ci.Name = fmt.Sprintf("l1i%d", i)
+		h.l1i = append(h.l1i, add(ci))
+	}
+	for i := 0; i < cores; i++ {
+		cd := cfg.L1D
+		cd.Name = fmt.Sprintf("l1d%d", i)
+		h.l1d = append(h.l1d, add(cd))
+	}
+	h.l2 = add(cfg.L2)
+	h.all = append(append(append([]*Cache(nil), h.l1i...), h.l1d...), h.l2)
 	return h
 }
 
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() HierConfig { return h.cfg }
 
-// cacheState is a copy of one cache's mutable state.
-type cacheState struct {
-	lines []line
-	tick  uint64
-	stats Stats
-}
-
-func (c *Cache) state() cacheState {
-	return cacheState{lines: append([]line(nil), c.lines...), tick: c.tick, stats: c.Stats}
-}
-
-func (c *Cache) setState(s cacheState) {
-	copy(c.lines, s.lines)
-	c.tick = s.tick
-	c.Stats = s.stats
-}
+// Chunk sizes of a HierState: 64 lines (1 KiB) of the line arrays, 4 KiB of
+// the directory (one byte per 64-byte line of RAM, so 256 KiB of RAM).
+const (
+	lineChunk = 64
+	dirChunk  = 4 << 10
+)
 
 // HierState is an opaque copy of a Hierarchy's mutable state (line tags, LRU
 // clocks, statistics and the coherence directory). Cache state shapes timing,
 // and timing shapes interrupt interleaving, so deterministic restore of a
 // simulated machine must include it. A HierState is immutable once captured
 // and safe to share across goroutines.
+//
+// The line arrays and the directory are held as fixed-size chunks, and a
+// capture shares every chunk that equals the same chunk of the hierarchy's
+// base (the state last captured from or restored into it): a chain of
+// captures pays only for the chunks that changed between neighbours.
 type HierState struct {
-	l1i, l1d []cacheState
-	l2       cacheState
-	dir      []uint8
-	inval    uint64
+	lines [][]line  // chunks of Hierarchy.lines, lineChunk lines each (the last may be shorter)
+	dir   [][]uint8 // chunks of Hierarchy.dir, dirChunk bytes each
+	ticks []uint64  // per array, in Hierarchy.all order
+	stats []Stats
+	inval uint64
 }
 
-// State captures the hierarchy's current contents and counters.
+// State captures the hierarchy's current contents and counters, and becomes
+// the base. Which chunks it shares with the previous base is decided by
+// comparing each live chunk whole with the base's, not by tracking writes:
+// no access path records what it changes.
 func (h *Hierarchy) State() *HierState {
-	s := &HierState{
-		l2:    h.l2.state(),
-		dir:   append([]uint8(nil), h.dir...),
-		inval: h.Invalidations,
+	s := &HierState{ticks: make([]uint64, len(h.all)), stats: make([]Stats, len(h.all)), inval: h.Invalidations}
+	for i, c := range h.all {
+		s.ticks[i], s.stats[i] = c.tick, c.Stats
 	}
-	for _, c := range h.l1i {
-		s.l1i = append(s.l1i, c.state())
+	base := h.base
+	if base == nil {
+		base = &HierState{}
 	}
-	for _, c := range h.l1d {
-		s.l1d = append(s.l1d, c.state())
-	}
+	s.lines = shareChunks(h.lines, lineChunk, base.lines, slices.Equal[[]line])
+	s.dir = shareChunks(h.dir, dirChunk, base.dir, bytes.Equal)
+	h.base = s
 	return s
+}
+
+// shareChunks cuts live into chunks of size elements: prev's chunk where
+// equal says it still holds the live one, otherwise a copy. Every copied
+// chunk is carved from one allocation.
+func shareChunks[E any](live []E, size int, prev [][]E, equal func(a, b []E) bool) [][]E {
+	out := make([][]E, (len(live)+size-1)/size)
+	fresh := 0
+	for i := range out {
+		if c := live[i*size : min((i+1)*size, len(live))]; prev != nil && equal(c, prev[i]) {
+			out[i] = prev[i]
+		} else {
+			fresh += len(c)
+		}
+	}
+	if fresh == 0 {
+		return out
+	}
+	back := make([]E, 0, fresh)
+	for i := range out {
+		if out[i] == nil {
+			c := live[i*size : min((i+1)*size, len(live))]
+			back = append(back, c...)
+			out[i] = back[len(back)-len(c) : len(back) : len(back)]
+		}
+	}
+	return out
+}
+
+// StateBytes returns the payload of the distinct chunks the given states
+// hold, each chunk counted once however many states share it: the resident
+// cost of a chain of captures.
+func StateBytes(states ...*HierState) int {
+	seen := make(map[any]struct{})
+	n := 0
+	for _, s := range states {
+		for _, c := range s.lines {
+			if _, ok := seen[&c[0]]; !ok {
+				seen[&c[0]] = struct{}{}
+				n += len(c) * int(unsafe.Sizeof(line{}))
+			}
+		}
+		for _, c := range s.dir {
+			if _, ok := seen[&c[0]]; !ok {
+				seen[&c[0]] = struct{}{}
+				n += len(c)
+			}
+		}
+	}
+	return n
 }
 
 // Equals reports whether a hierarchy's current state — line tags, LRU
@@ -359,49 +444,65 @@ func (s *HierState) Equals(h *Hierarchy) bool { return s.equals(h, false) }
 func (s *HierState) EqualsExact(h *Hierarchy) bool { return s.equals(h, true) }
 
 func (s *HierState) equals(h *Hierarchy, exact bool) bool {
-	if len(s.l1i) != len(h.l1i) || len(s.l1d) != len(h.l1d) {
+	if !s.fits(h) || h.Invalidations != s.inval {
 		return false
 	}
-	eq := func(c *Cache, st cacheState) bool {
-		if c.tick != st.tick || c.Stats != st.stats || len(c.lines) != len(st.lines) {
+	for i, c := range h.all {
+		if c.tick != s.ticks[i] || c.Stats != s.stats[i] {
 			return false
 		}
-		for i, l := range c.lines {
-			if o := st.lines[i]; l != o && (exact || l.valid || o.valid) {
+	}
+	for i, o := range s.lines {
+		c := h.lines[i*lineChunk : i*lineChunk+len(o)]
+		if slices.Equal(c, o) {
+			continue
+		}
+		if exact {
+			return false
+		}
+		for j, l := range c {
+			if l != o[j] && (l.valid || o[j].valid) {
 				return false
 			}
 		}
-		return true
 	}
-	for i := range h.l1i {
-		if !eq(h.l1i[i], s.l1i[i]) || !eq(h.l1d[i], s.l1d[i]) {
+	for i, o := range s.dir {
+		if !bytes.Equal(h.dir[i*dirChunk:i*dirChunk+len(o)], o) {
 			return false
 		}
 	}
-	return eq(h.l2, s.l2) && h.Invalidations == s.inval && slices.Equal(h.dir, s.dir)
+	return true
 }
 
-// SetState restores a previously captured state. The hierarchy must have the
-// same geometry and core count as the one the state was captured from.
+// fits reports whether the state was captured from a hierarchy of h's
+// geometry and core count.
+func (s *HierState) fits(h *Hierarchy) bool {
+	return len(s.ticks) == len(h.all) && sameCut(s.lines, len(h.lines), lineChunk) && sameCut(s.dir, len(h.dir), dirChunk)
+}
+
+// sameCut reports whether chunks cut n elements into chunks of size.
+func sameCut[E any](chunks [][]E, n, size int) bool {
+	return len(chunks) == (n+size-1)/size && (n == 0 || len(chunks[len(chunks)-1]) == n-(len(chunks)-1)*size)
+}
+
+// SetState restores a previously captured state, which becomes the
+// hierarchy's base. The hierarchy must have the same geometry and core count
+// as the one the state was captured from.
 func (h *Hierarchy) SetState(s *HierState) {
-	if len(s.l1i) != len(h.l1i) || len(s.l1d) != len(h.l1d) ||
-		len(s.dir) != len(h.dir) || len(s.l2.lines) != len(h.l2.lines) {
+	if !s.fits(h) {
 		panic("cache: SetState geometry mismatch")
 	}
-	for i := range h.l1i {
-		if len(s.l1i[i].lines) != len(h.l1i[i].lines) || len(s.l1d[i].lines) != len(h.l1d[i].lines) {
-			panic("cache: SetState geometry mismatch")
-		}
+	for i, c := range s.lines {
+		copy(h.lines[i*lineChunk:], c)
 	}
-	for i := range h.l1i {
-		h.l1i[i].setState(s.l1i[i])
+	for i, c := range s.dir {
+		copy(h.dir[i*dirChunk:], c)
 	}
-	for i := range h.l1d {
-		h.l1d[i].setState(s.l1d[i])
+	for i, c := range h.all {
+		c.tick, c.Stats = s.ticks[i], s.stats[i]
 	}
-	h.l2.setState(s.l2)
-	copy(h.dir, s.dir)
 	h.Invalidations = s.inval
+	h.base = s
 }
 
 // Cores returns the number of per-core L1 pairs the hierarchy holds.
@@ -473,7 +574,7 @@ func (h *Hierarchy) FlipRepl(l Level, core int, set, way uint32, bit int) {
 // retired-instruction count. Only the golden machine calls it; every other
 // hierarchy keeps no stamps, and HierState never carries them.
 func (h *Hierarchy) StampSets(clock *uint64) {
-	for _, c := range h.arrays() {
+	for _, c := range h.all {
 		c.stamp, c.clock = make([]uint64, c.cfg.Sets()), clock
 	}
 }
@@ -490,15 +591,10 @@ func (h *Hierarchy) SetStamp(l Level, core int, set uint32) uint64 {
 // tests compare two hierarchies' records with it.
 func (h *Hierarchy) SetStamps() []uint64 {
 	var out []uint64
-	for _, c := range h.arrays() {
+	for _, c := range h.all {
 		out = append(out, c.stamp...)
 	}
 	return out
-}
-
-// arrays lists every cache of the hierarchy in the fault domains' unit order.
-func (h *Hierarchy) arrays() []*Cache {
-	return append(append(append([]*Cache(nil), h.l1i...), h.l1d...), h.l2)
 }
 
 // LineState exposes one line's stored state (tag, valid, dirty, LRU clock)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -538,8 +539,8 @@ func TestCheckpointTelemetryReported(t *testing.T) {
 	if golden.CheckpointBytes == 0 {
 		t.Error("run reports no checkpoint payload")
 	}
-	tag := golden.CheckpointTag()
-	for _, want := range []string{"ckpt=16", "mem="} {
+	tag, ckpt := golden.CheckpointTag(), fmt.Sprintf("ckpt=%d", fi.DefaultCheckpoints)
+	for _, want := range []string{ckpt, "mem="} {
 		if !bytes.Contains([]byte(tag), []byte(want)) {
 			t.Errorf("CheckpointTag %q missing %q", tag, want)
 		}
@@ -553,7 +554,7 @@ func TestCheckpointTelemetryReported(t *testing.T) {
 	col := campaign.NewCollector(&buf, 1)
 	col.Handle(*golden)
 	line := buf.String()
-	for _, want := range []string{"armv8/IS/SER-1", "golden", "ckpt=16", "mem="} {
+	for _, want := range []string{"armv8/IS/SER-1", "golden", ckpt, "mem="} {
 		if !bytes.Contains([]byte(line), []byte(want)) {
 			t.Errorf("collector golden line missing %q: %q", want, line)
 		}

@@ -38,13 +38,14 @@ type GoldenDone struct {
 	Golden   GoldenSummary
 	WallSec  float64 // host wall clock of the golden phase
 	// The checkpoint set selected from the golden run's captures: the count
-	// and the RAM payload of the delta chain.
+	// and the resident payload of the delta chain, RAM pages and distinct
+	// cache-state chunks (fi.CheckpointSet.MemBytes).
 	Checkpoints     int
 	CheckpointBytes int
 }
 
 // CheckpointTag compresses the capture stats into a progress-line column
-// ("ckpt=16 mem=1.2MiB", or "ckpt=off" when snapshots are disabled). The
+// ("ckpt=64 mem=6.3MiB", or "ckpt=off" when snapshots are disabled). The
 // Collector prints it on every run's golden line, so the per-scenario
 // checkpoint counts the telemetry tests pin appear on every surface the
 // same way.

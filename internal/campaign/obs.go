@@ -56,7 +56,7 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		jobsDone:         r.Counter("serfi_campaign_jobs_done_total", "Injection jobs completed (jobs abandoned by cancellation excluded)."),
 		injections:       r.CounterVec("serfi_campaign_injections_total", "Classified injection runs, by outcome.", "outcome"),
 		prunedRuns:       r.Counter("serfi_campaign_pruned_runs_total", "Injection runs scored by convergence pruning."),
-		ckptResident:     r.Gauge("serfi_campaign_checkpoint_resident_bytes", "Checkpoint RAM payload resident across open scenario groups."),
+		ckptResident:     r.Gauge("serfi_campaign_checkpoint_resident_bytes", "Checkpoint payload (RAM pages and cache-state chunks) resident across open scenario groups."),
 		campaigns:        r.CounterVec("serfi_campaign_campaigns_total", "Retired (scenario, domain) campaigns, by status.", "status"),
 	}
 }

@@ -28,12 +28,12 @@ import (
 // DefaultCheckpoints is the per-scenario snapshot count campaigns use when
 // the caller does not choose one. More checkpoints shorten the average
 // restored suffix and the interval a pruned run simulates before it is seen
-// to have converged; since each checkpoint is a delta holding only the pages
-// dirtied since its predecessor, the memory cost grows with pages written
-// (plus ~0.6 MB of cache and directory state per checkpoint), not with RAM
-// images retained. 16 is measured, not guessed: the numbers at 8, 16 and 32
-// are in the CHANGES.md entry of PR 16.
-const DefaultCheckpoints = 16
+// to have converged; since each checkpoint is a delta holding only the RAM
+// pages dirtied and the cache-state chunks changed since its predecessor,
+// the memory cost grows with what the guest wrote, not with images retained.
+// 64 is measured, not guessed: the sweep over this count and candidateCap is
+// in the CHANGES.md entry that raised it from 16.
+const DefaultCheckpoints = 64
 
 // CheckpointSet holds the pre-fault snapshots of one scenario, plus the
 // image and configuration needed to stamp out machines. It is safe for
@@ -156,12 +156,12 @@ func (cs *CheckpointSet) Close() error { return nil }
 // Len returns the number of captured snapshots.
 func (cs *CheckpointSet) Len() int { return len(cs.snaps) }
 
-// MemBytes returns the total payload of all retained RAM pages (telemetry):
-// each checkpoint's own pages plus, on a delta chain, the terminal image's —
-// equal to the terminal image's ChainBytes for a linear chain, and a small
-// fraction of the full-copy cost.
+// MemBytes returns the set's resident payload (telemetry): every retained
+// RAM page — each checkpoint's own pages plus, on a delta chain, the terminal
+// image's, equal to the terminal image's ChainBytes for a linear chain — and
+// every distinct cache-state chunk the checkpoints hold (mach.CacheBytes).
 func (cs *CheckpointSet) MemBytes() int {
-	n := 0
+	n := mach.CacheBytes(cs.snaps)
 	for _, s := range cs.snaps {
 		n += s.MemBytes()
 	}

@@ -81,24 +81,35 @@ type Golden struct {
 // at most candidateCap+1 are alive at once, whatever the run's length; the
 // grid a run ends with has between cap/2 and cap points over all it retired.
 //
-// Each capture copies ~0.6 MB of cache and directory state
-// (mach.Machine.DeltaSnapshot), which is what the two values trade against
-// how far below its target a checkpoint snaps. Measured with the benchmark
-// at seed 2018, parent figures in brackets: cap 32 gives matrix_wide 16.6 to
-// 17.2 inj/s [10.1] and 456,647 simulated instructions per injection on
-// inject_deep [438,188]; cap 64 gives 15.5 to 16.1 inj/s and 448,333, and
-// twice the candidates alive in every golden run under way. A first period of
-// 2^13 instead of 2^15 keeps all 16 checkpoints on the shortest guests
-// (fi.checkpoints 864 instead of 739 over matrix_wide's 54 scenarios,
-// 609,820 instead of 613,481 instructions per injection there) for 32 more
-// captures per run: fi.golden_s 11.2 s instead of 10.5 s [10.0].
+// Each capture shares with its predecessor every RAM page and cache-state
+// chunk that did not change (mach.Machine.DeltaSnapshot), which is what made
+// dense grids affordable: the two values trade the captures, and the
+// candidates alive in every golden run under way, against how far below its
+// target a checkpoint snaps. Simulated instructions per injection at seed
+// 2018:
+//
+//	DefaultCheckpoints / cap   inject_deep   matrix_wide
+//	16 / 32                    326,185       420,296
+//	32 / 64                    269,847
+//	64 / 64                    255,909
+//	64 / 128                   240,720       222,662
+//	64 / 128, period 2^13      238,264
+//	64 / 256                   239,070
+//	96 / 192                   231,106       198,390
+//	128 / 256                  228,603       190,804
+//
+// With sharing, a golden run over matrix_wide's 54 scenarios costs 1.15×
+// a plain fast-path run at cap 32, 1.18× at 64, 1.20× at 128 and 1.22× at
+// 256 (one process, per-scenario minima of three rounds); inject_deep's
+// work_per_s did not tell 64/128, 96/192, 128/256 and 64/256 apart. The
+// sweep is in CHANGES.md.
 const (
-	candidateCap         = 32
+	candidateCap         = 128
 	candidateFirstPeriod = 1 << 15
 )
 
-// ReleaseCandidates drops the checkpoint candidates, each of which holds a
-// copy of the cache hierarchy: a holder that has built the sets it wants
+// ReleaseCandidates drops the checkpoint candidates, which hold RAM pages and
+// cache-state chunks no set may need: a holder that has built the sets it wants
 // calls it so that only the selected checkpoints stay resident.
 // BuildCheckpointsOpt fails on a released Golden.
 func (g *Golden) ReleaseCandidates() { g.candidates = nil }

@@ -60,6 +60,17 @@ func (s *Snapshot) Mem() *mem.Snapshot { return s.mem }
 // (telemetry; for a delta that is just the pages it adds to the chain).
 func (s *Snapshot) MemBytes() int { return s.mem.Bytes() }
 
+// CacheBytes returns the payload of the cache-hierarchy state the snapshots
+// hold, each chunk shared between captures counted once
+// (cache.StateBytes).
+func CacheBytes(snaps []*Snapshot) int {
+	states := make([]*cache.HierState, len(snaps))
+	for i, s := range snaps {
+		states[i] = s.hier
+	}
+	return cache.StateBytes(states...)
+}
+
 func copyCounts(m map[uint32]uint64) map[uint32]uint64 {
 	if m == nil {
 		return nil
@@ -81,10 +92,12 @@ func (m *Machine) Snapshot() *Snapshot { return m.capture(m.Mem.Snapshot(), true
 // back to a full copy when no base exists. Restoring the result is
 // bit-identical to restoring a full Snapshot of the same instant.
 //
-// Only RAM is delta-encoded. The cache hierarchy state is captured in full,
-// and on a capture that dirtied few pages it is the dominant cost: line
-// arrays plus the coherence directory, one byte per line of RAM — about
-// 0.6 MB for the 24 MiB guests.
+// The cache hierarchy state shares the same way, by its own rule: its line
+// arrays and coherence directory (one byte per line of RAM, about 0.6 MB
+// together for the 24 MiB guests) are cut into fixed-size chunks, and every
+// chunk equal to the hierarchy's base — the state last captured from or
+// restored into it — is shared, not copied (cache.Hierarchy.State). Every
+// capture does this, Snapshot's too.
 func (m *Machine) DeltaSnapshot() *Snapshot { return m.capture(m.Mem.DeltaSnapshot(), true) }
 
 // CheckpointSnapshot is DeltaSnapshot without the profile tables

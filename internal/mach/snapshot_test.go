@@ -143,3 +143,30 @@ func TestCheckpointSnapshotOmitsProfileTables(t *testing.T) {
 		t.Error("a machine restored from a checkpoint still profiles")
 	}
 }
+
+// TestCapturesShareCacheChunks: a capture with no access since the last one
+// adds no cache bytes, whichever capture kind took either; one after a run
+// adds only the chunks the run changed.
+func TestCapturesShareCacheChunks(t *testing.T) {
+	cfg := testConfig(armv8.New(), 1)
+	m := newTestMachine(t, cfg, snapProg(), nil)
+	m.SetInstrBudget(100)
+	if r := m.Run(0); r != StopInstrBudget {
+		t.Fatalf("stop reason %v", r)
+	}
+	a := m.Snapshot()
+	full := CacheBytes([]*Snapshot{a})
+	b, c := m.DeltaSnapshot(), m.CheckpointSnapshot()
+	if got := CacheBytes([]*Snapshot{a, b, c}); got != full {
+		t.Errorf("two captures with no access between add %d cache bytes", got-full)
+	}
+	m.SetInstrBudget(200)
+	m.Run(0)
+	d := m.DeltaSnapshot()
+	if got := CacheBytes([]*Snapshot{a, b, c, d}); got == full || got >= 2*full {
+		t.Errorf("a capture after 100 instructions brings the set from %d to %d cache bytes", full, got)
+	}
+	if !d.StateEqualsExact(m) {
+		t.Error("a sharing capture does not equal its source")
+	}
+}

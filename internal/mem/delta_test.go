@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // TestDeltaSnapshotCapturesOnlyDirtyPages pins the delta-chain contract at
 // the mem layer: a delta holds exactly the pages whose contents changed
@@ -139,5 +142,31 @@ func TestTakeDirtyPagesDropsTrackingBase(t *testing.T) {
 	}
 	if !s.EqualsMemory(m) || m.ReadU32(2*PageBytes+4) != 0 {
 		t.Error("full restore did not repair the corrupted page")
+	}
+}
+
+// TestFullRestoreClearsAnyWrittenMemory: a full restore may skip clearing
+// RAM only while the memory is as New left it. A write — whether its dirty
+// bit is still set or was drained by TakeDirtyPages or a capture since — or
+// an earlier restore makes it clear RAM first.
+func TestFullRestoreClearsAnyWrittenMemory(t *testing.T) {
+	src := New(4 * PageBytes)
+	src.WriteU32(PageBytes, 0x22222222)
+	s := src.Snapshot() // page 0 and pages 2-3 are zero gaps in s
+	for name, prep := range map[string]func(m *Memory){
+		"fresh":            func(*Memory) {},
+		"dirty":            func(m *Memory) { m.WriteU32(8, 1) },
+		"drained":          func(m *Memory) { m.WriteU32(8, 1); m.TakeDirtyPages() },
+		"captured":         func(m *Memory) { m.WriteU32(3*PageBytes, 1); m.Snapshot(); m.TakeDirtyPages() },
+		"restored-written": func(m *Memory) { m.Restore(s); m.WriteU32(8, 1); m.TakeDirtyPages() },
+	} {
+		m := New(4 * PageBytes)
+		prep(m)
+		if _, selective := m.Restore(s); selective {
+			t.Fatalf("%s: restore took the selective path", name)
+		}
+		if !bytes.Equal(m.ram, src.ram) {
+			t.Errorf("%s: full restore left RAM unlike the snapshot", name)
+		}
 	}
 }

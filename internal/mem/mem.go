@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -98,11 +99,14 @@ type Memory struct {
 	// drops the base (nil base = no invariant, every compare/restore is full).
 	dirty []uint64
 	base  *Snapshot
+	// fresh reports that ram is still as New allocated it, all zero, as long
+	// as no dirty bit is set: a full Restore then skips clearing it.
+	fresh bool
 }
 
 // New allocates size bytes of zeroed RAM with no mapped regions.
 func New(size uint32) *Memory {
-	return &Memory{ram: make([]byte, size), dirty: make([]uint64, dirtyWords(size))}
+	return &Memory{ram: make([]byte, size), dirty: make([]uint64, dirtyWords(size)), fresh: true}
 }
 
 // Size returns the RAM size in bytes.
@@ -518,8 +522,14 @@ func Squash(keep []*Snapshot) []*Snapshot {
 // themselves; the exported form is for a holder that has replaced the chain
 // under the tracking base with an equivalent one (Squash).
 func (m *Memory) Rebase(s *Snapshot) {
+	m.fresh = m.fresh && !m.written()
 	m.base = s
 	clear(m.dirty)
+}
+
+// written reports whether any dirty bit is set.
+func (m *Memory) written() bool {
+	return slices.ContainsFunc(m.dirty, func(w uint64) bool { return w != 0 })
 }
 
 // Base returns the tracking base, nil when there is none. Restore and
@@ -656,10 +666,11 @@ func (m *Memory) Restore(s *Snapshot) (touched []uint32, selective bool) {
 			return touched, true
 		}
 	}
-	if m.Size() != s.size {
+	switch {
+	case m.Size() != s.size:
 		m.ram = make([]byte, s.size)
 		m.dirty = make([]uint64, dirtyWords(s.size))
-	} else {
+	case !m.fresh || m.written():
 		clear(m.ram)
 	}
 	s.materializeInto(m.ram)
@@ -672,24 +683,23 @@ func (m *Memory) finishRestore(s *Snapshot) {
 	m.regions = append(m.regions[:0], s.regions...)
 	m.last, m.last2 = 0, 0
 	m.Rebase(s)
+	m.fresh = false
 }
 
 // materializeInto writes the chain's full image into ram (already zeroed):
-// root pages first, then each delta in chain order, so nearer entries
-// overwrite their ancestors'.
+// nearest entries first, each page once, so a deep chain costs no more than
+// the image it materializes.
 func (s *Snapshot) materializeInto(ram []byte) {
-	var chain []*Snapshot
+	done := make([]uint64, dirtyWords(s.size))
 	for c := s; c != nil; c = c.parent {
-		chain = append(chain, c)
-	}
-	for i := len(chain) - 1; i >= 0; i-- {
-		c := chain[i]
 		for _, p := range c.pages {
-			dst := ram[p.off:pageEnd(p.off, s.size)]
-			if p.zero {
-				clear(dst)
-			} else {
-				copy(dst, p.data)
+			w, bit := p.off>>pageShift/64, uint64(1)<<(p.off>>pageShift%64)
+			if done[w]&bit != 0 {
+				continue
+			}
+			done[w] |= bit
+			if !p.zero { // a zero marker leaves the zeroed page as it is
+				copy(ram[p.off:pageEnd(p.off, s.size)], p.data)
 			}
 		}
 	}
