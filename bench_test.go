@@ -148,7 +148,8 @@ func BenchmarkFigure3(b *testing.B) {
 }
 
 // BenchmarkInjection measures the cost of one full injection run (build
-// machine, run to completion under the Hang budget, classify).
+// machine, run from reset to completion under the Hang budget, classify):
+// a set without checkpoints.
 func BenchmarkInjection(b *testing.B) {
 	sc := npb.Scenario{App: "EP", Mode: npb.Serial, ISA: "armv8", Cores: 1}
 	img, cfg, err := npb.BuildScenario(sc)
@@ -164,9 +165,13 @@ func BenchmarkInjection(b *testing.B) {
 		b.Fatal(err)
 	}
 	faults := fi.List(3, 64, d)
+	cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, fi.CheckpointOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = fi.InjectDomain(img, cfg, g, d, faults[i%len(faults)])
+		_ = cs.InjectPoint(d, g, faults[i%len(faults)])
 	}
 }
 

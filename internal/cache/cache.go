@@ -440,7 +440,7 @@ func StateBytes(states ...*HierState) int {
 func (s *HierState) Equals(h *Hierarchy) bool { return s.equals(h, false) }
 
 // EqualsExact is Equals with dead fields compared too: every stored bit must
-// match. The injector's full-copy reference sets converge by it.
+// match. Tests hold checkpoints and restores to it.
 func (s *HierState) EqualsExact(h *Hierarchy) bool { return s.equals(h, true) }
 
 func (s *HierState) equals(h *Hierarchy, exact bool) bool {

@@ -34,11 +34,11 @@ func runCompat(t *testing.T, sc npb.Scenario, seed int64, faults int, opts ...ca
 
 // TestCOWCheckpointsGoldenCompat is the PR's headline equivalence claim:
 // campaigns at the PR 1/PR 2 pinned seeds run over copy-on-write delta
-// checkpoints produce byte-identical JSONL
-// rows and identical prune/savings telemetry to the retained full-copy
-// reference engine — up to the runs the dead-state rule stops, which the
-// reference never takes — and both still match the outcome distributions
-// pinned before the fault-domain subsystem existed.
+// checkpoints, every dead-fault and convergence rule on, produce
+// byte-identical JSONL rows to the same campaigns with snapshots off (every
+// fault from reset, no rule), account those runs' retired instructions as
+// their from-reset cost, and still match the outcome distributions pinned before the
+// fault-domain subsystem existed.
 func TestCOWCheckpointsGoldenCompat(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -53,37 +53,23 @@ func TestCOWCheckpointsGoldenCompat(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cow, cowDB := runCompat(t, tc.sc, tc.seed, tc.faults)
-			full, fullDB := runCompat(t, tc.sc, tc.seed, tc.faults, campaign.FullCopySnapshots())
+			reset, resetDB := runCompat(t, tc.sc, tc.seed, tc.faults, campaign.Snapshots(0))
 
 			if cow.Counts != tc.want {
 				t.Errorf("COW counts %v drifted from pinned golden %v", cow.Counts, tc.want)
 			}
-			if !bytes.Equal(cowDB, fullDB) {
-				t.Errorf("COW JSONL differs from full-copy JSONL:\ncow:  %s\nfull: %s", cowDB, fullDB)
+			if !bytes.Equal(cowDB, resetDB) {
+				t.Errorf("COW JSONL differs from the from-reset JSONL:\ncow:   %s\nreset: %s", cowDB, resetDB)
 			}
-			// PruneStats equivalence, surfaced through the Result fields the
-			// checkpoint telemetry feeds: identical runs must prune the same
-			// runs and simulate the same instruction counts. The one
-			// exception is a run the dead-state rule stops at a checkpoint
-			// where the reference does not converge: it is pruned (the
-			// reference may prune it later, or not at all) and simulates
-			// strictly less.
-			grp, err := campaign.BuildGroup(context.Background(), tc.sc, tc.seed, fi.DefaultCheckpoints, nil)
-			if err != nil {
-				t.Fatal(err)
+			// The product path's from-reset cost is what the from-reset runs
+			// retired (a set without checkpoints reports no telemetry).
+			var retired uint64
+			for _, r := range reset.Runs {
+				retired += r.Retired
 			}
-			state, err := grp.DeadStateRuns(context.Background(), fault.Reg, tc.faults)
-			if err != nil {
-				t.Fatal(err)
-			}
-			dead := int(state)
-			if full.FromResetInstr != cow.FromResetInstr ||
-				cow.PrunedRuns < full.PrunedRuns || cow.PrunedRuns > full.PrunedRuns+dead ||
-				dead == 0 && full.SimulatedInstr != cow.SimulatedInstr ||
-				dead > 0 && cow.SimulatedInstr >= full.SimulatedInstr {
-				t.Errorf("telemetry diverged: cow {pruned %d sim %d reset %d} vs full {pruned %d sim %d reset %d} (%d dead-state runs)",
-					cow.PrunedRuns, cow.SimulatedInstr, cow.FromResetInstr,
-					full.PrunedRuns, full.SimulatedInstr, full.FromResetInstr, dead)
+			if cow.FromResetInstr != retired || cow.SimulatedInstr >= retired {
+				t.Errorf("telemetry: cow {sim %d reset %d} vs %d instructions retired from reset",
+					cow.SimulatedInstr, cow.FromResetInstr, retired)
 			}
 			if cow.PrunedRuns == 0 {
 				t.Error("no convergence pruning happened; the equivalence case lost its teeth")

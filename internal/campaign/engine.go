@@ -44,7 +44,6 @@ type Engine struct {
 	models    []fault.Model
 	store     Store
 	events    chan<- Event
-	fullCopy  bool // test-only: the full-copy checkpoint reference engine
 	traceProp bool
 	metrics   *obs.Registry
 	tracer    *obs.Tracer
@@ -371,7 +370,7 @@ func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, 
 		}
 		em.scenariosStarted.Inc()
 		e.emit(ScenarioStarted{Scenario: st.job.Scenario, Seed: st.job.Seed, Domains: doms})
-		g, err := buildGroup(ctx, st.job.Scenario, st.job.Seed, e.snapshots, e.tracer, e.fullCopy)
+		g, err := BuildGroup(ctx, st.job.Scenario, st.job.Seed, e.snapshots, e.tracer)
 		if err != nil {
 			closeGroup(st, err)
 			return

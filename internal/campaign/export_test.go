@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"context"
 	"time"
 
 	"serfi/internal/cc"
@@ -10,13 +9,6 @@ import (
 	"serfi/internal/jsonl"
 	"serfi/internal/mach"
 )
-
-// FullCopySnapshots selects the pre-delta checkpoint engine — every
-// checkpoint a complete sparse RAM copy, every injection on a fresh
-// machine (fi.CheckpointOptions.FullCopy). It exists only for tests: the
-// differential reference TestCOWCheckpointsGoldenCompat holds the
-// copy-on-write engine against.
-func FullCopySnapshots() Option { return func(e *Engine) { e.fullCopy = true } }
 
 // JobSize groups faults into injection jobs of n (the product always uses
 // DefaultJobSize): the partition-invariance tests vary it, since outcomes
@@ -51,22 +43,3 @@ func SetMergeOps(remove func(string) error, rename func(string, string) error) (
 // SetCollectorClock replaces the wall clock c reads for its rate epoch and
 // progress-line rate column.
 func SetCollectorClock(c *Collector, now func() time.Time) { c.now = now }
-
-// DeadStateRuns runs model's n-fault list through a fresh clone of the
-// group's checkpoint set and returns how many runs the dead-state rule
-// stopped (fi.CheckpointSet.DeadRuns): the runs on which a campaign's
-// prune and simulation telemetry may differ from the FullCopy reference's.
-func (g *Group) DeadStateRuns(ctx context.Context, model fault.Model, n int) (uint64, error) {
-	dom, faults, err := g.list(model, n)
-	if err != nil {
-		return 0, err
-	}
-	cs := g.cs.Clone()
-	for _, f := range faults {
-		if _, err := cs.InjectPointContext(ctx, dom, g.g, f); err != nil {
-			return 0, err
-		}
-	}
-	_, state := cs.DeadRuns()
-	return state, nil
-}

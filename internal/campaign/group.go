@@ -84,12 +84,6 @@ var newDomain = fi.NewDomain
 // checkpoint) on the group's track. A group is plain memory: drop the
 // reference when its last shard has run.
 func BuildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int, tracer *obs.Tracer) (*Group, error) {
-	return buildGroup(ctx, sc, seed, snapshots, tracer, false)
-}
-
-// buildGroup adds the full-copy checkpoint engine switch, reachable only
-// from tests (TestCOWCheckpointsGoldenCompat's differential reference).
-func buildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int, tracer *obs.Tracer, fullCopy bool) (*Group, error) {
 	t0 := time.Now()
 	tid := tracer.TID(GroupKey(sc.ID(), seed))
 	endSpan := tracer.Start("build", "build", tid, nil)
@@ -126,7 +120,7 @@ func buildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int,
 	})
 
 	endSpan = tracer.Start("checkpoint", "checkpoint", tid, nil)
-	grp.cs, err = fi.BuildCheckpointsOpt(ctx, img, cfg, g, fi.CheckpointOptions{N: snapshots, FullCopy: fullCopy})
+	grp.cs, err = fi.BuildCheckpointsOpt(ctx, img, cfg, g, fi.CheckpointOptions{N: snapshots})
 	endSpan()
 	g.ReleaseCandidates()
 	if err != nil {

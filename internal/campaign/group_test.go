@@ -14,8 +14,8 @@ import (
 // TestGroupShardsConcatenate pins the shard executor on its own: for every
 // partition of a campaign's fault list, the concatenation of Group.Inject
 // shards equals one shard over the whole range — runs, traces and summed
-// snapshot counters — and both equal fi.InjectDomain from reset, fault for
-// fault. The reference golden, domain and fault list are rebuilt from fi
+// snapshot counters — and both equal a checkpoint-free fi.CheckpointSet,
+// which runs every fault from reset, fault for fault. The reference golden, domain and fault list are rebuilt from fi
 // alone, so the Group's own copies are under test too. The shards of each
 // partition are then folded out of order to pin the Fold's contract.
 func TestGroupShardsConcatenate(t *testing.T) {
@@ -44,6 +44,10 @@ func TestGroupShardsConcatenate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		fromReset, err := fi.BuildCheckpointsOpt(ctx, img, cfg, golden, fi.CheckpointOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		// The scenario subtest returns once its parallel children have
 		// finished, so the group outlives every executor.
 		t.Run(sc.ID(), func(t *testing.T) {
@@ -64,7 +68,7 @@ func TestGroupShardsConcatenate(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i, p := range fi.List(seed, n, dom) {
-						if ref := fi.InjectDomain(img, cfg, golden, dom, p); whole.Runs[i] != ref {
+						if ref := fromReset.InjectPoint(dom, golden, p); whole.Runs[i] != ref {
 							t.Errorf("fault %d: shard executor %+v != from reset %+v", i, whole.Runs[i], ref)
 						}
 						if traced := whole.Traces[i] != nil; traced != fi.IsUnmasked(whole.Runs[i].Outcome) {

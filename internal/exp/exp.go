@@ -280,7 +280,7 @@ func Table4(m *Matrix) string {
 func DomainTable(m *Matrix) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Domain Table: outcome distribution by fault domain (register vs memory fault spaces)\n")
-	fmt.Fprintf(&b, "%-6s %-6s %5s %7s %6s %6s %6s %6s %6s %9s\n",
+	fmt.Fprintf(&b, "%-6s %-10s %5s %7s %6s %6s %6s %6s %6s %9s\n",
 		"ISA", "Domain", "scen", "faults", "V%", "ONA%", "OMM%", "UT%", "Hang%", "Masking%")
 	for _, isaName := range []string{"armv7", "armv8"} {
 		for _, d := range m.Domains {
@@ -302,7 +302,7 @@ func DomainTable(m *Matrix) string {
 			if scen == 0 {
 				continue
 			}
-			fmt.Fprintf(&b, "%-6s %-6s %5d %7d %6.1f %6.1f %6.1f %6.1f %6.1f %9.1f\n",
+			fmt.Fprintf(&b, "%-6s %-10s %5d %7d %6.1f %6.1f %6.1f %6.1f %6.1f %9.1f\n",
 				isaName, d, scen, agg.Total(),
 				100*agg.Rate(fi.Vanished), 100*agg.Rate(fi.ONA), 100*agg.Rate(fi.OMM),
 				100*agg.Rate(fi.UT), 100*agg.Rate(fi.Hang), 100*agg.Masking())

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -157,6 +158,18 @@ func TestDomainTableRenders(t *testing.T) {
 	for _, isaName := range []string{"armv7", "armv8"} {
 		if got := strings.Count(s, isaName); got != len(fault.Models()) {
 			t.Errorf("domain table has %d %s rows, want %d:\n%s", got, isaName, len(fault.Models()), s)
+		}
+	}
+	// Every row's scen column (five wide, right-aligned) starts where the
+	// header's does, whatever the length of the domain's name.
+	lines := strings.Split(s, "\n")
+	at := strings.Index(lines[1], " scen")
+	for _, row := range lines[2:] {
+		if !strings.HasPrefix(row, "armv") {
+			continue
+		}
+		if scen := fmt.Sprintf("%5s", strings.Fields(row)[2]); len(row) < at+5 || row[at:at+5] != scen {
+			t.Errorf("row %q: scen column %q does not start at the header's offset %d:\n%s", row, scen, at, s)
 		}
 	}
 	// Wiring: the full report includes the table and the cross-domain

@@ -41,20 +41,21 @@ const DefaultCheckpoints = 64
 type CheckpointSet struct {
 	img   *cc.Image
 	cfg   mach.Config
-	snaps []*mach.Snapshot // ascending by Retired(); a delta chain unless FullCopy
+	snaps []*mach.Snapshot // ascending by Retired(); one delta chain
 
 	// final is the golden terminal RAM image chained after the last
-	// checkpoint of a delta chain (nil otherwise: runs classify against
-	// g.Final with a full compare). Sharing the chain is what lets classify
-	// compare a pooled machine over its dirty pages plus chain paths only.
+	// checkpoint (nil on an empty set: runs classify against g.Final with a
+	// full compare). Sharing the chain is what lets classify compare a
+	// pooled machine over its dirty pages plus chain paths only.
 	final *mem.Snapshot
 
-	// pool recycles injection machines across InjectPoint calls (delta path
-	// only). A pooled machine's memory keeps its tracking base, so restoring
-	// the next fault's checkpoint rewrites just the pages that differ along
-	// the chain instead of the whole RAM image — the restore-cost win this
-	// engine exists for. Shared by Clone so all domains of a scenario reuse
-	// the same warm machines.
+	// pool recycles injection machines across InjectPoint calls (nil on an
+	// empty set, which builds a fresh machine per run). A pooled machine's
+	// memory keeps its tracking base, so restoring the next fault's
+	// checkpoint rewrites just the pages that differ along the chain instead
+	// of the whole RAM image — the restore-cost win this engine exists for.
+	// Shared by Clone so all domains of a scenario reuse the same warm
+	// machines.
 	pool *sync.Pool
 
 	// simulated accumulates retired instructions executed by Inject calls;
@@ -76,14 +77,9 @@ type CheckpointSet struct {
 type CheckpointOptions struct {
 	// N is the most checkpoints the set may hold (positions snap to the
 	// golden run's candidate grid, and two targets can share one); n <= 0
-	// yields an empty set (every injection runs from reset).
+	// yields an empty set: every injection runs from reset, with no
+	// dead-fault rule and no convergence compare (the rule-free reference).
 	N int
-	// FullCopy captures each checkpoint as a complete sparse RAM copy and
-	// runs every injection on a fresh machine — the pre-delta engine,
-	// retained as the differential reference. It fast-forwards a machine of
-	// its own to the positions the product set selects. Results are
-	// bit-identical either way.
-	FullCopy bool
 }
 
 // BuildCheckpointsOpt builds a set of at most opt.N checkpoints spread over
@@ -97,12 +93,6 @@ type CheckpointOptions struct {
 // chained on last. g is only read: the call can be repeated, with any N. It
 // returns ctx.Err() on a cancelled context and an error once g's candidates
 // have been released.
-//
-// A FullCopy set is the differential reference and shares with the product
-// set only the placement: it boots its own machine from cfg, fast-forwards it
-// to each picked position (polling ctx between run slices) and takes a full
-// snapshot there, so that what it compares the candidates against never came
-// from the golden machine.
 func BuildCheckpointsOpt(ctx context.Context, img *cc.Image, cfg mach.Config, g *Golden, opt CheckpointOptions) (*CheckpointSet, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -114,26 +104,7 @@ func BuildCheckpointsOpt(ctx context.Context, img *cc.Image, cfg mach.Config, g 
 	if len(g.candidates) == 0 {
 		return nil, fmt.Errorf("fi: golden run holds no checkpoint candidates (released)")
 	}
-	picks := g.place(opt.N)
-	if opt.FullCopy {
-		m := mach.New(cfg)
-		img.InstallTo(m)
-		for _, p := range picks {
-			if target := p.Retired(); target > 0 { // instruction 0 is the installed image
-				stop, err := runCtx(ctx, m, target, HangBudget(g.Cycles))
-				if err != nil {
-					return nil, err
-				}
-				if stop != mach.StopInstrBudget {
-					return nil, fmt.Errorf("fi: checkpoint fast-forward stopped early: %v at %d (target %d)",
-						stop, m.TotalRetired, target)
-				}
-			}
-			cs.snaps = append(cs.snaps, m.Snapshot())
-		}
-		return cs, nil
-	}
-	cs.snaps = mach.Squash(picks)
+	cs.snaps = mach.Squash(g.place(opt.N))
 	// The terminal image joins the chain by page compare against the retained
 	// golden machine's RAM.
 	cs.final = cs.snaps[len(cs.snaps)-1].Mem().DeltaOf(g.Machine.Mem)
@@ -204,7 +175,8 @@ func (cs *CheckpointSet) RestoreNearest(m *mach.Machine, injectAt uint64) bool {
 
 // InjectPoint runs one fault of any domain, restoring the nearest pre-fault
 // snapshot instead of booting from reset when one is available. The Result
-// is bit-identical to InjectDomain(img, cfg, g, d, p).
+// is bit-identical to the same fault injected through an empty set, which
+// runs every fault from reset.
 //
 // On top of snapshot restarts, InjectPoint prunes converged runs: execution
 // pauses at each later checkpoint boundary, and if the faulty machine's
@@ -217,9 +189,9 @@ func (cs *CheckpointSet) RestoreNearest(m *mach.Machine, injectAt uint64) bool {
 // lookup reads (cache.HierState.Equals). A flip that persists in RAM can
 // never converge: an instruction word runs to completion, and so does a data
 // word the guest still accesses; a data word on a page the golden run never
-// touches again is not simulated at all (deadWord). FullCopy sets take
-// neither shortcut: they compare cache state bit for bit and simulate every
-// fault, as the references the delta-chain path is tested against.
+// touches again is not simulated at all (deadWord). An empty set takes no
+// shortcut: it consults no record, reaches no boundary and simulates every
+// fault from reset, as the reference the product path is tested against.
 func (cs *CheckpointSet) InjectPoint(d fault.Domain, g *Golden, p Fault) Result {
 	res, _ := cs.InjectPointContext(context.Background(), d, g, p)
 	return res
@@ -236,6 +208,8 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 	}
 	var m *mach.Machine
 	injectAt := g.AppStart + p.Index
+	// The dead-fault rules apply only on a set that holds checkpoints
+	// (cs.pool != nil): an empty set is the rule-free reference.
 	if cs.pool != nil && d.Model() == fault.Mem && cs.deadWord(g, injectAt, p) {
 		// Until its first access the faulty run is the golden run, and the
 		// golden run has none: it ends as the golden run did, with the
@@ -255,18 +229,13 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 		return res, nil
 	}
 	if s := cs.nearest(injectAt); s != nil {
-		if cs.pool != nil {
-			// A recycled machine still carries its last restore as the
-			// memory's tracking base, so this Restore rewrites only the
-			// pages that differ along the chain between the two
-			// checkpoints. Restore overwrites all execution state and
-			// armFault/runCtx re-arm the injection hook and instruction
-			// budget, so no other cleaning is needed.
-			m = cs.pool.Get().(*mach.Machine)
-			defer cs.pool.Put(m)
-		} else {
-			m = mach.New(cs.cfg)
-		}
+		// A recycled machine still carries its last restore as the memory's
+		// tracking base, so this Restore rewrites only the pages that differ
+		// along the chain between the two checkpoints. Restore overwrites all
+		// execution state and armFault/runCtx re-arm the injection hook and
+		// instruction budget, so no other cleaning is needed.
+		m = cs.pool.Get().(*mach.Machine)
+		defer cs.pool.Put(m)
 		t0 := time.Now()
 		m.Restore(s)
 		obsRestoreSeconds.Observe(time.Since(t0).Seconds())
@@ -295,14 +264,10 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 			break // halted, hung or deadlocked before the boundary
 		}
 		t0 := time.Now()
+		// Converged, or converged modulo dead state: what differs is only
+		// ever moved from here on, never read.
 		var converged, kept bool
-		if cs.pool == nil {
-			converged = cs.snaps[next].StateEqualsExact(m) // FullCopy: the bit-for-bit reference
-		} else {
-			// Converged, or converged modulo dead state: what differs is
-			// only ever moved from here on, never read.
-			converged, dead, kept = cs.snaps[next].DeadDiff(m)
-		}
+		converged, dead, kept = cs.snaps[next].DeadDiff(m)
 		compare += time.Since(t0)
 		if converged {
 			// The rest of the run is the golden run, carrying any kept copy
@@ -324,7 +289,7 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 		}
 		final := cs.final
 		if final == nil {
-			final = g.Final // no chain to share: every page is compared
+			final = g.Final // an empty set has no chain: every page is compared
 		}
 		res = finishFault(m, g, final, p, stop)
 	}

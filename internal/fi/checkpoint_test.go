@@ -39,7 +39,7 @@ func TestCheckpointInjectMatchesReset(t *testing.T) {
 				fi.Fault{Index: 0, Core: 0, Reg: 3, Bit: 5},
 				fi.Fault{Index: g.AppEnd - g.AppStart - 1, Core: 0, Reg: 3, Bit: 5})
 			for i, f := range faults {
-				want := fi.InjectDomain(img, cfg, g, d, f)
+				want := fromReset(t, img, cfg, g, d, f)
 				got := cs.InjectPoint(d, g, f)
 				if got != want {
 					t.Errorf("fault %d (%s): snapshot run %+v != reset run %+v", i, f, got, want)
@@ -53,13 +53,11 @@ func TestCheckpointInjectMatchesReset(t *testing.T) {
 	}
 }
 
-// TestCheckpointOptionsBitIdentical pins the delta-checkpoint engine
-// against its retained full-copy reference at the fi layer: the same fault
-// list injected through a default (COW) set and a FullCopy set yields
-// identical Results and, run by run, identical savings/prune telemetry —
-// except on a run the dead-state rule stops, which the rule-free reference
-// never takes — while the capture telemetry shows the delta chain actually
-// paying pages instead of RAM images.
+// TestCheckpointOptionsBitIdentical pins the two settings of
+// CheckpointOptions at the fi layer: the same fault list injected through a
+// delta-chain set and through an empty one yields identical Results, and,
+// run by run, the same from-reset cost; the empty set simulates all of it
+// and prunes nothing, the chain never more, and the chain retains RAM.
 func TestCheckpointOptionsBitIdentical(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
 	img, cfg, err := npb.BuildScenario(sc)
@@ -70,45 +68,24 @@ func TestCheckpointOptionsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(opt fi.CheckpointOptions) *fi.CheckpointSet {
-		opt.N = 6
-		cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cs
-	}
-	cow := build(fi.CheckpointOptions{})
-	full := build(fi.CheckpointOptions{FullCopy: true})
-
-	// Capture telemetry: the delta chain holds a fraction of the full-copy
-	// payload.
-	if cow.MemBytes() >= full.MemBytes() {
-		t.Errorf("delta chain (%d bytes) not smaller than full copies (%d bytes)", cow.MemBytes(), full.MemBytes())
-	}
-	if cow.MemBytes() == 0 {
-		t.Error("delta chain retained no RAM")
+	cow, empty := checkpoints(t, img, cfg, g, 6), checkpoints(t, img, cfg, g, 0)
+	if cow.MemBytes() == 0 || empty.MemBytes() != 0 {
+		t.Errorf("delta chain retains %d bytes, the empty set %d", cow.MemBytes(), empty.MemBytes())
 	}
 
 	d := regDomain(t, img, cfg, g)
 	for i, f := range fi.List(17, 8, d) {
 		// A clone per run counts that run alone.
-		c, r := cow.Clone(), full.Clone()
-		want := c.InjectPoint(d, g, f)
-		if got := r.InjectPoint(d, g, f); got != want {
-			t.Errorf("fault %d (%s): full-copy %+v != cow %+v", i, f, got, want)
+		c, r := cow.Clone(), empty.Clone()
+		want := r.InjectPoint(d, g, f)
+		if got := c.InjectPoint(d, g, f); got != want {
+			t.Errorf("fault %d (%s): cow %+v != from reset %+v", i, f, got, want)
 		}
-		cp, _ := c.PruneStats()
 		rp, _ := r.PruneStats()
 		cSim, cReset := c.SimulatedInstructions()
 		rSim, rReset := r.SimulatedInstructions()
-		// A dead-state run stops at a checkpoint where the reference does
-		// not converge: it is pruned and simulates strictly less. Any
-		// other run is the reference's, instruction for instruction.
-		_, state := c.DeadRuns()
-		if cReset != rReset || state == 0 && (cp != rp || cSim != rSim) || state == 1 && (cp != 1 || cSim >= rSim) {
-			t.Errorf("fault %d (%s): cow pruned %d sim %d reset %d vs full pruned %d sim %d reset %d (%d dead-state runs)",
-				i, f, cp, cSim, cReset, rp, rSim, rReset, state)
+		if cReset != rReset || rSim != rReset || rp != 0 || cSim > rSim {
+			t.Errorf("fault %d (%s): cow sim %d reset %d vs empty pruned %d sim %d reset %d", i, f, cSim, cReset, rp, rSim, rReset)
 		}
 	}
 }
@@ -132,12 +109,17 @@ func TestBuildCheckpointsSpansLifespan(t *testing.T) {
 	if cs.MemBytes() == 0 {
 		t.Error("checkpoints retained no RAM")
 	}
-	// Zero checkpoints: valid, every injection falls back to reset.
+	// Zero checkpoints: valid, every injection runs from reset, and scores
+	// as the checkpointed set does.
 	empty := checkpoints(t, img, cfg, g, 0)
 	f := fi.Fault{Index: 1, Core: 0, Reg: 2, Bit: 9}
 	d := regDomain(t, img, cfg, g)
-	if got, want := empty.InjectPoint(d, g, f), fi.InjectDomain(img, cfg, g, d, f); got != want {
-		t.Errorf("empty-set inject %+v != reset %+v", got, want)
+	got := empty.InjectPoint(d, g, f)
+	if want := cs.InjectPoint(d, g, f); got != want {
+		t.Errorf("empty-set inject %+v != checkpointed inject %+v", got, want)
+	}
+	if sim, reset := empty.SimulatedInstructions(); empty.Len() != 0 || sim != got.Retired || reset != got.Retired {
+		t.Errorf("empty set of %d checkpoints simulated %d (from reset %d) of %d instructions", empty.Len(), sim, reset, got.Retired)
 	}
 }
 
@@ -179,8 +161,8 @@ func TestContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fi.InjectDomain(img, cfg, g, d, f); got != want {
-		t.Errorf("ctx inject %+v != legacy inject %+v", got, want)
+	if want := fromReset(t, img, cfg, g, d, f); got != want {
+		t.Errorf("ctx inject %+v != from-reset inject %+v", got, want)
 	}
 	g2, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {

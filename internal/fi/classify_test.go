@@ -43,10 +43,10 @@ func refOutcome(img *cc.Image, cfg mach.Config, g *fi.Golden, goldenMemHash uint
 // TestClassificationMatchesHashOracle is the differential pin of the
 // terminal-image classifier: over a seeded fault list per domain and
 // scenario, every injection path — pooled machines on the delta chain
-// (selective compare against the chained terminal image), a FullCopy set,
-// an empty set and InjectDomain (from reset), and the
-// propagation tracer's faulty twin (full compare against Golden.Final) —
-// must score each fault exactly as the full-RAM-digest rule does.
+// (selective compare against the chained terminal image), an empty set
+// (from reset), and the propagation tracer's faulty twin (full compare
+// against Golden.Final) — must score each fault exactly as the
+// full-RAM-digest rule does.
 func TestClassificationMatchesHashOracle(t *testing.T) {
 	const perDomain = 2
 	var (
@@ -74,9 +74,8 @@ func TestClassificationMatchesHashOracle(t *testing.T) {
 				goldenMemHash := g.Machine.Mem.Hash()
 				sets := map[string]*fi.CheckpointSet{}
 				for name, opt := range map[string]fi.CheckpointOptions{
-					"pooled":   {N: 6},
-					"fullcopy": {N: 6, FullCopy: true},
-					"empty":    {N: 0},
+					"pooled": {N: 6},
+					"empty":  {N: 0},
 				} {
 					cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, opt)
 					if err != nil {
@@ -103,9 +102,6 @@ func TestClassificationMatchesHashOracle(t *testing.T) {
 							if got := cs.InjectPoint(d, g, p).Outcome; got != want {
 								t.Errorf("%s %s via %s: %v, hash oracle says %v", model, p, name, got, want)
 							}
-						}
-						if got := fi.InjectDomain(img, cfg, g, d, p).Outcome; got != want {
-							t.Errorf("%s %s via InjectDomain: %v, hash oracle says %v", model, p, got, want)
 						}
 						if _, got, err := tracer.Trace(d, p); err != nil || got != want {
 							t.Errorf("%s %s via prop.Tracer: %v (err %v), hash oracle says %v", model, p, got, err, want)

@@ -1,7 +1,12 @@
 package fi_test
 
 import (
-	"context"
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -45,36 +50,97 @@ func injectKind(cs *fi.CheckpointSet, d fault.Domain, g *fi.Golden, p fi.Fault) 
 	return res, simulated
 }
 
+// regen rewrites deadRefPath from live from-reset runs instead of reading it:
+//
+//	go test ./internal/fi -run TestDeadFaultsMatchSimulation -regen
+var regen = flag.Bool("regen", false, "rewrite "+deadRefPath+" from from-reset runs")
+
+// deadRefPath holds TestDeadFaultsMatchSimulation's rule-free references: one
+// line per (scenario, domain, fault index), each the result of that fault
+// injected through an empty set (from reset, no record consulted, nothing
+// compared). They change only when the interpreter's semantics do.
+const deadRefPath = "testdata/deadfault_ref.jsonl"
+
+// refLine is one reference run: the fault point as fault.Point prints it and
+// the fields of its Result.
+type refLine struct {
+	Scenario string `json:"scenario"`
+	Domain   string `json:"domain"`
+	Fault    int    `json:"fault"`
+	Point    string `json:"point"`
+	Outcome  string `json:"outcome"`
+	Retired  uint64 `json:"retired"`
+	Cycles   uint64 `json:"cycles"`
+	Exit     int    `json:"exit"`
+	Signal   int    `json:"signal"`
+}
+
+func lineOf(sc npb.Scenario, model fault.Model, i int, r fi.Result) refLine {
+	return refLine{sc.ID(), model.String(), i, r.Fault.String(), r.Outcome.String(), r.Retired, r.Cycles, r.ExitCode, r.Signal}
+}
+
+// readDeadRefs returns the committed references by scenario ID and domain,
+// each list in fault-index order.
+func readDeadRefs(t *testing.T) map[[2]string][]refLine {
+	t.Helper()
+	data, err := os.ReadFile(deadRefPath)
+	if err != nil {
+		t.Fatalf("%v (write it with -regen)", err)
+	}
+	refs := map[[2]string][]refLine{}
+	for n, text := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		var l refLine
+		if err := json.Unmarshal([]byte(text), &l); err != nil {
+			t.Fatalf("%s line %d: %v", deadRefPath, n+1, err)
+		}
+		key := [2]string{l.Scenario, l.Domain}
+		if l.Fault != len(refs[key]) {
+			t.Fatalf("%s line %d: fault %d of %s %s out of order", deadRefPath, n+1, l.Fault, l.Scenario, l.Domain)
+		}
+		refs[key] = append(refs[key], l)
+	}
+	return refs
+}
+
 // TestDeadFaultsMatchSimulation is the admission ticket of dead-fault
 // pruning: over six fault domains and three scenarios every result of the
-// product path (InjectPoint on a delta-chain set, every rule on) equals a
+// product path (InjectPoint on a delta-chain set, every rule on) equals the
 // rule-free reference field for field, while dead-word and dead-set
 // decisions, convergence on dead cache-line state, convergence modulo dead
 // registers and context slots, exact convergence and full simulation all
-// occur. On the cheapest scenario the reference is
-// fi.InjectDomain from reset — which restores nothing, compares nothing and
-// consults no record — and FullCopy and empty sets are held to it too and
-// shown to take neither shortcut. On the other two it is that FullCopy set
-// (DESIGN.md §3.2: no dead-fault rule, exact equality only; pinned equal to
-// from-reset by TestCOWCheckpointsGoldenCompat), which starts a fault at its
-// checkpoint and not at reset: tier-1 time is a budget, and armv7/MG/OMP-2
-// from reset was 3.5 G reference instructions.
+// occur. The reference of every fault is a run from reset through an empty
+// set, which restores nothing, compares nothing and consults no record. The
+// 64 faults per domain and scenario cost minutes from reset (armv7/MG/OMP-2
+// alone is billions of instructions), so they are committed in deadRefPath
+// and checked point by point against the rebuilt fault lists; -regen runs
+// them live and rewrites the file, and CI fails on any difference. On the
+// cheapest scenario the empty set is also run live on the faults the
+// product path decides without a machine, to show it simulates them.
 func TestDeadFaultsMatchSimulation(t *testing.T) {
-	n := 64 // per domain and scenario; -short (the CI race job) trims the references
-	if testing.Short() {
+	n := 64 // per domain and scenario; -short (the CI race job) checks the first 8
+	if testing.Short() && !*regen {
 		n = 8
 	}
+	scenarios := []npb.Scenario{
+		{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1},
+		{App: "MG", Mode: npb.OMP, ISA: "armv7", Cores: 2},
+		{App: "IS", Mode: npb.MPI, ISA: "armv8", Cores: 2},
+	}
+	models := []fault.Model{fault.Reg, fault.Mem, fault.IMem, fault.CacheTag, fault.CacheDirty, fault.CacheRepl}
+	var refs map[[2]string][]refLine
+	if *regen {
+		refs = map[[2]string][]refLine{}
+	} else {
+		refs = readDeadRefs(t)
+	}
+	var mu sync.Mutex // guards refs under -regen
 	var nDecided, nCanonical, nExact, nSimulated atomic.Int64
 	// The two rules sized on these scenarios: dead state on the MG reg
 	// campaign, dead sets on cachetag.
 	var nDeadState, nDeadSet atomic.Int64
 	t.Run("scenarios", func(t *testing.T) {
-		for i, sc := range []npb.Scenario{
-			{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1},
-			{App: "MG", Mode: npb.OMP, ISA: "armv7", Cores: 2},
-			{App: "IS", Mode: npb.MPI, ISA: "armv8", Cores: 2},
-		} {
-			fromReset := i == 0
+		for i, sc := range scenarios {
+			cheapest := i == 0
 			t.Run(sc.ID(), func(t *testing.T) {
 				t.Parallel()
 				img, cfg, err := npb.BuildScenario(sc)
@@ -86,86 +152,77 @@ func TestDeadFaultsMatchSimulation(t *testing.T) {
 					t.Fatal(err)
 				}
 				cs := checkpoints(t, img, cfg, g, fi.DefaultCheckpoints)
-				full, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g,
-					fi.CheckpointOptions{N: fi.DefaultCheckpoints, FullCopy: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				var empty *fi.CheckpointSet
-				if fromReset {
-					empty = checkpoints(t, img, cfg, g, 0)
-				}
+				empty := checkpoints(t, img, cfg, g, 0)
 				// The sets, image and golden record serve concurrent executors.
-				for _, model := range []fault.Model{fault.Reg, fault.Mem, fault.IMem, fault.CacheTag, fault.CacheDirty, fault.CacheRepl} {
+				for _, model := range models {
 					t.Run(model.String(), func(t *testing.T) {
 						t.Parallel()
 						d, err := fi.NewDomain(model, img, cfg, g)
 						if err != nil {
 							t.Fatal(err)
 						}
+						key := [2]string{sc.ID(), model.String()}
+						faults := fi.List(16, n, d)
+						var want []refLine
+						if *regen {
+							for i, p := range faults {
+								want = append(want, lineOf(sc, model, i, empty.InjectPoint(d, g, p)))
+							}
+							mu.Lock()
+							refs[key] = want
+							mu.Unlock()
+						} else if want = refs[key]; len(want) < n {
+							t.Fatalf("%s holds %d faults, want %d", deadRefPath, len(want), n)
+						}
 						cacheModel := model == fault.CacheTag || model == fault.CacheDirty || model == fault.CacheRepl
-						shown := 0 // dead mem faults run through the from-reset scenario's sets: a few suffice
-						for i, p := range fi.List(16, n, d) {
-							var want fi.Result
-							fkind := runKind(-1) // how the FullCopy set scored p, once it has
-							if fromReset {
-								want = fi.InjectDomain(img, cfg, g, d, p)
-							} else {
-								want, fkind = injectKind(full, d, g, p)
+						shown := 0 // dead faults the empty set runs live: a few suffice
+						for i, p := range faults {
+							if want[i].Point != p.String() {
+								t.Fatalf("fault %d: the list draws %s, %s holds %s", i, p, deadRefPath, want[i].Point)
 							}
-							got, kind := injectKind(cs, d, g, p)
-							if got != want {
-								t.Errorf("fault %d (%s): product path %+v != rule-free reference %+v", i, p, got, want)
+							res, kind := injectKind(cs, d, g, p)
+							if got := lineOf(sc, model, i, res); got != want[i] {
+								t.Errorf("fault %d (%s): product path %+v != rule-free reference %+v", i, p, got, want[i])
 							}
-							noMachine := kind == decided || kind == deadSet
-							switch {
-							case kind == decided:
+							switch kind {
+							case decided:
 								nDecided.Add(1)
 								if model != fault.Mem {
 									t.Errorf("fault %d (%s) decided by the page-touch record", i, p)
 								}
-							case kind == deadSet:
+							case deadSet:
 								if !cacheModel {
 									t.Errorf("fault %d (%s) decided by the set stamps", i, p)
 								} else if model == fault.CacheTag {
 									nDeadSet.Add(1)
 								}
-							case kind == deadState:
+							case deadState:
 								if sc.ISA == "armv7" && sc.App == "MG" && model == fault.Reg {
 									nDeadState.Add(1)
 								}
-							case kind == simulated:
+							case simulated:
 								nSimulated.Add(1)
-							case !cacheModel:
-								nExact.Add(1) // no cache strike, no dead cache state: bit-identical
-							}
-							if fromReset && kind != simulated && (!noMachine || shown < 4) {
-								// The other sets reach the same result the long way.
-								var fgot fi.Result
-								if fgot, fkind = injectKind(full, d, g, p); fgot != want {
-									t.Errorf("fault %d (%s): FullCopy %+v != from reset %+v", i, p, fgot, want)
-								}
-								if noMachine {
-									shown++
-									c := empty.Clone()
-									if egot := c.InjectPoint(d, g, p); egot != want {
-										t.Errorf("fault %d (%s): empty set %+v != from reset %+v", i, p, egot, want)
-									}
-									if sim, _ := c.SimulatedInstructions(); sim != want.Retired {
-										t.Errorf("fault %d (%s): empty set simulated %d of %d instructions", i, p, sim, want.Retired)
-									}
+							case converged:
+								if !cacheModel {
+									nExact.Add(1) // no cache strike, no dead cache state: bit-identical
+								} else if exact, pruned := cs.PrunedExactly(d, g, p); !pruned {
+									t.Errorf("fault %d (%s): pruned by the product path, not by its replay", i, p)
+								} else if exact {
+									nExact.Add(1)
+								} else {
+									nCanonical.Add(1) // only the dead-line rule sees this run converge
 								}
 							}
-							switch {
-							case fkind < 0 || kind == simulated || kind == deadState:
-							case noMachine:
-								if fkind != simulated {
-									t.Errorf("fault %d (%s): a FullCopy set did not simulate a dead fault", i, p)
+							if (kind == decided || kind == deadSet) && cheapest && shown < 4 {
+								// The empty set reaches the same result the long way.
+								shown++
+								c := empty.Clone()
+								if got := lineOf(sc, model, i, c.InjectPoint(d, g, p)); got != want[i] {
+									t.Errorf("fault %d (%s): empty set %+v != reference %+v", i, p, got, want[i])
 								}
-							case cacheModel && fkind == converged:
-								nExact.Add(1)
-							case cacheModel:
-								nCanonical.Add(1) // only the dead-line rule sees this run converge
+								if sim, _ := c.SimulatedInstructions(); sim != want[i].Retired {
+									t.Errorf("fault %d (%s): empty set simulated %d of %d instructions", i, p, sim, want[i].Retired)
+								}
 							}
 						}
 					})
@@ -175,6 +232,23 @@ func TestDeadFaultsMatchSimulation(t *testing.T) {
 	})
 	if t.Failed() {
 		return
+	}
+	if *regen {
+		var out bytes.Buffer
+		for _, sc := range scenarios {
+			for _, model := range models {
+				for _, l := range refs[[2]string{sc.ID(), model.String()}] {
+					b, err := json.Marshal(l)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out.Write(append(b, '\n'))
+				}
+			}
+		}
+		if err := os.WriteFile(deadRefPath, out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	t.Logf("decided %d, converged on dead cache state %d, converged exactly %d, simulated %d, dead state on MG reg %d, dead sets on cachetag %d",
 		nDecided.Load(), nCanonical.Load(), nExact.Load(), nSimulated.Load(), nDeadState.Load(), nDeadSet.Load())
@@ -225,7 +299,7 @@ func TestLiveMemStrikesAreSimulated(t *testing.T) {
 			}
 			live++
 			p := fi.Fault{Domain: fault.Mem, Index: index, Addr: page * mem.PageBytes, Bit: 2}
-			want := fi.InjectDomain(img, cfg, g, d, p)
+			want := fromReset(t, img, cfg, g, d, p)
 			got, kind := injectKind(cs, d, g, p)
 			if got != want {
 				t.Errorf("%s: product path %+v != from reset %+v", p, got, want)
@@ -281,7 +355,7 @@ func TestExecutablePagesAreNeverDead(t *testing.T) {
 			continue // kernel text stays read-only: not a mem target
 		}
 		p.Domain = fault.Mem
-		want := fi.InjectDomain(&rwx, cfg, g, d, p)
+		want := fromReset(t, &rwx, cfg, g, d, p)
 		got, kind := injectKind(cs, d, g, p)
 		if got != want {
 			t.Errorf("%s: product path %+v != from reset %+v", p, got, want)
@@ -325,7 +399,7 @@ func TestStraddlingWordNeedsBothPagesDead(t *testing.T) {
 			}
 			seen[dead] = true
 			p := fi.Fault{Domain: fault.Mem, Index: index, Addr: page*mem.PageBytes - 2, Bit: 20}
-			want := fi.InjectDomain(img, cfg, g, d, p)
+			want := fromReset(t, img, cfg, g, d, p)
 			got, kind := injectKind(cs, d, g, p)
 			if got != want {
 				t.Errorf("%s: product path %+v != from reset %+v", p, got, want)

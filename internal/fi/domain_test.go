@@ -155,7 +155,7 @@ func TestCheckpointInjectMatchesResetAllDomains(t *testing.T) {
 			t.Fatalf("%s: %v", model, err)
 		}
 		for i, p := range fi.List(11, 5, d) {
-			want := fi.InjectDomain(img, cfg, g, d, p)
+			want := fromReset(t, img, cfg, g, d, p)
 			got := cs.InjectPoint(d, g, p)
 			if got != want {
 				t.Errorf("%s fault %d (%s): snapshot run %+v != reset run %+v", model, i, p, got, want)
@@ -182,7 +182,7 @@ func TestIMemFaultsLeaveTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range fi.List(5, 6, d) {
-		if r := fi.InjectDomain(img, cfg, g, d, p); r.Outcome == fi.Vanished {
+		if r := fromReset(t, img, cfg, g, d, p); r.Outcome == fi.Vanished {
 			t.Errorf("imem fault %s vanished despite the persistent text flip", p)
 		}
 	}
@@ -215,7 +215,7 @@ func TestCheckpointsShortLifespan(t *testing.T) {
 		{Index: 0, Core: 0, Reg: 3, Bit: 5},
 		{Index: 2, Core: 0, Reg: 3, Bit: 5},
 	} {
-		want := fi.InjectDomain(img, cfg, g, d, f)
+		want := fromReset(t, img, cfg, g, d, f)
 		got := cs.InjectPoint(d, g, f)
 		if got != want {
 			t.Errorf("short-lifespan fault %s: snapshot run %+v != reset run %+v", f, got, want)
@@ -240,7 +240,7 @@ func TestFirstInstructionFaultUsesSnapshot(t *testing.T) {
 	cs := checkpoints(t, img, cfg, g, 4)
 	f := fi.Fault{Index: 0, Core: 0, Reg: 3, Bit: 5}
 	d := regDomain(t, img, cfg, g)
-	want := fi.InjectDomain(img, cfg, g, d, f)
+	want := fromReset(t, img, cfg, g, d, f)
 	got := cs.InjectPoint(d, g, f)
 	if got != want {
 		t.Fatalf("first-instruction fault: snapshot run %+v != reset run %+v", got, want)

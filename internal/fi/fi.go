@@ -7,8 +7,11 @@
 // fault model itself is pluggable: every phase is generic over a
 // fault.Domain — the register single-bit-upset space of the paper, data
 // words in guest RAM, instruction words, or register bit bursts
-// (internal/fault). The fault.Reg domain (and Inject, its from-reset
-// wrapper) is bit-identical to the pre-domain injector at the same seed.
+// (internal/fault). CheckpointSet.InjectPoint is the one injection path: a
+// set with checkpoints is the product path with every dead-fault and
+// convergence rule, a set with none runs every fault from reset with none,
+// and the two score every fault identically. The fault.Reg domain is
+// bit-identical to the pre-domain injector at the same seed.
 package fi
 
 import (
@@ -318,19 +321,6 @@ type Result struct {
 	Signal   int
 }
 
-// InjectDomain runs phase 3 for one fault point of any domain from machine
-// reset. The image is read-only and may be shared across goroutines; each
-// run gets a fresh machine. Campaigns that amortize the pre-fault prefix
-// across faults use CheckpointSet.InjectPoint instead; both paths produce
-// bit-identical Results.
-func InjectDomain(img *cc.Image, cfg mach.Config, g *Golden, d fault.Domain, p Fault) Result {
-	m := mach.New(cfg)
-	img.InstallTo(m)
-	armFault(m, d, g, p)
-	stop := m.Run(HangBudget(g.Cycles))
-	return finishFault(m, g, g.Final, p, stop)
-}
-
 // armFault installs the injection hook for one fault point: when the
 // machine commits instruction AppStart+Index, the domain applies the flip.
 func armFault(m *mach.Machine, d fault.Domain, g *Golden, p Fault) {
@@ -369,8 +359,8 @@ func Classify(m *mach.Machine, g *Golden, stop mach.StopReason) Outcome {
 // digest: the register file field by field against the golden machine's,
 // and RAM byte for byte against the golden terminal image. EqualsMemory
 // compares only dirty pages plus chain paths when m's memory tracks a
-// snapshot on final's chain (pooled machines of a delta-chain
-// CheckpointSet), and every page otherwise (from reset, FullCopy, twins).
+// snapshot on final's chain (pooled machines of a CheckpointSet), and every
+// page otherwise (from reset, propagation twins).
 func classify(m *mach.Machine, g *Golden, final *mem.Snapshot, stop mach.StopReason) Outcome {
 	if stop != mach.StopHalted {
 		return Hang // cycle budget exhausted or full-machine deadlock

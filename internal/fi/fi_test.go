@@ -32,6 +32,13 @@ func checkpoints(t testing.TB, img *cc.Image, cfg mach.Config, g *fi.Golden, n i
 	return cs
 }
 
+// fromReset scores p the rule-free way, through an empty set: a fresh
+// machine from reset, no dead-fault record consulted, nothing compared.
+func fromReset(t testing.TB, img *cc.Image, cfg mach.Config, g *fi.Golden, d fault.Domain, p fi.Fault) fi.Result {
+	t.Helper()
+	return checkpoints(t, img, cfg, g, 0).InjectPoint(d, g, p)
+}
+
 func golden(t *testing.T, sc npb.Scenario) (*fi.Golden, npb.Scenario) {
 	t.Helper()
 	img, cfg, err := npb.BuildScenario(sc)
@@ -138,7 +145,7 @@ func TestInjectOutcomesSane(t *testing.T) {
 	faults := fi.List(7, 24, d)
 	var counts fi.Counts
 	for _, f := range faults {
-		r := fi.InjectDomain(img, cfg, g, d, f)
+		r := fromReset(t, img, cfg, g, d, f)
 		counts.Add(r.Outcome)
 	}
 	if counts.Total() != len(faults) {
@@ -163,8 +170,8 @@ func TestInjectDeterministicReplay(t *testing.T) {
 	}
 	f := fi.Fault{Index: (g.AppEnd - g.AppStart) / 3, Core: 1, Reg: 5, Bit: 17}
 	d := regDomain(t, img, cfg, g)
-	r1 := fi.InjectDomain(img, cfg, g, d, f)
-	r2 := fi.InjectDomain(img, cfg, g, d, f)
+	r1 := fromReset(t, img, cfg, g, d, f)
+	r2 := fromReset(t, img, cfg, g, d, f)
 	if r1.Outcome != r2.Outcome || r1.Retired != r2.Retired || r1.Cycles != r2.Cycles {
 		t.Errorf("injection not replayable: %+v vs %+v", r1, r2)
 	}
@@ -185,7 +192,7 @@ func TestPCFlipIsUsuallyFatalOnV7(t *testing.T) {
 	bad := 0
 	for _, bit := range []int{20, 24, 26} {
 		f := fi.Fault{Index: (g.AppEnd - g.AppStart) / 2, Core: 0, Reg: 15, Bit: bit}
-		r := fi.InjectDomain(img, cfg, g, d, f)
+		r := fromReset(t, img, cfg, g, d, f)
 		if r.Outcome == fi.UT || r.Outcome == fi.Hang {
 			bad++
 		}
@@ -208,7 +215,7 @@ func TestZeroBitFaultOnDeadRegisterVanishes(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := fi.Fault{Index: g.AppEnd - g.AppStart - 2, Core: 0, Reg: 27, Bit: 3}
-	r := fi.InjectDomain(img, cfg, g, regDomain(t, img, cfg, g), f)
+	r := fromReset(t, img, cfg, g, regDomain(t, img, cfg, g), f)
 	if r.Outcome == fi.UT || r.Outcome == fi.Hang || r.Outcome == fi.OMM {
 		t.Errorf("late dead-register fault escalated to %v", r.Outcome)
 	}

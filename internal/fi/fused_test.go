@@ -30,6 +30,17 @@ func profiledGolden(t *testing.T, sc npb.Scenario) (*cc.Image, mach.Config, *Gol
 	return img, cfg, g
 }
 
+// fromReset scores p through an empty set: the rule-free reference, from
+// reset.
+func fromReset(t *testing.T, img *cc.Image, cfg mach.Config, g *Golden, d fault.Domain, p Fault) Result {
+	t.Helper()
+	cs, err := BuildCheckpointsOpt(t.Context(), img, cfg, g, CheckpointOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs.InjectPoint(d, g, p)
+}
+
 // positions returns the retired-instruction index of every checkpoint.
 func positions(cs *CheckpointSet) []uint64 {
 	var out []uint64
@@ -110,8 +121,7 @@ func TestGoldenCheckpointsMatchFastForward(t *testing.T) {
 // TestCheckpointPlacement: selection is a pure function of the Golden. Sets
 // of different sizes built from one golden run each satisfy the placement
 // contract, each equal the fast-forward reference and inject like a run from
-// reset; a FullCopy set sits at the same positions; a second, independent
-// golden run places identically; and the candidates never outnumber their
+// reset; a second, independent golden run places identically; and the candidates never outnumber their
 // cap, whatever the run's length.
 func TestCheckpointPlacement(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.OMP, ISA: "armv8", Cores: 2}
@@ -139,7 +149,7 @@ func TestCheckpointPlacement(t *testing.T) {
 		checkPlacement(t, cs, g, n)
 		checkMatchesFastForward(t, img, cfg, g, cs)
 		for _, f := range faults {
-			if got, want := cs.InjectPoint(d, g, f), InjectDomain(img, cfg, g, d, f); got != want {
+			if got, want := cs.InjectPoint(d, g, f), fromReset(t, img, cfg, g, d, f); got != want {
 				t.Errorf("N=%d fault %s: %+v, from reset %+v", n, f, got, want)
 			}
 		}
@@ -147,7 +157,6 @@ func TestCheckpointPlacement(t *testing.T) {
 			t.Errorf("N=%d: %d runs counted, want %d", n, total, len(faults))
 		}
 		for name, other := range map[string]*CheckpointSet{
-			"FullCopy set":              build(g, CheckpointOptions{FullCopy: true}),
 			"independent golden run":    build(g2, CheckpointOptions{}),
 			"second call on one Golden": build(g, CheckpointOptions{}),
 		} {

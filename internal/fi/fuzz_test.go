@@ -29,7 +29,11 @@ var fuzzScenario = sync.OnceValues(func() (*fuzzFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	fx := &fuzzFixture{img: img, cfg: cfg, g: g, cs: cs}
+	empty, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, fi.CheckpointOptions{})
+	if err != nil {
+		return nil, err
+	}
+	fx := &fuzzFixture{img: img, cfg: cfg, g: g, cs: cs, empty: empty}
 	for _, model := range fault.Models() {
 		d, err := fi.NewDomain(model, img, cfg, g)
 		if err != nil {
@@ -45,6 +49,7 @@ type fuzzFixture struct {
 	cfg     mach.Config
 	g       *fi.Golden
 	cs      *fi.CheckpointSet
+	empty   *fi.CheckpointSet // no checkpoints: every fault from reset, no rule
 	domains []fault.Domain
 }
 
@@ -113,8 +118,8 @@ func targetWord(regions []mem.Region, perm mem.Perm, addr uint32) uint32 {
 // path takes: a fault point of any domain, run through a delta-chain
 // CheckpointSet with every rule on (dead words, dead sets, convergence on
 // dead cache-line state and modulo dead registers and context slots), scores
-// field for field what fi.InjectDomain scores from reset, which restores
-// nothing and consults no record. The seeds are tuples of
+// field for field what a set without checkpoints scores from reset, which
+// restores nothing and consults no record. The seeds are tuples of
 // TestDeadFaultsMatchSimulation's lists on this scenario that reach each way
 // to score a run.
 func FuzzInjectMatchesReset(f *testing.F) {
@@ -135,7 +140,7 @@ func FuzzInjectMatchesReset(f *testing.F) {
 			t.Fatal(err)
 		}
 		d, p := fx.point(model, index, core, reg, addr, bit, width, level)
-		want := fi.InjectDomain(fx.img, fx.cfg, fx.g, d, p)
+		want := fx.empty.InjectPoint(d, fx.g, p)
 		if got := fx.cs.InjectPoint(d, fx.g, p); got != want {
 			t.Errorf("%s: product path %+v != from reset %+v", p, got, want)
 		}

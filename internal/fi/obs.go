@@ -12,8 +12,8 @@ var (
 	// pooled machine lands in the tens of microseconds, a cold full rebuild
 	// of a large image in the milliseconds.
 	obsRestoreSeconds = obs.Default.Histogram("serfi_fi_restore_seconds", "Wall time of one pre-fault checkpoint restore.", obs.ExpBuckets(1e-5, 10, 7))
-	// 1µs .. 1s: both compares touch tens of pages on a pooled machine and
-	// all of RAM (milliseconds) from reset, on FullCopy sets and on twins.
+	// 1µs .. 1s: a compare touches tens of pages on a pooled machine (only
+	// pooled machines reach a checkpoint boundary).
 	obsConvergeSeconds = obs.Default.Histogram("serfi_fi_converge_compare_seconds", "Wall time one injection run spent in convergence compares at checkpoint boundaries (runs that reached none are not observed).", obs.ExpBuckets(1e-6, 10, 7))
 	obsClassifySeconds = obs.Default.Histogram("serfi_fi_classify_seconds", "Wall time of classifying one completed injection run against the golden reference.", obs.ExpBuckets(1e-6, 10, 7))
 	// 1e3 .. 1e9 instructions: a run pruned at the first boundary simulates

@@ -78,8 +78,8 @@ func TestPageTouchIsGoldenOnly(t *testing.T) {
 // cache-set stamps, as TestPageTouchIsGoldenOnly does for the page-touch
 // table: the golden machine keeps both, its checkpoint candidates carry
 // liveness marks, and the machines an injection runs on — pooled, fresh,
-// from reset, FullCopy and restored ones — keep neither and restore no mark
-// into a record.
+// from reset and restored ones — keep neither and restore no mark into a
+// record.
 func TestLivenessIsGoldenOnly(t *testing.T) {
 	img, cfg, err := npb.BuildScenario(npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1})
 	if err != nil {
@@ -101,16 +101,9 @@ func TestLivenessIsGoldenOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := BuildCheckpointsOpt(t.Context(), img, cfg, g, CheckpointOptions{N: 4, FullCopy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for i, s := range cs.snaps {
 		if s.Live() == nil {
 			t.Errorf("checkpoint %d of the delta chain lost its candidate's mark", i)
-		}
-		if full.snaps[i].Live() != nil {
-			t.Errorf("FullCopy checkpoint %d carries a mark: the reference must take no rule", i)
 		}
 	}
 	d, err := NewDomain(fault.Reg, img, cfg, g)
@@ -132,7 +125,7 @@ func TestLivenessIsGoldenOnly(t *testing.T) {
 	if m.Liveness() != nil || m.Hier.SetStamps() != nil {
 		t.Error("a fresh machine keeps a liveness record or set stamps")
 	}
-	if got, want := cs.InjectPoint(d, g, p), InjectDomain(img, cfg, g, d, p); got != want {
+	if got, want := cs.InjectPoint(d, g, p), fromReset(t, img, cfg, g, d, p); got != want {
 		t.Errorf("%s: product path %+v != from reset %+v", p, got, want)
 	}
 }

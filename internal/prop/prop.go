@@ -145,7 +145,8 @@ type Tracer struct {
 }
 
 // NewTracer builds a tracer over one scenario. cs may be nil, in which case
-// every twin starts from reset exactly like fi.InjectDomain.
+// every twin starts from reset exactly like a run through an empty
+// fi.CheckpointSet.
 func NewTracer(img *cc.Image, cfg mach.Config, g *fi.Golden, cs *fi.CheckpointSet) *Tracer {
 	return &Tracer{img: img, cfg: cfg, g: g, cs: cs}
 }
