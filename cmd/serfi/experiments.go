@@ -74,12 +74,11 @@ func cmdExperiments(args []string) error {
 		return fmt.Errorf("unknown artefact %q", *run)
 	}
 	if *from != "" {
-		st, err := campaign.OpenFileStore(*from)
+		recs, err := readDB(*from)
 		if err != nil {
 			return err
 		}
-		defer st.Close()
-		m := exp.NewMatrix(st.Query(campaign.Query{}))
+		m := exp.NewMatrix(slices.Collect(maps.Values(recs)))
 		if len(m.Order) == 0 {
 			return fmt.Errorf("%s holds no campaign records", *from)
 		}
@@ -147,6 +146,22 @@ func fetchSubmission(ctx context.Context, join, db string, req dist.SubmitReques
 		fmt.Fprintf(os.Stderr, "saved %d campaign records to %s\n", len(recs), db)
 	}
 	return slices.Collect(maps.Values(recs)), nil
+}
+
+// readDB loads the recorded database at path for a command that only
+// reads it: a missing path creates no file, and a last row without its
+// newline stays as it is.
+func readDB(path string) (map[string]*campaign.Result, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	recs, err := campaign.ReadDB(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return recs, nil
 }
 
 // writeArtefact prints the artefact format renders from m or, with format

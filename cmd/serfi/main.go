@@ -460,7 +460,6 @@ func cmdServe(args []string) error {
 		journal *dist.Journal // -data only: one flag-described submission needs no journal
 		st      interface {
 			campaign.Store
-			Sync() error
 			Close() error
 		}
 		jobs []campaign.ScenarioJob
@@ -509,7 +508,7 @@ func cmdServe(args []string) error {
 		if jobs, err = mf.jobs(nil); err != nil {
 			return err
 		}
-		file, err := campaign.OpenMatrixStore(*db, *mf.resume, jobs, *mf.n, campaign.Fsync())
+		file, err := campaign.OpenMatrixStore(*db, *mf.resume, jobs, *mf.n)
 		if err != nil {
 			return err
 		}
@@ -534,15 +533,13 @@ func cmdServe(args []string) error {
 		return err
 	}
 	// Durability before any hint that the state is resumable: seal the
-	// journal, fsync whatever the final shards appended, close the store —
-	// a crash after the hint can no longer lose acknowledged campaigns.
+	// journal and close the store, which syncs what the final shards
+	// appended — a crash after the hint can no longer lose acknowledged
+	// campaigns.
 	if journal != nil {
 		if err := journal.Close(); err != nil {
 			return err
 		}
-	}
-	if err := st.Sync(); err != nil {
-		return err
 	}
 	if err := st.Close(); err != nil {
 		return err

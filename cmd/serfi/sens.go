@@ -13,13 +13,14 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"serfi/internal/campaign"
-	"serfi/internal/fault"
 	"serfi/internal/npb"
 	"serfi/internal/obs"
 	"serfi/internal/sens"
@@ -34,26 +35,20 @@ func cmdSens(args []string) error {
 	metricsOut := fs.String("metrics", "", "also dump the Prometheus exposition here")
 	fs.Parse(args)
 
-	// A report reads; it must not leave an empty database behind a typo.
-	if _, err := os.Stat(*db); err != nil {
-		return err
-	}
-	st, err := campaign.OpenFileStore(*db)
+	recs, err := readDB(*db)
 	if err != nil {
 		return err
 	}
-	defer st.Close()
-	// Query answers in key order, which sorts the domain axis within each
-	// scenario: deterministic input order for the analysis.
+	// Key order sorts the domain axis within each scenario: deterministic
+	// input order for the analysis.
 	byScenario := make(map[npb.Scenario][]*campaign.Result)
-	for _, r := range st.Query(campaign.Query{
-		HasRuns: true,
-		Match:   func(sc npb.Scenario, _ fault.Model) bool { return strings.Contains(sc.ID(), *only) },
-	}) {
-		byScenario[r.Scenario] = append(byScenario[r.Scenario], r)
+	for _, key := range slices.Sorted(maps.Keys(recs)) {
+		if r := recs[key]; len(r.Runs) > 0 && strings.Contains(r.Scenario.ID(), *only) {
+			byScenario[r.Scenario] = append(byScenario[r.Scenario], r)
+		}
 	}
 	if len(byScenario) == 0 {
-		return fmt.Errorf("no recorded campaigns in %s (only legacy rows without per-fault records; rerun the campaign)", *db)
+		return fmt.Errorf("no recorded campaigns in %s", *db)
 	}
 
 	scs := make([]npb.Scenario, 0, len(byScenario))

@@ -11,8 +11,10 @@
 // promptly at job granularity and returns partial results plus ctx.Err().
 // Progress is a typed event stream (events.go) that a Collector folds into
 // live progress lines and summaries. Completed campaigns land in a
-// Store (store.go) — a queryable results database whose pre-loaded keys
-// double as the resume set; the JSONL file is the first backend. Under all
+// Store (store.go) — a queryable results database of "v":4 JSONL rows,
+// durable on disk, whose pre-loaded keys double as the resume set: one
+// FileStore file per matrix, or a SegmentedStore directory per service
+// (segstore.go). Under all
 // three sits group.go: the scenario Group, its shard executor and the Fold
 // that turns shards into a Result — shared verbatim with the distributed
 // fabric (internal/dist).
@@ -47,11 +49,9 @@ type Result struct {
 	Runs     []fi.Result
 	// Traces are per-run propagation records when the campaign ran with
 	// propagation tracing: Traces[i] belongs to Runs[i], nil for masked or
-	// untraced runs. Nil entirely when tracing was off. Results reloaded
-	// from a legacy v1/v2/v3 database carry neither Runs nor Traces (only
-	// the Prop fold is stored); v4 rows reload Runs exactly and Traces as
-	// minimal escape/latency records (Escape + ArchInstr, every other
-	// latency axis -1).
+	// untraced runs. Nil entirely when tracing was off. Reloaded rows
+	// carry Runs exactly and Traces as minimal escape/latency records
+	// (Escape + ArchInstr, every other latency axis -1).
 	Traces []*prop.Trace
 	// Prop is the campaign-level fold of Traces (escape-class histogram and
 	// latency samples); nil when no run was traced.
@@ -82,8 +82,10 @@ type Result struct {
 }
 
 // Key is the database identity of one (scenario, fault domain) campaign.
-// Register-domain keys are the bare scenario ID so that databases written
-// before the domain axis existed keep matching their scenarios.
+// Register-domain keys are the bare scenario ID and the others append
+// "#domain": keys are persisted in segment footers, and they order every
+// listing and every fetched database, so their spelling is part of the
+// format.
 func Key(sc npb.Scenario, d fault.Model) string {
 	if d == fault.Reg {
 		return sc.ID()
@@ -141,34 +143,26 @@ type GoldenSummary struct {
 	Cycles   uint64
 }
 
-// Database row versions. Rows written before the fault-domain axis carry
-// no "v" field and parse as the implicit version 1: a register-domain
-// campaign. v2 added the domain column, v3 a propagation-trace fold, v4 the
-// per-fault rows every campaign writes. Legacy v1–v3 rows are still
-// read; v2/v3 rows rewrite as they were read, v1 rows as their v2 form.
-const (
-	recordVersion     = 2
-	recordVersionProp = 3
-	recordVersionRuns = 4
-)
+// recordVersion is the one database row version: "v":4, the per-fault
+// rows every campaign writes. Rows of older builds (unversioned, v2, v3)
+// are refused with the advice to rerun their campaign.
+const recordVersion = 4
 
-// version returns the database row version this result is written as: v4
-// when it carries runs (every fresh campaign, every reloaded v4 row), else
-// the legacy v3 when a propagation fold is attached, else v2.
-func (r *Result) version() int {
-	switch {
-	case r.Runs != nil:
-		return recordVersionRuns
-	case r.Prop != nil:
-		return recordVersionProp
-	default:
-		return recordVersion
+// checkVersion refuses a row of any version but recordVersion.
+func checkVersion(v int) error {
+	if v == recordVersion {
+		return nil
 	}
+	what := fmt.Sprintf("row version %d", v)
+	if v == 0 {
+		what = "unversioned row"
+	}
+	return fmt.Errorf("%s: this build reads only v%d rows (rerun the campaign into a fresh database)", what, recordVersion)
 }
 
 // record is the JSON row stored in the database file.
 type record struct {
-	Version  int                `json:"v,omitempty"` // 0 = legacy register row
+	Version  int                `json:"v"`
 	Scenario string             `json:"scenario"`
 	Domain   string             `json:"domain,omitempty"`
 	Faults   int                `json:"faults"`
@@ -177,11 +171,11 @@ type record struct {
 	Golden   GoldenSummary      `json:"golden"`
 	Features map[string]float64 `json:"features"`
 	APICalls uint64             `json:"api_calls"`
-	Prop     *prop.Summary      `json:"prop,omitempty"` // v3+ rows, traced campaigns only
-	Runs     []runRow           `json:"runs,omitempty"` // v4 rows only
+	Prop     *prop.Summary      `json:"prop,omitempty"` // traced campaigns only
+	Runs     []runRow           `json:"runs,omitempty"`
 }
 
-// runRow is one compact per-fault row of a v4 record: the fault.Point
+// runRow is one compact per-fault row of a record: the fault.Point
 // tuple, the outcome code, and the escape class + first-divergence latency
 // when the run was traced. The point's Domain is omitted — it always
 // equals the record's domain column (fault.Domain.Sample stamps it) — and
@@ -202,7 +196,7 @@ type runRow struct {
 // recordOf flattens a scenario result into its database row.
 func recordOf(r *Result) record {
 	rec := record{
-		Version:  r.version(),
+		Version:  recordVersion,
 		Prop:     r.Prop,
 		Scenario: r.Scenario.ID(),
 		Domain:   r.Domain.String(),
@@ -219,24 +213,22 @@ func recordOf(r *Result) record {
 		Features: r.Features.Map(),
 		APICalls: r.APICalls,
 	}
-	if r.Runs != nil {
-		rec.Runs = make([]runRow, len(r.Runs))
-		for i, run := range r.Runs {
-			p := run.Fault
-			row := runRow{I: p.Index, C: p.Core, R: p.Reg, A: p.Addr,
-				B: p.Bit, W: p.Width, L: p.Level, O: int(run.Outcome)}
-			if i < len(r.Traces) && r.Traces[i] != nil {
-				row.E = r.Traces[i].Escape.String()
-				ei := r.Traces[i].ArchInstr
-				row.EI = &ei
-			}
-			rec.Runs[i] = row
+	rec.Runs = make([]runRow, len(r.Runs))
+	for i, run := range r.Runs {
+		p := run.Fault
+		row := runRow{I: p.Index, C: p.Core, R: p.Reg, A: p.Addr,
+			B: p.Bit, W: p.Width, L: p.Level, O: int(run.Outcome)}
+		if i < len(r.Traces) && r.Traces[i] != nil {
+			row.E = r.Traces[i].Escape.String()
+			ei := r.Traces[i].ArchInstr
+			row.EI = &ei
 		}
+		rec.Runs[i] = row
 	}
 	return rec
 }
 
-// restoreRuns inflates a v4 record's compact rows back into fi.Result
+// restoreRuns inflates a record's compact rows back into fi.Result
 // records, plus minimal prop.Trace records (escape class and
 // arch-divergence latency; every unstored latency axis -1) for the rows
 // that were traced. Only the persisted columns are recovered — host-side
@@ -295,16 +287,13 @@ func WriteDB(w io.Writer, results []*Result) error {
 }
 
 // ReadDB parses a JSONL database back into per-campaign results, keyed by
-// Key (scenario ID, domain-qualified for non-register domains). Legacy rows
-// without a version field are accepted as register-domain campaigns;
-// unknown record versions and duplicate keys are rejected with a clear
-// error rather than silently last-write-wins. Counts, golden summary and
-// features round-trip on every version. Legacy v1–v3 rows store no
-// per-run records, so Runs is nil on their reloaded results; v4 rows reload
-// Runs exactly — fault tuple and outcome per run — plus minimal Traces
-// (escape class and arch-divergence latency) for runs that were traced.
-// Re-writing a reloaded v2, v3 or v4 result reproduces its row byte for
-// byte.
+// Key (scenario ID, domain-qualified for non-register domains). A row of
+// any version but v4 and a duplicate key are refused with the line number
+// rather than skipped or silently last-write-wins. Counts, golden summary,
+// features and the propagation fold round-trip, Runs reloads exactly —
+// fault tuple and outcome per run — plus minimal Traces (escape class and
+// arch-divergence latency) for runs that were traced, so re-writing a
+// reloaded result reproduces its row byte for byte.
 func ReadDB(r io.Reader) (map[string]*Result, error) {
 	out, _, _, err := readDB(r)
 	return out, err
@@ -349,24 +338,16 @@ func decodeRecordLine(b []byte) (*Result, error) {
 	if err := json.Unmarshal(b, &rec); err != nil {
 		return nil, err
 	}
+	if err := checkVersion(rec.Version); err != nil {
+		return nil, err
+	}
 	scen, err := npb.ParseID(rec.Scenario)
 	if err != nil {
 		return nil, err
 	}
-	var domain fault.Model
-	switch rec.Version {
-	case 0:
-		// Legacy pre-domain row: implicitly a register campaign.
-		if rec.Domain != "" {
-			return nil, fmt.Errorf("unversioned row carries domain %q (corrupt or hand-edited)", rec.Domain)
-		}
-	case recordVersion, recordVersionProp, recordVersionRuns:
-		if domain, err = fault.ParseModel(rec.Domain); err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("unknown record version %d (this build reads legacy rows, v%d, v%d and v%d)",
-			rec.Version, recordVersion, recordVersionProp, recordVersionRuns)
+	domain, err := fault.ParseModel(rec.Domain)
+	if err != nil {
+		return nil, err
 	}
 	res := &Result{
 		Scenario: scen,
@@ -378,10 +359,8 @@ func decodeRecordLine(b []byte) (*Result, error) {
 		APICalls: rec.APICalls,
 		Prop:     rec.Prop,
 	}
-	if rec.Version == recordVersionRuns {
-		if err := restoreRuns(res, rec.Runs, domain); err != nil {
-			return nil, err
-		}
+	if err := restoreRuns(res, rec.Runs, domain); err != nil {
+		return nil, err
 	}
 	res.Counts[fi.Vanished] = rec.Counts["vanished"]
 	res.Counts[fi.ONA] = rec.Counts["ona"]

@@ -12,11 +12,22 @@ import (
 	"serfi/internal/npb"
 )
 
-// runOne executes one campaign through an Engine over a fresh MemStore and
+// tempStore opens a FileStore on a fresh temp file, closed with the test.
+func tempStore(t testing.TB) *campaign.FileStore {
+	t.Helper()
+	st, err := campaign.OpenFileStore(t.TempDir() + "/db.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// runOne executes one campaign through an Engine over a fresh FileStore and
 // returns its result, checking the store holds the same record.
 func runOne(t testing.TB, job campaign.ScenarioJob, faults int, opts ...campaign.Option) *campaign.Result {
 	t.Helper()
-	st := campaign.NewMemStore()
+	st := tempStore(t)
 	opts = append([]campaign.Option{campaign.Faults(faults), campaign.WithStore(st)}, opts...)
 	results, err := campaign.New(opts...).RunMatrix(context.Background(), []campaign.ScenarioJob{job})
 	if err != nil {

@@ -227,7 +227,7 @@ func TestFailedAppendLeavesNoBytesAndNoStaleOffset(t *testing.T) {
 	t.Run("FileStore", func(t *testing.T) {
 		last := underFaultyFiles(t)
 		path := filepath.Join(t.TempDir(), "db.jsonl")
-		st, err := campaign.OpenFileStore(path, campaign.Fsync())
+		st, err := campaign.OpenFileStore(path)
 		must(t, "open", err)
 		must(t, "Put a", st.Put(a))
 		last().short = 9

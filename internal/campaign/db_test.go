@@ -15,50 +15,69 @@ import (
 	"serfi/internal/prop"
 )
 
-// legacyRow is a pre-domain database line (no "v", no "domain") as PR 1
-// wrote them; it must load as a register-domain campaign keyed by the bare
-// scenario ID.
-const legacyRow = `{"scenario":"armv8/IS/SER-1","faults":4,"seed":7,` +
-	`"counts":{"vanished":2,"ona":1,"omm":0,"ut":1,"hang":0},` +
+// storedRow is one database line as every campaign writes it: a v4 row of
+// the armv8/IS/SER-1 register campaign with its per-fault records.
+const storedRow = `{"v":4,"scenario":"armv8/IS/SER-1","domain":"reg","faults":4,"seed":7,` +
+	`"counts":{"hang":0,"omm":0,"ona":1,"ut":1,"vanished":2},` +
 	`"golden":{"AppStart":10,"AppEnd":20,"Retired":30,"Cycles":40},` +
-	`"features":{"branch_pct":12.5},"api_calls":3}`
+	`"features":{"branch_pct":12.5},"api_calls":3,` +
+	`"runs":[{"i":11,"r":3,"o":0},{"i":12,"r":4,"b":9,"o":0},{"i":13,"o":1},{"i":14,"r":1,"o":3}]}`
 
-func TestReadDBLegacyRowsLoadAsReg(t *testing.T) {
-	got, err := campaign.ReadDB(strings.NewReader(legacyRow + "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := got["armv8/IS/SER-1"]
-	if r == nil {
-		t.Fatalf("legacy row not keyed by bare scenario ID: %v", got)
-	}
-	if r.Domain != fault.Reg {
-		t.Errorf("legacy row domain = %v, want reg", r.Domain)
-	}
-	if r.Counts[fi.Vanished] != 2 || r.Counts[fi.UT] != 1 || r.Seed != 7 {
-		t.Errorf("legacy row did not round-trip: %+v", r)
+// TestReadDBRefusesLegacyRows: a row an older build wrote — unversioned, v2
+// or v3 — and a row of an unknown version are refused by ReadDB and by
+// OpenFileStore, naming the line and saying to rerun the campaign.
+func TestReadDBRefusesLegacyRows(t *testing.T) {
+	other := strings.Replace(storedRow, "armv8/IS/SER-1", "armv8/MG/SER-1", 1)
+	for name, row := range map[string]string{
+		"unversioned": strings.Replace(storedRow, `"v":4,`, ``, 1),
+		"v2":          strings.Replace(storedRow, `"v":4,`, `"v":2,`, 1),
+		"v3":          strings.Replace(storedRow, `"v":4,`, `"v":3,`, 1),
+		"v9":          strings.Replace(storedRow, `"v":4,`, `"v":9,`, 1),
+	} {
+		db := other + "\n" + row + "\n"
+		check := func(how string, err error) {
+			t.Helper()
+			if err == nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "rerun the campaign") {
+				t.Errorf("%s: %s of a %s row: err = %v, want line 2 refused with the advice to rerun", name, how, name, err)
+			}
+		}
+		_, err := campaign.ReadDB(strings.NewReader(db))
+		check("ReadDB", err)
+		path := t.TempDir() + "/db.jsonl"
+		if err := os.WriteFile(path, []byte(db), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := campaign.OpenFileStore(path)
+		if err == nil {
+			st.Close()
+		}
+		check("OpenFileStore", err)
 	}
 }
 
 func TestReadDBRejectsDuplicates(t *testing.T) {
-	db := legacyRow + "\n" + legacyRow + "\n"
+	db := storedRow + "\n" + storedRow + "\n"
 	if _, err := campaign.ReadDB(strings.NewReader(db)); err == nil ||
 		!strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate rows accepted: %v", err)
 	}
 	// Same scenario under different domains is NOT a duplicate.
-	mem := strings.Replace(legacyRow, `{"scenario"`, `{"v":2,"domain":"mem","scenario"`, 1)
-	got, err := campaign.ReadDB(strings.NewReader(legacyRow + "\n" + mem + "\n"))
+	mem := strings.Replace(storedRow, `"domain":"reg"`, `"domain":"mem"`, 1)
+	got, err := campaign.ReadDB(strings.NewReader(storedRow + "\n" + mem + "\n"))
 	if err != nil {
 		t.Fatalf("distinct domains rejected: %v", err)
 	}
 	if len(got) != 2 || got["armv8/IS/SER-1#mem"] == nil {
 		t.Errorf("domain-qualified key missing: %v", got)
 	}
+	if r := got["armv8/IS/SER-1"]; r == nil || r.Domain != fault.Reg || len(r.Runs) != 4 ||
+		r.Counts[fi.Vanished] != 2 || r.Counts[fi.UT] != 1 || r.Seed != 7 {
+		t.Errorf("register row did not load under the bare scenario ID: %+v", r)
+	}
 }
 
 func TestReadDBRejectsUnknownVersion(t *testing.T) {
-	row := strings.Replace(legacyRow, `{"scenario"`, `{"v":9,"scenario"`, 1)
+	row := strings.Replace(storedRow, `"v":4,`, `"v":9,`, 1)
 	if _, err := campaign.ReadDB(strings.NewReader(row + "\n")); err == nil ||
 		!strings.Contains(err.Error(), "version") {
 		t.Errorf("unknown record version accepted: %v", err)
@@ -66,14 +85,15 @@ func TestReadDBRejectsUnknownVersion(t *testing.T) {
 }
 
 func TestReadDBRejectsUnversionedDomainRow(t *testing.T) {
-	row := strings.Replace(legacyRow, `{"scenario"`, `{"domain":"mem","scenario"`, 1)
+	row := strings.Replace(storedRow, `"v":4,`, ``, 1)
+	row = strings.Replace(row, `"domain":"reg"`, `"domain":"mem"`, 1)
 	if _, err := campaign.ReadDB(strings.NewReader(row + "\n")); err == nil {
 		t.Error("unversioned row with a domain field accepted")
 	}
 }
 
 func TestReadDBRejectsBadDomain(t *testing.T) {
-	row := strings.Replace(legacyRow, `{"scenario"`, `{"v":2,"domain":"cosmic","scenario"`, 1)
+	row := strings.Replace(storedRow, `"domain":"reg"`, `"domain":"cosmic"`, 1)
 	if _, err := campaign.ReadDB(strings.NewReader(row + "\n")); err == nil ||
 		!strings.Contains(err.Error(), "cosmic") {
 		t.Errorf("unknown domain accepted: %v", err)
@@ -94,7 +114,7 @@ func TestDomainDBRoundTrip(t *testing.T) {
 	if err := campaign.WriteDB(&buf, []*campaign.Result{r}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `"v":2`) || !strings.Contains(buf.String(), `"domain":"imem"`) {
+	if !strings.Contains(buf.String(), `"v":4`) || !strings.Contains(buf.String(), `"domain":"imem"`) {
 		t.Fatalf("record not versioned: %s", buf.String())
 	}
 	got, err := campaign.ReadDB(&buf)
@@ -110,7 +130,7 @@ func TestDomainDBRoundTrip(t *testing.T) {
 	}
 }
 
-// storeImpls builds one empty instance of every Store implementation.
+// storeImpls builds one empty instance of every Store backend.
 func storeImpls(t *testing.T) map[string]campaign.Store {
 	t.Helper()
 	fs, err := campaign.OpenFileStore(t.TempDir() + "/db.jsonl")
@@ -123,11 +143,7 @@ func storeImpls(t *testing.T) map[string]campaign.Store {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ss.Close() })
-	return map[string]campaign.Store{
-		"mem":  campaign.NewMemStore(),
-		"file": fs,
-		"seg":  ss,
-	}
+	return map[string]campaign.Store{"file": fs, "seg": ss}
 }
 
 func storeResult(app string, d fault.Model, faults int) *campaign.Result {
@@ -197,7 +213,11 @@ func TestStoreQueryEmptyPredicateSet(t *testing.T) {
 // TestStoreQueryPredicates exercises the per-axis constraints and the
 // arbitrary Match predicate, which carries every other identity axis.
 func TestStoreQueryPredicates(t *testing.T) {
-	st := campaign.NewMemStore()
+	st, err := campaign.OpenFileStore(t.TempDir() + "/db.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
 	put := func(app, isaName string, mode npb.Mode, cores int, d fault.Model) {
 		r := &campaign.Result{
 			Scenario: npb.Scenario{App: app, Mode: mode, ISA: isaName, Cores: cores},
@@ -242,9 +262,9 @@ func TestStoreQueryPredicates(t *testing.T) {
 // write, disk-full interruption) must fail loudly at open, not load as a
 // shorter database.
 func TestFileStoreRejectsTruncatedLine(t *testing.T) {
-	full := legacyRow + "\n"
+	full := storedRow + "\n"
 	// Cut inside the second record's JSON.
-	second := strings.Replace(legacyRow, "armv8/IS/SER-1", "armv8/MG/SER-1", 1)
+	second := strings.Replace(storedRow, "armv8/IS/SER-1", "armv8/MG/SER-1", 1)
 	torn := full + second[:len(second)/2]
 	path := t.TempDir() + "/torn.jsonl"
 	if err := os.WriteFile(path, []byte(torn), 0o644); err != nil {
@@ -274,13 +294,12 @@ func TestParseKey(t *testing.T) {
 	}
 }
 
-// TestFileStoreFsyncDurability: a store opened with Fsync appends and
-// flushes each record at Put — reopening the path (the crash-recovery
-// read) sees every acknowledged campaign, and rejects duplicates exactly
-// like the unsynced store.
+// TestFileStoreFsyncDurability: every FileStore appends and flushes each
+// record at Put — reopening the path (the crash-recovery read) sees every
+// acknowledged campaign, and duplicates are still rejected.
 func TestFileStoreFsyncDurability(t *testing.T) {
 	path := t.TempDir() + "/sync.jsonl"
-	st, err := campaign.OpenFileStore(path, campaign.Fsync())
+	st, err := campaign.OpenFileStore(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,11 +437,11 @@ func TestReadDBLargeRunsRow(t *testing.T) {
 // identity) and behaves identically on every backend.
 func TestStoreQueryContentPredicates(t *testing.T) {
 	for name, st := range storeImpls(t) {
-		v2 := storeResult("IS", fault.Reg, 2)
-		v3 := storeResult("MG", fault.Reg, 2)
-		v3.Prop = &prop.Summary{Traced: 1, Escapes: map[string]int{"mem": 1}}
-		v4 := recordedResult("IS", fault.Mem)
-		for _, r := range []*campaign.Result{v2, v3, v4} {
+		bare := storeResult("IS", fault.Reg, 2)
+		traced := storeResult("MG", fault.Reg, 2)
+		traced.Prop = &prop.Summary{Traced: 1, Escapes: map[string]int{"mem": 1}}
+		recorded := recordedResult("IS", fault.Mem)
+		for _, r := range []*campaign.Result{bare, traced, recorded} {
 			if err := st.Put(r); err != nil {
 				t.Fatalf("%s: Put: %v", name, err)
 			}
@@ -442,7 +461,7 @@ func TestStoreQueryContentPredicates(t *testing.T) {
 // outcomes exactly, its traced rows keep the escape class and
 // arch-divergence latency (every other latency axis resets to -1), and
 // re-writing the reloaded result reproduces the database byte for byte. A
-// result reloaded without runs rewrites its legacy row: v2, no runs.
+// result without runs writes a v4 row without a runs key.
 func TestRecordRunsDBRoundTrip(t *testing.T) {
 	v4 := recordedResult("IS", fault.Reg)
 	v2 := storeResult("EP", fault.Reg, 2)
@@ -457,8 +476,8 @@ func TestRecordRunsDBRoundTrip(t *testing.T) {
 	if !strings.Contains(lines[0], `"v":4`) || !strings.Contains(lines[0], `"runs":[`) {
 		t.Errorf("v4 row lacks version/runs: %s", lines[0])
 	}
-	if !strings.Contains(lines[1], `"v":2`) || strings.Contains(lines[1], "runs") {
-		t.Errorf("result without runs did not write its legacy v2 row: %s", lines[1])
+	if !strings.Contains(lines[1], `"v":4`) || strings.Contains(lines[1], "runs") {
+		t.Errorf("result without runs did not write a v4 row without runs: %s", lines[1])
 	}
 
 	got, err := campaign.ReadDB(bytes.NewReader(buf.Bytes()))
@@ -495,6 +514,6 @@ func TestRecordRunsDBRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
-		t.Error("write-read-rewrite is not byte-stable for v4 and legacy rows")
+		t.Error("write-read-rewrite is not byte-stable for rows with and without runs")
 	}
 }

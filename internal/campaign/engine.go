@@ -181,13 +181,14 @@ type scenarioState struct {
 // in the store, and RunMatrix returns the partial results plus ctx.Err().
 // On a non-cancellation failure the first error (in job order) is
 // reported; unaffected scenarios still complete and are returned. A matrix
-// naming one campaign key twice is refused before anything runs.
+// ValidateJobs refuses (a negative fault count, one campaign key named
+// twice) is refused before anything runs.
 func (e *Engine) RunMatrix(ctx context.Context, jobs []ScenarioJob) ([]*Result, error) {
 	t0 := time.Now()
 	em := newEngineMetrics(e.metrics)
 	n := len(jobs)
 	results := make([]*Result, n)
-	if err := ValidateJobs(jobs); err != nil {
+	if err := ValidateJobs(jobs, e.faults); err != nil {
 		e.emit(MatrixDone{Failed: n, Err: err})
 		return results, err
 	}

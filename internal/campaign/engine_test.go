@@ -128,7 +128,7 @@ func TestEngineCancelThenResumeBitIdentical(t *testing.T) {
 	// Interrupted: cancel as soon as the first campaign lands.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	st := campaign.NewMemStore()
+	st := tempStore(t)
 	events := make(chan campaign.Event, 64)
 	consumed := make(chan struct{})
 	go func() {
@@ -363,7 +363,7 @@ func TestResumedProgressCountsOnlyFreshCampaigns(t *testing.T) {
 		{Scenario: npb.Scenario{App: "EP", Mode: npb.Serial, ISA: "armv8", Cores: 1}, Seed: 5},
 		{Scenario: npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}, Seed: 6},
 	}
-	st := campaign.NewMemStore()
+	st := tempStore(t)
 	if err := st.Put(&campaign.Result{Scenario: jobs[0].Scenario, Seed: jobs[0].Seed, Faults: 2}); err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestResumeComputeNotDoubleCounted(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	st := campaign.NewMemStore()
+	st := tempStore(t)
 	events := make(chan campaign.Event, 64)
 	consumed := make(chan struct{})
 	go func() {

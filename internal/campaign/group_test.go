@@ -1,7 +1,9 @@
 package campaign_test
 
 import (
+	"bytes"
 	"context"
+	"os"
 	"reflect"
 	"testing"
 
@@ -139,7 +141,7 @@ func TestEngineRejectsDuplicateKeys(t *testing.T) {
 	jobs := []campaign.ScenarioJob{{Scenario: sc, Seed: 1}, {Scenario: sc, Domain: fault.Mem, Seed: 1}, {Scenario: sc, Seed: 2}}
 	events := make(chan campaign.Event, 4)
 	results, err := campaign.New(campaign.Faults(2), campaign.WithEvents(events)).RunMatrix(context.Background(), jobs)
-	if err == nil || err.Error() != campaign.ValidateJobs(jobs).Error() {
+	if err == nil || err.Error() != campaign.ValidateJobs(jobs, 2).Error() {
 		t.Fatalf("err = %v, want the ValidateJobs refusal", err)
 	}
 	if len(results) != len(jobs) || results[0] != nil || results[1] != nil || results[2] != nil {
@@ -152,5 +154,50 @@ func TestEngineRejectsDuplicateKeys(t *testing.T) {
 	}
 	if md, ok := got[len(got)-1].(campaign.MatrixDone); len(got) != 1 || !ok || md.Failed != len(jobs) || md.Err == nil {
 		t.Errorf("events = %+v, want one failed MatrixDone", got)
+	}
+}
+
+// TestNegativeFaultCountIsRefusedUpFront: a negative fault count is refused
+// by the one check the engine and OpenMatrixStore share. It used to reach
+// NewFold and panic, after OpenMatrixStore had already emptied the
+// database.
+func TestNegativeFaultCountIsRefusedUpFront(t *testing.T) {
+	jobs := []campaign.ScenarioJob{{Scenario: npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}, Seed: 1}}
+	want := campaign.ValidateJobs(jobs, -1)
+	if want == nil {
+		t.Fatal("ValidateJobs accepted a negative fault count")
+	}
+	events := make(chan campaign.Event, 4)
+	results, err := campaign.New(campaign.Faults(-1), campaign.WithEvents(events)).RunMatrix(context.Background(), jobs)
+	if err == nil || err.Error() != want.Error() || len(results) != 1 || results[0] != nil {
+		t.Fatalf("RunMatrix = %v, %v; want the ValidateJobs refusal and no result", results, err)
+	}
+	close(events)
+	var got []campaign.Event
+	for ev := range events {
+		got = append(got, ev)
+	}
+	if md, ok := got[len(got)-1].(campaign.MatrixDone); len(got) != 1 || !ok || md.Err == nil {
+		t.Errorf("events = %+v, want one failed MatrixDone", got)
+	}
+
+	path := t.TempDir() + "/keep.jsonl"
+	var buf bytes.Buffer
+	if err := campaign.WriteDB(&buf, []*campaign.Result{{Scenario: jobs[0].Scenario, Seed: 1, Faults: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, resume := range []bool{false, true} {
+		if st, err := campaign.OpenMatrixStore(path, resume, jobs, -1); err == nil || err.Error() != want.Error() {
+			if st != nil {
+				st.Close()
+			}
+			t.Errorf("OpenMatrixStore(resume=%v) = %v, want the ValidateJobs refusal", resume, err)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, buf.Bytes()) {
+			t.Errorf("OpenMatrixStore(resume=%v) left %q, want the file untouched", resume, got)
+		}
 	}
 }

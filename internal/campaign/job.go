@@ -26,11 +26,15 @@ type ScenarioJob struct {
 // Key returns the job's database identity.
 func (j ScenarioJob) Key() string { return Key(j.Scenario, j.Domain) }
 
-// ValidateJobs checks that no campaign key appears twice in one matrix. A
-// key is a store identity: the second copy could only fail at Put after
-// burning a full campaign of simulation, so the engine and the
-// distributed coordinator both refuse the matrix up front.
-func ValidateJobs(jobs []ScenarioJob) error {
+// ValidateJobs checks a matrix before anything runs or any file changes:
+// the fault count must not be negative, and no campaign key may appear
+// twice. A key is a store identity: the second copy could only fail at Put
+// after burning a full campaign of simulation. The engine, the distributed
+// coordinator and OpenMatrixStore all refuse through this one check.
+func ValidateJobs(jobs []ScenarioJob, faults int) error {
+	if faults < 0 {
+		return fmt.Errorf("negative fault count %d", faults)
+	}
 	seen := make(map[string]bool, len(jobs))
 	for _, job := range jobs {
 		key := job.Key()

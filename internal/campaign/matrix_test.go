@@ -30,7 +30,7 @@ func TestMatrixDeterministicAcrossModes(t *testing.T) {
 			campaign.Workers(workers),
 			campaign.JobSize(jobSize),
 			campaign.Snapshots(snapshots),
-			campaign.WithStore(campaign.NewMemStore()),
+			campaign.WithStore(tempStore(t)),
 		).RunMatrix(context.Background(), matrixJobs())
 		if err != nil {
 			t.Fatal(err)
@@ -134,7 +134,7 @@ func TestMatrixReportsScenarioError(t *testing.T) {
 		{Scenario: npb.Scenario{App: "NOPE", Mode: npb.Serial, ISA: "armv8", Cores: 1}, Seed: 1},
 		{Scenario: npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}, Seed: 2},
 	}
-	res, err := campaign.New(campaign.Faults(2), campaign.WithStore(campaign.NewMemStore())).
+	res, err := campaign.New(campaign.Faults(2), campaign.WithStore(tempStore(t))).
 		RunMatrix(context.Background(), jobs)
 	if err == nil || !strings.Contains(err.Error(), "NOPE") {
 		t.Fatalf("err = %v, want unknown-app failure", err)

@@ -140,8 +140,8 @@ type SegStoreOption func(*SegmentedStore)
 func SegmentBytes(n int64) SegStoreOption { return func(s *SegmentedStore) { s.segMax = n } }
 
 // SegmentSync makes every Put and Delete fsync the active segment before
-// returning — the segmented analogue of the FileStore's Fsync option, with
-// the same durability contract: an acknowledged row survives a host crash.
+// returning — the durability every FileStore has: an acknowledged row
+// survives a host crash.
 func SegmentSync() SegStoreOption { return func(s *SegmentedStore) { s.fsync = true } }
 
 // CompactAfter enables background compaction: whenever a tenant partition
@@ -472,15 +472,14 @@ func scanSegment(path string) (live map[string]int64, dead map[string]bool, rows
 
 // rowKey derives the canonical campaign key from a probed record line
 // without decoding the full row: scenario ID plus the domain qualifier,
-// exactly as Key builds it.
+// exactly as Key builds it. A row of another version than v4 is refused.
 func rowKey(probe segProbe) (string, error) {
+	if err := checkVersion(probe.Version); err != nil {
+		return "", err
+	}
 	sc, err := npb.ParseID(probe.Scenario)
 	if err != nil {
 		return "", err
-	}
-	if probe.Domain == "" {
-		// Legacy unversioned rows are implicitly register-domain.
-		return Key(sc, fault.Reg), nil
 	}
 	d, err := fault.ParseModel(probe.Domain)
 	if err != nil {

@@ -1,6 +1,7 @@
 package campaign_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -227,37 +228,31 @@ func TestSegmentedStoreSyncDurability(t *testing.T) {
 }
 
 // TestTenantScopingIsolatesNamespaces: the same campaign key lives
-// independently in each tenant namespace, on both TenantStore backends,
-// and tenant partitions survive a segmented-store reopen.
+// independently in each tenant namespace, and tenant partitions survive a
+// reopen.
 func TestTenantScopingIsolatesNamespaces(t *testing.T) {
 	seg, dir := openSeg(t)
-	backends := map[string]campaign.TenantStore{
-		"mem": campaign.NewMemStore(),
-		"seg": seg,
+	a, b := seg.Tenant("alice"), seg.Tenant("bob")
+	if err := a.Put(segResult("IS", fault.Reg, 1)); err != nil {
+		t.Fatalf("alice Put: %v", err)
 	}
-	for name, ts := range backends {
-		a, b := ts.Tenant("alice"), ts.Tenant("bob")
-		if err := a.Put(segResult("IS", fault.Reg, 1)); err != nil {
-			t.Fatalf("%s: alice Put: %v", name, err)
-		}
-		if err := b.Put(segResult("IS", fault.Reg, 9)); err != nil {
-			t.Fatalf("%s: bob Put of same key: %v", name, err)
-		}
-		ra, _ := a.Get("armv8/IS/SER-1")
-		rb, _ := b.Get("armv8/IS/SER-1")
-		if ra == nil || rb == nil || ra.Faults != 1 || rb.Faults != 9 {
-			t.Fatalf("%s: tenant rows crossed: alice=%+v bob=%+v", name, ra, rb)
-		}
-		if n := len(ts.Keys()); n != 0 {
-			t.Errorf("%s: default namespace sees %d tenant keys", name, n)
-		}
-		// Tenant("") is the store itself.
-		if err := ts.Tenant("").Put(segResult("MG", fault.Reg, 1)); err != nil {
-			t.Fatal(err)
-		}
-		if n := len(ts.Keys()); n != 1 {
-			t.Errorf("%s: default namespace holds %d keys, want 1", name, n)
-		}
+	if err := b.Put(segResult("IS", fault.Reg, 9)); err != nil {
+		t.Fatalf("bob Put of same key: %v", err)
+	}
+	ra, _ := a.Get("armv8/IS/SER-1")
+	rb, _ := b.Get("armv8/IS/SER-1")
+	if ra == nil || rb == nil || ra.Faults != 1 || rb.Faults != 9 {
+		t.Fatalf("tenant rows crossed: alice=%+v bob=%+v", ra, rb)
+	}
+	if n := len(seg.Keys()); n != 0 {
+		t.Errorf("default namespace sees %d tenant keys", n)
+	}
+	// Tenant("") is the store itself.
+	if err := seg.Tenant("").Put(segResult("MG", fault.Reg, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(seg.Keys()); n != 1 {
+		t.Errorf("default namespace holds %d keys, want 1", n)
 	}
 
 	// Segmented partitions are directories and survive reopen.
@@ -292,6 +287,31 @@ func TestTenantScopingIsolatesNamespaces(t *testing.T) {
 	}
 	if v, err := campaign.TenantView(re, "alice"); err != nil || v == nil {
 		t.Errorf("TenantView on segmented store: %v", err)
+	}
+}
+
+// TestSegmentedStoreRefusesLegacyTailRow: a row of another version than v4
+// in a partition's unsealed tail fails the open, naming its offset and
+// saying to rerun the campaign.
+func TestSegmentedStoreRefusesLegacyTailRow(t *testing.T) {
+	first := rowLine(segResult("MG", fault.Reg, 2))
+	for _, v := range []string{``, `"v":2,`, `"v":3,`, `"v":9,`} {
+		root := t.TempDir() + "/segs"
+		if err := os.MkdirAll(filepath.Join(root, "default"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		old := strings.Replace(rowLine(segResult("IS", fault.Reg, 2)), `"v":4,`, v, 1)
+		if err := os.WriteFile(filepath.Join(root, "default", "seg-000001.jsonl"), []byte(first+old), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := campaign.OpenSegmentedStore(root)
+		if err == nil {
+			st.Close()
+		}
+		if want := fmt.Sprintf("offset %d", len(first)); err == nil ||
+			!strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "rerun the campaign") {
+			t.Errorf("tail row %q: open err = %v, want %s refused with the advice to rerun", v, err, want)
+		}
 	}
 }
 

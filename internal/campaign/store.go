@@ -1,16 +1,18 @@
 // The queryable results database of campaign orchestration. A Store is
 // where Engine runs land and where resume, report generation and ad-hoc
 // analysis read from — the phase-4 cross-layer database of the paper as an
-// interface instead of a raw map[string]*Result. The JSONL file that
-// campaigns have always streamed to is the first backend (FileStore);
-// MemStore serves tests and in-process pipelines.
+// interface instead of a raw map[string]*Result. Both backends hold the
+// same "v":4 JSONL rows on disk and fsync every append: the FileStore is
+// the one file a matrix run streams to, the SegmentedStore (segstore.go)
+// the multi-tenant directory the service keeps.
 package campaign
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"sync"
 
 	"serfi/internal/fault"
@@ -51,7 +53,7 @@ type TenantStore interface {
 // TenantView resolves a tenant-scoped view of st. The empty namespace is
 // the store itself (every backend supports it); a named namespace needs a
 // TenantStore backend and errors otherwise, so a multi-tenant queue over a
-// flat legacy store fails loudly instead of mixing tenants' keys.
+// flat FileStore fails loudly instead of mixing tenants' keys.
 func TenantView(st Store, ns string) (Store, error) {
 	if ns == "" || st == nil {
 		return st, nil
@@ -69,10 +71,8 @@ func TenantView(st Store, ns string) (Store, error) {
 type Query struct {
 	Apps    []string      // benchmark names ("IS", "MG", ...)
 	Domains []fault.Model // fault domains
-	// HasRuns selects campaigns whose per-run records are available —
-	// live results, or results reloaded from v4 rows. This is the
-	// predicate the sensitivity layer uses to find analyzable rows
-	// without a full scan.
+	// HasRuns selects campaigns that have at least one fault: the rows
+	// the sensitivity layer can attribute.
 	HasRuns bool
 	// Match, when set, is an arbitrary extra predicate ANDed with the
 	// field constraints: any other identity axis (ISA, mode, cores).
@@ -144,126 +144,30 @@ func ValidateResume(st Store, jobs []ScenarioJob, faults int) error {
 	return nil
 }
 
-// memIndex is the shared in-memory map behind every Store implementation.
-type memIndex struct {
-	mu sync.RWMutex
-	m  map[string]*Result
-}
-
-func (s *memIndex) put(r *Result) error {
-	key := r.Key()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.m == nil {
-		s.m = make(map[string]*Result)
-	}
-	if _, dup := s.m[key]; dup {
-		return fmt.Errorf("campaign store: duplicate record for %q", key)
-	}
-	s.m[key] = r
-	return nil
-}
-
-func (s *memIndex) Get(key string) (*Result, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	r, ok := s.m[key]
-	return r, ok
-}
-
-func (s *memIndex) Keys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.m))
-	for k := range s.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func (s *memIndex) Query(q Query) []*Result {
-	var out []*Result
-	for _, k := range s.Keys() {
-		r, _ := s.Get(k)
-		if r != nil && q.MatchesResult(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// MemStore is the in-memory Store: tests and in-process
-// pipelines that never touch disk. It is also a TenantStore: Tenant(ns)
-// returns an isolated per-namespace sub-store, the in-memory analogue of
-// the segmented store's per-tenant segment sets.
-type MemStore struct {
-	memIndex
-
-	tmu     sync.Mutex
-	tenants map[string]*MemStore
-}
-
-// NewMemStore returns an empty in-memory store.
-func NewMemStore() *MemStore { return &MemStore{} }
-
-// Put appends one campaign record, rejecting duplicate keys.
-func (s *MemStore) Put(r *Result) error { return s.put(r) }
-
-// Tenant returns the namespace-scoped view: an isolated sub-store sharing
-// nothing with other namespaces. The empty namespace is the store itself.
-func (s *MemStore) Tenant(ns string) Store {
-	if ns == "" {
-		return s
-	}
-	s.tmu.Lock()
-	defer s.tmu.Unlock()
-	if s.tenants == nil {
-		s.tenants = make(map[string]*MemStore)
-	}
-	t := s.tenants[ns]
-	if t == nil {
-		t = NewMemStore()
-		s.tenants[ns] = t
-	}
-	return t
-}
-
 // FileStore is the JSONL-file Store: existing rows load at open (so an
 // Engine run over the same store resumes where the interrupted one
-// stopped), and every Put appends one JSONL row immediately — the
-// streaming write that makes mid-matrix interruption safe. Keys (like
-// every Store) returns sorted order, so status output and record diffs are
-// stable across runs and across backends.
+// stopped), and every Put appends and fsyncs one JSONL row before it
+// returns — the streaming write that makes mid-matrix interruption safe
+// and leaves an acknowledged campaign on disk through a host crash. Keys
+// (like every Store) returns sorted order, so status output and record
+// diffs are stable across runs and across backends.
 type FileStore struct {
-	memIndex
-	path  string
-	fsync bool
+	path string
+
+	mu sync.RWMutex // guards m
+	m  map[string]*Result
 
 	wmu sync.Mutex // one Put at a time: duplicate check, append, index
 	log *jsonl.Log
 }
 
-// FileStoreOption configures OpenFileStore.
-type FileStoreOption func(*FileStore)
-
-// Fsync makes every Put fsync the file before returning. With it, a
-// campaign acknowledged to the caller — and, in the distributed fabric, a
-// shard acknowledged to a worker via its assembled campaign — survives a
-// coordinator host crash, not merely a process exit; without it the write
-// sits in the page cache at the OS's mercy. Costs one disk flush per
-// campaign record, which campaign-scale streams never notice.
-func Fsync() FileStoreOption { return func(s *FileStore) { s.fsync = true } }
-
 // OpenFileStore opens (or creates) the JSONL database at path. Existing
 // rows are loaded and served by Get/Keys/Query; subsequent Puts append.
 // A missing file is an empty store — the resume convention: -resume over
-// a database that was never written resumes from nothing.
-func OpenFileStore(path string, opts ...FileStoreOption) (*FileStore, error) {
-	s := &FileStore{path: path}
-	for _, opt := range opts {
-		opt(s)
-	}
+// a database that was never written resumes from nothing. A command that
+// only reads a database opens it with ReadDB instead, which never writes.
+func OpenFileStore(path string) (*FileStore, error) {
+	s := &FileStore{path: path, m: make(map[string]*Result)}
 	var n int64
 	var unterminated bool
 	if rf, err := os.Open(path); err == nil {
@@ -276,7 +180,7 @@ func OpenFileStore(path string, opts ...FileStoreOption) (*FileStore, error) {
 		return nil, err
 	}
 	var err error
-	if s.log, err = openLog(path, n, s.fsync); err != nil {
+	if s.log, err = openLog(path, n, true); err != nil {
 		return nil, err
 	}
 	// A whole last row without its newline: end it, or the next Put would be
@@ -297,13 +201,17 @@ var openLog = jsonl.Open
 // OpenMatrixStore opens the JSONL database one matrix run streams to: a
 // fresh run (resume false) starts from an empty file, a resumed one loads
 // the recorded campaigns, which must match the run's jobs (ValidateResume).
-func OpenMatrixStore(path string, resume bool, jobs []ScenarioJob, faults int, opts ...FileStoreOption) (*FileStore, error) {
+// A matrix ValidateJobs refuses leaves the file as it was.
+func OpenMatrixStore(path string, resume bool, jobs []ScenarioJob, faults int) (*FileStore, error) {
+	if err := ValidateJobs(jobs, faults); err != nil {
+		return nil, err
+	}
 	if !resume {
 		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, err
 		}
 	}
-	st, err := OpenFileStore(path, opts...)
+	st, err := OpenFileStore(path)
 	if err != nil {
 		return nil, fmt.Errorf("resume: %w", err)
 	}
@@ -314,12 +222,8 @@ func OpenMatrixStore(path string, resume bool, jobs []ScenarioJob, faults int, o
 	return st, nil
 }
 
-// Path returns the database file path.
-func (s *FileStore) Path() string { return s.path }
-
-// Put appends one campaign record to the file, fsyncing when the store was
-// opened with Fsync, and then to the in-memory index: a row the log did not
-// acknowledge is in neither.
+// Put appends one campaign record to the file and fsyncs it, then adds it
+// to the in-memory index: a row the log did not acknowledge is in neither.
 func (s *FileStore) Put(r *Result) error {
 	key := r.Key()
 	line, err := recordLine(r)
@@ -334,16 +238,37 @@ func (s *FileStore) Put(r *Result) error {
 	if _, err := s.log.Append(line); err != nil {
 		return fmt.Errorf("campaign store %s: %w", s.path, err)
 	}
-	return s.put(r)
+	s.mu.Lock()
+	s.m[key] = r
+	s.mu.Unlock()
+	return nil
 }
 
-// Sync flushes the backing file to stable storage without closing it —
-// the graceful-shutdown barrier: a store synced before the process prints
-// its resume hint cannot advertise campaigns a crash would lose.
-func (s *FileStore) Sync() error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	return s.log.Sync()
+// Get returns the campaign stored under key.
+func (s *FileStore) Get(key string) (*Result, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	r, ok := s.m[key]
+	return r, ok
+}
+
+// Keys returns every stored campaign key in sorted order.
+func (s *FileStore) Keys() []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return slices.Sorted(maps.Keys(s.m))
+}
+
+// Query returns the campaigns matching q in sorted key order.
+func (s *FileStore) Query(q Query) []*Result {
+	var out []*Result
+	for _, k := range s.Keys() {
+		r, _ := s.Get(k)
+		if r != nil && q.MatchesResult(r) {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // Close closes the backing file. The in-memory index stays readable;

@@ -218,8 +218,8 @@ func NewCoordinator(jobs []campaign.ScenarioJob, faults int, opts ...CoordOption
 // shards. Caller holds c.mu (RestoreQueue replays before the queue is
 // shared).
 func (c *Coordinator) enqueue(spec SubmitSpec) (*submission, error) {
-	if spec.Faults < 0 {
-		return nil, fmt.Errorf("dist: negative fault count %d", spec.Faults)
+	if err := campaign.ValidateJobs(spec.Jobs, spec.Faults); err != nil {
+		return nil, fmt.Errorf("dist: %w", err)
 	}
 	if !campaign.ValidTenant(spec.Tenant) {
 		return nil, fmt.Errorf("dist: invalid tenant namespace %q", spec.Tenant)
@@ -252,9 +252,6 @@ func (c *Coordinator) enqueue(spec SubmitSpec) (*submission, error) {
 		return nil, fmt.Errorf("dist: submission %s already exists", sub.id)
 	}
 	tn := tenantLabel(sub.tenant)
-	if err := campaign.ValidateJobs(spec.Jobs); err != nil {
-		return nil, fmt.Errorf("dist: %w", err)
-	}
 	for i, job := range spec.Jobs {
 		key := job.Key()
 		// A campaign still running under another live submission of the

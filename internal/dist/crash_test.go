@@ -39,7 +39,7 @@ func TestTornJournalRestoresQueue(t *testing.T) {
 	jobs := compatJobs()
 	restore := func(what string, wantIDs ...string) (*Coordinator, *Journal) {
 		t.Helper()
-		coord, journal, err := RestoreQueue(path, ShardSize(2), WithStore(campaign.NewMemStore()))
+		coord, journal, err := RestoreQueue(path, ShardSize(2), WithStore(segStore(t)))
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
@@ -174,7 +174,7 @@ func TestJournalFailedAppendLeavesNoBytes(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	coord, j2, err := RestoreQueue(path, ShardSize(2), WithStore(campaign.NewMemStore()))
+	coord, j2, err := RestoreQueue(path, ShardSize(2), WithStore(segStore(t)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,6 +24,30 @@ import (
 	"serfi/internal/npb"
 )
 
+// fileStore opens a FileStore on a fresh temp file, closed with the test:
+// the store of a test with one namespace.
+func fileStore(t *testing.T) *campaign.FileStore {
+	t.Helper()
+	st, err := campaign.OpenFileStore(t.TempDir() + "/db.jsonl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// segStore opens a SegmentedStore in a fresh temp dir, closed with the
+// test: the store of a test with tenants.
+func segStore(t *testing.T) *campaign.SegmentedStore {
+	t.Helper()
+	st, err := campaign.OpenSegmentedStore(t.TempDir() + "/store")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
 // compatJobs is the shared matrix: two scenarios over the reg, mem and
 // cachetag (uncore) domains, the engine's seed convention.
 func compatJobs() []campaign.ScenarioJob {
@@ -155,7 +179,7 @@ func TestLoopbackClusterMatchesEngine(t *testing.T) {
 // rest — the Engine's resume contract.
 func TestClusterResumeFromStore(t *testing.T) {
 	jobs := compatJobs()
-	st := campaign.NewMemStore()
+	st := fileStore(t)
 
 	first, err := NewCoordinator(jobs[:1], compatFaults, ShardSize(3), WithStore(st))
 	if err != nil {

@@ -148,18 +148,26 @@ func TestWorkerCheckpointCount(t *testing.T) {
 }
 
 // TestCoordinatorRejectsDuplicateKeys: the coordinator refuses a matrix
-// naming one campaign twice with the same check, and the same words, as
-// the local engine (campaign.ValidateJobs).
+// naming one campaign twice, or drawn at a negative fault count, with the
+// same check, and the same words, as the local engine
+// (campaign.ValidateJobs).
 func TestCoordinatorRejectsDuplicateKeys(t *testing.T) {
-	jobs := append(compatJobs()[:2], compatJobs()[0])
-	want := campaign.ValidateJobs(jobs)
-	if want == nil {
-		t.Fatal("ValidateJobs accepted a duplicate key")
-	}
-	if _, err := NewCoordinator(jobs, compatFaults); err == nil || !strings.HasSuffix(err.Error(), want.Error()) {
-		t.Errorf("NewCoordinator: err = %v, want ...%v", err, want)
-	}
-	if _, err := NewQueue().Submit(SubmitSpec{Jobs: jobs, Faults: compatFaults}); err == nil || !strings.HasSuffix(err.Error(), want.Error()) {
-		t.Errorf("Submit: err = %v, want ...%v", err, want)
+	for _, tc := range []struct {
+		jobs   []campaign.ScenarioJob
+		faults int
+	}{
+		{append(compatJobs()[:2], compatJobs()[0]), compatFaults},
+		{compatJobs()[:1], -1},
+	} {
+		want := campaign.ValidateJobs(tc.jobs, tc.faults)
+		if want == nil {
+			t.Fatalf("ValidateJobs accepted %d jobs at %d faults", len(tc.jobs), tc.faults)
+		}
+		if _, err := NewCoordinator(tc.jobs, tc.faults); err == nil || !strings.HasSuffix(err.Error(), want.Error()) {
+			t.Errorf("NewCoordinator: err = %v, want ...%v", err, want)
+		}
+		if _, err := NewQueue().Submit(SubmitSpec{Jobs: tc.jobs, Faults: tc.faults}); err == nil || !strings.HasSuffix(err.Error(), want.Error()) {
+			t.Errorf("Submit: err = %v, want ...%v", err, want)
+		}
 	}
 }

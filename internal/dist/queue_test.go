@@ -271,7 +271,7 @@ func TestQueueRestartResumesMidQueue(t *testing.T) {
 func TestQueueCancelDropsPendingKeepsDurable(t *testing.T) {
 	dir := t.TempDir()
 	journalPath := filepath.Join(dir, "queue.jsonl")
-	st := campaign.NewMemStore()
+	st := segStore(t)
 	coord, journal, err := RestoreQueue(journalPath, ShardSize(2), WithStore(st))
 	if err != nil {
 		t.Fatal(err)
@@ -350,8 +350,7 @@ func TestQueueFairShareBoundedGap(t *testing.T) {
 // TestQueueSubmitValidation: the wire-level submit path rejects what the
 // queue cannot honor and answers lost-reply resubmissions idempotently.
 func TestQueueSubmitValidation(t *testing.T) {
-	st := campaign.NewMemStore()
-	coord := NewQueue(WithStore(st))
+	coord := NewQueue(WithStore(segStore(t)))
 	cl := NewLoopbackClient(coord.Handler())
 	ctx := context.Background()
 
@@ -386,7 +385,7 @@ func TestQueueSubmitValidation(t *testing.T) {
 	if _, err := cl.Submit(ctx, SubmitRequest{Tenant: "alice", Jobs: wire[:1], Faults: compatFaults}); err == nil {
 		t.Error("duplicate live campaign for one tenant accepted")
 	}
-	// MemStore scopes tenants, so a second namespace is accepted.
+	// The segmented store scopes tenants, so a second namespace is accepted.
 	if _, err := cl.Submit(ctx, SubmitRequest{Tenant: "bob", Jobs: wire[:1], Faults: compatFaults}); err != nil {
 		t.Errorf("independent tenant refused: %v", err)
 	}
@@ -418,7 +417,7 @@ func TestQueueSubmitValidation(t *testing.T) {
 // posts m000002 with another tenant and matrix: he must be refused by name
 // (a 4xx, never retried), not acknowledged as alice's submission.
 func TestSubmitIDTakenByAnotherRequest(t *testing.T) {
-	coord := NewQueue(WithStore(campaign.NewMemStore()))
+	coord := NewQueue(WithStore(segStore(t)))
 	cl := NewLoopbackClient(coord.Handler())
 	ctx := context.Background()
 	jobs := WireJobs(compatJobs())

@@ -47,7 +47,7 @@ func getStatus(t *testing.T, cl *Client) []byte {
 // submission.
 func TestStatusIndependentOfHistory(t *testing.T) {
 	jobs := compatJobs()
-	st := campaign.NewMemStore()
+	st := fileStore(t)
 	for _, job := range jobs {
 		if err := st.Put(storedResult(job, 1)); err != nil {
 			t.Fatal(err)
@@ -91,7 +91,7 @@ func TestStatusIndependentOfHistory(t *testing.T) {
 // dashboard keeps polling for the next `serfi submit`; once drained it is.
 func TestIdleQueueIsNotDone(t *testing.T) {
 	jobs := compatJobs()[:1]
-	st := campaign.NewMemStore()
+	st := fileStore(t)
 	if err := st.Put(storedResult(jobs[0], 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestIdleQueueIsNotDone(t *testing.T) {
 // ID is the caller's error, and /v1/matrices checks the protocol version.
 func TestMatrixCampaignRows(t *testing.T) {
 	jobs := compatJobs()[:2]
-	st := campaign.NewMemStore()
+	st := segStore(t)
 	for i, job := range jobs {
 		if err := st.Tenant("bob").Put(storedResult(job, i+1)); err != nil {
 			t.Fatal(err)

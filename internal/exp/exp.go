@@ -43,8 +43,7 @@ type Matrix struct {
 // matrix: resume validation refuses mixed databases), the seed back-derived
 // from the first row's catalog position per the Engine.JobsFor convention.
 // Only stored columns survive a store round trip: wall-clock spans are
-// never persisted, and per-run records exist only in v4 rows (legacy v1–v3
-// rows carry none).
+// never persisted.
 func NewMatrix(results []*campaign.Result) *Matrix {
 	m := &Matrix{Results: make(map[string]*campaign.Result, len(results))}
 	for _, r := range results {
@@ -416,7 +415,7 @@ func SensTable(m *Matrix) string {
 		}
 	}
 	if rows == 0 {
-		fmt.Fprintf(&b, "(no recorded per-fault rows: only legacy v1-v3 rows)\n")
+		fmt.Fprintf(&b, "(no recorded per-fault rows)\n")
 	}
 	return b.String()
 }

@@ -218,9 +218,9 @@ func TestOpenCutsBackToAcceptedPrefix(t *testing.T) {
 // after the last whole line.
 func FuzzScan(f *testing.F) {
 	for _, seed := range []string{
-		// what the tree writes: a v2 row, a v4 row, a tombstone, a segment
-		// footer, a journal line
-		`{"v":2,"scenario":"armv8/IS/SER-1","domain":"mem","faults":2,"seed":2088,"counts":{"hang":0,"omm":0,"ona":2,"ut":0,"vanished":0},"golden":{"AppStart":2111,"AppEnd":2366640,"Retired":2366646,"Cycles":3259238},"features":{"api_window":0,"branch_pct":6.731678501981285,"branches":159315,"calls":3017,"ctx_switches":228,"cycles":3259238,"fb_index":480653355,"fp_pct":0,"idle_cycles":0,"imbalance":0,"instructions":2366646,"kernel_pct":2.843729057915717,"l1d_miss_pct":4.799304904663844,"l2_miss_pct":13.670796460176991,"mem_pct":13.623921786359261,"mispredicts":4396,"power_trans":0,"rdwr_ratio":1.7229963685499536},"api_calls":0}` + "\n",
+		// what the tree writes: a row without runs, a row with them, a
+		// tombstone, a segment footer, a journal line
+		`{"v":4,"scenario":"armv8/IS/SER-1","domain":"mem","faults":2,"seed":2088,"counts":{"hang":0,"omm":0,"ona":2,"ut":0,"vanished":0},"golden":{"AppStart":2111,"AppEnd":2366640,"Retired":2366646,"Cycles":3259238},"features":{"api_window":0,"branch_pct":6.731678501981285,"branches":159315,"calls":3017,"ctx_switches":228,"cycles":3259238,"fb_index":480653355,"fp_pct":0,"idle_cycles":0,"imbalance":0,"instructions":2366646,"kernel_pct":2.843729057915717,"l1d_miss_pct":4.799304904663844,"l2_miss_pct":13.670796460176991,"mem_pct":13.623921786359261,"mispredicts":4396,"power_trans":0,"rdwr_ratio":1.7229963685499536},"api_calls":0}` + "\n",
 		`{"v":4,"scenario":"armv8/IS/SER-1","domain":"reg","faults":2,"seed":2088,"counts":{"hang":0,"omm":0,"ona":2,"ut":0,"vanished":0},"golden":{"AppStart":2111,"AppEnd":2366640,"Retired":2366646,"Cycles":3259238},"features":{"api_window":0,"branch_pct":6.731678501981285,"branches":159315,"calls":3017,"ctx_switches":228,"cycles":3259238,"fb_index":480653355,"fp_pct":0,"idle_cycles":0,"imbalance":0,"instructions":2366646,"kernel_pct":2.843729057915717,"l1d_miss_pct":4.799304904663844,"l2_miss_pct":13.670796460176991,"mem_pct":13.623921786359261,"mispredicts":4396,"power_trans":0,"rdwr_ratio":1.7229963685499536},"api_calls":0,"runs":[{"i":1536899,"r":16,"b":48,"o":1},{"i":2339700,"r":26,"b":18,"o":1}]}` + "\n",
 		`{"del":"armv8/IS/SER-1#mem"}` + "\n",
 		`{"footer":1,"live":{"armv8/IS/SER-1":0},"dead":["armv8/MG/SER-1"]}` + "\n",

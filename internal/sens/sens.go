@@ -187,8 +187,8 @@ func (r *Report) JointAxes() (funcs, regs []string) {
 // (one Result per fault domain) against grp, the group of the rows'
 // scenario, and returns the full attribution report. The fault list seed
 // plays no part in the join: any seed's group of the scenario serves. A row
-// of another scenario, a row without per-run records (legacy v1–v3) and a
-// row whose golden summary is not the one grp's golden run gives — written
+// of another scenario, a row without faults and a row whose golden summary
+// is not the one grp's golden run gives — written
 // by a binary with other interpreter semantics, so its faults would be
 // attributed against windows this binary does not produce — are refused.
 func Analyze(grp *campaign.Group, results []*campaign.Result) (*Report, error) {
@@ -211,7 +211,7 @@ func Analyze(grp *campaign.Group, results []*campaign.Result) (*Report, error) {
 			return nil, fmt.Errorf("sens: result %s does not belong to scenario %s", r.Key(), sc.ID())
 		}
 		if len(r.Runs) == 0 {
-			return nil, fmt.Errorf("sens: %s has no per-run records (a legacy v1-v3 row; rerun the campaign)", r.Key())
+			return nil, fmt.Errorf("sens: %s has no per-fault rows to attribute", r.Key())
 		}
 		if want := grp.Summary(); r.Golden != want {
 			return nil, fmt.Errorf("sens: %s was recorded against golden run %+v, this build's is %+v (rerun the campaign)",
