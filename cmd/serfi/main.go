@@ -428,11 +428,11 @@ func progress(w io.Writer, st *campaign.FileStore, jobs []campaign.ScenarioJob) 
 // processes. What the two invocations differ in is where state lives and
 // what is queued at start — never how the queue is served.
 //
-// With -db (the default) results go to one JSONL file, opened with fsync
-// so a coordinator host crash never loses an acknowledged campaign; the
-// matrix the flags describe (the one `serfi campaign` executes locally) is
-// submitted up front and the queue drained, so the process exits when that
-// matrix completes or is cancelled.
+// With -db (the default) results go to one JSONL file, every row fsynced
+// as it is appended, so a coordinator host crash never loses an
+// acknowledged campaign; the matrix the flags describe (the one `serfi
+// campaign` executes locally) is submitted up front and the queue drained,
+// so the process exits when that matrix completes or is cancelled.
 //
 // With -data DIR results go to a segmented tenant-scoped store (DIR/store)
 // and the queue itself to a submission journal (DIR/queue.jsonl); both
@@ -482,7 +482,7 @@ func cmdServe(args []string) error {
 		if err := os.MkdirAll(*data, 0o755); err != nil {
 			return err
 		}
-		seg, err := campaign.OpenSegmentedStore(filepath.Join(*data, "store"), campaign.SegmentSync())
+		seg, err := campaign.OpenSegmentedStore(filepath.Join(*data, "store"))
 		if err != nil {
 			return err
 		}
@@ -532,10 +532,9 @@ func cmdServe(args []string) error {
 	if err != nil && !cancelled && !errors.Is(err, context.Canceled) {
 		return err
 	}
-	// Durability before any hint that the state is resumable: seal the
-	// journal and close the store, which syncs what the final shards
-	// appended — a crash after the hint can no longer lose acknowledged
-	// campaigns.
+	// Close the journal and the store before any hint that the state is
+	// resumable. Every line they acknowledged was fsynced when it was
+	// appended, so closing is all that is left to do.
 	if journal != nil {
 		if err := journal.Close(); err != nil {
 			return err

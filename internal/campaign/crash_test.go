@@ -162,11 +162,12 @@ func TestFileStoreReopensUnterminatedRow(t *testing.T) {
 }
 
 // faultyFile is an append-mode file whose next Write or Sync fails once, as
-// set; everything else goes through.
+// set; everything else goes through. It counts the Syncs asked of it.
 type faultyFile struct {
 	*os.File
 	short   int // >= 0: the next Write lands this many bytes, then ENOSPC
 	syncErr bool
+	syncs   int
 }
 
 func (f *faultyFile) Write(b []byte) (int, error) {
@@ -179,6 +180,7 @@ func (f *faultyFile) Write(b []byte) (int, error) {
 }
 
 func (f *faultyFile) Sync() error {
+	f.syncs++
 	if f.syncErr {
 		f.syncErr = false
 		return syscall.EIO
@@ -190,16 +192,50 @@ func (f *faultyFile) Sync() error {
 // the test ends, and returns the one opened last.
 func underFaultyFiles(t *testing.T) (last func() *faultyFile) {
 	var ff *faultyFile
-	t.Cleanup(campaign.SetOpenLog(func(path string, n int64, sync bool) (*jsonl.Log, error) {
+	t.Cleanup(campaign.SetOpenLog(func(path string, n int64) (*jsonl.Log, error) {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
 		}
 		t.Cleanup(func() { f.Close() })
 		ff = &faultyFile{File: f, short: -1}
-		return jsonl.New(ff, n, sync), nil
+		return jsonl.New(ff, n), nil
 	}))
 	return func() *faultyFile { return ff }
+}
+
+// TestSegmentedStoreSyncsEveryAppend: a store opened with no options fsyncs
+// its active segment once per Put and once per Delete, before the call
+// returns, and Close has nothing left to sync. Before the sync rule moved
+// into jsonl.Log a store opened without the SegmentSync option synced nothing.
+func TestSegmentedStoreSyncsEveryAppend(t *testing.T) {
+	last := underFaultyFiles(t)
+	st, err := campaign.OpenSegmentedStore(filepath.Join(t.TempDir(), "segs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := segResult("IS", fault.Reg, 1), segResult("MG", fault.Reg, 2)
+	for i, step := range []struct {
+		what string
+		do   func() error
+	}{
+		{"Put a", func() error { return st.Put(a) }},
+		{"Put b", func() error { return st.Put(b) }},
+		{"Delete a", func() error { return st.Delete(a.Key()) }},
+	} {
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.what, err)
+		}
+		if got := last().syncs; got != i+1 {
+			t.Errorf("after %s the segment saw %d syncs, want %d", step.what, got, i+1)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := last().syncs; got != 3 {
+		t.Errorf("Close synced: %d syncs, want the 3 of the appends", got)
+	}
 }
 
 // TestFailedAppendLeavesNoBytesAndNoStaleOffset: a Put or Delete whose write
@@ -256,7 +292,7 @@ func TestFailedAppendLeavesNoBytesAndNoStaleOffset(t *testing.T) {
 		last := underFaultyFiles(t)
 		root := filepath.Join(t.TempDir(), "segs")
 		rowLen := int64(len(rowLine(a)))
-		st, err := campaign.OpenSegmentedStore(root, campaign.SegmentSync(), campaign.SegmentBytes(3*rowLen+1))
+		st, err := campaign.OpenSegmentedStore(root, campaign.SegmentBytes(3*rowLen+1))
 		must(t, "open", err)
 		alice := st.Tenant("alice")
 		del := alice.(interface{ Delete(string) error }).Delete

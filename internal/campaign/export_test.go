@@ -26,7 +26,7 @@ func SetNewDomain(f func(fault.Model, *cc.Image, mach.Config, *fi.Golden) (fault
 // SetOpenLog swaps how every durable file of the package (the FileStore's
 // database, a partition's active segment) is opened for appending, and
 // returns the call that puts jsonl.Open back.
-func SetOpenLog(f func(path string, n int64, sync bool) (*jsonl.Log, error)) (restore func()) {
+func SetOpenLog(f func(path string, n int64) (*jsonl.Log, error)) (restore func()) {
 	old := openLog
 	openLog = f
 	return func() { openLog = old }

@@ -20,6 +20,8 @@
 // Opening a store reads only footers for sealed segments (plus a full scan
 // of the unsealed tail segment), so open cost is proportional to the
 // segment count, not the row count; rows load lazily by offset on Get.
+// Every line goes down through jsonl.Log, which fsyncs it before Put, Delete
+// or a seal returns, so an acknowledged row survives a host crash.
 // Replay order is segment-id order, later segments superseding earlier
 // ones. A merge writes its result beside the highest id it merges as a
 // .tmp; once that file's footer is down it is the merge's commit record
@@ -117,7 +119,6 @@ type tenantSegs struct {
 type SegmentedStore struct {
 	root    string
 	segMax  int64
-	fsync   bool
 	compact int // auto-compact when a tenant's superseded rows reach this; 0 = manual
 
 	// mu guards the three fields below it and is never held across I/O or
@@ -139,10 +140,8 @@ type SegStoreOption func(*SegmentedStore)
 // DefaultSegmentBytes.
 func SegmentBytes(n int64) SegStoreOption { return func(s *SegmentedStore) { s.segMax = n } }
 
-// SegmentSync makes every Put and Delete fsync the active segment before
-// returning — the durability every FileStore has: an acknowledged row
-// survives a host crash.
-func SegmentSync() SegStoreOption { return func(s *SegmentedStore) { s.fsync = true } }
+// Ignored: every segment append is synced; kept for bench/ (ROADMAP item 8).
+func SegmentSync() SegStoreOption { return func(*SegmentedStore) {} }
 
 // CompactAfter enables background compaction: whenever a tenant partition
 // accumulates at least n superseded rows (deleted or overwritten by a
@@ -615,7 +614,7 @@ func (s *SegmentedStore) ensureActive(t *tenantSegs) (err error) {
 	// reopened store keeps appending instead of sprouting tiny segments. A
 	// tail already at size is sealed in place and a fresh one opened.
 	if t.active == nil && t.activeSeg != nil {
-		if t.active, err = openLog(t.activeSeg.path, t.tailLen, s.fsync); err != nil {
+		if t.active, err = openLog(t.activeSeg.path, t.tailLen); err != nil {
 			return err
 		}
 	}
@@ -635,7 +634,7 @@ func (s *SegmentedStore) ensureActive(t *tenantSegs) (err error) {
 		id = t.segs[n-1].id + 1
 	}
 	seg := &segment{id: id, path: filepath.Join(t.dir, segName(id))}
-	if t.active, err = openLog(seg.path, 0, s.fsync); err != nil {
+	if t.active, err = openLog(seg.path, 0); err != nil {
 		return err
 	}
 	t.segs = append(t.segs, seg)
@@ -645,8 +644,8 @@ func (s *SegmentedStore) ensureActive(t *tenantSegs) (err error) {
 	return nil
 }
 
-// sealLocked writes the active segment's footer, fsyncs and closes it.
-// Caller holds t.mu.
+// sealLocked appends the active segment's footer (synced like every append)
+// and closes it. Caller holds t.mu.
 func (s *SegmentedStore) sealLocked(t *tenantSegs) error {
 	if t.active == nil {
 		return nil
@@ -660,9 +659,6 @@ func (s *SegmentedStore) sealLocked(t *tenantSegs) error {
 		return err
 	}
 	if _, err := t.active.Append(data); err != nil {
-		return err
-	}
-	if err := t.active.Sync(); err != nil {
 		return err
 	}
 	if err := t.active.Close(); err != nil {
@@ -992,27 +988,11 @@ func (s *SegmentedStore) compactLoop(q <-chan string) {
 	}
 }
 
-// Sync fsyncs every active segment — the graceful-shutdown barrier before
-// a resume hint is printed.
-func (s *SegmentedStore) Sync() error {
-	var first error
-	for _, t := range s.partitions() {
-		t.mu.Lock()
-		if t.active != nil {
-			if err := t.active.Sync(); err != nil && first == nil {
-				first = err
-			}
-		}
-		t.mu.Unlock()
-	}
-	return first
-}
-
-// Close syncs and closes every active segment and stops the background
-// compactor. The in-memory index stays readable; further writes fail. The
-// store is marked closed first (no partition is born after that) and the
-// partitions are then closed one at a time, each behind whatever write or
-// merge it is in the middle of.
+// Close closes every active segment (each acknowledged append is already
+// synced) and stops the background compactor. The in-memory index stays
+// readable; further writes fail. The store is marked closed first (no
+// partition is born after that) and the partitions are then closed one at a
+// time, each behind whatever write or merge it is in the middle of.
 func (s *SegmentedStore) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -1028,9 +1008,6 @@ func (s *SegmentedStore) Close() error {
 		t.mu.Lock()
 		t.closed = true
 		if t.active != nil {
-			if err := t.active.Sync(); err != nil && first == nil {
-				first = err
-			}
 			if err := t.active.Close(); err != nil && first == nil {
 				first = err
 			}

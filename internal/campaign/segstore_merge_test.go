@@ -180,9 +180,6 @@ func TestCompactBytesUnchanged(t *testing.T) {
 	if n := st.Segments(""); n < 3 {
 		t.Fatalf("%d segments before the merge, want at least 3", n)
 	}
-	if err := st.Sync(); err != nil {
-		t.Fatal(err)
-	}
 
 	part := filepath.Join(dir, "default")
 	sources, _ := filepath.Glob(filepath.Join(part, "seg-*.jsonl"))

@@ -27,7 +27,7 @@ func partRow(app string, faults int) *Result {
 // one lock, and holding that stops tenant b, so this test has no passing
 // form there.
 func TestTenantPartitionsDoNotBlockEachOther(t *testing.T) {
-	st, err := OpenSegmentedStore(t.TempDir()+"/segs", SegmentSync())
+	st, err := OpenSegmentedStore(t.TempDir() + "/segs")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,11 +197,11 @@ func TestSegmentedStoreCompactionEquivalence(t *testing.T) {
 }
 
 // TestSegmentedStoreSyncDurability is the FileStore fsync audit applied to
-// the segmented store: with SegmentSync every acknowledged Put is on disk,
-// so reopening the directory WITHOUT closing sees every row.
+// the segmented store: every acknowledged Put is on disk, so reopening the
+// directory WITHOUT closing sees every row.
 func TestSegmentedStoreSyncDurability(t *testing.T) {
 	dir := t.TempDir() + "/segs"
-	st, err := campaign.OpenSegmentedStore(dir, campaign.SegmentSync())
+	st, err := campaign.OpenSegmentedStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,10 @@
 // where Engine runs land and where resume, report generation and ad-hoc
 // analysis read from — the phase-4 cross-layer database of the paper as an
 // interface instead of a raw map[string]*Result. Both backends hold the
-// same "v":4 JSONL rows on disk and fsync every append: the FileStore is
-// the one file a matrix run streams to, the SegmentedStore (segstore.go)
-// the multi-tenant directory the service keeps.
+// same "v":4 JSONL rows on disk and append them through jsonl.Log, which
+// fsyncs every append before it returns: the FileStore is the one file a
+// matrix run streams to, the SegmentedStore (segstore.go) the multi-tenant
+// directory the service keeps.
 package campaign
 
 import (
@@ -154,10 +155,10 @@ func ValidateResume(st Store, jobs []ScenarioJob, faults int) error {
 type FileStore struct {
 	path string
 
-	mu sync.RWMutex // guards m
-	m  map[string]*Result
-
-	wmu sync.Mutex // one Put at a time: duplicate check, append, index
+	// mu guards m and log. A Put holds it across its duplicate check, its
+	// synced append and the index update.
+	mu  sync.Mutex
+	m   map[string]*Result
 	log *jsonl.Log
 }
 
@@ -180,7 +181,7 @@ func OpenFileStore(path string) (*FileStore, error) {
 		return nil, err
 	}
 	var err error
-	if s.log, err = openLog(path, n, true); err != nil {
+	if s.log, err = openLog(path, n); err != nil {
 		return nil, err
 	}
 	// A whole last row without its newline: end it, or the next Put would be
@@ -230,32 +231,30 @@ func (s *FileStore) Put(r *Result) error {
 	if err != nil {
 		return err
 	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if _, dup := s.Get(key); dup {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.m[key]; dup {
 		return fmt.Errorf("campaign store: duplicate record for %q", key)
 	}
 	if _, err := s.log.Append(line); err != nil {
 		return fmt.Errorf("campaign store %s: %w", s.path, err)
 	}
-	s.mu.Lock()
 	s.m[key] = r
-	s.mu.Unlock()
 	return nil
 }
 
 // Get returns the campaign stored under key.
 func (s *FileStore) Get(key string) (*Result, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	r, ok := s.m[key]
 	return r, ok
 }
 
 // Keys returns every stored campaign key in sorted order.
 func (s *FileStore) Keys() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return slices.Sorted(maps.Keys(s.m))
 }
 

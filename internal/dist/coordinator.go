@@ -213,10 +213,13 @@ func NewCoordinator(jobs []campaign.ScenarioJob, faults int, opts ...CoordOption
 	return c, nil
 }
 
-// enqueue validates one submission spec and threads it into the queue:
-// store-answered campaigns retire immediately, the rest become pending
-// shards. Caller holds c.mu (RestoreQueue replays before the queue is
-// shared).
+// enqueue validates one submission spec, journals it when a journal is
+// attached, and only then threads it into the queue: store-answered
+// campaigns retire immediately, the rest become pending shards. A spec that
+// is refused, or whose journal append fails, leaves the queue exactly as it
+// was, its ID counter included. Caller holds c.mu (RestoreQueue replays
+// before the queue is shared and before its journal is attached, so replay
+// appends nothing).
 func (c *Coordinator) enqueue(spec SubmitSpec) (*submission, error) {
 	if err := campaign.ValidateJobs(spec.Jobs, spec.Faults); err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
@@ -228,7 +231,7 @@ func (c *Coordinator) enqueue(spec SubmitSpec) (*submission, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dist: %w", err)
 	}
-	c.nextSeq++
+	seq := c.nextSeq + 1
 	sub := &submission{
 		id:        spec.ID,
 		tenant:    spec.Tenant,
@@ -243,10 +246,10 @@ func (c *Coordinator) enqueue(spec SubmitSpec) (*submission, error) {
 	}
 	if sub.id == "" {
 		// Sequential, stepping over any ID a caller has already chosen.
-		for c.subByID[fmt.Sprintf("m%06d", c.nextSeq)] != nil {
-			c.nextSeq++
+		for c.subByID[fmt.Sprintf("m%06d", seq)] != nil {
+			seq++
 		}
-		sub.id = fmt.Sprintf("m%06d", c.nextSeq)
+		sub.id = fmt.Sprintf("m%06d", seq)
 	}
 	if c.subByID[sub.id] != nil {
 		return nil, fmt.Errorf("dist: submission %s already exists", sub.id)
@@ -283,8 +286,25 @@ func (c *Coordinator) enqueue(spec SubmitSpec) (*submission, error) {
 			sub.campsLeft++
 		}
 	}
-	// The spec is valid: commit. Metrics only move past this point, so a
-	// rejected submission leaves no trace.
+	// The spec is valid. Write ahead: the journal holds the submission
+	// before the queue acts on it, so what a client is told was accepted
+	// survives a restart, and what failed to journal was never accepted.
+	if c.journal != nil {
+		err := c.journal.Append(JournalEntry{
+			Op:        "submit",
+			ID:        sub.id,
+			Tenant:    sub.tenant,
+			Faults:    sub.faults,
+			TraceProp: sub.traceProp,
+			Jobs:      WireJobs(sub.jobs),
+		})
+		if err != nil {
+			return nil, journalError{fmt.Errorf("dist: journal submission %s: %w", sub.id, err)}
+		}
+	}
+	// Commit. Metrics only move past this point, so a rejected submission
+	// leaves no trace.
+	c.nextSeq = seq
 	for _, st := range sub.camps {
 		if st.skipped {
 			c.cm.campaigns.With("skipped", tn).Inc()

@@ -5,7 +5,9 @@ package dist
 // nothing behind for the next restart to trip over.
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -135,14 +137,14 @@ func TestJournalFailedAppendLeavesNoBytes(t *testing.T) {
 	var ff *faultyFile
 	old := openLog
 	t.Cleanup(func() { openLog = old })
-	openLog = func(path string, n int64, sync bool) (*jsonl.Log, error) {
+	openLog = func(path string, n int64) (*jsonl.Log, error) {
 		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return nil, err
 		}
 		t.Cleanup(func() { f.Close() })
 		ff = &faultyFile{File: f, short: -1}
-		return jsonl.New(ff, n, sync), nil
+		return jsonl.New(ff, n), nil
 	}
 	path := filepath.Join(t.TempDir(), "queue.jsonl")
 	j, err := OpenJournal(path)
@@ -276,5 +278,115 @@ func TestQueueRestartOverTornJournalAndSegment(t *testing.T) {
 	}
 	if got := tenantRecordLines(t, root, "alice"); !reflect.DeepEqual(got, refLines) {
 		t.Errorf("stored rows differ from sequential engine runs (a torn tail left in the segment shows here):\n queue: %v\n ref:   %v", got, refLines)
+	}
+}
+
+// faultyQueue restores a queue over a fresh journal with a faultyFile under
+// it, and over a segmented store, and returns the queue, a loopback client
+// that does not retry, the journal's path and its file. The journal and
+// every journal a later restore in the test opens stay faulty-able until
+// the test ends.
+func faultyQueue(t testing.TB) (coord *Coordinator, cl *Client, path string, ff func() *faultyFile) {
+	t.Helper()
+	var last *faultyFile
+	old := openLog
+	t.Cleanup(func() { openLog = old })
+	openLog = func(path string, n int64) (*jsonl.Log, error) {
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, err
+		}
+		t.Cleanup(func() { f.Close() })
+		last = &faultyFile{File: f, short: -1}
+		return jsonl.New(last, n), nil
+	}
+	path = filepath.Join(t.TempDir(), "queue.jsonl")
+	coord, j, err := RestoreQueue(path, ShardSize(2), WithStore(segStore(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	cl = NewLoopbackClient(coord.Handler())
+	cl.retries = 0
+	return coord, cl, path, func() *faultyFile { return last }
+}
+
+// restoredStates restores the queue the journal at path holds and returns
+// each submission's state by ID.
+func restoredStates(t *testing.T, path string) map[string]string {
+	t.Helper()
+	coord, j, err := RestoreQueue(path, ShardSize(2), WithStore(segStore(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	states := map[string]string{}
+	for _, ms := range coord.MatrixList() {
+		states[ms.ID] = ms.State
+	}
+	return states
+}
+
+// TestFailedSubmitJournalLeavesQueueUnchanged: a submission whose journal
+// append fails is answered 500 and leaves the queue as it was, its ID
+// counter included; the client's retry, once the fault clears, is accepted
+// and survives a restart. When the queue acted before it journalled, the
+// failed submission already ran, the retry took the idempotent path and
+// got a 200, and the restarted queue had never heard of it.
+func TestFailedSubmitJournalLeavesQueueUnchanged(t *testing.T) {
+	coord, cl, path, ff := faultyQueue(t)
+	ctx := context.Background()
+	jobs := compatJobs()[:1]
+
+	ff().syncErr = true
+	if _, err := coord.Submit(SubmitSpec{Tenant: "alice", Jobs: jobs, Faults: compatFaults}); err == nil {
+		t.Fatal("submission acknowledged over a failed journal append")
+	}
+	ff().syncErr = true
+	req := SubmitRequest{ID: "x1", Tenant: "alice", Jobs: WireJobs(jobs), Faults: compatFaults}
+	var re *retryableError
+	if _, err := cl.Submit(ctx, req); !errors.As(err, &re) {
+		t.Fatalf("submit over a failed journal append = %v, want a 5xx the client retries", err)
+	}
+	if list := coord.MatrixList(); len(list) != 0 {
+		t.Fatalf("queue after two failed submissions: %+v, want it empty", list)
+	}
+	if got := readFile(t, path); got != "" {
+		t.Fatalf("journal after two failed submissions holds %q", got)
+	}
+
+	id, err := coord.Submit(SubmitSpec{Tenant: "bob", Jobs: jobs, Faults: compatFaults})
+	if err != nil || id != "m000001" {
+		t.Fatalf("first accepted submission: %q, %v; want m000001 (no ID spent on a failure)", id, err)
+	}
+	if reply, err := cl.Submit(ctx, req); err != nil || reply.ID != "x1" {
+		t.Fatalf("retry of x1: %+v, %v", reply, err)
+	}
+	if got, want := restoredStates(t, path), map[string]string{"m000001": "running", "x1": "running"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("restored queue %v, want %v", got, want)
+	}
+}
+
+// TestFailedCancelJournalLeavesSubmissionRunning: a cancellation whose
+// journal append fails is answered 500, and the submission still runs, here
+// and after a restart. When the queue cancelled before it journalled, the
+// failure answered 400 over a submission already cancelled in memory, and a
+// restart brought it back running.
+func TestFailedCancelJournalLeavesSubmissionRunning(t *testing.T) {
+	coord, cl, path, ff := faultyQueue(t)
+	id, err := coord.Submit(SubmitSpec{Tenant: "alice", Jobs: compatJobs()[:1], Faults: compatFaults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ff().syncErr = true
+	var re *retryableError
+	if _, err := cl.CancelMatrix(context.Background(), id); !errors.As(err, &re) {
+		t.Fatalf("cancel over a failed journal append = %v, want a 5xx the client retries", err)
+	}
+	if list := coord.MatrixList(); len(list) != 1 || list[0].State != "running" {
+		t.Fatalf("queue after a failed cancel: %+v, want %s running", list, id)
+	}
+	if got, want := restoredStates(t, path), map[string]string{id: "running"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("restored queue %v, want %v", got, want)
 	}
 }

@@ -38,7 +38,7 @@ func fileStore(t *testing.T) *campaign.FileStore {
 
 // segStore opens a SegmentedStore in a fresh temp dir, closed with the
 // test: the store of a test with tenants.
-func segStore(t *testing.T) *campaign.SegmentedStore {
+func segStore(t testing.TB) *campaign.SegmentedStore {
 	t.Helper()
 	st, err := campaign.OpenSegmentedStore(t.TempDir() + "/store")
 	if err != nil {

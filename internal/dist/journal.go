@@ -6,9 +6,10 @@
 // shards — never an assembled campaign, and never the queue itself.
 //
 // The journal records intent, not progress: one line per accepted
-// submission or cancellation, fsynced before the operation is
-// acknowledged. Result durability belongs to the store; the journal only
-// has to remember what was asked for.
+// submission or cancellation, fsynced before the queue acts on it and so
+// before it is acknowledged; an operation whose line failed never happened.
+// Result durability belongs to the store; the journal only has to remember
+// what was asked for.
 package dist
 
 import (
@@ -35,7 +36,8 @@ type JournalEntry struct {
 	Jobs      []WireJob `json:"jobs,omitempty"`
 }
 
-// Journal is an append-only, fsync-on-append log of queue operations.
+// Journal is an append-only log of queue operations; like every jsonl.Log
+// it fsyncs each append.
 type Journal struct {
 	mu  sync.Mutex
 	log *jsonl.Log
@@ -52,15 +54,16 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	log, err := openLog(path, n, true)
+	log, err := openLog(path, n)
 	if err != nil {
 		return nil, err
 	}
 	return &Journal{log: log}, nil
 }
 
-// Append writes one entry and fsyncs before returning, so an acknowledged
-// queue operation survives a crash; one that failed leaves no bytes behind.
+// Append writes one entry and fsyncs before returning. The queue appends
+// before it acts, so an acknowledged queue operation survives a crash, and
+// one that failed leaves no bytes behind and no change in the queue.
 func (j *Journal) Append(e JournalEntry) error {
 	data, err := json.Marshal(e)
 	if err != nil {
@@ -134,11 +137,11 @@ func PendingSubmissions(entries []JournalEntry) []JournalEntry {
 // RestoreQueue builds a durable queue from the journal at path: replays
 // every still-wanted submission against a fresh NewQueue (store-recorded
 // campaigns are answered immediately; unfinished ones become pending
-// shards again), then attaches the journal: from here on every accepted
-// submission and cancellation is appended (and fsynced) before it is
-// acknowledged. Replayed submissions are NOT re-appended — the journal
-// already holds them. The caller owns the returned journal and should
-// Close it on shutdown.
+// shards again), then attaches the journal: from here on every submission
+// and cancellation is appended (and fsynced) before the queue acts on it.
+// Replayed submissions are NOT re-appended — the journal already holds
+// them. The caller owns the returned journal and should Close it on
+// shutdown.
 func RestoreQueue(path string, opts ...CoordOption) (*Coordinator, *Journal, error) {
 	entries, n, err := ReadJournal(path)
 	if err != nil {
@@ -168,7 +171,7 @@ func RestoreQueue(path string, opts ...CoordOption) (*Coordinator, *Journal, err
 			return nil, nil, fmt.Errorf("dist journal %s: %w", e.ID, err)
 		}
 	}
-	log, err := openLog(path, n, true) // at the length just read: a torn tail is cut here
+	log, err := openLog(path, n) // at the length just read: a torn tail is cut here
 	if err != nil {
 		return nil, nil, err
 	}

@@ -106,41 +106,37 @@ func (c *Coordinator) Submit(spec SubmitSpec) (string, error) {
 	return sub.id, nil
 }
 
-// submitLocked is the one intake path: refuse on a draining queue, enqueue,
-// then journal (when a journal is attached) before anything is
-// acknowledged. Caller holds c.mu.
+// submitLocked is the one intake path: refuse on a draining queue, else
+// enqueue, which journals before it commits. Caller holds c.mu.
 func (c *Coordinator) submitLocked(spec SubmitSpec) (*submission, error) {
 	if c.isDraining() {
 		return nil, fmt.Errorf("dist: coordinator is draining (a one-shot serve): this instance accepts no further submissions")
 	}
-	sub, err := c.enqueue(spec)
-	if err != nil || c.journal == nil {
-		return sub, err
-	}
-	err = c.journal.Append(JournalEntry{
-		Op:        "submit",
-		ID:        sub.id,
-		Tenant:    sub.tenant,
-		Faults:    sub.faults,
-		TraceProp: sub.traceProp,
-		Jobs:      WireJobs(sub.jobs),
-	})
-	if err != nil {
-		return nil, journalError{fmt.Errorf("dist: journal submission %s: %w", sub.id, err)}
-	}
-	return sub, nil
+	return c.enqueue(spec)
 }
 
-// journalError marks a failed journal append: the one submit failure that
-// is not the request's fault.
+// journalError marks a failed journal append: the one submit or cancel
+// failure that is not the request's fault.
 type journalError struct{ error }
+
+// errorStatus is the HTTP status a refused submit or cancel answers: 500 for
+// a failed journal append, the coordinator's fault, so that clients retry;
+// 400 for everything else.
+func errorStatus(err error) int {
+	if errors.As(err, new(journalError)) {
+		return http.StatusInternalServerError
+	}
+	return http.StatusBadRequest
+}
 
 // CancelSubmission cancels a queued matrix: every unfinished campaign's
 // shards are dropped from the lease table and the submission goes
 // terminal. Campaigns already assembled stay in the store — cancellation
 // stops future work, it does not undo durable results. Cancelling a
 // submission that is already terminal is a no-op; the returned state is
-// the submission's state after the call.
+// the submission's state after the call. The cancellation is journalled
+// before anything changes, so a failed append leaves the submission running
+// here and after a restart alike.
 func (c *Coordinator) CancelSubmission(id string) (state string, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -150,6 +146,11 @@ func (c *Coordinator) CancelSubmission(id string) (state string, err error) {
 	}
 	if sub.campsLeft == 0 {
 		return sub.state(), nil
+	}
+	if c.journal != nil {
+		if err := c.journal.Append(JournalEntry{Op: "cancel", ID: sub.id}); err != nil {
+			return "", journalError{fmt.Errorf("dist: journal cancel %s: %w", sub.id, err)}
+		}
 	}
 	sub.cancelled = true
 	for _, camp := range sub.camps {
@@ -164,11 +165,6 @@ func (c *Coordinator) CancelSubmission(id string) (state string, err error) {
 	sub.endT = c.now()
 	close(sub.done)
 	c.table.pruneDone()
-	if c.journal != nil {
-		if jerr := c.journal.Append(JournalEntry{Op: "cancel", ID: sub.id}); jerr != nil {
-			return sub.state(), fmt.Errorf("dist: journal cancel %s: %w", sub.id, jerr)
-		}
-	}
 	return sub.state(), nil
 }
 
@@ -257,11 +253,7 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err != nil {
-		code := http.StatusBadRequest
-		if errors.As(err, new(journalError)) {
-			code = http.StatusInternalServerError // the coordinator's fault: clients retry
-		}
-		writeJSON(w, code, errorReply{Error: err.Error()})
+		writeJSON(w, errorStatus(err), errorReply{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, SubmitReply{
@@ -304,7 +296,7 @@ func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	state, err := c.CancelSubmission(req.ID)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorReply{Error: err.Error()})
+		writeJSON(w, errorStatus(err), errorReply{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, CancelReply{Proto: ProtoVersion, Cancelled: state == "cancelled", State: state})

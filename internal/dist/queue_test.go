@@ -27,7 +27,7 @@ import (
 // startQueueWorkers launches n loopback workers against a queue
 // coordinator and returns a stop function that drains them (each worker
 // finishes its leased shard, stops leasing and exits nil).
-func startQueueWorkers(t *testing.T, coord *Coordinator, n int) (stop func()) {
+func startQueueWorkers(t testing.TB, coord *Coordinator, n int) (stop func()) {
 	t.Helper()
 	cl := NewLoopbackClient(coord.Handler())
 	var wg sync.WaitGroup
@@ -56,7 +56,7 @@ func startQueueWorkers(t *testing.T, coord *Coordinator, n int) (stop func()) {
 }
 
 // waitSubmissions blocks until every listed submission is terminal.
-func waitSubmissions(t *testing.T, coord *Coordinator, ids ...string) {
+func waitSubmissions(t testing.TB, coord *Coordinator, ids ...string) {
 	t.Helper()
 	for _, id := range ids {
 		if err := coord.WaitSubmission(id); err != nil {

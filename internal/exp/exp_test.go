@@ -1,8 +1,11 @@
 package exp
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -60,11 +63,44 @@ func smallMatrix(t *testing.T) *Matrix {
 	return m
 }
 
+// TestTable1Renders: over live rows Table 1 prints its time rows. Over the
+// same rows written to a database and read back, which carry no wall clock,
+// it prints a note in their place, not zeros the run never measured. In both
+// every data row's ISA column starts where the header's does.
 func TestTable1Renders(t *testing.T) {
-	s := Table1(smallMatrix(t))
+	m := smallMatrix(t)
+	s := Table1(m)
 	for _, want := range []string{"Simulation Time Single Run", "Executed Instructions", "armv7", "armv8"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("table 1 missing %q:\n%s", want, s)
+		}
+	}
+	var db bytes.Buffer
+	if err := campaign.WriteDB(&db, slices.Collect(maps.Values(m.Results))); err != nil {
+		t.Fatal(err)
+	}
+	byKey, err := campaign.ReadDB(&db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := Table1(NewMatrix(slices.Collect(maps.Values(byKey))))
+	for _, want := range []string{"time rows omitted", "Executed Instructions", "executed-instruction ratio"} {
+		if !strings.Contains(read, want) {
+			t.Errorf("table 1 from a database missing %q:\n%s", want, read)
+		}
+	}
+	for _, bad := range []string{"0.000s", "Simulation Time", "Fault Campaign"} {
+		if strings.Contains(read, bad) {
+			t.Errorf("table 1 from a database prints %q, which no row measured:\n%s", bad, read)
+		}
+	}
+	for _, table := range []string{s, read} {
+		lines := strings.Split(table, "\n")
+		col := strings.Index(lines[1], "ISA")
+		for _, line := range lines[2:] {
+			if strings.Contains(line, " armv") && (len(line) < col || !strings.HasPrefix(line[col:], "armv")) {
+				t.Errorf("ISA column not at offset %d of the header in %q:\n%s", col, line, table)
+			}
 		}
 	}
 }

@@ -2,6 +2,8 @@
 // tree: the FileStore database, the segmented store's segments and the queue
 // journal. One reader (Scan), one writer (Log); whether a torn last line is
 // dropped or refused is the caller's policy, stated where it calls Scan.
+// There is one durability rule, and it lives here: every Append is written
+// and fsynced before it returns, so an acknowledged line is on disk.
 package jsonl
 
 import (
@@ -44,18 +46,17 @@ type File interface {
 // Log appends lines to a file that ends where the last acknowledged line
 // ended. Its owner serialises the calls.
 type Log struct {
-	f    File
-	n    int64
-	sync bool   // every Append fsyncs
-	buf  []byte // line + '\n', so that an append is one Write
-	err  error  // a failed append could not be undone: the tail is unknown
+	f   File
+	n   int64
+	buf []byte // line + '\n', so that an append is one Write
+	err error  // a failed append could not be undone: the tail is unknown
 }
 
 // Open opens the log at path for appending, n bytes long: the prefix the
 // caller's Scan accepted. Whatever the file holds past n is cut. With n = 0
 // the open itself does that, and creates the file, so a fresh log costs no
 // second call; a file that held n bytes a moment ago must still exist.
-func Open(path string, n int64, sync bool) (*Log, error) {
+func Open(path string, n int64) (*Log, error) {
 	flag := os.O_WRONLY | os.O_APPEND
 	if n == 0 {
 		flag |= os.O_CREATE | os.O_TRUNC
@@ -69,14 +70,14 @@ func Open(path string, n int64, sync bool) (*Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	return New(f, n, sync), nil
+	return New(f, n), nil
 }
 
 // New is a log over an open append-mode file that is n bytes long.
-func New(f File, n int64, sync bool) *Log { return &Log{f: f, n: n, sync: sync} }
+func New(f File, n int64) *Log { return &Log{f: f, n: n} }
 
-// Append writes line and a newline with one Write, plus one Sync on a synced
-// log, and returns the offset the line starts at. If either fails the file is
+// Append writes line and a newline with one Write, then fsyncs with one Sync,
+// and returns the offset the line starts at. If either fails the file is
 // truncated back to Len before the error is returned: a line is acknowledged
 // or absent. If that truncate fails too, the log refuses every later append.
 func (l *Log) Append(line []byte) (off int64, err error) {
@@ -84,7 +85,7 @@ func (l *Log) Append(line []byte) (off int64, err error) {
 		return 0, l.err
 	}
 	l.buf = append(append(l.buf[:0], line...), '\n')
-	if _, err = l.f.Write(l.buf); err == nil && l.sync {
+	if _, err = l.f.Write(l.buf); err == nil {
 		err = l.f.Sync()
 	}
 	if err != nil {
@@ -100,13 +101,5 @@ func (l *Log) Append(line []byte) (off int64, err error) {
 // Len is the length of the acknowledged lines, which is the file's.
 func (l *Log) Len() int64 { return l.n }
 
-// Sync fsyncs what Append has not: nothing, on a synced log.
-func (l *Log) Sync() error {
-	if l.sync {
-		return nil
-	}
-	return l.f.Sync()
-}
-
-// Close closes the file; it does not sync it.
+// Close closes the file. Every acknowledged line is already synced.
 func (l *Log) Close() error { return l.f.Close() }

@@ -118,7 +118,7 @@ func TestLogFailedAppendLeavesNoBytes(t *testing.T) {
 	for k := -1; k <= len(line)+1; k++ { // -1: the write lands, the fsync fails
 		path := filepath.Join(t.TempDir(), "log.jsonl")
 		f := openFaulty(t, path)
-		l := jsonl.New(f, 0, true)
+		l := jsonl.New(f, 0)
 		if off, err := l.Append([]byte(`{"k":"first"}`)); err != nil || off != 0 {
 			t.Fatalf("k=%d: first append: off %d, %v", k, off, err)
 		}
@@ -137,31 +137,17 @@ func TestLogFailedAppendLeavesNoBytes(t *testing.T) {
 	}
 }
 
-// TestLogCallsPerAppend: an acknowledged line is one Write, plus one Sync on
-// a synced log; Sync has nothing left to do on a synced log and one fsync on
-// an unsynced one, so a seal (append the footer, Sync) is one of each on both.
+// TestLogCallsPerAppend: an acknowledged line is one Write and one Sync.
 func TestLogCallsPerAppend(t *testing.T) {
-	for _, synced := range []bool{true, false} {
-		f := openFaulty(t, filepath.Join(t.TempDir(), "log.jsonl"))
-		l := jsonl.New(f, 0, synced)
-		for i := 0; i < 3; i++ {
-			if _, err := l.Append([]byte(`{}`)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		wantSyncs := 0
-		if synced {
-			wantSyncs = 3
-		}
-		if f.writes != 3 || f.syncs != wantSyncs || f.cut != 0 {
-			t.Errorf("synced=%v: 3 appends made %d writes, %d syncs, %d truncates", synced, f.writes, f.syncs, f.cut)
-		}
-		if err := l.Sync(); err != nil {
+	f := openFaulty(t, filepath.Join(t.TempDir(), "log.jsonl"))
+	l := jsonl.New(f, 0)
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append([]byte(`{}`)); err != nil {
 			t.Fatal(err)
 		}
-		if want := max(wantSyncs, 1); f.syncs != want {
-			t.Errorf("synced=%v: %d syncs after Sync, want %d", synced, f.syncs, want)
-		}
+	}
+	if f.writes != 3 || f.syncs != 3 || f.cut != 0 {
+		t.Errorf("3 appends made %d writes, %d syncs, %d truncates", f.writes, f.syncs, f.cut)
 	}
 }
 
@@ -171,7 +157,7 @@ func TestLogCallsPerAppend(t *testing.T) {
 func TestLogRefusesAppendsOnceTailUnknown(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log.jsonl")
 	f := openFaulty(t, path)
-	l := jsonl.New(f, 0, false)
+	l := jsonl.New(f, 0)
 	f.short, f.truncErr = 3, true
 	if _, err := l.Append([]byte(`{"k":1}`)); !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("failed append: %v, want ENOSPC", err)
@@ -193,7 +179,7 @@ func TestOpenCutsBackToAcceptedPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, valid, _ := lines(t, []byte(content))
-		l, err := jsonl.Open(path, valid, false)
+		l, err := jsonl.Open(path, valid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -208,7 +194,7 @@ func TestOpenCutsBackToAcceptedPrefix(t *testing.T) {
 	}
 	// Only an empty log is created: a file that held 8 bytes a moment ago
 	// and is gone is an error, not 8 zero bytes.
-	if _, err := jsonl.Open(filepath.Join(t.TempDir(), "gone.jsonl"), 8, false); !errors.Is(err, os.ErrNotExist) {
+	if _, err := jsonl.Open(filepath.Join(t.TempDir(), "gone.jsonl"), 8); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("Open of a missing file at 8 bytes: %v, want not-exist", err)
 	}
 }
@@ -251,7 +237,7 @@ func FuzzScan(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l, err := jsonl.Open(path, valid, false)
+		l, err := jsonl.Open(path, valid)
 		if err != nil {
 			t.Fatal(err)
 		}
