@@ -306,11 +306,12 @@ func TestCollectorFoldsEvents(t *testing.T) {
 	}
 }
 
-// TestCollectorCountsEachFaultOnce feeds a Collector the JobDone counts its
-// two sources send and checks it counts every fault once: the engine's
-// Fold.Folded, which concurrent jobs may deliver out of order, and the
-// coordinator's beat count, which drops back when an expired lease's beats
-// are retracted and the next holder beats the same range again. The rate
+// TestCollectorCountsEachFaultOnce feeds a Collector JobDone counts and
+// checks it counts every fault once: the engine's Fold.Folded, which
+// concurrent jobs may deliver out of order, and a stream that reports the
+// same ranges and counts twice over, as a re-issued range re-run would if a
+// source ever announced it again (the coordinator announces only accepted
+// shards, each once, from its fold). The rate
 // column is distinct injections per wall second since the first event, and
 // the ETA is the injections left at that rate.
 func TestCollectorCountsEachFaultOnce(t *testing.T) {

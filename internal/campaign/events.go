@@ -67,10 +67,10 @@ func byteSize(n int) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-// JobDone reports one completed injection job (a batch of faults). WallSec
-// is the host wall-clock span of this job alone — the per-job spans that
-// Result.ExclusiveCompute sums — and Done/Total track the campaign's
-// injection progress.
+// JobDone reports one completed injection job (a batch of faults; on a
+// coordinator, one accepted shard). WallSec is the host wall-clock span of
+// this job alone — the per-job spans that Result.ExclusiveCompute sums — and
+// Done/Total track the campaign's injection progress.
 type JobDone struct {
 	Scenario npb.Scenario
 	Domain   fault.Model
@@ -175,8 +175,8 @@ func (c *Collector) Consume(events <-chan Event) {
 // Start runs Consume on its own goroutine: events is the channel to hand
 // WithEvents, and wait returns once the run's MatrixDone has been folded.
 func (c *Collector) Start() (events chan Event, wait func()) {
-	// 64 events of slack keep a burst of job beats from stalling the pool
-	// on the progress printer.
+	// 64 events of slack keep a burst of JobDone events from stalling the
+	// pool on the progress printer.
 	events = make(chan Event, 64)
 	done := make(chan struct{})
 	go func() {
@@ -195,10 +195,10 @@ func (c *Collector) Handle(ev Event) bool {
 	}
 	switch ev := ev.(type) {
 	case JobDone:
-		// Done is the campaign's count at its source, each fault once: the
-		// engine's fold, or the coordinator's beats, from which an expired
-		// lease's are retracted before its shard is re-issued. Sends from
-		// concurrent jobs may arrive out of order, so the largest one wins.
+		// Done is the campaign's fold count at its source, each fault once:
+		// the engine's after a job, the coordinator's after an accepted
+		// shard. Sends from concurrent jobs may arrive out of order, so the
+		// largest one wins.
 		if c.done == nil {
 			c.done = make(map[string]int)
 			c.totals = make(map[string]int)
@@ -244,9 +244,9 @@ func (c *Collector) printf(format string, args ...any) {
 }
 
 // Injected returns the number of distinct injection runs reported via
-// JobDone events so far. On a distributed run this reconciles with the
-// coordinator status page's Injected total: both count every fault exactly
-// once, however many times a re-issued shard re-executed it.
+// JobDone events so far. On a distributed run it equals the coordinator
+// status page's Injected total: both read the fold, which counts every
+// fault exactly once, however many times a re-issued shard re-executed it.
 func (c *Collector) Injected() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -264,7 +264,7 @@ func (c *Collector) injectedLocked() int {
 // rateTagLocked renders the progress-line rate column (" 12.5 inj/s
 // eta=1m30s"), empty before the first completed job. The rate is distinct
 // injections per wall second since the run's first event (an engine's first
-// ScenarioStarted, a coordinator's first beat), and the ETA is the
+// ScenarioStarted, a coordinator's first accepted shard), and the ETA is the
 // injections still to run at that rate. Campaigns that have reported no
 // JobDone yet are estimated at the mean per-campaign total of those that
 // have (one that failed before its first job is a slight overestimate).

@@ -198,7 +198,7 @@ type Shard struct {
 
 // ShardRanges partitions an n-fault campaign into [lo, hi) ranges of at most
 // size (> 0) faults, in index order — the one partition rule behind engine
-// jobs, coordinator leases and a worker's progress batches. A zero-fault
+// jobs and coordinator leases. A zero-fault
 // campaign is one empty range: some executor must still visit it, so that
 // a domain the scenario cannot host fails the campaign and, on a cluster,
 // the group metadata reaches the fold.

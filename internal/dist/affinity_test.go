@@ -4,9 +4,9 @@ package dist
 // kept on the group it has built, an idle worker opens a group nobody
 // holds, and only the tail is stolen — pinned as recorded grant sequences
 // at table level and as a count of group builds on a live loopback cluster.
-// The two wire checks that ride along (a progress beat cannot lie about its
-// range; two workers that disagree about a golden run fail the campaign)
-// are pinned here too.
+// The two wire checks that ride along (no progress beat moves progress; two
+// workers that disagree about a golden run fail the campaign) are pinned
+// here too.
 
 import (
 	"context"
@@ -241,11 +241,11 @@ func TestAffinityBuildsEachGroupOnce(t *testing.T) {
 	}
 }
 
-// TestBeatCannotLieAboutItsRange: beats that are inverted, wider than their
-// lease, or replayed past the shard's size are acknowledged and dropped, so
-// no surface ever shows more progress than there are faults (or less than
-// none), and the campaign still assembles to the engine's row.
-func TestBeatCannotLieAboutItsRange(t *testing.T) {
+// TestBeatsNeverMoveProgress: a beat that is inverted, wider than its lease,
+// replayed or honest is acknowledged and moves no campaign's Injected; only
+// completions do, so exactly one JobDone per shard reaches the event stream
+// and the campaign still assembles to the engine's row.
+func TestBeatsNeverMoveProgress(t *testing.T) {
 	jobs := compatJobs()[:1]
 	ref := engineReference(t, jobs)
 	path := t.TempDir() + "/dist.jsonl"
@@ -254,7 +254,7 @@ func TestBeatCannotLieAboutItsRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := make(chan campaign.Event, 64)
-	beats := make(chan []campaign.JobDone, 1)
+	jobDones := make(chan []campaign.JobDone, 1)
 	go func() {
 		var seen []campaign.JobDone
 		for ev := range events {
@@ -262,7 +262,7 @@ func TestBeatCannotLieAboutItsRange(t *testing.T) {
 			case campaign.JobDone:
 				seen = append(seen, ev)
 			case campaign.MatrixDone:
-				beats <- seen
+				jobDones <- seen
 				return
 			}
 		}
@@ -288,29 +288,29 @@ func TestBeatCannotLieAboutItsRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		row := mr.CampaignList[0]
-		if row.Injected < 0 || row.Injected > row.Faults {
-			t.Errorf("after beat [%d,%d): status shows %d of %d injected", lo, hi, row.Injected, row.Faults)
+		if row := mr.CampaignList[0]; row.Injected != 0 {
+			t.Errorf("after beat [%d,%d): status shows %d of %d injected, want 0", lo, hi, row.Injected, row.Faults)
 		}
 	}
-	beat(3, 1)                    // inverted
-	beat(0, 99)                   // wider than the lease
-	req, err := liar.exec(ctx, l) // the honest beat, covering the whole shard
+	beat(3, 1)  // inverted
+	beat(0, 99) // wider than the lease
+	req, err := liar.exec(ctx, l)
 	if err != nil || req.Err != "" {
 		t.Fatalf("exec: %v %s", err, req.Err)
 	}
-	beat(l.Lo, l.Hi) // replayed: in range, but the shard is already fully reported
+	beat(l.Lo, l.Hi) // honest: the shard's range, run
+	beat(l.Lo, l.Hi) // replayed
 	if _, err := liar.complete(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 	runCluster(t, coord, 1)
-	seen := <-beats
+	seen := <-jobDones
 	if len(seen) != compatFaults/2 {
-		t.Errorf("%d beats reached the event stream, want one per shard (%d): %+v", len(seen), compatFaults/2, seen)
+		t.Errorf("%d JobDone events reached the stream, want one per shard (%d): %+v", len(seen), compatFaults/2, seen)
 	}
-	for _, jd := range seen {
-		if jd.Done < 0 || jd.Done > jd.Total {
-			t.Errorf("JobDone %+v: Done outside [0, Total]", jd)
+	for i, jd := range seen {
+		if jd.Done != 2*(i+1) || jd.Total != compatFaults {
+			t.Errorf("JobDone %d = %+v, want Done %d of %d", i, jd, 2*(i+1), compatFaults)
 		}
 	}
 	if err := st.Close(); err != nil {

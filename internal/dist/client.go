@@ -187,7 +187,8 @@ func (c *Client) Complete(ctx context.Context, req CompleteRequest) (CompleteRep
 	return reply, err
 }
 
-// Event streams one progress beat (best-effort; callers may ignore errors).
+// Event posts one progress beat, which the coordinator acknowledges and
+// ignores (a shard's completion is its progress). Kept for bench/.
 func (c *Client) Event(ctx context.Context, req EventRequest) error {
 	req.Proto = ProtoVersion
 	var reply EventReply

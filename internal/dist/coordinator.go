@@ -114,8 +114,6 @@ type campState struct {
 	features   map[string]float64
 	apiCalls   uint64
 
-	beats int // injection runs reported via progress events
-
 	done bool
 	err  error
 }
@@ -188,11 +186,11 @@ func LeaseTTL(d time.Duration) CoordOption { return func(c *Coordinator) { c.ttl
 func WithStore(st campaign.Store) CoordOption { return func(c *Coordinator) { c.store = st } }
 
 // WithEvents attaches a typed campaign event stream. The coordinator sends
-// JobDone beats as workers report progress, ScenarioDone as campaigns
-// assemble (or fail) and exactly one terminal MatrixDone from Wait; the
-// same consumer contract as campaign.Engine applies (one live consumer per
-// run, draining until MatrixDone — or, on a queue nobody Waits on, for as
-// long as workers are attached).
+// one JobDone per accepted shard as its completion folds, ScenarioDone as
+// campaigns assemble (or fail) and exactly one terminal MatrixDone from
+// Wait; the same consumer contract as campaign.Engine applies (one live
+// consumer per run, draining until MatrixDone — or, on a queue nobody Waits
+// on, for as long as workers are attached).
 func WithEvents(ch chan<- campaign.Event) CoordOption { return func(c *Coordinator) { c.events = ch } }
 
 // withNow overrides the coordinator clock (lease-expiry tests).
@@ -467,7 +465,8 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// touch refreshes one worker's liveness row. Caller holds c.mu.
+// touch refreshes one worker's liveness row on a lease request or a
+// completion. Caller holds c.mu.
 func (c *Coordinator) touch(name string) *workerInfo {
 	wi := c.workers[name]
 	if wi == nil {
@@ -607,6 +606,17 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	c.cm.shardSeconds.Observe(req.WallSec)
 	wi.shards++
 	wi.runs += len(req.Runs)
+	// The fold is the one progress count. Announced before the campaign can
+	// assemble, so its ScenarioDone stays its last event.
+	c.emit(campaign.JobDone{
+		Scenario: camp.Job.Scenario,
+		Domain:   camp.Job.Domain,
+		Lo:       sh.lo,
+		Hi:       sh.hi,
+		WallSec:  req.WallSec,
+		Done:     camp.Folded,
+		Total:    camp.Faults,
+	})
 	camp.shardsLeft--
 	if camp.shardsLeft == 0 && !camp.done {
 		c.assemble(camp)
@@ -614,45 +624,13 @@ func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, CompleteReply{Proto: ProtoVersion, Accepted: true, Done: c.drainedLocked()})
 }
 
+// handleEvents answers a progress beat and changes nothing. Ignored: a
+// shard's completion is its progress; kept for bench/ (ROADMAP item 8).
 func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	var req EventRequest
-	if !decode(w, r, &req.Proto, &req) {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.touch(req.Worker)
-	// Reap overdue leases first: a beat from a lease that is already past
-	// its deadline must be dropped here, not counted now and retracted at
-	// the next acquire — that window double-counted re-issued work on the
-	// progress stream (Done briefly exceeding the shard's true progress).
-	c.reapLocked()
-	sh := c.table.holder(req.LeaseID, req.Worker)
-	n := req.Hi - req.Lo
-	if sh == nil || sh.camp.key != req.Key ||
-		n < 0 || req.Lo < sh.lo || req.Hi > sh.hi || sh.beats+n > sh.hi-sh.lo {
-		// A beat from an expired lease or from a worker that does not hold
-		// it, or one that lies about its range (inverted, outside its lease,
-		// more runs than the shard holds): acknowledge and drop, so Done
-		// never exceeds Total.
-		c.cm.beatsStale.Inc()
+	if decode(w, r, &req.Proto, &req) {
 		writeJSON(w, http.StatusOK, EventReply{Proto: ProtoVersion})
-		return
 	}
-	camp := sh.camp
-	sh.beats += n
-	camp.beats += n
-	c.cm.beats.With(tenantLabel(camp.tenant())).Inc()
-	c.emit(campaign.JobDone{
-		Scenario: camp.Job.Scenario,
-		Domain:   camp.Job.Domain,
-		Lo:       req.Lo,
-		Hi:       req.Hi,
-		WallSec:  req.WallSec,
-		Done:     camp.beats,
-		Total:    camp.Faults,
-	})
-	writeJSON(w, http.StatusOK, EventReply{Proto: ProtoVersion})
 }
 
 // assemble turns one fully folded campaign into its canonical Result, puts
@@ -754,12 +732,11 @@ func (c *Coordinator) Matrix(id string) (MatricesReply, error) {
 			Skipped: camp.skipped,
 			Failed:  camp.err != nil,
 		}
-		// Live progress: beats lead the fold while a shard is in flight, the
-		// fold wins once it catches up (a store-answered campaign has
-		// neither). Vulnerability: the unmasked rate over folded results,
-		// with its 95% Wilson interval; store-answered campaigns read the
-		// stored counts instead.
-		row.Injected = max(camp.Folded, camp.beats)
+		// Progress is the fold (a store-answered campaign has none).
+		// Vulnerability: the unmasked rate over folded results, with its 95%
+		// Wilson interval; store-answered campaigns read the stored counts
+		// instead.
+		row.Injected = camp.Folded
 		unmasked, n := camp.Unmasked, camp.Folded
 		if r := sub.results[camp.idx]; camp.skipped && r != nil {
 			unmasked, n = r.Counts.Unmasked(), r.Counts.Total()

@@ -63,10 +63,6 @@ const compatFaults = 6
 
 // runCluster drives one coordinator to completion with n loopback workers
 // and returns the folded results.
-// batchSize overrides the faults a worker runs between progress beats
-// (production: campaign.DefaultJobSize).
-func batchSize(n int) WorkerOption { return func(w *Worker) { w.batch = n } }
-
 func runCluster(t *testing.T, coord *Coordinator, n int, opts ...WorkerOption) []*campaign.Result {
 	t.Helper()
 	cl := NewLoopbackClient(coord.Handler())
@@ -227,9 +223,10 @@ func TestClusterResumeFromStore(t *testing.T) {
 	}
 }
 
-// TestClusterEventStream checks the coordinator's typed event stream: live
-// JobDone beats, one ScenarioDone per campaign, a terminal MatrixDone — the
-// same taxonomy a Collector consumes from a local engine.
+// TestClusterEventStream checks the coordinator's typed event stream: one
+// JobDone per accepted shard with Done rising to the campaign's fault count,
+// then one ScenarioDone per campaign, then a terminal MatrixDone — the same
+// taxonomy a Collector consumes from a local engine.
 func TestClusterEventStream(t *testing.T) {
 	jobs := compatJobs()[:1]
 	events := make(chan campaign.Event, 256)
@@ -237,38 +234,40 @@ func TestClusterEventStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var beats, dones, matrix, maxDone int
+	var seen []campaign.Event
 	consumed := make(chan struct{})
 	go func() {
 		defer close(consumed)
 		for ev := range events {
-			switch ev := ev.(type) {
-			case campaign.JobDone:
-				beats++
-				if ev.Done > maxDone {
-					maxDone = ev.Done
-				}
-				if ev.Total != compatFaults || ev.Hi <= ev.Lo {
-					// Can't t.Errorf from here cleanly; record via counts.
-					beats = -1 << 20
-				}
-			case campaign.ScenarioDone:
-				dones++
-			case campaign.MatrixDone:
-				matrix++
+			seen = append(seen, ev)
+			if _, ok := ev.(campaign.MatrixDone); ok {
 				return
 			}
 		}
 	}()
-	runCluster(t, coord, 2, batchSize(1))
+	runCluster(t, coord, 2)
 	<-consumed
-	// With batchSize(1) every fault produces one beat, and every beat is
-	// delivered before its shard completes — so before MatrixDone.
-	if beats != compatFaults || maxDone != compatFaults {
-		t.Errorf("JobDone beats = %d (peak Done %d), want %d", beats, maxDone, compatFaults)
+	var got []string
+	done := 0
+	for _, ev := range seen {
+		switch ev := ev.(type) {
+		case campaign.JobDone:
+			if ev.Total != compatFaults || ev.Hi-ev.Lo != 2 || ev.Done != done+2 {
+				t.Errorf("JobDone %+v after Done %d, want a 2-fault shard of %d raising Done by 2", ev, done, compatFaults)
+			}
+			done = ev.Done
+			got = append(got, "job")
+		case campaign.ScenarioDone:
+			got = append(got, "scenario")
+		case campaign.MatrixDone:
+			got = append(got, "matrix")
+		}
 	}
-	if dones != 1 || matrix != 1 {
-		t.Errorf("events: ScenarioDone=%d MatrixDone=%d, want 1 each", dones, matrix)
+	if g, want := strings.Join(got, " "), "job job job scenario matrix"; g != want {
+		t.Errorf("events = %s, want %s (one JobDone per shard, all before the ScenarioDone)", g, want)
+	}
+	if done != compatFaults {
+		t.Errorf("last JobDone Done = %d, want %d", done, compatFaults)
 	}
 }
 

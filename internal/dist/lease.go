@@ -45,7 +45,6 @@ type shard struct {
 	leaseID  int64
 	worker   string
 	deadline time.Time
-	beats    int // injection runs reported by the current lease holder
 	expiries int // leases on this shard that ran out unanswered
 	affinity int // how the current lease ranked for its holder (affinityNames)
 }
@@ -133,11 +132,6 @@ func (t *leaseTable) expire() (abandoned []*shard) {
 		if s.state == shardLeased && now.After(s.deadline) {
 			s.state = shardPending
 			s.leaseID = 0
-			// The dead holder's progress beats are retracted so the next
-			// holder's beats don't double-count (Done must never exceed
-			// Total on the campaign progress line).
-			s.camp.beats -= s.beats
-			s.beats = 0
 			t.reissued++
 			t.leased--
 			t.pending++
@@ -231,7 +225,7 @@ func (t *leaseTable) complete(leaseID int64, worker, key string, lo, hi int) (s 
 }
 
 // holder returns the live shard granted to worker under leaseID, if any
-// (used to validate completions and progress events).
+// (used to validate completions).
 func (t *leaseTable) holder(leaseID int64, worker string) *shard {
 	for _, sh := range t.shards {
 		if sh.state == shardLeased && sh.leaseID == leaseID && sh.worker == worker {

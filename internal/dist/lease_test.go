@@ -77,9 +77,9 @@ func TestLeaseExpiryReissuesKilledWorkersShard(t *testing.T) {
 	ctx := context.Background()
 
 	// The doomed worker leases the first shard and is killed mid-shard: the
-	// lease is held, no completion ever arrives. It reports one progress
-	// beat first — work the healthy worker will redo after the re-issue,
-	// which the progress accounting must not count twice.
+	// lease is held, no completion ever arrives. It posts one progress beat
+	// first, for work the healthy worker will redo after the re-issue; the
+	// coordinator ignores beats, so no progress surface counts it.
 	doomed, err := cl.Lease(ctx, "doomed")
 	if err != nil {
 		t.Fatal(err)
@@ -105,9 +105,9 @@ func TestLeaseExpiryReissuesKilledWorkersShard(t *testing.T) {
 	// The probe abandons its shard too; both now expire together.
 	clock.advance(time.Minute + time.Second)
 
-	// A beat arriving after the deadline must be dropped outright (the
-	// lease is overdue even though no acquire has reaped it yet), not
-	// counted now and retracted later.
+	// A beat arriving after the deadline (the lease is overdue even though
+	// no acquire has reaped it yet) is acknowledged and ignored like any
+	// other.
 	if err := cl.Event(ctx, EventRequest{
 		Worker: "doomed", LeaseID: doomed.Lease.ID, Key: doomed.Lease.Key,
 		Lo: doomed.Lease.Lo + 1, Hi: doomed.Lease.Hi, WallSec: 0.25,
@@ -192,12 +192,12 @@ func TestLeaseExpiryReissuesKilledWorkersShard(t *testing.T) {
 		t.Errorf("classified %d of %d faults", results[0].Counts.Total(), faults)
 	}
 
-	// The Collector's JobDone-derived run count reconciles with the status
-	// page: the doomed worker's beat covered faults the healthy worker
-	// re-reported, and both surfaces count each fault once.
+	// The Collector's JobDone-derived run count equals the status page's:
+	// the doomed worker's beats covered faults the healthy worker re-ran,
+	// and both surfaces count each fault once, from the fold.
 	<-consumed
 	if got := col.Injected(); got != faults {
-		t.Errorf("collector injected = %d, want %d (re-issued beats double-counted)", got, faults)
+		t.Errorf("collector injected = %d, want %d (re-issued work double-counted)", got, faults)
 	}
 	// Each fault range folds once, so ExclusiveCompute is the golden phase
 	// plus the accepted completions' wall clock, and the stale one added
@@ -351,10 +351,9 @@ func TestLeaseGrantSequences(t *testing.T) {
 }
 
 // TestCompletionFromNonHolderIsStale: a lease belongs to the worker it was
-// granted to. Worker b's progress beat and completion for a's live lease
-// are dropped as stale, the completion counted under
-// serfi_dist_shards_total{result="stale"}, and a's own beat and completion
-// of the shard are the ones folded.
+// granted to. Worker b's completion for a's live lease is dropped as stale
+// and counted under serfi_dist_shards_total{result="stale"}, and a's own
+// completion of the shard is the one folded.
 func TestCompletionFromNonHolderIsStale(t *testing.T) {
 	const faults = 2
 	coord, err := NewCoordinator(compatJobs()[:1], faults, ShardSize(faults))
@@ -372,7 +371,7 @@ func TestCompletionFromNonHolderIsStale(t *testing.T) {
 	if err := cl.Event(ctx, EventRequest{Worker: "b", LeaseID: l.ID, Key: l.Key, Lo: l.Lo, Hi: l.Hi}); err != nil {
 		t.Fatal(err)
 	}
-	req, err := a.exec(ctx, l) // a's own beat covers the whole shard
+	req, err := a.exec(ctx, l)
 	if err != nil || req.Err != "" {
 		t.Fatalf("exec: %v %s", err, req.Err)
 	}
@@ -389,7 +388,7 @@ func TestCompletionFromNonHolderIsStale(t *testing.T) {
 		t.Fatalf("results = %v, %v", results, err)
 	}
 	if mr, err := coord.Matrix("m000001"); err != nil || mr.CampaignList[0].Injected != faults {
-		t.Errorf("matrix row = %+v, %v (want %d injected, from a's beat)", mr, err, faults)
+		t.Errorf("matrix row = %+v, %v (want %d injected, from a's completion)", mr, err, faults)
 	}
 	resp, err := cl.hc.Get(cl.base + "/metrics")
 	if err != nil {
@@ -403,7 +402,6 @@ func TestCompletionFromNonHolderIsStale(t *testing.T) {
 	for _, want := range []string{
 		`serfi_dist_shards_total{result="stale",tenant="none"} 1`,
 		`serfi_dist_shards_total{result="accepted",tenant="default"} 1`,
-		`serfi_dist_beats_stale_total 1`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics lacks %s:\n%s", want, grepLines(string(body), "serfi_dist_"))

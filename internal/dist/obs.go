@@ -50,8 +50,6 @@ type coordMetrics struct {
 	grants        obs.CounterVec // affinity: own | fresh | steal
 	shards        obs.CounterVec // result: accepted | stale | failed; tenant
 	shardSeconds  obs.Histogram  // wall clock of accepted shards
-	beats         obs.CounterVec // progress beats folded, by tenant
-	beatsStale    obs.Counter    // beats dropped: expired lease, or a range outside it
 
 	shardsPending obs.Gauge
 	shardsLeased  obs.Gauge
@@ -83,13 +81,11 @@ func newCoordMetrics() *coordMetrics {
 		grants:        r.CounterVec("serfi_dist_grants_total", "Leases granted, by how the shard ranked for its worker: its own group, a group nobody held, or one stolen from another worker.", "affinity"),
 		shards:        r.CounterVec("serfi_dist_shards_total", "Shard completions posted, by result and tenant.", "result", "tenant"),
 		shardSeconds:  r.Histogram("serfi_dist_shard_seconds", "Worker-reported wall clock of accepted shards.", obs.ExpBuckets(0.01, 4, 8)),
-		beats:         r.CounterVec("serfi_dist_beats_total", "Progress beats folded into campaign state, by tenant.", "tenant"),
-		beatsStale:    r.Counter("serfi_dist_beats_stale_total", "Progress beats dropped: their lease had expired, or their range was not inside it."),
 		shardsPending: r.Gauge("serfi_dist_shards_pending", "Shards with no live lease."),
 		shardsLeased:  r.Gauge("serfi_dist_shards_leased", "Shards currently leased."),
 		shardsDone:    r.Gauge("serfi_dist_shards_done", "Shards folded."),
 		reissued:      r.Gauge("serfi_dist_leases_reissued", "Expired leases handed out again."),
-		workersKnown:  r.Gauge("serfi_dist_workers", "Workers that have ever contacted this coordinator."),
+		workersKnown:  r.Gauge("serfi_dist_workers", "Workers that have ever asked this coordinator for a lease or posted a completion."),
 		campaignsDone: r.Gauge("serfi_dist_campaigns_done", "Campaigns assembled or failed."),
 		injected:      r.Gauge("serfi_dist_injected", "Injection results folded (each fault once)."),
 		queueDepth:    r.GaugeVec("serfi_dist_queue_depth", "Pending shards awaiting a lease, by tenant.", "tenant"),

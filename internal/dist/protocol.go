@@ -143,10 +143,9 @@ type CompleteReply struct {
 	Done     bool `json:"done,omitempty"`
 }
 
-// EventRequest streams one fine-grained progress beat — a completed
-// injection batch inside a leased shard — so the coordinator's event stream
-// and status page show live progress before the shard completes. Delivery
-// is best-effort: a lost event costs nothing but display granularity.
+// EventRequest is a progress beat for a range inside a leased shard. The
+// coordinator acknowledges it and ignores it: a shard's completion is its
+// progress. Kept for bench/, which still posts one.
 type EventRequest struct {
 	Proto    int     `json:"proto"`
 	Worker   string  `json:"worker"`
@@ -159,7 +158,7 @@ type EventRequest struct {
 	Domain   string  `json:"domain"`
 }
 
-// EventReply acknowledges a progress beat.
+// EventReply acknowledges a progress beat; ignored, kept for bench/.
 type EventReply struct {
 	Proto int `json:"proto"`
 }
@@ -182,11 +181,11 @@ type StatusReply struct {
 	ShardsPending int  `json:"shards_pending"` // no live lease (pending+leased+done = shards)
 	Reissued      int  `json:"reissued"`       // expired leases handed out again
 	// Injected counts injection results folded into campaign state —
-	// every fault exactly once, re-issued shards never twice — and
-	// reconciles with the run counts a Collector derives from JobDone
-	// events. Injections is the matrix total over campaigns this
-	// coordinator actually runs (store-answered campaigns appear in
-	// Skipped, not here).
+	// every fault exactly once, re-issued shards never twice. It equals a
+	// Collector's count by construction: each accepted completion emits
+	// one JobDone carrying the same fold count. Injections is the matrix
+	// total over campaigns this coordinator actually runs (store-answered
+	// campaigns appear in Skipped, not here).
 	Injected   int     `json:"injected"`
 	Injections int     `json:"injections"`
 	ElapsedSec float64 `json:"elapsed_sec"`
@@ -199,8 +198,8 @@ type StatusReply struct {
 }
 
 // CampaignStatus is one campaign's row in a per-submission matrices reply,
-// sorted by key. Injected is live progress: folded results where shards
-// completed, beats where a shard is still in flight.
+// sorted by key. Injected is progress: the results of completed shards
+// folded so far.
 type CampaignStatus struct {
 	Key      string `json:"key"`
 	Tenant   string `json:"tenant,omitempty"` // owning submission's namespace
@@ -226,7 +225,7 @@ type WorkerStatus struct {
 	Shards      int     `json:"shards"`             // shards completed
 	Runs        int     `json:"runs"`               // faults classified
 	Capacity    int     `json:"capacity,omitempty"` // advertised parallel slots
-	LastSeenSec float64 `json:"last_seen_sec"`
+	LastSeenSec float64 `json:"last_seen_sec"`      // since its last lease request or completion
 }
 
 // WireJob is one campaign job of a submission on the wire: the scenario ID,

@@ -114,7 +114,8 @@ func TestIdleQueueIsNotDone(t *testing.T) {
 // TestMatrixCampaignRows: the rows of one submission, asked for by ID on the
 // Go API and over the wire, are that submission's campaigns and no other
 // tenant's, sorted by key — stored counts with their Wilson bounds for
-// store-answered campaigns, live beat progress for running ones. An unknown
+// store-answered campaigns, the fold's progress for running ones (a beat
+// moves nothing; a completion moves its shard). An unknown
 // ID is the caller's error, and /v1/matrices checks the protocol version.
 func TestMatrixCampaignRows(t *testing.T) {
 	jobs := compatJobs()[:2]
@@ -135,7 +136,8 @@ func TestMatrixCampaignRows(t *testing.T) {
 	}
 	ctx := context.Background()
 	cl := NewLoopbackClient(coord.Handler())
-	// One of alice's shards in flight, one fault of it reported.
+	// One of alice's shards in flight with one fault of it beaten: every
+	// row still reads 0 injected. Then the shard completes.
 	lr, err := cl.Lease(ctx, "w")
 	if err != nil || lr.Lease == nil {
 		t.Fatalf("lease: %+v, %v", lr, err)
@@ -144,6 +146,23 @@ func TestMatrixCampaignRows(t *testing.T) {
 	if err := cl.Event(ctx, EventRequest{Worker: "w", LeaseID: l.ID, Key: l.Key, Lo: l.Lo, Hi: l.Lo + 1}); err != nil {
 		t.Fatal(err)
 	}
+	if mr, err := coord.Matrix(alice); err != nil {
+		t.Fatal(err)
+	} else {
+		for _, row := range mr.CampaignList {
+			if row.Injected != 0 {
+				t.Errorf("after a beat: row %+v, want 0 injected", row)
+			}
+		}
+	}
+	req, err := NewWorker(cl, Name("w")).exec(ctx, l)
+	if err != nil || req.Err != "" {
+		t.Fatalf("exec: %v %s", err, req.Err)
+	}
+	if reply, err := cl.Complete(ctx, req); err != nil || !reply.Accepted {
+		t.Fatalf("completion = %+v, %v", reply, err)
+	}
+	shard := l.Hi - l.Lo
 
 	var keys []string
 	for _, job := range jobs {
@@ -179,10 +198,10 @@ func TestMatrixCampaignRows(t *testing.T) {
 			if !sub.stored {
 				want := 0
 				if row.Key == l.Key {
-					want = 1
+					want = shard
 				}
-				if row.Done || row.Injected != want || row.Sampled != 0 {
-					t.Errorf("%s: live row %+v, want %d injected and nothing folded", sub.id, row, want)
+				if row.Done || row.Injected != want || row.Sampled != want {
+					t.Errorf("%s: live row %+v, want %d injected and folded", sub.id, row, want)
 				}
 				continue
 			}

@@ -2,11 +2,13 @@ package dist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"testing"
 
 	"serfi/internal/campaign"
+	"serfi/internal/fi"
 )
 
 // wirePaths are the POST endpoints FuzzWireHandlers drives, picked by the
@@ -16,10 +18,12 @@ var wirePaths = []string{PathLease, PathComplete, PathEvents, PathSubmit, PathMa
 // FuzzWireHandlers: any body POSTed to any wire endpoint, with or without a
 // failing journal under it, neither panics the coordinator nor changes a
 // finished tenant's results. The fixture is a restored queue over a
-// segmented store in which tenant bob's submission has finished; after every
-// input bob's /v1/fetch reply and the stored rows of bob's campaigns must be
-// the bytes they were. Each input is a path byte (its low bits pick the
-// endpoint, its high bit fails the journal's next fsync) and a body.
+// segmented store in which tenant bob's submission has finished and tenant
+// alice's is running, with two of its shards leased to worker w and the
+// first of them completed; after every input bob's /v1/fetch reply and the
+// stored rows of bob's campaigns must be the bytes they were. Each input is
+// a path byte (its low bits pick the endpoint, its high bit fails the
+// journal's next fsync) and a body.
 func FuzzWireHandlers(f *testing.F) {
 	coord, cl, _, journalFile := faultyQueue(f)
 	jobs := compatJobs()[:1]
@@ -33,6 +37,29 @@ func FuzzWireHandlers(f *testing.F) {
 	view, err := campaign.TenantView(coord.store, "bob")
 	if err != nil {
 		f.Fatal(err)
+	}
+	// Alice's shards are run by hand, so a seed can hold the completion of
+	// a live lease: that one reaches the fold.
+	if _, err := coord.Submit(SubmitSpec{Tenant: "alice", Jobs: jobs, Faults: compatFaults}); err != nil {
+		f.Fatal(err)
+	}
+	ctx := context.Background()
+	w := NewWorker(cl, Name("w"))
+	var shards []CompleteRequest
+	for i := 0; i < 2; i++ {
+		r, err := cl.Lease(ctx, w.name)
+		if err != nil || r.Lease == nil {
+			f.Fatalf("lease %d: %+v, %v", i, r, err)
+		}
+		req, err := w.exec(ctx, r.Lease)
+		if err != nil || req.Err != "" {
+			f.Fatalf("exec %d: %v %s", i, err, req.Err)
+		}
+		req.Proto = ProtoVersion
+		shards = append(shards, req)
+	}
+	if reply, err := cl.Complete(ctx, shards[0]); err != nil || !reply.Accepted {
+		f.Fatalf("alice's first completion = %+v, %v (want accepted)", reply, err)
 	}
 
 	post := func(t testing.TB, path string, body []byte) []byte {
@@ -81,6 +108,13 @@ func FuzzWireHandlers(f *testing.F) {
 	f.Add(byte(2), marshal(EventRequest{Proto: ProtoVersion, Worker: "w", LeaseID: 999, Key: job.Key(), Hi: 1,
 		Scenario: job.Scenario.ID(), Domain: job.Domain.String()}))
 	f.Add(byte(0x80|3), marshal(SubmitRequest{Proto: ProtoVersion, Tenant: "carol", Jobs: WireJobs(compatJobs()[3:]), Faults: compatFaults}))
+	// The second shard with one outcome out of range first, so the fold's
+	// refusal runs; the intact completion after it finds the lease retired.
+	bad := shards[1]
+	bad.Runs = append([]fi.Result(nil), bad.Runs...)
+	bad.Runs[0].Outcome = fi.NumOutcomes
+	f.Add(byte(1), marshal(bad))
+	f.Add(byte(1), marshal(shards[1]))
 
 	f.Fuzz(func(t *testing.T, path byte, body []byte) {
 		journalFile().syncErr = path&0x80 != 0

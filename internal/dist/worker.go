@@ -32,7 +32,6 @@ type Worker struct {
 	name      string
 	parallel  int
 	snapshots int // checkpoints per scenario; <= 0 = none
-	batch     int // faults between progress beats within one shard
 
 	draining atomic.Bool
 
@@ -72,7 +71,6 @@ func NewWorker(cl *Client, opts ...WorkerOption) *Worker {
 		cl:        cl,
 		name:      fmt.Sprintf("%s-%d", host, os.Getpid()),
 		snapshots: fi.DefaultCheckpoints,
-		batch:     campaign.DefaultJobSize,
 		groups:    make(map[string]*cacheEntry),
 	}
 	for _, opt := range opts {
@@ -225,40 +223,19 @@ func (w *Worker) exec(ctx context.Context, l *Lease) (CompleteRequest, error) {
 		return fail(err)
 	}
 
-	// The shard runs as batches of Group.Inject so progress beats flow
-	// while it executes.
+	// The whole range is one Group.Inject: the coordinator counts the
+	// shard's progress when its completion folds.
 	t0 := time.Now()
-	for _, r := range campaign.ShardRanges(l.Hi-l.Lo, w.batch) {
-		lo, hi := l.Lo+r[0], l.Lo+r[1]
-		bt0 := time.Now()
-		sh, err := g.Inject(ctx, model, l.Faults, lo, hi, l.TraceProp)
-		if err != nil {
-			return fail(err)
-		}
-		req.Runs = append(req.Runs, sh.Runs...)
-		req.Traces = append(req.Traces, sh.Traces...)
-		req.SimulatedInstr += sh.SimulatedInstr
-		req.FromResetInstr += sh.FromResetInstr
-		req.PrunedRuns += sh.PrunedRuns
-		if hi > lo {
-			// Progress beat, best-effort: a lost beat only costs display
-			// granularity on the coordinator.
-			_ = w.cl.Event(ctx, EventRequest{
-				Worker:   w.name,
-				LeaseID:  l.ID,
-				Key:      l.Key,
-				Lo:       lo,
-				Hi:       hi,
-				WallSec:  time.Since(bt0).Seconds(),
-				Scenario: l.Scenario,
-				Domain:   l.Domain,
-			})
-		}
+	sh, err := g.Inject(ctx, model, l.Faults, l.Lo, l.Hi, l.TraceProp)
+	if err != nil {
+		return fail(err)
 	}
+	req.WallSec = time.Since(t0).Seconds()
+	req.Runs, req.Traces = sh.Runs, sh.Traces
+	req.SimulatedInstr, req.FromResetInstr, req.PrunedRuns = sh.SimulatedInstr, sh.FromResetInstr, sh.PrunedRuns
 	req.Golden = g.Summary()
 	req.Features = g.Features.Map()
 	req.APICalls = g.APICalls
-	req.WallSec = time.Since(t0).Seconds()
 	// Piggyback this process's cumulative metric snapshot (fi, mach, mem,
 	// wire families) so the coordinator can serve cluster-wide /metrics.
 	req.Metrics = obs.Default.Snapshot()

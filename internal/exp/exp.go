@@ -176,7 +176,7 @@ func Table1(m *Matrix) string {
 			total += r.ExclusiveCompute()
 		}
 		if timed {
-			fmt.Fprintf(&b, "%-30s %-6s %12s\n", "Total Fault Campaign (compute)", isaName, fmt.Sprintf("%.0fs", total))
+			fmt.Fprintf(&b, "%-30s %-6s %12s\n", "Total Fault Campaign (compute)", isaName, fmt.Sprintf("%.1fs", total))
 		}
 	}
 	// The paper's headline ratio: average v7 instructions / average v8.
@@ -212,25 +212,33 @@ func Table2(m *Matrix) string {
 		{"IS MPI V8", npb.MPI, "armv8"},
 		{"IS OMP V8", npb.OMP, "armv8"},
 	} {
-		var hang, branches, calls, fb [3]float64
+		var rs [3]*campaign.Result
 		for i, cores := range []int{1, 2, 4} {
-			r := m.Get(npb.Scenario{App: "IS", Mode: group.mode, ISA: group.isa, Cores: cores})
-			if r == nil {
-				continue
+			rs[i] = m.Get(npb.Scenario{App: "IS", Mode: group.mode, ISA: group.isa, Cores: cores})
+		}
+		if rs == [3]*campaign.Result{} {
+			continue // no scenario of the group was run
+		}
+		norm := 1.0
+		if rs[0] != nil && rs[0].Features.FBIndex != 0 {
+			norm = rs[0].Features.FBIndex
+		}
+		// One row of three cells; a scenario the matrix lacks prints "-".
+		line := func(label, param, verb string, get func(*campaign.Result) float64) {
+			fmt.Fprintf(&b, "%-12s %-10s", label, param)
+			for _, r := range rs {
+				if r == nil {
+					fmt.Fprintf(&b, " %10s", "-")
+				} else {
+					fmt.Fprintf(&b, " %10"+verb, get(r))
+				}
 			}
-			hang[i] = 100 * r.Counts.Rate(fi.Hang)
-			branches[i] = r.Features.Branches
-			calls[i] = r.Features.Calls
-			fb[i] = r.Features.FBIndex
+			b.WriteString("\n")
 		}
-		norm := fb[0]
-		if norm == 0 {
-			norm = 1
-		}
-		fmt.Fprintf(&b, "%-12s %-10s %10.3f %10.3f %10.3f\n", group.label, "Hang (%)", hang[0], hang[1], hang[2])
-		fmt.Fprintf(&b, "%-12s %-10s %10.3g %10.3g %10.3g\n", "", "Branches", branches[0], branches[1], branches[2])
-		fmt.Fprintf(&b, "%-12s %-10s %10.3g %10.3g %10.3g\n", "", "F. Calls", calls[0], calls[1], calls[2])
-		fmt.Fprintf(&b, "%-12s %-10s %10.3f %10.3f %10.3f\n", "", "Index F*B", fb[0]/norm, fb[1]/norm, fb[2]/norm)
+		line(group.label, "Hang (%)", ".3f", func(r *campaign.Result) float64 { return 100 * r.Counts.Rate(fi.Hang) })
+		line("", "Branches", ".3g", func(r *campaign.Result) float64 { return r.Features.Branches })
+		line("", "F. Calls", ".3g", func(r *campaign.Result) float64 { return r.Features.Calls })
+		line("", "Index F*B", ".3f", func(r *campaign.Result) float64 { return r.Features.FBIndex / norm })
 	}
 	return b.String()
 }
@@ -533,6 +541,10 @@ func MacroStats(m *Matrix) string {
 		mean, std, n := d.MeanStd("branch_pct", func(name string) bool {
 			return strings.HasPrefix(name, g.isa) && strings.Contains(name, g.mode)
 		})
+		if n == 0 {
+			fmt.Fprintf(&b, "  %-7s no rows (n=0)\n", g.label)
+			continue
+		}
 		fmt.Fprintf(&b, "  %-7s mean=%6.2f%% sigma=%5.2f (n=%d)\n", g.label, mean, std, n)
 	}
 	return b.String()

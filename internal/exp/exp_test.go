@@ -12,7 +12,9 @@ import (
 
 	"serfi/internal/campaign"
 	"serfi/internal/fault"
+	"serfi/internal/fi"
 	"serfi/internal/npb"
+	"serfi/internal/profile"
 )
 
 // runSubset runs the catalog scenarios that pass keep through the campaign
@@ -94,6 +96,21 @@ func TestTable1Renders(t *testing.T) {
 			t.Errorf("table 1 from a database prints %q, which no row measured:\n%s", bad, read)
 		}
 	}
+	// Compute totals under a second print to a tenth, like a single
+	// campaign run, not rounded to 0s: one row per ISA, 0.3 s of compute.
+	var short []*campaign.Result
+	for _, sc := range isSerial() {
+		short = append(short, &campaign.Result{Scenario: sc, GoldenWallSec: 0.2, JobWallSec: 0.1})
+	}
+	totals := Table1(NewMatrix(short))
+	for _, isaName := range []string{"armv8", "armv7"} {
+		if want := fmt.Sprintf("%-30s %-6s %12s", "Total Fault Campaign (compute)", isaName, "0.3s"); !strings.Contains(totals, want) {
+			t.Errorf("table 1 lacks %q:\n%s", want, totals)
+		}
+	}
+	if strings.Contains(totals, " 0s") {
+		t.Errorf("table 1 rounds a compute total to 0s:\n%s", totals)
+	}
 	for _, table := range []string{s, read} {
 		lines := strings.Split(table, "\n")
 		col := strings.Index(lines[1], "ISA")
@@ -102,6 +119,55 @@ func TestTable1Renders(t *testing.T) {
 				t.Errorf("ISA column not at offset %d of the header in %q:\n%s", col, line, table)
 			}
 		}
+	}
+}
+
+// isSerial is the IS/SER-1 scenario of each ISA.
+func isSerial() []npb.Scenario {
+	return []npb.Scenario{
+		{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1},
+		{App: "IS", Mode: npb.Serial, ISA: "armv7", Cores: 1},
+	}
+}
+
+// TestArtefactsInventNothing: over a matrix that holds only IS/SER rows,
+// Table 2 (the IS MPI/OMP scenarios) prints no group and no 0.000 cell for
+// the scenarios it lacks, and the macro statistics print no NaN. With one
+// scenario of a group present, that group prints and its absent cells
+// read "-".
+func TestArtefactsInventNothing(t *testing.T) {
+	var rows []*campaign.Result
+	for _, sc := range isSerial() {
+		r := &campaign.Result{Scenario: sc, Faults: 4, Features: profile.Features{BranchPct: 12, Branches: 900, Calls: 30, FBIndex: 27000}}
+		r.Counts[fi.Vanished] = 4
+		rows = append(rows, r)
+	}
+	m := NewMatrix(rows)
+	for name, out := range map[string]string{"table 2": Table2(m), "macro": MacroStats(m)} {
+		for _, bad := range []string{"NaN", "0.000", "IS MPI", "IS OMP"} {
+			if strings.Contains(out, bad) {
+				t.Errorf("%s over IS/SER rows alone prints %q:\n%s", name, bad, out)
+			}
+		}
+	}
+	if s := MacroStats(m); !strings.Contains(s, "MPI V7  no rows (n=0)") {
+		t.Errorf("macro stats does not say MPI V7 has no rows:\n%s", s)
+	}
+
+	mpi := &campaign.Result{Scenario: npb.Scenario{App: "IS", Mode: npb.MPI, ISA: "armv8", Cores: 1}, Faults: 4,
+		Features: profile.Features{Branches: 1000, Calls: 40, FBIndex: 40000}}
+	mpi.Counts[fi.Vanished], mpi.Counts[fi.Hang] = 3, 1
+	s := Table2(NewMatrix(append(rows, mpi)))
+	for _, want := range []string{
+		fmt.Sprintf("%-12s %-10s %10.3f %10s %10s\n", "IS MPI V8", "Hang (%)", 25.0, "-", "-"),
+		fmt.Sprintf("%-12s %-10s %10.3f %10s %10s\n", "", "Index F*B", 1.0, "-", "-"),
+	} {
+		if !strings.Contains(s, want) {
+			t.Errorf("table 2 lacks %q:\n%s", want, s)
+		}
+	}
+	if strings.Contains(s, "IS OMP") || strings.Contains(s, "IS MPI V7") {
+		t.Errorf("table 2 prints a group with no scenario:\n%s", s)
 	}
 }
 
