@@ -179,7 +179,7 @@ func writeArtefact(m *exp.Matrix, format func(*exp.Matrix) string, out string, e
 	if err := os.WriteFile(out, []byte(report), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d scenarios, %d faults each) in %v\n",
-		out, len(m.Order), m.Faults, elapsed.Round(time.Second))
+	fmt.Fprintf(os.Stderr, "wrote %s (%d scenarios, %d faults each) in %.1fs\n",
+		out, len(m.Order), m.Faults, elapsed.Seconds())
 	return nil
 }

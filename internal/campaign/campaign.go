@@ -56,7 +56,7 @@ type Result struct {
 	// Prop is the campaign-level fold of Traces (escape-class histogram and
 	// latency samples); nil when no run was traced.
 	Prop *prop.Summary
-	// Ignored: every campaign records its runs; kept for bench/ (ROADMAP item 9).
+	// Ignored: every campaign records its runs; kept for bench/ (ROADMAP item 8).
 	RecordRuns bool
 	// Host wall-clock costs (the paper's Table 1 simulation-time axis).
 	// Campaigns overlap on the shared worker pool, so GoldenWallSec and

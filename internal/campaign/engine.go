@@ -78,7 +78,7 @@ func Models(ms ...fault.Model) Option {
 // untraced database rows are byte-identical with tracing off.
 func TraceProp() Option { return func(e *Engine) { e.traceProp = true } }
 
-// Ignored: every campaign records its runs; kept for bench/ (ROADMAP item 9).
+// Ignored: every campaign records its runs; kept for bench/ (ROADMAP item 8).
 func RecordRuns() Option { return func(*Engine) {} }
 
 // WithStore attaches a results store: campaigns whose key the store

@@ -249,7 +249,7 @@ type SubmitRequest struct {
 	Jobs      []WireJob `json:"jobs"`
 	Faults    int       `json:"faults"`
 	TraceProp bool      `json:"trace_prop,omitempty"`
-	// Ignored: every campaign records its runs; kept for bench/ (ROADMAP item 9).
+	// Ignored: every campaign records its runs; kept for bench/ (ROADMAP item 8).
 	RecordRuns bool `json:"record_runs,omitempty"`
 }
 

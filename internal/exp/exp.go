@@ -11,6 +11,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -109,6 +110,150 @@ func (m *Matrix) filter(keep func(npb.Scenario) bool) []*campaign.Result {
 	return out
 }
 
+// The paper's quantities. Each has one computation, read both by its shape
+// check and by the artefact that prints it, and reports how many rows it
+// read: a quantity that read none prints as absent and its check as
+// "no data".
+
+// instrRatio is the ARMv7/ARMv8 ratio of average executed instructions
+// (Table 1, T1); n is 0 unless both ISAs have a row.
+func instrRatio(m *Matrix) (ratio float64, n int) {
+	avg := func(isa string) (float64, int) {
+		rs := m.filter(func(sc npb.Scenario) bool { return sc.ISA == isa })
+		s := 0.0
+		for _, r := range rs {
+			s += float64(r.Golden.Retired)
+		}
+		return s / float64(len(rs)), len(rs)
+	}
+	a7, n7 := avg("armv7")
+	a8, n8 := avg("armv8")
+	if n7 == 0 || n8 == 0 || a8 == 0 {
+		return 0, 0
+	}
+	return a7 / a8, n7 + n8
+}
+
+// macroGroup is one §4.1.3 macro scenario's branch share over its n rows.
+type macroGroup struct {
+	label, isa, mode string
+	mean, std        float64
+	n                int
+}
+
+// branchShares is the branch share of the four macro scenarios (MacroStats,
+// S413), in the order MPI V7, OMP V7, MPI V8, OMP V8.
+func branchShares(m *Matrix) []macroGroup {
+	d := Dataset(m)
+	gs := []macroGroup{
+		{label: "MPI V7", isa: "armv7", mode: "MPI"},
+		{label: "OMP V7", isa: "armv7", mode: "OMP"},
+		{label: "MPI V8", isa: "armv8", mode: "MPI"},
+		{label: "OMP V8", isa: "armv8", mode: "OMP"},
+	}
+	for i := range gs {
+		g := &gs[i]
+		g.mean, g.std, g.n = d.MeanStd("branch_pct", func(name string) bool {
+			return strings.HasPrefix(name, g.isa) && strings.Contains(name, g.mode)
+		})
+	}
+	return gs
+}
+
+// isGroup is IS under one model at 1, 2 and 4 cores (Table 2, T2), nil
+// where the matrix lacks the scenario, and the number of rows present.
+func isGroup(m *Matrix, mode npb.Mode, isa string) (rs [3]*campaign.Result, n int) {
+	for i, cores := range []int{1, 2, 4} {
+		if rs[i] = m.Get(npb.Scenario{App: "IS", Mode: mode, ISA: isa, Cores: cores}); rs[i] != nil {
+			n++
+		}
+	}
+	return rs, n
+}
+
+// mpiOMPPair is one app run under both MPI and OMP at one core count.
+type mpiOMPPair struct {
+	app      string
+	cores    int
+	mpi, omp *campaign.Result
+}
+
+// pairs lists the MPI/OMP pairs the matrix holds on the ISAs, in ISA, app
+// and core-count order (the Figure 2/3 (c) panel, mpiMasksMore).
+func pairs(m *Matrix, isas ...string) []mpiOMPPair {
+	var out []mpiOMPPair
+	for _, isaName := range isas {
+		for _, app := range npb.Apps() {
+			if !app.HasMPI || !app.HasOMP {
+				continue
+			}
+			for _, cores := range []int{1, 2, 4} {
+				if app.MPISquare && cores == 2 {
+					continue
+				}
+				a := m.Get(npb.Scenario{App: app.Name, Mode: npb.MPI, ISA: isaName, Cores: cores})
+				o := m.Get(npb.Scenario{App: app.Name, Mode: npb.OMP, ISA: isaName, Cores: cores})
+				if a != nil && o != nil {
+					out = append(out, mpiOMPPair{app.Name, cores, a, o})
+				}
+			}
+		}
+	}
+	return out
+}
+
+// mpiMasksMore counts the pairs of both ISAs in which MPI masks at least as
+// often as OMP, out of n pairs (VulnWindow, S422a).
+func mpiMasksMore(m *Matrix) (wins, n int) {
+	ps := pairs(m, "armv7", "armv8")
+	for _, p := range ps {
+		if p.mpi.Counts.Masking() >= p.omp.Counts.Masking() {
+			wins++
+		}
+	}
+	return wins, len(ps)
+}
+
+// meanImbalance is the mean per-core instruction imbalance over every
+// scenario of the model with more than one core (VulnWindow, S422b).
+func meanImbalance(m *Matrix, mode npb.Mode) (mean float64, n int) {
+	rs := m.filter(func(sc npb.Scenario) bool { return sc.Mode == mode && sc.Cores > 1 })
+	if len(rs) == 0 {
+		return 0, 0
+	}
+	for _, r := range rs {
+		mean += r.Features.CoreImbalance
+	}
+	return mean / float64(len(rs)), len(rs)
+}
+
+// maxAPIWindow is the largest parallelization-API vulnerability window over
+// the n MPI and OMP rows (VulnWindow, S422c). A serial scenario calls no
+// API, so its window is 0 and it is not read.
+func maxAPIWindow(m *Matrix) (w float64, n int) {
+	for _, r := range m.filter(func(sc npb.Scenario) bool { return sc.Mode != npb.Serial }) {
+		w = math.Max(w, r.Features.APIWindow)
+		n++
+	}
+	return w, n
+}
+
+// domainCounts sums one fault domain's outcome counts over the n campaigns
+// of the scenarios keep selects (DomainTable, D1, D2).
+func domainCounts(m *Matrix, d fault.Model, keep func(npb.Scenario) bool) (agg fi.Counts, n int) {
+	for _, sc := range m.Order {
+		r := m.GetDomain(sc, d)
+		if r == nil || !keep(sc) {
+			continue
+		}
+		n++
+		for o := fi.Outcome(0); o < fi.NumOutcomes; o++ {
+			agg[o] += r.Counts[o]
+		}
+	}
+	return agg, n
+}
+
 // Table1 reproduces the NPB workload summary: smaller/average/larger
 // single-run simulation time, fault-campaign time and executed instructions
 // per ISA, plus campaign totals. A database stores no host wall clock, so
@@ -179,20 +324,8 @@ func Table1(m *Matrix) string {
 			fmt.Fprintf(&b, "%-30s %-6s %12s\n", "Total Fault Campaign (compute)", isaName, fmt.Sprintf("%.1fs", total))
 		}
 	}
-	// The paper's headline ratio: average v7 instructions / average v8.
-	var s7, s8 float64
-	var n7, n8 int
-	for _, r := range m.filter(func(sc npb.Scenario) bool { return sc.ISA == "armv7" }) {
-		s7 += float64(r.Golden.Retired)
-		n7++
-	}
-	for _, r := range m.filter(func(sc npb.Scenario) bool { return sc.ISA == "armv8" }) {
-		s8 += float64(r.Golden.Retired)
-		n8++
-	}
-	if n7 > 0 && n8 > 0 && s8 > 0 {
-		fmt.Fprintf(&b, "ARMv7/ARMv8 average executed-instruction ratio: %.1fx (paper: ~25x from software FP)\n",
-			(s7/float64(n7))/(s8/float64(n8)))
+	if ratio, n := instrRatio(m); n > 0 {
+		fmt.Fprintf(&b, "ARMv7/ARMv8 average executed-instruction ratio: %.1fx (paper: ~25x from software FP)\n", ratio)
 	}
 	return b.String()
 }
@@ -212,11 +345,8 @@ func Table2(m *Matrix) string {
 		{"IS MPI V8", npb.MPI, "armv8"},
 		{"IS OMP V8", npb.OMP, "armv8"},
 	} {
-		var rs [3]*campaign.Result
-		for i, cores := range []int{1, 2, 4} {
-			rs[i] = m.Get(npb.Scenario{App: "IS", Mode: group.mode, ISA: group.isa, Cores: cores})
-		}
-		if rs == [3]*campaign.Result{} {
+		rs, n := isGroup(m, group.mode, group.isa)
+		if n == 0 {
 			continue // no scenario of the group was run
 		}
 		norm := 1.0
@@ -306,21 +436,7 @@ func DomainTable(m *Matrix) string {
 		"ISA", "Domain", "scen", "faults", "V%", "ONA%", "OMM%", "UT%", "Hang%", "Masking%")
 	for _, isaName := range []string{"armv7", "armv8"} {
 		for _, d := range m.Domains {
-			var agg fi.Counts
-			scen := 0
-			for _, sc := range m.Order {
-				if sc.ISA != isaName {
-					continue
-				}
-				r := m.GetDomain(sc, d)
-				if r == nil {
-					continue
-				}
-				scen++
-				for o := fi.Outcome(0); o < fi.NumOutcomes; o++ {
-					agg[o] += r.Counts[o]
-				}
-			}
+			agg, scen := domainCounts(m, d, func(sc npb.Scenario) bool { return sc.ISA == isaName })
 			if scen == 0 {
 				continue
 			}
@@ -501,21 +617,8 @@ func figure(m *Matrix, isaName, figName string) string {
 	panel(npb.OMP, "b")
 	// (c): MPI-vs-OMP mismatch for apps that have both.
 	fmt.Fprintf(&b, "(c) Mismatch MPI vs OMP (sum of absolute per-class differences, %%)\n")
-	for _, app := range npb.Apps() {
-		if !app.HasMPI || !app.HasOMP {
-			continue
-		}
-		for _, cc := range []int{1, 2, 4} {
-			if app.MPISquare && cc == 2 {
-				continue
-			}
-			a := m.Get(npb.Scenario{App: app.Name, Mode: npb.MPI, ISA: isaName, Cores: cc})
-			o := m.Get(npb.Scenario{App: app.Name, Mode: npb.OMP, ISA: isaName, Cores: cc})
-			if a == nil || o == nil {
-				continue
-			}
-			fmt.Fprintf(&b, "  %-3s cores=%d mismatch=%6.2f%%\n", app.Name, cc, fi.Mismatch(a.Counts, o.Counts))
-		}
+	for _, p := range pairs(m, isaName) {
+		fmt.Fprintf(&b, "  %-3s cores=%d mismatch=%6.2f%%\n", p.app, p.cores, fi.Mismatch(p.mpi.Counts, p.omp.Counts))
 	}
 	return b.String()
 }
@@ -529,83 +632,47 @@ func Figure3(m *Matrix) string { return figure(m, "armv8", "Figure 3") }
 // MacroStats reproduces the §4.1.3 narrative: mean branch share and sigma
 // for the four macro scenarios.
 func MacroStats(m *Matrix) string {
-	d := Dataset(m)
 	var b strings.Builder
 	fmt.Fprintf(&b, "Macro-scenario branch composition (paper: MPI V7 19.24%% / OMP V7 14.08%% / MPI V8 17.65%% / OMP V8 12.01%%)\n")
-	for _, g := range []struct{ label, isa, mode string }{
-		{"MPI V7", "armv7", "MPI"},
-		{"OMP V7", "armv7", "OMP"},
-		{"MPI V8", "armv8", "MPI"},
-		{"OMP V8", "armv8", "OMP"},
-	} {
-		mean, std, n := d.MeanStd("branch_pct", func(name string) bool {
-			return strings.HasPrefix(name, g.isa) && strings.Contains(name, g.mode)
-		})
-		if n == 0 {
+	for _, g := range branchShares(m) {
+		if g.n == 0 {
 			fmt.Fprintf(&b, "  %-7s no rows (n=0)\n", g.label)
 			continue
 		}
-		fmt.Fprintf(&b, "  %-7s mean=%6.2f%% sigma=%5.2f (n=%d)\n", g.label, mean, std, n)
+		fmt.Fprintf(&b, "  %-7s mean=%6.2f%% sigma=%5.2f (n=%d)\n", g.label, g.mean, g.std, g.n)
 	}
 	return b.String()
 }
 
 // VulnWindow reproduces §4.2.2: masking-rate comparisons between MPI and
 // OMP pairs, the per-core balance difference and the runtime-library
-// vulnerability window bound.
+// vulnerability window bound. A quantity the matrix has no rows for says so.
 func VulnWindow(m *Matrix) string {
 	var b strings.Builder
-	pairs, mpiWins := 0, 0
-	var maxWin float64
-	var mpiImb, ompImb []float64
-	for _, isaName := range []string{"armv7", "armv8"} {
-		for _, app := range npb.Apps() {
-			if !app.HasMPI || !app.HasOMP {
-				continue
-			}
-			for _, cores := range []int{1, 2, 4} {
-				if app.MPISquare && cores == 2 {
-					continue
-				}
-				a := m.Get(npb.Scenario{App: app.Name, Mode: npb.MPI, ISA: isaName, Cores: cores})
-				o := m.Get(npb.Scenario{App: app.Name, Mode: npb.OMP, ISA: isaName, Cores: cores})
-				if a == nil || o == nil {
-					continue
-				}
-				pairs++
-				if a.Counts.Masking() >= o.Counts.Masking() {
-					mpiWins++
-				}
-				if w := a.Features.APIWindow; w > maxWin {
-					maxWin = w
-				}
-				if w := o.Features.APIWindow; w > maxWin {
-					maxWin = w
-				}
-				if cores > 1 {
-					mpiImb = append(mpiImb, a.Features.CoreImbalance)
-					ompImb = append(ompImb, o.Features.CoreImbalance)
-				}
-			}
-		}
-	}
-	avg := func(v []float64) float64 {
-		if len(v) == 0 {
-			return 0
-		}
-		s := 0.0
-		for _, x := range v {
-			s += x
-		}
-		return s / float64(len(v))
-	}
 	fmt.Fprintf(&b, "Vulnerability window / masking (paper: MPI higher masking in 38 of 44 pairs; API window < 23%%)\n")
-	fmt.Fprintf(&b, "  MPI masking >= OMP in %d of %d comparable scenarios\n", mpiWins, pairs)
-	fmt.Fprintf(&b, "  max parallelization-API vulnerability window: %.1f%%\n", maxWin)
-	fmt.Fprintf(&b, "  mean per-core instruction imbalance: MPI %.1f%%, OMP %.1f%% (paper: ~4%% vs up to 16%%)\n",
-		avg(mpiImb), avg(ompImb))
+	if wins, n := mpiMasksMore(m); n > 0 {
+		fmt.Fprintf(&b, "  MPI masking >= OMP in %d of %d comparable scenarios\n", wins, n)
+	} else {
+		fmt.Fprintf(&b, "  no MPI/OMP pairs: no masking comparison\n")
+	}
+	if w, n := maxAPIWindow(m); n > 0 {
+		fmt.Fprintf(&b, "  max parallelization-API vulnerability window: %.1f%%\n", w)
+	} else {
+		fmt.Fprintf(&b, "  no MPI or OMP scenario: no API window\n")
+	}
+	mpi, nm := meanImbalance(m, npb.MPI)
+	omp, no := meanImbalance(m, npb.OMP)
+	if nm > 0 && no > 0 {
+		fmt.Fprintf(&b, "  mean per-core instruction imbalance: MPI %.1f%%, OMP %.1f%% (paper: ~4%% vs up to 16%%)\n", mpi, omp)
+	} else {
+		fmt.Fprintf(&b, "  no multicore MPI and OMP scenarios: no imbalance comparison\n")
+	}
 	return b.String()
 }
+
+// outcomeColumns are the Dataset columns derived from outcome counts; a
+// feature correlation excludes them.
+var outcomeColumns = []string{"rate_vanished", "rate_ona", "rate_omm", "rate_ut", "rate_hang", "masking"}
 
 // Dataset assembles the mining table from a matrix (the §3.4 database).
 func Dataset(m *Matrix) *mining.DataSet {
@@ -631,12 +698,11 @@ func Dataset(m *Matrix) *mining.DataSet {
 // Hang rates (the §4 analyses).
 func MineReport(m *Matrix) string {
 	d := Dataset(m)
-	exclude := []string{"rate_vanished", "rate_ona", "rate_omm", "rate_ut", "rate_hang", "masking"}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Cross-layer mining: features vs UT rate (paper: memory-instruction share drives UTs)\n")
-	fmt.Fprintf(&b, "%s\n", mining.Report(d.Correlate("rate_ut", exclude...), 6))
+	fmt.Fprintf(&b, "%s\n", mining.Report(d.Correlate("rate_ut", outcomeColumns...), 6))
 	fmt.Fprintf(&b, "Cross-layer mining: features vs Hang rate (paper: calls x branches index tracks Hangs)\n")
-	fmt.Fprintf(&b, "%s", mining.Report(d.Correlate("rate_hang", exclude...), 6))
+	fmt.Fprintf(&b, "%s", mining.Report(d.Correlate("rate_hang", outcomeColumns...), 6))
 	return b.String()
 }
 

@@ -132,14 +132,17 @@ func isSerial() []npb.Scenario {
 
 // TestArtefactsInventNothing: over a matrix that holds only IS/SER rows,
 // Table 2 (the IS MPI/OMP scenarios) prints no group and no 0.000 cell for
-// the scenarios it lacks, and the macro statistics print no NaN. With one
-// scenario of a group present, that group prints and its absent cells
-// read "-".
+// the scenarios it lacks, and the macro statistics print no NaN. The §4.2.2
+// section says it has no MPI/OMP pairs, and no artefact or shape check
+// prints NaN, "0 of 0" or a 0.0% it never measured, or judges a check it
+// has no rows for "NO". With one scenario of a group present, that group
+// prints and its absent cells read "-".
 func TestArtefactsInventNothing(t *testing.T) {
 	var rows []*campaign.Result
-	for _, sc := range isSerial() {
+	for i, sc := range isSerial() {
 		r := &campaign.Result{Scenario: sc, Faults: 4, Features: profile.Features{BranchPct: 12, Branches: 900, Calls: 30, FBIndex: 27000}}
 		r.Counts[fi.Vanished] = 4
+		r.Golden.Retired = uint64(1+9*i) * 1e6 // armv7 10x armv8: T1 holds
 		rows = append(rows, r)
 	}
 	m := NewMatrix(rows)
@@ -152,6 +155,28 @@ func TestArtefactsInventNothing(t *testing.T) {
 	}
 	if s := MacroStats(m); !strings.Contains(s, "MPI V7  no rows (n=0)") {
 		t.Errorf("macro stats does not say MPI V7 has no rows:\n%s", s)
+	}
+	report := Report(m, time.Second)
+	shape := report[strings.Index(report, "## Shape checks"):strings.Index(report, "## Figure 1")]
+	for name, out := range map[string]string{
+		"vuln window": VulnWindow(m), "figure 2": Figure2(m), "figure 3": Figure3(m),
+		"report": report, "shape checks": shape,
+	} {
+		bad := []string{"NaN", "0 of 0", "| NO |"}
+		if name == "vuln window" || name == "shape checks" {
+			bad = append(bad, "0.0%") // measured rates of the rows only print in the figures
+		}
+		for _, b := range bad {
+			if strings.Contains(out, b) {
+				t.Errorf("%s over IS/SER rows alone prints %q:\n%s", name, b, out)
+			}
+		}
+	}
+	if s := VulnWindow(m); !strings.Contains(s, "no MPI/OMP pairs") {
+		t.Errorf("vuln window does not say it has no MPI/OMP pairs:\n%s", s)
+	}
+	if n := strings.Count(shape, "| no data |"); n != 6 {
+		t.Errorf("%d shape checks read no data over IS/SER rows alone, want 6 (all but T1 and F2/F3):\n%s", n, shape)
 	}
 
 	mpi := &campaign.Result{Scenario: npb.Scenario{App: "IS", Mode: npb.MPI, ISA: "armv8", Cores: 1}, Faults: 4,

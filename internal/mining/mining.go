@@ -222,15 +222,22 @@ func (d *DataSet) MeanStd(col string, keep func(name string) bool) (mean, std fl
 	return
 }
 
-// Report renders the top-k correlations as a table.
+// Report renders the top-k correlations as a table. A coefficient that is
+// undefined (a constant column) prints as "-".
 func Report(corrs []Corr, k int) string {
 	if k > len(corrs) {
 		k = len(corrs)
 	}
+	coef := func(v float64) string {
+		if math.IsNaN(v) {
+			return "-"
+		}
+		return fmt.Sprintf("%.3f", v)
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-16s %-12s %9s %9s %5s\n", "feature", "target", "pearson", "spearman", "n")
 	for _, c := range corrs[:k] {
-		fmt.Fprintf(&b, "%-16s %-12s %9.3f %9.3f %5d\n", c.Feature, c.Target, c.Pearson, c.Spearman, c.N)
+		fmt.Fprintf(&b, "%-16s %-12s %9s %9s %5d\n", c.Feature, c.Target, coef(c.Pearson), coef(c.Spearman), c.N)
 	}
 	return b.String()
 }
