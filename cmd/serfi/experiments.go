@@ -10,6 +10,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"slices"
@@ -51,8 +52,8 @@ var artefacts = map[string]struct {
 // onIS keeps IS, the paper's own case-study workload, on both ISAs.
 func onIS(sc npb.Scenario) bool { return sc.App == "IS" }
 
-func cmdExperiments(args []string) error {
-	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+func cmdExperiments(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	out := fs.String("out", "", "write the full markdown report here (default stdout)")
 	db := fs.String("db", "", "stream the raw campaign database here (JSON lines); with -join, save the fetched one")
 	from := fs.String("from", "", "format the report offline from this recorded database (no simulation)")
@@ -62,13 +63,15 @@ func cmdExperiments(args []string) error {
 	traceProp := fs.Bool("trace-prop", false, "propagation-trace every unmasked injection (feeds the prop artefact)")
 	mf := addMatrixFlags(fs, 24, "skip campaigns already recorded in -db and append the rest")
 	hf := addHostFlags(fs, engineHelp)
-	fs.Parse(args)
-	defer hf.start()()
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
+	defer hf.start(stderr)()
 
 	a, ok := artefacts[*run]
 	switch {
 	case *run == "fig1":
-		fmt.Print(exp.Figure1())
+		fmt.Fprint(stdout, exp.Figure1())
 		return nil
 	case *run != "all" && !ok:
 		return fmt.Errorf("unknown artefact %q", *run)
@@ -82,7 +85,7 @@ func cmdExperiments(args []string) error {
 		if len(m.Order) == 0 {
 			return fmt.Errorf("%s holds no campaign records", *from)
 		}
-		return writeArtefact(m, a.format, *out, 0)
+		return writeArtefact(stdout, stderr, m, a.format, *out, 0)
 	}
 
 	// The domain comparison runs every fault model, the propagation table
@@ -97,12 +100,10 @@ func cmdExperiments(args []string) error {
 	if err != nil {
 		return err
 	}
-	ctx, stop := interruptContext()
-	defer stop()
 	start := time.Now()
 	var results []*campaign.Result
 	if *join != "" {
-		results, err = fetchSubmission(ctx, *join, *db, dist.SubmitRequest{
+		results, err = fetchSubmission(ctx, stderr, *join, *db, dist.SubmitRequest{
 			Tenant:    *tenant,
 			Jobs:      dist.WireJobs(jobs),
 			Faults:    *mf.n,
@@ -115,19 +116,20 @@ func cmdExperiments(args []string) error {
 			opts = append(opts, campaign.TraceProp())
 			command += " -trace-prop"
 		}
-		results, _, err = runLocal(ctx, os.Stderr, command, *db, jobs, mf, hf, opts...)
+		results, _, err = runLocal(ctx, stderr, command, *db, jobs, mf, hf, opts...)
 	}
 	if err != nil {
 		return err
 	}
-	return writeArtefact(exp.NewMatrix(results), a.format, *out, time.Since(start))
+	return writeArtefact(stdout, stderr, exp.NewMatrix(results), a.format, *out, time.Since(start))
 }
 
 // fetchSubmission runs one matrix through the queue at join, submitted and
-// watched like `serfi submit -watch`, and returns its rows (saved to db when
-// set): by the shared Engine.JobsFor seeds, the rows a local run records.
-func fetchSubmission(ctx context.Context, join, db string, req dist.SubmitRequest) ([]*campaign.Result, error) {
-	id, err := submitWatch(ctx, os.Stderr, join, req, true)
+// watched like `serfi submit -watch` with its status lines on w, and returns
+// its rows (saved to db when set): by the shared Engine.JobsFor seeds, the
+// rows a local run records.
+func fetchSubmission(ctx context.Context, w io.Writer, join, db string, req dist.SubmitRequest) ([]*campaign.Result, error) {
+	id, err := submitWatch(ctx, w, join, req, true)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +145,7 @@ func fetchSubmission(ctx context.Context, join, db string, req dist.SubmitReques
 		if err := os.WriteFile(db, []byte(fr.DB), 0o644); err != nil {
 			return nil, err
 		}
-		fmt.Fprintf(os.Stderr, "saved %d campaign records to %s\n", len(recs), db)
+		fmt.Fprintf(w, "saved %d campaign records to %s\n", len(recs), db)
 	}
 	return slices.Collect(maps.Values(recs)), nil
 }
@@ -165,21 +167,25 @@ func readDB(path string) (map[string]*campaign.Result, error) {
 }
 
 // writeArtefact prints the artefact format renders from m or, with format
-// nil, the full report (elapsed is its wall-time line) to stdout or out.
-func writeArtefact(m *exp.Matrix, format func(*exp.Matrix) string, out string, elapsed time.Duration) error {
+// nil, the full report to stdout or out. elapsed is the run's wall time, 0
+// for a report read from a database, which records none.
+func writeArtefact(stdout, stderr io.Writer, m *exp.Matrix, format func(*exp.Matrix) string, out string, elapsed time.Duration) error {
 	if format != nil {
-		fmt.Print(format(m))
+		fmt.Fprint(stdout, format(m))
 		return nil
 	}
 	report := exp.Report(m, elapsed)
 	if out == "" {
-		fmt.Print(report)
+		fmt.Fprint(stdout, report)
 		return nil
 	}
 	if err := os.WriteFile(out, []byte(report), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wrote %s (%d scenarios, %d faults each) in %.1fs\n",
-		out, len(m.Order), m.Faults, elapsed.Seconds())
+	fmt.Fprintf(stderr, "wrote %s (%d scenarios, %d faults each)", out, len(m.Order), m.Faults)
+	if elapsed > 0 {
+		fmt.Fprintf(stderr, " in %.1fs", elapsed.Seconds())
+	}
+	fmt.Fprintln(stderr)
 	return nil
 }

@@ -7,6 +7,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -24,9 +25,17 @@ import (
 // retained per-instruction reference interpreter instead of the
 // block-cached fast path for every machine this process builds. Both
 // engines are bit-identical (the lockstep differential tests pin it); the
-// flag exists for debugging and for the CI differential jobs.
+// flag exists for debugging and for the differential tests.
 func slowPathFlag(fs *flag.FlagSet) *bool {
 	return fs.Bool("slowpath", false, "use the reference interpreter instead of the block-cached fast path (bit-identical, slower)")
+}
+
+// setSlowPath applies -slowpath. Only a set flag writes mach.ForceSlowPath
+// (run restores it), so runs without it never write the global.
+func setSlowPath(slow bool) {
+	if slow {
+		mach.ForceSlowPath = true
+	}
 }
 
 // faultModelHelp is the -faultmodel usage string every campaign-shaped
@@ -59,15 +68,15 @@ func addHostFlags(fs *flag.FlagSet, workersHelp string) *hostFlags {
 // shutdown, since the interrupt context drains commands through their
 // normal return path. Errors are reported to stderr, never fatal: a failed
 // profile must not kill a campaign.
-func (h *hostFlags) start() func() {
-	mach.ForceSlowPath = *h.slow
+func (h *hostFlags) start(stderr io.Writer) func() {
+	setSlowPath(*h.slow)
 	var cpuFile *os.File
 	if *h.cpu != "" {
 		f, err := os.Create(*h.cpu)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "serfi: cpuprofile:", err)
+			fmt.Fprintln(stderr, "serfi: cpuprofile:", err)
 		} else if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "serfi: cpuprofile:", err)
+			fmt.Fprintln(stderr, "serfi: cpuprofile:", err)
 			f.Close()
 		} else {
 			cpuFile = f
@@ -81,13 +90,13 @@ func (h *hostFlags) start() func() {
 		if *h.mem != "" {
 			f, err := os.Create(*h.mem)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "serfi: memprofile:", err)
+				fmt.Fprintln(stderr, "serfi: memprofile:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle the heap so the profile reflects live objects
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "serfi: memprofile:", err)
+				fmt.Fprintln(stderr, "serfi: memprofile:", err)
 			}
 		}
 	}

@@ -64,56 +64,63 @@ import (
 )
 
 func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "scenarios":
-		err = cmdScenarios(args)
-	case "golden":
-		err = cmdGolden(args)
-	case "inject":
-		err = cmdInject(args)
-	case "campaign":
-		err = cmdCampaign(args)
-	case "serve":
-		err = cmdServe(args)
-	case "submit":
-		err = cmdSubmit(args)
-	case "ls":
-		err = cmdLs(args)
-	case "cancel":
-		err = cmdCancel(args)
-	case "worker":
-		err = cmdWorker(args)
-	case "disasm":
-		err = cmdDisasm(args)
-	case "sens":
-		err = cmdSens(args)
-	case "experiments":
-		err = cmdExperiments(args)
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if errors.Is(err, errInterrupted) {
-		os.Exit(130)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "serfi:", err)
-		os.Exit(1)
-	}
+	ctx, stop := interruptContext(context.Background(), os.Interrupt)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, "usage: serfi {scenarios|golden|inject|campaign|serve|submit|ls|cancel|worker|sens|disasm|experiments} [flags]")
+// commands are the subcommands run dispatches to.
+var commands = map[string]func(ctx context.Context, args []string, stdout, stderr io.Writer) error{
+	"scenarios": cmdScenarios, "golden": cmdGolden, "inject": cmdInject, "campaign": cmdCampaign,
+	"serve": cmdServe, "submit": cmdSubmit, "ls": cmdLs, "cancel": cmdCancel, "worker": cmdWorker,
+	"disasm": cmdDisasm, "sens": cmdSens, "experiments": cmdExperiments,
+}
+
+// run is the CLI: it runs the subcommand args name, writing to stdout and
+// stderr, and returns the exit code: 0, 1 for a failed command, 2 for a
+// usage error, 130 for an interrupted one. Cancelling ctx is the SIGINT.
+// It restores mach.ForceSlowPath, the process global -slowpath sets, and
+// writes it only then, so concurrent runs without -slowpath share it.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 || commands[args[0]] == nil {
+		fmt.Fprintln(stderr, "usage: serfi {scenarios|golden|inject|campaign|serve|submit|ls|cancel|worker|sens|disasm|experiments} [flags]")
+		return 2
+	}
+	defer func(slow bool) {
+		if mach.ForceSlowPath != slow {
+			mach.ForceSlowPath = slow
+		}
+	}(mach.ForceSlowPath)
+	err := commands[args[0]](ctx, args[1:], stdout, stderr)
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errUsage):
+		return 2
+	case errors.Is(err, errInterrupted), errors.Is(err, context.Canceled) && ctx.Err() != nil:
+		return 130
+	}
+	fmt.Fprintln(stderr, "serfi:", err)
+	return 1
+}
+
+// errUsage marks a command line its flag set refused, having printed the
+// error and the usage: run exits 2.
+var errUsage = errors.New("usage")
+
+// parseFlags parses args into fs, which reports to stderr. -h is
+// flag.ErrHelp; every error is also errUsage.
+func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return fmt.Errorf("%w: %w", errUsage, err)
+	}
+	return nil
 }
 
 // errInterrupted ends a command whose SIGINT it has already explained (what
-// survived, how to resume or withdraw it): main exits 130, printing nothing.
+// survived, how to resume or withdraw it): run exits 130, printing nothing.
 var errInterrupted = errors.New("interrupted")
 
 // parseScenario accepts "armv7/IS/MPI-4".
@@ -156,12 +163,12 @@ func propLine(r *campaign.Result) string {
 	return b.String()
 }
 
-// interruptContext returns a context cancelled by the first SIGINT (or any
-// of also); a second signal kills the process the default way (the handler
+// interruptContext returns a context of parent cancelled by the first of
+// sigs; a second signal kills the process the default way (the handler
 // is uninstalled the moment the context fires, restoring the default
 // disposition for the graceful-shutdown window).
-func interruptContext(also ...os.Signal) (context.Context, context.CancelFunc) {
-	ctx, stop := signal.NotifyContext(context.Background(), append(also, os.Interrupt)...)
+func interruptContext(parent context.Context, sigs ...os.Signal) (context.Context, context.CancelFunc) {
+	ctx, stop := signal.NotifyContext(parent, sigs...)
 	go func() {
 		<-ctx.Done()
 		stop()
@@ -169,52 +176,54 @@ func interruptContext(also ...os.Signal) (context.Context, context.CancelFunc) {
 	return ctx, stop
 }
 
-func cmdScenarios(args []string) error {
+func cmdScenarios(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	for _, sc := range npb.Scenarios() {
-		fmt.Println(sc.ID())
+		fmt.Fprintln(stdout, sc.ID())
 	}
 	return nil
 }
 
-func cmdGolden(args []string) error {
-	fs := flag.NewFlagSet("golden", flag.ExitOnError)
+func cmdGolden(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("golden", flag.ContinueOnError)
 	scid := fs.String("s", "armv8/IS/SER-1", "scenario id")
 	out := fs.String("o", "", "write the gem5-style stats dump here instead of stdout")
 	slow := slowPathFlag(fs)
-	fs.Parse(args)
-	mach.ForceSlowPath = *slow
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
+	setSlowPath(*slow)
 	sc, err := parseScenario(*scid)
 	if err != nil {
 		return err
 	}
 	// A campaign's group without checkpoints: its golden run is profiled,
 	// and sampling only observes, so the stats dump is the unprofiled run's.
-	grp, err := campaign.BuildGroup(context.Background(), sc, 0, 0, nil)
+	grp, err := campaign.BuildGroup(ctx, sc, 0, 0, nil)
 	if err != nil {
 		return err
 	}
 	g := grp.Golden()
-	fmt.Printf("scenario        %s\n", sc.ID())
-	fmt.Printf("lifespan        [%d, %d] retired instructions\n", g.AppStart, g.AppEnd)
-	fmt.Printf("total retired   %d\n", g.Retired)
-	fmt.Printf("machine cycles  %d\n", g.Cycles)
-	fmt.Printf("console:\n%s\n", g.Console)
+	fmt.Fprintf(stdout, "scenario        %s\n", sc.ID())
+	fmt.Fprintf(stdout, "lifespan        [%d, %d] retired instructions\n", g.AppStart, g.AppEnd)
+	fmt.Fprintf(stdout, "total retired   %d\n", g.Retired)
+	fmt.Fprintf(stdout, "machine cycles  %d\n", g.Cycles)
+	fmt.Fprintf(stdout, "console:\n%s\n", g.Console)
 	p := grp.Profile()
-	fmt.Printf("%-28s %12s %12s %8s\n", "function", "samples", "calls", "time%")
+	fmt.Fprintf(stdout, "%-28s %12s %12s %8s\n", "function", "samples", "calls", "time%")
 	for _, fn := range p.Funcs[:min(len(p.Funcs), 20)] {
 		share := 0.0
 		if p.TotalSamples > 0 {
 			share = 100 * float64(fn.Samples) / float64(p.TotalSamples)
 		}
-		fmt.Printf("%-28s %12d %12d %7.2f%%\n", fn.Name, fn.Samples, fn.Calls, share)
+		fmt.Fprintf(stdout, "%-28s %12d %12d %7.2f%%\n", fn.Name, fn.Samples, fn.Calls, share)
 	}
-	fmt.Printf("parallelization-API window: %.2f%%\n", 100*p.SampleShare(profile.RuntimePrefixes...))
+	fmt.Fprintf(stdout, "parallelization-API window: %.2f%%\n", 100*p.SampleShare(profile.RuntimePrefixes...))
 	dump := func(w io.Writer) error {
 		stats.Dump(w, stats.Collect(g.Machine))
 		return nil
 	}
 	if *out == "" {
-		return dump(os.Stdout)
+		return dump(stdout)
 	}
 	return writeFile(*out, dump)
 }
@@ -239,8 +248,8 @@ func scenarioJobs(scid, model string, seed int64) ([]campaign.ScenarioJob, error
 	return jobs, nil
 }
 
-func cmdInject(args []string) error {
-	fs := flag.NewFlagSet("inject", flag.ExitOnError)
+func cmdInject(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("inject", flag.ContinueOnError)
 	scid := fs.String("s", "armv8/IS/SER-1", "scenario id")
 	n := fs.Int("n", 50, "faults")
 	seed := fs.Int64("seed", 1, "fault-list seed")
@@ -250,19 +259,19 @@ func cmdInject(args []string) error {
 	chromeTrace := fs.String("chrome-trace", "", "record the campaign's phase spans and write them here as Chrome trace_event JSON")
 	metricsOut := fs.String("metrics", "", "also dump the Prometheus exposition here")
 	hf := addHostFlags(fs, engineHelp)
-	fs.Parse(args)
-	defer hf.start()()
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
+	defer hf.start(stderr)()
 	jobs, err := scenarioJobs(*scid, *model, *seed)
 	if err != nil {
 		return err
 	}
-	ctx, stop := interruptContext()
-	defer stop()
 	var tr *obs.Tracer // nil records nothing
 	if *chromeTrace != "" {
 		tr = obs.NewTracer()
 	}
-	col := campaign.NewCollector(os.Stdout, len(jobs))
+	col := campaign.NewCollector(stdout, len(jobs))
 	events, wait := col.Start()
 	opts := append(hf.options(), campaign.Faults(*n), campaign.WithEvents(events), campaign.WithTracer(tr))
 	if *traceProp {
@@ -286,31 +295,31 @@ func cmdInject(args []string) error {
 	for _, r := range results {
 		if *verbose {
 			for i, run := range r.Runs {
-				fmt.Printf("%-32s -> %s", run.Fault.Format(env), run.Outcome)
+				fmt.Fprintf(stdout, "%-32s -> %s", run.Fault.Format(env), run.Outcome)
 				if r.Traces != nil && r.Traces[i] != nil {
-					fmt.Printf(" escape=%s", r.Traces[i].Escape)
+					fmt.Fprintf(stdout, " escape=%s", r.Traces[i].Escape)
 				}
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
 		}
-		fmt.Printf("%s faults=%d %s masking=%.1f%%\n", r.Key(), r.Faults, r.Counts, 100*r.Counts.Masking())
-		fmt.Printf("%s\n", savingsLine(r))
+		fmt.Fprintf(stdout, "%s faults=%d %s masking=%.1f%%\n", r.Key(), r.Faults, r.Counts, 100*r.Counts.Masking())
+		fmt.Fprintf(stdout, "%s\n", savingsLine(r))
 		if r.Prop != nil {
-			fmt.Printf("%s\n", propLine(r))
+			fmt.Fprintf(stdout, "%s\n", propLine(r))
 		}
 	}
 	if tr != nil {
 		if err := writeFile(*chromeTrace, tr.WriteChromeTrace); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote %d spans to %s (load in chrome://tracing or Perfetto)\n", len(tr.Spans()), *chromeTrace)
-		fmt.Printf("\n%-12s %8s %12s %12s\n", "phase", "spans", "total", "max")
+		fmt.Fprintf(stdout, "\nwrote %d spans to %s (load in chrome://tracing or Perfetto)\n", len(tr.Spans()), *chromeTrace)
+		fmt.Fprintf(stdout, "\n%-12s %8s %12s %12s\n", "phase", "spans", "total", "max")
 		for _, st := range tr.Summary() {
-			fmt.Printf("%-12s %8d %11.3fs %11.3fs\n", st.Cat, st.Count, st.TotalSec, st.MaxSec)
+			fmt.Fprintf(stdout, "%-12s %8d %11.3fs %11.3fs\n", st.Cat, st.Count, st.TotalSec, st.MaxSec)
 		}
 	}
 	if *metricsOut != "" {
-		return writeMetrics(*metricsOut)
+		return writeMetrics(stdout, *metricsOut)
 	}
 	return nil
 }
@@ -330,36 +339,36 @@ func writeFile(path string, write func(io.Writer) error) error {
 }
 
 // writeMetrics dumps the process's Prometheus exposition (obs.Default) to
-// path.
-func writeMetrics(path string) error {
+// path and says so on stdout.
+func writeMetrics(stdout io.Writer, path string) error {
 	if err := writeFile(path, obs.Default.WriteText); err != nil {
 		return err
 	}
-	fmt.Printf("\nwrote metrics exposition to %s\n", path)
+	fmt.Fprintf(stdout, "\nwrote metrics exposition to %s\n", path)
 	return nil
 }
 
-func cmdCampaign(args []string) error {
-	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
+func cmdCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("campaign", flag.ContinueOnError)
 	db := fs.String("db", "results.jsonl", "output database path")
 	mf := addMatrixFlags(fs, 50, "skip campaigns already recorded in -db and append the rest")
 	hf := addHostFlags(fs, engineHelp)
-	fs.Parse(args)
-	defer hf.start()()
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
+	defer hf.start(stderr)()
 	jobs, err := mf.jobs(nil)
 	if err != nil {
 		return err
 	}
-	ctx, stop := interruptContext()
-	defer stop()
-	_, col, err := runLocal(ctx, os.Stdout, "serfi campaign", *db, jobs, mf, hf)
+	_, col, err := runLocal(ctx, stdout, "serfi campaign", *db, jobs, mf, hf)
 	if err != nil {
 		return err
 	}
 	if *mf.resume {
-		fmt.Printf("resumed: %d campaigns already in %s, %d added\n", col.Skipped(), *db, col.Completed())
+		fmt.Fprintf(stdout, "resumed: %d campaigns already in %s, %d added\n", col.Skipped(), *db, col.Completed())
 	} else {
-		fmt.Printf("wrote %d campaign records to %s\n", col.Completed(), *db)
+		fmt.Fprintf(stdout, "wrote %d campaign records to %s\n", col.Completed(), *db)
 	}
 	return nil
 }
@@ -442,16 +451,18 @@ func progress(w io.Writer, st *campaign.FileStore, jobs []campaign.ScenarioJob) 
 // submit`, and serves until signalled.
 //
 // SIGINT and SIGTERM both stop either one gracefully.
-func cmdServe(args []string) error {
-	fs := flag.NewFlagSet("serve", flag.ExitOnError)
+func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8340", "listen address for workers and the status page")
 	db := fs.String("db", "results.jsonl", "output database path (one-shot mode)")
 	data := fs.String("data", "", "queue mode: serve a persistent multi-tenant campaign queue from this directory")
 	shardSize := fs.Int("shardsize", dist.DefaultShardSize, "faults per lease shard")
 	leaseTTL := fs.Duration("lease", dist.DefaultLeaseTTL, "lease TTL before a shard is re-issued")
 	mf := addMatrixFlags(fs, 50, "skip campaigns already recorded in -db and serve the rest")
-	fs.Parse(args)
-	ctx, stop := interruptContext(syscall.SIGTERM)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
+	ctx, stop := interruptContext(ctx, syscall.SIGTERM)
 	defer stop()
 
 	opts := []dist.CoordOption{dist.ShardSize(*shardSize), dist.LeaseTTL(*leaseTTL)}
@@ -500,9 +511,9 @@ func cmdServe(args []string) error {
 				running++
 			}
 		}
-		fmt.Printf("campaign queue at %s (data %s): %d submissions restored, %d still running\n",
+		fmt.Fprintf(stdout, "campaign queue at %s (data %s): %d submissions restored, %d still running\n",
 			*addr, *data, len(restored), running)
-		fmt.Printf("submit matrices with: serfi submit -join <host>%s [-tenant NAME] ...\n", portSuffix(*addr))
+		fmt.Fprintf(stdout, "submit matrices with: serfi submit -join <host>%s [-tenant NAME] ...\n", portSuffix(*addr))
 	} else {
 		var err error
 		if jobs, err = mf.jobs(nil); err != nil {
@@ -514,17 +525,17 @@ func cmdServe(args []string) error {
 		}
 		defer file.Close()
 		st = file
-		col = progress(os.Stdout, file, jobs)
+		col = progress(stdout, file, jobs)
 		var events chan campaign.Event
 		events, wait = col.Start()
 		if coord, err = dist.NewCoordinator(jobs, *mf.n, append(opts, dist.WithStore(file), dist.WithEvents(events))...); err != nil {
 			return err
 		}
 		status := coord.Status()
-		fmt.Printf("serving %d campaigns (%d shards of <=%d faults, %d already recorded) at %s\n",
+		fmt.Fprintf(stdout, "serving %d campaigns (%d shards of <=%d faults, %d already recorded) at %s\n",
 			status.Campaigns-status.Skipped, status.Shards, *shardSize, status.Skipped, *addr)
 	}
-	fmt.Printf("join workers with: serfi worker -join <host>%s\n", portSuffix(*addr))
+	fmt.Fprintf(stdout, "join workers with: serfi worker -join <host>%s\n", portSuffix(*addr))
 
 	_, err := coord.Serve(ctx, *addr)
 	wait()
@@ -545,14 +556,14 @@ func cmdServe(args []string) error {
 	}
 	switch {
 	case *data != "":
-		fmt.Printf("queue stopped; resume with: serfi serve -data %s -addr %s\n", *data, *addr)
+		fmt.Fprintf(stdout, "queue stopped; resume with: serfi serve -data %s -addr %s\n", *data, *addr)
 	case cancelled:
-		fmt.Printf("cancelled: %d of %d campaigns recorded in %s\n", len(st.Keys()), len(jobs), *db)
+		fmt.Fprintf(stdout, "cancelled: %d of %d campaigns recorded in %s\n", len(st.Keys()), len(jobs), *db)
 	case err != nil:
-		fmt.Printf("interrupted: %d of %d campaigns recorded in %s\n", len(st.Keys()), len(jobs), *db)
-		fmt.Println(mf.resumeHint(fmt.Sprintf("serfi serve -resume -addr %s -db %s", *addr, *db)))
+		fmt.Fprintf(stdout, "interrupted: %d of %d campaigns recorded in %s\n", len(st.Keys()), len(jobs), *db)
+		fmt.Fprintln(stdout, mf.resumeHint(fmt.Sprintf("serfi serve -resume -addr %s -db %s", *addr, *db)))
 	default:
-		fmt.Printf("matrix complete: %d campaigns in %s (%d served fresh, %d resumed)\n",
+		fmt.Fprintf(stdout, "matrix complete: %d campaigns in %s (%d served fresh, %d resumed)\n",
 			len(st.Keys()), *db, col.Completed(), col.Skipped())
 	}
 	return nil
@@ -569,15 +580,17 @@ func portSuffix(addr string) string {
 
 // cmdSubmit enqueues one campaign matrix on a queue coordinator (`serfi
 // serve -data`) and optionally watches it to completion.
-func cmdSubmit(args []string) error {
-	fs := flag.NewFlagSet("submit", flag.ExitOnError)
+func cmdSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("submit", flag.ContinueOnError)
 	join := fs.String("join", "", "queue coordinator address (host:port), required")
 	tenant := fs.String("tenant", "", "tenant namespace for the matrix's rows (default: the shared namespace)")
 	id := fs.String("id", "", "submission ID for idempotent resubmission (default: coordinator-assigned)")
 	traceProp := fs.Bool("trace-prop", false, "propagation-trace every unmasked injection")
 	watch := fs.Bool("watch", false, "poll this submission until it is terminal")
 	mf := addMatrixFlags(fs, 50, "") // the store, and so the resume, is the coordinator's
-	fs.Parse(args)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 	if *join == "" {
 		return fmt.Errorf("submit: -join <host:port> is required")
 	}
@@ -585,9 +598,7 @@ func cmdSubmit(args []string) error {
 	if err != nil {
 		return err
 	}
-	ctx, stop := interruptContext()
-	defer stop()
-	_, err = submitWatch(ctx, os.Stdout, *join, dist.SubmitRequest{
+	_, err = submitWatch(ctx, stdout, *join, dist.SubmitRequest{
 		ID:        *id,
 		Tenant:    *tenant,
 		Jobs:      dist.WireJobs(jobs),
@@ -630,63 +641,65 @@ func submitWatch(ctx context.Context, w io.Writer, join string, req dist.SubmitR
 }
 
 // cmdLs lists a queue coordinator's submissions.
-func cmdLs(args []string) error {
-	fs := flag.NewFlagSet("ls", flag.ExitOnError)
+func cmdLs(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("ls", flag.ContinueOnError)
 	join := fs.String("join", "", "queue coordinator address (host:port), required")
-	fs.Parse(args)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 	if *join == "" {
 		return fmt.Errorf("ls: -join <host:port> is required")
 	}
-	ctx, stop := interruptContext()
-	defer stop()
 	mr, err := dist.NewClient(*join).Matrices(ctx)
 	if err != nil {
 		return err
 	}
 	if len(mr.Matrices) == 0 {
-		fmt.Println("queue is empty")
+		fmt.Fprintln(stdout, "queue is empty")
 		return nil
 	}
-	fmt.Printf("%-10s %-12s %-10s %10s %14s %9s\n", "matrix", "tenant", "state", "campaigns", "injections", "elapsed")
+	fmt.Fprintf(stdout, "%-10s %-12s %-10s %10s %14s %9s\n", "matrix", "tenant", "state", "campaigns", "injections", "elapsed")
 	for _, ms := range mr.Matrices {
 		tenant := ms.Tenant
 		if tenant == "" {
 			tenant = "default"
 		}
-		fmt.Printf("%-10s %-12s %-10s %6d/%-3d %7d/%-6d %8.0fs\n",
+		fmt.Fprintf(stdout, "%-10s %-12s %-10s %6d/%-3d %7d/%-6d %8.0fs\n",
 			ms.ID, tenant, ms.State, ms.CampaignsDone, ms.Campaigns, ms.Injected, ms.Injections, ms.ElapsedSec)
 	}
 	return nil
 }
 
 // cmdCancel withdraws one submission from a queue coordinator.
-func cmdCancel(args []string) error {
-	fs := flag.NewFlagSet("cancel", flag.ExitOnError)
+func cmdCancel(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("cancel", flag.ContinueOnError)
 	join := fs.String("join", "", "queue coordinator address (host:port), required")
 	id := fs.String("id", "", "submission ID to cancel, required")
-	fs.Parse(args)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 	if *join == "" || *id == "" {
 		return fmt.Errorf("cancel: -join <host:port> and -id <matrix> are required")
 	}
-	ctx, stop := interruptContext()
-	defer stop()
 	reply, err := dist.NewClient(*join).CancelMatrix(ctx, *id)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: %s\n", *id, reply.State)
+	fmt.Fprintf(stdout, "%s: %s\n", *id, reply.State)
 	return nil
 }
 
 // cmdWorker joins a coordinator and executes shards until the matrix is
 // done (the worker exits 0) or the process is interrupted.
-func cmdWorker(args []string) error {
-	fs := flag.NewFlagSet("worker", flag.ExitOnError)
+func cmdWorker(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("worker", flag.ContinueOnError)
 	join := fs.String("join", "", "coordinator address (host:port), required")
 	name := fs.String("name", "", "worker name on the coordinator status page (default host-pid)")
 	hf := addHostFlags(fs, "concurrent shard executions (0 = all cores)")
-	fs.Parse(args)
-	defer hf.start()()
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
+	defer hf.start(stderr)()
 	if *join == "" {
 		return fmt.Errorf("worker: -join <host:port> is required")
 	}
@@ -694,8 +707,6 @@ func cmdWorker(args []string) error {
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	ctx, stop := interruptContext()
-	defer stop()
 	opts := []dist.WorkerOption{
 		dist.Parallel(parallel),
 		dist.Snapshots(*hf.snapshots),
@@ -704,7 +715,7 @@ func cmdWorker(args []string) error {
 		opts = append(opts, dist.Name(*name))
 	}
 	w := dist.NewWorker(dist.NewClient(*join), opts...)
-	fmt.Printf("worker joined %s (%d slots)\n", *join, parallel)
+	fmt.Fprintf(stdout, "worker joined %s (%d slots)\n", *join, parallel)
 	// SIGTERM is the fleet's graceful-drain signal: finish the shards
 	// already leased, stop leasing, exit 0 — no shard is abandoned to a
 	// lease expiry. SIGINT stays the hard path (cancel in-flight work).
@@ -714,27 +725,29 @@ func cmdWorker(args []string) error {
 	go func() {
 		select {
 		case <-drain:
-			fmt.Println("draining: finishing leased shards, taking no new leases")
+			fmt.Fprintln(stdout, "draining: finishing leased shards, taking no new leases")
 			w.Drain()
 		case <-ctx.Done():
 		}
 	}()
 	if err := w.Run(ctx); err != nil {
 		if errors.Is(err, context.Canceled) {
-			fmt.Println("interrupted: in-flight leases will expire and be re-issued")
+			fmt.Fprintln(stdout, "interrupted: in-flight leases will expire and be re-issued")
 			return nil
 		}
 		return err
 	}
-	fmt.Println("worker exiting: matrix complete or drained")
+	fmt.Fprintln(stdout, "worker exiting: matrix complete or drained")
 	return nil
 }
 
-func cmdDisasm(args []string) error {
-	fs := flag.NewFlagSet("disasm", flag.ExitOnError)
+func cmdDisasm(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("disasm", flag.ContinueOnError)
 	scid := fs.String("s", "armv8/IS/SER-1", "scenario id")
 	fn := fs.String("f", "main", "function symbol")
-	fs.Parse(args)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 	sc, err := parseScenario(*scid)
 	if err != nil {
 		return err
@@ -752,7 +765,7 @@ func cmdDisasm(args []string) error {
 	for pc := sym.Addr; pc < sym.Addr+sym.Size; pc += 4 {
 		w := m.Mem.ReadU32(pc)
 		ins := cfg.ISA.Decode(w)
-		fmt.Printf("%08x: %08x  %s\n", pc, w, isa.Disasm(cfg.ISA.Feat(), ins))
+		fmt.Fprintf(stdout, "%08x: %08x  %s\n", pc, w, isa.Disasm(cfg.ISA.Feat(), ins))
 	}
 	return nil
 }

@@ -13,6 +13,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"maps"
 	"os"
 	"slices"
@@ -26,14 +27,16 @@ import (
 	"serfi/internal/sens"
 )
 
-func cmdSens(args []string) error {
-	fs := flag.NewFlagSet("sens", flag.ExitOnError)
+func cmdSens(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("sens", flag.ContinueOnError)
 	db := fs.String("db", "results.jsonl", "campaign database with recorded per-fault rows")
 	only := fs.String("s", "", "substring filter on scenario ids")
 	top := fs.Int("top", 12, "rows per attribution table (0 = all)")
 	htmlOut := fs.String("html", "", "write the self-contained vulnerability heatmap here")
 	metricsOut := fs.String("metrics", "", "also dump the Prometheus exposition here")
-	fs.Parse(args)
+	if err := parseFlags(fs, args, stderr); err != nil {
+		return err
+	}
 
 	recs, err := readDB(*db)
 	if err != nil {
@@ -62,7 +65,7 @@ func cmdSens(args []string) error {
 	for i, sc := range scs {
 		rows := byScenario[sc]
 		t0 := time.Now()
-		grp, err := campaign.BuildGroup(context.Background(), sc, rows[0].Seed, 0, nil)
+		grp, err := campaign.BuildGroup(ctx, sc, rows[0].Seed, 0, nil)
 		if err != nil {
 			return err
 		}
@@ -73,19 +76,19 @@ func cmdSens(args []string) error {
 		m.Observe(rep, time.Since(t0).Seconds())
 		reports = append(reports, rep)
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		fmt.Print(rep.Text(*top))
+		fmt.Fprint(stdout, rep.Text(*top))
 	}
 
 	if *htmlOut != "" {
 		if err := os.WriteFile(*htmlOut, []byte(sens.HTML(reports)), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote vulnerability heatmap to %s\n", *htmlOut)
+		fmt.Fprintf(stdout, "\nwrote vulnerability heatmap to %s\n", *htmlOut)
 	}
 	if *metricsOut != "" {
-		return writeMetrics(*metricsOut)
+		return writeMetrics(stdout, *metricsOut)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -32,7 +33,7 @@ func TestSensRefusesForeignGolden(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := cmdSens([]string{"-db", path}); err != nil {
+	if err := cmdSens(context.Background(), []string{"-db", path}, io.Discard, io.Discard); err != nil {
 		t.Fatalf("serfi sens refused the row this build wrote: %v", err)
 	}
 
@@ -50,7 +51,7 @@ func TestSensRefusesForeignGolden(t *testing.T) {
 	if err := os.WriteFile(path, bytes.Replace(data, field(stored), field(forged), 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = cmdSens([]string{"-db", path})
+	err = cmdSens(context.Background(), []string{"-db", path}, io.Discard, io.Discard)
 	if err == nil {
 		t.Fatal("serfi sens accepted a row whose golden summary this build does not reproduce")
 	}
@@ -69,12 +70,12 @@ func TestSensRefusesForeignGolden(t *testing.T) {
 func TestReadOnlyCommandsLeaveTheDatabase(t *testing.T) {
 	dir := t.TempDir()
 	missing := filepath.Join(dir, "typo.jsonl")
-	for name, run := range map[string]func() error{
-		"sens":        func() error { return cmdSens([]string{"-db", missing}) },
-		"experiments": func() error { return cmdExperiments([]string{"-from", missing, "-run", "sens"}) },
+	for name, args := range map[string][]string{
+		"sens":        {"sens", "-db", missing},
+		"experiments": {"experiments", "-from", missing, "-run", "sens"},
 	} {
-		if err := run(); err == nil || !strings.Contains(err.Error(), missing) {
-			t.Errorf("%s over a missing database: err = %v, want one naming %s", name, err, missing)
+		if code, _, stderr := cli(t, args...); code != 1 || !strings.Contains(stderr, missing) {
+			t.Errorf("%s over a missing database: exit %d, stderr %q, want 1 naming %s", name, code, stderr, missing)
 		}
 		if _, err := os.Stat(missing); !os.IsNotExist(err) {
 			t.Fatalf("%s left %s behind (stat: %v)", name, missing, err)
@@ -95,13 +96,11 @@ func TestReadOnlyCommandsLeaveTheDatabase(t *testing.T) {
 	if err := os.WriteFile(path, want, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for name, run := range map[string]func() error{
-		"sens":        func() error { return cmdSens([]string{"-db", path}) },
-		"experiments": func() error { return cmdExperiments([]string{"-from", path, "-run", "sens"}) },
+	for name, args := range map[string][]string{
+		"sens":        {"sens", "-db", path},
+		"experiments": {"experiments", "-from", path, "-run", "sens"},
 	} {
-		if err := run(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		mustCLI(t, args...)
 		if got, _ := os.ReadFile(path); !bytes.Equal(got, want) {
 			t.Errorf("%s changed the database from %d to %d bytes", name, len(want), len(got))
 		}

@@ -617,7 +617,11 @@ func figure(m *Matrix, isaName, figName string) string {
 	panel(npb.OMP, "b")
 	// (c): MPI-vs-OMP mismatch for apps that have both.
 	fmt.Fprintf(&b, "(c) Mismatch MPI vs OMP (sum of absolute per-class differences, %%)\n")
-	for _, p := range pairs(m, isaName) {
+	ps := pairs(m, isaName)
+	if len(ps) == 0 {
+		fmt.Fprintf(&b, "  no MPI/OMP pairs\n")
+	}
+	for _, p := range ps {
 		fmt.Fprintf(&b, "  %-3s cores=%d mismatch=%6.2f%%\n", p.app, p.cores, fi.Mismatch(p.mpi.Counts, p.omp.Counts))
 	}
 	return b.String()

@@ -133,10 +133,11 @@ func isSerial() []npb.Scenario {
 // TestArtefactsInventNothing: over a matrix that holds only IS/SER rows,
 // Table 2 (the IS MPI/OMP scenarios) prints no group and no 0.000 cell for
 // the scenarios it lacks, and the macro statistics print no NaN. The §4.2.2
-// section says it has no MPI/OMP pairs, and no artefact or shape check
-// prints NaN, "0 of 0" or a 0.0% it never measured, or judges a check it
-// has no rows for "NO". With one scenario of a group present, that group
-// prints and its absent cells read "-".
+// section and the (c) panels of Figures 2 and 3 say they have no MPI/OMP
+// pairs, and no artefact or shape check prints NaN, "0 of 0" or a 0.0% it
+// never measured, or judges a check it has no rows for "NO". With one
+// scenario of a group present, that group prints and its absent cells read
+// "-".
 func TestArtefactsInventNothing(t *testing.T) {
 	var rows []*campaign.Result
 	for i, sc := range isSerial() {
@@ -172,8 +173,10 @@ func TestArtefactsInventNothing(t *testing.T) {
 			}
 		}
 	}
-	if s := VulnWindow(m); !strings.Contains(s, "no MPI/OMP pairs") {
-		t.Errorf("vuln window does not say it has no MPI/OMP pairs:\n%s", s)
+	for name, s := range map[string]string{"vuln window": VulnWindow(m), "figure 2": Figure2(m), "figure 3": Figure3(m)} {
+		if !strings.Contains(s, "no MPI/OMP pairs") {
+			t.Errorf("%s does not say it has no MPI/OMP pairs:\n%s", name, s)
+		}
 	}
 	if n := strings.Count(shape, "| no data |"); n != 6 {
 		t.Errorf("%d shape checks read no data over IS/SER rows alone, want 6 (all but T1 and F2/F3):\n%s", n, shape)
