@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
 	"os"
@@ -26,7 +27,7 @@ import (
 )
 
 // cliProcessEnv makes the test binary run main instead of its tests: the
-// pins that need a process of their own (a real SIGTERM, or one metrics
+// pins that need a process of their own (a real signal, or one metrics
 // registry per worker) start os.Args[0] with it set.
 const cliProcessEnv = "SERFI_TEST_CLI_PROCESS"
 
@@ -128,32 +129,62 @@ func (r *bgRun) interrupt(t *testing.T) {
 type process struct {
 	cmd  *exec.Cmd
 	out  syncBuffer // stdout and stderr
-	done chan error
+	done chan struct{}
 }
 
 func startProcess(t *testing.T, args ...string) *process {
 	t.Helper()
-	p := &process{cmd: exec.Command(os.Args[0], args...), done: make(chan error, 1)}
+	p := &process{cmd: exec.Command(os.Args[0], args...), done: make(chan struct{})}
 	p.cmd.Env = append(os.Environ(), cliProcessEnv+"=1")
 	p.cmd.Stdout, p.cmd.Stderr = &p.out, &p.out
 	if err := p.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	go func() { p.done <- p.cmd.Wait() }()
+	go func() {
+		p.cmd.Wait()
+		close(p.done)
+	}()
 	t.Cleanup(func() { p.cmd.Process.Kill() })
 	return p
+}
+
+// exit waits for the process and returns its exit code.
+func (p *process) exit(t *testing.T) int {
+	t.Helper()
+	select {
+	case <-p.done:
+		return p.cmd.ProcessState.ExitCode()
+	case <-time.After(waitLimit):
+		t.Fatalf("serfi %s still running after %v\n%s", strings.Join(p.cmd.Args[1:], " "), waitLimit, p.out.String())
+		return -1
+	}
 }
 
 // mustExit waits for the process and fails the test unless it exits 0.
 func (p *process) mustExit(t *testing.T) {
 	t.Helper()
-	select {
-	case err := <-p.done:
-		if err != nil {
-			t.Fatalf("serfi %s: %v\n%s", strings.Join(p.cmd.Args[1:], " "), err, p.out.String())
+	if code := p.exit(t); code != 0 {
+		t.Fatalf("serfi %s: exit %d\n%s", strings.Join(p.cmd.Args[1:], " "), code, p.out.String())
+	}
+}
+
+// signal sends sig to the process once its output holds after, the line
+// that says the state sig must meet has been reached.
+func (p *process) signal(t *testing.T, sig os.Signal, after string) {
+	t.Helper()
+	deadline := time.Now().Add(waitLimit)
+	for !strings.Contains(p.out.String(), after) {
+		select {
+		case <-p.done:
+			t.Fatalf("serfi %s exited before printing %q\n%s", strings.Join(p.cmd.Args[1:], " "), after, p.out.String())
+		case <-time.After(5 * time.Millisecond):
 		}
-	case <-time.After(waitLimit):
-		t.Fatalf("serfi %s still running after %v\n%s", strings.Join(p.cmd.Args[1:], " "), waitLimit, p.out.String())
+		if time.Now().After(deadline) {
+			t.Fatalf("serfi %s did not print %q\n%s", strings.Join(p.cmd.Args[1:], " "), after, p.out.String())
+		}
+	}
+	if err := p.cmd.Process.Signal(sig); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -174,15 +205,26 @@ func startServe(t *testing.T, args ...string) (*bgRun, string) {
 	t.Helper()
 	addr := freeAddr(t)
 	r := startCLI(t, append([]string{"serve", "-addr", addr}, args...)...)
+	awaitStatus(t, addr, r.done, func() string {
+		return fmt.Sprintf("exit %d\nstdout:\n%s\nstderr:\n%s", r.code, r.stdout.String(), r.stderr.String())
+	})
+	return r, addr
+}
+
+// awaitStatus returns once the coordinator at addr answers /v1/status. It
+// fails the test if exited closes first, printing output, or the wait
+// passes waitLimit.
+func awaitStatus(t *testing.T, addr string, exited <-chan struct{}, output func() string) {
+	t.Helper()
 	deadline := time.Now().Add(waitLimit)
 	for {
 		if resp, err := http.Get("http://" + addr + dist.PathStatus); err == nil {
 			resp.Body.Close()
-			return r, addr
+			return
 		}
 		select {
-		case <-r.done:
-			t.Fatalf("serve exited %d before answering\nstdout:\n%s\nstderr:\n%s", r.code, r.stdout.String(), r.stderr.String())
+		case <-exited:
+			t.Fatalf("serve exited before answering\n%s", output())
 		case <-time.After(20 * time.Millisecond):
 		}
 		if time.Now().After(deadline) {

@@ -34,7 +34,8 @@
 // A SIGINT (Ctrl-C) cancels the campaign engine gracefully: in-flight
 // injection jobs stop at the next run slice, every completed campaign is
 // already durable in the -db JSONL store, and the CLI prints the -resume
-// command that finishes the matrix. A second SIGINT kills the process.
+// command that finishes the matrix. serve stops the same way on SIGTERM
+// (a worker drains on it instead). A second signal kills the process.
 package main
 
 import (
@@ -64,7 +65,11 @@ import (
 )
 
 func main() {
-	ctx, stop := interruptContext(context.Background(), os.Interrupt)
+	sigs := []os.Signal{os.Interrupt}
+	if len(os.Args) > 1 && os.Args[1] == "serve" {
+		sigs = append(sigs, syscall.SIGTERM)
+	}
+	ctx, stop := interruptContext(sigs...)
 	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
 	stop()
 	os.Exit(code)
@@ -163,12 +168,12 @@ func propLine(r *campaign.Result) string {
 	return b.String()
 }
 
-// interruptContext returns a context of parent cancelled by the first of
-// sigs; a second signal kills the process the default way (the handler
-// is uninstalled the moment the context fires, restoring the default
-// disposition for the graceful-shutdown window).
-func interruptContext(parent context.Context, sigs ...os.Signal) (context.Context, context.CancelFunc) {
-	ctx, stop := signal.NotifyContext(parent, sigs...)
+// interruptContext returns a context cancelled by the first of sigs; a
+// second signal, any of sigs, kills the process the default way (the
+// handlers are uninstalled the moment the context fires, restoring the
+// default disposition for the graceful-shutdown window).
+func interruptContext(sigs ...os.Signal) (context.Context, context.CancelFunc) {
+	ctx, stop := signal.NotifyContext(context.Background(), sigs...)
 	go func() {
 		<-ctx.Done()
 		stop()
@@ -450,7 +455,8 @@ func progress(w io.Writer, st *campaign.FileStore, jobs []campaign.ScenarioJob) 
 // re-sharded). It starts with whatever the journal holds, is fed by `serfi
 // submit`, and serves until signalled.
 //
-// SIGINT and SIGTERM both stop either one gracefully.
+// SIGINT and SIGTERM both stop either one gracefully (main cancels ctx on
+// either).
 func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8340", "listen address for workers and the status page")
@@ -462,9 +468,6 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
-	ctx, stop := interruptContext(ctx, syscall.SIGTERM)
-	defer stop()
-
 	opts := []dist.CoordOption{dist.ShardSize(*shardSize), dist.LeaseTTL(*leaseTTL)}
 	var (
 		coord   *dist.Coordinator

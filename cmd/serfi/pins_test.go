@@ -25,36 +25,31 @@ import (
 )
 
 // TestCancelResume: a 7-campaign matrix (IS serial under every fault
-// domain) interrupted as its first record lands keeps what it recorded and
-// prints the resume command, and the resume finishes the matrix.
+// domain) SIGINTed as its first record lands keeps what it recorded, prints
+// the resume command and exits 130, and the resume finishes the matrix. One
+// worker runs the campaigns one after another, so six are still to run
+// when the signal arrives.
 func TestCancelResume(t *testing.T) {
 	t.Parallel()
 	db := filepath.Join(t.TempDir(), "cancel.jsonl")
-	args := []string{"campaign", "-n", "12", "-only", "armv8/IS/SER", "-faultmodel", "all", "-db", db}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var out syncBuffer
+	args := []string{"campaign", "-n", "40", "-workers", "1", "-only", "armv8/IS/SER", "-faultmodel", "all", "-db", db}
+	p := startProcess(t, args...)
 	// The progress line of the first finished campaign is printed after its
 	// record is stored: interrupt there.
-	firstRecord := writerFunc(func(p []byte) (int, error) {
-		if bytes.Contains(p, []byte("[  1/  7]")) {
-			cancel()
-		}
-		return out.Write(p)
-	})
-	if code := run(ctx, args, firstRecord, io.Discard); code != 130 {
-		t.Fatalf("interrupted campaign: exit %d, want 130\n%s", code, out.String())
+	p.signal(t, os.Interrupt, "[  1/  7]")
+	if code := p.exit(t); code != 130 {
+		t.Fatalf("interrupted campaign: exit %d, want 130\n%s", code, p.out.String())
 	}
 	recorded := len(sortedLines(t, nil, db))
 	if recorded < 1 || recorded >= 7 {
-		t.Fatalf("%d campaigns recorded at the interrupt, want 1 to 6\n%s", recorded, out.String())
+		t.Fatalf("%d campaigns recorded at the interrupt, want 1 to 6\n%s", recorded, p.out.String())
 	}
 	for _, want := range []string{
 		fmt.Sprintf("interrupted: %d of 7 campaigns recorded in %s", recorded, db),
-		"resume with: serfi campaign -resume -db " + db + " -n 12 -seed 2018 -only armv8/IS/SER -faultmodel all",
+		"resume with: serfi campaign -resume -db " + db + " -n 40 -seed 2018 -only armv8/IS/SER -faultmodel all",
 	} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("interrupted campaign does not print %q:\n%s", want, out.String())
+		if !strings.Contains(p.out.String(), want) {
+			t.Errorf("interrupted campaign does not print %q:\n%s", want, p.out.String())
 		}
 	}
 	stdout := mustCLI(t, append(args, "-resume")...)
@@ -66,10 +61,25 @@ func TestCancelResume(t *testing.T) {
 	}
 }
 
-// writerFunc is an io.Writer made of its Write method.
-type writerFunc func([]byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+// TestServeStopsOnSIGTERM: a one-shot coordinator SIGTERMed before any
+// worker joins stops gracefully, exit 0, and prints the command that
+// resumes its matrix.
+func TestServeStopsOnSIGTERM(t *testing.T) {
+	t.Parallel()
+	addr, db := freeAddr(t), filepath.Join(t.TempDir(), "sigterm.jsonl")
+	p := startProcess(t, "serve", "-addr", addr, "-n", "6", "-only", "armv8/IS/SER", "-db", db)
+	awaitStatus(t, addr, p.done, p.out.String)
+	p.signal(t, syscall.SIGTERM, "join workers with")
+	p.mustExit(t)
+	for _, want := range []string{
+		"interrupted: 0 of 1 campaigns recorded in " + db,
+		"resume with: serfi serve -resume -addr " + addr + " -db " + db + " -n 6 -seed 2018 -only armv8/IS/SER",
+	} {
+		if !strings.Contains(p.out.String(), want) {
+			t.Errorf("SIGTERMed serve does not print %q:\n%s", want, p.out.String())
+		}
+	}
+}
 
 // clusterMatrix is the small mixed-domain matrix of the cluster pins.
 var clusterMatrix = []string{"-n", "6", "-only", "armv8/IS/SER", "-faultmodel", "all"}
@@ -123,8 +133,12 @@ func TestClusterMatchesLocal(t *testing.T) {
 	sameRows(t, "the resumed coordinator", want, sortedLines(t, nil, cluster))
 
 	cancelled, addr := startServe(t, "-n", "6", "-only", "armv8/IS/SER", "-db", filepath.Join(dir, "cancelled.jsonl"))
+	start := time.Now()
 	mustCLI(t, "cancel", "-join", addr, "-id", "m000001")
 	cancelled.mustExit(t)
+	if d := time.Since(start); d > 10*time.Second {
+		t.Errorf("the cancelled one-shot serve took %v to exit, want at most 10s", d)
+	}
 	if !strings.Contains(cancelled.stdout.String(), "cancelled: 0 of 1 campaigns recorded") {
 		t.Errorf("cancelled one-shot serve:\n%s", cancelled.stdout.String())
 	}
@@ -365,14 +379,14 @@ func TestQueue(t *testing.T) {
 }
 
 // TestExperimentsJoinMatchesLocal: `serfi experiments -join` submits the
-// artefact's matrix to a queue, watches it drain and formats the fetched
-// rows: the artefact the same run prints locally.
+// artefact's matrix (Table 2, both ISAs) to a queue, watches it drain and
+// formats the fetched rows: the artefact the same run prints locally.
 func TestExperimentsJoinMatchesLocal(t *testing.T) {
 	t.Parallel()
-	want := mustCLI(t, "experiments", "-run", "table2", "-n", "2", "-only", "armv8")
+	want := mustCLI(t, "experiments", "-run", "table2", "-n", "2")
 	serve, addr := startServe(t, "-data", filepath.Join(t.TempDir(), "edata"))
 	w := startCLI(t, "worker", "-join", addr, "-workers", "2", "-name", "ci-exp")
-	if got := mustCLI(t, "experiments", "-join", addr, "-run", "table2", "-n", "2", "-only", "armv8"); got != want {
+	if got := mustCLI(t, "experiments", "-join", addr, "-run", "table2", "-n", "2"); got != want {
 		t.Errorf("experiments -join prints\n%s\nthe local run prints\n%s", got, want)
 	}
 	w.interrupt(t)
@@ -411,16 +425,15 @@ func TestSmokePropagation(t *testing.T) {
 	if out := mustCLI(t, "inject", "-s", "armv8/IS/SER-1", "-n", "16", "-seed", "99", "-trace-prop"); !regexp.MustCompile(`prop: traced=[1-9]`).MatchString(out) {
 		t.Errorf("inject -trace-prop traced nothing:\n%s", out)
 	}
-	// The armv8 row is the full run's: -only keeps every scenario's seed.
-	if out := mustCLI(t, "experiments", "-run", "prop", "-trace-prop", "-n", "6", "-seed", "99", "-only", "armv8"); !regexp.MustCompile(`(?m)^armv8 +reg +[1-9]`).MatchString(out) {
+	if out := mustCLI(t, "experiments", "-run", "prop", "-trace-prop", "-n", "6", "-seed", "99"); !regexp.MustCompile(`(?m)^armv8 +reg +[1-9]`).MatchString(out) {
 		t.Errorf("prop artefact has no armv8 reg row:\n%s", out)
 	}
 }
 
 // TestSmokeReportFromRows: the report formatted from the rows a run
 // recorded is the report the run printed, shape checks included, but for
-// the wall times a database does not store; a -run artefact reads the same
-// from the rows; no section prints NaN; and a report read from rows states
+// the wall times a database does not store; a -run artefact (Table 3, its
+// own matrix) prints the same from its rows; no section prints NaN; and a report read from rows states
 // no wall time it never measured.
 func TestSmokeReportFromRows(t *testing.T) {
 	t.Parallel()
@@ -444,8 +457,9 @@ func TestSmokeReportFromRows(t *testing.T) {
 	if cut(live) != cut(from) {
 		t.Errorf("live report:\n%s\nfrom its rows:\n%s", cut(live), cut(from))
 	}
-	if table3 := mustCLI(t, "experiments", "-from", r, "-run", "table3"); !strings.Contains(live, table3) {
-		t.Errorf("-run table3 from the rows:\n%s\nis not the live report's Table 3", table3)
+	e := filepath.Join(dir, "e.jsonl")
+	if live, from := mustCLI(t, "experiments", "-run", "table3", "-n", "2", "-db", e), mustCLI(t, "experiments", "-from", e, "-run", "table3"); live != from {
+		t.Errorf("live -run table3:\n%s\nfrom its rows:\n%s", live, from)
 	}
 	if strings.Contains(live, "NaN") || strings.Contains(from, "NaN") {
 		t.Error("a report prints NaN")
