@@ -1,6 +1,6 @@
 package serfi
 
-// One testing.B entry per paper table and figure (deliverable d), plus the
+// One sub-benchmark per artefact of exp.Artefacts (deliverable d), plus the
 // microbenchmarks go run ./bench has no twin for (bench/README.md, "Legacy →
 // this benchmark", maps the ones it replaced). Campaign
 // sizes are intentionally small so `go test -bench=.` finishes on a laptop;
@@ -32,119 +32,45 @@ func benchFaults() int {
 	return 4
 }
 
-// benchMatrix runs the catalog scenarios that pass keep through the campaign
-// engine at the bench scale and indexes the rows for the formatters.
-func benchMatrix(keep func(npb.Scenario) bool) (*exp.Matrix, error) {
-	var scs []npb.Scenario
-	for _, sc := range npb.Scenarios() {
-		if keep(sc) {
-			scs = append(scs, sc)
-		}
+// benchMatrix runs what `serfi experiments -run` runs for a (its scenarios,
+// under every fault model or with propagation tracing where it asks) at the
+// bench scale and indexes the rows; an artefact without scenarios gets nil.
+func benchMatrix(a exp.Artefact) (*exp.Matrix, error) {
+	if len(a.Scenarios) == 0 {
+		return nil, nil
 	}
-	eng := campaign.New(campaign.Faults(benchFaults()))
-	results, err := eng.RunMatrix(context.Background(), eng.JobsFor(scs, 2018))
+	opts := []campaign.Option{campaign.Faults(benchFaults())}
+	if a.AllDomains {
+		opts = append(opts, campaign.Models(fault.Models()...))
+	}
+	if a.Prop {
+		opts = append(opts, campaign.TraceProp())
+	}
+	eng := campaign.New(opts...)
+	results, err := eng.RunMatrix(context.Background(), eng.JobsFor(a.Scenarios, 2018))
 	if err != nil {
 		return nil, err
 	}
 	return exp.NewMatrix(results), nil
 }
 
-// run executes fn once per b.N iteration, reporting nothing but wall time.
-func runArtefact(b *testing.B, fn func() (string, error)) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		out, err := fn()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(out) == 0 {
-			b.Fatal("artefact produced no output")
-		}
+// BenchmarkArtefacts regenerates every artefact of the catalogue, one
+// sub-benchmark each: its campaigns plus its formatting.
+func BenchmarkArtefacts(b *testing.B) {
+	for _, a := range exp.Artefacts {
+		b.Run(a.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := benchMatrix(a)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if a.Format(m) == "" {
+					b.Fatal("artefact produced no output")
+				}
+			}
+		})
 	}
-}
-
-// BenchmarkTable1 regenerates the workload-summary table (golden runs plus
-// small campaigns over all 130 scenarios).
-func BenchmarkTable1(b *testing.B) {
-	runArtefact(b, func() (string, error) {
-		m, err := benchMatrix(func(npb.Scenario) bool { return true })
-		if err != nil {
-			return "", err
-		}
-		return exp.Table1(m), nil
-	})
-}
-
-// BenchmarkTable2 regenerates the IS Hang-vs-F*B-index table.
-func BenchmarkTable2(b *testing.B) {
-	runArtefact(b, func() (string, error) {
-		m, err := benchMatrix(func(sc npb.Scenario) bool {
-			return sc.App == "IS" && sc.Mode != npb.Serial
-		})
-		if err != nil {
-			return "", err
-		}
-		return exp.Table2(m), nil
-	})
-}
-
-// BenchmarkTable3 regenerates the ARMv7 memory-transaction table.
-func BenchmarkTable3(b *testing.B) {
-	runArtefact(b, func() (string, error) {
-		m, err := benchMatrix(func(sc npb.Scenario) bool {
-			return sc.ISA == "armv7" && sc.Mode == npb.MPI && (sc.App == "MG" || sc.App == "IS")
-		})
-		if err != nil {
-			return "", err
-		}
-		return exp.Table3(m), nil
-	})
-}
-
-// BenchmarkTable4 regenerates the ARMv8 memory-transaction table.
-func BenchmarkTable4(b *testing.B) {
-	runArtefact(b, func() (string, error) {
-		m, err := benchMatrix(func(sc npb.Scenario) bool {
-			return sc.ISA == "armv8" && ((sc.Mode == npb.OMP && (sc.App == "LU" || sc.App == "SP")) ||
-				(sc.Mode == npb.MPI && sc.App == "FT"))
-		})
-		if err != nil {
-			return "", err
-		}
-		return exp.Table4(m), nil
-	})
-}
-
-// BenchmarkFigure1 regenerates the intro trends figure (static dataset).
-func BenchmarkFigure1(b *testing.B) {
-	runArtefact(b, func() (string, error) { return exp.Figure1(), nil })
-}
-
-// BenchmarkFigure2 regenerates the ARMv7 outcome-distribution panels and
-// the MPI-vs-OMP mismatch panel (all 65 ARMv7 scenarios).
-func BenchmarkFigure2(b *testing.B) {
-	runArtefact(b, func() (string, error) {
-		m, err := benchMatrix(func(sc npb.Scenario) bool {
-			return sc.ISA == "armv7"
-		})
-		if err != nil {
-			return "", err
-		}
-		return exp.Figure2(m), nil
-	})
-}
-
-// BenchmarkFigure3 regenerates the ARMv8 panels (all 65 ARMv8 scenarios).
-func BenchmarkFigure3(b *testing.B) {
-	runArtefact(b, func() (string, error) {
-		m, err := benchMatrix(func(sc npb.Scenario) bool {
-			return sc.ISA == "armv8"
-		})
-		if err != nil {
-			return "", err
-		}
-		return exp.Figure3(m), nil
-	})
 }
 
 // BenchmarkInjection measures the cost of one full injection run (build

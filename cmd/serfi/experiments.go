@@ -23,41 +23,16 @@ import (
 	"serfi/internal/npb"
 )
 
-// artefacts maps -run names to their formatter and the smallest scenario
-// set it needs (nil: the full matrix) — one table for every row source.
-// "all" (the full report) and "fig1" (static) are handled apart.
-var artefacts = map[string]struct {
-	format func(*exp.Matrix) string
-	keep   func(npb.Scenario) bool
-}{
-	"table1": {exp.Table1, nil},
-	"table2": {exp.Table2, func(sc npb.Scenario) bool { return sc.App == "IS" && sc.Mode != npb.Serial }},
-	"table3": {exp.Table3, func(sc npb.Scenario) bool {
-		return sc.ISA == "armv7" && sc.Mode == npb.MPI && (sc.App == "MG" || sc.App == "IS")
-	}},
-	"table4": {exp.Table4, func(sc npb.Scenario) bool {
-		return sc.ISA == "armv8" && ((sc.Mode == npb.OMP && (sc.App == "LU" || sc.App == "SP")) ||
-			(sc.Mode == npb.MPI && sc.App == "FT"))
-	}},
-	"domains":    {exp.DomainTable, onIS},
-	"prop":       {exp.PropTable, onIS},
-	"sens":       {exp.SensTable, onIS},
-	"fig2":       {exp.Figure2, func(sc npb.Scenario) bool { return sc.ISA == "armv7" }},
-	"fig3":       {exp.Figure3, func(sc npb.Scenario) bool { return sc.ISA == "armv8" }},
-	"macro":      {exp.MacroStats, nil},
-	"vulnwindow": {exp.VulnWindow, nil},
-	"mine":       {exp.MineReport, nil},
-}
-
-// onIS keeps IS, the paper's own case-study workload, on both ISAs.
-func onIS(sc npb.Scenario) bool { return sc.App == "IS" }
-
 func cmdExperiments(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	out := fs.String("out", "", "write the full markdown report here (default stdout)")
 	db := fs.String("db", "", "stream the raw campaign database here (JSON lines); with -join, save the fetched one")
 	from := fs.String("from", "", "format the report offline from this recorded database (no simulation)")
-	run := fs.String("run", "all", "artefact: all|table1|table2|table3|table4|domains|prop|sens|fig1|fig2|fig3|macro|vulnwindow|mine")
+	names := []string{"all"}
+	for _, a := range exp.Artefacts {
+		names = append(names, a.Name)
+	}
+	run := fs.String("run", "all", "artefact: "+strings.Join(names, "|"))
 	join := fs.String("join", "", "run the matrix on the `serfi serve -data` queue at this address and report from the fetched results")
 	tenant := fs.String("tenant", "", "tenant namespace for the -join submission (default: the shared namespace)")
 	traceProp := fs.Bool("trace-prop", false, "propagation-trace every unmasked injection (feeds the prop artefact)")
@@ -68,13 +43,17 @@ func cmdExperiments(ctx context.Context, args []string, stdout, stderr io.Writer
 	}
 	defer hf.start(stderr)()
 
-	a, ok := artefacts[*run]
-	switch {
-	case *run == "fig1":
-		fmt.Fprint(stdout, exp.Figure1())
+	a := exp.Artefact{Scenarios: npb.Scenarios()} // all: the full report, no Format
+	if *run != "all" {
+		i := slices.IndexFunc(exp.Artefacts, func(a exp.Artefact) bool { return a.Name == *run })
+		if i < 0 {
+			return fmt.Errorf("unknown artefact %q", *run)
+		}
+		a = exp.Artefacts[i]
+	}
+	if len(a.Scenarios) == 0 {
+		fmt.Fprint(stdout, a.Format(nil)) // Figure 1: no simulation, no database
 		return nil
-	case *run != "all" && !ok:
-		return fmt.Errorf("unknown artefact %q", *run)
 	}
 	if *from != "" {
 		recs, err := readDB(*from)
@@ -85,18 +64,14 @@ func cmdExperiments(ctx context.Context, args []string, stdout, stderr io.Writer
 		if len(m.Order) == 0 {
 			return fmt.Errorf("%s holds no campaign records", *from)
 		}
-		return writeArtefact(stdout, stderr, m, a.format, *out, 0)
+		return writeArtefact(stdout, stderr, m, a.Format, *out, 0)
 	}
 
-	// The domain comparison runs every fault model, the propagation table
-	// needs the tracer.
-	switch *run {
-	case "domains":
+	if a.AllDomains {
 		*mf.model = "all"
-	case "prop":
-		*traceProp = true
 	}
-	jobs, err := mf.jobs(a.keep)
+	*traceProp = *traceProp || a.Prop
+	jobs, err := mf.jobs(a.Scenarios)
 	if err != nil {
 		return err
 	}
@@ -121,7 +96,7 @@ func cmdExperiments(ctx context.Context, args []string, stdout, stderr io.Writer
 	if err != nil {
 		return err
 	}
-	return writeArtefact(stdout, stderr, exp.NewMatrix(results), a.format, *out, time.Since(start))
+	return writeArtefact(stdout, stderr, exp.NewMatrix(results), a.Format, *out, time.Since(start))
 }
 
 // fetchSubmission runs one matrix through the queue at join, submitted and

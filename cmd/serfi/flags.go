@@ -11,6 +11,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"serfi/internal/campaign"
@@ -143,22 +144,19 @@ func addMatrixFlags(fs *flag.FlagSet, n int, resumeHelp string) *matrixFlags {
 	return m
 }
 
-// jobs builds the matrix over the scenarios -only and keep (nil: all)
-// both admit: the full scenario list fixes per-scenario seeds (seed +
+// jobs builds the matrix over the scenarios of scs that -only admits, in
+// catalog order: the full scenario list fixes per-scenario seeds (seed +
 // index, shared across domains; Engine.JobsFor), so a filtered, resumed or
 // submitted matrix reproduces the full matrix's rows.
-func (m *matrixFlags) jobs(keep func(npb.Scenario) bool) ([]campaign.ScenarioJob, error) {
+func (m *matrixFlags) jobs(scs []npb.Scenario) ([]campaign.ScenarioJob, error) {
 	domains, err := fault.ParseModels(*m.model)
 	if err != nil {
 		return nil, err
 	}
-	var scs []npb.Scenario
-	for _, sc := range npb.Scenarios() {
-		if strings.Contains(sc.ID(), *m.only) && (keep == nil || keep(sc)) {
-			scs = append(scs, sc)
-		}
-	}
-	return campaign.New(campaign.Models(domains...)).JobsFor(scs, *m.seed), nil
+	kept := slices.DeleteFunc(npb.Scenarios(), func(sc npb.Scenario) bool {
+		return !strings.Contains(sc.ID(), *m.only) || !slices.Contains(scs, sc)
+	})
+	return campaign.New(campaign.Models(domains...)).JobsFor(kept, *m.seed), nil
 }
 
 // resumeHint is the line printed after an interrupt: command (the

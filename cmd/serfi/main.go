@@ -362,7 +362,7 @@ func cmdCampaign(ctx context.Context, args []string, stdout, stderr io.Writer) e
 		return err
 	}
 	defer hf.start(stderr)()
-	jobs, err := mf.jobs(nil)
+	jobs, err := mf.jobs(npb.Scenarios())
 	if err != nil {
 		return err
 	}
@@ -519,7 +519,7 @@ func cmdServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		fmt.Fprintf(stdout, "submit matrices with: serfi submit -join <host>%s [-tenant NAME] ...\n", portSuffix(*addr))
 	} else {
 		var err error
-		if jobs, err = mf.jobs(nil); err != nil {
+		if jobs, err = mf.jobs(npb.Scenarios()); err != nil {
 			return err
 		}
 		file, err := campaign.OpenMatrixStore(*db, *mf.resume, jobs, *mf.n)
@@ -597,7 +597,7 @@ func cmdSubmit(ctx context.Context, args []string, stdout, stderr io.Writer) err
 	if *join == "" {
 		return fmt.Errorf("submit: -join <host:port> is required")
 	}
-	jobs, err := mf.jobs(nil)
+	jobs, err := mf.jobs(npb.Scenarios())
 	if err != nil {
 		return err
 	}

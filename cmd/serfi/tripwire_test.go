@@ -103,6 +103,13 @@ func TestDeletedNamesStayGone(t *testing.T) {
 			"progress beats are ignored (a shard's completion is its progress): serfi_dist_beats*, beatsStale and the .beats fields are gone"},
 		{`serfi_dist_beats`, docs, "",
 			"progress beats are ignored (a shard's completion is its progress): serfi_dist_beats*, beatsStale and the .beats fields are gone"},
+		// exp.Artefacts is the one list of the paper's artefacts and of the
+		// scenarios each runs.
+		{`func onIS\b|\bartefacts\s*:?=\s*map\[`,
+			func(p string) bool { return goCode(p) && strings.HasPrefix(p, "cmd/serfi/") }, "",
+			"serfi experiments looks -run up in exp.Artefacts: its artefacts map and onIS are gone"},
+		{`func Benchmark(Table[1-4]|Figure[1-3])\b`, func(p string) bool { return p == "bench_test.go" }, "",
+			"BenchmarkArtefacts runs one sub-benchmark per exp.Artefacts entry: the per-artefact benchmarks are gone"},
 		{`O_APPEND`,
 			func(p string) bool {
 				return goCode(p) && strings.HasPrefix(p, "internal/") && !strings.HasPrefix(p, "internal/jsonl/")

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -199,5 +200,24 @@ func TestClientWatchPollsOneSubmission(t *testing.T) {
 		if req != PathMatrices+" "+ids[1] {
 			t.Errorf("Watch sent %q, want only %s for %s", req, PathMatrices, ids[1])
 		}
+	}
+}
+
+// TestWorkerStopsOnRefusal: a worker whose lease the coordinator refuses
+// (here every lease answers 400, as a protocol version mismatch does) makes
+// one round trip and returns the coordinator's message, rather than
+// retrying the refusal until it reports the coordinator unreachable.
+func TestWorkerStopsOnRefusal(t *testing.T) {
+	const refusal = "protocol version 1, coordinator speaks 2"
+	hits := 0
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits++
+		writeJSON(w, http.StatusBadRequest, errorReply{Error: refusal})
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err := NewWorker(NewLoopbackClient(h), Name("w")).Run(ctx)
+	if err == nil || !strings.Contains(err.Error(), refusal) || hits != 1 {
+		t.Errorf("worker returned %v after %d lease round trips, want the refusal after 1", err, hits)
 	}
 }

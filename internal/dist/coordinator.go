@@ -385,14 +385,15 @@ func (c *Coordinator) Wait(ctx context.Context) ([]*campaign.Result, error) {
 // queue drains, so workers sitting in their retry-poll loop observe the
 // Done reply and exit cleanly instead of finding a closed port. (The worker
 // that folds the final shard learns Done from its CompleteReply and needs
-// no linger at all.)
+// no linger at all, and a queue no worker ever contacted has nobody to
+// tell.)
 const doneLinger = 1500 * time.Millisecond
 
 // Serve listens on addr, serves the wire protocol plus the status page, and
 // waits for the queue to drain (see Wait) — which, for a queue nobody
-// drains, means until ctx cancels. After a drain the server lingers briefly
-// (doneLinger) so polling workers see the Done signal, then the listener
-// closes.
+// drains, means until ctx cancels. After a drain, if any worker has
+// contacted it, the server lingers briefly (doneLinger) so polling workers
+// see the Done signal; then the listener closes.
 func (c *Coordinator) Serve(ctx context.Context, addr string) ([]*campaign.Result, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -404,7 +405,10 @@ func (c *Coordinator) Serve(ctx context.Context, addr string) ([]*campaign.Resul
 	srv := &http.Server{Handler: c.Handler()}
 	go srv.Serve(ln)
 	results, werr := c.Wait(ctx)
-	if ctx.Err() == nil {
+	c.mu.Lock()
+	contacted := len(c.workers) > 0
+	c.mu.Unlock()
+	if ctx.Err() == nil && contacted {
 		time.Sleep(doneLinger)
 	}
 	shctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)

@@ -20,6 +20,31 @@ import (
 	"serfi/internal/prop"
 )
 
+// TestServeWithoutWorkersDoesNotLinger: a one-shot Serve over a store that
+// already holds every campaign drains at once, and with no worker to tell
+// Done it returns without the post-drain linger.
+func TestServeWithoutWorkersDoesNotLinger(t *testing.T) {
+	jobs := compatJobs()
+	st := fileStore(t)
+	for _, job := range jobs {
+		if err := st.Put(&campaign.Result{Scenario: job.Scenario, Domain: job.Domain, Faults: compatFaults, Seed: job.Seed}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	coord, err := NewCoordinator(jobs, compatFaults, WithStore(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Now()
+	results, err := coord.Serve(context.Background(), "127.0.0.1:0")
+	if err != nil || len(results) != len(jobs) {
+		t.Fatalf("serve = %d results, %v; want %d", len(results), err, len(jobs))
+	}
+	if d := time.Since(t0); d > doneLinger/3 {
+		t.Errorf("serve over a complete store took %v, want well under the %v linger", d, doneLinger)
+	}
+}
+
 // TestCancelledOneShotReturns: a one-entry queue whose entry is withdrawn
 // over the wire tells workers Done and returns from Wait with the
 // cancellation as the cause.

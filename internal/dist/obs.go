@@ -95,8 +95,8 @@ func newCoordMetrics() *coordMetrics {
 	}
 }
 
-// syncGaugesLocked refreshes the scrape-time gauges from the lease table,
-// the submission queue and campaign state. Caller holds c.mu.
+// syncGaugesLocked refreshes the scrape-time gauges from the lease table
+// and each submission's status row. Caller holds c.mu.
 func (c *Coordinator) syncGaugesLocked() {
 	c.cm.shardsPending.Set(float64(c.table.pending))
 	c.cm.shardsLeased.Set(float64(c.table.leased))
@@ -106,15 +106,10 @@ func (c *Coordinator) syncGaugesLocked() {
 	done, injected := 0, 0
 	states := map[string]int{"running": 0, "done": 0, "failed": 0, "cancelled": 0}
 	for _, sub := range c.subs {
-		states[sub.state()]++
-		for _, camp := range sub.camps {
-			if camp.done {
-				done++
-			}
-			if !camp.skipped {
-				injected += camp.Folded
-			}
-		}
+		ms := c.matrixStatusLocked(sub)
+		states[ms.State]++
+		done += ms.CampaignsDone
+		injected += ms.Injected
 	}
 	c.cm.campaignsDone.Set(float64(done))
 	c.cm.injected.Set(float64(injected))

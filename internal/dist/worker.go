@@ -10,6 +10,7 @@ package dist
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"sync"
@@ -88,8 +89,8 @@ func NewWorker(cl *Client, opts ...WorkerOption) *Worker {
 // a signal handler; calling it more than once is a no-op.
 func (w *Worker) Drain() { w.draining.Store(true) }
 
-// maxLeaseErrs is how many consecutive unreachable-coordinator round trips
-// a lease loop tolerates before giving up.
+// maxLeaseErrs is how many consecutive transient failures one protocol call
+// of a lease slot tolerates before giving up.
 const maxLeaseErrs = 20
 
 // Run pulls and executes leases until the coordinator reports the matrix
@@ -116,15 +117,6 @@ func (w *Worker) Run(ctx context.Context) error {
 
 // loop is one lease slot: lease, execute, complete, repeat.
 func (w *Worker) loop(ctx context.Context) error {
-	fails := 0
-	backoff := func() error {
-		fails++
-		d := time.Duration(fails) * 100 * time.Millisecond
-		if d > 3*time.Second {
-			d = 3 * time.Second
-		}
-		return sleep(ctx, d)
-	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -134,20 +126,13 @@ func (w *Worker) loop(ctx context.Context) error {
 			// above; park without leasing again.
 			return nil
 		}
-		reply, err := w.cl.LeaseCapacity(ctx, w.name, w.parallel)
-		if err != nil {
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
-			if fails+1 >= maxLeaseErrs {
-				return fmt.Errorf("dist: coordinator unreachable: %w", err)
-			}
-			if err := backoff(); err != nil {
-				return err
-			}
-			continue
+		var reply LeaseReply
+		if err := w.retry(ctx, func() (err error) {
+			reply, err = w.cl.LeaseCapacity(ctx, w.name, w.parallel)
+			return err
+		}); err != nil {
+			return err
 		}
-		fails = 0
 		if reply.Done {
 			return nil
 		}
@@ -181,19 +166,39 @@ func (w *Worker) loop(ctx context.Context) error {
 // the coordinator never hears about would burn a full lease TTL. The
 // returned done mirrors the coordinator's matrix-finished flag.
 func (w *Worker) complete(ctx context.Context, req CompleteRequest) (bool, error) {
+	var reply CompleteReply
+	err := w.retry(ctx, func() (err error) {
+		reply, err = w.cl.Complete(ctx, req)
+		return err
+	})
+	if err != nil && ctx.Err() == nil {
+		err = fmt.Errorf("dist: completing shard %s[%d,%d): %w", req.Key, req.Lo, req.Hi, err)
+	}
+	return reply.Done, err // accepted or stale; both retire the shard here
+}
+
+// retry makes one protocol call of a lease slot, retrying what the Client
+// marks transient (a transport error or a 5xx answer) after a pause that
+// grows by 100 ms a time, up to maxLeaseErrs calls. A refusal (any other
+// error, such as a protocol version the coordinator does not speak) returns
+// at once with the coordinator's message; on cancellation it returns
+// ctx.Err().
+func (w *Worker) retry(ctx context.Context, call func() error) error {
 	for attempt := 1; ; attempt++ {
-		reply, err := w.cl.Complete(ctx, req)
-		if err == nil {
-			return reply.Done, nil // accepted or stale; both retire the shard here
-		}
-		if ctx.Err() != nil {
-			return false, ctx.Err()
-		}
-		if attempt >= maxLeaseErrs {
-			return false, fmt.Errorf("dist: completing shard %s[%d,%d): %w", req.Key, req.Lo, req.Hi, err)
+		err := call()
+		var transient *retryableError
+		switch {
+		case err == nil:
+			return nil
+		case ctx.Err() != nil:
+			return ctx.Err()
+		case !errors.As(err, &transient):
+			return err
+		case attempt >= maxLeaseErrs:
+			return fmt.Errorf("dist: coordinator unreachable: %w", err)
 		}
 		if err := sleep(ctx, time.Duration(attempt)*100*time.Millisecond); err != nil {
-			return false, err
+			return err
 		}
 	}
 }

@@ -12,6 +12,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -89,12 +90,7 @@ func (m *Matrix) GetDomain(sc npb.Scenario, d fault.Model) *campaign.Result {
 
 // HasDomain reports whether the matrix ran campaigns under the model.
 func (m *Matrix) HasDomain(d fault.Model) bool {
-	for _, have := range m.Domains {
-		if have == d {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(m.Domains, d)
 }
 
 // filter selects register-domain results in matrix order.
@@ -160,11 +156,20 @@ func branchShares(m *Matrix) []macroGroup {
 	return gs
 }
 
+// cores124 is one app under one model on one ISA at 1, 2 and 4 cores.
+func cores124(app string, mode npb.Mode, isa string) []npb.Scenario {
+	var out []npb.Scenario
+	for _, cores := range []int{1, 2, 4} {
+		out = append(out, npb.Scenario{App: app, Mode: mode, ISA: isa, Cores: cores})
+	}
+	return out
+}
+
 // isGroup is IS under one model at 1, 2 and 4 cores (Table 2, T2), nil
 // where the matrix lacks the scenario, and the number of rows present.
 func isGroup(m *Matrix, mode npb.Mode, isa string) (rs [3]*campaign.Result, n int) {
-	for i, cores := range []int{1, 2, 4} {
-		if rs[i] = m.Get(npb.Scenario{App: "IS", Mode: mode, ISA: isa, Cores: cores}); rs[i] != nil {
+	for i, sc := range cores124("IS", mode, isa) {
+		if rs[i] = m.Get(sc); rs[i] != nil {
 			n++
 		}
 	}
@@ -270,20 +275,6 @@ func Table1(m *Matrix) string {
 	if !timed {
 		fmt.Fprintf(&b, "(time rows omitted: these rows carry no host wall clock, which a database does not store)\n")
 	}
-	type agg struct {
-		min, max, sum float64
-		n             int
-	}
-	update := func(a *agg, v float64) {
-		if a.n == 0 || v < a.min {
-			a.min = v
-		}
-		if v > a.max {
-			a.max = v
-		}
-		a.sum += v
-		a.n++
-	}
 	for _, line := range []struct {
 		name string
 		wall bool
@@ -301,15 +292,17 @@ func Table1(m *Matrix) string {
 			continue
 		}
 		for _, isaName := range []string{"armv8", "armv7"} {
-			var a agg
-			for _, r := range m.filter(func(sc npb.Scenario) bool { return sc.ISA == isaName }) {
-				update(&a, line.get(r))
-			}
-			if a.n == 0 {
+			rs := m.filter(func(sc npb.Scenario) bool { return sc.ISA == isaName })
+			if len(rs) == 0 {
 				continue
 			}
+			lo, hi, sum := line.get(rs[0]), line.get(rs[0]), 0.0
+			for _, r := range rs {
+				v := line.get(r)
+				lo, hi, sum = min(lo, v), max(hi, v), sum+v
+			}
 			fmt.Fprintf(&b, row, line.name, isaName,
-				line.fmtv(a.min), line.fmtv(a.sum/float64(a.n)), line.fmtv(a.max))
+				line.fmtv(lo), line.fmtv(sum/float64(len(rs))), line.fmtv(hi))
 		}
 	}
 	// The campaign total sums ExclusiveCompute, not CampaignWallSec:
@@ -392,35 +385,23 @@ func memTable(m *Matrix, title string, rows []npb.Scenario, labels []string) str
 	return b.String()
 }
 
+// The rows Tables 3 and 4 print, in print order.
+var (
+	table3Rows = slices.Concat(cores124("MG", npb.MPI, "armv7"), cores124("IS", npb.MPI, "armv7"))
+	table4Rows = slices.Concat(cores124("LU", npb.OMP, "armv8"), cores124("SP", npb.OMP, "armv8"),
+		cores124("FT", npb.MPI, "armv8"))
+)
+
 // Table3 reproduces the ARMv7 memory-transaction table (MG/IS MPI).
 func Table3(m *Matrix) string {
-	rows := []npb.Scenario{
-		{App: "MG", Mode: npb.MPI, ISA: "armv7", Cores: 1},
-		{App: "MG", Mode: npb.MPI, ISA: "armv7", Cores: 2},
-		{App: "MG", Mode: npb.MPI, ISA: "armv7", Cores: 4},
-		{App: "IS", Mode: npb.MPI, ISA: "armv7", Cores: 1},
-		{App: "IS", Mode: npb.MPI, ISA: "armv7", Cores: 2},
-		{App: "IS", Mode: npb.MPI, ISA: "armv7", Cores: 4},
-	}
 	return memTable(m, "Table 3: ARMv7 memory transactions and soft-error classes",
-		rows, []string{"1", "2", "3", "4", "5", "6"})
+		table3Rows, []string{"1", "2", "3", "4", "5", "6"})
 }
 
 // Table4 reproduces the ARMv8 memory-transaction table (LU/SP OMP, FT MPI).
 func Table4(m *Matrix) string {
-	rows := []npb.Scenario{
-		{App: "LU", Mode: npb.OMP, ISA: "armv8", Cores: 1},
-		{App: "LU", Mode: npb.OMP, ISA: "armv8", Cores: 2},
-		{App: "LU", Mode: npb.OMP, ISA: "armv8", Cores: 4},
-		{App: "SP", Mode: npb.OMP, ISA: "armv8", Cores: 1},
-		{App: "SP", Mode: npb.OMP, ISA: "armv8", Cores: 2},
-		{App: "SP", Mode: npb.OMP, ISA: "armv8", Cores: 4},
-		{App: "FT", Mode: npb.MPI, ISA: "armv8", Cores: 1},
-		{App: "FT", Mode: npb.MPI, ISA: "armv8", Cores: 2},
-		{App: "FT", Mode: npb.MPI, ISA: "armv8", Cores: 4},
-	}
 	return memTable(m, "Table 4: ARMv8 memory transactions and soft-error classes",
-		rows, []string{"A", "B", "C", "D", "E", "F", "G", "H", "I"})
+		table4Rows, []string{"A", "B", "C", "D", "E", "F", "G", "H", "I"})
 }
 
 // DomainTable is the register-vs-memory counterpart of Tables 3/4: the
@@ -674,8 +655,9 @@ func VulnWindow(m *Matrix) string {
 	return b.String()
 }
 
-// outcomeColumns are the Dataset columns derived from outcome counts; a
-// feature correlation excludes them.
+// outcomeColumns are the Dataset columns derived from outcome counts, one
+// rate per fi.Outcome in order and then the masking share; a feature
+// correlation excludes them.
 var outcomeColumns = []string{"rate_vanished", "rate_ona", "rate_omm", "rate_ut", "rate_hang", "masking"}
 
 // Dataset assembles the mining table from a matrix (the §3.4 database).
@@ -687,11 +669,9 @@ func Dataset(m *Matrix) *mining.DataSet {
 			continue
 		}
 		row := r.Features.Map()
-		row["rate_vanished"] = 100 * r.Counts.Rate(fi.Vanished)
-		row["rate_ona"] = 100 * r.Counts.Rate(fi.ONA)
-		row["rate_omm"] = 100 * r.Counts.Rate(fi.OMM)
-		row["rate_ut"] = 100 * r.Counts.Rate(fi.UT)
-		row["rate_hang"] = 100 * r.Counts.Rate(fi.Hang)
+		for o := fi.Outcome(0); o < fi.NumOutcomes; o++ {
+			row[outcomeColumns[o]] = 100 * r.Counts.Rate(o)
+		}
 		row["masking"] = 100 * r.Counts.Masking()
 		d.AddRow(sc.ID(), row)
 	}

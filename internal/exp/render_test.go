@@ -17,8 +17,8 @@ import (
 
 // TestRenderingsAreDeterministic: what is rendered from recorded rows is a
 // function of the rows. One small traced database (armv8/IS/SER-1 under
-// reg, mem and cachetag) is read back twice, and every exp formatter, the
-// full report and the sens text and HTML rendered from the two reads must
+// reg, mem and cachetag) is read back twice, and every catalogued artefact,
+// the full report and the sens text and HTML rendered from the two reads must
 // be the same bytes. Each read hands NewMatrix its rows in map order, as
 // `serfi experiments -from` does, and sens its rows in key order, as
 // `serfi sens` does.
@@ -55,17 +55,9 @@ func TestRenderingsAreDeterministic(t *testing.T) {
 			t.Fatalf("read %d campaigns, want 3", len(byKey))
 		}
 		m := NewMatrix(slices.Collect(maps.Values(byKey)))
-		out := map[string]string{
-			"Figure1": Figure1(),
-			"Report":  Report(m, 42*time.Second),
-		}
-		for name, format := range map[string]func(*Matrix) string{
-			"Table1": Table1, "Table2": Table2, "Table3": Table3, "Table4": Table4,
-			"DomainTable": DomainTable, "PropTable": PropTable, "SensTable": SensTable,
-			"Figure2": Figure2, "Figure3": Figure3, "MacroStats": MacroStats,
-			"VulnWindow": VulnWindow, "MineReport": MineReport,
-		} {
-			out[name] = format(m)
+		out := map[string]string{"Report": Report(m, 42*time.Second)}
+		for _, a := range Artefacts {
+			out[a.Name] = a.Format(m)
 		}
 		var rows []*campaign.Result
 		for _, key := range slices.Sorted(maps.Keys(byKey)) {

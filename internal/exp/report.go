@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"time"
 
@@ -120,8 +121,58 @@ func checks(m *Matrix) []shapeCheck {
 	return out
 }
 
+// Artefact is one table, figure or statistic of the paper's evaluation: what
+// `serfi experiments -run Name` prints, and one section of the full report.
+type Artefact struct {
+	Name  string // the -run name
+	Title string // its report section; "" leaves it out of the report
+	// Scenarios are what a -run of it simulates; none means it renders
+	// without rows (Figure 1).
+	Scenarios []npb.Scenario
+	// AllDomains runs the scenarios under every fault model. Prop traces
+	// propagation, and the report prints the artefact only over traced rows.
+	AllDomains, Prop bool
+	// Format renders the artefact from m (nil for an artefact without
+	// scenarios).
+	Format func(m *Matrix) string
+}
+
+// Artefacts is the catalogue of the paper's artefacts in report order: the
+// one list the report, `serfi experiments -run` and the artefact benchmarks
+// read. Tables 3 and 4 run the rows they print.
+var Artefacts = []Artefact{
+	{Name: "fig1", Title: "Figure 1 (intro trends)", Format: func(*Matrix) string { return Figure1() }},
+	{Name: "table1", Title: "Table 1 (workload summary)", Scenarios: allScenarios, Format: Table1},
+	{Name: "table2", Title: "Table 2 (Hang vs F*B index, IS)", Scenarios: parallelIS, Format: Table2},
+	{Name: "table3", Title: "Table 3 (ARMv7 memory transactions)", Scenarios: table3Rows, Format: Table3},
+	{Name: "table4", Title: "Table 4 (ARMv8 memory transactions)", Scenarios: table4Rows, Format: Table4},
+	{Name: "domains", Title: "Domain Table (outcome distribution by fault domain)", Scenarios: onIS, AllDomains: true, Format: DomainTable},
+	{Name: "prop", Title: "Propagation Table (escape class and latency by fault domain)", Scenarios: onIS, Prop: true, Format: PropTable},
+	{Name: "sens", Scenarios: onIS, Format: SensTable},
+	{Name: "fig2", Title: "Figure 2 (ARMv7 distributions + mismatch)", Scenarios: onV7, Format: Figure2},
+	{Name: "fig3", Title: "Figure 3 (ARMv8 distributions + mismatch)", Scenarios: onV8, Format: Figure3},
+	{Name: "macro", Title: "Section 4.1.3 macro statistics", Scenarios: allScenarios, Format: MacroStats},
+	{Name: "vulnwindow", Title: "Section 4.2.2 vulnerability window", Scenarios: allScenarios, Format: VulnWindow},
+	{Name: "mine", Title: "Cross-layer mining (Section 3.4)", Scenarios: allScenarios, Format: MineReport},
+}
+
+// The scenario sets the catalogue runs besides the rows of Tables 3 and 4.
+// IS is the paper's own case-study workload.
+var (
+	allScenarios = npb.Scenarios()
+	onIS         = catalog(func(sc npb.Scenario) bool { return sc.App == "IS" })
+	parallelIS   = catalog(func(sc npb.Scenario) bool { return sc.App == "IS" && sc.Mode != npb.Serial })
+	onV7         = catalog(func(sc npb.Scenario) bool { return sc.ISA == "armv7" })
+	onV8         = catalog(func(sc npb.Scenario) bool { return sc.ISA == "armv8" })
+)
+
+// catalog lists the npb scenarios keep admits, in catalog order.
+func catalog(keep func(npb.Scenario) bool) []npb.Scenario {
+	return slices.DeleteFunc(npb.Scenarios(), func(sc npb.Scenario) bool { return !keep(sc) })
+}
+
 // propTraced reports whether any campaign in the matrix carries a
-// propagation fold (the report only prints PropTable for traced runs).
+// propagation fold.
 func propTraced(m *Matrix) bool {
 	for _, r := range m.Results {
 		if r.Prop != nil {
@@ -131,7 +182,8 @@ func propTraced(m *Matrix) bool {
 	return false
 }
 
-// Report assembles the complete EXPERIMENTS.md content.
+// Report assembles the complete EXPERIMENTS.md content: the run's scale,
+// the shape checks, then every titled artefact in catalogue order.
 func Report(m *Matrix, elapsed time.Duration) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# Experiments: paper vs. measured\n\n")
@@ -158,22 +210,11 @@ func Report(m *Matrix, elapsed time.Duration) string {
 	for _, c := range checks(m) {
 		fmt.Fprintf(&b, "| %s | %s | %s | %s |\n", c.ID, c.Claim, c.Measured, c.Verdict)
 	}
-	section := func(title, body string) {
-		fmt.Fprintf(&b, "\n## %s\n\n```\n%s```\n", title, body)
+	for _, a := range Artefacts {
+		if a.Title == "" || a.Prop && !propTraced(m) {
+			continue
+		}
+		fmt.Fprintf(&b, "\n## %s\n\n```\n%s```\n", a.Title, a.Format(m))
 	}
-	section("Figure 1 (intro trends)", Figure1())
-	section("Table 1 (workload summary)", Table1(m))
-	section("Table 2 (Hang vs F*B index, IS)", Table2(m))
-	section("Table 3 (ARMv7 memory transactions)", Table3(m))
-	section("Table 4 (ARMv8 memory transactions)", Table4(m))
-	section("Domain Table (outcome distribution by fault domain)", DomainTable(m))
-	if propTraced(m) {
-		section("Propagation Table (escape class and latency by fault domain)", PropTable(m))
-	}
-	section("Figure 2 (ARMv7 distributions + mismatch)", Figure2(m))
-	section("Figure 3 (ARMv8 distributions + mismatch)", Figure3(m))
-	section("Section 4.1.3 macro statistics", MacroStats(m))
-	section("Section 4.2.2 vulnerability window", VulnWindow(m))
-	section("Cross-layer mining (Section 3.4)", MineReport(m))
 	return b.String()
 }

@@ -174,3 +174,36 @@ func TestReportWallTime(t *testing.T) {
 		}
 	}
 }
+
+// TestArtefactScenariosCoverTheirRows: an artefact that prints chosen
+// scenarios prints the same text from the rows its catalogue entry runs as
+// from a full matrix, so a -run of it simulates every row it prints. The
+// full matrix is hand-built: every scenario of the catalog, each with its
+// own counts and features.
+func TestArtefactScenariosCoverTheirRows(t *testing.T) {
+	var rows []*campaign.Result
+	for i, sc := range npb.Scenarios() {
+		rows = append(rows, row(t, sc.ID(), fault.Reg, i%5, func(r *campaign.Result) {
+			v := float64(i + 1)
+			r.Features.FBIndex, r.Features.Branches, r.Features.Calls = v, 10*v, 3*v
+			r.Features.MemInstrPct, r.Features.RdWrRatio = v/2, 1+v/100
+		}))
+	}
+	full := NewMatrix(rows)
+	for _, name := range []string{"table2", "table3", "table4", "fig2", "fig3"} {
+		i := slices.IndexFunc(Artefacts, func(a Artefact) bool { return a.Name == name })
+		if i < 0 {
+			t.Fatalf("no artefact %s", name)
+		}
+		a := Artefacts[i]
+		var kept []*campaign.Result
+		for _, r := range rows {
+			if slices.Contains(a.Scenarios, r.Scenario) {
+				kept = append(kept, r)
+			}
+		}
+		if want, got := a.Format(full), a.Format(NewMatrix(kept)); got != want {
+			t.Errorf("%s over its %d scenarios differs from the full matrix:\n%s\n---\n%s", name, len(kept), got, want)
+		}
+	}
+}

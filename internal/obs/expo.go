@@ -8,7 +8,10 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"maps"
+	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,11 +122,16 @@ func formatFloat(v float64) string {
 // must parse (name, optional label block, float value), every sample must
 // follow a # TYPE line declaring its family, histogram families must carry
 // _bucket/_sum/_count samples with a le label on buckets, and no family may
-// be declared twice. It returns the family count and the first violation.
+// be declared twice. Each histogram series (its labels but le) must list
+// its buckets in increasing le, with values that never decrease, and end on
+// a le="+Inf" bucket equal to its _count. It returns the family count and
+// the first violation.
 func Lint(r io.Reader) (families int, err error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	typed := make(map[string]string) // family -> kind
+	var hists []*histSeries          // in order of first sample
+	histByKey := make(map[string]*histSeries)
 	line := 0
 	for sc.Scan() {
 		line++
@@ -177,13 +185,40 @@ func Lint(r io.Reader) (families int, err error) {
 			if suffix == "" {
 				return families, fmt.Errorf("line %d: histogram %s exposes bare sample", line, fam)
 			}
-			if suffix == "_bucket" {
-				if _, ok := labels["le"]; !ok {
+			le, hasLE := labels["le"]
+			delete(labels, "le")
+			names := slices.Sorted(maps.Keys(labels))
+			values := make([]string, len(names))
+			for i, n := range names {
+				values[i] = labels[n]
+			}
+			key := fam + labelString(names, values, "", "")
+			h := histByKey[key]
+			if h == nil {
+				h = &histSeries{name: key}
+				histByKey[key] = h
+				hists = append(hists, h)
+			}
+			switch suffix {
+			case "_bucket":
+				if !hasLE {
 					return families, fmt.Errorf("line %d: %s_bucket without le label", line, fam)
 				}
+				bound, err := strconv.ParseFloat(le, 64)
+				switch {
+				case err != nil:
+					return families, fmt.Errorf("line %d: %s_bucket le=%q: %v", line, fam, le, err)
+				case h.buckets > 0 && bound <= h.le:
+					return families, fmt.Errorf("line %d: %s bucket le=%g after le=%g", line, key, bound, h.le)
+				case h.buckets > 0 && value < h.last:
+					return families, fmt.Errorf("line %d: %s bucket le=%g holds %g, below le=%g's %g", line, key, bound, value, h.le, h.last)
+				}
+				h.le, h.last = bound, value
+				h.buckets++
+			case "_count":
+				h.count, h.hasCount = value, true
 			}
 		}
-		_ = value
 	}
 	if err := sc.Err(); err != nil {
 		return families, err
@@ -191,7 +226,27 @@ func Lint(r io.Reader) (families int, err error) {
 	if families == 0 {
 		return 0, fmt.Errorf("no metric families found")
 	}
+	for _, h := range hists {
+		switch {
+		case h.buckets == 0 || !math.IsInf(h.le, 1):
+			return families, fmt.Errorf("histogram %s: no le=\"+Inf\" bucket", h.name)
+		case !h.hasCount:
+			return families, fmt.Errorf("histogram %s: no _count", h.name)
+		case h.last != h.count:
+			return families, fmt.Errorf("histogram %s: le=\"+Inf\" bucket %g differs from _count %g", h.name, h.last, h.count)
+		}
+	}
 	return families, nil
+}
+
+// histSeries is one histogram series as Lint reads it: how many buckets it
+// showed, the last one's bound and value, and its _count.
+type histSeries struct {
+	name     string // family and labels but le
+	buckets  int
+	le, last float64
+	count    float64
+	hasCount bool
 }
 
 // parseSample parses `name{l1="v1",...} value` into its parts.

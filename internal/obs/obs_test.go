@@ -243,13 +243,32 @@ func TestNilTracerSafe(t *testing.T) {
 	}
 }
 
+// TestLintRejectsMalformed: Lint refuses each malformed exposition, among
+// them the histogram series whose buckets are out of le order or not
+// cumulative or whose +Inf bucket is missing or differs from _count, and
+// passes a well-formed histogram of two series, each keyed by its labels but
+// le in any label order.
 func TestLintRejectsMalformed(t *testing.T) {
+	good := "# TYPE h histogram\nh_bucket{k=\"b\",le=\"1\"} 1\nh_bucket{k=\"b\",le=\"+Inf\"} 2\nh_sum{k=\"b\"} 3\nh_count{k=\"b\"} 2\n" +
+		"h_bucket{le=\"0.5\",k=\"a\"} 0\nh_bucket{k=\"a\",le=\"+Inf\"} 0\nh_count{k=\"a\"} 0\n"
+	if _, err := Lint(strings.NewReader(good)); err != nil {
+		t.Errorf("lint refused a well-formed histogram: %v", err)
+	}
 	bad := []string{
 		"no_type_line 1\n",
 		"# TYPE x counter\n# TYPE x counter\nx 1\n",
 		"# TYPE h histogram\nh 1\n",
 		"# TYPE y counter\ny{l=\"unterminated} 1\n",
 		"",
+		// _count one above the +Inf bucket.
+		"# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 3\nh_sum 4\nh_count 4\n",
+		// a bucket below its predecessor.
+		"# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"2\"} 1\nh_bucket{le=\"+Inf\"} 3\nh_sum 4\nh_count 3\n",
+		// buckets out of le order.
+		"# TYPE h histogram\nh_bucket{le=\"2\"} 2\nh_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 3\nh_sum 4\nh_count 3\n",
+		// no +Inf bucket, and one series of two without one.
+		"# TYPE h histogram\nh_bucket{le=\"1\"} 2\nh_sum 4\nh_count 2\n",
+		"# TYPE h histogram\nh_bucket{k=\"a\",le=\"+Inf\"} 1\nh_count{k=\"a\"} 1\nh_bucket{k=\"b\",le=\"1\"} 1\nh_count{k=\"b\"} 1\n",
 	}
 	for _, src := range bad {
 		if _, err := Lint(strings.NewReader(src)); err == nil {
