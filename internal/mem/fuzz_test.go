@@ -9,8 +9,8 @@ import (
 )
 
 // The fuzz harness drives a Memory and a naive full-copy oracle (a flat
-// byte slice mutated in lockstep) through random write/snapshot/restore/
-// compare sequences, including deltas chained from a foreign memory
+// byte slice mutated in lockstep) through random write/read/snapshot/
+// restore/compare sequences, including deltas chained from a foreign memory
 // (DeltaOf), chains rebuilt around a subset of their members (Squash) and
 // write-log use of the dirty bitmap (TakeDirtyPages). Any
 // divergence between the sparse delta-chain machinery and the oracle is a
@@ -58,7 +58,7 @@ func runSnapshotScript(t *testing.T, size uint32, script []byte) (*Memory, []ora
 	}
 
 	for op := 0; rd.Len() > 0 && op < maxScriptOps; op++ {
-		switch u8() % 12 {
+		switch u8() % 15 {
 		case 0: // bulk write, possibly straddling pages or clamped at the end
 			addr := u32() % size
 			n := u32()%(3*PageBytes) + 1
@@ -89,6 +89,7 @@ func runSnapshotScript(t *testing.T, size uint32, script []byte) (*Memory, []ora
 			}
 			addr := u32() % (size - 3)
 			v := u32()
+			countStraddle(addr, 4)
 			m.WriteU32(addr, v)
 			binary.LittleEndian.PutUint32(oracle[addr:], v)
 		case 4:
@@ -97,6 +98,7 @@ func runSnapshotScript(t *testing.T, size uint32, script []byte) (*Memory, []ora
 			}
 			addr := u32() % (size - 7)
 			v := uint64(u32())<<32 | uint64(u32())
+			countStraddle(addr, 8)
 			m.WriteU64(addr, v)
 			binary.LittleEndian.PutUint64(oracle[addr:], v)
 		case 5: // full snapshot
@@ -123,7 +125,7 @@ func runSnapshotScript(t *testing.T, size uint32, script []byte) (*Memory, []ora
 			}
 			pick := snaps[u32()%uint32(len(snaps))]
 			m.Restore(pick.snap)
-			if !bytes.Equal(m.ram, pick.ram) {
+			if !bytes.Equal(image(m), pick.ram) {
 				t.Fatalf("op %d: restore diverged from oracle", op)
 			}
 			copy(oracle, pick.ram)
@@ -160,10 +162,10 @@ func runSnapshotScript(t *testing.T, size uint32, script []byte) (*Memory, []ora
 				t.Fatalf("op %d: DeltaOf does not equal its source", op)
 			}
 			// Selective compare of the live memory against the new tip.
-			if got, want := d.EqualsMemory(m), bytes.Equal(oracle, src.ram); got != want {
+			if got, want := d.EqualsMemory(m), bytes.Equal(oracle, image(src)); got != want {
 				t.Fatalf("op %d: EqualsMemory(chained delta) = %v, oracle says %v", op, got, want)
 			}
-			snaps = append(snaps, oracleSnap{d, append([]byte(nil), src.ram...)})
+			snaps = append(snaps, oracleSnap{d, image(src)})
 		case 10: // use the bitmap as a write log: tracking must switch off
 			m.TakeDirtyPages()
 			if m.Base() != nil {
@@ -201,7 +203,7 @@ func runSnapshotScript(t *testing.T, size uint32, script []byte) (*Memory, []ora
 				}
 				fresh := New(size)
 				fresh.Restore(s)
-				if !bytes.Equal(fresh.ram, keep[i].ram) {
+				if !bytes.Equal(image(fresh), keep[i].ram) {
 					t.Fatalf("op %d: squashed snapshot %d materializes unlike the member it stands for", op, i)
 				}
 				if got, want := s.EqualsMemory(m), bytes.Equal(oracle, keep[i].ram); got != want {
@@ -218,10 +220,47 @@ func runSnapshotScript(t *testing.T, size uint32, script []byte) (*Memory, []ora
 					snaps = append(snaps, oracleSnap{s, keep[i].ram})
 				}
 			}
+		case 12: // reads, of pages written or never written, must see the oracle
+			addr := u32() % size
+			if got := m.ReadU8(addr); got != oracle[addr] {
+				t.Fatalf("op %d: ReadU8(%#x) = %#x, oracle says %#x", op, addr, got, oracle[addr])
+			}
+		case 13:
+			if size < 4 {
+				continue
+			}
+			addr := u32() % (size - 3)
+			countStraddle(addr, 4)
+			if got, want := m.ReadU32(addr), binary.LittleEndian.Uint32(oracle[addr:]); got != want {
+				t.Fatalf("op %d: ReadU32(%#x) = %#x, oracle says %#x", op, addr, got, want)
+			}
+		case 14:
+			if size < 8 {
+				continue
+			}
+			addr := u32() % (size - 7)
+			countStraddle(addr, 8)
+			if got, want := m.ReadU64(addr), binary.LittleEndian.Uint64(oracle[addr:]); got != want {
+				t.Fatalf("op %d: ReadU64(%#x) = %#x, oracle says %#x", op, addr, got, want)
+			}
 		}
 	}
 	return m, snaps
 }
+
+// straddled counts the 4- and 8-byte accesses that crossed a page boundary
+// across all scripts of the test binary: the proof that the straddle seeds
+// reach the byte-wise path.
+var straddled int
+
+func countStraddle(addr, n uint32) {
+	if addr>>pageShift != (addr+n-1)>>pageShift {
+		straddled++
+	}
+}
+
+// image reads a memory's whole contents through the public accessors.
+func image(m *Memory) []byte { return m.ReadBytes(0, m.Size()) }
 
 // squashed counts the snapshots Squash built (not reused) across all scripts
 // of the test binary: the proof that a script reached the op with a chain
@@ -244,7 +283,7 @@ func oracleOf(t *testing.T, snaps []oracleSnap, s *Snapshot) oracleSnap {
 // every compare against it and restore into it takes the full path.
 func untracked(ram []byte) *Memory {
 	m := New(uint32(len(ram)))
-	copy(m.ram, ram)
+	m.WriteBytes(0, ram)
 	return m
 }
 
@@ -261,11 +300,11 @@ func verifySnapshots(t *testing.T, m *Memory, size uint32, snaps []oracleSnap) {
 	for i, pair := range snaps {
 		fresh := New(size)
 		fresh.Restore(pair.snap)
-		if !bytes.Equal(fresh.ram, pair.ram) {
+		if !bytes.Equal(image(fresh), pair.ram) {
 			t.Fatalf("snapshot %d: slow-path restore diverged from oracle", i)
 		}
 		m.Restore(pair.snap)
-		if !bytes.Equal(m.ram, pair.ram) {
+		if !bytes.Equal(image(m), pair.ram) {
 			t.Fatalf("snapshot %d: fast-path restore diverged from oracle", i)
 		}
 		if !pair.snap.EqualsMemory(m) {
@@ -287,6 +326,13 @@ func runSnapshotOracle(t *testing.T, sizeSel uint8, script []byte) {
 	size := fuzzSizes[int(sizeSel)%len(fuzzSizes)]
 	m, snaps := runSnapshotScript(t, size, script)
 	verifySnapshots(t, m, size, snaps)
+	// Every memory's unwritten pages are views of zeroPage: one write
+	// through such a view would corrupt them all.
+	for i, b := range zeroPage {
+		if b != 0 {
+			t.Fatalf("the shared zero page was written at %#x", i)
+		}
+	}
 }
 
 // squashSeed is a script that reaches the squash op with a chain worth
@@ -320,8 +366,48 @@ func squashSeed() []byte {
 	return b
 }
 
+// straddleSeed is a script of 4- and 8-byte writes and reads that straddle
+// page boundaries, reads of pages no write has reached, and the last
+// in-range words of RAM, around a snapshot, a delta and restores of both.
+func straddleSeed(size uint32) []byte {
+	le := func(v uint32) []byte { return binary.LittleEndian.AppendUint32(nil, v) }
+	var b []byte
+	add := func(op byte, args ...uint32) {
+		b = append(b, op)
+		for _, a := range args {
+			b = append(b, le(a)...)
+		}
+	}
+	reads := func() {
+		add(13, PageBytes-2)     // the written straddle
+		add(14, 2*PageBytes-3)   // the written straddle
+		add(14, 3*PageBytes-4)   // pages 2 and 3: never written
+		add(13, 4*PageBytes-1)   // never written
+		add(12, 4*PageBytes+100) // never written
+		add(13, size-4)          // the last words of RAM
+		add(14, size-8)
+	}
+	reads()
+	add(3, PageBytes-2, 0xa1b2c3d4)
+	add(4, 2*PageBytes-3, 0x01020304, 0x05060708)
+	add(4, size-8, 0x11223344, 0x55667788)
+	reads()
+	add(5) // full snapshot
+	add(3, PageBytes-1, 0xdeadbeef)
+	add(4, 3*PageBytes-4, 0, 0) // zeros over a never-written straddle
+	reads()
+	add(6) // delta
+	add(7, 0)
+	reads()
+	add(7, 1)
+	reads()
+	return b
+}
+
 func FuzzSnapshotDeltaOracle(f *testing.F) {
 	f.Add(uint8(5), squashSeed())
+	f.Add(uint8(5), straddleSeed(5*PageBytes))
+	f.Add(uint8(6), straddleSeed(8*PageBytes+4093))
 	for sel := range fuzzSizes {
 		rng := rand.New(rand.NewSource(int64(sel) + 7))
 		seed := make([]byte, 512)
@@ -339,6 +425,11 @@ func TestSnapshotOracleScripts(t *testing.T) {
 	runSnapshotOracle(t, 5, squashSeed())
 	if squashed != 3 {
 		t.Errorf("the squash seed built %d snapshots, want one per squash op", squashed)
+	}
+	straddled = 0
+	runSnapshotOracle(t, 6, straddleSeed(8*PageBytes+4093))
+	if straddled != 24 {
+		t.Errorf("the straddle seed made %d page-straddling accesses, want 24", straddled)
 	}
 	for sel := range fuzzSizes {
 		for round := 0; round < 4; round++ {

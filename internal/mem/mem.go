@@ -1,8 +1,11 @@
-// Package mem provides the flat physical memory of a simulated machine plus
-// the region/permission table that stands in for an MMU. There is no paging:
-// the guest kernel and applications share one physical address space, and
-// segmentation faults arise from region permission violations exactly as the
-// paper's "access outside its permissions" UT mechanism requires.
+// Package mem provides the physical memory of a simulated machine plus the
+// region/permission table that stands in for an MMU. There is no guest
+// paging: the guest kernel and applications share one physical address
+// space, and segmentation faults arise from region permission violations
+// exactly as the paper's "access outside its permissions" UT mechanism
+// requires. On the host side the address space is a table of PageBytes
+// pages: a machine holds only the pages its guest wrote, and every page it
+// never wrote is a view of one shared zero page that is never written.
 package mem
 
 import (
@@ -11,7 +14,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/bits"
-	"slices"
 	"sort"
 )
 
@@ -84,7 +86,13 @@ func (f *Fault) Error() string {
 // Memory is the physical RAM image plus its region table. Memory is not safe
 // for concurrent use; each simulated machine owns one.
 type Memory struct {
-	ram     []byte
+	// pages holds the image as one entry per PageBytes page, the final one
+	// short when the size is not a page multiple. An entry the guest never
+	// wrote is a view of the shared zeroPage; the first write to it
+	// allocates a private page (writable). So a machine holds only the pages
+	// its guest wrote, and reads need neither a nil check nor a branch.
+	pages   [][]byte
+	size    uint32
 	regions []Region // sorted by Start
 	// Two-entry locality cache over region lookups: data accesses
 	// typically alternate between two regions (e.g. heap and stack), so a
@@ -93,24 +101,35 @@ type Memory struct {
 
 	// Copy-on-write tracking. dirty holds one bit per PageBytes page, set by
 	// every write accessor below. base is the snapshot this memory diverged
-	// from: the invariant, kept continuously, is that ram matches base's
-	// materialized contents at every page whose dirty bit is clear.
+	// from: the invariant, kept continuously, is that the image matches
+	// base's materialized contents at every page whose dirty bit is clear.
 	// Snapshot, DeltaSnapshot and Restore re-anchor the pair; TakeDirtyPages
 	// drops the base (nil base = no invariant, every compare/restore is full).
-	dirty []uint64
+	dirty pageSet
 	base  *Snapshot
-	// fresh reports that ram is still as New allocated it, all zero, as long
-	// as no dirty bit is set: a full Restore then skips clearing it.
-	fresh bool
 }
 
-// New allocates size bytes of zeroed RAM with no mapped regions.
+// New returns size bytes of zeroed RAM with no mapped regions. No page is
+// allocated until it is written.
 func New(size uint32) *Memory {
-	return &Memory{ram: make([]byte, size), dirty: make([]uint64, dirtyWords(size)), fresh: true}
+	m := &Memory{}
+	m.resize(size)
+	return m
+}
+
+// resize points the image at size bytes of unwritten pages and sizes the
+// dirty bitmap to match.
+func (m *Memory) resize(size uint32) {
+	m.size = size
+	m.pages = make([][]byte, pageCount(size))
+	for pn := range m.pages {
+		m.dropPage(uint32(pn))
+	}
+	m.dirty = newPageSet(len(m.pages))
 }
 
 // Size returns the RAM size in bytes.
-func (m *Memory) Size() uint32 { return uint32(len(m.ram)) }
+func (m *Memory) Size() uint32 { return m.size }
 
 // Map adds a region. Regions must not overlap; Map panics on programmer
 // error since the memory map is fixed at machine construction.
@@ -180,86 +199,178 @@ func (m *Memory) Check(addr uint32, size uint32, want Perm, user bool) *Fault {
 // The raw accessors below skip permission checks; they are used by the
 // machine after Check, by loaders, and by the fault injector. Every mutation
 // of RAM flows through them — that is what makes the dirty-page bitmap a
-// complete record of divergence from the tracking base.
+// complete record of divergence from the tracking base. An access at or past
+// Size panics, as an index into a flat image would.
+
+// PageBytes is the page granularity of RAM allocation, dirty-write tracking
+// and snapshot capture. Small enough that a checkpoint delta and a machine
+// pay for the pages written, not whole RAM images; large enough that the
+// per-write bitmap update and the sparse page walk stay cheap.
+const (
+	PageBytes = 1 << 14
+	pageShift = 14
+	pageMask  = PageBytes - 1
+)
+
+// zeroPage backs every page no write has reached, in every memory. Nothing
+// writes through it: the write accessors take the writable slow path, which
+// swaps a private page in, wherever the page is still the zero page.
+var zeroPage [PageBytes]byte
+
+func pageCount(size uint32) int { return int((uint64(size) + PageBytes - 1) / PageBytes) }
+
+// pageSet is a set of page numbers, one bit per page.
+type pageSet []uint64
+
+func newPageSet(pages int) pageSet   { return make(pageSet, (pages+63)/64) }
+func (s pageSet) add(pn uint32)      { s[pn/64] |= 1 << (pn % 64) }
+func (s pageSet) has(pn uint32) bool { return s[pn/64]&(1<<(pn%64)) != 0 }
 
 // ReadU8 reads one byte.
-func (m *Memory) ReadU8(addr uint32) uint8 { return m.ram[addr] }
+func (m *Memory) ReadU8(addr uint32) uint8 { return m.pages[addr>>pageShift][addr&pageMask] }
 
 // WriteU8 writes one byte.
 func (m *Memory) WriteU8(addr uint32, v uint8) {
-	m.ram[addr] = v
-	m.markPage(addr)
+	pn := addr >> pageShift
+	if !m.held(pn) {
+		m.writeSlow(addr, 1, uint64(v))
+		return
+	}
+	m.pages[pn][addr&pageMask] = v
+	m.dirty.add(pn)
 }
 
 // ReadU32 reads a little-endian 32-bit value.
 func (m *Memory) ReadU32(addr uint32) uint32 {
-	return binary.LittleEndian.Uint32(m.ram[addr : addr+4])
+	if addr&pageMask > PageBytes-4 {
+		return m.readStraddle32(addr)
+	}
+	return binary.LittleEndian.Uint32(m.pages[addr>>pageShift][addr&pageMask:])
 }
 
 // WriteU32 writes a little-endian 32-bit value.
 func (m *Memory) WriteU32(addr uint32, v uint32) {
-	binary.LittleEndian.PutUint32(m.ram[addr:addr+4], v)
-	m.markPage(addr)
-	m.markPage(addr + 3)
+	pn := addr >> pageShift
+	if addr&pageMask > PageBytes-4 || !m.held(pn) {
+		m.writeSlow(addr, 4, uint64(v))
+		return
+	}
+	binary.LittleEndian.PutUint32(m.pages[pn][addr&pageMask:], v)
+	m.dirty.add(pn)
 }
 
 // ReadU64 reads a little-endian 64-bit value.
 func (m *Memory) ReadU64(addr uint32) uint64 {
-	return binary.LittleEndian.Uint64(m.ram[addr : addr+8])
+	if addr&pageMask > PageBytes-8 {
+		return m.readStraddle64(addr)
+	}
+	return binary.LittleEndian.Uint64(m.pages[addr>>pageShift][addr&pageMask:])
 }
 
 // WriteU64 writes a little-endian 64-bit value.
 func (m *Memory) WriteU64(addr uint32, v uint64) {
-	binary.LittleEndian.PutUint64(m.ram[addr:addr+8], v)
-	m.markPage(addr)
-	m.markPage(addr + 7)
+	pn := addr >> pageShift
+	if addr&pageMask > PageBytes-8 || !m.held(pn) {
+		m.writeSlow(addr, 8, v)
+		return
+	}
+	binary.LittleEndian.PutUint64(m.pages[pn][addr&pageMask:], v)
+	m.dirty.add(pn)
+}
+
+// readStraddle32 and readStraddle64 read a value that straddles a page
+// boundary. They take the address alone and stay out of line, which keeps
+// ReadU32 and ReadU64 within the compiler's inlining budget.
+//
+//go:noinline
+func (m *Memory) readStraddle32(addr uint32) uint32 { return uint32(m.readSlow(addr, 4)) }
+
+//go:noinline
+func (m *Memory) readStraddle64(addr uint32) uint64 { return m.readSlow(addr, 8) }
+
+// readSlow reads an n-byte little-endian value byte by byte.
+func (m *Memory) readSlow(addr, n uint32) uint64 {
+	m.checkRange(addr, n)
+	var v uint64
+	for i := n; i > 0; i-- {
+		v = v<<8 | uint64(m.ReadU8(addr+i-1))
+	}
+	return v
+}
+
+// writeSlow writes an n-byte little-endian value byte by byte through
+// writable: the first write to a page, and any write that straddles two,
+// comes here, and every page it touches is allocated and marked dirty.
+//
+//go:noinline
+func (m *Memory) writeSlow(addr, n uint32, v uint64) {
+	m.checkRange(addr, n)
+	for i := uint32(0); i < n; i++ {
+		a := addr + i
+		m.writable(a)[a&pageMask] = uint8(v >> (8 * i))
+	}
+}
+
+// checkRange panics unless [addr, addr+n) lies inside RAM, so an access
+// that runs past the end fails before it reads or writes any of its bytes.
+func (m *Memory) checkRange(addr, n uint32) {
+	if uint64(addr)+uint64(n) > uint64(m.size) {
+		panic(fmt.Sprintf("mem: access [%#x,%#x) out of range for RAM size %#x", addr, uint64(addr)+uint64(n), m.size))
+	}
 }
 
 // ReadBytes copies n bytes starting at addr.
 func (m *Memory) ReadBytes(addr, n uint32) []byte {
+	m.checkRange(addr, n)
 	out := make([]byte, n)
-	copy(out, m.ram[addr:addr+n])
+	for done := uint32(0); done < n; {
+		a := addr + done
+		done += uint32(copy(out[done:], m.pages[a>>pageShift][a&pageMask:]))
+	}
 	return out
 }
 
 // WriteBytes copies b into RAM at addr, clamping at the end of RAM.
 func (m *Memory) WriteBytes(addr uint32, b []byte) {
-	if n := uint32(copy(m.ram[addr:], b)); n > 0 {
-		m.markRange(addr, n)
+	m.checkRange(addr, 0)
+	b = b[:min(uint64(len(b)), uint64(m.size-addr))]
+	for len(b) > 0 {
+		b = b[copy(m.writable(addr)[addr&pageMask:], b):]
+		addr = (addr | pageMask) + 1
 	}
 }
 
-// PageBytes is the page granularity of dirty-write tracking and snapshot
-// capture. Small enough that a checkpoint delta pays for pages, not whole
-// RAM images; large enough that the per-write bitmap update and the sparse
-// page walk stay cheap.
-const (
-	PageBytes = 1 << 14
-	pageShift = 14
-)
-
-// zeroPage is the all-zero reference chunk used to detect empty pages.
-var zeroPage [PageBytes]byte
-
-func dirtyWords(size uint32) int {
-	pages := (uint64(size) + PageBytes - 1) / PageBytes
-	return int((pages + 63) / 64)
-}
-
-// markPage records a write into the page containing addr. Called after the
-// RAM write, so an out-of-range access panics before any bit is set and
-// marked pages always exist.
-func (m *Memory) markPage(addr uint32) {
-	p := addr >> pageShift
-	m.dirty[p>>6] |= 1 << (p & 63)
-}
-
-// markRange records a write spanning [addr, addr+n), n > 0.
-func (m *Memory) markRange(addr, n uint32) {
-	for p := addr >> pageShift; p <= (addr+n-1)>>pageShift; p++ {
-		m.dirty[p>>6] |= 1 << (p & 63)
+// writable returns the page containing addr as a private page, allocating
+// it on the first write, and marks it dirty. The caller writes into it.
+func (m *Memory) writable(addr uint32) []byte {
+	pn := addr >> pageShift
+	if !m.held(pn) {
+		m.pages[pn] = make([]byte, len(m.pages[pn]))
 	}
+	m.dirty.add(pn)
+	return m.pages[pn]
 }
+
+// dropPage points page pn back at the shared zero page.
+func (m *Memory) dropPage(pn uint32) {
+	off := pn << pageShift
+	m.pages[pn] = zeroPage[:pageEnd(off, m.size)-off]
+}
+
+// setPage makes page pn hold data, or all zeros when data is nil (the
+// snapshot convention), dropping it back to the zero page then. The restores
+// that call it rebase afterwards.
+func (m *Memory) setPage(pn uint32, data []byte) {
+	if data == nil {
+		m.dropPage(pn)
+		return
+	}
+	copy(m.writable(pn<<pageShift), data)
+}
+
+// held reports whether page pn has a private page, i.e. has been written
+// since it was last dropped.
+func (m *Memory) held(pn uint32) bool { return &m.pages[pn][0] != &zeroPage[0] }
 
 // eachDirtyPage calls fn with the start offset of every dirty page, in
 // ascending order.
@@ -274,7 +385,7 @@ func (m *Memory) eachDirtyPage(fn func(off uint32)) {
 }
 
 // TakeDirtyPages returns the start offsets of every dirty page in ascending
-// order and clears the bitmap. Clearing the bits breaks the "ram matches base
+// order and clears the bitmap. Clearing the bits breaks the "RAM matches base
 // at clear-dirty pages" invariant, so the tracking base is dropped with them:
 // every later EqualsMemory or Restore on this memory takes the full path
 // (Restore re-anchors) and DeltaSnapshot falls back to a full capture. It
@@ -288,10 +399,9 @@ func (m *Memory) TakeDirtyPages() []uint32 {
 }
 
 // PageAt returns a read-only view of the page starting at off (the final
-// page may be short). Callers must not modify the returned slice.
-func (m *Memory) PageAt(off uint32) []byte {
-	return m.ram[off:pageEnd(off, m.Size())]
-}
+// page may be short; an unwritten page is the shared zero page). Callers must
+// not modify the returned slice.
+func (m *Memory) PageAt(off uint32) []byte { return m.pages[off>>pageShift] }
 
 // pageEnd returns the end of the page starting at off in a memory of the
 // given size (the final page may be short). Written as a subtraction so a
@@ -303,7 +413,11 @@ func pageEnd(off, size uint32) uint32 {
 	return off + PageBytes
 }
 
-func isZero(b []byte) bool { return bytes.Equal(b, zeroPage[:len(b)]) }
+// isZero reports whether b is all zero. A view of the zero page is, without
+// a scan.
+func isZero(b []byte) bool {
+	return len(b) == 0 || &b[0] == &zeroPage[0] || bytes.Equal(b, zeroPage[:len(b)])
+}
 
 // snapPage is one RAM page captured by a Snapshot: data carries the
 // contents, or zero marks a page that is all-zero (meaningful in deltas,
@@ -394,12 +508,11 @@ func (m *Memory) Snapshot() *Snapshot {
 		size:    m.Size(),
 		regions: append([]Region(nil), m.regions...),
 	}
-	for off := uint32(0); off < s.size; off = pageEnd(off, s.size) {
-		chunk := m.ram[off:pageEnd(off, s.size)]
-		if isZero(chunk) {
+	for pn, p := range m.pages {
+		if isZero(p) { // an unwritten page without a scan
 			continue
 		}
-		s.pages = append(s.pages, snapPage{off: off, data: append([]byte(nil), chunk...)})
+		s.pages = append(s.pages, snapPage{off: uint32(pn) << pageShift, data: append([]byte(nil), p...)})
 	}
 	m.Rebase(s)
 	obsSnapshotFull.Inc()
@@ -425,7 +538,7 @@ func (m *Memory) DeltaSnapshot() *Snapshot {
 		parent:  m.base,
 		depth:   m.base.depth + 1,
 	}
-	m.eachDirtyPage(func(off uint32) { s.patch(off, m.ram[off:pageEnd(off, s.size)], false) })
+	m.eachDirtyPage(func(off uint32) { s.patch(off, m.PageAt(off), false) })
 	m.Rebase(s)
 	obsSnapshotDelta.Inc()
 	obsSnapshotPagesDelta.Add(float64(len(s.pages)))
@@ -452,16 +565,17 @@ func (s *Snapshot) patch(off uint32, chunk []byte, shared bool) {
 }
 
 // DeltaOf captures the current contents of another memory of the same size
-// as a delta chained onto s, by comparing every page: src's tracking state is
-// neither trusted nor touched. This is how an image that was not produced by
-// running forward from s (the golden run's terminal RAM) joins s's chain, so
-// that memories tracking any snapshot of the chain compare against it
-// selectively.
+// as a delta chained onto s, by comparing every page either side may hold
+// data at: src's tracking state is neither trusted nor touched. This is how
+// an image that was not produced by running forward from s (the golden run's
+// terminal RAM) joins s's chain, so that memories tracking any snapshot of
+// the chain compare against it selectively.
 func (s *Snapshot) DeltaOf(src *Memory) *Snapshot {
 	d := &Snapshot{size: s.size, regions: s.regions, parent: s, depth: s.depth + 1}
-	for off := uint32(0); off < s.size; off = pageEnd(off, s.size) {
-		d.patch(off, src.ram[off:pageEnd(off, s.size)], false)
-	}
+	s.eachHeldPage(src, func(off uint32) bool {
+		d.patch(off, src.PageAt(off), false)
+		return true
+	})
 	obsSnapshotDelta.Inc()
 	obsSnapshotPagesDelta.Add(float64(len(d.pages)))
 	return d
@@ -522,14 +636,27 @@ func Squash(keep []*Snapshot) []*Snapshot {
 // themselves; the exported form is for a holder that has replaced the chain
 // under the tracking base with an equivalent one (Squash).
 func (m *Memory) Rebase(s *Snapshot) {
-	m.fresh = m.fresh && !m.written()
 	m.base = s
 	clear(m.dirty)
 }
 
-// written reports whether any dirty bit is set.
-func (m *Memory) written() bool {
-	return slices.ContainsFunc(m.dirty, func(w uint64) bool { return w != 0 })
+// eachHeldPage calls fn, in ascending order until fn returns false, with the
+// offset of every page that m holds or that a snapshot on s's chain records,
+// and reports whether it ran to the end. Every other page is zero on both
+// sides.
+func (s *Snapshot) eachHeldPage(m *Memory, fn func(off uint32) bool) bool {
+	onChain := newPageSet(len(m.pages))
+	for c := s; c != nil; c = c.parent {
+		for _, p := range c.pages {
+			onChain.add(p.off >> pageShift)
+		}
+	}
+	for pn := range m.pages {
+		if (m.held(uint32(pn)) || onChain.has(uint32(pn))) && !fn(uint32(pn)<<pageShift) {
+			return false
+		}
+	}
+	return true
 }
 
 // Base returns the tracking base, nil when there is none. Restore and
@@ -574,9 +701,10 @@ func (m *Memory) diffPages(target, anc *Snapshot) map[uint32]struct{} {
 }
 
 // pageEquals compares one page of m's RAM against the snapshot's
-// materialized contents.
+// materialized contents. An unwritten page over a zero one compares no
+// bytes.
 func (s *Snapshot) pageEquals(m *Memory, off uint32) bool {
-	chunk := m.ram[off:pageEnd(off, s.size)]
+	chunk := m.PageAt(off)
 	if want := s.pageData(off); want != nil {
 		return bytes.Equal(chunk, want)
 	}
@@ -604,7 +732,7 @@ func (s *Snapshot) DiffWords(m *Memory, size uint32, fn func(addr uint32) bool) 
 		if s.pageEquals(m, off) {
 			return true
 		}
-		chunk := m.ram[off:pageEnd(off, s.size)]
+		chunk := m.PageAt(off)
 		want := s.pageData(off)
 		if want == nil {
 			want = zeroPage[:len(chunk)]
@@ -621,8 +749,8 @@ func (s *Snapshot) DiffWords(m *Memory, size uint32, fn func(addr uint32) bool) 
 
 // eachComparedPage calls fn with every page offset at which m's RAM may
 // differ from s's materialization — the dirty-tracking subset when m's base
-// shares a chain with s, every page otherwise — until fn returns false, and
-// reports whether it ran to the end.
+// shares a chain with s, otherwise eachHeldPage's — until fn returns false,
+// and reports whether it ran to the end.
 func (s *Snapshot) eachComparedPage(m *Memory, fn func(off uint32) bool) bool {
 	if m.base != nil {
 		if anc := commonAncestor(m.base, s); anc != nil {
@@ -634,12 +762,7 @@ func (s *Snapshot) eachComparedPage(m *Memory, fn func(off uint32) bool) bool {
 			return true
 		}
 	}
-	for off := uint32(0); off < s.size; off = pageEnd(off, s.size) {
-		if !fn(off) {
-			return false
-		}
-	}
-	return true
+	return s.eachHeldPage(m, fn)
 }
 
 // Restore resets RAM and the region table to a snapshot's materialized
@@ -648,16 +771,13 @@ func (s *Snapshot) eachComparedPage(m *Memory, fn func(off uint32) bool) bool {
 // and their start offsets are returned with selective=true, so the caller
 // can invalidate derived state (decoded text) page by page instead of
 // wholesale. Otherwise the entire image is rebuilt and selective is false.
+// Either way a page the snapshot holds as zero goes back to the shared zero
+// page.
 func (m *Memory) Restore(s *Snapshot) (touched []uint32, selective bool) {
 	if m.Size() == s.size && m.base != nil {
 		if anc := commonAncestor(m.base, s); anc != nil {
 			for off := range m.diffPages(s, anc) {
-				chunk := m.ram[off:pageEnd(off, s.size)]
-				if want := s.pageData(off); want != nil {
-					copy(chunk, want)
-				} else {
-					clear(chunk)
-				}
+				m.setPage(off>>pageShift, s.pageData(off))
 				touched = append(touched, off)
 			}
 			m.finishRestore(s)
@@ -666,14 +786,10 @@ func (m *Memory) Restore(s *Snapshot) (touched []uint32, selective bool) {
 			return touched, true
 		}
 	}
-	switch {
-	case m.Size() != s.size:
-		m.ram = make([]byte, s.size)
-		m.dirty = make([]uint64, dirtyWords(s.size))
-	case !m.fresh || m.written():
-		clear(m.ram)
+	if m.Size() != s.size {
+		m.resize(s.size)
 	}
-	s.materializeInto(m.ram)
+	s.materializeInto(m)
 	m.finishRestore(s)
 	obsRestoreFull.Inc()
 	return nil, false
@@ -683,24 +799,26 @@ func (m *Memory) finishRestore(s *Snapshot) {
 	m.regions = append(m.regions[:0], s.regions...)
 	m.last, m.last2 = 0, 0
 	m.Rebase(s)
-	m.fresh = false
 }
 
-// materializeInto writes the chain's full image into ram (already zeroed):
-// nearest entries first, each page once, so a deep chain costs no more than
-// the image it materializes.
-func (s *Snapshot) materializeInto(ram []byte) {
-	done := make([]uint64, dirtyWords(s.size))
+// materializeInto rebuilds m's image, of s's size, as the chain's: nearest
+// entries first, each page once, so a deep chain costs no more than the
+// image it materializes. A page no entry holds data for goes back to the
+// zero page; a page that does keeps its private page if it has one.
+func (s *Snapshot) materializeInto(m *Memory) {
+	done := newPageSet(len(m.pages))
 	for c := s; c != nil; c = c.parent {
 		for _, p := range c.pages {
-			w, bit := p.off>>pageShift/64, uint64(1)<<(p.off>>pageShift%64)
-			if done[w]&bit != 0 {
-				continue
+			pn := p.off >> pageShift
+			if !done.has(pn) {
+				done.add(pn)
+				m.setPage(pn, p.data) // nil for a zero marker
 			}
-			done[w] |= bit
-			if !p.zero { // a zero marker leaves the zeroed page as it is
-				copy(ram[p.off:pageEnd(p.off, s.size)], p.data)
-			}
+		}
+	}
+	for pn := range m.pages {
+		if !done.has(uint32(pn)) {
+			m.dropPage(uint32(pn))
 		}
 	}
 }
@@ -711,13 +829,15 @@ func (s *Snapshot) materializeInto(ram []byte) {
 // it is the independent reference tests and the benchmark compare against.
 func (m *Memory) Hash() uint64 {
 	h := fnv.New64a()
-	h.Write(m.ram)
+	for _, p := range m.pages {
+		h.Write(p)
+	}
 	return h.Sum64()
 }
 
 // HashRange digests the half-open byte range [start, end).
 func (m *Memory) HashRange(start, end uint32) uint64 {
 	h := fnv.New64a()
-	h.Write(m.ram[start:end])
+	h.Write(m.ReadBytes(start, end-start))
 	return h.Sum64()
 }

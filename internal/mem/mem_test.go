@@ -165,3 +165,95 @@ func TestDiffWordsListsExactlyTheChangedWords(t *testing.T) {
 		t.Error("a memory of another size compared word by word")
 	}
 }
+
+// heldPages counts the pages m holds privately, i.e. not the zero page.
+func heldPages(m *Memory) int {
+	n := 0
+	for pn := range m.pages {
+		if m.held(uint32(pn)) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestUntouchedPagesCostNothing pins what makes a machine's RAM cost follow
+// its guest: reads allocate nothing, a capture of unwritten RAM holds
+// nothing, and a page that a restore brings back to zero, selective or full,
+// is the shared zero page again.
+func TestUntouchedPagesCostNothing(t *testing.T) {
+	m := New(24 << 20)
+	for off := uint32(0); off < m.Size(); off += PageBytes {
+		m.ReadU8(off)
+		m.ReadU64(off + 8)
+		if off+PageBytes < m.Size() {
+			m.ReadU32(off + PageBytes - 2) // straddles into the next page
+		}
+	}
+	if n := heldPages(m); n != 0 {
+		t.Fatalf("reading every page of fresh RAM allocated %d pages", n)
+	}
+	if s := m.Snapshot(); len(s.pages) != 0 || s.Bytes() != 0 {
+		t.Errorf("a snapshot of fresh RAM holds %d pages, %d bytes", len(s.pages), s.Bytes())
+	}
+
+	m.WriteU32(3*PageBytes, 1)
+	s := m.Snapshot() // holds page 3 only
+	m.WriteU64(5*PageBytes+8, 2)
+	if n := heldPages(m); n != 2 {
+		t.Fatalf("two written pages, %d held", n)
+	}
+	if _, selective := m.Restore(s); !selective || m.held(5) || !m.held(3) {
+		t.Errorf("selective restore: selective=%v, page 5 held=%v, page 3 held=%v", selective, m.held(5), m.held(3))
+	}
+	m.WriteU64(5*PageBytes+8, 2)
+	m.TakeDirtyPages() // no tracking base: the next restore is full
+	if _, selective := m.Restore(s); selective || m.held(5) || !m.held(3) {
+		t.Errorf("full restore: selective=%v, page 5 held=%v, page 3 held=%v", selective, m.held(5), m.held(3))
+	}
+	if &m.PageAt(5 * PageBytes)[0] != &zeroPage[0] {
+		t.Error("PageAt of a page restored to zero is not the shared zero page")
+	}
+}
+
+// TestAccessPastSizePanics pins bounds parity with a flat image: every
+// accessor panics at or past Size, also where Size is not a page multiple
+// and the last page is short, and also for a multi-byte access that starts
+// inside RAM and runs past its end. A page table that handed out whole zero
+// pages there would read zeros instead.
+func TestAccessPastSizePanics(t *testing.T) {
+	for _, size := range []uint32{37, PageBytes - 1, PageBytes, PageBytes + 1, 8*PageBytes + 4093} {
+		for name, access := range map[string]func(m *Memory){
+			"ReadU8":          func(m *Memory) { m.ReadU8(size) },
+			"WriteU8":         func(m *Memory) { m.WriteU8(size, 1) },
+			"ReadU32":         func(m *Memory) { m.ReadU32(size - 3) },
+			"WriteU32":        func(m *Memory) { m.WriteU32(size-3, 1) },
+			"ReadU64":         func(m *Memory) { m.ReadU64(size - 7) },
+			"WriteU64":        func(m *Memory) { m.WriteU64(size-7, 1) },
+			"ReadU32 at end":  func(m *Memory) { m.ReadU32(size) },
+			"ReadU64 far out": func(m *Memory) { m.ReadU64(size + PageBytes) },
+			"ReadBytes":       func(m *Memory) { m.ReadBytes(size-1, 2) },
+			"WriteBytes":      func(m *Memory) { m.WriteBytes(size+1, []byte{1}) },
+		} {
+			for _, written := range []bool{false, true} {
+				m := New(size)
+				if written { // the last page held privately, not the zero page
+					m.WriteU8(size-1, 0xff)
+				}
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("size %d, written=%v: %s past the end did not panic", size, written, name)
+						}
+					}()
+					access(m)
+				}()
+			}
+		}
+		m := New(size)
+		m.WriteBytes(size-1, []byte{1, 2, 3}) // clamps at the end, as before
+		if got := m.ReadU8(size - 1); got != 1 {
+			t.Errorf("size %d: clamped WriteBytes left %#x at the last byte", size, got)
+		}
+	}
+}
