@@ -33,7 +33,11 @@ func TestDeletedNamesStayGone(t *testing.T) {
 		}
 		bench    = func(p string) bool { return strings.HasPrefix(p, "bench/") }
 		markdown = func(p string) bool { return strings.HasSuffix(p, ".md") }
+		snapCode = func(p string) bool {
+			return goCode(p) && (strings.HasPrefix(p, "internal/mem/") || strings.HasPrefix(p, "internal/mach/"))
+		}
 	)
+	const shared = "a snapshot shares its pages with the machine, copied on first write (DESIGN.md §3.2): "
 	rows := []struct {
 		pattern string
 		in      func(path string) bool
@@ -110,6 +114,12 @@ func TestDeletedNamesStayGone(t *testing.T) {
 			"serfi experiments looks -run up in exp.Artefacts: its artefacts map and onIS are gone"},
 		{`func Benchmark(Table[1-4]|Figure[1-3])\b`, func(p string) bool { return p == "bench_test.go" }, "",
 			"BenchmarkArtefacts runs one sub-benchmark per exp.Artefacts entry: the per-artefact benchmarks are gone"},
+		{`func Squash\b`, snapCode, "", shared + "dropping a checkpoint candidate is dropping it, mem.Squash and mach.Squash are gone"},
+		{`\bDeltaOf\b`, snapCode, "", shared + "every run classifies against Golden.Final, Snapshot.DeltaOf is gone"},
+		{`\bRebase\b`, snapCode, "", shared + "there is no tracking base to move, Memory.Rebase is gone"},
+		{`\bcommonAncestor\b`, snapCode, "", shared + "a compare skips the pages both sides share, the chain ancestor walk is gone"},
+		{`\bmaterializeInto\b`, snapCode, "", shared + "a restore repoints the pages that differ, the chain-walking full restore is gone"},
+		{`\bParent\(\)|\bDepth\(\)|\bChainBytes\b`, snapCode, "", shared + "snapshots form no chain, Parent/Depth/ChainBytes are gone (mem.Bytes counts shared pages once)"},
 		{`O_APPEND`,
 			func(p string) bool {
 				return goCode(p) && strings.HasPrefix(p, "internal/") && !strings.HasPrefix(p, "internal/jsonl/")

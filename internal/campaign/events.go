@@ -38,7 +38,7 @@ type GoldenDone struct {
 	Golden   GoldenSummary
 	WallSec  float64 // host wall clock of the golden phase
 	// The checkpoint set selected from the golden run's captures: the count
-	// and the resident payload of the delta chain, RAM pages and distinct
+	// and the resident payload of the set, distinct RAM pages and
 	// cache-state chunks (fi.CheckpointSet.MemBytes).
 	Checkpoints     int
 	CheckpointBytes int

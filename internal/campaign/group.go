@@ -158,8 +158,8 @@ func (g *Group) Profile() *profile.Profile { return g.prof }
 // No injection path calls it: only the sensitivity join pays for the walk.
 func (g *Group) Residency() (*profile.Residency, error) { return g.residency() }
 
-// Checkpoints returns the snapshot count and the delta chain's resident
-// payload, RAM pages and cache-state chunks (fi.CheckpointSet.MemBytes).
+// Checkpoints returns the snapshot count and the set's resident payload,
+// distinct RAM pages and cache-state chunks (fi.CheckpointSet.MemBytes).
 func (g *Group) Checkpoints() (n, residentBytes int) {
 	return g.cs.Len(), g.cs.MemBytes()
 }

@@ -207,16 +207,42 @@ func pairs(m *Matrix, isas ...string) []mpiOMPPair {
 	return out
 }
 
-// mpiMasksMore counts the pairs of both ISAs in which MPI masks at least as
-// often as OMP, out of n pairs (VulnWindow, S422a).
-func mpiMasksMore(m *Matrix) (wins, n int) {
+// mpiMasksMore counts, over the n MPI/OMP pairs of both ISAs, the pairs in
+// which MPI masks strictly more often (wins), strictly less often (losses)
+// and as often (tied) (VulnWindow, S422a).
+func mpiMasksMore(m *Matrix) (wins, losses, tied, n int) {
 	ps := pairs(m, "armv7", "armv8")
 	for _, p := range ps {
-		if p.mpi.Counts.Masking() >= p.omp.Counts.Masking() {
+		switch mpi, omp := p.mpi.Counts.Masking(), p.omp.Counts.Masking(); {
+		case mpi > omp:
 			wins++
+		case mpi < omp:
+			losses++
+		default:
+			tied++
 		}
 	}
-	return wins, len(ps)
+	return wins, losses, tied, len(ps)
+}
+
+// signTest is the exact one-sided sign test at 5 % over untied pairs: wins
+// for one side, losses for the other. p is the probability, under fair coin
+// flips, of a split at least as lopsided toward the side the counts lean to
+// (1 with no untied pair). The verdict is "yes" when the wins are
+// significant, "NO" when the losses are, and "undetermined" otherwise.
+func signTest(wins, losses int) (p float64, verdict string) {
+	lg := func(x int) float64 { v, _ := math.Lgamma(float64(x + 1)); return v }
+	n := wins + losses
+	for i := max(wins, losses); i <= n; i++ { // P(X >= i), X ~ Binomial(n, 1/2)
+		p += math.Exp(lg(n) - lg(i) - lg(n-i) - float64(n)*math.Ln2)
+	}
+	switch {
+	case p > 0.05:
+		return p, "undetermined"
+	case wins > losses:
+		return p, "yes"
+	}
+	return p, "NO"
 }
 
 // meanImbalance is the mean per-core instruction imbalance over every
@@ -635,8 +661,8 @@ func MacroStats(m *Matrix) string {
 func VulnWindow(m *Matrix) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Vulnerability window / masking (paper: MPI higher masking in 38 of 44 pairs; API window < 23%%)\n")
-	if wins, n := mpiMasksMore(m); n > 0 {
-		fmt.Fprintf(&b, "  MPI masking >= OMP in %d of %d comparable scenarios\n", wins, n)
+	if wins, losses, tied, n := mpiMasksMore(m); n > 0 {
+		fmt.Fprintf(&b, "  masking: MPI higher in %d, OMP higher in %d, tied %d of %d comparable pairs\n", wins, losses, tied, n)
 	} else {
 		fmt.Fprintf(&b, "  no MPI/OMP pairs: no masking comparison\n")
 	}

@@ -18,33 +18,39 @@ type shapeCheck struct {
 	ID       string
 	Claim    string
 	Measured string
-	Verdict  string // "yes", "NO", or "no data" when the matrix lacks its scenarios
+	Verdict  string // "yes", "NO", "undetermined", or "no data" when the matrix lacks its scenarios
+}
+
+// yesNo is the verdict of a check that holds or fails outright.
+func yesNo(holds bool) string {
+	if holds {
+		return "yes"
+	}
+	return "NO"
 }
 
 // checks evaluates the paper's qualitative findings against the matrix,
 // each from the quantity the artefact that prints it reads.
 func checks(m *Matrix) []shapeCheck {
 	var out []shapeCheck
-	// add judges a check over the rows its quantities read: with none, the
-	// verdict is "no data" and the measured column "-", never a zero or NaN.
-	add := func(id, claim string, rows int, holds bool, measured string, args ...any) {
+	// add records a check's verdict over the rows its quantities read: with
+	// none, the verdict is "no data" and the measured column "-", never a
+	// zero or NaN.
+	add := func(id, claim string, rows int, verdict, measured string, args ...any) {
 		c := shapeCheck{ID: id, Claim: claim, Measured: "-", Verdict: "no data"}
 		if rows > 0 {
-			c.Measured, c.Verdict = fmt.Sprintf(measured, args...), "NO"
-			if holds {
-				c.Verdict = "yes"
-			}
+			c.Measured, c.Verdict = fmt.Sprintf(measured, args...), verdict
 		}
 		out = append(out, c)
 	}
 
 	ratio, n := instrRatio(m)
 	add("T1", "ARMv7 executes many times more instructions than ARMv8 (paper avg ~25x, from software FP)",
-		n, ratio > 3, "measured average ratio %.1fx", ratio)
+		n, yesNo(ratio > 3), "measured average ratio %.1fx", ratio)
 
 	b := branchShares(m) // MPI V7, OMP V7, MPI V8, OMP V8
 	add("S413", "mean branch share: MPI above OMP on both ISAs (paper 19.2/14.1 on v7, 17.7/12.0 on v8)",
-		min(b[0].n, b[1].n, b[2].n, b[3].n), b[0].mean > b[1].mean && b[2].mean > b[3].mean,
+		min(b[0].n, b[1].n, b[2].n, b[3].n), yesNo(b[0].mean > b[1].mean && b[2].mean > b[3].mean),
 		"v7 %.1f%%/%.1f%%, v8 %.1f%%/%.1f%%", b[0].mean, b[1].mean, b[2].mean, b[3].mean)
 
 	// Table 2 shape: the F*B index rises from one to four cores in the IS
@@ -59,7 +65,7 @@ func checks(m *Matrix) []shapeCheck {
 		ends = 4
 	}
 	add("T2", "the function-calls x branches index grows with MPI core count (IS case study)",
-		ends, grows(g7) && grows(g8), "v7 growth=%v v8 growth=%v", grows(g7), grows(g8))
+		ends, yesNo(grows(g7) && grows(g8)), "v7 growth=%v v8 growth=%v", grows(g7), grows(g8))
 
 	// Tables 3/4 shape: a Spearman coefficient needs three rows and two
 	// non-constant columns.
@@ -70,20 +76,23 @@ func checks(m *Matrix) []shapeCheck {
 		}
 	}
 	add("T3/T4", "memory-transaction share correlates positively with UT occurrence",
-		n, memCorr > 0, "Spearman(mem_pct, UT rate) = %.2f over %d scenarios", memCorr, n)
+		n, yesNo(memCorr > 0), "Spearman(mem_pct, UT rate) = %.2f over %d scenarios", memCorr, n)
 
-	wins, n := mpiMasksMore(m)
+	// Strict wins and losses decide, a tie counts for neither, and a split
+	// the sign test cannot tell from coin flips decides nothing.
+	wins, losses, tied, n := mpiMasksMore(m)
+	p, verdict := signTest(wins, losses)
 	add("S422a", "MPI shows the higher masking rate in most MPI/OMP pairs (paper: 38 of 44)",
-		n, wins*2 > n, "MPI wins %d of %d", wins, n)
+		n, verdict, "MPI higher in %d, OMP higher in %d, tied %d of %d (sign test p = %.3g)", wins, losses, tied, n, p)
 
 	mi, nm := meanImbalance(m, npb.MPI)
 	oi, no := meanImbalance(m, npb.OMP)
 	add("S422b", "MPI distributes instructions across cores more evenly than OMP (paper ~4% vs up to 16%)",
-		min(nm, no), mi < oi, "mean imbalance MPI %.1f%% vs OMP %.1f%%", mi, oi)
+		min(nm, no), yesNo(mi < oi), "mean imbalance MPI %.1f%% vs OMP %.1f%%", mi, oi)
 
 	w, n := maxAPIWindow(m)
 	add("S422c", "the parallelization API's vulnerability window stays limited (paper: < 23% worst case)",
-		n, w < 60, "max window %.1f%%", w)
+		n, yesNo(w < 60), "max window %.1f%%", w)
 
 	// Masking dominance on the paper's fault model, the register-domain
 	// rows: most uniform faults are masked (paper figures show Vanished as
@@ -97,7 +106,7 @@ func checks(m *Matrix) []shapeCheck {
 		}
 	}
 	add("F2/F3", "masked outcomes (Vanished+ONA) form the largest share in most scenarios",
-		len(regRows), dominated*3 > len(regRows)*2, "masking > 40%% in %d of %d scenarios", dominated, len(regRows))
+		len(regRows), yesNo(dominated*3 > len(regRows)*2), "masking > 40%% in %d of %d scenarios", dominated, len(regRows))
 
 	// Cross-domain shape (DomainTable): faults landing in memory behave
 	// qualitatively differently from register faults (Cho et al.). Two
@@ -109,13 +118,13 @@ func checks(m *Matrix) []shapeCheck {
 	if m.HasDomain(fault.IMem) {
 		im, _ := domainCounts(m, fault.IMem, all)
 		add("D1", "instruction-word faults never Vanish (the corrupted word persists in read-only text)",
-			im.Total(), im[fi.Vanished] == 0, "IMem Vanished = %d of %d runs", im[fi.Vanished], im.Total())
+			im.Total(), yesNo(im[fi.Vanished] == 0), "IMem Vanished = %d of %d runs", im[fi.Vanished], im.Total())
 	}
 	if m.HasDomain(fault.Mem) {
 		mc, _ := domainCounts(m, fault.Mem, all)
 		rc, _ := domainCounts(m, fault.Reg, all)
 		add("D2", "uniform data-word strikes mask at least as often as register strikes (most RAM words are dead)",
-			min(mc.Total(), rc.Total()), mc.Masking() >= rc.Masking(),
+			min(mc.Total(), rc.Total()), yesNo(mc.Masking() >= rc.Masking()),
 			"Mem masking %.1f%% vs Reg %.1f%%", 100*mc.Masking(), 100*rc.Masking())
 	}
 	return out

@@ -1,6 +1,8 @@
 package exp
 
 import (
+	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -30,9 +32,9 @@ func row(t *testing.T, id string, d fault.Model, masked int, set func(*campaign.
 }
 
 // TestShapeChecks: every shape check, over hand-built rows, reads "yes"
-// where the paper's claim holds, "NO" where it fails, and "no data" where
-// the matrix lacks the scenarios it compares, and its measured column never
-// prints NaN.
+// where the paper's claim holds, "NO" where it fails, "undetermined" where
+// its test cannot tell (S422a), and "no data" where the matrix lacks the
+// scenarios it compares, and its measured column never prints NaN.
 func TestShapeChecks(t *testing.T) {
 	reg := func(id string, masked int, set func(*campaign.Result)) *campaign.Result {
 		return row(t, id, fault.Reg, masked, set)
@@ -77,8 +79,36 @@ func TestShapeChecks(t *testing.T) {
 		}
 		return rs
 	}
-	pair := func(mpiMasked, ompMasked int) []*campaign.Result {
-		return []*campaign.Result{reg("armv8/IS/MPI-1", mpiMasked, nil), reg("armv8/IS/OMP-1", ompMasked, nil)}
+	// pair builds MPI/OMP row pairs in the order pairs() reads them: w in
+	// which MPI masks more, then l in which OMP does, then tied ones.
+	pair := func(w, l, tied int) []*campaign.Result {
+		var rs []*campaign.Result
+		for _, isa := range []string{"armv7", "armv8"} {
+			for _, app := range npb.Apps() {
+				for _, cores := range []int{1, 2, 4} {
+					if !app.HasMPI || !app.HasOMP || app.MPISquare && cores == 2 {
+						continue
+					}
+					mpi, omp := 2, 2
+					switch {
+					case w > 0:
+						mpi, w = 4, w-1
+					case l > 0:
+						omp, l = 4, l-1
+					case tied > 0:
+						tied--
+					default:
+						return rs
+					}
+					id := fmt.Sprintf("%s/%s/%%s-%d", isa, app.Name, cores)
+					rs = append(rs, reg(fmt.Sprintf(id, "MPI"), mpi, nil), reg(fmt.Sprintf(id, "OMP"), omp, nil))
+				}
+			}
+		}
+		if w+l+tied > 0 {
+			t.Fatalf("the matrix holds %d pairs fewer than asked for", w+l+tied)
+		}
+		return rs
 	}
 	balance := func(mpi, omp float64, cores string) []*campaign.Result {
 		return []*campaign.Result{reg("armv8/IS/MPI-"+cores, 4, imbalance(mpi)), reg("armv8/IS/OMP-"+cores, 4, imbalance(omp))}
@@ -115,8 +145,11 @@ func TestShapeChecks(t *testing.T) {
 		{"T3/T4", "two rows", memUT(0, 1, 2)[:2], "no data"},
 		{"T3/T4", "constant UT", memUT(1, 1, 1), "no data"},
 
-		{"S422a", "MPI masks more", pair(4, 2), "yes"},
-		{"S422a", "OMP masks more", pair(2, 4), "NO"},
+		{"S422a", "MPI masks more", pair(5, 0, 0), "yes"},
+		{"S422a", "OMP masks more", pair(0, 5, 0), "NO"},
+		{"S422a", "one pair", pair(1, 0, 0), "undetermined"},
+		{"S422a", "all tied", pair(0, 0, 4), "undetermined"},
+		{"S422a", "21-21 with 2 tied", pair(21, 21, 2), "undetermined"},
 		{"S422a", "serial only", serial, "no data"},
 
 		{"S422b", "MPI balanced", balance(5, 15, "2"), "yes"},
@@ -154,6 +187,28 @@ func TestShapeChecks(t *testing.T) {
 			}
 			t.Fatalf("no %s check in the report", tc.id)
 		})
+	}
+}
+
+// TestSignTest pins S422a's exact one-sided binomial tail against values
+// computed by hand.
+func TestSignTest(t *testing.T) {
+	for _, tc := range []struct {
+		wins, losses int
+		p            float64
+		verdict      string
+	}{
+		{5, 0, 1.0 / 32, "yes"},
+		{0, 5, 1.0 / 32, "NO"},
+		{4, 0, 1.0 / 16, "undetermined"},
+		{15, 5, 21700.0 / (1 << 20), "yes"}, // sum of C(20, k), k = 15..20
+		{21, 21, 0.5 + 538257874440.0/(1<<43), "undetermined"},
+		{0, 0, 1, "undetermined"},
+	} {
+		p, verdict := signTest(tc.wins, tc.losses)
+		if math.Abs(p-tc.p) > 1e-9 || verdict != tc.verdict {
+			t.Errorf("signTest(%d, %d) = %g, %s; want %g, %s", tc.wins, tc.losses, p, verdict, tc.p, tc.verdict)
+		}
 	}
 }
 

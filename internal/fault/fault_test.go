@@ -421,12 +421,12 @@ func TestMemApplyInvalidatesWritableText(t *testing.T) {
 	}
 }
 
-// TestApplyMarksPagesDirty pins the tentpole requirement that fault-domain
-// Apply participates in dirty-page tracking: because Apply mutates RAM only
-// through the mem accessors, a delta snapshot taken right after an injection
-// captures exactly the flipped page, and restoring the pre-fault snapshot
-// reverts the flip. Without the dirty bit, a copy-on-write checkpoint taken
-// downstream of an injection would silently drop the fault.
+// TestApplyMarksPagesDirty pins that fault-domain Apply takes part in copy
+// on write: because Apply mutates RAM only through the mem accessors, it
+// copies the flipped page rather than writing a page the pre-fault snapshot
+// shares, a capture right after the injection adds exactly that page, and
+// restoring the pre-fault snapshot reverts the flip. A write in place would
+// silently put the fault into the pre-fault checkpoint.
 func TestApplyMarksPagesDirty(t *testing.T) {
 	env, m := testEnv(t)
 	var heap *mem.Region
@@ -438,22 +438,20 @@ func TestApplyMarksPagesDirty(t *testing.T) {
 	if heap == nil {
 		t.Fatal("image has no heap region")
 	}
-	pre := m.Snapshot() // re-anchors dirty tracking
+	pre := m.Snapshot() // shares every page: the next write to one copies it
 
 	memd, _ := fault.New(fault.Mem, env)
 	addr := heap.Start + 3*mem.PageBytes + 128
 	want := m.Mem.ReadU32(addr) ^ (1 << 21)
 	memd.Apply(m, fault.Point{Domain: fault.Mem, Addr: addr, Bit: 21})
 
-	delta := m.DeltaSnapshot()
-	if delta.Mem().Depth() == 0 {
-		t.Fatal("delta did not chain to the pre-fault snapshot")
+	delta := m.Snapshot()
+	added := mach.MemBytes(pre, delta) - mach.MemBytes(pre)
+	if added == 0 {
+		t.Fatal("Apply copied no page: the capture shares every page with the pre-fault one")
 	}
-	if delta.MemBytes() == 0 {
-		t.Fatal("Apply left no dirty page for the delta to capture")
-	}
-	if delta.MemBytes() > 2*mem.PageBytes {
-		t.Errorf("one injected word dirtied %d bytes of delta, want at most two pages", delta.MemBytes())
+	if added > 2*mem.PageBytes {
+		t.Errorf("one injected word added %d bytes to the capture, want at most two pages", added)
 	}
 	fresh := mach.New(testCfg(t))
 	fresh.Restore(delta)

@@ -28,9 +28,9 @@ import (
 // DefaultCheckpoints is the per-scenario snapshot count campaigns use when
 // the caller does not choose one. More checkpoints shorten the average
 // restored suffix and the interval a pruned run simulates before it is seen
-// to have converged; since each checkpoint is a delta holding only the RAM
-// pages dirtied and the cache-state chunks changed since its predecessor,
-// the memory cost grows with what the guest wrote, not with images retained.
+// to have converged; since each checkpoint shares with its predecessor every
+// RAM page and cache-state chunk the guest did not write in between, the
+// memory cost grows with what the guest wrote, not with images retained.
 // 64 is measured, not guessed: the sweep over this count and candidateCap is
 // in the CHANGES.md entry that raised it from 16.
 const DefaultCheckpoints = 64
@@ -41,21 +41,14 @@ const DefaultCheckpoints = 64
 type CheckpointSet struct {
 	img   *cc.Image
 	cfg   mach.Config
-	snaps []*mach.Snapshot // ascending by Retired(); one delta chain
-
-	// final is the golden terminal RAM image chained after the last
-	// checkpoint (nil on an empty set: runs classify against g.Final with a
-	// full compare). Sharing the chain is what lets classify compare a
-	// pooled machine over its dirty pages plus chain paths only.
-	final *mem.Snapshot
+	snaps []*mach.Snapshot // ascending by Retired()
 
 	// pool recycles injection machines across InjectPoint calls (nil on an
-	// empty set, which builds a fresh machine per run). A pooled machine's
-	// memory keeps its tracking base, so restoring the next fault's
-	// checkpoint rewrites just the pages that differ along the chain instead
-	// of the whole RAM image — the restore-cost win this engine exists for.
-	// Shared by Clone so all domains of a scenario reuse the same warm
-	// machines.
+	// empty set, which builds a fresh machine per run). Restoring the next
+	// fault's checkpoint into a pooled machine repoints just the pages whose
+	// slices differ, instead of rebuilding the whole RAM image: the
+	// restore-cost win this engine exists for. Shared by Clone so all domains
+	// of a scenario reuse the same warm machines.
 	pool *sync.Pool
 
 	// simulated accumulates retired instructions executed by Inject calls;
@@ -86,13 +79,10 @@ type CheckpointOptions struct {
 // the application lifespan recorded in g, and simulates nothing to do it: the
 // golden run already walked through every state a checkpoint could hold and
 // kept candidates on a doubling grid (candidateCap). Golden.place picks the
-// latest candidate at or below each target of the even rule; the RAM deltas
-// of the candidates between two picks are squashed forward so the set is one
-// short delta chain (the first checkpoint a full image, each later one the
-// pages that differ from its predecessor), and the golden terminal image is
-// chained on last. g is only read: the call can be repeated, with any N. It
-// returns ctx.Err() on a cancelled context and an error once g's candidates
-// have been released.
+// latest candidate at or below each target of the even rule. The candidates
+// it passes over are simply not kept. g is only read: the call can be
+// repeated, with any N. It returns ctx.Err() on a cancelled context and an
+// error once g's candidates have been released.
 func BuildCheckpointsOpt(ctx context.Context, img *cc.Image, cfg mach.Config, g *Golden, opt CheckpointOptions) (*CheckpointSet, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -104,21 +94,18 @@ func BuildCheckpointsOpt(ctx context.Context, img *cc.Image, cfg mach.Config, g 
 	if len(g.candidates) == 0 {
 		return nil, fmt.Errorf("fi: golden run holds no checkpoint candidates (released)")
 	}
-	cs.snaps = mach.Squash(g.place(opt.N))
-	// The terminal image joins the chain by page compare against the retained
-	// golden machine's RAM.
-	cs.final = cs.snaps[len(cs.snaps)-1].Mem().DeltaOf(g.Machine.Mem)
+	cs.snaps = g.place(opt.N)
 	cs.pool = &sync.Pool{New: func() any { return mach.New(cfg) }}
 	return cs, nil
 }
 
 // Clone returns a set sharing this set's snapshots — immutable and safe to
 // share — but with fresh savings/prune counters, so concurrent campaigns
-// over the same scenario (one per fault domain) share one resident chain yet
+// over the same scenario (one per fault domain) share one resident set yet
 // attribute their telemetry separately. The machine pool is shared too (all
-// clones restore from the same chain).
+// clones restore from the same checkpoints).
 func (cs *CheckpointSet) Clone() *CheckpointSet {
-	return &CheckpointSet{img: cs.img, cfg: cs.cfg, snaps: cs.snaps, final: cs.final, pool: cs.pool}
+	return &CheckpointSet{img: cs.img, cfg: cs.cfg, snaps: cs.snaps, pool: cs.pool}
 }
 
 // Close is a no-op kept for bench/'s calls (sets could once spill to disk): a set is plain memory.
@@ -127,19 +114,11 @@ func (cs *CheckpointSet) Close() error { return nil }
 // Len returns the number of captured snapshots.
 func (cs *CheckpointSet) Len() int { return len(cs.snaps) }
 
-// MemBytes returns the set's resident payload (telemetry): every retained
-// RAM page — each checkpoint's own pages plus, on a delta chain, the terminal
-// image's, equal to the terminal image's ChainBytes for a linear chain — and
-// every distinct cache-state chunk the checkpoints hold (mach.CacheBytes).
+// MemBytes returns the set's resident payload (telemetry): every distinct
+// RAM page (mach.MemBytes) and cache-state chunk (mach.CacheBytes) the
+// checkpoints hold.
 func (cs *CheckpointSet) MemBytes() int {
-	n := mach.CacheBytes(cs.snaps)
-	for _, s := range cs.snaps {
-		n += s.MemBytes()
-	}
-	if cs.final != nil {
-		n += cs.final.Bytes()
-	}
-	return n
+	return mach.MemBytes(cs.snaps...) + mach.CacheBytes(cs.snaps)
 }
 
 // nearest returns the latest snapshot strictly before the absolute retired-
@@ -229,11 +208,11 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 		return res, nil
 	}
 	if s := cs.nearest(injectAt); s != nil {
-		// A recycled machine still carries its last restore as the memory's
-		// tracking base, so this Restore rewrites only the pages that differ
-		// along the chain between the two checkpoints. Restore overwrites all
-		// execution state and armFault/runCtx re-arm the injection hook and
-		// instruction budget, so no other cleaning is needed.
+		// A recycled machine shares most pages with the checkpoint already,
+		// so this Restore repoints only the pages that differ. Restore
+		// overwrites all execution state and armFault/runCtx re-arm the
+		// injection hook and instruction budget, so no other cleaning is
+		// needed.
 		m = cs.pool.Get().(*mach.Machine)
 		defer cs.pool.Put(m)
 		t0 := time.Now()
@@ -287,11 +266,7 @@ func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain,
 				return Result{}, err
 			}
 		}
-		final := cs.final
-		if final == nil {
-			final = g.Final // an empty set has no chain: every page is compared
-		}
-		res = finishFault(m, g, final, p, stop)
+		res = finishFault(m, g, p, stop)
 	}
 	cs.count(res, m.TotalRetired-start, pruned)
 	if pruned {

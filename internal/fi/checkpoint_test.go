@@ -55,9 +55,9 @@ func TestCheckpointInjectMatchesReset(t *testing.T) {
 
 // TestCheckpointOptionsBitIdentical pins the two settings of
 // CheckpointOptions at the fi layer: the same fault list injected through a
-// delta-chain set and through an empty one yields identical Results, and,
-// run by run, the same from-reset cost; the empty set simulates all of it
-// and prunes nothing, the chain never more, and the chain retains RAM.
+// set with checkpoints and through an empty one yields identical Results,
+// and, run by run, the same from-reset cost; the empty set simulates all of it
+// and prunes nothing, the checkpoints never more, and they retain RAM.
 func TestCheckpointOptionsBitIdentical(t *testing.T) {
 	sc := npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1}
 	img, cfg, err := npb.BuildScenario(sc)
@@ -70,7 +70,7 @@ func TestCheckpointOptionsBitIdentical(t *testing.T) {
 	}
 	cow, empty := checkpoints(t, img, cfg, g, 6), checkpoints(t, img, cfg, g, 0)
 	if cow.MemBytes() == 0 || empty.MemBytes() != 0 {
-		t.Errorf("delta chain retains %d bytes, the empty set %d", cow.MemBytes(), empty.MemBytes())
+		t.Errorf("the checkpoints retain %d bytes, the empty set %d", cow.MemBytes(), empty.MemBytes())
 	}
 
 	d := regDomain(t, img, cfg, g)

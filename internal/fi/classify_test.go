@@ -42,11 +42,10 @@ func refOutcome(img *cc.Image, cfg mach.Config, g *fi.Golden, goldenMemHash uint
 
 // TestClassificationMatchesHashOracle is the differential pin of the
 // terminal-image classifier: over a seeded fault list per domain and
-// scenario, every injection path — pooled machines on the delta chain
-// (selective compare against the chained terminal image), an empty set
-// (from reset), and the propagation tracer's faulty twin (full compare
-// against Golden.Final) — must score each fault exactly as the
-// full-RAM-digest rule does.
+// scenario, every injection path — pooled machines restored from a
+// checkpoint (which share most pages with Golden.Final), an empty set (from
+// reset), and the propagation tracer's faulty twin — must score each fault
+// exactly as the full-RAM-digest rule does.
 func TestClassificationMatchesHashOracle(t *testing.T) {
 	const perDomain = 2
 	var (

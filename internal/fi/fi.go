@@ -58,9 +58,11 @@ type Golden struct {
 	// registers and context slots are dead at a checkpoint, and the cache-set
 	// stamps (cache.Hierarchy.SetStamp).
 	Machine *mach.Machine
-	// Final is the terminal RAM image, a full capture (Machine.Mem tracks
-	// it). Runs that end with the golden console are scored Vanished or ONA
-	// by exact byte equality against it, never by a digest.
+	// Final is the terminal RAM image, captured from Machine.Mem at halt. It
+	// shares, by slice, every page the golden run did not write after the
+	// candidate that last captured it. Runs that end with the golden console
+	// are scored Vanished or ONA by exact byte equality against it, never by
+	// a digest.
 	Final *mem.Snapshot
 	// PageTouch is the golden machine's page-touch record (mach.Machine.
 	// PageTouch): per mem.PageBytes page, the number of the last instruction
@@ -69,9 +71,9 @@ type Golden struct {
 	PageTouch []uint64
 
 	// candidates are the fault-free machine states the run captured on its
-	// way (see candidateCap), ascending by Retired() from instruction 0: one
-	// delta chain without profile tables, from which BuildCheckpointsOpt
-	// selects a set's checkpoints. Nil after ReleaseCandidates.
+	// way (see candidateCap), ascending by Retired() from instruction 0,
+	// without profile tables, from which BuildCheckpointsOpt selects a set's
+	// checkpoints. Nil after ReleaseCandidates.
 	candidates []*mach.Snapshot
 }
 
@@ -79,13 +81,13 @@ type Golden struct {
 // checkpoints belong until it has reported AppEnd, so it captures candidates
 // on a period grid as it goes — instruction 0 included, so that every fault
 // index has a candidate strictly below it — and whenever more than
-// candidateCap are held it drops every other one (its RAM delta squashed into
-// its successor) and doubles the period. Captures are O(cap · log span) and
-// at most candidateCap+1 are alive at once, whatever the run's length; the
-// grid a run ends with has between cap/2 and cap points over all it retired.
+// candidateCap are held it drops every other one and doubles the period.
+// Captures are O(cap · log span) and at most candidateCap+1 are alive at
+// once, whatever the run's length; the grid a run ends with has between
+// cap/2 and cap points over all it retired.
 //
 // Each capture shares with its predecessor every RAM page and cache-state
-// chunk that did not change (mach.Machine.DeltaSnapshot), which is what made
+// chunk that did not change (mach.Machine.Snapshot), which is what made
 // dense grids affordable: the two values trade the captures, and the
 // candidates alive in every golden run under way, against how far below its
 // target a checkpoint snaps. Simulated instructions per injection at seed
@@ -200,16 +202,14 @@ func RunGoldenContext(ctx context.Context, img *cc.Image, cfg mach.Config, budge
 		}
 		cands = append(cands, m.CheckpointSnapshot())
 		if len(cands) > candidateCap {
-			// Keep the grid points of the doubled period. The squashed chain
-			// is a new one holding the same images, so the machine's memory
-			// moves its tracking base over to the new tip.
+			// Keep the grid points of the doubled period.
 			n := 0
 			for i := 0; i < len(cands); i += 2 {
 				cands[n] = cands[i]
 				n++
 			}
-			cands = mach.Squash(cands[:n])
-			m.Mem.Rebase(cands[n-1].Mem())
+			clear(cands[n:])
+			cands = cands[:n]
 			period *= 2
 		}
 	}
@@ -328,13 +328,12 @@ func armFault(m *mach.Machine, d fault.Domain, g *Golden, p Fault) {
 	m.Inject = func(mm *mach.Machine) { d.Apply(mm, p) }
 }
 
-// finishFault classifies a completed injection run against the terminal
-// image final (g.Final, or a CheckpointSet's chained copy of it).
-func finishFault(m *mach.Machine, g *Golden, final *mem.Snapshot, f Fault, stop mach.StopReason) Result {
+// finishFault classifies a completed injection run.
+func finishFault(m *mach.Machine, g *Golden, f Fault, stop mach.StopReason) Result {
 	t0 := time.Now()
 	res := Result{
 		Fault:    f,
-		Outcome:  classify(m, g, final, stop),
+		Outcome:  Classify(m, g, stop),
 		Retired:  m.TotalRetired,
 		Cycles:   m.MaxCycles(),
 		ExitCode: m.AppExitCode,
@@ -346,22 +345,15 @@ func finishFault(m *mach.Machine, g *Golden, final *mem.Snapshot, f Fault, stop 
 
 // Classify maps a finished run against the golden reference using the
 // paper's observables only (termination state, console output, final memory
-// and register file). Exported for the propagation tracer, which re-runs an
-// injection outside the campaign loop and must reach the identical verdict;
-// its twins have no tracking base (mem.Memory.TakeDirtyPages drops it), so
-// this compares every page of RAM against g.Final.
+// and register file). It is the one scoring rule every injection path ends
+// in, exported for the propagation tracer, which re-runs an injection outside
+// the campaign loop and must reach the identical verdict. Vanished versus ONA
+// is exact equality with the golden terminal state, never a digest: the
+// register file field by field against the golden machine's, and RAM byte for
+// byte against g.Final over the pages the two do not share (a machine
+// restored from a checkpoint shares every page neither it nor the golden run
+// wrote since).
 func Classify(m *mach.Machine, g *Golden, stop mach.StopReason) Outcome {
-	return classify(m, g, g.Final, stop)
-}
-
-// classify is the one scoring rule every injection path ends in. Vanished
-// versus ONA is exact equality with the golden terminal state, never a
-// digest: the register file field by field against the golden machine's,
-// and RAM byte for byte against the golden terminal image. EqualsMemory
-// compares only dirty pages plus chain paths when m's memory tracks a
-// snapshot on final's chain (pooled machines of a CheckpointSet), and every
-// page otherwise (from reset, propagation twins).
-func classify(m *mach.Machine, g *Golden, final *mem.Snapshot, stop mach.StopReason) Outcome {
 	if stop != mach.StopHalted {
 		return Hang // cycle budget exhausted or full-machine deadlock
 	}
@@ -371,7 +363,7 @@ func classify(m *mach.Machine, g *Golden, final *mem.Snapshot, stop mach.StopRea
 	if m.ConsoleString() != g.Console {
 		return OMM
 	}
-	if m.RegFileEquals(g.Machine) && final.EqualsMemory(m.Mem) {
+	if m.RegFileEquals(g.Machine) && g.Final.EqualsMemory(m.Mem) {
 		return Vanished
 	}
 	return ONA

@@ -22,7 +22,7 @@ func regDomain(t testing.TB, img *cc.Image, cfg mach.Config, g *fi.Golden) fault
 	return d
 }
 
-// checkpoints builds an n-checkpoint delta-chain set.
+// checkpoints builds an n-checkpoint set.
 func checkpoints(t testing.TB, img *cc.Image, cfg mach.Config, g *fi.Golden, n int) *fi.CheckpointSet {
 	t.Helper()
 	cs, err := fi.BuildCheckpointsOpt(context.Background(), img, cfg, g, fi.CheckpointOptions{N: n})
@@ -77,8 +77,8 @@ func TestGoldenReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both directions: g2's RAM tracks g2.Final (selective, nothing dirty)
-	// and shares no chain with g.Final (every page compared).
+	// Both directions: g2's RAM shares every page with g2.Final (no byte
+	// compared) and none with g.Final (every page compared).
 	if !g.Final.EqualsMemory(g2.Machine.Mem) || !g2.Final.EqualsMemory(g2.Machine.Mem) ||
 		!g2.Machine.RegFileEquals(g.Machine) || g2.Retired != g.Retired {
 		t.Error("golden run not reproducible")

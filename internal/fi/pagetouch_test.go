@@ -103,7 +103,7 @@ func TestLivenessIsGoldenOnly(t *testing.T) {
 	}
 	for i, s := range cs.snaps {
 		if s.Live() == nil {
-			t.Errorf("checkpoint %d of the delta chain lost its candidate's mark", i)
+			t.Errorf("checkpoint %d of the set lost its candidate's mark", i)
 		}
 	}
 	d, err := NewDomain(fault.Reg, img, cfg, g)

@@ -9,21 +9,11 @@ import (
 	"serfi/internal/npb"
 )
 
-func chainRoot(s *mem.Snapshot) *mem.Snapshot {
-	for s.Parent() != nil {
-		s = s.Parent()
-	}
-	return s
-}
-
-// TestTerminalImageSharesCheckpointChain pins which branch of
-// mem.Snapshot.EqualsMemory each injection path classifies through. On a
-// delta-chain set the terminal image is the chain's tip, so a machine
-// restored from any checkpoint tracks a snapshot on its chain and the final
-// compare is selective (dirty pages plus chain paths — no O(RAM) scan on the
-// pooled path). Empty sets, from-reset machines and tracer twins share no
-// chain with the image they are compared against and take the full exact
-// branch.
+// TestTerminalImageSharesCheckpointChain pins what keeps the final compare
+// of a run restored from a checkpoint from scanning all of RAM: g.Final
+// shares, by slice, every page the golden run did not access after the last
+// checkpoint, and so does a machine restored from that checkpoint until it
+// writes the page. g.Final is the golden machine's RAM byte for byte.
 func TestTerminalImageSharesCheckpointChain(t *testing.T) {
 	img, cfg, err := npb.BuildScenario(npb.Scenario{App: "IS", Mode: npb.Serial, ISA: "armv8", Cores: 1})
 	if err != nil {
@@ -33,60 +23,36 @@ func TestTerminalImageSharesCheckpointChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Final == nil || g.Final.Parent() != nil || g.Machine.Mem.Base() != g.Final {
-		t.Fatal("Golden.Final must be a full capture the retained machine tracks")
+	if !g.Final.EqualsMemory(g.Machine.Mem) {
+		t.Fatal("Golden.Final differs from the golden machine's RAM")
 	}
-	build := func(opt CheckpointOptions) *CheckpointSet {
-		cs, err := BuildCheckpointsOpt(context.Background(), img, cfg, g, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cs
+	cs, err := BuildCheckpointsOpt(context.Background(), img, cfg, g, CheckpointOptions{N: 6})
+	if err != nil {
+		t.Fatal(err)
 	}
-	mid := g.AppStart + (g.AppEnd-g.AppStart)/2
+	last := cs.snaps[len(cs.snaps)-1]
 
-	cs := build(CheckpointOptions{N: 6})
-	if cs.final == nil || cs.final.Parent() != cs.snaps[len(cs.snaps)-1].Mem() {
-		t.Fatal("terminal image is not chained after the last checkpoint")
-	}
-	root := chainRoot(cs.final)
-	for i, s := range cs.snaps {
-		if chainRoot(s.Mem()) != root {
-			t.Errorf("checkpoint %d does not share the terminal image's chain root", i)
-		}
-	}
-	// The chained delta is the golden run's terminal RAM, byte for byte, and
-	// costs pages, not a RAM image.
-	if !cs.final.EqualsMemory(g.Machine.Mem) {
-		t.Error("chained terminal image differs from the golden machine's RAM")
-	}
-	if cs.final.Bytes() >= g.Final.Bytes() {
-		t.Errorf("terminal delta holds %d bytes, the full image %d", cs.final.Bytes(), g.Final.Bytes())
-	}
-	if cs.Clone().final != cs.final {
-		t.Error("Clone lost the chained terminal image")
-	}
-	// A pooled machine is exactly a machine some checkpoint was restored
-	// into: its tracking base sits on the terminal image's chain.
+	// The pages of g.Final, as a memory restored from it holds them, and of a
+	// machine restored from the last checkpoint.
+	final := mem.New(g.Machine.Mem.Size())
+	final.Restore(g.Final)
 	m := mach.New(cfg)
-	if !cs.RestoreNearest(m, mid) {
-		t.Fatal("no checkpoint below mid-lifespan")
+	m.Restore(last)
+	zero := &mem.New(mem.PageBytes).PageAt(0)[0] // the page every unwritten page is
+	held := 0                                    // pages the pin checks that are not the zero page
+	for pn, touch := range g.PageTouch {
+		off := uint32(pn) * mem.PageBytes
+		if touch > last.Retired() {
+			continue
+		}
+		if &final.PageAt(off)[0] != zero {
+			held++
+		}
+		if &m.Mem.PageAt(off)[0] != &final.PageAt(off)[0] {
+			t.Errorf("page %#x: no access after the last checkpoint, yet the checkpoint and g.Final do not share it", off)
+		}
 	}
-	if b := m.Mem.Base(); b == nil || chainRoot(b) != root {
-		t.Error("restored machine does not track the terminal image's chain: classify would scan all of RAM")
-	}
-
-	// Full exact branch: no chain shared with the image compared against.
-	if build(CheckpointOptions{}).final != nil {
-		t.Error("an empty set must classify against Golden.Final")
-	}
-	fresh := mach.New(cfg)
-	img.InstallTo(fresh)
-	if fresh.Mem.Base() != nil {
-		t.Error("from-reset machine has a tracking base")
-	}
-	m.Mem.TakeDirtyPages() // what prop.Tracer does to its twins
-	if m.Mem.Base() != nil {
-		t.Error("tracer twin kept a tracking base after TakeDirtyPages")
+	if held == 0 {
+		t.Error("no written page goes untouched after the last checkpoint: the pin checked nothing")
 	}
 }

@@ -80,15 +80,6 @@ var branchRebind = func() [isa.NumOps]bool {
 	return t
 }()
 
-// resetBlocks drops every cached run (full decode-cache flush or restore).
-func (m *Machine) resetBlocks() {
-	m.blocks = m.blocks[:0]
-	m.blockFree = m.blockFree[:0]
-	for i := range m.blockOf {
-		m.blockOf[i] = -1
-	}
-}
-
 // dropBlock invalidates one run, returning its slot to the free list.
 func (m *Machine) dropBlock(bi int32) {
 	b := &m.blocks[bi]

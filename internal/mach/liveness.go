@@ -379,9 +379,9 @@ func (l *Liveness) Equal(o *Liveness) bool {
 }
 
 // LiveMark is the liveness record of one checkpoint candidate: the roots a
-// CheckpointSnapshot gave every location. It rides on the snapshot (mach.
-// Squash keeps a kept candidate's mark and drops a dropped one's) but is no
-// part of its state: Restore ignores it and StateEquals does not compare it.
+// CheckpointSnapshot gave every location. It rides on the snapshot (a
+// dropped candidate drops its mark) but is no part of its state: Restore
+// ignores it and StateEquals does not compare it.
 type LiveMark struct {
 	l     *Liveness
 	base  int32 // root of GPR i of core c is base + c*ngpr + i

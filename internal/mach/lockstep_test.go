@@ -151,7 +151,7 @@ func TestLockstepTimerWFIAndUserMode(t *testing.T) {
 		cfg.SlowPath = slow
 		m := newTestMachine(t, cfg, kern, user)
 		m.LoadBytes(VectorBase, asm(t, cfg.ISA, vector))
-		m.FlushDecoded()
+		m.SetTextLimit(m.textLimit) // drop every decode
 		return m
 	}
 	runLockstep(t, mk, 1, 0)

@@ -508,17 +508,6 @@ func (m *Machine) invalidateDecoded(addr, size uint32) {
 // bypassing the invalidation that guest stores trigger).
 func (m *Machine) InvalidateText(addr, size uint32) { m.invalidateDecoded(addr, size) }
 
-// FlushDecoded invalidates the whole decoded-text cache and every cached
-// block run (used by the fault injector after direct memory writes, and by
-// Restore: a snapshot stores no derived decode state, so the continuation
-// re-decodes — and re-builds block runs — lazily).
-func (m *Machine) FlushDecoded() {
-	for i := range m.decValid {
-		m.decValid[i] = false
-	}
-	m.resetBlocks()
-}
-
 // ConsoleString returns the console output so far.
 func (m *Machine) ConsoleString() string { return m.Console.String() }
 

@@ -214,7 +214,7 @@ func installVectorHalt(t *testing.T, m *Machine, codec isa.ISA) {
 		al(isa.Instr{Op: isa.OpHALT}),
 	}
 	m.LoadBytes(VectorBase, asm(t, codec, prog))
-	m.FlushDecoded()
+	m.SetTextLimit(m.textLimit) // drop every decode
 }
 
 func TestUserSegfaultVectors(t *testing.T) {
@@ -425,7 +425,7 @@ func TestSaveRestCtxRoundTrip(t *testing.T) {
 			}
 			m := newTestMachine(t, testConfig(tc.codec, 1), kern, user)
 			m.LoadBytes(VectorBase, asm(t, tc.codec, vector))
-			m.FlushDecoded()
+			m.SetTextLimit(m.textLimit) // drop every decode
 			if r := m.Run(1000000); r != StopHalted {
 				t.Fatalf("stop = %v", r)
 			}

@@ -8,9 +8,9 @@ import (
 	"serfi/internal/isa/armv8"
 )
 
-// matrixProg is a short loop ending in MOVZ r5,#imm / HALT; each delta in a
-// chain patches the immediate, so which chain element a restore materializes
-// is observable in r5 after running to halt.
+// matrixProg is a short loop ending in MOVZ r5,#imm / HALT; each capture in
+// a series patches the immediate, so which capture a restore brings back is
+// observable in r5 after running to halt.
 func matrixProg(imm int64) []isa.Instr {
 	return []isa.Instr{
 		al(isa.Instr{Op: isa.OpMOVZ, Rd: 0, Imm: 20}),
@@ -21,11 +21,13 @@ func matrixProg(imm int64) []isa.Instr {
 	}
 }
 
-// TestRestoreMatrix extends TestRestoreDropsBlockRuns across the delta-chain
-// engine: chains of depth 1, 2 and 8, restored in a deliberately jumpy order
-// (both directions along the chain) into the same live machine (selective
-// fast path) and into bare machines (full materialization). Every element of every chain must reproduce its own
-// patched text — a stale decode or block run would surface as the wrong r5.
+// TestRestoreMatrix extends TestRestoreDropsBlockRuns across page sharing:
+// series of 1, 2 and 8 captures after the first, each sharing every page not
+// written since its predecessor, restored in a deliberately jumpy order (both
+// directions along the series) into the same live machine (which shares most
+// pages already) and into bare machines (which share none). Every capture
+// must reproduce its own patched text — a stale decode or block run would
+// surface as the wrong r5.
 func TestRestoreMatrix(t *testing.T) {
 	const patchAddr = kernBase + 3*4
 	for _, depth := range []int{1, 2, 8} {
@@ -41,70 +43,37 @@ func TestRestoreMatrix(t *testing.T) {
 				}
 				m.Mem.WriteU32(patchAddr, w)
 				m.InvalidateText(patchAddr, 4)
-				// Touch a data page too, so deltas carry both kinds.
+				// Touch a data page too, so captures differ in both kinds.
 				m.Mem.WriteU64(dataBase+uint32(k)*8, uint64(k)*0x1111)
-				snaps = append(snaps, m.DeltaSnapshot())
+				snaps = append(snaps, m.Snapshot())
 				want = append(want, uint64(100+k))
 			}
-			if got := snaps[depth].mem.Depth(); got != depth {
-				t.Fatalf("chain depth = %d, want %d", got, depth)
-			}
-			// Jump around the chain: down to the root, back up, into the
+			// Jump around the series: down to the first, back up, into the
 			// middle. Each restore must re-decode exactly the right text.
 			order := []int{depth, 0, depth, depth / 2, depth - 1, 0, depth}
 			for step, idx := range order {
 				m.Restore(snaps[idx])
 				if !snaps[idx].StateEquals(m) {
-					t.Fatalf("step %d: StateEquals false right after restoring chain[%d]", step, idx)
+					t.Fatalf("step %d: StateEquals false right after restoring snaps[%d]", step, idx)
 				}
 				if r := m.Run(0); r != StopHalted {
 					t.Fatalf("step %d: stop = %v", step, r)
 				}
 				if got := m.Cores[0].Regs[5]; got != want[idx] {
-					t.Errorf("step %d: chain[%d] ran r5 = %d, want %d (stale decode)", step, idx, got, want[idx])
+					t.Errorf("step %d: snaps[%d] ran r5 = %d, want %d (stale decode)", step, idx, got, want[idx])
 				}
 			}
 
-			// Bare machines share no chain with any snapshot: the restore
-			// takes the full-materialization path and must agree.
+			// Bare machines share no page with any snapshot: the restore
+			// repoints every page the snapshot lists and must agree.
 			for idx := 0; idx <= depth; idx++ {
 				f := New(cfg)
 				f.Restore(snaps[idx])
 				if r := f.Run(0); r != StopHalted {
-					t.Fatalf("fresh chain[%d]: stop = %v", idx, r)
+					t.Fatalf("fresh snaps[%d]: stop = %v", idx, r)
 				}
 				if got := f.Cores[0].Regs[5]; got != want[idx] {
-					t.Errorf("fresh chain[%d]: r5 = %d, want %d", idx, got, want[idx])
-				}
-			}
-
-			// The chain squashed around every other element and the tip
-			// (at odd depth the root goes too): each survivor is still its
-			// own patched text, restored into the live machine — which sits
-			// on the old chain first, on the new one after — and a bare one.
-			var keep []int
-			for idx := depth % 2; idx <= depth; idx += 2 {
-				keep = append(keep, idx)
-			}
-			var in []*Snapshot
-			for _, idx := range keep {
-				in = append(in, snaps[idx])
-			}
-			for i, s := range Squash(in) {
-				if s.Retired() != in[i].Retired() || s.mem.Depth() != i {
-					t.Fatalf("squashed[%d]: retired %d depth %d", i, s.Retired(), s.mem.Depth())
-				}
-				for _, mm := range []*Machine{m, New(cfg)} {
-					mm.Restore(s)
-					if !in[i].StateEqualsExact(mm) {
-						t.Fatalf("squashed[%d] restores unlike chain[%d]", i, keep[i])
-					}
-					if r := mm.Run(0); r != StopHalted {
-						t.Fatalf("squashed[%d]: stop = %v", i, r)
-					}
-					if got := mm.Cores[0].Regs[5]; got != want[keep[i]] {
-						t.Errorf("squashed[%d]: r5 = %d, want %d", i, got, want[keep[i]])
-					}
+					t.Errorf("fresh snaps[%d]: r5 = %d, want %d", idx, got, want[idx])
 				}
 			}
 		})
@@ -112,22 +81,22 @@ func TestRestoreMatrix(t *testing.T) {
 }
 
 // TestSelectiveRestoreInvalidationExactness pins the cache-invalidation
-// contract of the selective restore path: decoded text and block runs are
-// dropped when — and only when — a rewritten page overlaps cached text.
+// contract of restore: decoded text and block runs are dropped when — and
+// only when — a repointed page overlaps cached text.
 func TestSelectiveRestoreInvalidationExactness(t *testing.T) {
 	const patchAddr = kernBase + 3*4
 	cfg := testConfig(armv8.New(), 1)
 	m := newTestMachine(t, cfg, matrixProg(7), nil)
 	root := m.Snapshot()
 	m.Mem.WriteU64(dataBase, 0x1234)
-	dataOnly := m.DeltaSnapshot() // delta: the data page only
+	dataOnly := m.Snapshot() // differs from root on the data page only
 	w, err := cfg.ISA.Encode(al(isa.Instr{Op: isa.OpMOVZ, Rd: 5, Imm: 9}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Mem.WriteU32(patchAddr, w)
 	m.InvalidateText(patchAddr, 4)
-	_ = m.DeltaSnapshot() // textDelta: the kernel-text page only, now the tracking base
+	_ = m.Snapshot() // differs from dataOnly on the kernel-text page only
 
 	if r := m.Run(0); r != StopHalted {
 		t.Fatalf("stop = %v", r)
@@ -140,10 +109,10 @@ func TestSelectiveRestoreInvalidationExactness(t *testing.T) {
 		t.Fatal("patched word not decoded after running it")
 	}
 
-	// textDelta -> dataOnly crosses the text page: the decode must drop.
+	// Back to dataOnly repoints the text page: the decode must drop.
 	m.Restore(dataOnly)
 	if m.decValid[idx] {
-		t.Error("restore across a text-page delta left a stale decode")
+		t.Error("a restore that repointed the text page left a stale decode")
 	}
 	if r := m.Run(0); r != StopHalted {
 		t.Fatalf("stop = %v", r)

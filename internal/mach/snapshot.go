@@ -51,14 +51,15 @@ type Snapshot struct {
 // time; checkpoint schedulers use it to pick the nearest pre-fault snapshot.
 func (s *Snapshot) Retired() uint64 { return s.totalRetired }
 
-// Mem returns the snapshot's RAM image: the handle for chaining
-// further deltas onto it (mem.Snapshot.DeltaOf) and chain telemetry
-// (Depth, ChainBytes).
-func (s *Snapshot) Mem() *mem.Snapshot { return s.mem }
-
-// MemBytes returns the in-memory payload of this snapshot's own RAM pages
-// (telemetry; for a delta that is just the pages it adds to the chain).
-func (s *Snapshot) MemBytes() int { return s.mem.Bytes() }
+// MemBytes returns the payload of the RAM pages the snapshots hold, each page
+// shared between captures counted once (mem.Bytes).
+func MemBytes(snaps ...*Snapshot) int {
+	mems := make([]*mem.Snapshot, len(snaps))
+	for i, s := range snaps {
+		mems[i] = s.mem
+	}
+	return mem.Bytes(mems...)
+}
 
 // CacheBytes returns the payload of the cache-hierarchy state the snapshots
 // hold, each chunk shared between captures counted once
@@ -82,25 +83,22 @@ func copyCounts(m map[uint32]uint64) map[uint32]uint64 {
 	return out
 }
 
-// Snapshot captures the machine's current state with a full RAM copy.
+// Snapshot captures the machine's current state. Its RAM image shares every
+// page with the machine's memory, which copies a page the first time it
+// writes it afterwards (mem.Memory.Snapshot), so a series of captures pays
+// only for the pages written between them.
+//
+// The cache hierarchy state shares by its own rule: its line arrays and
+// coherence directory (one byte per line of RAM, about 0.6 MB together for
+// the 24 MiB guests) are cut into fixed-size chunks, and every chunk equal
+// to the hierarchy's base — the state last captured from or restored into
+// it — is shared, not copied (cache.Hierarchy.State).
 func (m *Machine) Snapshot() *Snapshot { return m.capture(m.Mem.Snapshot(), true) }
 
-// DeltaSnapshot captures the machine's current state with the RAM image
-// stored as a delta off the memory's tracking base — the snapshot most
-// recently captured from or restored into this machine — so a checkpoint
-// chain pays only for the pages dirtied since its predecessor. It falls
-// back to a full copy when no base exists. Restoring the result is
-// bit-identical to restoring a full Snapshot of the same instant.
-//
-// The cache hierarchy state shares the same way, by its own rule: its line
-// arrays and coherence directory (one byte per line of RAM, about 0.6 MB
-// together for the 24 MiB guests) are cut into fixed-size chunks, and every
-// chunk equal to the hierarchy's base — the state last captured from or
-// restored into it — is shared, not copied (cache.Hierarchy.State). Every
-// capture does this, Snapshot's too.
-func (m *Machine) DeltaSnapshot() *Snapshot { return m.capture(m.Mem.DeltaSnapshot(), true) }
+// DeltaSnapshot is Snapshot; kept for bench/ (ROADMAP item 8).
+func (m *Machine) DeltaSnapshot() *Snapshot { return m.Snapshot() }
 
-// CheckpointSnapshot is DeltaSnapshot without the profile tables
+// CheckpointSnapshot is Snapshot without the profile tables
 // (CallCounts, Samples, the sampling countdown): the snapshot an unprofiled
 // machine would capture at this instant. Profiling observes execution and
 // never steers it, so a profiled fault-free run can capture the checkpoints
@@ -110,7 +108,7 @@ func (m *Machine) DeltaSnapshot() *Snapshot { return m.capture(m.Mem.DeltaSnapsh
 // On a machine keeping a liveness record it also marks the record, and the
 // snapshot carries the mark (Live).
 func (m *Machine) CheckpointSnapshot() *Snapshot {
-	s := m.capture(m.Mem.DeltaSnapshot(), false)
+	s := m.capture(m.Mem.Snapshot(), false)
 	if m.live != nil {
 		s.live = m.live.mark(len(m.Cores))
 	}
@@ -144,28 +142,6 @@ func (m *Machine) capture(ms *mem.Snapshot, profile bool) *Snapshot {
 		s.samples = copyCounts(m.Samples)
 	}
 	return s
-}
-
-// Squash is mem.Squash over machine snapshots: keep lists members of one
-// delta chain in ascending order, and the result holds the same machine
-// states with their RAM images chained to each other directly, the deltas of
-// the members left out folded forward. The input snapshots are not modified.
-func Squash(keep []*Snapshot) []*Snapshot {
-	mems := make([]*mem.Snapshot, len(keep))
-	for i, s := range keep {
-		mems[i] = s.mem
-	}
-	mems = mem.Squash(mems)
-	out := make([]*Snapshot, len(keep))
-	for i, s := range keep {
-		if mems[i] != s.mem { // rechained: same machine state over the new image
-			c := *s
-			c.mem = mems[i]
-			s = &c
-		}
-		out[i] = s
-	}
-	return out
 }
 
 // StateEquals reports whether the machine's current execution state is
@@ -263,23 +239,19 @@ func (m *Machine) Restore(s *Snapshot) {
 		m.Cores = make([]Core, len(s.cores))
 	}
 	copy(m.Cores, s.cores)
-	touched, selective := m.Mem.Restore(s.mem)
+	touched := m.Mem.Restore(s.mem)
 	m.Hier.SetState(s.hier)
 	m.Console.Reset()
 	m.Console.Write(s.console)
-	switch {
-	case m.textLimit != s.textLimit:
+	if m.textLimit != s.textLimit {
 		m.SetTextLimit(s.textLimit)
-	case selective:
-		// The selective restore rewrote only the returned pages; decoded
-		// instructions and block runs over untouched pages are still valid
-		// by the dirty-page invariant, so invalidate page by page instead
-		// of flushing a warm decode cache wholesale.
+	} else {
+		// The restore repointed only the returned pages. Every other page is
+		// the slice it was, with the bytes it had, so decoded instructions
+		// and block runs over it stay valid.
 		for _, off := range touched {
 			m.invalidateDecoded(off, mem.PageBytes)
 		}
-	default:
-		m.FlushDecoded()
 	}
 	m.Halted = s.halted
 	m.ExitCode = s.exitCode

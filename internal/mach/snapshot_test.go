@@ -67,7 +67,7 @@ func TestSnapshotRestoreResumesBitExact(t *testing.T) {
 	if snap.Retired() != want.retired/2 {
 		t.Fatalf("snapshot at %d, want %d", snap.Retired(), want.retired/2)
 	}
-	if snap.MemBytes() == 0 {
+	if MemBytes(snap) == 0 {
 		t.Fatal("snapshot retained no RAM pages")
 	}
 
@@ -112,7 +112,7 @@ func TestSnapshotRestoreIntoUninstalledMachine(t *testing.T) {
 // TestCheckpointSnapshotOmitsProfileTables: a checkpoint captured from a
 // profiling machine is the snapshot an unprofiled machine would have taken —
 // same execution state, no call counts, no samples, no sampling countdown —
-// so a machine restored from it does not start profiling; DeltaSnapshot keeps
+// so a machine restored from it does not start profiling; Snapshot keeps
 // the tables.
 func TestCheckpointSnapshotOmitsProfileTables(t *testing.T) {
 	cfg := testConfig(armv8.New(), 1)
@@ -135,8 +135,8 @@ func TestCheckpointSnapshotOmitsProfileTables(t *testing.T) {
 	if !ck.StateEqualsExact(plain) {
 		t.Error("checkpoint of the profiling machine differs from the unprofiled machine's state")
 	}
-	if full := prof.DeltaSnapshot(); len(full.samples) != len(prof.Samples) || full.sampleLeft != prof.sampleLeft {
-		t.Error("DeltaSnapshot lost the profile tables")
+	if full := prof.Snapshot(); len(full.samples) != len(prof.Samples) || full.sampleLeft != prof.sampleLeft {
+		t.Error("Snapshot lost the profile tables")
 	}
 	prof.Restore(ck)
 	if prof.Samples != nil || prof.CallCounts != nil {
@@ -145,8 +145,8 @@ func TestCheckpointSnapshotOmitsProfileTables(t *testing.T) {
 }
 
 // TestCapturesShareCacheChunks: a capture with no access since the last one
-// adds no cache bytes, whichever capture kind took either; one after a run
-// adds only the chunks the run changed.
+// adds no cache bytes and no RAM page, whichever capture kind took either;
+// one after a run adds only the chunks the run changed.
 func TestCapturesShareCacheChunks(t *testing.T) {
 	cfg := testConfig(armv8.New(), 1)
 	m := newTestMachine(t, cfg, snapProg(), nil)
@@ -156,13 +156,16 @@ func TestCapturesShareCacheChunks(t *testing.T) {
 	}
 	a := m.Snapshot()
 	full := CacheBytes([]*Snapshot{a})
-	b, c := m.DeltaSnapshot(), m.CheckpointSnapshot()
+	b, c := m.Snapshot(), m.CheckpointSnapshot()
 	if got := CacheBytes([]*Snapshot{a, b, c}); got != full {
 		t.Errorf("two captures with no access between add %d cache bytes", got-full)
 	}
+	if got, want := MemBytes(a, b, c), MemBytes(a); got != want || want == 0 {
+		t.Errorf("captures with no write between hold %d RAM bytes, the first alone %d", got, want)
+	}
 	m.SetInstrBudget(200)
 	m.Run(0)
-	d := m.DeltaSnapshot()
+	d := m.Snapshot()
 	if got := CacheBytes([]*Snapshot{a, b, c, d}); got == full || got >= 2*full {
 		t.Errorf("a capture after 100 instructions brings the set from %d to %d cache bytes", full, got)
 	}

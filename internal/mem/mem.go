@@ -5,7 +5,11 @@
 // exactly as the paper's "access outside its permissions" UT mechanism
 // requires. On the host side the address space is a table of PageBytes
 // pages: a machine holds only the pages its guest wrote, and every page it
-// never wrote is a view of one shared zero page that is never written.
+// never wrote is a view of one shared zero page that is never written. A
+// snapshot is the list of the pages the memory held, shared, not copied: the
+// memory copies a page the first time it writes it after a capture or a
+// restore. So a restore repoints only the pages whose slices differ, and a
+// compare skips the pages both sides share.
 package mem
 
 import (
@@ -87,10 +91,11 @@ func (f *Fault) Error() string {
 // for concurrent use; each simulated machine owns one.
 type Memory struct {
 	// pages holds the image as one entry per PageBytes page, the final one
-	// short when the size is not a page multiple. An entry the guest never
-	// wrote is a view of the shared zeroPage; the first write to it
-	// allocates a private page (writable). So a machine holds only the pages
-	// its guest wrote, and reads need neither a nil check nor a branch.
+	// short when the size is not a page multiple. An entry is the shared
+	// zeroPage until its page is first written, a page snapshots share after
+	// a capture or a restore, or a private page the memory writes in place.
+	// So a machine holds only the pages its guest wrote, and reads need
+	// neither a nil check nor a branch.
 	pages   [][]byte
 	size    uint32
 	regions []Region // sorted by Start
@@ -99,33 +104,28 @@ type Memory struct {
 	// single slot thrashes exactly on the hottest pattern.
 	last, last2 int
 
-	// Copy-on-write tracking. dirty holds one bit per PageBytes page, set by
-	// every write accessor below. base is the snapshot this memory diverged
-	// from: the invariant, kept continuously, is that the image matches
-	// base's materialized contents at every page whose dirty bit is clear.
-	// Snapshot, DeltaSnapshot and Restore re-anchor the pair; TakeDirtyPages
-	// drops the base (nil base = no invariant, every compare/restore is full).
-	dirty pageSet
-	base  *Snapshot
+	// Copy on write. owned is the set of pages the memory may write in
+	// place: the private copies writable made since the last Snapshot or
+	// Restore, which no snapshot holds. dirty, a subset of owned, is the set
+	// written since the last Snapshot, Restore or TakeDirtyPages; the write
+	// accessors write in place where it is set and take writable everywhere
+	// else. free holds the private pages Restore replaced, for writable to
+	// copy into, and touched is the buffer Restore returns.
+	owned, dirty pageSet
+	free         [][]byte
+	touched      []uint32
 }
 
 // New returns size bytes of zeroed RAM with no mapped regions. No page is
 // allocated until it is written.
 func New(size uint32) *Memory {
-	m := &Memory{}
-	m.resize(size)
-	return m
-}
-
-// resize points the image at size bytes of unwritten pages and sizes the
-// dirty bitmap to match.
-func (m *Memory) resize(size uint32) {
-	m.size = size
-	m.pages = make([][]byte, pageCount(size))
+	m := &Memory{size: size, pages: make([][]byte, pageCount(size))}
 	for pn := range m.pages {
-		m.dropPage(uint32(pn))
+		off := uint32(pn) << pageShift
+		m.pages[pn] = zeroPage[:pageEnd(off, size)-off]
 	}
-	m.dirty = newPageSet(len(m.pages))
+	m.owned, m.dirty = newPageSet(len(m.pages)), newPageSet(len(m.pages))
+	return m
 }
 
 // Size returns the RAM size in bytes.
@@ -198,14 +198,14 @@ func (m *Memory) Check(addr uint32, size uint32, want Perm, user bool) *Fault {
 
 // The raw accessors below skip permission checks; they are used by the
 // machine after Check, by loaders, and by the fault injector. Every mutation
-// of RAM flows through them — that is what makes the dirty-page bitmap a
-// complete record of divergence from the tracking base. An access at or past
-// Size panics, as an index into a flat image would.
+// of RAM flows through them, and every one writes in place only to a page
+// the memory owns: that is what keeps the pages snapshots share immutable.
+// An access at or past Size panics, as an index into a flat image would.
 
-// PageBytes is the page granularity of RAM allocation, dirty-write tracking
-// and snapshot capture. Small enough that a checkpoint delta and a machine
-// pay for the pages written, not whole RAM images; large enough that the
-// per-write bitmap update and the sparse page walk stay cheap.
+// PageBytes is the page granularity of RAM allocation, copy on write and
+// dirty-write tracking. Small enough that a machine pays for the pages its
+// guest wrote, not whole RAM images; large enough that the page-table walk of
+// a capture, restore or compare stays cheap.
 const (
 	PageBytes = 1 << 14
 	pageShift = 14
@@ -213,8 +213,8 @@ const (
 )
 
 // zeroPage backs every page no write has reached, in every memory. Nothing
-// writes through it: the write accessors take the writable slow path, which
-// swaps a private page in, wherever the page is still the zero page.
+// writes through it: the memory never owns it, so the write accessors copy
+// it first (writable).
 var zeroPage [PageBytes]byte
 
 func pageCount(size uint32) int { return int((uint64(size) + PageBytes - 1) / PageBytes) }
@@ -226,18 +226,25 @@ func newPageSet(pages int) pageSet   { return make(pageSet, (pages+63)/64) }
 func (s pageSet) add(pn uint32)      { s[pn/64] |= 1 << (pn % 64) }
 func (s pageSet) has(pn uint32) bool { return s[pn/64]&(1<<(pn%64)) != 0 }
 
+func (s pageSet) count() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
 // ReadU8 reads one byte.
 func (m *Memory) ReadU8(addr uint32) uint8 { return m.pages[addr>>pageShift][addr&pageMask] }
 
 // WriteU8 writes one byte.
 func (m *Memory) WriteU8(addr uint32, v uint8) {
 	pn := addr >> pageShift
-	if !m.held(pn) {
+	if !m.dirty.has(pn) {
 		m.writeSlow(addr, 1, uint64(v))
 		return
 	}
 	m.pages[pn][addr&pageMask] = v
-	m.dirty.add(pn)
 }
 
 // ReadU32 reads a little-endian 32-bit value.
@@ -251,12 +258,11 @@ func (m *Memory) ReadU32(addr uint32) uint32 {
 // WriteU32 writes a little-endian 32-bit value.
 func (m *Memory) WriteU32(addr uint32, v uint32) {
 	pn := addr >> pageShift
-	if addr&pageMask > PageBytes-4 || !m.held(pn) {
+	if addr&pageMask > PageBytes-4 || !m.dirty.has(pn) {
 		m.writeSlow(addr, 4, uint64(v))
 		return
 	}
 	binary.LittleEndian.PutUint32(m.pages[pn][addr&pageMask:], v)
-	m.dirty.add(pn)
 }
 
 // ReadU64 reads a little-endian 64-bit value.
@@ -270,12 +276,11 @@ func (m *Memory) ReadU64(addr uint32) uint64 {
 // WriteU64 writes a little-endian 64-bit value.
 func (m *Memory) WriteU64(addr uint32, v uint64) {
 	pn := addr >> pageShift
-	if addr&pageMask > PageBytes-8 || !m.held(pn) {
+	if addr&pageMask > PageBytes-8 || !m.dirty.has(pn) {
 		m.writeSlow(addr, 8, v)
 		return
 	}
 	binary.LittleEndian.PutUint64(m.pages[pn][addr&pageMask:], v)
-	m.dirty.add(pn)
 }
 
 // readStraddle32 and readStraddle64 read a value that straddles a page
@@ -299,8 +304,8 @@ func (m *Memory) readSlow(addr, n uint32) uint64 {
 }
 
 // writeSlow writes an n-byte little-endian value byte by byte through
-// writable: the first write to a page, and any write that straddles two,
-// comes here, and every page it touches is allocated and marked dirty.
+// writable: the first write to a page since a capture, restore or
+// TakeDirtyPages, and any write that straddles two, comes here.
 //
 //go:noinline
 func (m *Memory) writeSlow(addr, n uint32, v uint64) {
@@ -340,61 +345,42 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) {
 	}
 }
 
-// writable returns the page containing addr as a private page, allocating
-// it on the first write, and marks it dirty. The caller writes into it.
+// writable returns the page containing addr for writing in place and marks
+// it dirty. A page the memory does not own — the zero page, or a page
+// snapshots share — is copied first, into a page off the free list when
+// there is one, and owned from then on.
 func (m *Memory) writable(addr uint32) []byte {
 	pn := addr >> pageShift
-	if !m.held(pn) {
-		m.pages[pn] = make([]byte, len(m.pages[pn]))
+	if !m.owned.has(pn) {
+		cur := m.pages[pn]
+		if n := len(m.free); n > 0 {
+			p := m.free[n-1][:len(cur)]
+			copy(p, cur)
+			m.pages[pn], m.free = p, m.free[:n-1]
+		} else {
+			m.pages[pn] = append([]byte(nil), cur...)
+		}
+		m.owned.add(pn)
 	}
 	m.dirty.add(pn)
 	return m.pages[pn]
 }
 
-// dropPage points page pn back at the shared zero page.
-func (m *Memory) dropPage(pn uint32) {
-	off := pn << pageShift
-	m.pages[pn] = zeroPage[:pageEnd(off, m.size)-off]
-}
-
-// setPage makes page pn hold data, or all zeros when data is nil (the
-// snapshot convention), dropping it back to the zero page then. The restores
-// that call it rebase afterwards.
-func (m *Memory) setPage(pn uint32, data []byte) {
-	if data == nil {
-		m.dropPage(pn)
-		return
-	}
-	copy(m.writable(pn<<pageShift), data)
-}
-
-// held reports whether page pn has a private page, i.e. has been written
-// since it was last dropped.
-func (m *Memory) held(pn uint32) bool { return &m.pages[pn][0] != &zeroPage[0] }
-
-// eachDirtyPage calls fn with the start offset of every dirty page, in
-// ascending order.
-func (m *Memory) eachDirtyPage(fn func(off uint32)) {
+// TakeDirtyPages returns the start offsets of the pages written since the
+// last Snapshot, Restore or TakeDirtyPages, in ascending order, and clears
+// that record. It exists for the propagation tracer's twin machines, which
+// use it as a write log between lockstep boundaries. It changes no page's
+// ownership, so captures, restores and compares are unaffected.
+func (m *Memory) TakeDirtyPages() []uint32 {
+	var out []uint32
 	for wi, w := range m.dirty {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << b
-			fn((uint32(wi)*64 + uint32(b)) << pageShift)
+			out = append(out, (uint32(wi)*64+uint32(b))<<pageShift)
 		}
 	}
-}
-
-// TakeDirtyPages returns the start offsets of every dirty page in ascending
-// order and clears the bitmap. Clearing the bits breaks the "RAM matches base
-// at clear-dirty pages" invariant, so the tracking base is dropped with them:
-// every later EqualsMemory or Restore on this memory takes the full path
-// (Restore re-anchors) and DeltaSnapshot falls back to a full capture. It
-// exists for the propagation tracer's twin machines, which use the bitmap
-// purely as a write log between lockstep boundaries.
-func (m *Memory) TakeDirtyPages() []uint32 {
-	var out []uint32
-	m.eachDirtyPage(func(off uint32) { out = append(out, off) })
-	m.Rebase(nil)
+	clear(m.dirty)
 	return out
 }
 
@@ -413,333 +399,105 @@ func pageEnd(off, size uint32) uint32 {
 	return off + PageBytes
 }
 
-// isZero reports whether b is all zero. A view of the zero page is, without
-// a scan.
-func isZero(b []byte) bool {
-	return len(b) == 0 || &b[0] == &zeroPage[0] || bytes.Equal(b, zeroPage[:len(b)])
-}
-
-// snapPage is one RAM page captured by a Snapshot: data carries the
-// contents, or zero marks a page that is all-zero (meaningful in deltas,
-// where the parent's page may not be).
+// snapPage is one page a Snapshot lists: its page number and the page
+// itself, shared with the memory it was captured from.
 type snapPage struct {
-	off  uint32
+	pn   uint32
 	data []byte
-	zero bool
 }
 
-// Snapshot is an immutable copy of the RAM contents and region table at one
-// instant — either a full capture or a delta chained to a parent. It is safe
-// to share across goroutines; Restore and EqualsMemory only read it.
+// Snapshot is the RAM image and region table of a memory at one instant: the
+// list of the pages the memory held, shared and never copied. A page the list
+// leaves out is zero. The pages stay as captured, because a memory copies a
+// page before it next writes it (writable). A Snapshot is safe to share across
+// goroutines; Restore, EqualsMemory and DiffWords only read it.
 type Snapshot struct {
 	size    uint32
-	pages   []snapPage // ascending by off
+	pages   []snapPage // ascending by pn
 	regions []Region
-
-	// Delta chain: parent is the snapshot whose materialized image this
-	// one's pages patch (nil for a full capture); depth is the chain length
-	// above the root, used to find common ancestors in O(depth).
-	parent *Snapshot
-	depth  int
 }
 
-// Parent returns the snapshot this delta patches, or nil for a full capture.
-func (s *Snapshot) Parent() *Snapshot { return s.parent }
-
-// Depth returns the delta-chain length above the root full capture (0 for a
-// full capture).
-func (s *Snapshot) Depth() int { return s.depth }
-
-// Bytes returns the number of payload bytes the snapshot holds (test and
-// telemetry helper; zero markers count nothing).
-func (s *Snapshot) Bytes() int {
-	n := 0
-	for _, p := range s.pages {
-		n += len(p.data)
-	}
-	return n
-}
-
-// ChainBytes returns the payload of the whole chain this snapshot restores
-// through: its own pages plus every ancestor's.
-func (s *Snapshot) ChainBytes() int {
-	n := 0
-	for c := s; c != nil; c = c.parent {
-		n += c.Bytes()
-	}
-	return n
-}
-
-// findPage returns the snapshot's own entry for the page at off, or nil.
-func (s *Snapshot) findPage(off uint32) *snapPage {
-	lo, hi := 0, len(s.pages)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.pages[mid].off < off {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s.pages) && s.pages[lo].off == off {
-		return &s.pages[lo]
-	}
-	return nil
-}
-
-// pageData returns the materialized contents of the page at off: the
-// nearest chain entry holding the page wins, and absence all the way past
-// the root means all-zero (nil return, matching the full capture's
-// gap-means-zero convention). The returned slice is the chain's own page:
-// callers must not modify it.
-func (s *Snapshot) pageData(off uint32) []byte {
-	for c := s; c != nil; c = c.parent {
-		if p := c.findPage(off); p != nil {
-			return p.data // nil for a zero marker
-		}
-	}
-	return nil
-}
-
-// Snapshot captures the current RAM image and region table as a full copy
-// (no parent) and re-anchors the memory's dirty tracking on it.
+// Snapshot captures the current RAM image and region table. It lists every
+// page that is not the zero page; from here on the memory owns none of them,
+// so its next write to any page copies that page first.
 func (m *Memory) Snapshot() *Snapshot {
-	s := &Snapshot{
-		size:    m.Size(),
-		regions: append([]Region(nil), m.regions...),
+	n := 0
+	for _, p := range m.pages {
+		if &p[0] != &zeroPage[0] {
+			n++
+		}
 	}
+	s := &Snapshot{size: m.size, pages: make([]snapPage, 0, n), regions: append([]Region(nil), m.regions...)}
 	for pn, p := range m.pages {
-		if isZero(p) { // an unwritten page without a scan
-			continue
+		if &p[0] != &zeroPage[0] {
+			s.pages = append(s.pages, snapPage{uint32(pn), p})
 		}
-		s.pages = append(s.pages, snapPage{off: uint32(pn) << pageShift, data: append([]byte(nil), p...)})
 	}
-	m.Rebase(s)
-	obsSnapshotFull.Inc()
-	obsSnapshotPagesFull.Add(float64(len(s.pages)))
-	return s
-}
-
-// DeltaSnapshot captures the pages written since the memory's tracking base
-// — the snapshot most recently captured from or restored into it — as a
-// delta chained to that base, then re-anchors tracking on the result.
-// Dirty pages whose contents still match the base are dropped; pages that
-// became all-zero get explicit zero markers, because a delta cannot reuse
-// the full capture's gap-means-zero convention. With no usable base the
-// capture falls back to a full Snapshot. Restoring the delta is
-// bit-identical to restoring a full capture of the same instant.
-func (m *Memory) DeltaSnapshot() *Snapshot {
-	if m.base == nil || m.base.size != m.Size() {
-		return m.Snapshot()
-	}
-	s := &Snapshot{
-		size:    m.Size(),
-		regions: append([]Region(nil), m.regions...),
-		parent:  m.base,
-		depth:   m.base.depth + 1,
-	}
-	m.eachDirtyPage(func(off uint32) { s.patch(off, m.PageAt(off), false) })
-	m.Rebase(s)
-	obsSnapshotDelta.Inc()
-	obsSnapshotPagesDelta.Add(float64(len(s.pages)))
-	return s
-}
-
-// patch records the page at off in delta s if chunk differs from the
-// parent's materialization (all-zero when s has no parent): nothing when
-// equal, an explicit zero marker when the page became all-zero, otherwise
-// chunk itself when it is immutable snapshot payload already (shared) and a
-// private copy when it is live RAM.
-func (s *Snapshot) patch(off uint32, chunk []byte, shared bool) {
-	was := s.parent.pageData(off)
-	switch {
-	case was == nil && isZero(chunk), was != nil && bytes.Equal(chunk, was):
-		// Still zero over a zero parent page, or the parent's contents again.
-	case isZero(chunk):
-		s.pages = append(s.pages, snapPage{off: off, zero: true})
-	case shared:
-		s.pages = append(s.pages, snapPage{off: off, data: chunk})
-	default:
-		s.pages = append(s.pages, snapPage{off: off, data: append([]byte(nil), chunk...)})
-	}
-}
-
-// DeltaOf captures the current contents of another memory of the same size
-// as a delta chained onto s, by comparing every page either side may hold
-// data at: src's tracking state is neither trusted nor touched. This is how
-// an image that was not produced by running forward from s (the golden run's
-// terminal RAM) joins s's chain, so that memories tracking any snapshot of
-// the chain compare against it selectively.
-func (s *Snapshot) DeltaOf(src *Memory) *Snapshot {
-	d := &Snapshot{size: s.size, regions: s.regions, parent: s, depth: s.depth + 1}
-	s.eachHeldPage(src, func(off uint32) bool {
-		d.patch(off, src.PageAt(off), false)
-		return true
-	})
-	obsSnapshotDelta.Inc()
-	obsSnapshotPagesDelta.Add(float64(len(d.pages)))
-	return d
-}
-
-// Squash rebuilds a delta chain around the snapshots in keep — members of one
-// chain in ascending order, each an ancestor of the next — and returns the
-// new chain: out[i] materializes exactly like keep[i], out[0] is a full image
-// and out[i] patches out[i-1]. The deltas of the members left out are folded
-// into the next kept one: the latest write to a page wins, a page that is
-// back to the kept predecessor's contents is dropped, and a zero marker
-// survives only over a page that predecessor holds. Page payloads are shared
-// with the input chain, which is not modified (snapshots stay immutable), and
-// a snapshot already chained the way the result needs it is reused as is, so
-// squashing a chain around all of its members returns them.
-func Squash(keep []*Snapshot) []*Snapshot {
-	out := make([]*Snapshot, len(keep))
-	for i, k := range keep {
-		var anc, parent *Snapshot
-		if i > 0 {
-			anc, parent = keep[i-1], out[i-1]
-		}
-		if k.parent == anc && parent == anc {
-			out[i] = k
-			continue
-		}
-		s := &Snapshot{size: k.size, regions: k.regions, parent: parent}
-		if parent != nil {
-			s.depth = parent.depth + 1
-		}
-		// Nearest delta first: the first entry met for a page is the one k
-		// materializes.
-		var pages []snapPage
-		seen := make(map[uint32]struct{})
-		for c := k; c != anc; c = c.parent {
-			if c == nil {
-				panic("mem: Squash: keep is not an ascending chain")
-			}
-			for _, p := range c.pages {
-				if _, dup := seen[p.off]; !dup {
-					seen[p.off] = struct{}{}
-					pages = append(pages, p)
-				}
-			}
-		}
-		sort.Slice(pages, func(a, b int) bool { return pages[a].off < pages[b].off })
-		for _, p := range pages {
-			s.patch(p.off, p.data, true) // nil data is a zero marker: an all-zero page
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// Rebase re-anchors dirty tracking on s and clears the dirty bitmap: the
-// caller asserts that RAM equals s's materialization at this instant. Nil
-// switches tracking off. Snapshot, DeltaSnapshot and Restore rebase by
-// themselves; the exported form is for a holder that has replaced the chain
-// under the tracking base with an equivalent one (Squash).
-func (m *Memory) Rebase(s *Snapshot) {
-	m.base = s
+	obsSnapshots.Inc()
+	obsSnapshotPages.Add(float64(m.owned.count()))
+	clear(m.owned)
 	clear(m.dirty)
+	return s
 }
 
-// eachHeldPage calls fn, in ascending order until fn returns false, with the
-// offset of every page that m holds or that a snapshot on s's chain records,
-// and reports whether it ran to the end. Every other page is zero on both
-// sides.
-func (s *Snapshot) eachHeldPage(m *Memory, fn func(off uint32) bool) bool {
-	onChain := newPageSet(len(m.pages))
-	for c := s; c != nil; c = c.parent {
-		for _, p := range c.pages {
-			onChain.add(p.off >> pageShift)
+// Bytes returns the RAM payload the snapshots hold together, each page they
+// share counted once (telemetry; cache.StateBytes counts chunks the same
+// way).
+func Bytes(snaps ...*Snapshot) int {
+	seen := make(map[*byte]struct{})
+	n := 0
+	for _, s := range snaps {
+		for _, p := range s.pages {
+			if _, ok := seen[&p.data[0]]; !ok {
+				seen[&p.data[0]] = struct{}{}
+				n += len(p.data)
+			}
 		}
 	}
-	for pn := range m.pages {
-		if (m.held(uint32(pn)) || onChain.has(uint32(pn))) && !fn(uint32(pn)<<pageShift) {
+	return n
+}
+
+// eachUnshared calls fn, in page order until fn returns false, with every
+// page at which m's RAM and s are not the same slice: its number, m's page
+// and s's (the zero page where s lists none). It reports whether it ran to
+// the end. A page both share is equal without a compare, since neither side
+// writes it.
+func (s *Snapshot) eachUnshared(m *Memory, fn func(pn uint32, have, want []byte) bool) bool {
+	i := 0
+	for pn, have := range m.pages {
+		want := zeroPage[:len(have)]
+		if i < len(s.pages) && s.pages[i].pn == uint32(pn) {
+			want = s.pages[i].data
+			i++
+		}
+		if &have[0] != &want[0] && !fn(uint32(pn), have, want) {
 			return false
 		}
 	}
 	return true
 }
 
-// Base returns the tracking base, nil when there is none. Restore and
-// EqualsMemory are selective exactly when it shares a chain with their
-// argument.
-func (m *Memory) Base() *Snapshot { return m.base }
-
-// commonAncestor returns the deepest snapshot present on both chains, or
-// nil when the chains share no root (snapshots of unrelated memories).
-func commonAncestor(a, b *Snapshot) *Snapshot {
-	for a != nil && b != nil && a != b {
-		if a.depth >= b.depth {
-			a = a.parent
-		} else {
-			b = b.parent
-		}
-	}
-	if a == b {
-		return a
-	}
-	return nil
-}
-
-// diffPages collects the page offsets at which m's RAM may differ from
-// target's materialization: m's dirty pages plus every page recorded on the
-// chain paths from m.base and from target down to their common ancestor.
-// All other pages are equal by the dirty-tracking invariant.
-func (m *Memory) diffPages(target, anc *Snapshot) map[uint32]struct{} {
-	set := make(map[uint32]struct{})
-	m.eachDirtyPage(func(off uint32) { set[off] = struct{}{} })
-	for c := m.base; c != anc; c = c.parent {
-		for _, p := range c.pages {
-			set[p.off] = struct{}{}
-		}
-	}
-	for c := target; c != anc; c = c.parent {
-		for _, p := range c.pages {
-			set[p.off] = struct{}{}
-		}
-	}
-	return set
-}
-
-// pageEquals compares one page of m's RAM against the snapshot's
-// materialized contents. An unwritten page over a zero one compares no
-// bytes.
-func (s *Snapshot) pageEquals(m *Memory, off uint32) bool {
-	chunk := m.PageAt(off)
-	if want := s.pageData(off); want != nil {
-		return bytes.Equal(chunk, want)
-	}
-	return isZero(chunk)
-}
-
 // EqualsMemory reports whether a memory's current RAM contents are
-// bit-identical to the snapshot's materialization (region tables are fixed
-// per image and not compared). When the memory's tracking base shares a
-// chain with s, only the pages that can differ — dirty pages plus the chain
-// paths between base and s — are compared; otherwise every page is. The
-// comparison never mutates tracking state.
+// bit-identical to the snapshot's (region tables are fixed per image and not
+// compared). Only the pages the two do not share are compared, byte for byte.
 func (s *Snapshot) EqualsMemory(m *Memory) bool {
-	return m.Size() == s.size && s.eachComparedPage(m, func(off uint32) bool { return s.pageEquals(m, off) })
+	return m.size == s.size && s.eachUnshared(m, func(_ uint32, have, want []byte) bool { return bytes.Equal(have, want) })
 }
 
-// DiffWords walks m's RAM against the snapshot's materialization over the
-// pages EqualsMemory compares and calls fn with the address of every
-// size-byte word (size a power of two up to PageBytes, words aligned to it)
-// that differs. It stops as soon as fn returns false, and reports whether it
-// ran to the end; a memory of another size differs everywhere and reports
-// false at once. Equal pages cost one compare, as in EqualsMemory.
+// DiffWords walks m's RAM against the snapshot over the pages EqualsMemory
+// compares and calls fn with the address of every size-byte word (size a
+// power of two up to PageBytes, words aligned to it) that differs. It stops
+// as soon as fn returns false, and reports whether it ran to the end; a
+// memory of another size differs everywhere and reports false at once. Equal
+// pages cost one compare, as in EqualsMemory.
 func (s *Snapshot) DiffWords(m *Memory, size uint32, fn func(addr uint32) bool) bool {
-	return m.Size() == s.size && s.eachComparedPage(m, func(off uint32) bool {
-		if s.pageEquals(m, off) {
+	return m.size == s.size && s.eachUnshared(m, func(pn uint32, have, want []byte) bool {
+		if bytes.Equal(have, want) {
 			return true
 		}
-		chunk := m.PageAt(off)
-		want := s.pageData(off)
-		if want == nil {
-			want = zeroPage[:len(chunk)]
-		}
-		for i := 0; i < len(chunk); i += int(size) {
-			j := min(i+int(size), len(chunk))
-			if !bytes.Equal(chunk[i:j], want[i:j]) && !fn(off+uint32(i)) {
+		for i := 0; i < len(have); i += int(size) {
+			j := min(i+int(size), len(have))
+			if !bytes.Equal(have[i:j], want[i:j]) && !fn(pn<<pageShift+uint32(i)) {
 				return false
 			}
 		}
@@ -747,80 +505,32 @@ func (s *Snapshot) DiffWords(m *Memory, size uint32, fn func(addr uint32) bool) 
 	})
 }
 
-// eachComparedPage calls fn with every page offset at which m's RAM may
-// differ from s's materialization — the dirty-tracking subset when m's base
-// shares a chain with s, otherwise eachHeldPage's — until fn returns false,
-// and reports whether it ran to the end.
-func (s *Snapshot) eachComparedPage(m *Memory, fn func(off uint32) bool) bool {
-	if m.base != nil {
-		if anc := commonAncestor(m.base, s); anc != nil {
-			for off := range m.diffPages(s, anc) {
-				if !fn(off) {
-					return false
-				}
-			}
-			return true
+// Restore points RAM and the region table at the snapshot's and returns the
+// start offsets of the pages it repointed, in ascending order: the pages
+// EqualsMemory would compare. A page the snapshot does not list goes back to
+// the zero page. A replaced page the memory owned is garbage, since no
+// snapshot holds it, and goes on the free list. The returned slice is valid
+// until the next Restore. Restoring a snapshot of another RAM size panics.
+func (m *Memory) Restore(s *Snapshot) []uint32 {
+	if m.size != s.size {
+		panic(fmt.Sprintf("mem: Restore of a %#x-byte snapshot into %#x bytes of RAM", s.size, m.size))
+	}
+	m.touched = m.touched[:0]
+	s.eachUnshared(m, func(pn uint32, have, want []byte) bool {
+		if m.owned.has(pn) && len(have) == PageBytes {
+			m.free = append(m.free, have)
 		}
-	}
-	return s.eachHeldPage(m, fn)
-}
-
-// Restore resets RAM and the region table to a snapshot's materialized
-// state and re-anchors dirty tracking on it. When the memory's tracking
-// base shares a chain with s, only the pages that can differ are rewritten
-// and their start offsets are returned with selective=true, so the caller
-// can invalidate derived state (decoded text) page by page instead of
-// wholesale. Otherwise the entire image is rebuilt and selective is false.
-// Either way a page the snapshot holds as zero goes back to the shared zero
-// page.
-func (m *Memory) Restore(s *Snapshot) (touched []uint32, selective bool) {
-	if m.Size() == s.size && m.base != nil {
-		if anc := commonAncestor(m.base, s); anc != nil {
-			for off := range m.diffPages(s, anc) {
-				m.setPage(off>>pageShift, s.pageData(off))
-				touched = append(touched, off)
-			}
-			m.finishRestore(s)
-			obsRestoreSelective.Inc()
-			obsRestorePages.Add(float64(len(touched)))
-			return touched, true
-		}
-	}
-	if m.Size() != s.size {
-		m.resize(s.size)
-	}
-	s.materializeInto(m)
-	m.finishRestore(s)
-	obsRestoreFull.Inc()
-	return nil, false
-}
-
-func (m *Memory) finishRestore(s *Snapshot) {
+		m.pages[pn] = want
+		m.touched = append(m.touched, pn<<pageShift)
+		return true
+	})
+	clear(m.owned)
+	clear(m.dirty)
 	m.regions = append(m.regions[:0], s.regions...)
 	m.last, m.last2 = 0, 0
-	m.Rebase(s)
-}
-
-// materializeInto rebuilds m's image, of s's size, as the chain's: nearest
-// entries first, each page once, so a deep chain costs no more than the
-// image it materializes. A page no entry holds data for goes back to the
-// zero page; a page that does keeps its private page if it has one.
-func (s *Snapshot) materializeInto(m *Memory) {
-	done := newPageSet(len(m.pages))
-	for c := s; c != nil; c = c.parent {
-		for _, p := range c.pages {
-			pn := p.off >> pageShift
-			if !done.has(pn) {
-				done.add(pn)
-				m.setPage(pn, p.data) // nil for a zero marker
-			}
-		}
-	}
-	for pn := range m.pages {
-		if !done.has(uint32(pn)) {
-			m.dropPage(uint32(pn))
-		}
-	}
+	obsRestores.Inc()
+	obsRestorePages.Add(float64(len(m.touched)))
+	return m.touched
 }
 
 // Hash returns a 64-bit FNV-1a digest of all of RAM (byte-serial, ~1 ms per

@@ -130,10 +130,11 @@ func TestPermString(t *testing.T) {
 }
 
 // TestDiffWordsListsExactlyTheChangedWords pins the word-level diff the
-// dead-state convergence rule walks: over a memory tracking the snapshot
-// (dirty pages only) and over one with no tracking base (every page), every
-// changed word is listed once at its aligned address, a word written back to
-// its old value is not, and a false return stops the walk.
+// dead-state convergence rule walks: over the memory the snapshot was taken
+// from (the pages it wrote since) and over a copy that shares no page with
+// it (every page it holds), every changed word is listed once at its aligned
+// address, a word written back to its old value is not, and a false return
+// stops the walk.
 func TestDiffWordsListsExactlyTheChangedWords(t *testing.T) {
 	m := New(1 << 20)
 	m.WriteU64(0x2000, 0x1122334455667788)
@@ -145,9 +146,9 @@ func TestDiffWordsListsExactlyTheChangedWords(t *testing.T) {
 	m.WriteU64(0x50000, 2)
 	m.WriteU64(0x50000, 0) // back to its old value: no difference
 	want := []uint32{0x2000, 0x9ff8, 0x40000}
-	untracked := New(1 << 20) // no tracking base: every page is walked
-	untracked.WriteBytes(0, m.ReadBytes(0, m.Size()))
-	for name, mm := range map[string]*Memory{"tracking base": m, "no base": untracked} {
+	unshared := New(1 << 20) // shares no page: every page it holds is walked
+	unshared.WriteBytes(0, m.ReadBytes(0, m.Size()))
+	for name, mm := range map[string]*Memory{"shared": m, "unshared": unshared} {
 		var got []uint32
 		if !base.DiffWords(mm, 8, func(addr uint32) bool { got = append(got, addr); return true }) {
 			t.Fatalf("%s: the walk stopped without being asked to", name)
@@ -166,11 +167,11 @@ func TestDiffWordsListsExactlyTheChangedWords(t *testing.T) {
 	}
 }
 
-// heldPages counts the pages m holds privately, i.e. not the zero page.
+// heldPages counts the pages m holds, i.e. not the zero page.
 func heldPages(m *Memory) int {
 	n := 0
-	for pn := range m.pages {
-		if m.held(uint32(pn)) {
+	for _, p := range m.pages {
+		if &p[0] != &zeroPage[0] {
 			n++
 		}
 	}
@@ -178,9 +179,9 @@ func heldPages(m *Memory) int {
 }
 
 // TestUntouchedPagesCostNothing pins what makes a machine's RAM cost follow
-// its guest: reads allocate nothing, a capture of unwritten RAM holds
-// nothing, and a page that a restore brings back to zero, selective or full,
-// is the shared zero page again.
+// its guest: reads allocate nothing, a capture of unwritten RAM lists no page
+// and holds no byte, and a page that a restore brings back to zero is the
+// shared zero page again.
 func TestUntouchedPagesCostNothing(t *testing.T) {
 	m := New(24 << 20)
 	for off := uint32(0); off < m.Size(); off += PageBytes {
@@ -193,23 +194,18 @@ func TestUntouchedPagesCostNothing(t *testing.T) {
 	if n := heldPages(m); n != 0 {
 		t.Fatalf("reading every page of fresh RAM allocated %d pages", n)
 	}
-	if s := m.Snapshot(); len(s.pages) != 0 || s.Bytes() != 0 {
-		t.Errorf("a snapshot of fresh RAM holds %d pages, %d bytes", len(s.pages), s.Bytes())
+	if s := m.Snapshot(); len(s.pages) != 0 || Bytes(s) != 0 {
+		t.Errorf("a snapshot of fresh RAM lists %d pages, %d bytes", len(s.pages), Bytes(s))
 	}
 
 	m.WriteU32(3*PageBytes, 1)
-	s := m.Snapshot() // holds page 3 only
+	s := m.Snapshot() // lists page 3 only
 	m.WriteU64(5*PageBytes+8, 2)
 	if n := heldPages(m); n != 2 {
 		t.Fatalf("two written pages, %d held", n)
 	}
-	if _, selective := m.Restore(s); !selective || m.held(5) || !m.held(3) {
-		t.Errorf("selective restore: selective=%v, page 5 held=%v, page 3 held=%v", selective, m.held(5), m.held(3))
-	}
-	m.WriteU64(5*PageBytes+8, 2)
-	m.TakeDirtyPages() // no tracking base: the next restore is full
-	if _, selective := m.Restore(s); selective || m.held(5) || !m.held(3) {
-		t.Errorf("full restore: selective=%v, page 5 held=%v, page 3 held=%v", selective, m.held(5), m.held(3))
+	if touched := m.Restore(s); len(touched) != 1 || touched[0] != 5*PageBytes || heldPages(m) != 1 {
+		t.Errorf("restore repointed %#x and left %d pages held, want page 5 alone and page 3 held", touched, heldPages(m))
 	}
 	if &m.PageAt(5 * PageBytes)[0] != &zeroPage[0] {
 		t.Error("PageAt of a page restored to zero is not the shared zero page")
