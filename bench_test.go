@@ -20,6 +20,8 @@ import (
 	"serfi/internal/isa/armv7"
 	"serfi/internal/isa/armv8"
 	"serfi/internal/npb"
+	"serfi/internal/soc"
+	"serfi/internal/stack"
 )
 
 // benchFaults returns the per-scenario fault count for bench campaigns.
@@ -101,18 +103,36 @@ func BenchmarkInjection(b *testing.B) {
 	}
 }
 
-// BenchmarkScenarioBuild measures compile+link of a full software stack.
+// BenchmarkScenarioBuild measures a cold compile+link of a full software
+// stack (stack.Build, which npb.BuildScenario runs once per app and ISA) and,
+// under memo, npb.BuildScenario's per-scenario copy of the linked image.
 func BenchmarkScenarioBuild(b *testing.B) {
-	for _, isaName := range []string{"armv7", "armv8"} {
+	isas := []string{"armv7", "armv8"}
+	for _, isaName := range isas {
 		b.Run(isaName, func(b *testing.B) {
-			sc := npb.Scenario{App: "CG", Mode: npb.OMP, ISA: isaName, Cores: 4}
+			cfg, err := soc.Config(isaName, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
 			for i := 0; i < b.N; i++ {
-				if _, _, err := npb.BuildScenario(sc); err != nil {
+				if _, err := stack.Build(cfg, npb.BuildCG(), npb.BuildCommon()); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
 	}
+	b.Run("memo", func(b *testing.B) {
+		for _, isaName := range isas {
+			b.Run(isaName, func(b *testing.B) {
+				sc := npb.Scenario{App: "CG", Mode: npb.OMP, ISA: isaName, Cores: 4}
+				for i := 0; i < b.N; i++ {
+					if _, _, err := npb.BuildScenario(sc); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	})
 }
 
 // BenchmarkDecode measures the two instruction decoders.

@@ -330,6 +330,18 @@ func Link(codec isa.ISA, kernel, user []*Program, cfg LinkConfig) (*Image, error
 	return img, nil
 }
 
+// Clone returns a copy of the image with segment payloads of its own, so a
+// SetWord on either leaves the other unchanged. Symbols, Regions and the pc
+// index are shared: nothing writes them once Link returns.
+func (img *Image) Clone() *Image {
+	c := *img
+	c.segs = make([]segData, len(img.segs))
+	for i, sg := range img.segs {
+		c.segs[i] = segData{sg.addr, append([]byte(nil), sg.bytes...)}
+	}
+	return &c
+}
+
 // SetWord patches word idx of a global symbol inside the image payload
 // (pre-boot configuration such as the thread count of a scenario).
 func (img *Image) SetWord(sym string, idx uint32, v uint64) error {

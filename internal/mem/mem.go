@@ -109,11 +109,13 @@ type Memory struct {
 	// Restore, which no snapshot holds. dirty, a subset of owned, is the set
 	// written since the last Snapshot, Restore or TakeDirtyPages; the write
 	// accessors write in place where it is set and take writable everywhere
-	// else. free holds the private pages Restore replaced, for writable to
-	// copy into, and touched is the buffer Restore returns.
-	owned, dirty pageSet
-	free         [][]byte
-	touched      []uint32
+	// else. held is the set of entries that are not the zero page, so a
+	// capture or a compare visits only those. free holds the private pages
+	// Restore replaced, for writable to copy into, and touched is the buffer
+	// Restore returns.
+	owned, dirty, held pageSet
+	free               [][]byte
+	touched            []uint32
 }
 
 // New returns size bytes of zeroed RAM with no mapped regions. No page is
@@ -124,7 +126,7 @@ func New(size uint32) *Memory {
 		off := uint32(pn) << pageShift
 		m.pages[pn] = zeroPage[:pageEnd(off, size)-off]
 	}
-	m.owned, m.dirty = newPageSet(len(m.pages)), newPageSet(len(m.pages))
+	m.owned, m.dirty, m.held = newPageSet(len(m.pages)), newPageSet(len(m.pages)), newPageSet(len(m.pages))
 	return m
 }
 
@@ -225,6 +227,21 @@ type pageSet []uint64
 func newPageSet(pages int) pageSet   { return make(pageSet, (pages+63)/64) }
 func (s pageSet) add(pn uint32)      { s[pn/64] |= 1 << (pn % 64) }
 func (s pageSet) has(pn uint32) bool { return s[pn/64]&(1<<(pn%64)) != 0 }
+
+// next returns the smallest member at or above pn, or a number past the set
+// when there is none.
+func (s pageSet) next(pn uint32) uint32 {
+	for wi := int(pn / 64); wi < len(s); wi++ {
+		w := s[wi]
+		if wi == int(pn/64) {
+			w &^= 1<<(pn%64) - 1
+		}
+		if w != 0 {
+			return uint32(wi*64 + bits.TrailingZeros64(w))
+		}
+	}
+	return uint32(len(s) * 64)
+}
 
 func (s pageSet) count() int {
 	n := 0
@@ -361,6 +378,7 @@ func (m *Memory) writable(addr uint32) []byte {
 			m.pages[pn] = append([]byte(nil), cur...)
 		}
 		m.owned.add(pn)
+		m.held.add(pn)
 	}
 	m.dirty.add(pn)
 	return m.pages[pn]
@@ -421,17 +439,9 @@ type Snapshot struct {
 // page that is not the zero page; from here on the memory owns none of them,
 // so its next write to any page copies that page first.
 func (m *Memory) Snapshot() *Snapshot {
-	n := 0
-	for _, p := range m.pages {
-		if &p[0] != &zeroPage[0] {
-			n++
-		}
-	}
-	s := &Snapshot{size: m.size, pages: make([]snapPage, 0, n), regions: append([]Region(nil), m.regions...)}
-	for pn, p := range m.pages {
-		if &p[0] != &zeroPage[0] {
-			s.pages = append(s.pages, snapPage{uint32(pn), p})
-		}
+	s := &Snapshot{size: m.size, pages: make([]snapPage, 0, m.held.count()), regions: append([]Region(nil), m.regions...)}
+	for pn := m.held.next(0); int(pn) < len(m.pages); pn = m.held.next(pn + 1) {
+		s.pages = append(s.pages, snapPage{pn, m.pages[pn]})
 	}
 	obsSnapshots.Inc()
 	obsSnapshotPages.Add(float64(m.owned.count()))
@@ -461,20 +471,32 @@ func Bytes(snaps ...*Snapshot) int {
 // page at which m's RAM and s are not the same slice: its number, m's page
 // and s's (the zero page where s lists none). It reports whether it ran to
 // the end. A page both share is equal without a compare, since neither side
-// writes it.
+// writes it, so only the union of the pages s lists and the pages m holds is
+// visited: everywhere else both sides are the zero page.
 func (s *Snapshot) eachUnshared(m *Memory, fn func(pn uint32, have, want []byte) bool) bool {
-	i := 0
-	for pn, have := range m.pages {
+	end := uint32(len(m.pages))
+	i, held := 0, m.held.next(0)
+	for {
+		pn := held
+		if i < len(s.pages) && s.pages[i].pn < pn {
+			pn = s.pages[i].pn
+		}
+		if pn >= end {
+			return true
+		}
+		have := m.pages[pn]
 		want := zeroPage[:len(have)]
-		if i < len(s.pages) && s.pages[i].pn == uint32(pn) {
+		if i < len(s.pages) && s.pages[i].pn == pn {
 			want = s.pages[i].data
 			i++
 		}
-		if &have[0] != &want[0] && !fn(uint32(pn), have, want) {
+		if pn == held {
+			held = m.held.next(pn + 1)
+		}
+		if &have[0] != &want[0] && !fn(pn, have, want) {
 			return false
 		}
 	}
-	return true
 }
 
 // EqualsMemory reports whether a memory's current RAM contents are
@@ -526,6 +548,10 @@ func (m *Memory) Restore(s *Snapshot) []uint32 {
 	})
 	clear(m.owned)
 	clear(m.dirty)
+	clear(m.held)
+	for _, p := range s.pages {
+		m.held.add(p.pn)
+	}
 	m.regions = append(m.regions[:0], s.regions...)
 	m.last, m.last2 = 0, 0
 	obsRestores.Inc()

@@ -172,8 +172,34 @@ func Index(sc Scenario) (int, bool) {
 	return i, ok
 }
 
-// BuildScenario links the scenario's image and machine configuration. The
-// image has the mode and thread/rank counts patched in.
+// imageKey is what a scenario's linked image depends on: the app, the ISA
+// and the two link parameters soc.Config fixes per ISA. Programming model
+// and thread count are words BuildScenario patches into a copy.
+type imageKey struct {
+	app, isa string
+	ram      uint32
+	tick     uint64
+}
+
+// images holds one link per imageKey for the life of the process (at most
+// 22 images of ~180 KB): imageKey -> func() (*cc.Image, error).
+var images sync.Map
+
+// linked returns the image stack.Build links for key, linking it on the
+// first call. Callers must not modify it.
+func linked(key imageKey, app App, cfg mach.Config) (*cc.Image, error) {
+	build, ok := images.Load(key)
+	if !ok {
+		build, _ = images.LoadOrStore(key, sync.OnceValues(func() (*cc.Image, error) {
+			return stack.Build(cfg, app.Build(), BuildCommon())
+		}))
+	}
+	return build.(func() (*cc.Image, error))()
+}
+
+// BuildScenario returns the scenario's image and machine configuration. The
+// image is a copy of the one linked per app and ISA (once per process) with
+// the mode and thread/rank counts patched in; the caller owns it.
 func BuildScenario(sc Scenario) (*cc.Image, mach.Config, error) {
 	app, ok := AppByName(sc.App)
 	if !ok {
@@ -183,10 +209,11 @@ func BuildScenario(sc Scenario) (*cc.Image, mach.Config, error) {
 	if err != nil {
 		return nil, mach.Config{}, err
 	}
-	img, err := stack.Build(cfg, app.Build(), BuildCommon())
+	base, err := linked(imageKey{sc.App, sc.ISA, cfg.RAMBytes, cfg.Timing.TickCycles}, app, cfg)
 	if err != nil {
 		return nil, mach.Config{}, fmt.Errorf("npb: %s: %w", sc.ID(), err)
 	}
+	img := base.Clone()
 	if err := img.SetWord("__npb_mode", 0, uint64(sc.Mode)); err != nil {
 		return nil, mach.Config{}, err
 	}

@@ -15,8 +15,12 @@ import (
 )
 
 // Build links app (plus any extra user programs) against a freshly built
-// kernel and runtime for the given machine configuration. Programs must be
-// freshly built by the caller (compilation mutates their constant pools).
+// kernel and runtime for the given machine configuration; it reads only the
+// ISA, RAM size and tick of cfg. Programs must be freshly built by the caller
+// (compilation mutates their constant pools). Every call compiles and links
+// anew: npb.BuildScenario memoises one Build per key (app, ISA, RAM size,
+// tick) and hands out copies, and Build stays the uncached path for tests
+// that link programs of their own.
 func Build(cfg mach.Config, app *cc.Program, extra ...*cc.Program) (*cc.Image, error) {
 	lcfg := cc.DefaultLinkConfig()
 	lcfg.RAMBytes = cfg.RAMBytes
