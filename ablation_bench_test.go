@@ -8,6 +8,7 @@ package serfi
 // in the benchmark output.
 
 import (
+	"context"
 	"testing"
 
 	"serfi/internal/fi"
@@ -24,7 +25,7 @@ func goldenWith(b *testing.B, tweak func(*mach.Config)) *fi.Golden {
 		b.Fatal(err)
 	}
 	tweak(&cfg)
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

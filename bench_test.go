@@ -84,7 +84,7 @@ func BenchmarkInjection(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func BenchmarkInjection(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = cs.InjectPoint(d, g, faults[i%len(faults)])
+		_, _ = cs.InjectPointContext(context.Background(), d, g, faults[i%len(faults)])
 	}
 }
 

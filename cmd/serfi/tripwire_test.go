@@ -83,9 +83,9 @@ func TestDeletedNamesStayGone(t *testing.T) {
 		{`^type [A-Z][A-Za-z0-9]*Domain\b`,
 			func(p string) bool { return filepath.Dir(p) == "internal/fault" && strings.HasSuffix(p, ".go") }, "",
 			"internal/fault exports only the Domain interface; fault.New builds the unexported domain types"},
-		// CheckpointSet.InjectPoint is the one injection path; a set with no
-		// checkpoints is the rule-free from-reset reference. Tests may name
-		// the deleted engine to say what replaced it.
+		// CheckpointSet.InjectPointContext is the one injection path; a set
+		// with no checkpoints is the rule-free from-reset reference. Tests
+		// may name the deleted engine to say what replaced it.
 		{`\b(FullCopy|fullCopy|FullCopySnapshots|InjectDomain)\b|\bbuildGroup\(`,
 			func(p string) bool { return goCode(p) || docs(p) }, "",
 			"the full-copy checkpoint engine, fi.InjectDomain and campaign.buildGroup are gone (an empty fi.CheckpointSet runs from reset)"},
@@ -120,6 +120,19 @@ func TestDeletedNamesStayGone(t *testing.T) {
 		{`\bcommonAncestor\b`, snapCode, "", shared + "a compare skips the pages both sides share, the chain ancestor walk is gone"},
 		{`\bmaterializeInto\b`, snapCode, "", shared + "a restore repoints the pages that differ, the chain-walking full restore is gone"},
 		{`\bParent\(\)|\bDepth\(\)|\bChainBytes\b`, snapCode, "", shared + "snapshots form no chain, Parent/Depth/ChainBytes are gone (mem.Bytes counts shared pages once)"},
+		// Config.Profile is the one switch of a golden machine, and no
+		// snapshot carries a golden record.
+		{`\bKeepRecords\b`, func(p string) bool { return strings.HasSuffix(p, ".go") || docs(p) }, "",
+			"mach.New starts every golden record when Config.Profile is set: Machine.KeepRecords is gone"},
+		{`\b(copyCounts|callCounts|sampleLeft)\b`,
+			func(p string) bool { return goCode(p) && strings.HasPrefix(p, "internal/mach/") }, "",
+			"no snapshot carries a golden record: the profile tables left Snapshot and Restore"},
+		// The non-Context twins are gone; their callers pass
+		// context.Background().
+		{`func RunGolden\(`, func(p string) bool { return strings.HasSuffix(p, ".go") }, "",
+			"fi.RunGolden is gone: call fi.RunGoldenContext"},
+		{`\.InjectPoint\(|\) InjectPoint\(`, func(p string) bool { return strings.HasSuffix(p, ".go") }, "",
+			"CheckpointSet.InjectPoint is gone: call InjectPointContext"},
 		{`O_APPEND`,
 			func(p string) bool {
 				return goCode(p) && strings.HasPrefix(p, "internal/") && !strings.HasPrefix(p, "internal/jsonl/")

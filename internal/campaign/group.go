@@ -93,7 +93,6 @@ func BuildGroup(ctx context.Context, sc npb.Scenario, seed int64, snapshots int,
 		return nil, err
 	}
 	gcfg := cfg
-	gcfg.Profile = true
 	gcfg.SamplePeriod = DefaultSamplePeriod
 	endSpan = tracer.Start("golden", "golden", tid, nil)
 	g, err := fi.RunGoldenContext(ctx, img, gcfg, 0)

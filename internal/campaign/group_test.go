@@ -42,7 +42,7 @@ func TestGroupShardsConcatenate(t *testing.T) {
 		gcfg := cfg
 		gcfg.Profile = true
 		gcfg.SamplePeriod = campaign.DefaultSamplePeriod
-		golden, err := fi.RunGolden(img, gcfg, 0)
+		golden, err := fi.RunGoldenContext(context.Background(), img, gcfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestGroupShardsConcatenate(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i, p := range fi.List(seed, n, dom) {
-						if ref := fromReset.InjectPoint(dom, golden, p); whole.Runs[i] != ref {
+						if ref, _ := fromReset.InjectPointContext(context.Background(), dom, golden, p); whole.Runs[i] != ref {
 							t.Errorf("fault %d: shard executor %+v != from reset %+v", i, whole.Runs[i], ref)
 						}
 						if traced := whole.Traces[i] != nil; traced != fi.IsUnmasked(whole.Runs[i].Outcome) {

@@ -49,7 +49,7 @@ func wantPanicReport(t *testing.T, err error, sc npb.Scenario, seed int64, fault
 	if berr != nil {
 		t.Fatal(berr)
 	}
-	g, berr := fi.RunGolden(img, cfg, 0)
+	g, berr := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if berr != nil {
 		t.Fatal(berr)
 	}

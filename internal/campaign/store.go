@@ -200,17 +200,26 @@ func OpenFileStore(path string) (*FileStore, error) {
 var openLog = jsonl.Open
 
 // OpenMatrixStore opens the JSONL database one matrix run streams to: a
-// fresh run (resume false) starts from an empty file, a resumed one loads
-// the recorded campaigns, which must match the run's jobs (ValidateResume).
-// A matrix ValidateJobs refuses leaves the file as it was.
+// fresh run (resume false) truncates the file, a resumed one loads the
+// recorded campaigns, which must match the run's jobs (ValidateResume). A
+// matrix ValidateJobs refuses leaves the file as it was, and so does a path
+// that names anything but a regular file (a directory, a symlink, a FIFO):
+// it is refused, never replaced or opened.
 func OpenMatrixStore(path string, resume bool, jobs []ScenarioJob, faults int) (*FileStore, error) {
 	if err := ValidateJobs(jobs, faults); err != nil {
 		return nil, err
 	}
-	if !resume {
-		if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return nil, err
+	if fi, err := os.Lstat(path); err == nil {
+		if !fi.Mode().IsRegular() {
+			return nil, fmt.Errorf("campaign db %s: not a regular file (%v)", path, fi.Mode().Type())
 		}
+		if !resume {
+			if err := os.Truncate(path, 0); err != nil {
+				return nil, err
+			}
+		}
+	} else if !errors.Is(err, os.ErrNotExist) {
+		return nil, err
 	}
 	st, err := OpenFileStore(path)
 	if err != nil {

@@ -103,7 +103,14 @@ func (c *Client) backoff(attempt int) time.Duration {
 // post sends one JSON request and decodes the JSON reply into out,
 // retrying transient failures under the client's retry budget. Non-2xx
 // answers surface the coordinator's error body.
-func (c *Client) post(ctx context.Context, path string, in, out any) (err error) {
+func (c *Client) post(ctx context.Context, path string, in, out any) error {
+	return c.postResend(ctx, path, in, out, true)
+}
+
+// postResend is post that, with resendLost false, does not resend a request
+// whose reply a transport error lost: the coordinator may have acted on it.
+// A 5xx answer is still retried.
+func (c *Client) postResend(ctx context.Context, path string, in, out any, resendLost bool) (err error) {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return err
@@ -114,7 +121,7 @@ func (c *Client) post(ctx context.Context, path string, in, out any) (err error)
 			return nil
 		}
 		var re *retryableError
-		if !errors.As(err, &re) || attempt >= c.retries {
+		if !errors.As(err, &re) || attempt >= c.retries || re.lost && !resendLost {
 			return err
 		}
 		if serr := c.sleep(ctx, c.backoff(attempt)); serr != nil {
@@ -123,9 +130,12 @@ func (c *Client) post(ctx context.Context, path string, in, out any) (err error)
 	}
 }
 
-// retryableError wraps a transient failure: a transport error or a 5xx
-// answer. Everything else (4xx, malformed replies) fails immediately.
-type retryableError struct{ err error }
+// retryableError wraps a transient failure: a transport error (lost) or a
+// 5xx answer. Everything else (4xx, malformed replies) fails immediately.
+type retryableError struct {
+	err  error
+	lost bool // no answer arrived: the request may have been acted on
+}
 
 func (e *retryableError) Error() string { return e.err.Error() }
 func (e *retryableError) Unwrap() error { return e.err }
@@ -145,12 +155,12 @@ func (c *Client) postOnce(ctx context.Context, path string, body []byte, out any
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return &retryableError{err}
+		return &retryableError{err, true}
 	}
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
 	if err != nil {
-		return &retryableError{err}
+		return &retryableError{err, true}
 	}
 	if resp.StatusCode != http.StatusOK {
 		werr := fmt.Errorf("dist: %s: HTTP %d", path, resp.StatusCode)
@@ -159,7 +169,7 @@ func (c *Client) postOnce(ctx context.Context, path string, body []byte, out any
 			werr = fmt.Errorf("dist: %s: %s", path, er.Error)
 		}
 		if resp.StatusCode >= 500 {
-			return &retryableError{werr}
+			return &retryableError{werr, false}
 		}
 		return werr
 	}
@@ -195,11 +205,19 @@ func (c *Client) Event(ctx context.Context, req EventRequest) error {
 	return c.post(ctx, PathEvents, req, &reply)
 }
 
-// Submit enqueues one campaign matrix on a queue coordinator.
+// Submit enqueues one campaign matrix on a queue coordinator. A submission
+// with an ID is resent like any request (the coordinator acknowledges a
+// repeat idempotently); one without is not resent once a transport error
+// lost its reply, since the coordinator may have queued it already and a
+// resend would queue it again or be refused as a duplicate.
 func (c *Client) Submit(ctx context.Context, req SubmitRequest) (SubmitReply, error) {
 	req.Proto = ProtoVersion
 	var reply SubmitReply
-	err := c.post(ctx, PathSubmit, req, &reply)
+	err := c.postResend(ctx, PathSubmit, req, &reply, req.ID != "")
+	var re *retryableError
+	if req.ID == "" && errors.As(err, &re) && re.lost {
+		err = fmt.Errorf("%w: the submission may have been accepted; check serfi ls -join before submitting again", err)
+	}
 	return reply, err
 }
 

@@ -221,3 +221,56 @@ func TestWorkerStopsOnRefusal(t *testing.T) {
 		t.Errorf("worker returned %v after %d lease round trips, want the refusal after 1", err, hits)
 	}
 }
+
+// lossyTransport serves every request through h and loses the reply of the
+// first lost requests to path: the handler has run, the client sees a
+// transport error.
+type lossyTransport struct {
+	h     http.Handler
+	path  string
+	lost  int
+	sends int // requests to path
+}
+
+func (t *lossyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := loopbackTransport{h: t.h}.RoundTrip(req)
+	if req.URL.Path == t.path {
+		if t.sends++; t.sends <= t.lost {
+			return nil, errors.New("connection reset after the request was sent")
+		}
+	}
+	return resp, err
+}
+
+// TestSubmitLostReplyIsNotResent: a submission without an ID whose reply is
+// lost after the coordinator queued it is not resent — a resend would be
+// refused as a duplicate of itself, or queue it twice — and the error says
+// it may have been accepted. One with an ID is resent and acknowledged.
+func TestSubmitLostReplyIsNotResent(t *testing.T) {
+	ctx := context.Background()
+	coord := NewQueue(WithStore(segStore(t)))
+	lossy := &lossyTransport{h: coord.Handler(), path: PathSubmit, lost: 1}
+	cl := newClient(&Client{base: "http://loopback", hc: &http.Client{Transport: lossy}})
+	var delays []time.Duration
+	cl.sleep = stubSleep(&delays)
+
+	_, err := cl.Submit(ctx, SubmitRequest{Jobs: WireJobs(compatJobs()[:1]), Faults: compatFaults})
+	if err == nil || !strings.Contains(err.Error(), "may have been accepted") || !strings.Contains(err.Error(), "serfi ls -join") {
+		t.Errorf("Submit with a lost reply = %v, want an error saying it may have been accepted", err)
+	}
+	if lossy.sends != 1 {
+		t.Errorf("an ID-less submission was sent %d times", lossy.sends)
+	}
+	if ms := coord.MatrixList(); len(ms) != 1 || ms[0].ID != "m000001" {
+		t.Errorf("queue = %+v, want the one submission m000001", ms)
+	}
+
+	lossy.sends = 0
+	reply, err := cl.Submit(ctx, SubmitRequest{ID: "x1", Tenant: "bob", Jobs: WireJobs(compatJobs()[:1]), Faults: compatFaults})
+	if err != nil || reply.ID != "x1" || lossy.sends != 2 {
+		t.Errorf("Submit x1 with a lost reply = %+v, %v after %d sends, want the resend acknowledged", reply, err, lossy.sends)
+	}
+	if n := len(coord.MatrixList()); n != 2 {
+		t.Errorf("queue holds %d submissions, want 2", n)
+	}
+}

@@ -43,7 +43,7 @@ type CheckpointSet struct {
 	cfg   mach.Config
 	snaps []*mach.Snapshot // ascending by Retired()
 
-	// pool recycles injection machines across InjectPoint calls (nil on an
+	// pool recycles injection machines across InjectPointContext calls (nil on an
 	// empty set, which builds a fresh machine per run). Restoring the next
 	// fault's checkpoint into a pooled machine repoints just the pages whose
 	// slices differ, instead of rebuilding the whole RAM image: the
@@ -152,13 +152,13 @@ func (cs *CheckpointSet) RestoreNearest(m *mach.Machine, injectAt uint64) bool {
 	return true
 }
 
-// InjectPoint runs one fault of any domain, restoring the nearest pre-fault
-// snapshot instead of booting from reset when one is available. The Result
-// is bit-identical to the same fault injected through an empty set, which
-// runs every fault from reset.
+// InjectPointContext runs one fault of any domain, restoring the nearest
+// pre-fault snapshot instead of booting from reset when one is available.
+// The Result is bit-identical to the same fault injected through an empty
+// set, which runs every fault from reset.
 //
-// On top of snapshot restarts, InjectPoint prunes converged runs: execution
-// pauses at each later checkpoint boundary, and if the faulty machine's
+// On top of snapshot restarts, InjectPointContext prunes converged runs:
+// execution pauses at each later checkpoint boundary, and if the faulty machine's
 // complete state is bit-identical to the fault-free snapshot there, its
 // continuation is provably the golden continuation — the run is scored
 // Vanished with the golden run's terminal numbers without simulating the
@@ -171,16 +171,11 @@ func (cs *CheckpointSet) RestoreNearest(m *mach.Machine, injectAt uint64) bool {
 // touches again is not simulated at all (deadWord). An empty set takes no
 // shortcut: it consults no record, reaches no boundary and simulates every
 // fault from reset, as the reference the product path is tested against.
-func (cs *CheckpointSet) InjectPoint(d fault.Domain, g *Golden, p Fault) Result {
-	res, _ := cs.InjectPointContext(context.Background(), d, g, p)
-	return res
-}
-
-// InjectPointContext is InjectPoint with cancellation: the run polls ctx
-// between checkpoint-boundary stages and between suffix run slices. A
-// cancelled run returns ctx.Err() with a zero Result and leaves the set's
-// telemetry counters untouched (an aborted run never counts); a completed
-// run is bit-identical to InjectPoint.
+//
+// The run polls ctx between checkpoint-boundary stages and between suffix
+// run slices. A cancelled run returns ctx.Err() with a zero Result and
+// leaves the set's telemetry counters untouched (an aborted run never
+// counts); a completed run does not depend on the polling.
 func (cs *CheckpointSet) InjectPointContext(ctx context.Context, d fault.Domain, g *Golden, p Fault) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -337,7 +332,7 @@ func deadSet(model fault.Model, g *Golden, injectAt uint64, p Fault) bool {
 // the shard execution primitive of the distributed fabric (internal/dist):
 // a worker that holds a lease on the index range [lo, hi) of a campaign's
 // fault list replays exactly that slice over its local CheckpointSet, and
-// because every run is independent and bit-identical to InjectPoint, the
+// because every run is independent and bit-identical to InjectPointContext, the
 // concatenation of shard results equals a single-process campaign over the
 // whole list. A cancelled range returns ctx.Err() with a nil slice; the
 // set's telemetry counters record only the completed runs.

@@ -23,7 +23,7 @@ func TestCheckpointInjectMatchesReset(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g, err := fi.RunGolden(img, cfg, 0)
+			g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,7 +40,7 @@ func TestCheckpointInjectMatchesReset(t *testing.T) {
 				fi.Fault{Index: g.AppEnd - g.AppStart - 1, Core: 0, Reg: 3, Bit: 5})
 			for i, f := range faults {
 				want := fromReset(t, img, cfg, g, d, f)
-				got := cs.InjectPoint(d, g, f)
+				got, _ := cs.InjectPointContext(context.Background(), d, g, f)
 				if got != want {
 					t.Errorf("fault %d (%s): snapshot run %+v != reset run %+v", i, f, got, want)
 				}
@@ -64,7 +64,7 @@ func TestCheckpointOptionsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +77,8 @@ func TestCheckpointOptionsBitIdentical(t *testing.T) {
 	for i, f := range fi.List(17, 8, d) {
 		// A clone per run counts that run alone.
 		c, r := cow.Clone(), empty.Clone()
-		want := r.InjectPoint(d, g, f)
-		if got := c.InjectPoint(d, g, f); got != want {
+		want, _ := r.InjectPointContext(context.Background(), d, g, f)
+		if got, _ := c.InjectPointContext(context.Background(), d, g, f); got != want {
 			t.Errorf("fault %d (%s): cow %+v != from reset %+v", i, f, got, want)
 		}
 		rp, _ := r.PruneStats()
@@ -98,7 +98,7 @@ func TestBuildCheckpointsSpansLifespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,8 +114,8 @@ func TestBuildCheckpointsSpansLifespan(t *testing.T) {
 	empty := checkpoints(t, img, cfg, g, 0)
 	f := fi.Fault{Index: 1, Core: 0, Reg: 2, Bit: 9}
 	d := regDomain(t, img, cfg, g)
-	got := empty.InjectPoint(d, g, f)
-	if want := cs.InjectPoint(d, g, f); got != want {
+	got, _ := empty.InjectPointContext(context.Background(), d, g, f)
+	if want, _ := cs.InjectPointContext(context.Background(), d, g, f); got != want {
 		t.Errorf("empty-set inject %+v != checkpointed inject %+v", got, want)
 	}
 	if sim, reset := empty.SimulatedInstructions(); empty.Len() != 0 || sim != got.Retired || reset != got.Retired {
@@ -132,7 +132,7 @@ func TestContextCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

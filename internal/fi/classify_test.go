@@ -66,7 +66,7 @@ func TestClassificationMatchesHashOracle(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				g, err := fi.RunGolden(img, cfg, 0)
+				g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -98,8 +98,8 @@ func TestClassificationMatchesHashOracle(t *testing.T) {
 						mu.Unlock()
 						// Pooled runs reuse the machine the previous fault left dirty.
 						for name, cs := range sets {
-							if got := cs.InjectPoint(d, g, p).Outcome; got != want {
-								t.Errorf("%s %s via %s: %v, hash oracle says %v", model, p, name, got, want)
+							if got, _ := cs.InjectPointContext(context.Background(), d, g, p); got.Outcome != want {
+								t.Errorf("%s %s via %s: %v, hash oracle says %v", model, p, name, got.Outcome, want)
 							}
 						}
 						if _, got, err := tracer.Trace(d, p); err != nil || got != want {

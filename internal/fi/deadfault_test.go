@@ -2,6 +2,7 @@ package fi_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -34,7 +35,7 @@ const (
 // injectKind runs p through a clone of cs and classifies the run.
 func injectKind(cs *fi.CheckpointSet, d fault.Domain, g *fi.Golden, p fi.Fault) (fi.Result, runKind) {
 	c := cs.Clone()
-	res := c.InjectPoint(d, g, p)
+	res, _ := c.InjectPointContext(context.Background(), d, g, p)
 	sim, _ := c.SimulatedInstructions()
 	sets, state := c.DeadRuns()
 	switch pruned, _ := c.PruneStats(); {
@@ -104,7 +105,7 @@ func readDeadRefs(t *testing.T) map[[2]string][]refLine {
 
 // TestDeadFaultsMatchSimulation is the admission ticket of dead-fault
 // pruning: over six fault domains and three scenarios every result of the
-// product path (InjectPoint on a delta-chain set, every rule on) equals the
+// product path (InjectPointContext on a delta-chain set, every rule on) equals the
 // rule-free reference field for field, while dead-word and dead-set
 // decisions, convergence on dead cache-line state, convergence modulo dead
 // registers and context slots, exact convergence and full simulation all
@@ -147,7 +148,7 @@ func TestDeadFaultsMatchSimulation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				g, err := fi.RunGolden(img, cfg, 0)
+				g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -166,7 +167,8 @@ func TestDeadFaultsMatchSimulation(t *testing.T) {
 						var want []refLine
 						if *regen {
 							for i, p := range faults {
-								want = append(want, lineOf(sc, model, i, empty.InjectPoint(d, g, p)))
+								res, _ := empty.InjectPointContext(context.Background(), d, g, p)
+								want = append(want, lineOf(sc, model, i, res))
 							}
 							mu.Lock()
 							refs[key] = want
@@ -217,7 +219,8 @@ func TestDeadFaultsMatchSimulation(t *testing.T) {
 								// The empty set reaches the same result the long way.
 								shown++
 								c := empty.Clone()
-								if got := lineOf(sc, model, i, c.InjectPoint(d, g, p)); got != want[i] {
+								res, _ := c.InjectPointContext(context.Background(), d, g, p)
+								if got := lineOf(sc, model, i, res); got != want[i] {
 									t.Errorf("fault %d (%s): empty set %+v != reference %+v", i, p, got, want[i])
 								}
 								if sim, _ := c.SimulatedInstructions(); sim != want[i].Retired {
@@ -277,7 +280,7 @@ func isSer(t *testing.T) (*cc.Image, mach.Config) {
 // simulated, matches the from-reset run, and some of them corrupt the output.
 func TestLiveMemStrikesAreSimulated(t *testing.T) {
 	img, cfg := isSer(t)
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +336,7 @@ func TestExecutablePagesAreNeverDead(t *testing.T) {
 			text = rwx.Regions[i]
 		}
 	}
-	g, err := fi.RunGolden(&rwx, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), &rwx, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +379,7 @@ func TestExecutablePagesAreNeverDead(t *testing.T) {
 // lies in the next page is decided only if both pages are dead.
 func TestStraddlingWordNeedsBothPagesDead(t *testing.T) {
 	img, cfg := isSer(t)
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

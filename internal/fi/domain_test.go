@@ -1,6 +1,7 @@
 package fi_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -113,7 +114,7 @@ func TestFaultListMatchesLegacySampler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestCheckpointInjectMatchesResetAllDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestCheckpointInjectMatchesResetAllDomains(t *testing.T) {
 		}
 		for i, p := range fi.List(11, 5, d) {
 			want := fromReset(t, img, cfg, g, d, p)
-			got := cs.InjectPoint(d, g, p)
+			got, _ := cs.InjectPointContext(context.Background(), d, g, p)
 			if got != want {
 				t.Errorf("%s fault %d (%s): snapshot run %+v != reset run %+v", model, i, p, got, want)
 			}
@@ -173,7 +174,7 @@ func TestIMemFaultsLeaveTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +199,7 @@ func TestCheckpointsShortLifespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestCheckpointsShortLifespan(t *testing.T) {
 		{Index: 2, Core: 0, Reg: 3, Bit: 5},
 	} {
 		want := fromReset(t, img, cfg, g, d, f)
-		got := cs.InjectPoint(d, g, f)
+		got, _ := cs.InjectPointContext(context.Background(), d, g, f)
 		if got != want {
 			t.Errorf("short-lifespan fault %s: snapshot run %+v != reset run %+v", f, got, want)
 		}
@@ -233,7 +234,7 @@ func TestFirstInstructionFaultUsesSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +242,7 @@ func TestFirstInstructionFaultUsesSnapshot(t *testing.T) {
 	f := fi.Fault{Index: 0, Core: 0, Reg: 3, Bit: 5}
 	d := regDomain(t, img, cfg, g)
 	want := fromReset(t, img, cfg, g, d, f)
-	got := cs.InjectPoint(d, g, f)
+	got, _ := cs.InjectPointContext(context.Background(), d, g, f)
 	if got != want {
 		t.Fatalf("first-instruction fault: snapshot run %+v != reset run %+v", got, want)
 	}

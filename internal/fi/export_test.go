@@ -7,7 +7,7 @@ import (
 	"serfi/internal/mach"
 )
 
-// PrunedExactly replays p the way InjectPoint runs it on this set — a fresh
+// PrunedExactly replays p the way InjectPointContext runs it on this set — a fresh
 // machine restored from the nearest checkpoint below the fault, paused at
 // each later boundary — and, at the first boundary where the product path's
 // rule (DeadDiff) stops the run, reports whether the state there also equals

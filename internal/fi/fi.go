@@ -7,8 +7,8 @@
 // fault model itself is pluggable: every phase is generic over a
 // fault.Domain — the register single-bit-upset space of the paper, data
 // words in guest RAM, instruction words, or register bit bursts
-// (internal/fault). CheckpointSet.InjectPoint is the one injection path: a
-// set with checkpoints is the product path with every dead-fault and
+// (internal/fault). CheckpointSet.InjectPointContext is the one injection
+// path: a set with checkpoints is the product path with every dead-fault and
 // convergence rule, a set with none runs every fault from reset with none,
 // and the two score every fault identically. The fault.Reg domain is
 // bit-identical to the pre-domain injector at the same seed.
@@ -66,14 +66,14 @@ type Golden struct {
 	Final *mem.Snapshot
 	// PageTouch is the golden machine's page-touch record (mach.Machine.
 	// PageTouch): per mem.PageBytes page, the number of the last instruction
-	// that loaded or stored in it, 0 for never. CheckpointSet.InjectPoint
-	// decides mem strikes on pages with no later access from it.
+	// that loaded or stored in it, 0 for never. InjectPointContext decides
+	// mem strikes on pages with no later access from it.
 	PageTouch []uint64
 
 	// candidates are the fault-free machine states the run captured on its
 	// way (see candidateCap), ascending by Retired() from instruction 0,
-	// without profile tables, from which BuildCheckpointsOpt selects a set's
-	// checkpoints. Nil after ReleaseCandidates.
+	// each carrying its liveness mark, from which BuildCheckpointsOpt
+	// selects a set's checkpoints. Nil after ReleaseCandidates.
 	candidates []*mach.Snapshot
 }
 
@@ -170,23 +170,19 @@ func runCtx(ctx context.Context, m *mach.Machine, target, budget uint64) (mach.S
 	}
 }
 
-// RunGolden executes the faultless reference for an image/config pair.
-func RunGolden(img *cc.Image, cfg mach.Config, budget uint64) (*Golden, error) {
-	return RunGoldenContext(context.Background(), img, cfg, budget)
-}
-
-// RunGoldenContext is RunGolden with cancellation: the reference run polls
-// ctx at every candidate grid point (and every few million committed
-// instructions between them) and returns ctx.Err() when cancelled. The
-// machine evolution is bit-identical to RunGolden.
+// RunGoldenContext executes the faultless reference for an image/config
+// pair on a golden machine (cfg with Profile set; cfg.SamplePeriod is the
+// caller's). The run polls ctx at every candidate grid point (and every few
+// million committed instructions between them) and returns ctx.Err() when
+// cancelled; pausing does not change the machine's evolution.
 //
 // This is the only fault-free pass of a scenario: the run pauses on the
 // candidate grid (pausing at a retirement boundary is state-preserving) and
 // captures the states BuildCheckpointsOpt later selects from.
 func RunGoldenContext(ctx context.Context, img *cc.Image, cfg mach.Config, budget uint64) (*Golden, error) {
+	cfg.Profile = true
 	m := mach.New(cfg)
 	img.InstallTo(m)
-	m.KeepRecords()
 	if budget == 0 {
 		budget = 30_000_000_000
 	}

@@ -36,7 +36,8 @@ func checkpoints(t testing.TB, img *cc.Image, cfg mach.Config, g *fi.Golden, n i
 // machine from reset, no dead-fault record consulted, nothing compared.
 func fromReset(t testing.TB, img *cc.Image, cfg mach.Config, g *fi.Golden, d fault.Domain, p fi.Fault) fi.Result {
 	t.Helper()
-	return checkpoints(t, img, cfg, g, 0).InjectPoint(d, g, p)
+	res, _ := checkpoints(t, img, cfg, g, 0).InjectPointContext(context.Background(), d, g, p)
+	return res
 }
 
 func golden(t *testing.T, sc npb.Scenario) (*fi.Golden, npb.Scenario) {
@@ -45,7 +46,7 @@ func golden(t *testing.T, sc npb.Scenario) (*fi.Golden, npb.Scenario) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestGoldenReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestGoldenReference(t *testing.T) {
 		t.Error("golden stats empty")
 	}
 	// Reproducibility: a second golden run matches bit for bit.
-	g2, err := fi.RunGolden(img, cfg, 0)
+	g2, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestFaultListDeterministicAndInRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestInjectOutcomesSane(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestInjectDeterministicReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestPCFlipIsUsuallyFatalOnV7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestZeroBitFaultOnDeadRegisterVanishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

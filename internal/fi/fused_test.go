@@ -2,6 +2,7 @@ package fi
 
 import (
 	"context"
+	"maps"
 	"slices"
 	"testing"
 
@@ -23,7 +24,7 @@ func profiledGolden(t *testing.T, sc npb.Scenario) (*cc.Image, mach.Config, *Gol
 	gcfg := cfg
 	gcfg.Profile = true
 	gcfg.SamplePeriod = 97
-	g, err := RunGolden(img, gcfg, 0)
+	g, err := RunGoldenContext(context.Background(), img, gcfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,8 @@ func fromReset(t *testing.T, img *cc.Image, cfg mach.Config, g *Golden, d fault.
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cs.InjectPoint(d, g, p)
+	res, _ := cs.InjectPointContext(context.Background(), d, g, p)
+	return res
 }
 
 // positions returns the retired-instruction index of every checkpoint.
@@ -72,15 +74,25 @@ func checkPlacement(t *testing.T, cs *CheckpointSet, g *Golden, n int) {
 // checkMatchesFastForward is the fused pass's correctness claim: every
 // checkpoint the profiled golden run captured in passing equals, bit for bit
 // (cache hierarchy included), a fresh unprofiled machine fast-forwarded from
-// reset to the same instruction — and restoring it hands a machine no
-// profile tables to fill.
+// reset to the same instruction — and restoring it leaves a machine's
+// profile tables as they were: a profiled machine's keep what its own run
+// counted, and an unprofiled machine's stay nil.
 func checkMatchesFastForward(t *testing.T, img *cc.Image, cfg mach.Config, g *Golden, cs *CheckpointSet) {
 	t.Helper()
-	ref := mach.New(cfg)
+	ref, plain := mach.New(cfg), mach.New(cfg)
 	img.InstallTo(ref)
 	pcfg := cfg
-	pcfg.Profile = true
+	pcfg.Profile, pcfg.SamplePeriod = true, 97
 	restored := mach.New(pcfg)
+	img.InstallTo(restored)
+	restored.SetInstrBudget(100_000)
+	if stop := restored.Run(HangBudget(g.Cycles)); stop != mach.StopInstrBudget {
+		t.Fatalf("profiled machine stopped with %v at %d", stop, restored.TotalRetired)
+	}
+	calls, samples := maps.Clone(restored.CallCounts), maps.Clone(restored.Samples)
+	if len(samples) == 0 {
+		t.Fatal("the profiled machine took no samples")
+	}
 	for i, s := range cs.snaps {
 		if s.Retired() > 0 {
 			ref.SetInstrBudget(s.Retired())
@@ -91,9 +103,13 @@ func checkMatchesFastForward(t *testing.T, img *cc.Image, cfg mach.Config, g *Go
 		if !s.StateEqualsExact(ref) {
 			t.Errorf("checkpoint %d at %d differs from an unprofiled fast-forward", i, s.Retired())
 		}
+		plain.Restore(s)
+		if plain.CallCounts != nil || plain.Samples != nil {
+			t.Errorf("checkpoint %d handed an unprofiled machine profile tables", i)
+		}
 		restored.Restore(s)
-		if restored.CallCounts != nil || restored.Samples != nil {
-			t.Errorf("checkpoint %d carries profile tables", i)
+		if !maps.Equal(restored.CallCounts, calls) || !maps.Equal(restored.Samples, samples) {
+			t.Errorf("checkpoint %d changed a profiled machine's tables", i)
 		}
 	}
 }
@@ -149,7 +165,8 @@ func TestCheckpointPlacement(t *testing.T) {
 		checkPlacement(t, cs, g, n)
 		checkMatchesFastForward(t, img, cfg, g, cs)
 		for _, f := range faults {
-			if got, want := cs.InjectPoint(d, g, f), fromReset(t, img, cfg, g, d, f); got != want {
+			got, _ := cs.InjectPointContext(context.Background(), d, g, f)
+			if want := fromReset(t, img, cfg, g, d, f); got != want {
 				t.Errorf("N=%d fault %s: %+v, from reset %+v", n, f, got, want)
 			}
 		}

@@ -21,7 +21,7 @@ var fuzzScenario = sync.OnceValues(func() (*fuzzFixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -140,8 +140,8 @@ func FuzzInjectMatchesReset(f *testing.F) {
 			t.Fatal(err)
 		}
 		d, p := fx.point(model, index, core, reg, addr, bit, width, level)
-		want := fx.empty.InjectPoint(d, fx.g, p)
-		if got := fx.cs.InjectPoint(d, fx.g, p); got != want {
+		want, _ := fx.empty.InjectPointContext(context.Background(), d, fx.g, p)
+		if got, _ := fx.cs.InjectPointContext(context.Background(), d, fx.g, p); got != want {
 			t.Errorf("%s: product path %+v != from reset %+v", p, got, want)
 		}
 	})

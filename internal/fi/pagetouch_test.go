@@ -1,6 +1,7 @@
 package fi
 
 import (
+	"context"
 	"slices"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestPageTouchIsGoldenOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := RunGolden(img, cfg, 0)
+	g, err := RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestPageTouchIsGoldenOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs.InjectPoint(d, g, Fault{Index: 7, Reg: 3, Bit: 5})
+	cs.InjectPointContext(context.Background(), d, g, Fault{Index: 7, Reg: 3, Bit: 5})
 	if pooled := cs.pool.Get().(*mach.Machine); pooled.PageTouch != nil {
 		t.Error("a pooled injection machine carries a page-touch table")
 	}
@@ -85,7 +86,7 @@ func TestLivenessIsGoldenOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := RunGolden(img, cfg, 0)
+	g, err := RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestLivenessIsGoldenOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := Fault{Index: 7, Reg: 3, Bit: 5}
-	cs.InjectPoint(d, g, p)
+	cs.InjectPointContext(context.Background(), d, g, p)
 	if pooled := cs.pool.Get().(*mach.Machine); pooled.Liveness() != nil || pooled.Hier.SetStamps() != nil {
 		t.Error("a pooled injection machine keeps a liveness record or set stamps")
 	}
@@ -125,7 +126,8 @@ func TestLivenessIsGoldenOnly(t *testing.T) {
 	if m.Liveness() != nil || m.Hier.SetStamps() != nil {
 		t.Error("a fresh machine keeps a liveness record or set stamps")
 	}
-	if got, want := cs.InjectPoint(d, g, p), fromReset(t, img, cfg, g, d, p); got != want {
+	got, _ := cs.InjectPointContext(context.Background(), d, g, p)
+	if want := fromReset(t, img, cfg, g, d, p); got != want {
 		t.Errorf("%s: product path %+v != from reset %+v", p, got, want)
 	}
 }

@@ -19,7 +19,7 @@ func TestTerminalImageSharesCheckpointChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := RunGolden(img, cfg, 0)
+	g, err := RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,11 +117,11 @@ func (m *Machine) retire(c *Core) {
 		m.Inject(m)
 	}
 	if m.Samples != nil && m.Cfg.SamplePeriod > 0 {
-		if m.sampleLeft == 0 {
+		if m.untilSample == 0 {
 			m.Samples[uint32(c.PC)]++
-			m.sampleLeft = m.Cfg.SamplePeriod
+			m.untilSample = m.Cfg.SamplePeriod
 		}
-		m.sampleLeft--
+		m.untilSample--
 	}
 }
 

@@ -1,7 +1,6 @@
 package mach
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 
@@ -11,9 +10,9 @@ import (
 
 // Liveness is the golden run's value-lineage record over the locations the
 // register fault domains can corrupt: every GPR of every core, and every
-// context-block word SAVECTX writes from a GPR (a slot). Only fi's golden run
-// keeps one (Machine.KeepRecords); like PageTouch it is no part of Snapshot,
-// Restore or StateEquals, and every other machine carries none.
+// context-block word SAVECTX writes from a GPR (a slot). Only a golden
+// machine (Config.Profile) keeps one; like PageTouch it is no part of
+// Snapshot, Restore or StateEquals, and every other machine carries none.
 //
 // Each CheckpointSnapshot marks the record: every location gets a fresh
 // lineage node, the root of "this location's value at this instant". After
@@ -80,31 +79,8 @@ type liveNode struct {
 // slotLineShift is log2 of the granule slotLine filters by.
 const slotLineShift = 6
 
-// KeepRecords starts the records only a golden run keeps, on a machine
-// that has not run yet: the page-touch table (PageTouch), the liveness
-// record (Liveness) and the cache-set stamps (cache.Hierarchy.StampSets).
-// Every other machine keeps none of them.
-func (m *Machine) KeepRecords() {
-	if len(m.Cores) > 8 {
-		panic("mach: a liveness record covers at most 8 cores")
-	}
-	m.PageTouch = make([]uint64, (uint64(m.Mem.Size())+mem.PageBytes-1)/mem.PageBytes)
-	m.live = &Liveness{
-		nodes:    make([]liveNode, 1, 1024),
-		regs:     make([]int32, len(m.Cores)*32),
-		slotIdx:  make(map[uint32]int32),
-		slotLo:   math.MaxUint32,
-		slotLine: make([]bool, uint64(m.Mem.Size())>>slotLineShift+1),
-		slow:     &m.wrSlow,
-		fixed:    m.wrSlow,
-		ngpr:     m.Feat.NumGPR,
-		wbytes:   m.wbytes,
-	}
-	m.Hier.StampSets(&m.TotalRetired)
-}
-
-// Liveness returns the machine's liveness record, nil unless KeepRecords
-// started one.
+// Liveness returns the machine's liveness record, nil unless the machine
+// was built with Config.Profile.
 func (m *Machine) Liveness() *Liveness { return m.live }
 
 // newNode allocates a node descending from parent.

@@ -60,9 +60,9 @@ func TestLivenessLineage(t *testing.T) {
 	for _, slow := range []bool{false, true} {
 		cfg := testConfig(armv8.New(), 2)
 		cfg.SlowPath = slow
+		cfg.Profile = true
 		m := newTestMachine(t, cfg, prog, nil)
 		m.LoadBytes(VectorBase, asm(t, cfg.ISA, []isa.Instr{al(isa.Instr{Op: isa.OpHALT})}))
-		m.KeepRecords()
 		a := m.CheckpointSnapshot().Live()
 		for m.Cores[0].PC != afterSave {
 			m.SetInstrBudget(m.TotalRetired + 1)

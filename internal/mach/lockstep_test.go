@@ -13,16 +13,14 @@ import (
 // fast path and the reference interpreter — in chunks of `stride` retired
 // instructions, asserting complete machine-state equality (registers, RAM,
 // caches, timers, console, counters) at every boundary. stride 1 checks
-// every single retirement boundary. Both machines also keep the golden
-// run's records — a page-touch table, a liveness record (marked every 64
-// boundaries, as a golden run marks its checkpoint candidates) and cache-set
-// stamps — which are no part of a Snapshot and are compared beside it.
+// every single retirement boundary. mk builds golden machines
+// (Config.Profile), so both also keep the golden run's records — a
+// page-touch table, a liveness record (marked every 64 boundaries, as a
+// golden run marks its checkpoint candidates) and cache-set stamps — which
+// are no part of a Snapshot and are compared beside it.
 func runLockstep(t *testing.T, mk func(slow bool) *Machine, stride, maxInstr uint64) {
 	t.Helper()
 	fast, slow := mk(false), mk(true)
-	for _, m := range []*Machine{fast, slow} {
-		m.KeepRecords()
-	}
 	for i := uint64(0); ; i++ {
 		if i%64 == 0 {
 			fast.CheckpointSnapshot()
@@ -87,6 +85,7 @@ func TestLockstepSumLoop(t *testing.T) {
 			mk := func(slow bool) *Machine {
 				cfg := testConfig(tc.codec(), 1)
 				cfg.SlowPath = slow
+				cfg.Profile = true
 				return newTestMachine(t, cfg, prog, nil)
 			}
 			runLockstep(t, mk, 1, 0)
@@ -116,6 +115,7 @@ func TestLockstepMulticoreSharedCounters(t *testing.T) {
 	mk := func(slow bool) *Machine {
 		cfg := testConfig(armv8.New(), 2)
 		cfg.SlowPath = slow
+		cfg.Profile = true
 		return newTestMachine(t, cfg, kern, nil)
 	}
 	runLockstep(t, mk, 1, 0)
@@ -149,6 +149,7 @@ func TestLockstepTimerWFIAndUserMode(t *testing.T) {
 	mk := func(slow bool) *Machine {
 		cfg := testConfig(armv8.New(), 1)
 		cfg.SlowPath = slow
+		cfg.Profile = true
 		m := newTestMachine(t, cfg, kern, user)
 		m.LoadBytes(VectorBase, asm(t, cfg.ISA, vector))
 		m.SetTextLimit(m.textLimit) // drop every decode
@@ -176,6 +177,7 @@ func TestLockstepSelfModifyingCode(t *testing.T) {
 	mk := func(slow bool) *Machine {
 		cfg := testConfig(armv8.New(), 1)
 		cfg.SlowPath = slow
+		cfg.Profile = true
 		m := newTestMachine(t, cfg, prog, nil)
 		// Pre-decode everything so both paths start from warm caches.
 		for pc := uint32(kernBase); pc < kernBase+7*4; pc += 4 {
@@ -209,6 +211,7 @@ func TestLockstepInjectionHook(t *testing.T) {
 	mk := func(slow bool) *Machine {
 		cfg := testConfig(armv8.New(), 1)
 		cfg.SlowPath = slow
+		cfg.Profile = true
 		m := newTestMachine(t, cfg, prog, nil)
 		m.InjectAt = 123
 		m.Inject = func(mm *Machine) { mm.Cores[0].Regs[1] ^= 1 << 7 }

@@ -60,7 +60,10 @@ type Config struct {
 	RAMBytes uint32
 	Timing   TimingModel
 	Cache    cache.HierConfig
-	// Profile enables call-target counting and PC sampling (golden runs).
+	// Profile makes a golden machine: New starts every record only a golden
+	// run keeps — call counts, PC samples, PageTouch, the liveness record
+	// and the cache-set stamps. No snapshot carries any of them. A golden
+	// machine has at most 8 cores.
 	Profile bool
 	// SamplePeriod is the PC-sampling period in committed instructions.
 	SamplePeriod uint64
@@ -189,19 +192,18 @@ type Machine struct {
 	injected bool
 
 	// Profiling (enabled by Cfg.Profile).
-	CallCounts map[uint32]uint64
-	Samples    map[uint32]uint64
-	sampleLeft uint64
+	CallCounts  map[uint32]uint64
+	Samples     map[uint32]uint64
+	untilSample uint64
 
 	// PageTouch, when non-nil, records per mem.PageBytes page the 1-based
 	// number of the last instruction whose data access (load, store, SAVECTX,
-	// RESTCTX) touched it; fetches are not recorded. Only fi's golden run
-	// allocates it. It is not part of Snapshot/Restore/StateEquals: a golden
-	// machine is never restored, and no other machine carries a table.
+	// RESTCTX) touched it; fetches are not recorded. Only a golden machine
+	// (Cfg.Profile) keeps one, and like every golden record it is no part of
+	// Snapshot, Restore or StateEquals.
 	PageTouch []uint64
 	// live, when non-nil, is the value-lineage record of the GPRs and context
-	// slots (liveness.go); like PageTouch only the golden run keeps one
-	// (KeepRecords).
+	// slots (liveness.go); like PageTouch only a golden machine keeps one.
 	live *Liveness
 
 	wmask    uint64 // word mask (0xffffffff on v7)
@@ -258,9 +260,25 @@ func New(cfg Config) *Machine {
 	}
 	m.curs = make([]cursor, cfg.Cores)
 	if cfg.Profile {
+		if len(m.Cores) > 8 {
+			panic("mach: a liveness record covers at most 8 cores")
+		}
 		m.CallCounts = make(map[uint32]uint64, 256)
 		m.Samples = make(map[uint32]uint64, 4096)
-		m.sampleLeft = cfg.SamplePeriod
+		m.untilSample = cfg.SamplePeriod
+		m.PageTouch = make([]uint64, (uint64(m.Mem.Size())+mem.PageBytes-1)/mem.PageBytes)
+		m.live = &Liveness{
+			nodes:    make([]liveNode, 1, 1024),
+			regs:     make([]int32, len(m.Cores)*32),
+			slotIdx:  make(map[uint32]int32),
+			slotLo:   math.MaxUint32,
+			slotLine: make([]bool, uint64(m.Mem.Size())>>slotLineShift+1),
+			slow:     &m.wrSlow,
+			fixed:    m.wrSlow,
+			ngpr:     f.NumGPR,
+			wbytes:   m.wbytes,
+		}
+		m.Hier.StampSets(&m.TotalRetired)
 	}
 	return m
 }

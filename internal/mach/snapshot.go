@@ -11,10 +11,12 @@ import (
 // Snapshot is a complete copy of a machine's mutable state at one committed
 // instruction boundary: core register files and private core state, RAM
 // (which holds all guest-kernel structures), the cache hierarchy, console
-// output, lifecycle beacons and retirement counters. Restoring it into a
-// machine built from the same Config resumes execution bit-for-bit: the
-// continuation interleaves, retires and classifies exactly as the original
-// run would have. Snapshots are immutable once captured and safe to share
+// output, lifecycle beacons and retirement counters — machine state only:
+// no snapshot carries a golden machine's records (Config.Profile), which
+// observe one run and never steer it. Restoring it into a machine built
+// from the same Config resumes execution bit-for-bit: the continuation
+// interleaves, retires and classifies exactly as the original run would
+// have. Snapshots are immutable once captured and safe to share
 // across goroutines; Restore only reads them.
 //
 // The decoded-text cache and memory-lookup caches are derived state and are
@@ -36,10 +38,7 @@ type Snapshot struct {
 	appExitCode     int
 	appSignal       int
 
-	injected   bool
-	sampleLeft uint64
-	callCounts map[uint32]uint64
-	samples    map[uint32]uint64
+	injected bool
 
 	// live is the golden run's liveness mark at this instant (LiveMark): an
 	// annotation CheckpointSnapshot attaches on a machine keeping a record,
@@ -72,17 +71,6 @@ func CacheBytes(snaps []*Snapshot) int {
 	return cache.StateBytes(states...)
 }
 
-func copyCounts(m map[uint32]uint64) map[uint32]uint64 {
-	if m == nil {
-		return nil
-	}
-	out := make(map[uint32]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 // Snapshot captures the machine's current state. Its RAM image shares every
 // page with the machine's memory, which copies a page the first time it
 // writes it afterwards (mem.Memory.Snapshot), so a series of captures pays
@@ -93,22 +81,17 @@ func copyCounts(m map[uint32]uint64) map[uint32]uint64 {
 // the 24 MiB guests) are cut into fixed-size chunks, and every chunk equal
 // to the hierarchy's base — the state last captured from or restored into
 // it — is shared, not copied (cache.Hierarchy.State).
-func (m *Machine) Snapshot() *Snapshot { return m.capture(m.Mem.Snapshot(), true) }
+func (m *Machine) Snapshot() *Snapshot { return m.capture() }
 
 // DeltaSnapshot is Snapshot; kept for bench/ (ROADMAP item 8).
 func (m *Machine) DeltaSnapshot() *Snapshot { return m.Snapshot() }
 
-// CheckpointSnapshot is Snapshot without the profile tables
-// (CallCounts, Samples, the sampling countdown): the snapshot an unprofiled
-// machine would capture at this instant. Profiling observes execution and
-// never steers it, so a profiled fault-free run can capture the checkpoints
-// that unprofiled injection machines restore — a restore hands them no
-// tables to fill.
-//
-// On a machine keeping a liveness record it also marks the record, and the
-// snapshot carries the mark (Live).
+// CheckpointSnapshot is Snapshot that, on a golden machine, also marks the
+// liveness record; the snapshot carries the mark (Live). Snapshot marks
+// nothing, so a test may compare a golden machine's state at any boundary
+// without adding lineage roots to its record.
 func (m *Machine) CheckpointSnapshot() *Snapshot {
-	s := m.capture(m.Mem.Snapshot(), false)
+	s := m.capture()
 	if m.live != nil {
 		s.live = m.live.mark(len(m.Cores))
 	}
@@ -119,10 +102,10 @@ func (m *Machine) CheckpointSnapshot() *Snapshot {
 // snapshot of a machine without a record.
 func (s *Snapshot) Live() *LiveMark { return s.live }
 
-func (m *Machine) capture(ms *mem.Snapshot, profile bool) *Snapshot {
-	s := &Snapshot{
+func (m *Machine) capture() *Snapshot {
+	return &Snapshot{
 		cores:           append([]Core(nil), m.Cores...),
-		mem:             ms,
+		mem:             m.Mem.Snapshot(),
 		hier:            m.Hier.State(),
 		console:         append([]byte(nil), m.Console.Bytes()...),
 		textLimit:       m.textLimit,
@@ -136,12 +119,6 @@ func (m *Machine) capture(ms *mem.Snapshot, profile bool) *Snapshot {
 		appSignal:       m.AppSignal,
 		injected:        m.injected,
 	}
-	if profile {
-		s.sampleLeft = m.sampleLeft
-		s.callCounts = copyCounts(m.CallCounts)
-		s.samples = copyCounts(m.Samples)
-	}
-	return s
 }
 
 // StateEquals reports whether the machine's current execution state is
@@ -233,7 +210,8 @@ func (s *Snapshot) DeadDiff(m *Machine) (ok, dead, kept bool) {
 // Restore resets the machine to a snapshot taken from a machine with the
 // same Config (ISA, core count, RAM size, cache geometry). The injection
 // hook (InjectAt/Inject) is left untouched so a caller can arm a fault
-// before resuming; the injected latch is reset to the snapshot's value.
+// before resuming; the injected latch is reset to the snapshot's value. A
+// golden machine's records (Config.Profile) are left as they were.
 func (m *Machine) Restore(s *Snapshot) {
 	if len(m.Cores) != len(s.cores) {
 		m.Cores = make([]Core, len(s.cores))
@@ -262,7 +240,4 @@ func (m *Machine) Restore(s *Snapshot) {
 	m.AppExitCode = s.appExitCode
 	m.AppSignal = s.appSignal
 	m.injected = s.injected
-	m.sampleLeft = s.sampleLeft
-	m.CallCounts = copyCounts(s.callCounts)
-	m.Samples = copyCounts(s.samples)
 }

@@ -1,6 +1,7 @@
 package mach
 
 import (
+	"maps"
 	"testing"
 
 	"serfi/internal/isa"
@@ -112,8 +113,8 @@ func TestSnapshotRestoreIntoUninstalledMachine(t *testing.T) {
 // TestCheckpointSnapshotOmitsProfileTables: a checkpoint captured from a
 // profiling machine is the snapshot an unprofiled machine would have taken —
 // same execution state, no call counts, no samples, no sampling countdown —
-// so a machine restored from it does not start profiling; Snapshot keeps
-// the tables.
+// so restoring one leaves a machine's tables as they were: an unprofiled
+// machine's stay nil, and a profiling machine's keep what it has counted.
 func TestCheckpointSnapshotOmitsProfileTables(t *testing.T) {
 	cfg := testConfig(armv8.New(), 1)
 	plain := newTestMachine(t, cfg, snapProg(), nil)
@@ -129,18 +130,21 @@ func TestCheckpointSnapshotOmitsProfileTables(t *testing.T) {
 		t.Fatal("the profiling machine took no samples")
 	}
 	ck := prof.CheckpointSnapshot()
-	if ck.callCounts != nil || ck.samples != nil || ck.sampleLeft != 0 {
-		t.Errorf("checkpoint carries profile state: %v %v %d", ck.callCounts, ck.samples, ck.sampleLeft)
-	}
 	if !ck.StateEqualsExact(plain) {
 		t.Error("checkpoint of the profiling machine differs from the unprofiled machine's state")
 	}
-	if full := prof.Snapshot(); len(full.samples) != len(prof.Samples) || full.sampleLeft != prof.sampleLeft {
-		t.Error("Snapshot lost the profile tables")
+	plain.Restore(ck)
+	if plain.Samples != nil || plain.CallCounts != nil {
+		t.Error("a machine restored from a checkpoint profiles")
 	}
+	prof.SetInstrBudget(400)
+	if r := prof.Run(0); r != StopInstrBudget {
+		t.Fatalf("stop reason %v", r)
+	}
+	samples, calls, left := maps.Clone(prof.Samples), maps.Clone(prof.CallCounts), prof.untilSample
 	prof.Restore(ck)
-	if prof.Samples != nil || prof.CallCounts != nil {
-		t.Error("a machine restored from a checkpoint still profiles")
+	if !maps.Equal(prof.Samples, samples) || !maps.Equal(prof.CallCounts, calls) || prof.untilSample != left {
+		t.Error("a restore rolled the profiling machine's tables back")
 	}
 }
 

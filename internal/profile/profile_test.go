@@ -1,6 +1,7 @@
 package profile_test
 
 import (
+	"context"
 	"testing"
 
 	"serfi/internal/fi"
@@ -16,7 +17,7 @@ func profiledRun(t *testing.T, sc npb.Scenario) (*fi.Golden, *profile.Profile, p
 	}
 	cfg.Profile = true
 	cfg.SamplePeriod = 53
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

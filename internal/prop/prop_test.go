@@ -20,7 +20,7 @@ func scenario(t *testing.T) (*prop.Tracer, *fi.CheckpointSet, fault.Domain, *fi.
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestTracerMatchesCampaignOutcome(t *testing.T) {
 	tr, cs, d, g, faults := scenario(t)
 	traced, diverged := 0, 0
 	for _, p := range faults {
-		r1 := cs.InjectPoint(d, g, p)
+		r1, _ := cs.InjectPointContext(context.Background(), d, g, p)
 		if r1.Outcome == fi.Vanished || r1.Outcome == fi.ONA {
 			continue // campaigns only trace unmasked runs
 		}
@@ -70,7 +70,7 @@ func TestTracerMatchesCampaignOutcome(t *testing.T) {
 		}
 		// Non-perturbation: the injection replays bit-identically after
 		// the trace touched the shared checkpoint set.
-		if r2 := cs.InjectPoint(d, g, p); r2 != r1 {
+		if r2, _ := cs.InjectPointContext(context.Background(), d, g, p); r2 != r1 {
 			t.Errorf("fault %v: injection perturbed by tracing: %+v != %+v", p, r2, r1)
 		}
 		traced++
@@ -88,7 +88,7 @@ func TestTracerMatchesCampaignOutcome(t *testing.T) {
 func TestTracerDeterministic(t *testing.T) {
 	tr, cs, d, g, faults := scenario(t)
 	for _, p := range faults {
-		if r := cs.InjectPoint(d, g, p); r.Outcome == fi.Vanished || r.Outcome == fi.ONA {
+		if r, _ := cs.InjectPointContext(context.Background(), d, g, p); r.Outcome == fi.Vanished || r.Outcome == fi.ONA {
 			continue
 		}
 		t1, o1, err := tr.Trace(d, p)
@@ -118,7 +118,7 @@ func TestTracerWithoutCheckpoints(t *testing.T) {
 	}
 	cold := prop.NewTracer(img, cfg, g, nil)
 	for _, p := range faults {
-		if r := cs.InjectPoint(d, g, p); r.Outcome == fi.Vanished || r.Outcome == fi.ONA {
+		if r, _ := cs.InjectPointContext(context.Background(), d, g, p); r.Outcome == fi.Vanished || r.Outcome == fi.ONA {
 			continue
 		}
 		t1, o1, err := tr.Trace(d, p)
@@ -146,7 +146,7 @@ func TestTracerCacheDomain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestTracerCacheDomain(t *testing.T) {
 	}
 	tr := prop.NewTracer(img, cfg, g, cs)
 	for _, p := range fi.List(7, 3, d) {
-		r := cs.InjectPoint(d, g, p)
+		r, _ := cs.InjectPointContext(context.Background(), d, g, p)
 		trace, outcome, err := tr.Trace(d, p)
 		if err != nil {
 			t.Fatalf("trace %v: %v", p, err)

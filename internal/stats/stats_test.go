@@ -2,6 +2,7 @@ package stats_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestCollectAndDump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := fi.RunGolden(img, cfg, 0)
+	g, err := fi.RunGoldenContext(context.Background(), img, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

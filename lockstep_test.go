@@ -77,9 +77,9 @@ func TestLockstepFastVsSlowPath(t *testing.T) {
 			mk := func(slow bool) *mach.Machine {
 				c := cfg
 				c.SlowPath = slow
+				c.Profile = true
 				m := mach.New(c)
 				img.InstallTo(m)
-				m.KeepRecords()
 				return m
 			}
 			fast, slow := mk(false), mk(true)
