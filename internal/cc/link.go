@@ -39,12 +39,9 @@ type Symbol struct {
 	Seg  Seg
 }
 
-type segData struct {
-	addr  uint32
-	bytes []byte
-}
-
-// Image is a fully linked bootable software stack.
+// Image is a fully linked bootable software stack. Its payload, the initial
+// RAM and region table, is a page snapshot (mem.Memory.Image) that every copy
+// and every machine installed from it shares until one of them writes a page.
 type Image struct {
 	ISAName string
 	Feat    isa.Features
@@ -55,7 +52,7 @@ type Image struct {
 	Symbols  map[string]Symbol
 	HeapBase uint32
 	HeapEnd  uint32
-	segs     []segData
+	ram      *mem.Snapshot
 	byAddr   []Symbol // functions sorted by address, for pc lookup
 }
 
@@ -226,6 +223,10 @@ func Link(codec isa.ISA, kernel, user []*Program, cfg LinkConfig) (*Image, error
 		}
 		return s, nil
 	}
+	ram := mem.New(cfg.RAMBytes)
+	for _, r := range img.Regions {
+		ram.Map(r)
+	}
 	var ktext, utext []byte
 	for _, pf := range funcs {
 		code := pf.cf.Code
@@ -259,32 +260,26 @@ func Link(codec isa.ISA, kernel, user []*Program, cfg LinkConfig) (*Image, error
 			utext = append(utext, buf...)
 		}
 	}
-	img.segs = append(img.segs, segData{mach.VectorBase, ktext}, segData{utextBase, utext})
+	ram.WriteBytes(mach.VectorBase, ktext)
+	ram.WriteBytes(utextBase, utext)
 
-	// 6. Global initializers.
-	initGlobals := func(progs []*Program, base, end uint32) {
-		size := end - base
-		if size == 0 {
-			return
-		}
-		buf := make([]byte, size)
+	// 6. Global initializers. Only initialized words and bytes are written,
+	// so a page of zero-initialized globals stays the shared zero page.
+	for _, progs := range [][]*Program{kernel, user} {
 		for _, prog := range progs {
 			for _, gl := range prog.Globals {
-				off := gl.Addr - base
 				for i, v := range gl.InitWords {
 					if wb == 4 {
-						binary.LittleEndian.PutUint32(buf[off+uint32(i)*4:], uint32(v))
+						ram.WriteU32(gl.Addr+uint32(i)*4, uint32(v))
 					} else {
-						binary.LittleEndian.PutUint64(buf[off+uint32(i)*8:], v)
+						ram.WriteU64(gl.Addr+uint32(i)*8, v)
 					}
 				}
-				copy(buf[off+gl.Words*wb:], gl.InitBytes)
+				ram.WriteBytes(gl.Addr+gl.Words*wb, gl.InitBytes)
 			}
 		}
-		img.segs = append(img.segs, segData{base, buf})
 	}
-	initGlobals(kernel, kdataBase, kdataEnd)
-	initGlobals(user, udataBase, udataEnd)
+	img.ram = ram.Image()
 
 	// 7. Entry and config symbols.
 	start, err := resolve("__start")
@@ -330,50 +325,39 @@ func Link(codec isa.ISA, kernel, user []*Program, cfg LinkConfig) (*Image, error
 	return img, nil
 }
 
-// Clone returns a copy of the image with segment payloads of its own, so a
-// SetWord on either leaves the other unchanged. Symbols, Regions and the pc
-// index are shared: nothing writes them once Link returns.
+// Clone returns a copy of the image that shares its payload: a SetWord on
+// either replaces that image's snapshot with a patched one and leaves the
+// other's as it was. Symbols, Regions and the pc index are shared as well:
+// nothing writes them once Link returns.
 func (img *Image) Clone() *Image {
 	c := *img
-	c.segs = make([]segData, len(img.segs))
-	for i, sg := range img.segs {
-		c.segs[i] = segData{sg.addr, append([]byte(nil), sg.bytes...)}
-	}
 	return &c
 }
 
-// SetWord patches word idx of a global symbol inside the image payload
-// (pre-boot configuration such as the thread count of a scenario).
+// SetWord patches word idx of a symbol inside the image payload (pre-boot
+// configuration such as the thread count of a scenario). The image gets a
+// snapshot of its own that copies only the page holding the word
+// (mem.Snapshot.Patch).
 func (img *Image) SetWord(sym string, idx uint32, v uint64) error {
 	s, ok := img.Symbols[sym]
 	if !ok {
 		return fmt.Errorf("image: no symbol %q", sym)
 	}
-	wb := uint32(img.Feat.WordBytes)
-	addr := s.Addr + idx*wb
-	for i := range img.segs {
-		sg := &img.segs[i]
-		if addr >= sg.addr && addr+wb <= sg.addr+uint32(len(sg.bytes)) {
-			off := addr - sg.addr
-			if wb == 4 {
-				binary.LittleEndian.PutUint32(sg.bytes[off:], uint32(v))
-			} else {
-				binary.LittleEndian.PutUint64(sg.bytes[off:], v)
-			}
-			return nil
-		}
+	wb := uint64(img.Feat.WordBytes)
+	if (uint64(idx)+1)*wb > uint64(s.Size) {
+		return fmt.Errorf("image: word %d of %q lies past its %d bytes", idx, sym, s.Size)
 	}
-	return fmt.Errorf("image: symbol %q not inside an initialized segment", sym)
+	b := binary.LittleEndian.AppendUint64(nil, v)[:wb]
+	img.ram = img.ram.Patch(s.Addr+idx*uint32(wb), b)
+	return nil
 }
 
-// InstallTo maps the image's regions and loads its payload into a machine.
+// InstallTo loads the image into a fresh machine built for the RAM size it
+// was linked for: RAM and the region table point at the image's snapshot
+// (mem.Memory.Install), so the machine owns no page until its guest writes
+// one, and every core is at the entry. Another RAM size panics, naming both.
 func (img *Image) InstallTo(m *mach.Machine) {
-	for _, r := range img.Regions {
-		m.Map(r)
-	}
-	for _, sg := range img.segs {
-		m.LoadBytes(sg.addr, sg.bytes)
-	}
+	m.Mem.Install(img.ram)
 	m.SetTextLimit(img.TextEnd)
 	m.SetEntry(img.Entry)
 }

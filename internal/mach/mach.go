@@ -222,8 +222,11 @@ type Machine struct {
 	wrSlow uint32
 }
 
-// New builds a machine. The memory map must then be installed via Map and
-// code via LoadBytes/SetEntry before Run.
+// New builds a machine with zeroed RAM and no mapped region. Before Run, the
+// memory map must be installed via Map and code via LoadBytes and
+// SetTextLimit/SetEntry, or a linked image installed at once
+// (cc.Image.InstallTo), which shares the image's pages instead of copying
+// them.
 func New(cfg Config) *Machine {
 	if cfg.Cores < 1 {
 		cfg.Cores = 1

@@ -9,15 +9,19 @@
 // snapshot is the list of the pages the memory held, shared, not copied: the
 // memory copies a page the first time it writes it after a capture or a
 // restore. So a restore repoints only the pages whose slices differ, and a
-// compare skips the pages both sides share.
+// compare skips the pages both sides share. A linked guest image is such a
+// snapshot too (Image, Install): every machine built from it shares its pages
+// until its guest writes them.
 package mem
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -439,15 +443,47 @@ type Snapshot struct {
 // page that is not the zero page; from here on the memory owns none of them,
 // so its next write to any page copies that page first.
 func (m *Memory) Snapshot() *Snapshot {
+	obsSnapshots.Inc()
+	obsSnapshotPages.Add(float64(m.owned.count()))
+	return m.Image()
+}
+
+// Image captures the memory as a boot image: a Snapshot in every respect but
+// telemetry. A linker writes an image into a scratch memory once and seals it
+// with Image, and every machine built from it starts from it (Install), so
+// neither is a checkpoint capture or a restore and no snapshot or restore
+// counter moves.
+func (m *Memory) Image() *Snapshot {
 	s := &Snapshot{size: m.size, pages: make([]snapPage, 0, m.held.count()), regions: append([]Region(nil), m.regions...)}
 	for pn := m.held.next(0); int(pn) < len(m.pages); pn = m.held.next(pn + 1) {
 		s.pages = append(s.pages, snapPage{pn, m.pages[pn]})
 	}
-	obsSnapshots.Inc()
-	obsSnapshotPages.Add(float64(m.owned.count()))
 	clear(m.owned)
 	clear(m.dirty)
 	return s
+}
+
+// Patch returns a copy of the snapshot with b written at addr. The copy shares
+// every page with s but the ones b lands on, which it holds as patched copies
+// (of the zero page where s lists none), so s reads as before. An access past
+// the end of RAM panics.
+func (s *Snapshot) Patch(addr uint32, b []byte) *Snapshot {
+	if uint64(addr)+uint64(len(b)) > uint64(s.size) {
+		panic(fmt.Sprintf("mem: patch [%#x,%#x) out of range for RAM size %#x", addr, uint64(addr)+uint64(len(b)), s.size))
+	}
+	c := &Snapshot{size: s.size, pages: slices.Clone(s.pages), regions: s.regions}
+	for len(b) > 0 {
+		pn, off := addr>>pageShift, addr&^pageMask
+		i, listed := slices.BinarySearchFunc(c.pages, pn, func(p snapPage, pn uint32) int { return cmp.Compare(p.pn, pn) })
+		if !listed {
+			c.pages = slices.Insert(c.pages, i, snapPage{pn, zeroPage[:pageEnd(off, s.size)-off]})
+		}
+		page := slices.Clone(c.pages[i].data)
+		c.pages[i].data = page
+		b = b[copy(page[addr&pageMask:], b):]
+		addr = off + PageBytes
+	}
+	return c
 }
 
 // Bytes returns the RAM payload the snapshots hold together, each page they
@@ -534,8 +570,23 @@ func (s *Snapshot) DiffWords(m *Memory, size uint32, fn func(addr uint32) bool) 
 // snapshot holds it, and goes on the free list. The returned slice is valid
 // until the next Restore. Restoring a snapshot of another RAM size panics.
 func (m *Memory) Restore(s *Snapshot) []uint32 {
+	touched := m.restore(s, "Restore of a %#x-byte snapshot")
+	obsRestores.Inc()
+	obsRestorePages.Add(float64(len(touched)))
+	return touched
+}
+
+// Install points RAM and the region table at a boot image's (Image), as
+// Restore does, without telemetry. A fresh memory then owns no page: it
+// shares every page with the image until it first writes it. Installing an
+// image of another RAM size panics, naming both sizes.
+func (m *Memory) Install(img *Snapshot) { m.restore(img, "Install of a %#x-byte image") }
+
+// restore is Restore without telemetry; what names the operation and the
+// snapshot's size in the panic of a size mismatch.
+func (m *Memory) restore(s *Snapshot, what string) []uint32 {
 	if m.size != s.size {
-		panic(fmt.Sprintf("mem: Restore of a %#x-byte snapshot into %#x bytes of RAM", s.size, m.size))
+		panic(fmt.Sprintf("mem: "+what+" into %#x bytes of RAM", s.size, m.size))
 	}
 	m.touched = m.touched[:0]
 	s.eachUnshared(m, func(pn uint32, have, want []byte) bool {
@@ -554,8 +605,6 @@ func (m *Memory) Restore(s *Snapshot) []uint32 {
 	}
 	m.regions = append(m.regions[:0], s.regions...)
 	m.last, m.last2 = 0, 0
-	obsRestores.Inc()
-	obsRestorePages.Add(float64(len(m.touched)))
 	return m.touched
 }
 

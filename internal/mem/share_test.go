@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -141,4 +142,66 @@ func TestRestoreRecyclesPages(t *testing.T) {
 	if !readsBack(s, image(m)) {
 		t.Error("recycled pages leaked into the snapshot")
 	}
+}
+
+// TestSnapshotPatchCopiesOnlyItsPages pins the page-patch primitive an image's
+// per-scenario words go through: the copy holds fresh copies of exactly the
+// pages the patch lands on, one it does not list (the zero page) included,
+// shares every other page with the source, and the source reads and shares
+// as before, byte for byte.
+func TestSnapshotPatchCopiesOnlyItsPages(t *testing.T) {
+	m := New(8*PageBytes - 100) // a short final page
+	m.WriteU32(0, 0x11111111)
+	m.WriteU32(PageBytes+8, 0x22222222)
+	m.WriteU32(3*PageBytes, 0x33333333)
+	m.Map(Region{Name: "data", Start: 0, End: 4 * PageBytes, Perm: PermR | PermW})
+	src := m.Snapshot()
+	srcRAM, srcPages := image(m), append([]snapPage(nil), src.pages...)
+
+	want := append([]byte(nil), srcRAM...)
+	straddle := PageBytes - 2 // two bytes on page 0, two on page 1
+	copy(want[straddle:], []byte{1, 2, 3, 4})
+	zero := 5*PageBytes + 7 // page 5 is listed nowhere
+	copy(want[zero:], []byte{5, 6})
+	tail := uint32(len(want)) - 3 // the short final page
+	copy(want[tail:], []byte{7, 8, 9})
+	patched := src.Patch(uint32(straddle), []byte{1, 2, 3, 4}).Patch(uint32(zero), []byte{5, 6}).Patch(tail, []byte{7, 8, 9})
+
+	if !readsBack(patched, want) {
+		t.Error("the patched copy does not read the source with the patches applied")
+	}
+	if !readsBack(src, srcRAM) || len(src.pages) != len(srcPages) {
+		t.Fatal("patching changed the source snapshot's bytes or its page list")
+	}
+	for i, p := range src.pages {
+		if p.pn != srcPages[i].pn || &p.data[0] != &srcPages[i].data[0] {
+			t.Fatalf("source page %d was repointed", p.pn)
+		}
+	}
+	if !bytes.Equal(zeroPage[:], make([]byte, PageBytes)) {
+		t.Fatal("patching a page the source does not list wrote the zero page")
+	}
+	fresh := map[uint32]bool{0: true, 1: true, 5: true, 7: true}
+	for _, p := range patched.pages {
+		i := slices.IndexFunc(srcPages, func(q snapPage) bool { return q.pn == p.pn })
+		shared := i >= 0 && &srcPages[i].data[0] == &p.data[0]
+		if shared == fresh[p.pn] {
+			t.Errorf("page %d shared with the source: %v, want %v", p.pn, shared, !fresh[p.pn])
+		}
+	}
+	if got := len(patched.pages); got != len(srcPages)+2 {
+		t.Errorf("the patched copy lists %d pages, want %d: the source's plus pages 5 and 7", got, len(srcPages)+2)
+	}
+
+	r := New(m.Size())
+	r.Restore(patched)
+	if !bytes.Equal(image(r), want) || len(r.Regions()) != 1 {
+		t.Error("restoring the patched copy does not give its bytes and the source's region table")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a patch past the end of RAM did not panic")
+		}
+	}()
+	src.Patch(m.Size()-1, []byte{1, 2})
 }

@@ -182,7 +182,8 @@ type imageKey struct {
 }
 
 // images holds one link per imageKey for the life of the process (at most
-// 22 images of ~180 KB): imageKey -> func() (*cc.Image, error).
+// 22 images, each the pages of its text and initialized data): imageKey ->
+// func() (*cc.Image, error).
 var images sync.Map
 
 // linked returns the image stack.Build links for key, linking it on the
@@ -199,7 +200,10 @@ func linked(key imageKey, app App, cfg mach.Config) (*cc.Image, error) {
 
 // BuildScenario returns the scenario's image and machine configuration. The
 // image is a copy of the one linked per app and ISA (once per process) with
-// the mode and thread/rank counts patched in; the caller owns it.
+// the mode and thread/rank counts patched in; the caller owns it. The copy
+// shares the link's page snapshot except for the pages the patched words lie
+// on (cc.Image.SetWord), so a build copies a page list and a page or two, and
+// a SetWord by the caller reaches no other copy.
 func BuildScenario(sc Scenario) (*cc.Image, mach.Config, error) {
 	app, ok := AppByName(sc.App)
 	if !ok {
